@@ -59,9 +59,7 @@ from .block import (
     assemble_block,
     build_index_set,
     dominant_block_index,
-    gershgorin_bounds,
     match_resonant,
-    separation_probe,
     tail_coupling_bound,
 )
 from .simple import (

@@ -12,14 +12,14 @@ q_{h_i - h_j}.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EmptyDirections
 from .geometry import ParameterCascade
-from .lattice import LatticeModel, LatticeVector
-from .numerics import integer_rank, power_difference
+from .lattice import LatticeModel, LatticeVector, vector_arrays
+from .numerics import integer_rank, relative_energies
 from .oracle import BlochSpectrum
 from .potential import FourierPotential
 
@@ -35,10 +35,15 @@ class ResonantIndexSet:
     vectors: tuple[LatticeVector, ...]  # the h_i, including gamma0 itself
     b_radius: float
     a_radius: float
+    coords: np.ndarray = field(init=False, repr=False, compare=False)  # (n, d) int64
+    embeddings: np.ndarray = field(init=False, repr=False, compare=False)  # (n, d)
 
     def __post_init__(self):
         self.center.setflags(write=False)
         self.t.setflags(write=False)
+        coords, embeddings = vector_arrays(self.vectors, len(self.center))
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "embeddings", embeddings)
 
     @property
     def size(self) -> int:
@@ -46,7 +51,7 @@ class ResonantIndexSet:
 
     def points(self) -> np.ndarray:
         """The h_i + t as rows."""
-        return np.array([h.embedding + self.t for h in self.vectors])
+        return self.embeddings + self.t
 
 
 def _span_combinations(directions: list[LatticeVector], radius: float):
@@ -133,28 +138,14 @@ class ResonantBlock:
 
 def assemble_block(index_set: ResonantIndexSet, l: int, q: FourierPotential) -> ResonantBlock:
     """Entries c_ii = |h_i + t|^{2l}, c_ij = q_{h_i - h_j} (zero off support)."""
-    n = index_set.size
-    t = index_set.t
     v = index_set.center
-    v_sq = float(v @ v)
-    shift = v_sq**l
-    H = np.zeros((n, n), dtype=complex)
-    diag_rel = np.zeros(n)
-    for i, h in enumerate(index_set.vectors):
-        delta = h.embedding + t - v
-        first = 2.0 * float(v @ delta) + float(delta @ delta)
-        diag_rel[i] = power_difference(first, v_sq + first, v_sq, l)
-        H[i, i] = shift + diag_rel[i]
-    for i, hi in enumerate(index_set.vectors):
-        for j in range(i + 1, n):
-            hj = index_set.vectors[j]
-            val = q.coefficient(tuple(a - b for a, b in zip(hi.coords, hj.coords)))
-            if val != 0:
-                H[i, j] = val
-                H[j, i] = val.conjugate()
-    H_rel = H.copy()
-    H_rel[np.diag_indices(n)] = diag_rel
-    evals_rel = np.linalg.eigvalsh(H_rel)
+    shift = float(v @ v) ** l
+    diag_rel = relative_energies(v, index_set.points(), l)
+    diag = np.diag_indices(index_set.size)
+    H = q.couplings(index_set.coords)
+    H[diag] = diag_rel
+    evals_rel = np.linalg.eigvalsh(H)
+    H[diag] = shift + diag_rel
     return ResonantBlock(
         index_set=index_set, matrix=H,
         eigenvalues=evals_rel + shift, eigenvalues_rel=evals_rel, shift=shift,
@@ -208,14 +199,6 @@ def match_resonant(spectrum: BlochSpectrum, block: ResonantBlock, n: int | None 
     return BlockMatch(oracle_index=int(n), block_index=j, deviation=float(devs[j]), summed_weight=weight)
 
 
-def gershgorin_bounds(block: ResonantBlock) -> tuple[float, float]:
-    """Enclosing interval from the row-sum discs; cheap assembly sanity."""
-    H = block.matrix
-    diag = np.real(np.diag(H))
-    radii = np.sum(np.abs(H), axis=1) - np.abs(diag)
-    return float(np.min(diag - radii)), float(np.max(diag + radii))
-
-
 def tail_coupling_bound(index_set: ResonantIndexSet, q: FourierPotential) -> float:
     """Operator-norm bound on couplings leaving the index set.
 
@@ -233,39 +216,3 @@ def tail_coupling_bound(index_set: ResonantIndexSet, q: FourierPotential) -> flo
                 leak += abs(q.coefficient(g))
         worst = max(worst, leak)
     return worst
-
-
-def separation_probe(lattice: LatticeModel, index_set: ResonantIndexSet,
-                     cascade: ParameterCascade, l: int, q: FourierPotential,
-                     n_samples: int = 50, seed: int = 0) -> list[dict]:
-    """Spot check of the outside-the-set separation bound.
-
-    Samples (h, short chains) leaving the index set and reports
-    | |v|^{2l} - |h - g' - ... + t|^{2l} | against rho^{alpha_{k+1}} / 5.
-    Violations are diagnostics, not failures (the bound is asymptotic).
-    """
-    rng = np.random.default_rng(seed)
-    k = len(index_set.directions)
-    bound = cascade.v_threshold(k + 1) / 5.0
-    members = {h.coords for h in index_set.vectors}
-    pool = [lattice.vector(c) for c in q.support]
-    if not pool:
-        return []
-    v = index_set.center
-    v_sq = float(v @ v)
-    out = []
-    for _ in range(n_samples):
-        h = index_set.vectors[rng.integers(len(index_set.vectors))]
-        chain_len = int(rng.integers(1, 3))
-        coords = h.coords
-        for _ in range(chain_len):
-            g = pool[rng.integers(len(pool))]
-            coords = tuple(a - b for a, b in zip(coords, g.coords))
-        if coords in members:
-            continue
-        x = lattice.embed(coords) + index_set.t
-        delta = x - v
-        first = 2.0 * float(v @ delta) + float(delta @ delta)
-        lhs = abs(power_difference(first, v_sq + first, v_sq, l))
-        out.append({"coords": coords, "lhs": lhs, "bound": bound, "ok": bool(lhs > bound)})
-    return out

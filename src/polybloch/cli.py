@@ -300,14 +300,8 @@ def cmd_gaps(args) -> int:
     e_min = float(sec.get("e_min", 0.0))
     radius = sec.get("basis_radius")
     e_max = sec.get("e_max")
-    if e_max is None:
-        probe = scanner.band_functions(lat, l, q, (8,) * lat.dimension, n_bands,
-                                       basis_radius=None if radius is None else float(radius),
-                                       workers=cfg.workers())
-        e_max = float(probe.band_min[-1]) * 0.999
-        radius = probe.basis_radius
     report, coarse, fine = scanner.stable_gap_report(
-        lat, l, q, grid, n_bands, e_min, float(e_max),
+        lat, l, q, grid, n_bands, e_min, None if e_max is None else float(e_max),
         basis_radius=None if radius is None else float(radius), workers=cfg.workers())
     out = cfg.output_dir(args.output_dir) / "gaps.json"
     write_json(out, cfg, {

@@ -48,6 +48,16 @@ class LatticeVector:
         return all(c == 0 for c in self.coords)
 
 
+def vector_arrays(vectors, dimension: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (n, d) int64 coordinates and (n, d) embeddings of an index set."""
+    n = len(vectors)
+    coords = np.array([vec.coords for vec in vectors], dtype=np.int64).reshape(n, dimension)
+    embeddings = np.array([vec.embedding for vec in vectors], dtype=float).reshape(n, dimension)
+    coords.setflags(write=False)
+    embeddings.setflags(write=False)
+    return coords, embeddings
+
+
 @dataclass(frozen=True)
 class QuasiMomentum:
     """Quasimomentum reduced into the half-open dual fundamental cell."""

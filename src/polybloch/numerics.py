@@ -17,6 +17,26 @@ def power_difference(first: float, a: float, b: float, l: int) -> float:
     return first * acc
 
 
+def relative_energies(v, points, l: int) -> np.ndarray:
+    """|x|^{2l} - |v|^{2l} for every row x of points, cancellation-free.
+
+    The first difference 2(v, x - v) + |x - v|^2 is formed from the small
+    offsets x - v, then multiplied by sum_j a^j b^(l-1-j) with a = |x|^2,
+    b = |v|^2; v = 0 gives the plain |x|^{2l}.  The row inner products use
+    np.vecdot, whose per-row dot rounds like the scalar `v @ delta` of
+    power_difference's callers (a matrix product or elementwise sum does not).
+    """
+    v = np.asarray(v, dtype=float)
+    delta = np.asarray(points, dtype=float) - v
+    first = 2.0 * np.vecdot(delta, v) + np.vecdot(delta, delta)
+    b = float(v @ v)
+    a = b + first
+    acc = np.zeros_like(first)
+    for j in range(l):
+        acc += a**j * b ** (l - 1 - j)
+    return first * acc
+
+
 def integer_rank(rows) -> int:
     """Exact rank over the rationals of an integer matrix (Bareiss elimination)."""
     m = [[int(x) for x in row] for row in rows]

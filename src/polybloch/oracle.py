@@ -9,21 +9,21 @@ re-solving on a 1.5x window.
 
 Internally the matrix is assembled relative to the shift |v|^{2l} with the
 diagonal computed through the cancellation-free identity
-A^l - B^l = (A - B) * sum_j A^j B^(l-1-j),  A - B = 2(v, delta) + |delta|^2,
-which keeps eigenvalue differences near the shift meaningful well below
-machine epsilon times |v|^{2l}.
+A^l - B^l = (A - B) * sum_j A^j B^(l-1-j),  A - B = 2(v, delta) + |delta|^2
+(numerics.relative_energies), which keeps eigenvalue differences near the
+shift meaningful well below machine epsilon times |v|^{2l}.  The couplings
+come from FourierPotential.couplings, the builder the resonant blocks share.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceFailure, WindowNotConverged
-from .lattice import TWO_PI, LatticeModel, LatticeVector
-from .numerics import power_difference
+from .lattice import TWO_PI, LatticeModel, LatticeVector, vector_arrays
+from .numerics import relative_energies
 from .potential import FourierPotential
 
 _RESIDUAL_TOL = 1e-8
@@ -40,9 +40,14 @@ class PlanewaveBasis:
     center: np.ndarray
     window_radius: float
     mode: str  # "full-ball" | "window"
+    coords: np.ndarray = field(init=False, repr=False, compare=False)  # (n, d) int64
+    embeddings: np.ndarray = field(init=False, repr=False, compare=False)  # (n, d)
 
     def __post_init__(self):
         self.center.setflags(write=False)
+        coords, embeddings = vector_arrays(self.vectors, self.lattice.dimension)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "embeddings", embeddings)
 
     def __len__(self):
         return len(self.vectors)
@@ -141,28 +146,9 @@ def assemble(l: int, q: FourierPotential, t, basis: PlanewaveBasis, shift_center
     if len(basis) == 0:
         raise ValueError("basis must be non-empty")
     t = np.asarray(t, dtype=float)
-    n = len(basis)
-    H = np.zeros((n, n), dtype=complex)
-    if shift_center is None:
-        for i, vec in enumerate(basis.vectors):
-            x = vec.embedding + t
-            H[i, i] = float(x @ x) ** l
-    else:
-        v = np.asarray(shift_center, dtype=float)
-        b_val = float(v @ v)
-        for i, vec in enumerate(basis.vectors):
-            delta = vec.embedding + t - v
-            first = 2.0 * float(v @ delta) + float(delta @ delta)
-            a_val = b_val + first
-            H[i, i] = power_difference(first, a_val, b_val, l)
-    for i, vi in enumerate(basis.vectors):
-        for j in range(i + 1, n):
-            vj = basis.vectors[j]
-            coords = tuple(a - b for a, b in zip(vi.coords, vj.coords))
-            val = q.coefficient(coords)
-            if val != 0:
-                H[i, j] = val
-                H[j, i] = val.conjugate()
+    v = np.zeros_like(t) if shift_center is None else np.asarray(shift_center, dtype=float)
+    H = q.couplings(basis.coords)
+    H[np.diag_indices(len(basis))] = relative_energies(v, basis.embeddings + t, l)
     return H
 
 
@@ -250,16 +236,3 @@ def free_eigenvalues(lattice: LatticeModel, t, l: int, basis: PlanewaveBasis) ->
     t = np.asarray(t, dtype=float)
     vals = [float((vec.embedding + t) @ (vec.embedding + t)) ** l for vec in basis.vectors]
     return np.sort(np.asarray(vals))
-
-
-def dump_spectrum_csv(spectrum: BlochSpectrum, gammas, fh):
-    """CSV rows (t coords, N, Lambda_N, |b(N, gamma*)|^2 ...) for requested gammas."""
-    gammas = [tuple(int(c) for c in g) for g in gammas]
-    writer = csv.writer(fh)
-    d = len(spectrum.t)
-    header = [f"t{i}" for i in range(d)] + ["N", "lambda"] + ["w_" + "_".join(map(str, g)) for g in gammas]
-    writer.writerow(header)
-    for n in range(len(spectrum)):
-        row = [repr(float(x)) for x in spectrum.t] + [str(n), repr(float(spectrum.eigenvalues[n]))]
-        row += [repr(spectrum.weight(n, g)) for g in gammas]
-        writer.writerow(row)

@@ -62,6 +62,42 @@ class FourierPotential:
     def is_zero(self) -> bool:
         return not self._table
 
+    def couplings(self, coords) -> np.ndarray:
+        """Dense (n, n) matrix of q_{c_i - c_j} over the rows c of an index set.
+
+        Each support vector g is looked up once and scattered in one pass:
+        rows are keyed in mixed radix over the set's bounding box and c_i - g
+        is found by binary search, so the cost is O(n |supp| log n) with
+        O(n) temporaries.  Only pairs i < j are looked up; (j, i) receives the
+        conjugate, so the result is exactly Hermitian even for tables that
+        are Hermitian only to the loader's tolerance.  The diagonal is zero.
+        """
+        coords = np.asarray(coords, dtype=np.int64)
+        n = len(coords)
+        H = np.zeros((n, n), dtype=complex)
+        if n == 0 or not self._table:
+            return H
+        lo = coords.min(axis=0)
+        span = coords.max(axis=0) - lo + 1
+        stride = np.cumprod(np.concatenate(([1], span[:-1])))
+        keys = (coords - lo) @ stride
+        order = np.argsort(keys)
+        sorted_keys = keys[order]
+        for g in self._support:
+            value = self.coefficient(g)
+            target = coords - np.asarray(g, dtype=np.int64)
+            inside = np.all((target >= lo) & (target < lo + span), axis=1)
+            i = np.flatnonzero(inside)
+            wanted = (target[inside] - lo) @ stride
+            pos = np.minimum(np.searchsorted(sorted_keys, wanted), n - 1)
+            hit = sorted_keys[pos] == wanted
+            i, j = i[hit], order[pos[hit]]
+            upper = i < j
+            i, j = i[upper], j[upper]
+            H[i, j] = value
+            H[j, i] = value.conjugate()
+        return H
+
     def one_norm(self) -> float:
         """Sum of |q_gamma|; the operator-norm bound on the perturbation."""
         return float(sum(abs(v) for v in self._table.values()))

@@ -111,7 +111,7 @@ def band_functions(lattice: LatticeModel, l: int, q: FourierPotential, grid_coun
     if len(basis) < n_bands:
         raise InsufficientBands(f"basis of {len(basis)} plane waves cannot carry {n_bands} bands")
     t_points = _grid_points(lattice, grid_counts)
-    embeddings = np.array([vec.embedding for vec in basis.vectors])
+    embeddings = basis.embeddings
     coupling = assemble(l, q, np.zeros(lattice.dimension), basis)
     np.fill_diagonal(coupling, 0.0)
 
@@ -204,17 +204,23 @@ def gap_report(table: BandTable, e_min: float, e_max: float,
 
 
 def stable_gap_report(lattice: LatticeModel, l: int, q: FourierPotential, grid_counts,
-                      n_bands: int, e_min: float, e_max: float,
+                      n_bands: int, e_min: float, e_max: float | None,
                       basis_radius: float | None = None, workers: int = 1,
                       rel_tol: float = 1e-3) -> tuple[GapReport, BandTable, BandTable]:
     """Gap scan at the given grid and at the doubled grid.
 
     The report carries the fine-grid gaps; stable is true when both levels
-    agree on the gap count and on endpoints to rel_tol relative.
+    agree on the gap count and on endpoints to rel_tol relative.  With
+    e_max None it is set just below the fine grid's top-band minimum: the
+    doubled grid contains every coarse point, so that minimum bounds both
+    tables and the coverage check holds at both levels.
     """
     coarse = band_functions(lattice, l, q, grid_counts, n_bands, basis_radius, workers)
     fine = band_functions(lattice, l, q, tuple(2 * n for n in grid_counts), n_bands,
                           coarse.basis_radius, workers)
+    if e_max is None:
+        top = float(fine.band_min[-1])
+        e_max = top - 1e-3 * max(abs(top), 1.0)
     g_coarse = gap_report(coarse, e_min, e_max)
     g_fine = gap_report(fine, e_min, e_max)
     stable = g_coarse.gap_count == g_fine.gap_count

@@ -1,0 +1,121 @@
+"""Property tests of the shared operator builder against pairwise reference loops.
+
+The references below fill the matrix the way the builder replaced: one
+coefficient lookup per pair i < j and one scalar power difference per row.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import polybloch as pb
+from polybloch.block import ResonantIndexSet, assemble_block
+from polybloch.numerics import power_difference
+from polybloch.oracle import PlanewaveBasis
+from polybloch.potential import FourierPotential
+
+EPS = np.finfo(float).eps
+
+OBLIQUE = {
+    2: [[1.0, 0.0], [0.37, 1.21]],
+    3: [[1.0, 0.0, 0.0], [0.31, 1.13, 0.0], [0.17, -0.29, 0.91]],
+}
+
+
+def pairwise_couplings(q, vectors):
+    n = len(vectors)
+    H = np.zeros((n, n), dtype=complex)
+    for i, vi in enumerate(vectors):
+        for j in range(i + 1, n):
+            val = q.coefficient(tuple(a - b for a, b in zip(vi.coords, vectors[j].coords)))
+            if val != 0:
+                H[i, j] = val
+                H[j, i] = val.conjugate()
+    return H
+
+
+def pairwise_diagonal(vectors, t, l, v):
+    if v is None:
+        return np.array([float((h.embedding + t) @ (h.embedding + t)) ** l for h in vectors])
+    v_sq = float(v @ v)
+    out = []
+    for h in vectors:
+        delta = h.embedding + t - v
+        first = 2.0 * float(v @ delta) + float(delta @ delta)
+        out.append(power_difference(first, v_sq + first, v_sq, l))
+    return np.array(out)
+
+
+@st.composite
+def instances(draw):
+    d = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):
+        lattice = pb.LatticeModel.cubic(d)
+    else:
+        lattice = pb.LatticeModel(2 * np.pi * np.array(OBLIQUE[d]))
+    box = st.integers(-2, 2)
+    point = st.tuples(*([box] * d))
+    table = {}
+    if draw(st.integers(0, 4)):  # one draw in five keeps q empty
+        support = draw(st.lists(point.filter(any), min_size=1, max_size=6, unique=True))
+        for g in support:
+            value = complex(draw(st.floats(-1, 1)), draw(st.floats(-1, 1)))
+            if value == 0:
+                continue
+            # Hermitian to the loader's 1e-12, not necessarily exactly
+            skew = draw(st.sampled_from([0.0, 0.0, 5e-13, -7e-13]))
+            table[g] = value
+            table[tuple(-c for c in g)] = value.conjugate() * (1.0 + skew)
+    q = FourierPotential(lattice, table)
+    offset = draw(st.tuples(*([st.integers(-30, 30)] * d)))
+    rows = draw(st.lists(st.tuples(*([st.integers(-3, 3)] * d)), min_size=1, max_size=40, unique=True))
+    vectors = tuple(lattice.vector(np.add(r, offset)) for r in rows)
+    t = np.array(draw(st.tuples(*([st.floats(0.0, 1.0)] * d)))) @ lattice.dual_basis
+    l = draw(st.sampled_from([1, 2, 3]))
+    if draw(st.booleans()):
+        jitter = np.array(draw(st.tuples(*([st.floats(-0.5, 0.5)] * d))))
+        v = vectors[0].embedding + t + jitter
+    else:
+        v = None
+    return lattice, q, vectors, t, l, v
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_builder_matches_pairwise_reference(case):
+    lattice, q, vectors, t, l, v = case
+    basis = PlanewaveBasis(lattice, vectors, np.zeros(lattice.dimension), 0.0, "window")
+    coupling = q.couplings(basis.coords)
+    reference = pairwise_couplings(q, vectors)
+    assert np.array_equal(coupling, reference)
+    assert np.array_equal(coupling, coupling.conj().T)
+
+    H = pb.assemble(l, q, t, basis, shift_center=v)
+    n = len(vectors)
+    off = ~np.eye(n, dtype=bool)
+    assert np.array_equal(H[off], reference[off])
+    assert np.array_equal(H, H.conj().T)
+    diag = np.diag(H)
+    assert np.all(diag.imag == 0)
+    want = pairwise_diagonal(vectors, t, l, v)
+    x_sq = np.sum((basis.embeddings + t) ** 2, axis=1)
+    v_sq = 0.0 if v is None else float(v @ v)
+    assert np.all(np.abs(diag.real - want) <= 16 * EPS * (v_sq + x_sq) ** l)
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances())
+def test_block_and_oracle_assemble_the_same_matrix(case):
+    lattice, q, vectors, t, l, v = case
+    if v is None:
+        v = vectors[0].embedding + t
+    index_set = ResonantIndexSet(center=np.array(v), t=np.array(t), gamma0=vectors[0],
+                                 directions=(), vectors=vectors, b_radius=0.0, a_radius=0.0)
+    block = assemble_block(index_set, l, q)
+    basis = PlanewaveBasis(lattice, vectors, np.array(v), 0.0, "window")
+    H = pb.assemble(l, q, t, basis, shift_center=v)
+    n = len(vectors)
+    off = ~np.eye(n, dtype=bool)
+    assert np.array_equal(block.matrix[off], H[off])
+    assert np.array_equal(np.diag(block.matrix).real, block.shift + np.diag(H).real)
+    assert np.array_equal(block.eigenvalues_rel, np.linalg.eigvalsh(H))

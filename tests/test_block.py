@@ -147,15 +147,6 @@ class TestBlockAssembly:
         diag = sorted(np.real(np.diag(blk.matrix)))
         assert np.allclose(blk.eigenvalues, diag, rtol=1e-12)
 
-    def test_gershgorin(self, z2):
-        q = pb.cosine_sum(z2, [(1, 0), (0, 1)], 0.4)
-        v = np.array([0.5, 10.0])
-        iset = pb.build_index_set(z2, v, [z2.vector((0, 1))], b_radius=1.5, a_radius=1.5)
-        blk = pb.assemble_block(iset, 1, q)
-        lo, hi = pb.gershgorin_bounds(blk)
-        assert np.all(blk.eigenvalues >= lo - 1e-12)
-        assert np.all(blk.eigenvalues <= hi + 1e-12)
-
 
 class TestMatching:
     def test_zero_potential_deviation_zero(self, z2):
@@ -198,16 +189,3 @@ class TestMatching:
             blk = pb.assemble_block(iset, 1, q)
             devs.append(pb.match_resonant(spec, blk).deviation)
         assert devs[0] > devs[1] > devs[2]
-
-
-def test_separation_probe_runs(z2):
-    q = pb.cosine_pair(z2, (1, 0), 0.2)
-    v = np.array([0.5, 20.0])
-    cas = scaled_cascade(20.0, a_radius=1.2)
-    iset = pb.build_index_set(z2, v, [z2.vector((-1, 0))], cas)
-    rows = pb.separation_probe(z2, iset, cas, 1, q, n_samples=40, seed=3)
-    assert rows
-    for row in rows:
-        assert set(row) == {"coords", "lhs", "bound", "ok"}
-    # far from the set the free energies separate cleanly at this scale
-    assert any(r["ok"] for r in rows)

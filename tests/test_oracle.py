@@ -1,11 +1,9 @@
-import io
-
 import numpy as np
 import pytest
 
 import polybloch as pb
 from polybloch.errors import WindowNotConverged
-from polybloch.oracle import PlanewaveBasis, dump_spectrum_csv
+from polybloch.oracle import PlanewaveBasis
 from polybloch.potential import FourierPotential
 
 
@@ -143,14 +141,3 @@ class TestWindowedSolve:
         n = spec.dominant_index(z2.reduce(v)[0].coords)
         assert spec.shift == pytest.approx(float(v @ v))
         assert spec.eigenvalues[n] == pytest.approx(spec.shift + spec.relative_eigenvalue(n), rel=1e-12)
-
-
-def test_csv_dump(z2, cosine):
-    v = np.array([5.3, 4.2])
-    spec = pb.bloch_solve(z2, 1, cosine.scaled(0.1), v, 4.0)
-    buf = io.StringIO()
-    gamma0, _ = z2.reduce(v)
-    dump_spectrum_csv(spec, [gamma0.coords], buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0].startswith("t0,t1,N,lambda,w_")
-    assert len(lines) == len(spec) + 1

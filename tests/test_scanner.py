@@ -109,6 +109,13 @@ class TestGapReport:
         assert report.stable is True
         assert fine.grid_counts == (16, 16)
 
+    def test_default_e_max_below_both_top_band_minima(self, z2):
+        q = pb.cosine_sum(z2, [(1, 0), (0, 1)], 0.3)
+        report, coarse, fine = pb.stable_gap_report(z2, 1, q, (8, 8), 30, 0.0, None,
+                                                    basis_radius=6.5)
+        assert report.e_max < fine.band_min[-1]
+        assert report.e_max < coarse.band_min[-1]
+
 
 class TestMeasureFraction:
     def test_partition_sums_to_one(self, z2):
