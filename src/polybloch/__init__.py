@@ -23,7 +23,7 @@ from .errors import (
     SpectralError,
     WindowNotConverged,
 )
-from .lattice import LatticeModel, LatticeVector, QuasiMomentum, dual_lattice, make_lattice
+from .lattice import LatticeModel, LatticeVector, QuasiMomentum, dual_lattice
 from .potential import FourierPotential, cosine_pair, cosine_sum, load_potential, random_potential
 from .oracle import BlochSpectrum, PlanewaveBasis, assemble, bloch_solve, diagonalize, free_eigenvalues, solve
 from .geometry import (
@@ -45,7 +45,6 @@ from .series import (
     SeriesEvaluation,
     SweepTable,
     evaluate_series,
-    known_part_derivative,
     known_part_sequence,
     match_eigenvalue,
     order_sweep,
@@ -70,7 +69,6 @@ from .simple import (
     bloch_verify,
     check_simplicity,
     coefficient_prediction,
-    in_A_rho,
     isoenergetic_sample,
     k_set,
     known_part,

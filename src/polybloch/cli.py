@@ -119,11 +119,18 @@ def cmd_verify(args) -> int:
     direction = sec.get("direction")
     if direction is None:
         raise ConfigError("missing [verify].direction")
-    u = np.asarray(direction, dtype=float)
-    u = u / np.linalg.norm(u)
-    orders = [int(k) for k in sec.get("orders", [1, 2])]
     rhos = cfg.rho_list()
     cas = cfg.cascade(rhos[0], d=lat.dimension)
+    cap = cas.series_cap()
+    try:
+        u = np.asarray(direction, dtype=float).reshape(lat.dimension)
+        orders = [int(k) for k in sec.get("orders", [1, 2])]
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"bad [verify]: {err}") from err
+    norm = float(np.linalg.norm(u))
+    if not (0 < norm < np.inf and orders and 1 <= min(orders) <= max(orders) <= cap):
+        raise ConfigError(f"[verify] needs a finite nonzero direction and orders in 1..{cap}: {direction}, {orders}")
+    u = u / norm
     window = sec.get("window_radius")
     table = series.order_sweep(lat, l, q, [rho * u for rho in rhos], orders, cas,
                                window_radius=None if window is None else float(window))
@@ -273,8 +280,7 @@ def cmd_bands(args) -> int:
     n_bands = int(sec.get("n_bands", 20))
     radius = sec.get("basis_radius")
     table = scanner.band_functions(lat, l, q, grid, n_bands,
-                                   basis_radius=None if radius is None else float(radius),
-                                   workers=cfg.workers())
+                                   basis_radius=None if radius is None else float(radius))
     out_dir = cfg.output_dir(args.output_dir)
     csv_path = out_dir / "bands.csv"
     with open(csv_path, "w") as fh:
@@ -284,9 +290,15 @@ def cmd_bands(args) -> int:
         "grid": list(grid), "n_bands": n_bands, "basis_radius": table.basis_radius,
         "band_min": [float(x) for x in table.band_min],
         "band_max": [float(x) for x in table.band_max],
+        "diagnostics": _band_diagnostics(table, l),
     })
     print(f"bands: {n_bands} over {grid} grid (basis radius {table.basis_radius!r}) -> {csv_path}")
     return 0
+
+
+def _band_diagnostics(table, l: int) -> dict:
+    return {"solved_points": table.solved_points, "symmetry_order": table.symmetry_order,
+            "continuity_report": scanner.continuity_report(table, l)}
 
 
 def cmd_gaps(args) -> int:
@@ -302,13 +314,14 @@ def cmd_gaps(args) -> int:
     e_max = sec.get("e_max")
     report, coarse, fine = scanner.stable_gap_report(
         lat, l, q, grid, n_bands, e_min, None if e_max is None else float(e_max),
-        basis_radius=None if radius is None else float(radius), workers=cfg.workers())
+        basis_radius=None if radius is None else float(radius))
     out = cfg.output_dir(args.output_dir) / "gaps.json"
     write_json(out, cfg, {
         "e_min": report.e_min, "e_max": report.e_max,
         "gaps": [list(g) for g in report.gaps],
         "stable": report.stable,
         "grids": [list(coarse.grid_counts), list(fine.grid_counts)],
+        "diagnostics": _band_diagnostics(fine, l),
     })
     print(f"gaps in ({report.e_min!r}, {report.e_max!r}]: {len(report.gaps)} (stable = {report.stable}) -> {out}")
     return 0
@@ -348,6 +361,8 @@ def cmd_measure(args) -> int:
     lat = cfg.lattice()
     sec = cfg.section("measure")
     n_samples = int(sec.get("n_samples", 10000))
+    if n_samples < scanner.MIN_MEASURE_SAMPLES:
+        raise ConfigError(f"[measure].n_samples must be at least {scanner.MIN_MEASURE_SAMPLES}, got {n_samples}")
     results = []
     for rho in cfg.rho_list():
         cas = cfg.cascade(rho, d=lat.dimension)

@@ -123,9 +123,6 @@ class ExperimentConfig:
     def seed(self) -> int:
         return int(self.field("experiment", "seed", default=0))
 
-    def workers(self) -> int:
-        return int(self.field("experiment", "workers", default=1))
-
     def output_dir(self, override=None) -> Path:
         if override is not None:
             out = Path(override)

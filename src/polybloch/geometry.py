@@ -89,6 +89,10 @@ class ParameterCascade:
     def known_order(self) -> int:
         if self.known_order_override is not None:
             return self.known_order_override
+        return self.series_cap()
+
+    def series_cap(self) -> int:
+        """Highest series order evaluated: k1, capped at MAX_SERIES_ORDER."""
         return min(self.k1, MAX_SERIES_ORDER)
 
     def matching_halfwidth(self) -> float:

@@ -44,9 +44,6 @@ class LatticeVector:
     def __hash__(self):
         return hash(self.coords)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
 
 def vector_arrays(vectors, dimension: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (n, d) int64 coordinates and (n, d) embeddings of an index set."""
@@ -193,6 +190,20 @@ class LatticeModel:
         out.sort()
         return [self.vector(n) for _, n in out]
 
+    def point_group(self) -> tuple[np.ndarray, ...]:
+        """Integer maps n -> nM of dual coordinates that preserve the dual
+        Gram matrix G: M G M^T = G to 1e-12 relative.
+
+        Row i of M is the image of dual basis vector i, so it is drawn from
+        the dual vectors of the same length.
+        """
+        G = self._gram_dual
+        tol = 1e-12 * float(np.abs(G).max())
+        shells = [[v.coords for v in self.enumerate_ball(np.sqrt(G[i, i]) * (1 + 1e-6))
+                   if abs(v.norm_sq - G[i, i]) <= tol] for i in range(self.dimension)]
+        maps = (np.array(rows, dtype=np.int64) for rows in itertools.product(*shells))
+        return tuple(M for M in maps if np.all(np.abs(M @ G @ M.T - G) <= tol))
+
     def reduce(self, x) -> tuple[LatticeVector, QuasiMomentum]:
         """Split x = gamma + t with t in the half-open dual fundamental cell."""
         x = np.asarray(x, dtype=float)
@@ -203,8 +214,3 @@ class LatticeModel:
         gamma = self.vector(n)
         t = x - gamma.embedding
         return gamma, QuasiMomentum(reduced=t, representative=x.copy())
-
-
-def make_lattice(spec) -> LatticeModel:
-    """Lattice from a d x d row-major array of basis vectors (config form)."""
-    return LatticeModel(spec)

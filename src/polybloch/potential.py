@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeModel, LatticeVector
+from .lattice import LatticeModel
 
 _HERMITIAN_TOL = 1e-12
 
@@ -49,9 +49,6 @@ class FourierPotential:
     @property
     def support(self) -> tuple[tuple[int, ...], ...]:
         return self._support
-
-    def support_vectors(self) -> list[LatticeVector]:
-        return [self.lattice.vector(c) for c in self._support]
 
     @property
     def support_radius(self) -> float:
@@ -97,6 +94,18 @@ class FourierPotential:
             H[i, j] = value
             H[j, i] = value.conjugate()
         return H
+
+    def is_invariant(self, matrix, time_reversed: bool = False) -> bool:
+        """Whether q_{nM} = q_n for every n, or q_{-nM} = conj(q_n) when
+        time_reversed, to the loader's Hermitian tolerance."""
+        sign = -1 if time_reversed else 1
+        image = {}
+        for coords, value in self._table.items():
+            key = tuple(int(c) for c in sign * (np.array(coords) @ matrix))
+            image[key] = value.conjugate() if time_reversed else value
+        scale = max((abs(v) for v in self._table.values()), default=1.0)
+        return all(abs(image.get(k, 0j) - self._table.get(k, 0j)) <= _HERMITIAN_TOL * scale
+                   for k in image.keys() | self._table.keys())
 
     def one_norm(self) -> float:
         """Sum of |q_gamma|; the operator-norm bound on the perturbation."""

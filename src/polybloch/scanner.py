@@ -10,7 +10,6 @@ only reported when stable under grid doubling.
 from __future__ import annotations
 
 import csv
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,10 +17,12 @@ import numpy as np
 from .errors import InsufficientBands, WindowNotConverged
 from .geometry import ParameterCascade, classify, direction_pool
 from .lattice import LatticeModel
+from .numerics import relative_energies
 from .oracle import PlanewaveBasis, assemble
 from .potential import FourierPotential
 
 _CERTIFY_TOL = 1e-9
+MIN_MEASURE_SAMPLES = 1000
 
 
 @dataclass(frozen=True)
@@ -32,6 +33,8 @@ class BandTable:
     values: np.ndarray  # (n_points, n_bands), ascending along axis 1
     basis_radius: float
     axis_steps: tuple[float, ...]  # |dual_basis[axis]| / grid_counts[axis]
+    solved_points: int = 0  # eigensolves behind the values; 0 for a subsampled table
+    symmetry_order: int = 1  # number of grid maps the values were copied along
 
     def __post_init__(self):
         self.t_points.setflags(write=False)
@@ -45,6 +48,17 @@ class BandTable:
     def band_max(self) -> np.ndarray:
         return self.values.max(axis=0)
 
+    def every_other(self) -> "BandTable":
+        """The table on the grid of half the (even) counts: the even-index points."""
+        half = tuple(n // 2 for n in self.grid_counts)
+        even = tuple(slice(None, None, 2) for _ in half)
+
+        def sub(a):
+            return a.reshape(self.grid_counts + a.shape[1:])[even].reshape(-1, a.shape[1])
+
+        return BandTable(half, self.n_bands, sub(self.t_points), sub(self.values), self.basis_radius,
+                         tuple(2 * s for s in self.axis_steps), symmetry_order=self.symmetry_order)
+
     def write_csv(self, fh):
         writer = csv.writer(fh)
         d = self.t_points.shape[1]
@@ -52,12 +66,6 @@ class BandTable:
         for i in range(len(self.t_points)):
             for n in range(self.n_bands):
                 writer.writerow([repr(float(x)) for x in self.t_points[i]] + [n + 1, repr(float(self.values[i, n]))])
-
-
-def _grid_points(lattice: LatticeModel, grid_counts) -> np.ndarray:
-    axes = [np.arange(n) / n for n in grid_counts]
-    coeffs = np.array(list(itertools.product(*axes)))
-    return coeffs @ lattice.dual_basis
 
 
 def certified_basis_radius(lattice: LatticeModel, l: int, q: FourierPotential, n_bands: int,
@@ -91,74 +99,69 @@ def _solve_bands_at(lattice, l, q, t, radius, n_bands) -> np.ndarray:
     return np.linalg.eigvalsh(H)[:n_bands]
 
 
+def symmetry_group(lattice: LatticeModel, q: FourierPotential, grid_counts,
+                   basis_coords) -> tuple[np.ndarray, ...]:
+    """Maps c -> cM of grid coefficients c = k / grid_counts that leave the
+    spectrum on the basis unchanged.  A point-group element M that maps the
+    grid and the basis onto themselves gives M when q_{nM} = q_n (H(cM) is
+    H(c) permuted by n -> nM) and its time-reversed partner -M when
+    q_{-nM} = conj(q_n) (H(-cM) is conj H(c) permuted by n -> -nM)."""
+    counts = np.array(grid_counts)
+    basis = {tuple(c) for c in basis_coords.tolist()}
+    maps = {}
+    for M in lattice.point_group():
+        if np.any(M * counts % counts[:, None]) or basis != {tuple(c) for c in (basis_coords @ M).tolist()}:
+            continue
+        for sign in (1, -1):
+            if q.is_invariant(M, time_reversed=sign < 0):
+                maps.setdefault((sign * M).tobytes(), sign * M)
+    return tuple(maps.values())
+
+
 def band_functions(lattice: LatticeModel, l: int, q: FourierPotential, grid_counts,
-                   n_bands: int, basis_radius: float | None = None, workers: int = 1,
-                   inversion_symmetry: bool = False) -> BandTable:
+                   n_bands: int, basis_radius: float | None = None) -> BandTable:
     """Per-band extrema over a half-open uniform grid on the dual cell.
 
     The basis is shared across grid points (only the diagonal depends on
     t), and its radius is certified by refinement unless given explicitly.
-    inversion_symmetry solves only one of each {t, -t mod 1} pair and
-    copies the values (valid for real potentials, where the spectrum is
-    even in t); off by default, which is correct for arbitrary tables.
+    One point per orbit of symmetry_group, the lexicographically smallest,
+    is solved and its values are copied to the orbit.  A copy agrees with a
+    direct solve up to the basis truncation error (by which finite-basis
+    bands also fail to be periodic in t); a certified radius keeps it below
+    1e-9 relative.
     """
-    grid_counts = tuple(int(n) for n in grid_counts)
-    if min(grid_counts) < 8:
-        raise ValueError("need at least 8 grid points per axis")
+    grid_counts = _checked_grid(grid_counts)
     if basis_radius is None:
         basis_radius = certified_basis_radius(lattice, l, q, n_bands)
     basis = PlanewaveBasis.full_ball(lattice, basis_radius)
     if len(basis) < n_bands:
         raise InsufficientBands(f"basis of {len(basis)} plane waves cannot carry {n_bands} bands")
-    t_points = _grid_points(lattice, grid_counts)
-    embeddings = basis.embeddings
-    coupling = assemble(l, q, np.zeros(lattice.dimension), basis)
-    np.fill_diagonal(coupling, 0.0)
-
-    indices = list(itertools.product(*(range(n) for n in grid_counts)))
-    if inversion_symmetry:
-        solve_for = {}
-        source = []
-        for pos, idx in enumerate(indices):
-            mirror = tuple((-i) % n for i, n in zip(idx, grid_counts))
-            rep = min(idx, mirror)
-            if rep not in solve_for:
-                solve_for[rep] = pos if rep == idx else None
-            source.append(rep)
-        unique = sorted(solve_for)
-        todo = [indices.index(rep) for rep in unique]
-    else:
-        unique = indices
-        todo = list(range(len(indices)))
-
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(_solve_point_worker,
-                                   ((coupling, embeddings, t_points[i], l, n_bands) for i in todo),
-                                   chunksize=max(1, len(todo) // (8 * workers))))
-    else:
-        solved = [_solve_point_worker((coupling, embeddings, t_points[i], l, n_bands)) for i in todo]
-    if inversion_symmetry:
-        by_rep = dict(zip(unique, solved))
-        rows = [by_rep[source[pos]] for pos in range(len(indices))]
-    else:
-        rows = solved
-    values = np.array(rows)
+    counts = np.array(grid_counts)
+    k = np.indices(grid_counts).reshape(len(counts), -1).T
+    t_points = (k / counts) @ lattice.dual_basis
+    group = symmetry_group(lattice, q, grid_counts, basis.coords)
+    # k -> kM on coefficients is k -> k A mod counts on indices, A_ij = M_ij counts_j / counts_i
+    rep = np.min([np.ravel_multi_index(((k @ (M * counts // counts[:, None])) % counts).T, grid_counts)
+                  for M in group], axis=0)
+    solve, source = np.unique(rep, return_inverse=True)
+    H = q.couplings(basis.coords)
+    zero = np.zeros(lattice.dimension)
+    solved = []
+    for i in solve:
+        H[np.diag_indices(len(basis))] = relative_energies(zero, basis.embeddings + t_points[i], l)
+        solved.append(np.linalg.eigvalsh(H)[:n_bands])
     steps = tuple(float(np.linalg.norm(lattice.dual_basis[i])) / grid_counts[i]
                   for i in range(lattice.dimension))
     return BandTable(grid_counts=grid_counts, n_bands=n_bands,
-                     t_points=t_points, values=values, basis_radius=float(basis_radius),
-                     axis_steps=steps)
+                     t_points=t_points, values=np.array(solved)[source], basis_radius=float(basis_radius),
+                     axis_steps=steps, solved_points=len(solve), symmetry_order=len(group))
 
 
-def _solve_point_worker(args):
-    coupling, embeddings, t, l, n_bands = args
-    shifted = embeddings + t
-    diag = np.sum(shifted**2, axis=1) ** l
-    H = coupling + np.diag(diag)
-    return np.linalg.eigvalsh(H)[:n_bands]
+def _checked_grid(grid_counts) -> tuple[int, ...]:
+    grid_counts = tuple(int(n) for n in grid_counts)
+    if min(grid_counts) < 8:
+        raise ValueError("need at least 8 grid points per axis")
+    return grid_counts
 
 
 @dataclass(frozen=True)
@@ -205,19 +208,20 @@ def gap_report(table: BandTable, e_min: float, e_max: float,
 
 def stable_gap_report(lattice: LatticeModel, l: int, q: FourierPotential, grid_counts,
                       n_bands: int, e_min: float, e_max: float | None,
-                      basis_radius: float | None = None, workers: int = 1,
+                      basis_radius: float | None = None,
                       rel_tol: float = 1e-3) -> tuple[GapReport, BandTable, BandTable]:
     """Gap scan at the given grid and at the doubled grid.
 
-    The report carries the fine-grid gaps; stable is true when both levels
-    agree on the gap count and on endpoints to rel_tol relative.  With
-    e_max None it is set just below the fine grid's top-band minimum: the
-    doubled grid contains every coarse point, so that minimum bounds both
-    tables and the coverage check holds at both levels.
+    Only the doubled grid is solved; the coarse table is its even-index
+    subsample, whose t points are bitwise the coarse grid's.  The report
+    carries the fine-grid gaps; stable is true when both levels agree on
+    the gap count and on endpoints to rel_tol relative.  With e_max None
+    it is set just below the fine grid's top-band minimum, which bounds
+    the coarse table's too, so the coverage check holds at both levels.
     """
-    coarse = band_functions(lattice, l, q, grid_counts, n_bands, basis_radius, workers)
-    fine = band_functions(lattice, l, q, tuple(2 * n for n in grid_counts), n_bands,
-                          coarse.basis_radius, workers)
+    fine = band_functions(lattice, l, q, tuple(2 * n for n in _checked_grid(grid_counts)),
+                          n_bands, basis_radius)
+    coarse = fine.every_other()
     if e_max is None:
         top = float(fine.band_min[-1])
         e_max = top - 1e-3 * max(abs(top), 1.0)
@@ -272,8 +276,8 @@ def measure_fraction(lattice: LatticeModel, rho: float, cascade: ParameterCascad
     Fractions sum to one exactly (every sample receives one cell);
     standard errors are binomial.
     """
-    if n_samples < 1000:
-        raise ValueError("need at least 1e3 samples")
+    if n_samples < MIN_MEASURE_SAMPLES:
+        raise ValueError(f"need at least {MIN_MEASURE_SAMPLES} samples")
     rng = np.random.default_rng(seed)
     pool = direction_pool(lattice, cascade)
     d = lattice.dimension

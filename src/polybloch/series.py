@@ -191,7 +191,7 @@ def known_part_sequence(v, l: int, q: FourierPotential, cascade: ParameterCascad
         if cascade is None:
             raise ValueError("need k_max or a cascade")
         k_max = cascade.known_order()
-    cap = MAX_SERIES_ORDER if cascade is None else min(MAX_SERIES_ORDER, cascade.k1)
+    cap = MAX_SERIES_ORDER if cascade is None else cascade.series_cap()
     if k_max > cap:
         raise ValueError(f"k_max = {k_max} exceeds the cap {cap}")
     if pool_radius is None and cascade is not None:
@@ -312,15 +312,3 @@ def order_sweep(lattice: LatticeModel, l: int, q: FourierPotential, centers, k_l
         ys = [p[1] for p in pts]
         slopes[k] = None if (len(pts) < 2 or any(y == 0 for y in ys)) else loglog_slope(xs, ys)
     return SweepTable(rows=tuple(rows), slopes=slopes)
-
-
-def known_part_derivative(v, l: int, q: FourierPotential, cascade: ParameterCascade | None,
-                          order: int, axis: int, h: float,
-                          pool_radius: float | None = None) -> float:
-    """Central finite difference of F_order along a coordinate axis."""
-    v = np.asarray(v, dtype=float)
-    step = np.zeros_like(v)
-    step[axis] = h
-    plus = known_part_sequence(v + step, l, q, cascade, k_max=order, pool_radius=pool_radius)
-    minus = known_part_sequence(v - step, l, q, cascade, k_max=order, pool_radius=pool_radius)
-    return (plus.f_values[order] - minus.f_values[order]) / (2.0 * h)

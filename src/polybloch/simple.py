@@ -366,25 +366,3 @@ def isoenergetic_sample(lattice: LatticeModel, rho: float, l: int, q: FourierPot
             raise NoBracket(f"root polish failed on ray {tuple(u)}: residual {abs(f_root - target)!r}")
         results.append(RayRoot(tuple(u), float(root), tuple(root * u), float(f_root), None))
     return results
-
-
-def in_A_rho(lattice: LatticeModel, x, cascade: ParameterCascade, l: int,
-             q: FourierPotential) -> bool:
-    """Whether x contributes a block eigenvalue inside (rho^{2l} +- 3 eps1).
-
-    Requires x inside the free-energy window K_rho and resonant; the block
-    is built from the witness directions of its classification.
-    """
-    x = np.asarray(x, dtype=float)
-    rho = cascade.rho
-    target = rho ** (2 * l)
-    x_sq = float(x @ x)
-    if abs(x_sq**l - target) >= cascade.v_threshold(1):
-        return False
-    verdict = classify(lattice, x, cascade)
-    if not verdict.is_resonant:
-        return False
-    index_set = build_index_set(lattice, x, verdict.directions, cascade)
-    block = assemble_block(index_set, l, q)
-    window = 3.0 * cascade.eps1
-    return bool(np.any(np.abs(block.eigenvalues - target) < window))

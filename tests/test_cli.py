@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from polybloch.cli import main
+
+REPO = Path(__file__).resolve().parents[1]
 
 TWO_PI = 2 * np.pi
 
@@ -166,8 +173,22 @@ class TestOtherCommands:
         assert main(["gaps", "-c", str(cfg)]) == 0
         bands = json.loads((tmp_path / "out" / "bands.json").read_text())
         assert len(bands["result"]["band_min"]) == 12
+        assert set(bands["result"]["diagnostics"]) == {"solved_points", "symmetry_order", "continuity_report"}
         gaps = json.loads((tmp_path / "out" / "gaps.json").read_text())
         assert gaps["result"]["stable"] in (True, False)
+
+    def test_gaps_byte_identical_rerun(self, tmp_path):
+        extra = "gaps:\n  grid: [8, 8]\n  n_bands: 30\n  e_min: 0.0\n  basis_radius: 6.5\n"
+        cfg = write_config(tmp_path, extra)
+        assert main(["gaps", "-c", str(cfg)]) == 0
+        first = (tmp_path / "out" / "gaps.json").read_bytes()
+        assert main(["gaps", "-c", str(cfg)]) == 0
+        assert (tmp_path / "out" / "gaps.json").read_bytes() == first
+        diagnostics = json.loads(first)["result"]["diagnostics"]
+        # cosine_pair along (1, 0): the four reflections x -> +-x, y -> +-y
+        assert diagnostics["symmetry_order"] == 4
+        assert 0 < diagnostics["solved_points"] < 16 * 16
+        assert diagnostics["continuity_report"] > 0
 
     def test_isoenergetic(self, tmp_path):
         cfg = write_config(tmp_path, "isoenergetic:\n  rays: [[0.78, 0.6258]]\n")
@@ -202,3 +223,20 @@ class TestErrors:
     def test_nonresonant_point_numerical_failure(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "resonant_check:\n  points: [[6.1, 4.8]]\n  window_radius: 6.0\n")
         assert main(["resonant-check", "-c", str(cfg)]) == 3
+
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("verify", "verify", "orders", [0]),
+        ("verify", "verify", "direction", [0, 0]),
+        ("measure", "measure", "n_samples", 10),
+    ])
+    def test_bad_values_are_config_errors(self, tmp_path, command, section, key, value):
+        raw = yaml.safe_load((REPO / "configs" / "cosine_sweep.yaml").read_text())
+        raw[section][key] = value
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-m", "polybloch.cli", command, "-c", str(cfg)],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 2, run.stderr
+        assert "Traceback" not in run.stderr
+        assert f"[{section}]" in run.stderr

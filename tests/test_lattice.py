@@ -149,14 +149,25 @@ class TestReduce:
 
 
 class TestLatticeModel:
+    @pytest.mark.parametrize("basis, order", [
+        (TWO_PI * np.eye(2), 8),
+        (TWO_PI * np.eye(3), 48),
+        (TWO_PI * np.array([[1.0, 0.0], [0.5, np.sqrt(3) / 2]]), 12),
+        (np.diag([TWO_PI, 2 * TWO_PI]), 4),
+        (TWO_PI * np.array([[1.0, 0.3], [0.2, 1.3]]), 2),
+    ])
+    def test_point_group_orders(self, basis, order):
+        lat = pb.LatticeModel(basis)
+        group = lat.point_group()
+        G = lat.dual_basis @ lat.dual_basis.T
+        assert len(group) == order
+        assert len({M.tobytes() for M in group}) == order
+        for M in group:
+            assert np.allclose(M @ G @ M.T, G, rtol=0, atol=1e-12 * np.abs(G).max())
+
     def test_cell_volume(self, z2):
         assert z2.cell_volume == pytest.approx(TWO_PI**2)
         assert z2.dual_cell_volume == pytest.approx(1.0)
-
-    def test_config_roundtrip(self):
-        spec = [[TWO_PI, 0.0], [0.0, 2 * TWO_PI]]
-        lat = pb.make_lattice(spec)
-        assert np.allclose(lat.basis, spec)
 
     def test_vector_embedding_consistency(self, z2):
         vec = z2.vector((3, -2))

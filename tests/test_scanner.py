@@ -1,11 +1,50 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import polybloch as pb
 from conftest import scaled_cascade
 from polybloch.errors import InsufficientBands
 from polybloch.potential import FourierPotential
-from polybloch.scanner import BandTable
+from polybloch.scanner import BandTable, symmetry_group
+
+TWO_PI = 2 * np.pi
+LATTICES = {
+    "square": pb.LatticeModel.cubic(2),
+    "hexagonal": pb.LatticeModel(TWO_PI * np.array([[1.0, 0.0], [0.5, np.sqrt(3) / 2]])),
+    "oblique": pb.LatticeModel(TWO_PI * np.array([[1.0, 0.3], [0.2, 1.3]])),
+}
+GRIDS = [(8, 8), (12, 12), (8, 12), (10, 8)]
+
+
+def make_potential(lattice, kind, seed, amplitude, support_radius=1.5):
+    axes = [tuple(row) for row in np.eye(lattice.dimension, dtype=int)]
+    if kind == "generic":
+        # s = 0: the Sobolev weight amplitude^2 is the summed 2 |q_g|^2
+        return pb.random_potential(seed, lattice.dimension, support_radius, 0.0, amplitude**2, lattice=lattice)
+    if kind == "cosine_sum":
+        return pb.cosine_sum(lattice, axes, amplitude)
+    return pb.cosine_pair(lattice, axes[0], amplitude)
+
+
+def brute_force_bands(lattice, l, q, grid_counts, n_bands, radius, rows=None):
+    """Reference scan: every grid point (or the listed rows) solved on its own."""
+    basis = pb.PlanewaveBasis.full_ball(lattice, radius)
+    axes = np.meshgrid(*(np.arange(n) for n in grid_counts), indexing="ij")
+    k = np.stack([a.ravel() for a in axes], axis=1)
+    t_points = (k / np.array(grid_counts)) @ lattice.dual_basis
+    rows = range(len(t_points)) if rows is None else rows
+    return t_points, np.array([np.linalg.eigvalsh(pb.assemble(l, q, t_points[i], basis))[:n_bands]
+                               for i in rows])
+
+
+def assert_close_to_reference(values, reference):
+    assert np.all(np.abs(values - reference) <= 1e-10 * (1 + np.abs(reference)))
+
+
+def as_set(maps):
+    return {tuple(map(tuple, np.asarray(M).tolist())) for M in maps}
 
 
 class TestBandFunctions:
@@ -54,23 +93,82 @@ class TestBandFunctions:
         with pytest.raises(ValueError):
             pb.band_functions(z2, 1, FourierPotential(z2, {}), (4, 4), 5, basis_radius=4.0)
 
-    def test_inversion_symmetry_flag_matches_full_solve(self, z2):
-        q = pb.cosine_sum(z2, [(1, 0), (0, 1)], 0.25)
-        full = pb.band_functions(z2, 1, q, (8, 8), 10, basis_radius=5.0)
-        reduced = pb.band_functions(z2, 1, q, (8, 8), 10, basis_radius=5.0,
-                                    inversion_symmetry=True)
-        assert np.allclose(full.values, reduced.values, atol=1e-10)
-
-    def test_workers_path_matches_serial(self, z2):
-        q = pb.cosine_sum(z2, [(1, 0)], 0.25)
-        serial = pb.band_functions(z2, 1, q, (8, 8), 6, basis_radius=4.0)
-        parallel = pb.band_functions(z2, 1, q, (8, 8), 6, basis_radius=4.0, workers=2)
-        assert np.array_equal(serial.values, parallel.values)
-
     def test_certified_radius_stable(self, z2):
         q = pb.cosine_sum(z2, [(1, 0), (0, 1)], 0.2)
         r = pb.certified_basis_radius(z2, 1, q, 20)
         assert r > np.sqrt(20 / np.pi)  # must exceed the free-counting radius
+
+
+class TestSymmetryReduction:
+    """Orbit-reduced scans against a per-point brute-force solve.
+
+    Radii and amplitudes keep the basis truncation error, by which a
+    finite-basis band is not exactly periodic in t, far below 1e-10.
+    """
+
+    @settings(max_examples=20, deadline=None)
+    @given(lattice=st.sampled_from(sorted(LATTICES)), grid=st.sampled_from(GRIDS),
+           kind=st.sampled_from(["generic", "cosine_sum", "cosine_pair"]),
+           seed=st.integers(0, 2**16), amplitude=st.floats(0.05, 0.3), l=st.sampled_from([1, 2]))
+    @example(lattice="square", grid=(8, 12), kind="cosine_sum", seed=0, amplitude=0.3, l=1)
+    @example(lattice="square", grid=(12, 12), kind="generic", seed=0, amplitude=0.3, l=1)
+    def test_reduced_values_match_brute_force(self, lattice, grid, kind, seed, amplitude, l):
+        lat = LATTICES[lattice]
+        q = make_potential(lat, kind, seed, amplitude)
+        table = pb.band_functions(lat, l, q, grid, 6, basis_radius=7.5)
+        t_points, reference = brute_force_bands(lat, l, q, grid, 6, 7.5)
+        assert np.array_equal(table.t_points, t_points)
+        assert_close_to_reference(table.values, reference)
+        assert table.solved_points < len(t_points)
+
+    @pytest.mark.parametrize("kind", ["generic", "cosine_sum"])
+    def test_three_dimensions_match_brute_force(self, kind):
+        z3 = pb.LatticeModel.cubic(3)
+        q = make_potential(z3, kind, 5, 0.03, support_radius=1.0)
+        table = pb.band_functions(z3, 1, q, (8, 8, 10), 2, basis_radius=4.0)
+        rows = np.random.default_rng(0).choice(len(table.t_points), 48, replace=False)
+        t_points, reference = brute_force_bands(z3, 1, q, (8, 8, 10), 2, 4.0, rows)
+        assert np.array_equal(table.t_points, t_points)
+        assert_close_to_reference(table.values[rows], reference)
+        assert table.symmetry_order == (2 if kind == "generic" else 16)
+
+    @settings(max_examples=8, deadline=None)
+    @given(lattice=st.sampled_from(sorted(LATTICES)), grid=st.sampled_from(GRIDS),
+           kind=st.sampled_from(["generic", "cosine_sum"]), seed=st.integers(0, 2**16))
+    def test_coarse_table_is_band_functions_at_coarse_grid(self, lattice, grid, kind, seed):
+        lat = LATTICES[lattice]
+        q = make_potential(lat, kind, seed, 0.3)
+        _, coarse, fine = pb.stable_gap_report(lat, 1, q, grid, 6, 0.0, None, basis_radius=6.0)
+        direct = pb.band_functions(lat, 1, q, grid, 6, basis_radius=6.0)
+        assert coarse.grid_counts == direct.grid_counts and coarse.axis_steps == direct.axis_steps
+        assert np.array_equal(coarse.t_points, direct.t_points)
+        assert_close_to_reference(coarse.values, direct.values)
+        assert coarse.solved_points == 0 and fine.solved_points > 0
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**16), support=st.sampled_from([1.0, 1.5, 2.0]), grid=st.sampled_from(GRIDS))
+    def test_generic_table_group_is_time_reversal_only(self, z2, seed, support, grid):
+        q = pb.random_potential(seed, 2, support, 0.0, 1.0, lattice=z2)
+        coords = pb.PlanewaveBasis.full_ball(z2, 5.0).coords
+        assert as_set(symmetry_group(z2, q, grid, coords)) == as_set([np.eye(2, dtype=int), -np.eye(2, dtype=int)])
+
+    def test_cosine_sum_group(self, z2):
+        q = pb.cosine_sum(z2, [(1, 0), (0, 1)], 0.2)
+        coords = pb.PlanewaveBasis.full_ball(z2, 5.0).coords
+        square = symmetry_group(z2, q, (16, 16), coords)
+        assert len(square) == 8
+        assert as_set(square) == as_set(z2.point_group())
+        # the quarter turns and diagonal mirrors do not map an 8 x 12 grid onto itself
+        assert as_set(symmetry_group(z2, q, (8, 12), coords)) == {
+            ((1, 0), (0, 1)), ((-1, 0), (0, -1)), ((1, 0), (0, -1)), ((-1, 0), (0, 1))}
+
+    def test_orbit_counts(self, z2):
+        q = pb.random_potential(3, 2, 1.5, 0.0, 1.0, lattice=z2)
+        table = pb.band_functions(z2, 1, q, (16, 16), 4, basis_radius=4.0)
+        # -t mod 1 pairs the 256 points except the 4 with 2t = 0 mod 1
+        assert (table.symmetry_order, table.solved_points) == (2, 130)
+        fine = pb.stable_gap_report(z2, 1, q, (16, 16), 4, 0.0, None, basis_radius=4.0)[2]
+        assert (fine.symmetry_order, fine.solved_points) == (2, 514)
 
 
 class TestGapReport:

@@ -122,14 +122,6 @@ class TestKnownPart:
         with pytest.raises(ValueError):
             pb.known_part_sequence(V_HAND, 1, cosine, k_max=7)
 
-    def test_smoothness_probe_finite_differences(self, z2):
-        # central differences of F_1 at h and h/10 agree to 3 significant digits
-        q = pb.cosine_pair(z2, (1, 0), 0.3)
-        d_coarse = pb.known_part_derivative(V_HAND, 1, q, None, order=1, axis=0, h=1e-3)
-        d_fine = pb.known_part_derivative(V_HAND, 1, q, None, order=1, axis=0, h=1e-4)
-        assert d_fine != 0
-        assert abs(d_coarse - d_fine) <= 1e-3 * abs(d_fine)
-
 
 class TestMatching:
     def test_free_match_is_exact(self, z2):

@@ -212,59 +212,6 @@ class TestIsoenergetic:
         assert roots[0].radius is None
 
 
-class TestInARho:
-    def test_outside_window_false(self, z2):
-        q0 = FourierPotential(z2, {})
-        cas = scaled_cascade(20.0)
-        x = np.array([0.5, 22.0])  # | |x|^2 - 400 | = 84 >> threshold
-        assert not pb.in_A_rho(z2, x, cas, 1, q0)
-
-    def test_free_resonant_point_inside(self, z2):
-        q0 = FourierPotential(z2, {})
-        cas = scaled_cascade(20.0, a_radius=1.2)
-        h = np.sqrt(400.0 - 0.25)
-        x = np.array([-0.5, h])  # on the (1,0) plane with |x|^2 = 400 exactly
-        assert pb.in_A_rho(z2, x, cas, 1, q0)
-
-    def test_tuned_two_level_crossing(self, z2):
-        # with coupling eps the lower level sits at |x|^2 - eps: tune |x|^2
-        eps = 0.2
-        q = pb.cosine_pair(z2, (1, 0), eps)
-        cas = scaled_cascade(20.0, a_radius=1.2)
-        target = 400.0
-
-        def lowest_gap(energy_sq):
-            h = np.sqrt(energy_sq - 0.25)
-            x = np.array([-0.5, h])
-            verdict = pb.classify(z2, x, cas)
-            iset = pb.build_index_set(z2, x, verdict.directions, cas)
-            blk = pb.assemble_block(iset, 1, q)
-            devs = np.abs(blk.eigenvalues - target)
-            return float(np.min(devs)), x
-
-        # bisect the tuning so one block eigenvalue hits rho^{2l} exactly
-        lo, hi = target - 1.0, target + 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            d_mid, _ = lowest_gap(mid)
-            d_lo, _ = lowest_gap(lo)
-            # move toward smaller gap
-            if lowest_gap(0.5 * (lo + mid))[0] < lowest_gap(0.5 * (mid + hi))[0]:
-                hi = mid
-            else:
-                lo = mid
-        tuned, x = lowest_gap(0.5 * (lo + hi))
-        assert tuned < cas.eps1
-        assert pb.in_A_rho(z2, x, cas, 1, q)
-
-    def test_nonresonant_false(self, z2):
-        q = pb.cosine_pair(z2, (1, 0), 0.1)
-        cas = scaled_cascade(20.0)
-        u = np.array([0.78, 0.6258])
-        u /= np.linalg.norm(u)
-        assert not pb.in_A_rho(z2, 20.0 * u, cas, 1, q)
-
-
 def test_known_part_consistency(z2):
     q = pb.cosine_pair(z2, (1, 0), 0.1)
     cas = scaled_cascade(20.0, known_order=2)
