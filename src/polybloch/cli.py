@@ -110,6 +110,19 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _window_radius(sec: dict, name: str, default: float) -> float:
+    """The configured window radius, or the default (0 for q = 0) when none is set."""
+    if "window_radius" not in sec:
+        return default
+    try:
+        window = float(sec["window_radius"])
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"bad [{name}].window_radius: {err}") from err
+    if not 0 < window < np.inf:
+        raise ConfigError(f"[{name}].window_radius must be finite and positive: {window}")
+    return window
+
+
 def cmd_verify(args) -> int:
     cfg = _load(args)
     lat = cfg.lattice()
@@ -131,16 +144,18 @@ def cmd_verify(args) -> int:
     if not (0 < norm < np.inf and orders and 1 <= min(orders) <= max(orders) <= cap):
         raise ConfigError(f"[verify] needs a finite nonzero direction and orders in 1..{cap}: {direction}, {orders}")
     u = u / norm
-    window = sec.get("window_radius")
-    table = series.order_sweep(lat, l, q, [rho * u for rho in rhos], orders, cas,
-                               window_radius=None if window is None else float(window))
+    window = _window_radius(sec, "verify", series.required_window_radius(q, cas))
+    table = series.order_sweep(lat, l, q, [rho * u for rho in rhos], orders, cas, window_radius=window)
     out_dir = cfg.output_dir(args.output_dir)
     csv_path = out_dir / "verify.csv"
     with open(csv_path, "w") as fh:
         fh.write(csv_header_line(cfg))
         table.write_csv(fh)
     slopes = {str(k): table.slopes[k] for k in orders}
-    write_json(out_dir / "verify.json", cfg, {"direction": [float(c) for c in u], "slopes": slopes})
+    write_json(out_dir / "verify.json", cfg, {
+        "direction": [float(c) for c in u], "slopes": slopes,
+        "diagnostics": [{"rho": rho, **diag} for rho, diag in zip(rhos, table.diagnostics)],
+    })
     for row in table.rows:
         print(f"rho = {row.rho!r} k = {row.k}: |Lambda - P_k| = {row.error!r} (weight {row.weight!r})")
     print(f"slopes: {slopes} -> {csv_path}")
@@ -156,7 +171,8 @@ def cmd_resonant_check(args) -> int:
     points = sec.get("points")
     if not points:
         raise ConfigError("missing [resonant_check].points")
-    window = float(sec.get("window_radius", series.required_window_radius(q, cfg.cascade(cfg.rho_list()[0], d=lat.dimension))))
+    window = _window_radius(sec, "resonant_check",
+                            series.required_window_radius(q, cfg.cascade(cfg.rho_list()[0], d=lat.dimension)))
     out_dir = cfg.output_dir(args.output_dir)
     rows = []
     for point in points:
@@ -245,7 +261,7 @@ def cmd_bloch(args) -> int:
         v = np.asarray(center, dtype=float)
         rho = float(sec.get("rho", np.linalg.norm(v)))
         cas = cfg.cascade(rho, d=lat.dimension)
-        window = float(sec.get("window_radius", series.required_window_radius(q, cas)))
+        window = _window_radius(sec, "bloch", series.required_window_radius(q, cas))
         spectrum = bloch_solve(lat, l, q, v, window, refine=True)
         gamma0, _ = lat.reduce(v)
         n = spectrum.dominant_index(gamma0.coords)

@@ -13,11 +13,15 @@ A^l - B^l = (A - B) * sum_j A^j B^(l-1-j),  A - B = 2(v, delta) + |delta|^2
 (numerics.relative_energies), which keeps eigenvalue differences near the
 shift meaningful well below machine epsilon times |v|^{2l}.  The couplings
 come from FourierPotential.couplings, the builder the resonant blocks share.
+
+Given a relative-energy interval, the eigensolve computes only the pairs
+inside it (LAPACK ?heevr, the MRRR method) and replaces each eigenvalue by
+its Rayleigh quotient, which brings it back to the full solve's accuracy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -100,6 +104,7 @@ class BlochSpectrum:
     cluster_flags: np.ndarray
     shift: float = 0.0
     eigenvalues_rel: np.ndarray = field(default=None, repr=False)
+    diagnostics: dict = field(default=None, repr=False, compare=False)  # set by bloch_solve
     _index: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -123,7 +128,12 @@ class BlochSpectrum:
         return abs(self.coefficient(n, coords)) ** 2
 
     def dominant_index(self, coords) -> int:
-        """Eigenpair with the largest |b(N, gamma)|^2 (never eigenvalue order)."""
+        """Eigenpair with the largest |b(N, gamma)|^2 (never eigenvalue order).
+
+        On a partial spectrum this is the dominant pair of the whole spectrum
+        only when its weight exceeds 1/2: the weights on one index sum to 1
+        over all pairs, so no pair left out can then weigh more.
+        """
         pos = self.position(coords)
         if pos is None:
             raise KeyError(f"{coords} not in basis")
@@ -152,15 +162,30 @@ def assemble(l: int, q: FourierPotential, t, basis: PlanewaveBasis, shift_center
     return H
 
 
-def diagonalize(H, basis: PlanewaveBasis, t, l: int, shift: float = 0.0) -> BlochSpectrum:
-    """Dense Hermitian eigensolve with residual and unit-norm certificates."""
+def diagonalize(H, basis: PlanewaveBasis, t, l: int, shift: float = 0.0, interval=None) -> BlochSpectrum:
+    """Dense Hermitian eigensolve with residual and unit-norm certificates.
+
+    With interval = (lo, hi) only the pairs with eigenvalue in (lo, hi] are
+    computed, each eigenvalue replaced by its Rayleigh quotient Re(x^H H x);
+    None solves for all of them.
+    """
     H = np.asarray(H)
-    evals_rel, evecs = np.linalg.eigh(H)
+    if interval is None:
+        evals_rel, evecs = np.linalg.eigh(H)
+        HX = H @ evecs
+    else:
+        import scipy.linalg  # here, not at module level: its import costs more than a small solve
+
+        _, evecs = scipy.linalg.eigh(H, subset_by_value=interval, driver="evr")
+        HX = H @ evecs
+        evals_rel = np.real(np.vecdot(evecs, HX, axis=0))
+        order = np.argsort(evals_rel, kind="stable")
+        evals_rel, evecs, HX = evals_rel[order], evecs[:, order], HX[:, order]
     coeff = evecs.T  # row N = coefficient table of eigenpair N
     norms = np.linalg.norm(coeff, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-10):
         raise ConvergenceFailure("eigenvector norms deviate from 1 beyond 1e-10")
-    resid = np.linalg.norm(H @ evecs - evecs * evals_rel[None, :], axis=0)
+    resid = np.linalg.norm(HX - evecs * evals_rel[None, :], axis=0)
     evals_abs = evals_rel + shift
     limits = _RESIDUAL_TOL * (1.0 + np.abs(evals_abs))
     if np.any(resid > limits):
@@ -185,22 +210,27 @@ def diagonalize(H, basis: PlanewaveBasis, t, l: int, shift: float = 0.0) -> Bloc
 
 
 def solve(lattice: LatticeModel, l: int, q: FourierPotential, t, basis: PlanewaveBasis,
-          shift_center=None) -> BlochSpectrum:
+          shift_center=None, interval=None) -> BlochSpectrum:
     shift = 0.0
     if shift_center is not None:
         v = np.asarray(shift_center, dtype=float)
         shift = float(v @ v) ** l
     H = assemble(l, q, t, basis, shift_center=shift_center)
-    return diagonalize(H, basis, t, l, shift=shift)
+    return diagonalize(H, basis, t, l, shift=shift, interval=interval)
 
 
 def bloch_solve(lattice: LatticeModel, l: int, q: FourierPotential, v, window_radius: float,
-                t=None, refine: bool = False) -> BlochSpectrum:
+                t=None, refine: bool = False, interval=None) -> BlochSpectrum:
     """Windowed ground truth near |v|^{2l}, v = gamma0 + t.
 
     With refine set, re-solves on a 1.5x window; the eigenvalue tracked to
     the center index must move by less than 1e-9 (1 + |Lambda|), else
     WindowNotConverged.  The refined spectrum is returned.
+
+    With interval = (lo, hi), relative to |v|^{2l}, each window computes
+    only the pairs inside it, and is solved again in full when none of them
+    weighs more than 1/2 on gamma0 (see BlochSpectrum.dominant_index).  The
+    returned spectrum's diagnostics describe both windows' solves.
     """
     v = np.asarray(v, dtype=float)
     if t is None:
@@ -213,22 +243,39 @@ def bloch_solve(lattice: LatticeModel, l: int, q: FourierPotential, v, window_ra
         if not np.allclose(coeff, n, atol=1e-9):
             raise ValueError("center v - t is not a dual lattice vector; window would exclude the center's own index")
         gamma0 = lattice.vector(n.astype(int))
-    basis = PlanewaveBasis.window(lattice, t, v, window_radius)
-    if basis.index_map().get(gamma0.coords) is None:
-        raise ValueError("window excludes the center's own index")
-    spectrum = solve(lattice, l, q, t, basis, shift_center=v)
-    if not refine:
-        return spectrum
-    basis_big = PlanewaveBasis.window(lattice, t, v, window_radius * 1.5)
-    refined = solve(lattice, l, q, t, basis_big, shift_center=v)
-    n_small = spectrum.dominant_index(gamma0.coords)
-    n_big = refined.dominant_index(gamma0.coords)
-    move = abs(spectrum.relative_eigenvalue(n_small) - refined.relative_eigenvalue(n_big))
-    lam = abs(refined.eigenvalues[n_big])
-    if move >= _REFINE_TOL * (1.0 + lam):
-        raise WindowNotConverged(
-            f"tracked eigenvalue moved {move:.3e} under window refinement ({window_radius} -> {window_radius * 1.5})")
-    return refined
+    spectra, fallback = [], False
+    for radius in (window_radius, window_radius * 1.5) if refine else (window_radius,):
+        basis = PlanewaveBasis.window(lattice, t, v, radius)
+        if basis.index_map().get(gamma0.coords) is None:
+            raise ValueError("window excludes the center's own index")
+        spectrum = solve(lattice, l, q, t, basis, shift_center=v, interval=interval)
+        if interval is not None and not _tracks(spectrum, gamma0.coords):
+            spectrum = solve(lattice, l, q, t, basis, shift_center=v)
+            fallback = True
+        spectra.append(spectrum)
+    move = None
+    if refine:
+        spectrum, refined = spectra
+        n_small = spectrum.dominant_index(gamma0.coords)
+        n_big = refined.dominant_index(gamma0.coords)
+        move = abs(spectrum.relative_eigenvalue(n_small) - refined.relative_eigenvalue(n_big))
+        lam = abs(refined.eigenvalues[n_big])
+        if move >= _REFINE_TOL * (1.0 + lam):
+            raise WindowNotConverged(
+                f"tracked eigenvalue moved {move:.3e} under window refinement ({window_radius} -> {window_radius * 1.5})")
+    return replace(spectra[-1], diagnostics={
+        "basis_size": len(spectra[0].basis),
+        "refined_basis_size": len(spectra[-1].basis) if refine else None,
+        "pairs_solved": sum(len(s) for s in spectra),
+        "full_solve_fallback": fallback,
+        "certificate_move": move,
+        "worst_residual": max(float(np.max(s.residual_norms)) for s in spectra),
+    })
+
+
+def _tracks(spectrum: BlochSpectrum, coords) -> bool:
+    """Whether some pair weighs more than 1/2 on coords, which makes it the full spectrum's dominant pair."""
+    return len(spectrum) > 0 and spectrum.weight(spectrum.dominant_index(coords), coords) > 0.5
 
 
 def free_eigenvalues(lattice: LatticeModel, t, l: int, basis: PlanewaveBasis) -> np.ndarray:

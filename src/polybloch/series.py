@@ -255,6 +255,7 @@ class SweepRow:
 class SweepTable:
     rows: tuple[SweepRow, ...]
     slopes: dict
+    diagnostics: tuple[dict, ...]  # bloch_solve's, one per center
 
     def errors_for(self, k: int) -> list[tuple[float, float]]:
         return [(r.rho, r.error) for r in self.rows if r.k == k]
@@ -279,7 +280,9 @@ def order_sweep(lattice: LatticeModel, l: int, q: FourierPotential, centers, k_l
     """Error table |Lambda_N - P_k| over a family of centers with |v| = rho_j.
 
     Centers must be non-resonant with margins bounded away from zero
-    uniformly (fixed irrational-slope directions achieve this).
+    uniformly (fixed irrational-slope directions achieve this).  The oracle
+    solves only the pairs match_eigenvalue can pick: those within the
+    matching half-width of some prediction.
     """
     k_list = sorted(set(int(k) for k in k_list))
     if min(k_list) < 1:
@@ -287,17 +290,20 @@ def order_sweep(lattice: LatticeModel, l: int, q: FourierPotential, centers, k_l
     k_max = max(k_list)
     min_window = required_window_radius(q, cascade)
     window = min_window if window_radius is None else max(window_radius, min_window)
-    rows = []
+    halfwidth = cascade.matching_halfwidth()
+    rows, diagnostics = [], []
     for v in centers:
         v = np.asarray(v, dtype=float)
         rho_j = float(np.linalg.norm(v))
         expansion = known_part_sequence(v, l, q, cascade, k_max=k_max,
                                         min_denominator=min_denominator)
         gamma0, _ = lattice.reduce(v)
-        spectrum = bloch_solve(lattice, l, q, v, window, refine=refine)
-        for k in k_list:
-            pred_rel = expansion.prediction_rel(k)
-            match = match_eigenvalue(spectrum, gamma0.coords, pred_rel, cascade.matching_halfwidth())
+        preds = [expansion.prediction_rel(k) for k in k_list]
+        spectrum = bloch_solve(lattice, l, q, v, window, refine=refine,
+                               interval=(min(preds) - halfwidth, max(preds) + halfwidth))
+        diagnostics.append(spectrum.diagnostics)
+        for k, pred_rel in zip(k_list, preds):
+            match = match_eigenvalue(spectrum, gamma0.coords, pred_rel, halfwidth)
             rows.append(SweepRow(
                 rho=rho_j, k=k,
                 prediction=expansion.prediction(k),
@@ -311,4 +317,4 @@ def order_sweep(lattice: LatticeModel, l: int, q: FourierPotential, centers, k_l
         xs = [p[0] for p in pts]
         ys = [p[1] for p in pts]
         slopes[k] = None if (len(pts) < 2 or any(y == 0 for y in ys)) else loglog_slope(xs, ys)
-    return SweepTable(rows=tuple(rows), slopes=slopes)
+    return SweepTable(rows=tuple(rows), slopes=slopes, diagnostics=tuple(diagnostics))

@@ -128,6 +128,16 @@ class TestVerifyCommand:
         assert (tmp_path / "out" / "verify.csv").read_bytes() == first
         assert (tmp_path / "out" / "verify.json").read_bytes() == first_json
 
+    def test_verify_diagnostics(self, tmp_path):
+        cfg = write_config(tmp_path, "verify:\n  direction: [0.78, 0.6258]\n  orders: [1, 2]\n")
+        assert main(["verify", "-c", str(cfg)]) == 0
+        (diag,) = json.loads((tmp_path / "out" / "verify.json").read_text())["result"]["diagnostics"]
+        assert diag["rho"] == 10.0
+        assert 0 < 10 * diag["pairs_solved"] < diag["basis_size"] < diag["refined_basis_size"]
+        assert diag["full_solve_fallback"] is False
+        assert 0 <= diag["certificate_move"] < 1e-9
+        assert 0 < diag["worst_residual"] < 1e-8
+
 
 class TestOtherCommands:
     def test_predict(self, tmp_path):
@@ -228,6 +238,10 @@ class TestErrors:
         ("verify", "verify", "orders", [0]),
         ("verify", "verify", "direction", [0, 0]),
         ("measure", "measure", "n_samples", 10),
+        ("verify", "verify", "window_radius", "wide"),
+        ("bloch", "bloch", "window_radius", -1.0),
+        ("bloch", "bloch", "window_radius", float("nan")),
+        ("resonant-check", "resonant_check", "window_radius", 0.0),
     ])
     def test_bad_values_are_config_errors(self, tmp_path, command, section, key, value):
         raw = yaml.safe_load((REPO / "configs" / "cosine_sweep.yaml").read_text())

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import polybloch as pb
 from polybloch.errors import WindowNotConverged
 from polybloch.oracle import PlanewaveBasis
 from polybloch.potential import FourierPotential
+
+from conftest import scaled_cascade
 
 
 def two_state_basis(z2):
@@ -141,3 +145,112 @@ class TestWindowedSolve:
         n = spec.dominant_index(z2.reduce(v)[0].coords)
         assert spec.shift == pytest.approx(float(v @ v))
         assert spec.eigenvalues[n] == pytest.approx(spec.shift + spec.relative_eigenvalue(n), rel=1e-12)
+
+
+class TestPartialSolve:
+    """Interval solves against the full eigh of the same window."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**16), support=st.sampled_from([1.0, 1.5]), amplitude=st.floats(0.05, 1.0),
+           l=st.sampled_from([1, 2]), angle=st.floats(0.0, 2 * np.pi), rho=st.floats(2.0, 6.0),
+           radius=st.floats(1.5, 3.5), scale=st.sampled_from([0.5, 5.0, 50.0]),
+           middle=st.floats(-1.0, 1.0), width=st.floats(1e-3, 1.0))
+    @example(seed=0, support=1.0, amplitude=0.3, l=1, angle=0.7, rho=4.0, radius=3.0, scale=0.5,
+             middle=0.0, width=1.0)
+    @example(seed=0, support=1.0, amplitude=0.3, l=2, angle=0.7, rho=4.0, radius=3.0, scale=50.0,
+             middle=-1.0, width=0.01)
+    def test_partial_matches_full(self, z2, seed, support, amplitude, l, angle, rho, radius, scale, middle, width):
+        q = pb.random_potential(seed, 2, support, 0.0, amplitude, lattice=z2)
+        v = rho * np.array([np.cos(angle), np.sin(angle)])
+        gamma0 = z2.reduce(v)[0].coords
+        lo, hi = scale * (middle - width), scale * (middle + width)
+        full = pb.bloch_solve(z2, l, q, v, radius)
+        H = pb.assemble(l, q, full.t, full.basis, shift_center=v)
+        part = pb.diagonalize(H, full.basis, full.t, l, shift=full.shift, interval=(lo, hi))
+        rel_full, rel_part = full.eigenvalues_rel, part.eigenvalues_rel
+        tol = 1e-12 * (1.0 + np.abs(full.eigenvalues_rel))
+        # every full eigenvalue inside (lo, hi] by more than tol is returned, and nothing else
+        assert np.all((rel_part > lo - 1e-12 * (1 + abs(lo))) & (rel_part <= hi + 1e-12 * (1 + abs(hi))))
+        nearest = np.array([int(np.argmin(np.abs(rel_full - x))) for x in rel_part], dtype=int)
+        assert len(set(nearest.tolist())) == len(nearest)
+        assert np.all(np.abs(rel_part - rel_full[nearest]) <= tol[nearest])
+        surely_inside = np.nonzero((rel_full > lo + tol) & (rel_full <= hi - tol))[0]
+        assert set(surely_inside.tolist()) <= set(nearest.tolist())
+        # weights on gamma0 of well-separated pairs, whose vectors are fixed to ~eps |H| / gap
+        pos = full.position(gamma0)
+        gaps = np.abs(rel_full[:, None] - rel_full[None, :]) + np.diag(np.full(len(full), np.inf))
+        separated = gaps.min(axis=1)[nearest] > 1e-4 * np.linalg.norm(H, 2)
+        w_full = np.abs(full.coefficients[nearest, pos]) ** 2
+        w_part = np.abs(part.coefficients[:, pos]) ** 2
+        assert np.all(np.abs(w_part - w_full)[separated] <= 1e-10)
+        n_full = full.dominant_index(gamma0)
+        if len(part) and part.weight(part.dominant_index(gamma0), gamma0) > 0.5:
+            assert nearest[part.dominant_index(gamma0)] == n_full
+        windowed = pb.bloch_solve(z2, l, q, v, radius, interval=(lo, hi))
+        tracked_inside = lo + tol[n_full] < rel_full[n_full] <= hi - tol[n_full]
+        if not tracked_inside:
+            assert windowed.diagnostics["full_solve_fallback"]
+        if windowed.diagnostics["full_solve_fallback"]:
+            assert len(windowed) == len(full)
+            assert np.array_equal(windowed.eigenvalues, full.eigenvalues)
+        else:
+            tracked = windowed.relative_eigenvalue(windowed.dominant_index(gamma0))
+            assert abs(tracked - rel_full[n_full]) <= tol[n_full]
+
+    def test_empty_interval_falls_back_to_full_solve(self, z2):
+        q = pb.cosine_pair(z2, (1, 0), 0.2)
+        v = np.array([5.3, 4.2])
+        full = pb.bloch_solve(z2, 1, q, v, 6.0, refine=True)
+        spec = pb.bloch_solve(z2, 1, q, v, 6.0, refine=True, interval=(1e6, 1e6 + 1.0))
+        assert spec.diagnostics["full_solve_fallback"]
+        assert np.array_equal(spec.eigenvalues, full.eigenvalues)
+        assert spec.diagnostics["pairs_solved"] == spec.diagnostics["basis_size"] + len(spec)
+
+    def test_minor_weight_pair_alone_falls_back(self, z2):
+        # Near the resonance v1 = -1/2, gamma0 and gamma0 + e1 mix about 60/40.
+        # An interval holding only the 40% pair cannot rule out a heavier pair
+        # outside it, so the window is solved in full.
+        q = pb.cosine_pair(z2, (1, 0), 0.2)
+        v = np.array([-0.459, 4.2])
+        gamma0 = z2.reduce(v)[0].coords
+        full = pb.bloch_solve(z2, 1, q, v, 6.0)
+        weights = np.abs(full.coefficients[:, full.position(gamma0)]) ** 2
+        minor, major = np.argsort(weights)[-2:]
+        assert 0.3 < weights[minor] < 0.5 < weights[major]
+        lam = full.relative_eigenvalue(minor)
+        spec = pb.bloch_solve(z2, 1, q, v, 6.0, interval=(lam - 0.01, lam + 0.01))
+        assert spec.diagnostics["full_solve_fallback"]
+        assert spec.relative_eigenvalue(spec.dominant_index(gamma0)) == full.relative_eigenvalue(major)
+
+    def test_window_interval_solves_few_pairs(self, z2):
+        q = pb.cosine_pair(z2, (1, 0), 0.2)
+        v = np.array([5.3, 4.2])
+        gamma0 = z2.reduce(v)[0].coords
+        full = pb.bloch_solve(z2, 1, q, v, 8.0, refine=True)
+        spec = pb.bloch_solve(z2, 1, q, v, 8.0, refine=True, interval=(-0.5, 0.5))
+        diag = spec.diagnostics
+        assert not diag["full_solve_fallback"]
+        assert diag["pairs_solved"] < 10 < diag["basis_size"] < diag["refined_basis_size"] == len(full.basis)
+        assert diag["certificate_move"] < 1e-9 and diag["worst_residual"] < 1e-8
+        n, n_full = spec.dominant_index(gamma0), full.dominant_index(gamma0)
+        assert abs(spec.relative_eigenvalue(n) - full.relative_eigenvalue(n_full)) <= 1e-15
+        assert spec.weight(n, gamma0) == pytest.approx(full.weight(n_full, gamma0), abs=1e-12)
+
+    def test_rayleigh_quotient_restores_full_accuracy(self, z2):
+        # Criterion 3's cosine pair at rho = 80 on its required window (901 waves).
+        # The interval solve's own eigenvalue is 1.2e-13 off the full solve's;
+        # the Rayleigh quotient brings it to ~4e-20.
+        q = pb.cosine_pair(z2, (1, 0), 0.1)
+        cas = scaled_cascade(20.0, known_order=3)
+        u = np.array([0.78, 0.6258])
+        v = 80.0 * u / np.linalg.norm(u)
+        gamma0 = z2.reduce(v)[0].coords
+        preds = [pb.known_part_sequence(v, 1, q, cas, k_max=3).prediction_rel(k) for k in (1, 2, 3)]
+        hw = cas.matching_halfwidth()
+        window = pb.required_window_radius(q, cas)
+        full = pb.bloch_solve(z2, 1, q, v, window)
+        part = pb.bloch_solve(z2, 1, q, v, window, interval=(min(preds) - hw, max(preds) + hw))
+        assert not part.diagnostics["full_solve_fallback"]
+        lam_full = full.relative_eigenvalue(full.dominant_index(gamma0))
+        lam_part = part.relative_eigenvalue(part.dominant_index(gamma0))
+        assert abs(lam_part - lam_full) <= 1e-17
