@@ -63,7 +63,7 @@ def cmd_classify(args) -> int:
     points = sec.get("points")
     if not points:
         raise ConfigError("missing [classify].points")
-    rho = float(sec.get("rho", cfg.rho_list()[0]))
+    rho = _positive(sec, "classify", "rho", cfg.rho_list()[0])
     cas = cfg.cascade(rho, d=lat.dimension)
     results = []
     for point in points:
@@ -91,7 +91,7 @@ def cmd_predict(args) -> int:
     centers = sec.get("centers")
     if not centers:
         raise ConfigError("missing [predict].centers")
-    rho = float(sec.get("rho", cfg.rho_list()[0]))
+    rho = _positive(sec, "predict", "rho", cfg.rho_list()[0])
     cas = cfg.cascade(rho, d=lat.dimension)
     k_max = int(sec.get("order", cas.known_order()))
     results = []
@@ -110,17 +110,49 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _window_radius(sec: dict, name: str, default: float) -> float:
-    """The configured window radius, or the default (0 for q = 0) when none is set."""
-    if "window_radius" not in sec:
+def _positive(sec: dict, name: str, key: str, default=None):
+    """The configured finite positive number [name].key, or the default when none is set
+    (the default window radius is 0 for q = 0)."""
+    if key not in sec:
         return default
     try:
-        window = float(sec["window_radius"])
+        value = float(sec[key])
     except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad [{name}].window_radius: {err}") from err
-    if not 0 < window < np.inf:
-        raise ConfigError(f"[{name}].window_radius must be finite and positive: {window}")
-    return window
+        raise ConfigError(f"bad [{name}].{key}: {err}") from err
+    if not 0 < value < np.inf:
+        raise ConfigError(f"[{name}].{key} must be finite and positive: {value}")
+    return value
+
+
+def _count(sec: dict, name: str, key: str, default: int) -> int:
+    try:
+        value = int(sec.get(key, default))
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"bad [{name}].{key}: {err}") from err
+    if value < 1:
+        raise ConfigError(f"[{name}].{key} must be a positive integer: {value}")
+    return value
+
+
+def _grid(sec: dict, name: str, d: int) -> tuple[int, ...]:
+    try:
+        grid = scanner.checked_grid(sec.get("grid", [16] * d))
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"bad [{name}].grid: {err}") from err
+    if len(grid) != d:
+        raise ConfigError(f"[{name}].grid needs one count per axis ({d}): {list(grid)}")
+    return grid
+
+
+def _unit_vector(direction, name: str, d: int) -> np.ndarray:
+    try:
+        u = np.asarray(direction, dtype=float).reshape(d)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"bad [{name}] direction {direction}: {err}") from err
+    norm = float(np.linalg.norm(u))
+    if not 0 < norm < np.inf:
+        raise ConfigError(f"[{name}] needs finite nonzero directions: {direction}")
+    return u / norm
 
 
 def cmd_verify(args) -> int:
@@ -135,16 +167,14 @@ def cmd_verify(args) -> int:
     rhos = cfg.rho_list()
     cas = cfg.cascade(rhos[0], d=lat.dimension)
     cap = cas.series_cap()
+    u = _unit_vector(direction, "verify", lat.dimension)
     try:
-        u = np.asarray(direction, dtype=float).reshape(lat.dimension)
         orders = [int(k) for k in sec.get("orders", [1, 2])]
     except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad [verify]: {err}") from err
-    norm = float(np.linalg.norm(u))
-    if not (0 < norm < np.inf and orders and 1 <= min(orders) <= max(orders) <= cap):
-        raise ConfigError(f"[verify] needs a finite nonzero direction and orders in 1..{cap}: {direction}, {orders}")
-    u = u / norm
-    window = _window_radius(sec, "verify", series.required_window_radius(q, cas))
+        raise ConfigError(f"bad [verify].orders: {err}") from err
+    if not (orders and 1 <= min(orders) <= max(orders) <= cap):
+        raise ConfigError(f"[verify].orders must lie in 1..{cap}: {orders}")
+    window = _positive(sec, "verify", "window_radius", series.required_window_radius(q, cas))
     table = series.order_sweep(lat, l, q, [rho * u for rho in rhos], orders, cas, window_radius=window)
     out_dir = cfg.output_dir(args.output_dir)
     csv_path = out_dir / "verify.csv"
@@ -171,13 +201,13 @@ def cmd_resonant_check(args) -> int:
     points = sec.get("points")
     if not points:
         raise ConfigError("missing [resonant_check].points")
-    window = _window_radius(sec, "resonant_check",
-                            series.required_window_radius(q, cfg.cascade(cfg.rho_list()[0], d=lat.dimension)))
+    window = _positive(sec, "resonant_check", "window_radius",
+                       series.required_window_radius(q, cfg.cascade(cfg.rho_list()[0], d=lat.dimension)))
     out_dir = cfg.output_dir(args.output_dir)
     rows = []
     for point in points:
         v = np.asarray(point, dtype=float)
-        rho = float(sec.get("rho", np.linalg.norm(v)))
+        rho = _positive(sec, "resonant_check", "rho", float(np.linalg.norm(v)))
         cas = cfg.cascade(rho, d=lat.dimension)
         verdict = classify(lat, v, cas)
         if not verdict.is_resonant:
@@ -223,7 +253,7 @@ def cmd_simple_check(args) -> int:
     results = []
     for point in points:
         v = np.asarray(point, dtype=float)
-        rho = float(sec.get("rho", np.linalg.norm(v)))
+        rho = _positive(sec, "simple_check", "rho", float(np.linalg.norm(v)))
         cas = cfg.cascade(rho, d=lat.dimension)
         try:
             report = simple.check_simplicity(lat, v, cas, l, q)
@@ -259,9 +289,9 @@ def cmd_bloch(args) -> int:
     results = []
     for center in centers:
         v = np.asarray(center, dtype=float)
-        rho = float(sec.get("rho", np.linalg.norm(v)))
+        rho = _positive(sec, "bloch", "rho", float(np.linalg.norm(v)))
         cas = cfg.cascade(rho, d=lat.dimension)
-        window = _window_radius(sec, "bloch", series.required_window_radius(q, cas))
+        window = _positive(sec, "bloch", "window_radius", series.required_window_radius(q, cas))
         spectrum = bloch_solve(lat, l, q, v, window, refine=True)
         gamma0, _ = lat.reduce(v)
         n = spectrum.dominant_index(gamma0.coords)
@@ -292,11 +322,10 @@ def cmd_bands(args) -> int:
     q = cfg.potential(lat)
     l = cfg.degree()
     sec = cfg.section("bands")
-    grid = tuple(int(n) for n in sec.get("grid", [16] * lat.dimension))
-    n_bands = int(sec.get("n_bands", 20))
-    radius = sec.get("basis_radius")
+    grid = _grid(sec, "bands", lat.dimension)
+    n_bands = _count(sec, "bands", "n_bands", 20)
     table = scanner.band_functions(lat, l, q, grid, n_bands,
-                                   basis_radius=None if radius is None else float(radius))
+                                   basis_radius=_positive(sec, "bands", "basis_radius"))
     out_dir = cfg.output_dir(args.output_dir)
     csv_path = out_dir / "bands.csv"
     with open(csv_path, "w") as fh:
@@ -323,14 +352,13 @@ def cmd_gaps(args) -> int:
     q = cfg.potential(lat)
     l = cfg.degree()
     sec = cfg.section("gaps")
-    grid = tuple(int(n) for n in sec.get("grid", [16] * lat.dimension))
-    n_bands = int(sec.get("n_bands", 30))
+    grid = _grid(sec, "gaps", lat.dimension)
+    n_bands = _count(sec, "gaps", "n_bands", 30)
     e_min = float(sec.get("e_min", 0.0))
-    radius = sec.get("basis_radius")
     e_max = sec.get("e_max")
     report, coarse, fine = scanner.stable_gap_report(
         lat, l, q, grid, n_bands, e_min, None if e_max is None else float(e_max),
-        basis_radius=None if radius is None else float(radius))
+        basis_radius=_positive(sec, "gaps", "basis_radius"))
     out = cfg.output_dir(args.output_dir) / "gaps.json"
     write_json(out, cfg, {
         "e_min": report.e_min, "e_max": report.e_max,
@@ -352,6 +380,8 @@ def cmd_isoenergetic(args) -> int:
     rays = sec.get("rays")
     if not rays:
         raise ConfigError("missing [isoenergetic].rays")
+    for ray in rays:
+        _unit_vector(ray, "isoenergetic", lat.dimension)
     results = []
     for rho in cfg.rho_list():
         cas = cfg.cascade(rho, d=lat.dimension)

@@ -12,11 +12,18 @@ diagonal computed through the cancellation-free identity
 A^l - B^l = (A - B) * sum_j A^j B^(l-1-j),  A - B = 2(v, delta) + |delta|^2
 (numerics.relative_energies), which keeps eigenvalue differences near the
 shift meaningful well below machine epsilon times |v|^{2l}.  The couplings
-come from FourierPotential.couplings, the builder the resonant blocks share.
+come from FourierPotential.coupling_triplets, the builder the resonant
+blocks share.
 
-Given a relative-energy interval, the eigensolve computes only the pairs
-inside it (LAPACK ?heevr, the MRRR method) and replaces each eigenvalue by
-its Rayleigh quotient, which brings it back to the full solve's accuracy.
+Given a relative-energy interval [lo, hi), the eigensolve uses the sparse
+operator (about 5 nonzeros per row): Sylvester's law of inertia counts the
+eigenvalues below lo and below hi from the signs of LDL^H pivots, and
+shift-invert Lanczos about the midpoint solves for exactly the difference
+(Ericsson & Ruhe 1980; the inertia check of Grimes, Lewis & Simon 1994).
+Each eigenvalue is replaced by its Rayleigh quotient, which brings it back
+to the full solve's accuracy.  When a guard trips (an untrustworthy pivot,
+or a count the Lanczos solve does not reproduce), the full dense solve
+takes over.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .potential import FourierPotential
 _RESIDUAL_TOL = 1e-8
 _CLUSTER_TOL = 1e-9
 _REFINE_TOL = 1e-9
+_PIVOT_TOL = 1e-12  # an inertia count needs every |U_ii| >= _PIVOT_TOL * ||H||_1
 
 
 @dataclass(frozen=True)
@@ -104,7 +112,7 @@ class BlochSpectrum:
     cluster_flags: np.ndarray
     shift: float = 0.0
     eigenvalues_rel: np.ndarray = field(default=None, repr=False)
-    diagnostics: dict = field(default=None, repr=False, compare=False)  # set by bloch_solve
+    diagnostics: dict = field(default=None, repr=False, compare=False)  # set by diagonalize and bloch_solve
     _index: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -146,41 +154,56 @@ class BlochSpectrum:
         return float(self.eigenvalues[n] - self.shift)
 
 
-def assemble(l: int, q: FourierPotential, t, basis: PlanewaveBasis, shift_center=None) -> np.ndarray:
+def assemble(l: int, q: FourierPotential, t, basis: PlanewaveBasis, shift_center=None,
+             sparse: bool = False):
     """Hermitian matrix of (-Laplace)^l + q in the given plane-wave basis.
 
     With shift_center = v the diagonal holds |gamma+t|^{2l} - |v|^{2l}
     (cancellation-free); eigenvalues of the result are then relative to
-    |v|^{2l}.
+    |v|^{2l}.  The result is a dense array, or with sparse set a
+    scipy.sparse CSC array built from q.coupling_triplets.
     """
     if len(basis) == 0:
         raise ValueError("basis must be non-empty")
     t = np.asarray(t, dtype=float)
     v = np.zeros_like(t) if shift_center is None else np.asarray(shift_center, dtype=float)
-    H = q.couplings(basis.coords)
-    H[np.diag_indices(len(basis))] = relative_energies(v, basis.embeddings + t, l)
-    return H
+    energies = relative_energies(v, basis.embeddings + t, l)
+    if not sparse:
+        H = q.couplings(basis.coords)
+        H[np.diag_indices(len(basis))] = energies
+        return H
+    import scipy.sparse  # here, not at module level: only interval solves need it
+
+    i, j, values = q.coupling_triplets(basis.coords)
+    diag = np.arange(len(basis))
+    return scipy.sparse.csc_array((np.concatenate((values, energies)),
+                                   (np.concatenate((i, diag)), np.concatenate((j, diag)))),
+                                  shape=(len(basis), len(basis)))
 
 
 def diagonalize(H, basis: PlanewaveBasis, t, l: int, shift: float = 0.0, interval=None) -> BlochSpectrum:
-    """Dense Hermitian eigensolve with residual and unit-norm certificates.
+    """Hermitian eigensolve with residual and unit-norm certificates.
 
-    With interval = (lo, hi) only the pairs with eigenvalue in (lo, hi] are
-    computed, each eigenvalue replaced by its Rayleigh quotient Re(x^H H x);
-    None solves for all of them.
+    interval=None solves the dense H in full.  With interval = (lo, hi) only
+    the pairs with eigenvalue in [lo, hi) are returned, each eigenvalue the
+    Rayleigh quotient Re(x^H H x) of its vector: H (sparse or dense) is
+    counted by inertia and solved by shift-invert Lanczos (_window_pairs),
+    or, when one of its guards trips, by the full dense solve.  The
+    spectrum's diagnostics name the path ("eigensolver"), the inertia count
+    and the guard that tripped ("dense_fallback_reason").
     """
-    H = np.asarray(H)
-    if interval is None:
+    count = reason = None
+    if interval is not None:
+        count, reason, found = _window_pairs(H, *interval)
+    if interval is None or reason is not None:
+        H = H.toarray() if hasattr(H, "toarray") else np.asarray(H)
         evals_rel, evecs = np.linalg.eigh(H)
+        if interval is not None:
+            inside = (interval[0] <= evals_rel) & (evals_rel < interval[1])
+            evals_rel, evecs = evals_rel[inside], evecs[:, inside]
         HX = H @ evecs
     else:
-        import scipy.linalg  # here, not at module level: its import costs more than a small solve
-
-        _, evecs = scipy.linalg.eigh(H, subset_by_value=interval, driver="evr")
-        HX = H @ evecs
-        evals_rel = np.real(np.vecdot(evecs, HX, axis=0))
-        order = np.argsort(evals_rel, kind="stable")
-        evals_rel, evecs, HX = evals_rel[order], evecs[:, order], HX[:, order]
+        evals_rel, evecs, HX = found
     coeff = evecs.T  # row N = coefficient table of eigenpair N
     norms = np.linalg.norm(coeff, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-10):
@@ -206,7 +229,77 @@ def diagonalize(H, basis: PlanewaveBasis, t, l: int, shift: float = 0.0, interva
         cluster_flags=cluster,
         shift=shift,
         eigenvalues_rel=evals_rel.copy(),
+        diagnostics={"eigensolver": "dense" if interval is None or reason else "sparse",
+                     "inertia_count": count, "dense_fallback_reason": reason},
     )
+
+
+def _window_pairs(H, lo: float, hi: float):
+    """The eigenpairs of H with eigenvalue in [lo, hi), certified complete by inertia.
+
+    count = nu(hi) - nu(lo) pairs lie in [lo, hi) (see _inertia); exactly
+    that many are solved by shift-invert Lanczos about the midpoint, from a
+    fixed start vector so that reruns are byte-identical, and each
+    eigenvalue is replaced by its Rayleigh quotient.  Returns (count,
+    reason, pairs): reason is None and pairs is (eigenvalues, vectors,
+    H @ vectors) in ascending order, or reason names the guard that tripped
+    and pairs is None.  "pivot": no trustworthy LDL^H at lo or hi, or an
+    eigenvalue exactly at the midpoint.  "count": the count is not below
+    n - 1 (Lanczos needs k < n - 1), or Lanczos did not converge, or a
+    Rayleigh quotient falls outside [lo, hi), so the solve did not find the
+    counted pairs.
+    """
+    import scipy.sparse  # here, not at module level: its import costs ~30 MB
+    import scipy.sparse.linalg
+
+    H = scipy.sparse.csc_array(H)
+    n = H.shape[0]
+    floor = _PIVOT_TOL * float(abs(H).sum(axis=0).max())
+    below = [_inertia(H, s, floor) for s in (lo, hi)]
+    if None in below:
+        return None, "pivot", None
+    count = below[1] - below[0]
+    if not 0 <= count < n - 1:
+        return count, "count", None
+    X = np.zeros((n, 0), dtype=complex)
+    if count:
+        v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
+        try:
+            _, X = scipy.sparse.linalg.eigsh(H, k=count, sigma=0.5 * (lo + hi), v0=v0)
+        except scipy.sparse.linalg.ArpackNoConvergence:
+            return count, "count", None
+        except RuntimeError:  # H - sigma I is exactly singular: an eigenvalue at the midpoint
+            return count, "pivot", None
+    HX = H @ X
+    evals = np.real(np.vecdot(X, HX, axis=0))
+    if np.any((evals < lo) | (evals >= hi)):
+        return count, "count", None
+    order = np.argsort(evals, kind="stable")
+    return count, None, (evals[order], X[:, order], HX[:, order])
+
+
+def _inertia(H, s: float, floor: float) -> int | None:
+    """nu(s), the number of eigenvalues of the sparse Hermitian H below s.
+
+    By Sylvester's law of inertia nu(s) is the number of negative pivots of
+    an LDL^H factorization of H - sI.  SuperLU computes one (U = D L^H) when
+    it pivots on the diagonal (diag_pivot_thresh=0) in a symmetric ordering
+    (perm_r == perm_c).  None when it did not, or when some |U_ii| < floor:
+    an eigenvalue at s, or a pivot too small for its sign to be trusted.
+    """
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    shifted = H - s * scipy.sparse.eye_array(H.shape[0], format="csc")
+    try:
+        lu = scipy.sparse.linalg.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                                      options={"SymmetricMode": True})
+    except RuntimeError:  # exactly singular
+        return None
+    pivots = lu.U.diagonal()
+    if not np.array_equal(lu.perm_r, lu.perm_c) or np.any(np.abs(pivots) < floor):
+        return None
+    return int(np.count_nonzero(pivots.real < 0))
 
 
 def solve(lattice: LatticeModel, l: int, q: FourierPotential, t, basis: PlanewaveBasis,
@@ -215,7 +308,7 @@ def solve(lattice: LatticeModel, l: int, q: FourierPotential, t, basis: Planewav
     if shift_center is not None:
         v = np.asarray(shift_center, dtype=float)
         shift = float(v @ v) ** l
-    H = assemble(l, q, t, basis, shift_center=shift_center)
+    H = assemble(l, q, t, basis, shift_center=shift_center, sparse=interval is not None)
     return diagonalize(H, basis, t, l, shift=shift, interval=interval)
 
 
@@ -228,9 +321,10 @@ def bloch_solve(lattice: LatticeModel, l: int, q: FourierPotential, v, window_ra
     WindowNotConverged.  The refined spectrum is returned.
 
     With interval = (lo, hi), relative to |v|^{2l}, each window computes
-    only the pairs inside it, and is solved again in full when none of them
-    weighs more than 1/2 on gamma0 (see BlochSpectrum.dominant_index).  The
-    returned spectrum's diagnostics describe both windows' solves.
+    only the pairs in [lo, hi) (see diagonalize), and is solved again in
+    full when none of them weighs more than 1/2 on gamma0 (see
+    BlochSpectrum.dominant_index).  The returned spectrum's diagnostics
+    describe both windows' solves.
     """
     v = np.asarray(v, dtype=float)
     if t is None:
@@ -243,15 +337,18 @@ def bloch_solve(lattice: LatticeModel, l: int, q: FourierPotential, v, window_ra
         if not np.allclose(coeff, n, atol=1e-9):
             raise ValueError("center v - t is not a dual lattice vector; window would exclude the center's own index")
         gamma0 = lattice.vector(n.astype(int))
-    spectra, fallback = [], False
+    spectra, counts, reasons = [], [], []
     for radius in (window_radius, window_radius * 1.5) if refine else (window_radius,):
         basis = PlanewaveBasis.window(lattice, t, v, radius)
         if basis.index_map().get(gamma0.coords) is None:
             raise ValueError("window excludes the center's own index")
         spectrum = solve(lattice, l, q, t, basis, shift_center=v, interval=interval)
+        counts.append(spectrum.diagnostics["inertia_count"])
+        reason = spectrum.diagnostics["dense_fallback_reason"]
         if interval is not None and not _tracks(spectrum, gamma0.coords):
             spectrum = solve(lattice, l, q, t, basis, shift_center=v)
-            fallback = True
+            reason = "half-rule"
+        reasons.append(reason)
         spectra.append(spectrum)
     move = None
     if refine:
@@ -263,11 +360,14 @@ def bloch_solve(lattice: LatticeModel, l: int, q: FourierPotential, v, window_ra
         if move >= _REFINE_TOL * (1.0 + lam):
             raise WindowNotConverged(
                 f"tracked eigenvalue moved {move:.3e} under window refinement ({window_radius} -> {window_radius * 1.5})")
+    sparse = all(s.diagnostics["eigensolver"] == "sparse" for s in spectra)
     return replace(spectra[-1], diagnostics={
         "basis_size": len(spectra[0].basis),
         "refined_basis_size": len(spectra[-1].basis) if refine else None,
         "pairs_solved": sum(len(s) for s in spectra),
-        "full_solve_fallback": fallback,
+        "inertia_count": counts,
+        "eigensolver": "sparse" if sparse else "dense",
+        "dense_fallback_reason": next((r for r in reasons if r), None),
         "certificate_move": move,
         "worst_residual": max(float(np.max(s.residual_norms)) for s in spectra),
     })

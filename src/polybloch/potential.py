@@ -59,21 +59,23 @@ class FourierPotential:
     def is_zero(self) -> bool:
         return not self._table
 
-    def couplings(self, coords) -> np.ndarray:
-        """Dense (n, n) matrix of q_{c_i - c_j} over the rows c of an index set.
+    def coupling_triplets(self, coords) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nonzero off-diagonal entries (i, j, q_{c_i - c_j}) over the rows c of an index set.
 
-        Each support vector g is looked up once and scattered in one pass:
-        rows are keyed in mixed radix over the set's bounding box and c_i - g
-        is found by binary search, so the cost is O(n |supp| log n) with
-        O(n) temporaries.  Only pairs i < j are looked up; (j, i) receives the
-        conjugate, so the result is exactly Hermitian even for tables that
-        are Hermitian only to the loader's tolerance.  The diagonal is zero.
+        Each support vector g is looked up once: rows are keyed in mixed
+        radix over the set's bounding box and c_i - g is found by binary
+        search, so the cost is O(n |supp| log n) with O(n) temporaries.
+        Only pairs i < j are looked up; (j, i) receives the conjugate, so the
+        operator is exactly Hermitian even for tables that are Hermitian only
+        to the loader's tolerance.  Each pair appears once; no entry is on
+        the diagonal.
         """
         coords = np.asarray(coords, dtype=np.int64)
         n = len(coords)
-        H = np.zeros((n, n), dtype=complex)
-        if n == 0 or not self._table:
-            return H
+        empty = np.zeros(0, dtype=np.int64)
+        rows, cols, values = [empty], [empty], [np.zeros(0, dtype=complex)]
+        if n == 0:
+            return empty, empty, values[0]
         lo = coords.min(axis=0)
         span = coords.max(axis=0) - lo + 1
         stride = np.cumprod(np.concatenate(([1], span[:-1])))
@@ -81,7 +83,6 @@ class FourierPotential:
         order = np.argsort(keys)
         sorted_keys = keys[order]
         for g in self._support:
-            value = self.coefficient(g)
             target = coords - np.asarray(g, dtype=np.int64)
             inside = np.all((target >= lo) & (target < lo + span), axis=1)
             i = np.flatnonzero(inside)
@@ -91,8 +92,19 @@ class FourierPotential:
             i, j = i[hit], order[pos[hit]]
             upper = i < j
             i, j = i[upper], j[upper]
-            H[i, j] = value
-            H[j, i] = value.conjugate()
+            value = np.full(len(i), self.coefficient(g))
+            rows += [i, j]
+            cols += [j, i]
+            values += [value, value.conj()]
+        return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+
+    def couplings(self, coords) -> np.ndarray:
+        """Dense (n, n) matrix of q_{c_i - c_j} over the rows c of an index set
+        (coupling_triplets scattered; the diagonal is zero)."""
+        n = len(coords)
+        H = np.zeros((n, n), dtype=complex)
+        i, j, values = self.coupling_triplets(coords)
+        H[i, j] = values
         return H
 
     def is_invariant(self, matrix, time_reversed: bool = False) -> bool:

@@ -130,7 +130,7 @@ def band_functions(lattice: LatticeModel, l: int, q: FourierPotential, grid_coun
     bands also fail to be periodic in t); a certified radius keeps it below
     1e-9 relative.
     """
-    grid_counts = _checked_grid(grid_counts)
+    grid_counts = checked_grid(grid_counts)
     if basis_radius is None:
         basis_radius = certified_basis_radius(lattice, l, q, n_bands)
     basis = PlanewaveBasis.full_ball(lattice, basis_radius)
@@ -157,7 +157,8 @@ def band_functions(lattice: LatticeModel, l: int, q: FourierPotential, grid_coun
                      axis_steps=steps, solved_points=len(solve), symmetry_order=len(group))
 
 
-def _checked_grid(grid_counts) -> tuple[int, ...]:
+def checked_grid(grid_counts) -> tuple[int, ...]:
+    """Grid counts as a tuple of ints; ValueError below 8 points on some axis."""
     grid_counts = tuple(int(n) for n in grid_counts)
     if min(grid_counts) < 8:
         raise ValueError("need at least 8 grid points per axis")
@@ -219,7 +220,7 @@ def stable_gap_report(lattice: LatticeModel, l: int, q: FourierPotential, grid_c
     it is set just below the fine grid's top-band minimum, which bounds
     the coarse table's too, so the coverage check holds at both levels.
     """
-    fine = band_functions(lattice, l, q, tuple(2 * n for n in _checked_grid(grid_counts)),
+    fine = band_functions(lattice, l, q, tuple(2 * n for n in checked_grid(grid_counts)),
                           n_bands, basis_radius)
     coarse = fine.every_other()
     if e_max is None:

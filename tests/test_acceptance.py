@@ -159,6 +159,26 @@ def test_criterion_3_nonresonant_order_sweep():
     assert all(checks.values()), detail
 
 
+def test_criterion_3_setting_f3_restores_the_chain_term():
+    """Criterion 3's sweep with one more order: P3 = |v|^{2l} + F_3 (sweep k = 4).
+
+    S_3 restores the chain term that F_2 lacks (S_2 = 0 on the cosine
+    pair's support), so error(P3) falls below error(P1) at every rho and
+    decays like rho^-6.
+    """
+    lat = pb.LatticeModel.cubic(2)
+    q = pb.cosine_pair(lat, (1, 0), 0.1)
+    cas = scaled_cascade(20.0, known_order=3)
+    rhos = [10.0, 20.0, 40.0, 80.0]
+    table = pb.order_sweep(lat, 1, q, [rho * U_DIR for rho in rhos], [1, 2, 3, 4], cas)
+    p1, p3 = dict(table.errors_for(2)), dict(table.errors_for(4))
+    slope = loglog_slope(rhos, [p3[rho] for rho in rhos])
+    detail = f"P1 {[f'{p1[r]:.2e}' for r in rhos]}, P3 {[f'{p3[r]:.2e}' for r in rhos]}, slope P3 {slope:.2f}"
+    print(detail)
+    assert all(p3[rho] < p1[rho] for rho in rhos), detail
+    assert -6.5 <= slope <= -5.5, detail
+
+
 def test_criterion_4_series_structure():
     t0 = time.time()
     lat = pb.LatticeModel.cubic(2)

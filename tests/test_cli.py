@@ -134,7 +134,8 @@ class TestVerifyCommand:
         (diag,) = json.loads((tmp_path / "out" / "verify.json").read_text())["result"]["diagnostics"]
         assert diag["rho"] == 10.0
         assert 0 < 10 * diag["pairs_solved"] < diag["basis_size"] < diag["refined_basis_size"]
-        assert diag["full_solve_fallback"] is False
+        assert diag["dense_fallback_reason"] is None and diag["eigensolver"] == "sparse"
+        assert len(diag["inertia_count"]) == 2 and all(c >= 1 for c in diag["inertia_count"])
         assert 0 <= diag["certificate_move"] < 1e-9
         assert 0 < diag["worst_residual"] < 1e-8
 
@@ -242,6 +243,11 @@ class TestErrors:
         ("bloch", "bloch", "window_radius", -1.0),
         ("bloch", "bloch", "window_radius", float("nan")),
         ("resonant-check", "resonant_check", "window_radius", 0.0),
+        ("bands", "bands", "n_bands", 0),
+        ("bands", "bands", "basis_radius", -1.0),
+        ("gaps", "gaps", "grid", [0, 0]),
+        ("simple-check", "simple_check", "rho", "x"),
+        ("isoenergetic", "isoenergetic", "rays", [[0, 0]]),
     ])
     def test_bad_values_are_config_errors(self, tmp_path, command, section, key, value):
         raw = yaml.safe_load((REPO / "configs" / "cosine_sweep.yaml").read_text())

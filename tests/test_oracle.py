@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +14,8 @@ from polybloch.oracle import PlanewaveBasis
 from polybloch.potential import FourierPotential
 
 from conftest import scaled_cascade
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def two_state_basis(z2):
@@ -189,8 +196,8 @@ class TestPartialSolve:
         windowed = pb.bloch_solve(z2, l, q, v, radius, interval=(lo, hi))
         tracked_inside = lo + tol[n_full] < rel_full[n_full] <= hi - tol[n_full]
         if not tracked_inside:
-            assert windowed.diagnostics["full_solve_fallback"]
-        if windowed.diagnostics["full_solve_fallback"]:
+            assert windowed.diagnostics["dense_fallback_reason"] == "half-rule"
+        if windowed.diagnostics["dense_fallback_reason"] == "half-rule":
             assert len(windowed) == len(full)
             assert np.array_equal(windowed.eigenvalues, full.eigenvalues)
         else:
@@ -202,7 +209,7 @@ class TestPartialSolve:
         v = np.array([5.3, 4.2])
         full = pb.bloch_solve(z2, 1, q, v, 6.0, refine=True)
         spec = pb.bloch_solve(z2, 1, q, v, 6.0, refine=True, interval=(1e6, 1e6 + 1.0))
-        assert spec.diagnostics["full_solve_fallback"]
+        assert spec.diagnostics["dense_fallback_reason"] == "half-rule"
         assert np.array_equal(spec.eigenvalues, full.eigenvalues)
         assert spec.diagnostics["pairs_solved"] == spec.diagnostics["basis_size"] + len(spec)
 
@@ -219,7 +226,7 @@ class TestPartialSolve:
         assert 0.3 < weights[minor] < 0.5 < weights[major]
         lam = full.relative_eigenvalue(minor)
         spec = pb.bloch_solve(z2, 1, q, v, 6.0, interval=(lam - 0.01, lam + 0.01))
-        assert spec.diagnostics["full_solve_fallback"]
+        assert spec.diagnostics["dense_fallback_reason"] == "half-rule"
         assert spec.relative_eigenvalue(spec.dominant_index(gamma0)) == full.relative_eigenvalue(major)
 
     def test_window_interval_solves_few_pairs(self, z2):
@@ -229,7 +236,7 @@ class TestPartialSolve:
         full = pb.bloch_solve(z2, 1, q, v, 8.0, refine=True)
         spec = pb.bloch_solve(z2, 1, q, v, 8.0, refine=True, interval=(-0.5, 0.5))
         diag = spec.diagnostics
-        assert not diag["full_solve_fallback"]
+        assert diag["dense_fallback_reason"] is None and diag["eigensolver"] == "sparse"
         assert diag["pairs_solved"] < 10 < diag["basis_size"] < diag["refined_basis_size"] == len(full.basis)
         assert diag["certificate_move"] < 1e-9 and diag["worst_residual"] < 1e-8
         n, n_full = spec.dominant_index(gamma0), full.dominant_index(gamma0)
@@ -250,7 +257,167 @@ class TestPartialSolve:
         window = pb.required_window_radius(q, cas)
         full = pb.bloch_solve(z2, 1, q, v, window)
         part = pb.bloch_solve(z2, 1, q, v, window, interval=(min(preds) - hw, max(preds) + hw))
-        assert not part.diagnostics["full_solve_fallback"]
+        assert part.diagnostics["dense_fallback_reason"] is None
         lam_full = full.relative_eigenvalue(full.dominant_index(gamma0))
         lam_part = part.relative_eigenvalue(part.dominant_index(gamma0))
         assert abs(lam_part - lam_full) <= 1e-17
+
+
+def window_operator(lattice, l, q, v, radius):
+    """Basis, t, shift and sparse relative-frame operator of the window around v."""
+    t = lattice.reduce(v)[1].reduced
+    basis = PlanewaveBasis.window(lattice, t, v, radius)
+    H = pb.assemble(l, q, t, basis, shift_center=v, sparse=True)
+    return basis, t, float(v @ v) ** l, H
+
+
+class TestSparseSlice:
+    """The inertia-counted shift-invert solve against the full dense eigh.
+
+    Convention: the inertia count nu(s) is the number of eigenvalues below s,
+    so an interval solve returns the pairs in [lo, hi).  An eigenvalue on an
+    endpoint makes a pivot vanish, which the pivot guard sends to the dense
+    solve; that solve keeps the same half-open interval.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.sampled_from([2, 3]), l=st.sampled_from([1, 2]), chains=st.booleans(),
+           seed=st.integers(0, 2**16), amplitude=st.floats(0.05, 1.0), axis=st.integers(0, 2),
+           direction=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3), rho=st.floats(2.0, 6.0),
+           radius=st.floats(1.5, 3.0), scale=st.sampled_from([0.5, 5.0, 50.0]),
+           middle=st.floats(-1.0, 1.0), width=st.floats(1e-3, 1.0))
+    @example(d=2, l=1, chains=True, seed=0, amplitude=0.3, axis=0, direction=[0.78, 0.6258, 0.0], rho=5.0,
+             radius=3.0, scale=0.5, middle=0.0, width=1.0)
+    def test_slice_matches_dense(self, d, l, chains, seed, amplitude, axis, direction, rho, radius,
+                                 scale, middle, width):
+        lattice = pb.LatticeModel.cubic(d)
+        if chains:  # rank-1 support: the operator splits into decoupled chains
+            q = pb.cosine_pair(lattice, np.eye(d, dtype=int)[axis % d], amplitude)
+        else:
+            q = pb.random_potential(seed, d, 1.0, 0.0, amplitude, lattice=lattice)
+        u = np.array(direction[:d]) + 1e-3
+        v = rho * u / np.linalg.norm(u)
+        basis, t, shift, H = window_operator(lattice, l, q, v, radius)
+        lo, hi = scale * (middle - width), scale * (middle + width)
+        dense = H.toarray()
+        lam, W = np.linalg.eigh(dense)
+        part = pb.diagonalize(H, basis, t, l, shift=shift, interval=(lo, hi))
+        diag = part.diagnostics
+        if diag["eigensolver"] == "dense":
+            assert diag["dense_fallback_reason"] in ("pivot", "count")
+            assert np.array_equal(part.eigenvalues_rel, lam[(lo <= lam) & (lam < hi)])
+        # eigh's own eigenvalues are good to ~eps |H|, which exceeds the tolerance
+        # when |H| passes a few thousand; the Rayleigh quotients of its vectors are
+        # good to |residual|^2 / gap
+        lam = np.real(np.vecdot(W, dense @ W, axis=0))
+        order = np.argsort(lam, kind="stable")
+        lam, W = lam[order], W[:, order]
+        tol = 1e-12 * (1.0 + np.abs(lam))
+        inside = (lo <= lam) & (lam < hi)
+        clear = not np.any((np.abs(lam - lo) <= tol) | (np.abs(lam - hi) <= tol))
+        if diag["eigensolver"] == "sparse":
+            assert diag["dense_fallback_reason"] is None and len(part) == diag["inertia_count"]
+            assert np.all((lo <= part.eigenvalues_rel) & (part.eigenvalues_rel < hi))
+        if not clear:  # an eigenvalue within rounding of an endpoint may fall on either side
+            return
+        if diag["inertia_count"] is not None:
+            assert diag["inertia_count"] == np.count_nonzero(inside)
+        idx = np.flatnonzero(inside)
+        assert np.all(np.abs(part.eigenvalues_rel - lam[idx]) <= tol[idx])
+        # weights on gamma0 of well-separated pairs, whose vectors are fixed to ~eps |H| / gap
+        pos = basis.index_map()[lattice.reduce(v)[0].coords]
+        gaps = np.abs(lam[:, None] - lam[None, :]) + np.diag(np.full(len(lam), np.inf))
+        separated = gaps.min(axis=1)[idx] > 1e-4 * np.linalg.norm(dense, 2)
+        w_dense = np.abs(W[pos, idx]) ** 2
+        w_part = np.abs(part.coefficients[:, pos]) ** 2
+        assert np.all(np.abs(w_part - w_dense)[separated] <= 1e-10)
+        if len(part) and w_part.max() > 0.5:
+            assert idx[int(np.argmax(w_part))] == int(np.argmax(np.abs(W[pos]) ** 2))
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-13])
+    def test_endpoint_on_free_eigenvalue_takes_pivot_guard(self, z2, offset):
+        # q = 0: the eigenvalues are the diagonal, and lo on one of them leaves
+        # a zero (or sub-floor) pivot whose sign is meaningless
+        v = np.array([5.3, 4.2])
+        basis, t, shift, H = window_operator(z2, 1, FourierPotential(z2, {}), v, 3.0)
+        lam = np.sort(H.diagonal().real)
+        lo, hi = lam[3] + offset, lam[9]
+        spec = pb.diagonalize(H, basis, t, 1, shift=shift, interval=(lo, hi))
+        assert spec.diagnostics == {"eigensolver": "dense", "inertia_count": None, "dense_fallback_reason": "pivot"}
+        assert np.array_equal(spec.eigenvalues_rel, lam[(lo <= lam) & (lam < hi)])
+        # the half-open convention: lam[3] is in when lo sits exactly on it, lam[9] never
+        assert (spec.eigenvalues_rel[0] == lam[3]) == (offset == 0.0)
+        assert spec.eigenvalues_rel[-1] < lam[9]
+
+    def test_off_diagonal_pivot_takes_pivot_guard(self, z2):
+        # H - lo I has a zero diagonal coupled off the diagonal: SuperLU must
+        # pivot off the diagonal, perm_r != perm_c, and there is no LDL^H to count
+        basis = PlanewaveBasis.full_ball(z2, 1.5)
+        H = np.diag([0.0, 0.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]).astype(complex)
+        H[0, 1] = H[1, 0] = 1.0
+        spec = pb.diagonalize(H, basis, np.zeros(2), 1, interval=(0.0, 3.5))
+        assert spec.diagnostics["dense_fallback_reason"] == "pivot"
+        assert np.allclose(spec.eigenvalues, [1.0, 3.0])
+
+    def test_count_near_basis_size_takes_count_guard(self, z2):
+        q = pb.cosine_pair(z2, (1, 0), 0.2)
+        v = np.array([5.3, 4.2])
+        basis, t, shift, H = window_operator(z2, 1, q, v, 1.5)
+        lam = np.linalg.eigh(H.toarray())[0]
+        spec = pb.diagonalize(H, basis, t, 1, shift=shift, interval=(lam[1] - 0.5, lam[-1] + 1.0))
+        assert spec.diagnostics == {"eigensolver": "dense", "inertia_count": len(basis) - 1,
+                                    "dense_fallback_reason": "count"}
+        assert np.array_equal(spec.eigenvalues_rel, lam[1:])
+
+    def test_pair_outside_interval_takes_count_guard(self, z2, monkeypatch):
+        # a Lanczos solve that returns the wrong pair: its Rayleigh quotient
+        # lies outside the interval, so the dense solve supplies the pairs
+        import scipy.sparse.linalg
+
+        q = pb.cosine_pair(z2, (1, 0), 0.2)
+        v = np.array([5.3, 4.2])
+        basis, t, shift, H = window_operator(z2, 1, q, v, 6.0)
+        lam, W = np.linalg.eigh(H.toarray())
+        n = int(np.argmin(np.abs(lam)))
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda A, k, **kw: (lam[n + 5:n + 5 + k], W[:, n + 5:n + 5 + k]))
+        interval = (lam[n] - 1e-3, lam[n] + 1e-3)
+        spec = pb.diagonalize(H, basis, t, 1, shift=shift, interval=interval)
+        assert spec.diagnostics == {"eigensolver": "dense", "inertia_count": 1, "dense_fallback_reason": "count"}
+        assert np.array_equal(spec.eigenvalues_rel, lam[[n]])
+
+    def test_bloch_solve_reports_the_guard(self, z2):
+        v = np.array([5.3, 4.2])
+        spec = pb.bloch_solve(z2, 1, FourierPotential(z2, {}), v, 3.0, refine=True, interval=(-1.0, 1.0))
+        diag = spec.diagnostics
+        # the counts hold gamma0 (at 0) and gamma0 + (-1, 1) (at -0.2); the free
+        # eigenvalue at the shift sits exactly on the midpoint 0
+        assert (diag["eigensolver"], diag["dense_fallback_reason"]) == ("dense", "pivot")
+        assert diag["inertia_count"] == [2, 2]
+        gamma0 = z2.reduce(v)[0].coords
+        assert spec.relative_eigenvalue(spec.dominant_index(gamma0)) == 0.0
+
+    def test_rerun_is_byte_identical(self, z2):
+        q = pb.random_potential(3, 2, 1.5, 0.0, 0.5, lattice=z2)
+        v = np.array([7.1, 3.3])
+        first, second = (pb.bloch_solve(z2, 1, q, v, 5.0, refine=True, interval=(-2.0, 2.0)) for _ in range(2))
+        assert first.diagnostics["eigensolver"] == "sparse"
+        assert first.eigenvalues_rel.tobytes() == second.eigenvalues_rel.tobytes()
+        assert first.coefficients.tobytes() == second.coefficients.tobytes()
+
+
+def test_import_and_full_solves_leave_scipy_sparse_unloaded():
+    # scipy.sparse.linalg adds ~30 MB of resident memory; only interval solves may pay it
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import polybloch as pb\n"
+        "lat = pb.LatticeModel.cubic(2)\n"
+        "q = pb.cosine_pair(lat, (1, 0), 0.2)\n"
+        "pb.bloch_solve(lat, 1, q, np.array([5.3, 4.2]), 4.0, refine=True)\n"
+        "pb.band_functions(lat, 1, q, (8, 8), 4, basis_radius=3.0)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
