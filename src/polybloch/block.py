@@ -7,6 +7,10 @@ points gamma0 + b + a (b an integer combination of the resonance
 directions inside a span ball, a a short lattice translate), the diagonal
 holds |h_i + t|^{2l} and the off-diagonal the potential couplings
 q_{h_i - h_j}.
+
+Simplicity verdicts need only the block eigenvalue nearest a known part:
+certified_nearest_eigenvalue solves for it on the sparse block and proves
+it nearest by a Sylvester-inertia count.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .errors import EmptyDirections
 from .geometry import ParameterCascade
 from .lattice import LatticeModel, LatticeVector, vector_arrays
 from .numerics import integer_rank, relative_energies
-from .oracle import BlochSpectrum
+from .oracle import _PIVOT_TOL, _RESIDUAL_TOL, BlochSpectrum, _inertia, _sparse_operator
 from .potential import FourierPotential
 
 
@@ -150,6 +154,74 @@ def assemble_block(index_set: ResonantIndexSet, l: int, q: FourierPotential) -> 
         index_set=index_set, matrix=H,
         eigenvalues=evals_rel + shift, eigenvalues_rel=evals_rel, shift=shift,
     )
+
+
+def certified_nearest_eigenvalue(index_set: ResonantIndexSet, l: int, q: FourierPotential,
+                                 target: float) -> tuple[float | None, dict]:
+    """The block eigenvalue nearest target, from the sparse block, certified by inertia.
+
+    Returns (value, diagnostics), value in the absolute frame (see
+    _nearest_pair for the solve and its certificate).  diagnostics holds
+    "eigensolver", "dense_fallback_reason", "inertia_count" and
+    "block_size".  When a guard trips, value is None, the eigensolver is
+    "dense" (the caller solves the dense block) and the reason is "pivot"
+    (no trustworthy LDL^H at a count shift, or target exactly on an
+    eigenvalue) or "count" (a nonzero count, Lanczos not converged or
+    failing the residual certificate, or a block too small for Lanczos).
+    """
+    v = index_set.center
+    shift = float(v @ v) ** l
+    H = _sparse_operator(l, q, index_set.coords, index_set.points(), v)
+    count, reason, theta = _nearest_pair(H, target - shift, shift)
+    return None if reason else theta + shift, {
+        "eigensolver": "dense" if reason else "sparse", "dense_fallback_reason": reason,
+        "inertia_count": count, "block_size": index_set.size}
+
+
+def _nearest_pair(H, s: float, shift: float):
+    """The eigenvalue of the sparse Hermitian H nearest s, proved nearest by inertia.
+
+    Shift-invert Lanczos about s solves for one pair, from a fixed start
+    vector so that reruns are byte-identical.  Its eigenvalue is replaced
+    by the Rayleigh quotient theta of its unit vector x, and the residual
+    r = |H x - theta x| must pass the oracle's residual certificate (at
+    theta + shift), so some eigenvalue lies within r of theta.  With
+    d = |theta - s| and tau = r plus the pivot floor, the count
+    nu(s + d - tau) - nu(s - d + tau) = 0 (see oracle._inertia) proves that
+    no eigenvalue lies nearer s than d - tau: the nearest eigenvalue's
+    distance lies in [d - tau, d + r].  When d <= tau that interval holds 0
+    anyway, and the count, 0, needs no factorization.  The count's shifts
+    stay tau - r from the eigenvalue found, which keeps their pivots
+    trustworthy.  Returns (count, reason, theta) as
+    certified_nearest_eigenvalue reports them.
+    """
+    import scipy.sparse.linalg  # here, not at module level: its import costs ~30 MB
+
+    n = H.shape[0]
+    if n < 3:  # Lanczos needs k = 1 < n - 1
+        return None, "count", None
+    v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
+    try:
+        _, X = scipy.sparse.linalg.eigsh(H, k=1, sigma=s, v0=v0)
+    except scipy.sparse.linalg.ArpackNoConvergence:
+        return None, "count", None
+    except RuntimeError:  # H - sI is exactly singular: an eigenvalue at s
+        return None, "pivot", None
+    x = X[:, 0] / np.linalg.norm(X[:, 0])
+    Hx = H @ x
+    theta = float(np.real(np.vdot(x, Hx)))
+    resid = float(np.linalg.norm(Hx - theta * x))
+    if resid > _RESIDUAL_TOL * (1.0 + abs(theta + shift)):
+        return None, "count", None
+    floor = _PIVOT_TOL * float(abs(H).sum(axis=0).max())
+    d, tau = abs(theta - s), resid + floor
+    if d <= tau:
+        return 0, None, theta
+    below = [_inertia(H, s + side * (d - tau), floor) for side in (-1, 1)]
+    if None in below:
+        return None, "pivot", None
+    count = below[1] - below[0]
+    return count, "count" if count else None, theta
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,7 @@ def cmd_classify(args) -> int:
     cas = cfg.cascade(rho, d=lat.dimension)
     results = []
     for point in points:
-        x = np.asarray(point, dtype=float)
+        x = _vector(point, "classify", lat.dimension)
         verdict = classify(lat, x, cas)
         results.append({
             "point": [float(c) for c in x],
@@ -93,10 +93,12 @@ def cmd_predict(args) -> int:
         raise ConfigError("missing [predict].centers")
     rho = _positive(sec, "predict", "rho", cfg.rho_list()[0])
     cas = cfg.cascade(rho, d=lat.dimension)
-    k_max = int(sec.get("order", cas.known_order()))
+    k_max = _count(sec, "predict", "order", cas.known_order())
+    if k_max > cas.series_cap():
+        raise ConfigError(f"[predict].order must lie in 1..{cas.series_cap()}: {k_max}")
     results = []
     for center in centers:
-        v = np.asarray(center, dtype=float)
+        v = _vector(center, "predict", lat.dimension)
         exp = series.known_part_sequence(v, l, q, cas, k_max=k_max)
         results.append({
             "center": [float(c) for c in v],
@@ -110,16 +112,26 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _positive(sec: dict, name: str, key: str, default=None):
-    """The configured finite positive number [name].key, or the default when none is set
-    (the default window radius is 0 for q = 0)."""
-    if key not in sec:
+def _number(sec: dict, name: str, key: str, default):
+    """The configured finite number [name].key, or the default when none is set."""
+    if sec.get(key) is None:
         return default
     try:
         value = float(sec[key])
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad [{name}].{key}: {err}") from err
-    if not 0 < value < np.inf:
+    if not np.isfinite(value):
+        raise ConfigError(f"[{name}].{key} must be finite: {value}")
+    return value
+
+
+def _positive(sec: dict, name: str, key: str, default=None):
+    """The configured finite positive number [name].key, or the default when none is set
+    (the default window radius is 0 for q = 0)."""
+    value = _number(sec, name, key, None)
+    if value is None:
+        return default
+    if value <= 0:
         raise ConfigError(f"[{name}].{key} must be finite and positive: {value}")
     return value
 
@@ -144,11 +156,19 @@ def _grid(sec: dict, name: str, d: int) -> tuple[int, ...]:
     return grid
 
 
-def _unit_vector(direction, name: str, d: int) -> np.ndarray:
+def _vector(value, name: str, d: int) -> np.ndarray:
+    """A configured point or direction of [name] as a finite vector of length d."""
     try:
-        u = np.asarray(direction, dtype=float).reshape(d)
+        x = np.asarray(value, dtype=float).reshape(d)
     except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad [{name}] direction {direction}: {err}") from err
+        raise ConfigError(f"bad [{name}] entry {value}: need {d} numbers ({err})") from err
+    if not np.all(np.isfinite(x)):
+        raise ConfigError(f"bad [{name}] entry {value}: need finite numbers")
+    return x
+
+
+def _unit_vector(direction, name: str, d: int) -> np.ndarray:
+    u = _vector(direction, name, d)
     norm = float(np.linalg.norm(u))
     if not 0 < norm < np.inf:
         raise ConfigError(f"[{name}] needs finite nonzero directions: {direction}")
@@ -206,7 +226,7 @@ def cmd_resonant_check(args) -> int:
     out_dir = cfg.output_dir(args.output_dir)
     rows = []
     for point in points:
-        v = np.asarray(point, dtype=float)
+        v = _vector(point, "resonant_check", lat.dimension)
         rho = _positive(sec, "resonant_check", "rho", float(np.linalg.norm(v)))
         cas = cfg.cascade(rho, d=lat.dimension)
         verdict = classify(lat, v, cas)
@@ -252,7 +272,7 @@ def cmd_simple_check(args) -> int:
         raise ConfigError("missing [simple_check].points")
     results = []
     for point in points:
-        v = np.asarray(point, dtype=float)
+        v = _vector(point, "simple_check", lat.dimension)
         rho = _positive(sec, "simple_check", "rho", float(np.linalg.norm(v)))
         cas = cfg.cascade(rho, d=lat.dimension)
         try:
@@ -266,7 +286,8 @@ def cmd_simple_check(args) -> int:
             "member": report.member,
             "margins": [
                 {"coords": list(e.coords), "level": e.level, "kind": e.kind,
-                 "competitor_value": e.competitor_value, "margin": e.margin}
+                 "competitor_value": e.competitor_value, "margin": e.margin,
+                 "diagnostics": e.diagnostics}
                 for e in report.entries
             ],
         })
@@ -285,10 +306,10 @@ def cmd_bloch(args) -> int:
     centers = sec.get("centers")
     if not centers:
         raise ConfigError("missing [bloch].centers")
-    order = int(sec.get("order", 2))
+    order = _count(sec, "bloch", "order", 2)
     results = []
     for center in centers:
-        v = np.asarray(center, dtype=float)
+        v = _vector(center, "bloch", lat.dimension)
         rho = _positive(sec, "bloch", "rho", float(np.linalg.norm(v)))
         cas = cfg.cascade(rho, d=lat.dimension)
         window = _positive(sec, "bloch", "window_radius", series.required_window_radius(q, cas))
@@ -354,10 +375,10 @@ def cmd_gaps(args) -> int:
     sec = cfg.section("gaps")
     grid = _grid(sec, "gaps", lat.dimension)
     n_bands = _count(sec, "gaps", "n_bands", 30)
-    e_min = float(sec.get("e_min", 0.0))
-    e_max = sec.get("e_max")
+    e_min = _number(sec, "gaps", "e_min", 0.0)
+    e_max = _number(sec, "gaps", "e_max", None)
     report, coarse, fine = scanner.stable_gap_report(
-        lat, l, q, grid, n_bands, e_min, None if e_max is None else float(e_max),
+        lat, l, q, grid, n_bands, e_min, e_max,
         basis_radius=_positive(sec, "gaps", "basis_radius"))
     out = cfg.output_dir(args.output_dir) / "gaps.json"
     write_json(out, cfg, {
@@ -406,7 +427,7 @@ def cmd_measure(args) -> int:
     cfg = _load(args)
     lat = cfg.lattice()
     sec = cfg.section("measure")
-    n_samples = int(sec.get("n_samples", 10000))
+    n_samples = _count(sec, "measure", "n_samples", 10000)
     if n_samples < scanner.MIN_MEASURE_SAMPLES:
         raise ConfigError(f"[measure].n_samples must be at least {scanner.MIN_MEASURE_SAMPLES}, got {n_samples}")
     results = []

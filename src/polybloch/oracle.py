@@ -167,18 +167,30 @@ def assemble(l: int, q: FourierPotential, t, basis: PlanewaveBasis, shift_center
         raise ValueError("basis must be non-empty")
     t = np.asarray(t, dtype=float)
     v = np.zeros_like(t) if shift_center is None else np.asarray(shift_center, dtype=float)
-    energies = relative_energies(v, basis.embeddings + t, l)
-    if not sparse:
-        H = q.couplings(basis.coords)
-        H[np.diag_indices(len(basis))] = energies
-        return H
-    import scipy.sparse  # here, not at module level: only interval solves need it
+    if sparse:
+        return _sparse_operator(l, q, basis.coords, basis.embeddings + t, v)
+    H = q.couplings(basis.coords)
+    H[np.diag_indices(len(basis))] = relative_energies(v, basis.embeddings + t, l)
+    return H
 
-    i, j, values = q.coupling_triplets(basis.coords)
-    diag = np.arange(len(basis))
+
+def _sparse_operator(l: int, q: FourierPotential, coords, points, v):
+    """CSC array of (-Laplace)^l + q over an index set, relative to |v|^{2l}.
+
+    Row i is the plane wave with dual coordinates coords[i] at the point
+    points[i] (its embedding plus t): the diagonal holds
+    relative_energies(v, points, l), the off-diagonal q.coupling_triplets(coords).
+    The windowed oracle and the resonant blocks both build their sparse
+    operators here.
+    """
+    import scipy.sparse  # here, not at module level: only sparse solves need it
+
+    energies = relative_energies(v, points, l)
+    i, j, values = q.coupling_triplets(coords)
+    diag = np.arange(len(energies))
     return scipy.sparse.csc_array((np.concatenate((values, energies)),
                                    (np.concatenate((i, diag)), np.concatenate((j, diag)))),
-                                  shape=(len(basis), len(basis)))
+                                  shape=(len(energies), len(energies)))
 
 
 def diagonalize(H, basis: PlanewaveBasis, t, l: int, shift: float = 0.0, interval=None) -> BlochSpectrum:

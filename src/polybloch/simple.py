@@ -11,11 +11,11 @@ lands within a third of the level-1 threshold of F(v).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .block import assemble_block, build_index_set
+from .block import ResonantIndexSet, assemble_block, build_index_set, certified_nearest_eigenvalue
 from .errors import NoBracket, PhaseDegenerate
 from .geometry import ParameterCascade, ResonanceClass, classify, direction_pool, membership_profile
 from .lattice import LatticeModel, LatticeVector
@@ -86,6 +86,8 @@ class CompetitorMargin:
     kind: str  # "known-part" | "block"
     competitor_value: float
     margin: float  # |F(v) - value| - 2 eps1 (min over block eigenvalues for blocks)
+    # blocks only: the solve's eigensolver, dense_fallback_reason, inertia_count and block_size
+    diagnostics: dict | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -103,13 +105,35 @@ class SimplicityReport:
         return [e for e in self.entries if e.margin < 0]
 
 
+def nearest_block_eigenvalue(index_set: ResonantIndexSet, l: int, q: FourierPotential,
+                             target: float) -> tuple[float, dict]:
+    """The eigenvalue of the block on index_set nearest target, and the solve's diagnostics.
+
+    The sparse block answers, certified by inertia
+    (block.certified_nearest_eigenvalue); when one of its guards trips, the
+    dense block (assemble_block) does.
+    """
+    value, diagnostics = certified_nearest_eigenvalue(index_set, l, q, target)
+    if value is None:
+        eigenvalues = assemble_block(index_set, l, q).eigenvalues
+        value = float(eigenvalues[np.argmin(np.abs(eigenvalues - target))])
+    return value, diagnostics
+
+
 def check_simplicity(lattice: LatticeModel, v, cascade: ParameterCascade, l: int,
                      q: FourierPotential, order: int | None = None,
                      min_denominator: float | None = None) -> SimplicityReport:
     """Margins of the two simplicity conditions for every competitor.
 
-    Member verdict holds exactly when every margin is >= 0.  Requires v
-    non-resonant and inside the shrunk annulus.
+    A non-resonant competitor's margin is |F(v) - F(x)| - 2 eps1, with x its
+    point.  A resonant competitor's margin is |F(v) - lambda| - 2 eps1, with
+    lambda the eigenvalue of its block nearest F(v), solved on the sparse
+    block and certified by a Sylvester-inertia count, or on the dense block
+    when a guard of that solve trips (nearest_block_eigenvalue; each block
+    entry's diagnostics record which).  The member verdict holds exactly
+    when every margin is >= 0, so an eigenvalue or known part exactly at
+    F(v) +- 2 eps1 keeps v a member.  Requires v non-resonant and inside
+    the shrunk annulus.
     """
     v = np.asarray(v, dtype=float)
     lo, hi = cascade.shrunk_shell()
@@ -131,13 +155,10 @@ def check_simplicity(lattice: LatticeModel, v, cascade: ParameterCascade, l: int
         x = gamma.embedding + t
         if cls.is_resonant:
             index_set = build_index_set(lattice, x, cls.directions, cascade, t=t)
-            block = assemble_block(index_set, l, q)
-            devs = np.abs(block.eigenvalues - center.value)
-            j = int(np.argmin(devs))
+            value, diagnostics = nearest_block_eigenvalue(index_set, l, q, center.value)
             entries.append(CompetitorMargin(
-                coords=gamma.coords, level=cls.level, kind="block",
-                competitor_value=float(block.eigenvalues[j]),
-                margin=float(devs[j] - 2 * eps1),
+                coords=gamma.coords, level=cls.level, kind="block", competitor_value=value,
+                margin=float(abs(value - center.value) - 2 * eps1), diagnostics=diagnostics,
             ))
         else:
             rival = known_part(x, l, q, cascade, order=order, min_denominator=min_denominator)

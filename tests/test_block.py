@@ -2,11 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import polybloch as pb
 from conftest import scaled_cascade
+from polybloch.block import certified_nearest_eigenvalue
 from polybloch.errors import EmptyDirections
 from polybloch.potential import FourierPotential
+from polybloch.simple import nearest_block_eigenvalue
 
 
 def brute_force_offsets(directions, b_radius, a_radius, box=4):
@@ -189,3 +193,130 @@ class TestMatching:
             blk = pb.assemble_block(iset, 1, q)
             devs.append(pb.match_resonant(spec, blk).deviation)
         assert devs[0] > devs[1] > devs[2]
+
+
+def dense_nearest(block, target) -> float:
+    return float(block.eigenvalues[np.argmin(np.abs(block.eigenvalues - target))])
+
+
+class TestNearestEigenvalue:
+    """The inertia-certified sparse nearest-eigenvalue solve against the dense block's eigvalsh."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.sampled_from([2, 3]), l=st.sampled_from([1, 2]), chains=st.booleans(),
+           seed=st.integers(0, 2**16), amplitude=st.floats(0.05, 1.0), axis=st.integers(0, 2),
+           two_directions=st.booleans(), direction=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+           rho=st.floats(2.0, 6.0), radius=st.floats(1.0, 2.5), pick=st.integers(0, 10**6),
+           near=st.booleans(), offset=st.floats(-1.0, 1.0), ratio=st.floats(0.0, 2.0))
+    @example(d=2, l=1, chains=False, seed=3, amplitude=0.5, axis=1, two_directions=False,
+             direction=[0.05, 1.0, 0.0], rho=5.0, radius=2.5, pick=0, near=True, offset=0.5, ratio=1.0)
+    def test_sparse_matches_dense(self, d, l, chains, seed, amplitude, axis, two_directions, direction,
+                                  rho, radius, pick, near, offset, ratio):
+        lattice = pb.LatticeModel.cubic(d)
+        axes = np.eye(d, dtype=int)
+        if chains:  # rank-1 support: the block splits into decoupled chains
+            q = pb.cosine_pair(lattice, axes[axis % d], amplitude)
+        else:
+            q = pb.random_potential(seed, d, 1.0, 0.0, amplitude, lattice=lattice)
+        directions = [lattice.vector(axes[axis % d])]
+        if d == 3 and two_directions:
+            directions.append(lattice.vector(axes[(axis + 1) % d]))
+        u = np.array(direction[:d]) + 1e-3
+        v = rho * u / np.linalg.norm(u)
+        index_set = pb.build_index_set(lattice, v, directions, b_radius=radius, a_radius=radius)
+        dense = pb.assemble_block(index_set, l, q)
+        lam = dense.eigenvalues
+        target = lam[pick % len(lam)] + offset * (1e-9 if near else 1.0)
+        value, diag = nearest_block_eigenvalue(index_set, l, q, target)
+        assert diag["block_size"] == index_set.size
+        if diag["eigensolver"] == "sparse":
+            assert diag["dense_fallback_reason"] is None and diag["inertia_count"] == 0
+        else:
+            assert diag["dense_fallback_reason"] in ("pivot", "count")
+            assert value == dense_nearest(dense, target)
+        tol = 1e-12 * np.max(np.abs(lam))  # 1e-12 |H|_2
+        dist = np.sort(np.abs(lam - target))
+        # value is an eigenvalue, and none lies nearer the target
+        assert np.min(np.abs(lam - value)) <= tol
+        assert abs(abs(value - target) - dist[0]) <= tol
+        if len(dist) == 1 or dist[1] - dist[0] > 2 * tol:  # the nearest eigenvalue is unique
+            assert abs(value - dense_nearest(dense, target)) <= tol
+        two_eps1 = ratio * dist[0]
+        margin, dense_margin = abs(value - target) - two_eps1, dist[0] - two_eps1
+        if abs(dense_margin) > tol:
+            assert (margin >= 0) == (dense_margin >= 0)
+
+    @staticmethod
+    def generic_block(z2):
+        q = pb.random_potential(3, 2, 1.5, 0.0, 0.5, lattice=z2)
+        index_set = pb.build_index_set(z2, np.array([0.5, 10.2]), [z2.vector((0, 1))],
+                                       b_radius=3.0, a_radius=3.0)
+        return q, index_set, pb.assemble_block(index_set, 1, q)
+
+    @pytest.mark.parametrize("offset", [1e-9, -1e-9, 1e-11])
+    def test_target_within_1e9_of_an_eigenvalue(self, z2, offset):
+        # the count's shifts sit within ~1e-10 of the eigenvalue found (or, for
+        # 1e-11, the certified interval is empty and nothing is factorized)
+        q, index_set, dense = self.generic_block(z2)
+        lam = dense.eigenvalues[np.argmin(np.abs(dense.eigenvalues - dense.shift))]
+        value, diag = nearest_block_eigenvalue(index_set, 1, q, lam + offset)
+        assert diag == {"eigensolver": "sparse", "dense_fallback_reason": None, "inertia_count": 0,
+                        "block_size": index_set.size}
+        assert abs(value - lam) <= 1e-12 * np.max(np.abs(dense.eigenvalues))
+
+    def test_target_on_an_eigenvalue_takes_pivot_guard(self, z2):
+        # q = 0 and t = (0, 1/4): the diagonal is exact in binary, and a target on
+        # one of its entries leaves the shift-invert factor exactly singular
+        q0 = FourierPotential(z2, {})
+        index_set = pb.build_index_set(z2, np.array([5.0, 0.25]), [z2.vector((0, 1))],
+                                       b_radius=2.0, a_radius=2.0)
+        dense = pb.assemble_block(index_set, 1, q0)
+        for target in (dense.eigenvalues[2], dense.shift):
+            assert certified_nearest_eigenvalue(index_set, 1, q0, target)[0] is None
+            value, diag = nearest_block_eigenvalue(index_set, 1, q0, target)
+            assert diag == {"eigensolver": "dense", "dense_fallback_reason": "pivot", "inertia_count": None,
+                            "block_size": index_set.size}
+            assert value == target
+
+    def test_nonzero_count_takes_count_guard(self, z2, monkeypatch):
+        # a Lanczos solve that returns the second-nearest pair: the inertia count
+        # finds the nearer one, and the dense block answers
+        import scipy.sparse.linalg
+
+        q, index_set, dense = self.generic_block(z2)
+        H = dense.matrix - dense.shift * np.eye(index_set.size)
+        mu, W = np.linalg.eigh(H)
+        target = dense.shift + 0.5 * (mu[10] + mu[11]) - 1e-3
+        second = 11
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda A, k, **kw: (mu[[second]], W[:, [second]]))
+        value, diag = nearest_block_eigenvalue(index_set, 1, q, target)
+        assert diag == {"eigensolver": "dense", "dense_fallback_reason": "count", "inertia_count": 1,
+                        "block_size": index_set.size}
+        assert value == dense_nearest(dense, target)
+        assert abs(value - dense.shift - mu[10]) < abs(value - dense.shift - mu[second])
+
+    def test_inaccurate_pair_takes_count_guard(self, z2, monkeypatch):
+        # a Lanczos vector mixed 1e-3 with its neighbour fails the residual certificate
+        import scipy.sparse.linalg
+
+        q, index_set, dense = self.generic_block(z2)
+        mu, W = np.linalg.eigh(dense.matrix - dense.shift * np.eye(index_set.size))
+        x = W[:, [10]] + 1e-3 * W[:, [11]]
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda A, k, **kw: (mu[[10]], x / np.linalg.norm(x)))
+        value, diag = nearest_block_eigenvalue(index_set, 1, q, dense.shift + mu[10])
+        assert diag == {"eigensolver": "dense", "dense_fallback_reason": "count", "inertia_count": None,
+                        "block_size": index_set.size}
+        assert value == dense_nearest(dense, dense.shift + mu[10])
+
+    def test_arpack_no_convergence_takes_count_guard(self, z2, monkeypatch):
+        import scipy.sparse.linalg
+
+        def no_convergence(A, k, **kw):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((A.shape[0], 0)))
+
+        q, index_set, dense = self.generic_block(z2)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        value, diag = nearest_block_eigenvalue(index_set, 1, q, dense.shift)
+        assert diag == {"eigensolver": "dense", "dense_fallback_reason": "count", "inertia_count": None,
+                        "block_size": index_set.size}
+        assert value == dense_nearest(dense, dense.shift)

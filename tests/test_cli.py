@@ -168,6 +168,20 @@ class TestOtherCommands:
         payload = json.loads((tmp_path / "out" / "simple_check.json").read_text())
         assert isinstance(payload["result"][0]["member"], bool)
 
+    def test_simple_check_byte_identical_rerun(self, tmp_path):
+        # the shipped config's two points have four resonant (block) competitors
+        args = ["simple-check", "-c", str(REPO / "configs" / "cosine_sweep.yaml"), "-o", str(tmp_path)]
+        assert main(args) == 0
+        first = (tmp_path / "simple_check.json").read_bytes()
+        assert main(args) == 0
+        assert (tmp_path / "simple_check.json").read_bytes() == first
+        margins = [m for row in json.loads(first)["result"] for m in row["margins"]]
+        blocks = [m["diagnostics"] for m in margins if m["kind"] == "block"]
+        assert len(blocks) == 4
+        assert all(d == {"eigensolver": "sparse", "dense_fallback_reason": None, "inertia_count": 0,
+                         "block_size": 5} for d in blocks)
+        assert all(m["diagnostics"] is None for m in margins if m["kind"] == "known-part")
+
     def test_bloch(self, tmp_path):
         cfg = write_config(tmp_path, "bloch:\n  centers: [[5.3, 4.2]]\n  order: 2\n  window_radius: 8.0\n")
         assert main(["bloch", "-c", str(cfg)]) == 0
@@ -248,6 +262,17 @@ class TestErrors:
         ("gaps", "gaps", "grid", [0, 0]),
         ("simple-check", "simple_check", "rho", "x"),
         ("isoenergetic", "isoenergetic", "rays", [[0, 0]]),
+        ("gaps", "gaps", "e_min", "x"),
+        ("gaps", "gaps", "e_max", "x"),
+        ("predict", "predict", "order", "x"),
+        ("bloch", "bloch", "order", "x"),
+        ("measure", "measure", "n_samples", "x"),
+        ("bloch", "bloch", "centers", [["a", "b"]]),
+        ("predict", "predict", "centers", [[1]]),
+        ("simple-check", "simple_check", "points", [["a", "b"]]),
+        ("classify", "classify", "points", [[0, 0, 0]]),
+        ("simple-check", "simple_check", "points", [[12.48, -15.628, 1.0]]),
+        ("predict", "predict", "order", 99),
     ])
     def test_bad_values_are_config_errors(self, tmp_path, command, section, key, value):
         raw = yaml.safe_load((REPO / "configs" / "cosine_sweep.yaml").read_text())
