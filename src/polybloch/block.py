@@ -15,14 +15,13 @@ it nearest by a Sylvester-inertia count.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EmptyDirections
 from .geometry import ParameterCascade
-from .lattice import LatticeModel, LatticeVector, vector_arrays
+from .lattice import CoordinateIndex, LatticeModel, LatticeVector, _integer_box, _ordered
 from .numerics import integer_rank, relative_energies
 from .oracle import _PIVOT_TOL, _RESIDUAL_TOL, BlochSpectrum, _inertia, _sparse_operator
 from .potential import FourierPotential
@@ -30,47 +29,47 @@ from .potential import FourierPotential
 
 @dataclass(frozen=True)
 class ResonantIndexSet:
-    """Distinct points h_i + t forming the block index set around v = gamma0 + t."""
+    """Distinct points h_i + t forming the block index set around v = gamma0 + t.
 
+    coords holds the h_i, gamma0 among them, as read-only (n, d) int64 rows;
+    embeddings holds coords @ dual_basis.
+    """
+
+    lattice: LatticeModel
     center: np.ndarray
     t: np.ndarray
     gamma0: LatticeVector
     directions: tuple[LatticeVector, ...]
-    vectors: tuple[LatticeVector, ...]  # the h_i, including gamma0 itself
+    coords: np.ndarray = field(repr=False, compare=False)
     b_radius: float
     a_radius: float
-    coords: np.ndarray = field(init=False, repr=False, compare=False)  # (n, d) int64
-    embeddings: np.ndarray = field(init=False, repr=False, compare=False)  # (n, d)
+    embeddings: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.center.setflags(write=False)
         self.t.setflags(write=False)
-        coords, embeddings = vector_arrays(self.vectors, len(self.center))
+        coords, embeddings = self.lattice.index_arrays(self.coords)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "embeddings", embeddings)
 
     @property
     def size(self) -> int:
-        return len(self.vectors)
+        return len(self.coords)
 
     def points(self) -> np.ndarray:
         """The h_i + t as rows."""
         return self.embeddings + self.t
 
 
-def _span_combinations(directions: list[LatticeVector], radius: float):
-    """Integer combinations b = sum n_i gamma_i with |b| < radius (strict)."""
+def _span_combinations(directions: list[LatticeVector], radius: float) -> np.ndarray:
+    """(m, d) int64 coordinates of the combinations b = sum n_i gamma_i with |b| < radius (strict)."""
     mat = np.array([g.embedding for g in directions])
     sigma_min = np.linalg.svd(mat, compute_uv=False).min()
     bound = int(np.floor(radius / sigma_min + 1e-9))
-    out = []
-    for n in itertools.product(range(-bound, bound + 1), repeat=len(directions)):
-        coords = tuple(int(sum(n[i] * directions[i].coords[j] for i in range(len(n))))
-                       for j in range(mat.shape[1]))
-        emb = np.asarray(n, dtype=float) @ mat
-        if float(np.linalg.norm(emb)) < radius:
-            out.append(coords)
-    return out
+    n = _integer_box([-bound] * len(directions), [bound] * len(directions))
+    emb = np.vecmat(n.astype(float), mat)
+    inside = np.sqrt(np.vecdot(emb, emb)) < radius
+    return n[inside] @ np.array([g.coords for g in directions], dtype=np.int64)
 
 
 def build_index_set(lattice: LatticeModel, v, directions, cascade: ParameterCascade | None = None,
@@ -104,19 +103,15 @@ def build_index_set(lattice: LatticeModel, v, directions, cascade: ParameterCasc
         if cascade is None:
             raise ValueError("need a_radius or a cascade")
         a_radius = cascade.block_a_radius()
-    b_list = _span_combinations(directions, b_radius)
-    a_list = [vec.coords for vec in lattice.enumerate_ball(a_radius, exclude_zero=False)]
-    offsets = {tuple(bb + aa for bb, aa in zip(b, a)) for b in b_list for a in a_list}
-    keyed = []
-    for off in offsets:
-        emb = lattice.embed(off)
-        h = tuple(g + o for g, o in zip(gamma0.coords, off))
-        keyed.append((float(emb @ emb), h))
-    keyed.sort()
-    vectors = tuple(lattice.vector(h) for _, h in keyed)
+    b = _span_combinations(directions, b_radius)
+    a = lattice.ball_coords(a_radius, exclude_zero=False)
+    offsets = np.unique((b[:, None, :] + a[None, :, :]).reshape(-1, lattice.dimension), axis=0)
+    emb = lattice.embed(offsets)
+    # h = gamma0 + offset orders lexicographically as the offsets do
+    coords = _ordered(offsets, np.vecdot(emb, emb)) + np.asarray(gamma0.coords, dtype=np.int64)
     return ResonantIndexSet(
-        center=v.copy(), t=t.copy(), gamma0=gamma0,
-        directions=tuple(directions), vectors=vectors,
+        lattice=lattice, center=v.copy(), t=t.copy(), gamma0=gamma0,
+        directions=tuple(directions), coords=coords,
         b_radius=float(b_radius), a_radius=float(a_radius),
     )
 
@@ -238,9 +233,9 @@ def dominant_block_index(spectrum: BlochSpectrum, index_set: ResonantIndexSet) -
     Near-ties (degenerate or decoupled cases) are broken by the weight on
     the center's own index.
     """
-    positions = [spectrum.position(h.coords) for h in index_set.vectors]
-    cols = [p for p in positions if p is not None]
-    if not cols:
+    cols = spectrum.basis.positions(index_set.coords)
+    cols = cols[cols >= 0]
+    if not len(cols):
         raise ValueError("index set disjoint from the oracle basis")
     weights = np.sum(np.abs(spectrum.coefficients[:, cols]) ** 2, axis=1)
     top = float(np.max(weights))
@@ -254,14 +249,9 @@ def dominant_block_index(spectrum: BlochSpectrum, index_set: ResonantIndexSet) -
     return best, float(weights[best])
 
 
-def match_resonant(spectrum: BlochSpectrum, block: ResonantBlock, n: int | None = None) -> BlockMatch:
+def match_resonant(spectrum: BlochSpectrum, block: ResonantBlock) -> BlockMatch:
     """Closest block eigenvalue to the dominant-weight oracle eigenvalue."""
-    if n is None:
-        n, weight = dominant_block_index(spectrum, block.index_set)
-    else:
-        positions = [spectrum.position(h.coords) for h in block.index_set.vectors]
-        cols = [p for p in positions if p is not None]
-        weight = float(np.sum(np.abs(spectrum.coefficients[n, cols]) ** 2))
+    n, weight = dominant_block_index(spectrum, block.index_set)
     if spectrum.eigenvalues_rel is not None and spectrum.shift == block.shift:
         lam = spectrum.eigenvalues_rel[n]
         devs = np.abs(block.eigenvalues_rel - lam)
@@ -278,13 +268,8 @@ def tail_coupling_bound(index_set: ResonantIndexSet, q: FourierPotential) -> flo
     outside the set; the maximum over members bounds the deviation between
     block and oracle eigenvalues.
     """
-    members = {h.coords for h in index_set.vectors}
-    worst = 0.0
-    for h in index_set.vectors:
-        leak = 0.0
-        for g in q.support:
-            target = tuple(a - b for a, b in zip(h.coords, g))
-            if target not in members:
-                leak += abs(q.coefficient(g))
-        worst = max(worst, leak)
-    return worst
+    index = CoordinateIndex(index_set.coords)
+    leak = np.zeros(index_set.size)
+    for g in q.support:
+        leak[index.find(index_set.coords - np.asarray(g, dtype=np.int64)) < 0] += abs(q.coefficient(g))
+    return float(leak.max(initial=0.0))

@@ -245,6 +245,7 @@ def cmd_resonant_check(args) -> int:
             "lambda_j": float(blk.eigenvalues[match.block_index]),
             "Lambda_N": float(spectrum.eigenvalues[match.oracle_index]),
             "deviation": match.deviation,
+            "diagnostics": {"tail_coupling_bound": block_mod.tail_coupling_bound(iset, q)},
         })
         print(f"v = {point}: level {verdict.level}, b_k = {iset.size}, deviation = {match.deviation!r}")
     csv_path = out_dir / "resonant_check.csv"

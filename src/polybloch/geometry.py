@@ -17,6 +17,7 @@ cascade's constants table.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,6 +203,10 @@ def derive_parameters(d: int, l: int, s: float, rho: float, mode: str = "theory"
     )
     if overrides:
         raise ValueError(f"unknown overrides: {sorted(overrides)}")
+    known_order = cascade.known_order_override
+    if known_order is not None and (isinstance(known_order, bool) or not isinstance(known_order, numbers.Integral)
+                                    or not 1 <= known_order <= cascade.series_cap()):
+        raise ValueError(f"known_order must be an integer in 1..{cascade.series_cap()}: {known_order!r}")
     if mode == "theory":
         for name, lhs, rhs, ok in inequality_report(cascade):
             if not ok:

@@ -9,7 +9,6 @@ where normalization matters.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,14 +44,43 @@ class LatticeVector:
         return hash(self.coords)
 
 
-def vector_arrays(vectors, dimension: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (n, d) int64 coordinates and (n, d) embeddings of an index set."""
-    n = len(vectors)
-    coords = np.array([vec.coords for vec in vectors], dtype=np.int64).reshape(n, dimension)
-    embeddings = np.array([vec.embedding for vec in vectors], dtype=float).reshape(n, dimension)
-    coords.setflags(write=False)
-    embeddings.setflags(write=False)
-    return coords, embeddings
+def _integer_box(lo, hi) -> np.ndarray:
+    """(N, d) int64 rows of every integer point n with lo <= n <= hi, last axis fastest."""
+    axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo, hi)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def _ordered(coords: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Read-only rows of coords sorted by (key, coords): the order of every enumerated index set."""
+    ordered = coords[np.lexsort(tuple(coords[:, j] for j in reversed(range(coords.shape[1]))) + (key,))]
+    ordered.setflags(write=False)
+    return ordered
+
+
+class CoordinateIndex:
+    """Row lookup in an (n, d) integer coordinate array: rows are keyed in
+    mixed radix over the array's bounding box and the keys sorted once, so
+    find() binary-searches m rows in O(m log n) with O(m) temporaries."""
+
+    def __init__(self, coords):
+        coords = np.asarray(coords, dtype=np.int64)
+        self._lo = coords.min(axis=0) if len(coords) else np.zeros(coords.shape[1], dtype=np.int64)
+        self._hi = coords.max(axis=0) if len(coords) else self._lo - 1  # an empty box
+        self._stride = np.cumprod(np.concatenate(([1], (self._hi - self._lo + 1)[:-1])))
+        keys = (coords - self._lo) @ self._stride
+        self._order = np.argsort(keys)
+        self._keys = keys[self._order]
+
+    def find(self, targets) -> np.ndarray:
+        """The row of each target row in the indexed array, -1 where it is absent."""
+        targets = np.asarray(targets, dtype=np.int64).reshape(-1, len(self._lo))
+        rows = np.full(len(targets), -1, dtype=np.int64)
+        inside = np.flatnonzero(np.all((targets >= self._lo) & (targets <= self._hi), axis=1))
+        wanted = (targets[inside] - self._lo) @ self._stride
+        pos = np.minimum(np.searchsorted(self._keys, wanted), len(self._keys) - 1)
+        hit = self._keys[pos] == wanted
+        rows[inside[hit]] = self._order[pos[hit]]
+        return rows
 
 
 @dataclass(frozen=True)
@@ -119,76 +147,68 @@ class LatticeModel:
         return cls(period * np.eye(d))
 
     def embed(self, coords) -> np.ndarray:
-        return np.asarray(coords, dtype=float) @ self.dual_basis
+        """The embedding n @ dual_basis of one coordinate vector, or of each row of an (n, d) array.
+
+        np.vecmat rounds each row exactly as the single-vector product does,
+        so an embedding does not depend on the batch it is computed in.
+        """
+        return np.vecmat(np.asarray(coords, dtype=float), self.dual_basis)
 
     def vector(self, coords) -> LatticeVector:
         coords = tuple(int(c) for c in coords)
         return LatticeVector(coords, self.embed(coords))
 
-    def zero(self) -> LatticeVector:
-        return self.vector((0,) * self.dimension)
+    def index_arrays(self, coords) -> tuple[np.ndarray, np.ndarray]:
+        """An index set as read-only (n, d) int64 coordinates (copied) and their embeddings."""
+        coords = np.array(coords, dtype=np.int64).reshape(-1, self.dimension)
+        embeddings = self.embed(coords)
+        coords.setflags(write=False)
+        embeddings.setflags(write=False)
+        return coords, embeddings
 
-    def norm_sq_int(self, coords) -> int:
-        """Exact |gamma|^2 for integral lattices."""
-        n = np.asarray(coords, dtype=np.int64)
-        return int(n @ self._gram_int @ n)
+    def ball_coords(self, radius: float, exclude_zero: bool = True) -> np.ndarray:
+        """Coordinates of all gamma with |gamma| < radius (strict), optionally without 0.
 
-    def enumerate_ball(self, radius: float, exclude_zero: bool = True) -> list[LatticeVector]:
-        """All gamma with |gamma| < radius (strict), optionally without 0.
-
-        Deterministic order: sorted by (|gamma|^2, integer coords).
+        Read-only (n, d) int64 rows sorted by (|gamma|^2, integer coords).
         Boundary ties resolved exactly for integral lattices, else with a
         1e-9 relative tolerance pushing the boundary inward.
         """
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        if radius == 0:
-            return []
-        d = self.dimension
-        bounds = [int(np.floor(radius * np.linalg.norm(self.basis[i]) / TWO_PI + 1e-9)) for i in range(d)]
-        r2 = radius * radius
-        out = []
-        for n in itertools.product(*(range(-b, b + 1) for b in bounds)):
-            if exclude_zero and all(c == 0 for c in n):
-                continue
-            if self.is_integral:
-                nsq = self.norm_sq_int(n)
-                if not nsq < r2:
-                    continue
-                key_nsq = float(nsq)
-            else:
-                emb = self.embed(n)
-                nsq = float(emb @ emb)
-                if not nsq < r2 * (1.0 - _BALL_REL_TOL):
-                    continue
-                key_nsq = nsq
-            out.append((key_nsq, n))
-        out.sort()
-        return [self.vector(n) for _, n in out]
+        bounds = np.array([int(np.floor(radius * np.linalg.norm(self.basis[i]) / TWO_PI + 1e-9))
+                           for i in range(self.dimension)])
+        box = _integer_box(-bounds, bounds)
+        if self.is_integral:
+            norm_sq = np.vecdot(box @ self._gram_int, box)
+            inside = norm_sq < radius * radius
+        else:
+            emb = self.embed(box)
+            norm_sq = np.vecdot(emb, emb)
+            inside = norm_sq < radius * radius * (1.0 - _BALL_REL_TOL)
+        if exclude_zero:
+            inside &= np.any(box != 0, axis=1)
+        return _ordered(box[inside], norm_sq[inside])
 
-    def enumerate_shifted_ball(self, center, radius: float) -> list[LatticeVector]:
-        """All gamma with |gamma - center| <= radius (inclusive, tolerant).
+    def enumerate_ball(self, radius: float, exclude_zero: bool = True) -> list[LatticeVector]:
+        """The rows of ball_coords(radius, exclude_zero) as LatticeVectors, in its order."""
+        coords = self.ball_coords(radius, exclude_zero)
+        return [LatticeVector(tuple(c), e) for c, e in zip(coords.tolist(), self.embed(coords))]
 
-        Used for plane-wave windows; order sorted by (|gamma - center|^2,
-        integer coords).
+    def enumerate_shifted_ball(self, center, radius: float) -> np.ndarray:
+        """Coordinates of all gamma with |gamma - center| <= radius (inclusive, tolerant).
+
+        Used for plane-wave windows; read-only (n, d) int64 rows sorted by
+        (|gamma - center|^2, integer coords).
         """
         center = np.asarray(center, dtype=float)
-        d = self.dimension
         c_coeff = self.basis @ center / TWO_PI
-        bounds = []
-        for i in range(d):
-            half = radius * np.linalg.norm(self.basis[i]) / TWO_PI
-            bounds.append((int(np.floor(c_coeff[i] - half - 1e-9)), int(np.ceil(c_coeff[i] + half + 1e-9))))
-        cutoff = radius + _BALL_REL_TOL * max(1.0, radius)
-        out = []
-        for n in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds)):
-            emb = self.embed(n)
-            diff = emb - center
-            dist_sq = float(diff @ diff)
-            if np.sqrt(dist_sq) <= cutoff:
-                out.append((dist_sq, n))
-        out.sort()
-        return [self.vector(n) for _, n in out]
+        half = [radius * np.linalg.norm(self.basis[i]) / TWO_PI for i in range(self.dimension)]
+        box = _integer_box([int(np.floor(c - h - 1e-9)) for c, h in zip(c_coeff, half)],
+                           [int(np.ceil(c + h + 1e-9)) for c, h in zip(c_coeff, half)])
+        diff = self.embed(box) - center
+        dist_sq = np.vecdot(diff, diff)
+        inside = np.sqrt(dist_sq) <= radius + _BALL_REL_TOL * max(1.0, radius)
+        return _ordered(box[inside], dist_sq[inside])
 
     def point_group(self) -> tuple[np.ndarray, ...]:
         """Integer maps n -> nM of dual coordinates that preserve the dual
@@ -199,9 +219,13 @@ class LatticeModel:
         """
         G = self._gram_dual
         tol = 1e-12 * float(np.abs(G).max())
-        shells = [[v.coords for v in self.enumerate_ball(np.sqrt(G[i, i]) * (1 + 1e-6))
-                   if abs(v.norm_sq - G[i, i]) <= tol] for i in range(self.dimension)]
-        maps = (np.array(rows, dtype=np.int64) for rows in itertools.product(*shells))
+        shells = []
+        for i in range(self.dimension):
+            coords = self.ball_coords(np.sqrt(G[i, i]) * (1 + 1e-6))
+            emb = self.embed(coords)
+            shells.append(coords[np.abs(np.vecdot(emb, emb) - G[i, i]) <= tol])
+        picks = _integer_box(np.zeros(len(shells), dtype=int), [len(s) - 1 for s in shells])
+        maps = np.stack([shell[picks[:, i]] for i, shell in enumerate(shells)], axis=1)
         return tuple(M for M in maps if np.all(np.abs(M @ G @ M.T - G) <= tol))
 
     def reduce(self, x) -> tuple[LatticeVector, QuasiMomentum]:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConvergenceFailure, WindowNotConverged
-from .lattice import TWO_PI, LatticeModel, LatticeVector, vector_arrays
+from .lattice import TWO_PI, CoordinateIndex, LatticeModel, _ordered
 from .numerics import relative_energies
 from .potential import FourierPotential
 
@@ -45,37 +45,42 @@ _PIVOT_TOL = 1e-12  # an inertia count needs every |U_ii| >= _PIVOT_TOL * ||H||_
 
 @dataclass(frozen=True)
 class PlanewaveBasis:
-    """Ordered plane-wave index set: full ball or window around a center."""
+    """Ordered plane-wave index set: full ball or window around a center.
+
+    coords holds the integer dual coordinates of the plane waves as
+    read-only (n, d) int64 rows; embeddings holds coords @ dual_basis.
+    """
 
     lattice: LatticeModel
-    vectors: tuple[LatticeVector, ...]
+    coords: np.ndarray = field(repr=False, compare=False)
     center: np.ndarray
     window_radius: float
-    mode: str  # "full-ball" | "window"
-    coords: np.ndarray = field(init=False, repr=False, compare=False)  # (n, d) int64
-    embeddings: np.ndarray = field(init=False, repr=False, compare=False)  # (n, d)
+    mode: str  # "full-ball" | "window" | "union-window"
+    embeddings: np.ndarray = field(init=False, repr=False, compare=False)
+    _index: CoordinateIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.center.setflags(write=False)
-        coords, embeddings = vector_arrays(self.vectors, self.lattice.dimension)
+        coords, embeddings = self.lattice.index_arrays(self.coords)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "embeddings", embeddings)
+        object.__setattr__(self, "_index", CoordinateIndex(coords))
 
     def __len__(self):
-        return len(self.vectors)
+        return len(self.coords)
 
     @classmethod
     def full_ball(cls, lattice: LatticeModel, radius: float) -> "PlanewaveBasis":
-        vectors = tuple(lattice.enumerate_ball(radius, exclude_zero=False))
-        return cls(lattice, vectors, np.zeros(lattice.dimension), float(radius), "full-ball")
+        coords = lattice.ball_coords(radius, exclude_zero=False)
+        return cls(lattice, coords, np.zeros(lattice.dimension), float(radius), "full-ball")
 
     @classmethod
     def window(cls, lattice: LatticeModel, t, center, radius: float) -> "PlanewaveBasis":
         """Exactly {gamma : |gamma + t - center| <= radius}, deterministic order."""
         t = np.asarray(t, dtype=float)
         center = np.asarray(center, dtype=float).copy()
-        vectors = tuple(lattice.enumerate_shifted_ball(center - t, radius))
-        return cls(lattice, vectors, center, float(radius), "window")
+        coords = lattice.enumerate_shifted_ball(center - t, radius)
+        return cls(lattice, coords, center, float(radius), "window")
 
     @classmethod
     def union_windows(cls, lattice: LatticeModel, t, centers, radius: float) -> "PlanewaveBasis":
@@ -86,17 +91,15 @@ class PlanewaveBasis:
         (|gamma|^2, coords).
         """
         t = np.asarray(t, dtype=float)
-        seen = {}
-        for center in centers:
-            center = np.asarray(center, dtype=float)
-            for vec in lattice.enumerate_shifted_ball(center - t, radius):
-                seen.setdefault(vec.coords, vec)
-        ordered = tuple(sorted(seen.values(), key=lambda v: (v.norm_sq, v.coords)))
+        coords = np.unique(np.concatenate([lattice.enumerate_shifted_ball(np.asarray(c, dtype=float) - t, radius)
+                                           for c in centers]), axis=0)
+        emb = lattice.embed(coords)
         first = np.asarray(centers[0], dtype=float).copy()
-        return cls(lattice, ordered, first, float(radius), "union-window")
+        return cls(lattice, _ordered(coords, np.vecdot(emb, emb)), first, float(radius), "union-window")
 
-    def index_map(self) -> dict[tuple[int, ...], int]:
-        return {vec.coords: i for i, vec in enumerate(self.vectors)}
+    def positions(self, coords) -> np.ndarray:
+        """The row of each coordinate row in the basis, -1 where it is absent."""
+        return self._index.find(coords)
 
 
 @dataclass(frozen=True)
@@ -107,26 +110,25 @@ class BlochSpectrum:
     degree: int
     basis: PlanewaveBasis
     eigenvalues: np.ndarray
-    coefficients: np.ndarray  # row N holds b(N, basis.vectors[i])
+    coefficients: np.ndarray  # row N holds b(N, gamma) for gamma = basis.coords[i] in column i
     residual_norms: np.ndarray
     cluster_flags: np.ndarray
     shift: float = 0.0
     eigenvalues_rel: np.ndarray = field(default=None, repr=False)
     diagnostics: dict = field(default=None, repr=False, compare=False)  # set by diagonalize and bloch_solve
-    _index: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for arr in (self.t, self.eigenvalues, self.coefficients, self.residual_norms, self.cluster_flags):
             arr.setflags(write=False)
         if self.eigenvalues_rel is not None:
             self.eigenvalues_rel.setflags(write=False)
-        object.__setattr__(self, "_index", self.basis.index_map())
 
     def __len__(self):
         return len(self.eigenvalues)
 
     def position(self, coords) -> int | None:
-        return self._index.get(tuple(int(c) for c in coords))
+        pos = int(self.basis.positions(coords)[0])
+        return None if pos < 0 else pos
 
     def coefficient(self, n: int, coords) -> complex:
         pos = self.position(coords)
@@ -352,7 +354,7 @@ def bloch_solve(lattice: LatticeModel, l: int, q: FourierPotential, v, window_ra
     spectra, counts, reasons = [], [], []
     for radius in (window_radius, window_radius * 1.5) if refine else (window_radius,):
         basis = PlanewaveBasis.window(lattice, t, v, radius)
-        if basis.index_map().get(gamma0.coords) is None:
+        if basis.positions(gamma0.coords)[0] < 0:
             raise ValueError("window excludes the center's own index")
         spectrum = solve(lattice, l, q, t, basis, shift_center=v, interval=interval)
         counts.append(spectrum.diagnostics["inertia_count"])
@@ -393,5 +395,5 @@ def _tracks(spectrum: BlochSpectrum, coords) -> bool:
 def free_eigenvalues(lattice: LatticeModel, t, l: int, basis: PlanewaveBasis) -> np.ndarray:
     """Sorted |gamma + t|^{2l} over the basis (the q = 0 spectrum)."""
     t = np.asarray(t, dtype=float)
-    vals = [float((vec.embedding + t) @ (vec.embedding + t)) ** l for vec in basis.vectors]
-    return np.sort(np.asarray(vals))
+    x = basis.embeddings + t
+    return np.sort(np.vecdot(x, x) ** l)

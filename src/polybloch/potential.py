@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeModel
+from .lattice import CoordinateIndex, LatticeModel
 
 _HERMITIAN_TOL = 1e-12
 
@@ -62,36 +62,23 @@ class FourierPotential:
     def coupling_triplets(self, coords) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nonzero off-diagonal entries (i, j, q_{c_i - c_j}) over the rows c of an index set.
 
-        Each support vector g is looked up once: rows are keyed in mixed
-        radix over the set's bounding box and c_i - g is found by binary
-        search, so the cost is O(n |supp| log n) with O(n) temporaries.
+        Each support vector g is looked up once: c_i - g is found by the
+        mixed-radix key search of lattice.CoordinateIndex, so the cost is
+        O(n |supp| log n) with O(n) temporaries.
         Only pairs i < j are looked up; (j, i) receives the conjugate, so the
         operator is exactly Hermitian even for tables that are Hermitian only
         to the loader's tolerance.  Each pair appears once; no entry is on
         the diagonal.
         """
         coords = np.asarray(coords, dtype=np.int64)
-        n = len(coords)
+        index = CoordinateIndex(coords)
+        members = np.arange(len(coords))
         empty = np.zeros(0, dtype=np.int64)
         rows, cols, values = [empty], [empty], [np.zeros(0, dtype=complex)]
-        if n == 0:
-            return empty, empty, values[0]
-        lo = coords.min(axis=0)
-        span = coords.max(axis=0) - lo + 1
-        stride = np.cumprod(np.concatenate(([1], span[:-1])))
-        keys = (coords - lo) @ stride
-        order = np.argsort(keys)
-        sorted_keys = keys[order]
         for g in self._support:
-            target = coords - np.asarray(g, dtype=np.int64)
-            inside = np.all((target >= lo) & (target < lo + span), axis=1)
-            i = np.flatnonzero(inside)
-            wanted = (target[inside] - lo) @ stride
-            pos = np.minimum(np.searchsorted(sorted_keys, wanted), n - 1)
-            hit = sorted_keys[pos] == wanted
-            i, j = i[hit], order[pos[hit]]
-            upper = i < j
-            i, j = i[upper], j[upper]
+            j = index.find(coords - np.asarray(g, dtype=np.int64))
+            i = np.flatnonzero(members < j)  # absent targets have j = -1
+            j = j[i]
             value = np.full(len(i), self.coefficient(g))
             rows += [i, j]
             cols += [j, i]
@@ -233,18 +220,14 @@ def random_potential(seed: int, d: int, support_radius: float, s: float, norm_bu
     if lattice is None:
         lattice = LatticeModel.cubic(d)
     rng = np.random.default_rng(seed)
-    candidates = lattice.enumerate_ball(support_radius * (1 + 1e-12), exclude_zero=True)
     table = {}
-    seen = set()
-    for vec in candidates:
-        if vec.coords in seen:
+    for coords in lattice.ball_coords(support_radius * (1 + 1e-12)).tolist():
+        coords = tuple(coords)
+        if coords in table:
             continue
-        neg = tuple(-c for c in vec.coords)
-        seen.add(vec.coords)
-        seen.add(neg)
         value = complex(rng.standard_normal(), rng.standard_normal())
-        table[vec.coords] = value
-        table[neg] = value.conjugate()
+        table[coords] = value
+        table[tuple(-c for c in coords)] = value.conjugate()
     pot = FourierPotential(lattice, table, s)
     if norm_budget <= 0:
         return FourierPotential(lattice, {}, s)

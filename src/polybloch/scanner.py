@@ -78,7 +78,7 @@ def certified_basis_radius(lattice: LatticeModel, l: int, q: FourierPotential, n
         probe_t = coeff @ lattice.dual_basis
     # start from the free-counting estimate plus coupling reach
     radius = 1.0
-    while len(lattice.enumerate_ball(radius, exclude_zero=False)) < 2 * n_bands:
+    while len(lattice.ball_coords(radius, exclude_zero=False)) < 2 * n_bands:
         radius += 0.5
     radius += 2.0 * max(q.support_radius, 1.0)
     for _ in range(max_tries):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .block import ResonantIndexSet, assemble_block, build_index_set, certified_nearest_eigenvalue
-from .errors import NoBracket, PhaseDegenerate
+from .errors import NoBracket, PhaseDegenerate, SpectralError
 from .geometry import ParameterCascade, ResonanceClass, classify, direction_pool, membership_profile
 from .lattice import LatticeModel, LatticeVector
 from .numerics import power_difference
@@ -68,15 +68,12 @@ def k_set(lattice: LatticeModel, v, t, cascade: ParameterCascade, l: int, q: Fou
     if window is None:
         window = cascade.k_window()
     hi = (f_value + window) ** (1.0 / (2 * l))
-    out = []
     if pool is None:
         pool = direction_pool(lattice, cascade)
-    for gamma in lattice.enumerate_shifted_ball(-t, hi * (1 + 1e-12)):
-        x = gamma.embedding + t
-        energy = float(x @ x) ** l
-        if abs(f_value - energy) < window:
-            out.append((gamma, classify(lattice, x, cascade, pool=pool)))
-    return out
+    coords = lattice.enumerate_shifted_ball(-t, hi * (1 + 1e-12))
+    x = lattice.embed(coords) + t
+    near = np.flatnonzero(np.abs(f_value - np.vecdot(x, x) ** l) < window)
+    return [(lattice.vector(coords[i]), classify(lattice, x[i], cascade, pool=pool)) for i in near]
 
 
 @dataclass(frozen=True)
@@ -177,20 +174,15 @@ def check_simplicity(lattice: LatticeModel, v, cascade: ParameterCascade, l: int
 # -- Bloch-coefficient verification ---------------------------------------
 
 
-def _reachable_offsets(q: FourierPotential, max_steps: int) -> list[tuple[int, ...]]:
-    """Nonzero sums of at most max_steps support vectors."""
-    zero = (0,) * q.lattice.dimension
-    current = {zero}
-    seen = set()
+def _reachable_offsets(q: FourierPotential, max_steps: int) -> np.ndarray:
+    """Nonzero sums of at most max_steps support vectors, as sorted (n, d) int64 rows."""
+    support = np.array(q.support, dtype=np.int64).reshape(-1, q.lattice.dimension)
+    current, seen = np.zeros((1, q.lattice.dimension), dtype=np.int64), []
     for _ in range(max_steps):
-        nxt = set()
-        for base in current:
-            for g in q.support:
-                nxt.add(tuple(a + b for a, b in zip(base, g)))
-        seen |= nxt
-        current = nxt
-    seen.discard(zero)
-    return sorted(seen)
+        current = np.unique((current[:, None, :] + support[None, :, :]).reshape(-1, support.shape[1]), axis=0)
+        seen.append(current)
+    offsets = np.unique(np.concatenate(seen), axis=0)
+    return offsets[np.any(offsets != 0, axis=1)]
 
 
 def coefficient_prediction(v, l: int, q: FourierPotential, offset, k: int,
@@ -358,7 +350,7 @@ def isoenergetic_sample(lattice: LatticeModel, rho: float, l: int, q: FourierPot
             try:
                 g_lo = f_at(lo_try, u) - target
                 g_hi = f_at(hi_try, u) - target
-            except Exception:
+            except SpectralError:
                 break
             if g_lo < 0 < g_hi:
                 lo, hi = lo_try, hi_try

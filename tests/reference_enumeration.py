@@ -1,0 +1,109 @@
+"""Reference index-set enumerators: integer-box walks, one point at a time.
+
+These are the enumerators the array ones in polybloch.lattice and
+polybloch.block replaced.  They walk the box with itertools.product, embed
+each point on its own (n @ dual_basis), test it with a scalar comparison
+and sort keyed tuples, so they return plain coordinate tuples in the order
+the array versions must reproduce.
+"""
+
+import itertools
+
+import numpy as np
+
+TWO_PI = 2 * np.pi
+BALL_REL_TOL = 1e-9
+
+
+def embed(lattice, n):
+    return np.asarray(n, dtype=float) @ lattice.dual_basis
+
+
+def integral_gram(lattice):
+    """The dual Gram matrix as integers, or None when it is not integral to 1e-12."""
+    gram = lattice.dual_basis @ lattice.dual_basis.T
+    rounded = np.round(gram)
+    return rounded.astype(np.int64) if np.allclose(gram, rounded, atol=1e-12) else None
+
+
+def enumerate_ball(lattice, radius, exclude_zero=True):
+    """All gamma with |gamma| < radius (strict), sorted by (|gamma|^2, coords).
+
+    Exact integer norms on integral lattices, else a 1e-9 relative
+    tolerance pushing the boundary inward.
+    """
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    if radius == 0:
+        return []
+    d = lattice.dimension
+    gram = integral_gram(lattice)
+    bounds = [int(np.floor(radius * np.linalg.norm(lattice.basis[i]) / TWO_PI + 1e-9)) for i in range(d)]
+    r2 = radius * radius
+    out = []
+    for n in itertools.product(*(range(-b, b + 1) for b in bounds)):
+        if exclude_zero and all(c == 0 for c in n):
+            continue
+        if gram is not None:
+            m = np.asarray(n, dtype=np.int64)
+            nsq = int(m @ gram @ m)
+            if not nsq < r2:
+                continue
+            key = float(nsq)
+        else:
+            emb = embed(lattice, n)
+            key = float(emb @ emb)
+            if not key < r2 * (1.0 - BALL_REL_TOL):
+                continue
+        out.append((key, n))
+    out.sort()
+    return [n for _, n in out]
+
+
+def enumerate_shifted_ball(lattice, center, radius):
+    """All gamma with |gamma - center| <= radius (inclusive, tolerant),
+    sorted by (|gamma - center|^2, coords)."""
+    center = np.asarray(center, dtype=float)
+    d = lattice.dimension
+    c_coeff = lattice.basis @ center / TWO_PI
+    bounds = []
+    for i in range(d):
+        half = radius * np.linalg.norm(lattice.basis[i]) / TWO_PI
+        bounds.append((int(np.floor(c_coeff[i] - half - 1e-9)), int(np.ceil(c_coeff[i] + half + 1e-9))))
+    cutoff = radius + BALL_REL_TOL * max(1.0, radius)
+    out = []
+    for n in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds)):
+        diff = embed(lattice, n) - center
+        dist_sq = float(diff @ diff)
+        if np.sqrt(dist_sq) <= cutoff:
+            out.append((dist_sq, n))
+    out.sort()
+    return [n for _, n in out]
+
+
+def span_combinations(directions, radius):
+    """Integer combinations b = sum n_i gamma_i with |b| < radius (strict), as coordinate tuples."""
+    mat = np.array([g.embedding for g in directions])
+    sigma_min = np.linalg.svd(mat, compute_uv=False).min()
+    bound = int(np.floor(radius / sigma_min + 1e-9))
+    out = []
+    for n in itertools.product(range(-bound, bound + 1), repeat=len(directions)):
+        coords = tuple(int(sum(n[i] * directions[i].coords[j] for i in range(len(n))))
+                       for j in range(mat.shape[1]))
+        emb = np.asarray(n, dtype=float) @ mat
+        if float(np.linalg.norm(emb)) < radius:
+            out.append(coords)
+    return out
+
+
+def index_set(lattice, gamma0, directions, b_radius, a_radius):
+    """{gamma0 + b + a} as coordinate tuples, sorted by (|b + a|^2, coords)."""
+    a_list = enumerate_ball(lattice, a_radius, exclude_zero=False)
+    offsets = {tuple(bb + aa for bb, aa in zip(b, a)) for b in span_combinations(directions, b_radius)
+               for a in a_list}
+    keyed = []
+    for off in offsets:
+        emb = embed(lattice, off)
+        keyed.append((float(emb @ emb), tuple(g + o for g, o in zip(gamma0, off))))
+    keyed.sort()
+    return [h for _, h in keyed]

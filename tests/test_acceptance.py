@@ -222,9 +222,9 @@ def _two_point_block(lat, diag):
     v = np.array([x1, np.sqrt(diag[0] - x1**2)])
     gamma0, qm = lat.reduce(v)
     iset = ResonantIndexSet(
-        center=v, t=qm.reduced, gamma0=gamma0,
+        lattice=lat, center=v, t=qm.reduced, gamma0=gamma0,
         directions=(lat.vector((1, 0)),),
-        vectors=(gamma0, lat.vector((gamma0.coords[0] + 1, gamma0.coords[1]))),
+        coords=[gamma0.coords, (gamma0.coords[0] + 1, gamma0.coords[1])],
         b_radius=1.0, a_radius=0.0,
     )
     blk = pb.assemble_block(iset, 1, pb.cosine_pair(lat, (1, 0), 1.0))

@@ -84,7 +84,7 @@ def instances(draw):
 @given(instances())
 def test_builder_matches_pairwise_reference(case):
     lattice, q, vectors, t, l, v = case
-    basis = PlanewaveBasis(lattice, vectors, np.zeros(lattice.dimension), 0.0, "window")
+    basis = PlanewaveBasis(lattice, [h.coords for h in vectors], np.zeros(lattice.dimension), 0.0, "window")
     coupling = q.couplings(basis.coords)
     reference = pairwise_couplings(q, vectors)
     assert np.array_equal(coupling, reference)
@@ -109,10 +109,11 @@ def test_block_and_oracle_assemble_the_same_matrix(case):
     lattice, q, vectors, t, l, v = case
     if v is None:
         v = vectors[0].embedding + t
-    index_set = ResonantIndexSet(center=np.array(v), t=np.array(t), gamma0=vectors[0],
-                                 directions=(), vectors=vectors, b_radius=0.0, a_radius=0.0)
+    coords = [h.coords for h in vectors]
+    index_set = ResonantIndexSet(lattice=lattice, center=np.array(v), t=np.array(t), gamma0=vectors[0],
+                                 directions=(), coords=coords, b_radius=0.0, a_radius=0.0)
     block = assemble_block(index_set, l, q)
-    basis = PlanewaveBasis(lattice, vectors, np.array(v), 0.0, "window")
+    basis = PlanewaveBasis(lattice, coords, np.array(v), 0.0, "window")
     H = pb.assemble(l, q, t, basis, shift_center=v)
     n = len(vectors)
     off = ~np.eye(n, dtype=bool)

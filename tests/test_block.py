@@ -2,13 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import polybloch as pb
+import reference_enumeration as ref
 from conftest import scaled_cascade
 from polybloch.block import certified_nearest_eigenvalue
 from polybloch.errors import EmptyDirections
+from polybloch.numerics import integer_rank
 from polybloch.potential import FourierPotential
 from polybloch.simple import nearest_block_eigenvalue
 
@@ -32,7 +34,7 @@ class TestIndexSet:
         cas = scaled_cascade(10.0, thresholds=(2.0, 5.76, 11.0), a_radius=1.2)
         # block_b_radius(1) = sqrt(5.76)/2 = 1.2
         iset = pb.build_index_set(z2, v, [z2.vector((0, 1))], cas)
-        offsets = {tuple(h - g for h, g in zip(hv.coords, iset.gamma0.coords)) for hv in iset.vectors}
+        offsets = set(map(tuple, (iset.coords - iset.gamma0.coords).tolist()))
         expected = {(0, n) for n in (-2, -1, 0, 1, 2)} | {(s, n) for s in (-1, 1) for n in (-1, 0, 1)}
         assert offsets == expected
         assert iset.size == 11
@@ -42,20 +44,20 @@ class TestIndexSet:
         # euclidean balls of radius 1.5 include the diagonal translates
         v = np.array([0.5, 10.0])
         iset = pb.build_index_set(z2, v, [z2.vector((0, 1))], b_radius=1.5, a_radius=1.5)
-        offsets = {tuple(h - g for h, g in zip(hv.coords, iset.gamma0.coords)) for hv in iset.vectors}
+        offsets = set(map(tuple, (iset.coords - iset.gamma0.coords).tolist()))
         assert offsets == brute_force_offsets([(0, 1)], 1.5, 1.5)
         assert iset.size == 15
 
     def test_small_b_radius_reduces_to_translates(self, z2):
         v = np.array([0.5, 10.0])
         iset = pb.build_index_set(z2, v, [z2.vector((0, 1))], b_radius=0.5, a_radius=1.2)
-        offsets = {tuple(h - g for h, g in zip(hv.coords, iset.gamma0.coords)) for hv in iset.vectors}
+        offsets = set(map(tuple, (iset.coords - iset.gamma0.coords).tolist()))
         assert offsets == {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
 
     def test_center_always_in_set(self, z2):
         v = np.array([0.5, 10.0])
         iset = pb.build_index_set(z2, v, [z2.vector((0, 1))], b_radius=0.5, a_radius=0.5)
-        assert iset.gamma0.coords in {h.coords for h in iset.vectors}
+        assert iset.gamma0.coords in set(map(tuple, iset.coords.tolist()))
 
     def test_size_bound(self, z2):
         v = np.array([0.5, 12.0])
@@ -79,7 +81,42 @@ class TestIndexSet:
         v = np.array([0.5, 10.0])
         a = pb.build_index_set(z2, v, [z2.vector((0, 1))], b_radius=1.5, a_radius=1.5)
         b = pb.build_index_set(z2, v, [z2.vector((0, 1))], b_radius=1.5, a_radius=1.5)
-        assert [h.coords for h in a.vectors] == [h.coords for h in b.vectors]
+        assert np.array_equal(a.coords, b.coords)
+
+
+LATTICES = {"Z2": pb.LatticeModel.cubic(2), "Z3": pb.LatticeModel.cubic(3),
+            "hexagonal": pb.LatticeModel(2 * np.pi * np.array([[1.0, 0.0], [0.5, np.sqrt(3) / 2]]))}
+
+
+@st.composite
+def index_set_cases(draw):
+    """Independent short directions and b, a radii that are often exact shell radii."""
+    lattice = LATTICES[draw(st.sampled_from(sorted(LATTICES)))]
+    d = lattice.dimension
+    k = draw(st.integers(1, d - 1))
+    directions = draw(st.lists(st.tuples(*([st.integers(-2, 2)] * d)).filter(any),
+                               min_size=k, max_size=k, unique=True))
+    assume(integer_rank(directions) == k)
+    radii = []
+    for _ in range(2):
+        if draw(st.booleans()):
+            radii.append(draw(st.floats(0.3, 2.5)))
+        else:
+            shell = np.linalg.norm(lattice.embed(draw(st.tuples(*([st.integers(-2, 2)] * d)).filter(any))))
+            radii.append(min(float(shell), 2.5))
+    v = np.array(draw(st.tuples(*([st.floats(-20, 20)] * d))))
+    return lattice, v, [lattice.vector(g) for g in directions], radii[0], radii[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(index_set_cases())
+def test_index_set_matches_tuple_reference(case):
+    lattice, v, directions, b_radius, a_radius = case
+    iset = pb.build_index_set(lattice, v, directions, b_radius=b_radius, a_radius=a_radius)
+    want = ref.index_set(lattice, iset.gamma0.coords, directions, b_radius, a_radius)
+    assert [tuple(h) for h in iset.coords.tolist()] == want
+    assert iset.coords.dtype == np.int64 and not iset.coords.flags.writeable
+    assert np.array_equal(iset.embeddings, lattice.embed(iset.coords))
 
 
 def two_point_block(z2, q, diag_values, l=1):
@@ -93,9 +130,9 @@ def two_point_block(z2, q, diag_values, l=1):
     gamma0, qm = z2.reduce(v)
     t = qm.reduced
     iset = ResonantIndexSet(
-        center=v, t=t, gamma0=gamma0,
+        lattice=z2, center=v, t=t, gamma0=gamma0,
         directions=(z2.vector((1, 0)),),
-        vectors=(gamma0, z2.vector((gamma0.coords[0] + 1, gamma0.coords[1]))),
+        coords=[gamma0.coords, (gamma0.coords[0] + 1, gamma0.coords[1])],
         b_radius=1.0, a_radius=0.0,
     )
     return assemble_block(iset, l, q)
@@ -119,9 +156,9 @@ class TestBlockAssembly:
         v = np.array([-0.5, 10.0])
         gamma0, qm = z2.reduce(v)
         iset = ResonantIndexSet(
-            center=v, t=qm.reduced, gamma0=gamma0,
+            lattice=z2, center=v, t=qm.reduced, gamma0=gamma0,
             directions=(z2.vector((1, 0)),),
-            vectors=(gamma0, z2.vector((gamma0.coords[0] + 2, gamma0.coords[1]))),
+            coords=[gamma0.coords, (gamma0.coords[0] + 2, gamma0.coords[1])],
             b_radius=1.0, a_radius=0.0,
         )
         blk = assemble_block(iset, 1, q)

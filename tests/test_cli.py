@@ -159,6 +159,7 @@ class TestOtherCommands:
         row = payload["result"][0]
         assert row["k"] == 1
         assert row["deviation"] < 0.02
+        assert row["deviation"] <= row["diagnostics"]["tail_coupling_bound"]
         csv_text = (tmp_path / "out" / "resonant_check.csv").read_text()
         assert "v,k,directions,b_k,j,lambda_j,Lambda_N,deviation" in csv_text
 
@@ -273,6 +274,10 @@ class TestErrors:
         ("classify", "classify", "points", [[0, 0, 0]]),
         ("simple-check", "simple_check", "points", [[12.48, -15.628, 1.0]]),
         ("predict", "predict", "order", 99),
+        ("isoenergetic", "cascade", "known_order", 9),
+        ("isoenergetic", "cascade", "known_order", "x"),
+        ("simple-check", "cascade", "known_order", 9),
+        ("simple-check", "cascade", "known_order", "x"),
     ])
     def test_bad_values_are_config_errors(self, tmp_path, command, section, key, value):
         raw = yaml.safe_load((REPO / "configs" / "cosine_sweep.yaml").read_text())

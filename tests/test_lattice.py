@@ -6,9 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polybloch as pb
+import reference_enumeration as ref
 from polybloch.errors import SingularBasis
+from polybloch.lattice import CoordinateIndex
 
 TWO_PI = 2 * np.pi
+HEXAGONAL = TWO_PI * np.array([[1.0, 0.0], [0.5, np.sqrt(3) / 2]])
+# integral (Z^2, Z^3) and non-integral (hexagonal dual Gram 4/3, -2/3) lattices
+LATTICES = {"Z2": pb.LatticeModel.cubic(2), "Z3": pb.LatticeModel.cubic(3),
+            "hexagonal": pb.LatticeModel(HEXAGONAL)}
 
 
 def brute_force_ball(radius, box=6, exclude_zero=True):
@@ -103,6 +109,77 @@ class TestEnumerateBall:
         for vec in lat.enumerate_ball(2.0):
             assert vec.norm < 2.0
             assert np.allclose(vec.embedding, np.array(vec.coords) @ lat.dual_basis)
+
+
+@st.composite
+def ball_cases(draw):
+    """A lattice, a center and a radius; the radius is often exactly |gamma| or
+    |gamma - center| for a small gamma, and the center often a half-lattice
+    point, so that boundary points and equal-distance ties are common."""
+    lattice = LATTICES[draw(st.sampled_from(sorted(LATTICES)))]
+    d = lattice.dimension
+    if draw(st.booleans()):
+        center = np.array(draw(st.tuples(*([st.floats(-4, 4)] * d))))
+    else:
+        center = 0.5 * np.array(draw(st.tuples(*([st.integers(-8, 8)] * d)))) @ lattice.dual_basis
+    top = 3.2 if d == 3 else 5.0
+    if draw(st.booleans()):
+        return lattice, center, draw(st.floats(0.0, top)), draw(st.floats(0.0, top))
+    gamma = lattice.embed(draw(st.tuples(*([st.integers(-3, 3)] * d))))
+    shell = float(np.linalg.norm(gamma))
+    shifted = float(np.linalg.norm(gamma - center))
+    return lattice, center, min(shell, top), min(shifted, top)
+
+
+class TestArrayEnumerators:
+    """The array enumerators against the per-point reference walks: the same rows in the same order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ball_cases())
+    def test_ball_matches_reference(self, case):
+        lattice, _, radius, _ = case
+        for exclude_zero in (True, False):
+            got = lattice.ball_coords(radius, exclude_zero)
+            assert got.dtype == np.int64 and not got.flags.writeable
+            assert got.shape == (len(got), lattice.dimension)
+            assert [tuple(row) for row in got.tolist()] == ref.enumerate_ball(lattice, radius, exclude_zero)
+        vectors = lattice.enumerate_ball(radius)
+        assert [vec.coords for vec in vectors] == ref.enumerate_ball(lattice, radius)
+        assert all(np.array_equal(vec.embedding, ref.embed(lattice, vec.coords)) for vec in vectors)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ball_cases())
+    def test_shifted_ball_matches_reference(self, case):
+        lattice, center, _, radius = case
+        got = lattice.enumerate_shifted_ball(center, radius)
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert got.shape == (len(got), lattice.dimension)
+        assert [tuple(row) for row in got.tolist()] == ref.enumerate_shifted_ball(lattice, center, radius)
+
+    def test_embedding_does_not_depend_on_the_batch(self):
+        lattice = pb.LatticeModel(TWO_PI * np.array([[1.0, 0.2, 0.0], [0.31, 1.13, 0.0], [0.17, -0.29, 0.91]]))
+        coords = np.random.default_rng(0).integers(-40, 40, size=(500, 3))
+        rows = np.array([ref.embed(lattice, c) for c in coords])
+        assert np.array_equal(lattice.embed(coords), rows)
+
+
+class TestCoordinateIndex:
+    def test_finds_every_row_and_nothing_else(self):
+        coords = np.random.default_rng(1).integers(-5, 5, size=(60, 3))
+        coords = np.unique(coords, axis=0)[::-1]
+        index = CoordinateIndex(coords)
+        assert np.array_equal(index.find(coords), np.arange(len(coords)))
+        members = set(map(tuple, coords.tolist()))
+        probe = np.array(list(itertools.product(range(-7, 7), repeat=3)))
+        found = index.find(probe)
+        for row, pos in zip(probe.tolist(), found):
+            assert (pos >= 0) == (tuple(row) in members)
+            if pos >= 0:
+                assert coords[pos].tolist() == row
+
+    def test_empty_set_finds_nothing(self):
+        index = CoordinateIndex(np.zeros((0, 2), dtype=np.int64))
+        assert index.find([[0, 0], [1, -1]]).tolist() == [-1, -1]
 
 
 class TestReduce:

@@ -19,8 +19,7 @@ REPO = Path(__file__).resolve().parents[1]
 
 
 def two_state_basis(z2):
-    return PlanewaveBasis(z2, (z2.vector((0, 0)), z2.vector((1, 0))),
-                          np.zeros(2), 2.0, "window")
+    return PlanewaveBasis(z2, [(0, 0), (1, 0)], np.zeros(2), 2.0, "window")
 
 
 class TestAssemble:
@@ -29,8 +28,8 @@ class TestAssemble:
         t = np.array([0.1, 0.2])
         H = pb.assemble(2, FourierPotential(z2, {}), t, basis)
         assert np.allclose(H, np.diag(np.diag(H)))
-        for i, vec in enumerate(basis.vectors):
-            x = vec.embedding + t
+        for i, emb in enumerate(basis.embeddings):
+            x = emb + t
             assert H[i, i].real == pytest.approx(float(x @ x) ** 2)
 
     def test_hand_matrix(self, z2, cosine):
@@ -118,10 +117,10 @@ class TestWindowedSolve:
         v = np.array([5.3, 4.2])
         t = z2.reduce(v)[1].reduced
         basis = PlanewaveBasis.window(z2, t, v, 4.0)
-        member = {vec.coords for vec in basis.vectors}
-        for vec in z2.enumerate_shifted_ball(v - t, 10.0):
-            dist = np.linalg.norm(vec.embedding + t - v)
-            assert (vec.coords in member) == (dist <= 4.0 + 1e-9)
+        member = set(map(tuple, basis.coords.tolist()))
+        for coords in z2.enumerate_shifted_ball(v - t, 10.0).tolist():
+            dist = np.linalg.norm(z2.embed(coords) + t - v)
+            assert (tuple(coords) in member) == (dist <= 4.0 + 1e-9)
 
     def test_refinement_certificate(self, z2):
         q = pb.cosine_pair(z2, (1, 0), 0.2)
@@ -339,7 +338,7 @@ class TestSparseSlice:
         idx = np.flatnonzero(inside)
         assert np.all(np.abs(part.eigenvalues_rel - lam[idx]) <= tol[idx])
         # weights on gamma0 of well-separated pairs, whose vectors are fixed to ~eps |H| / gap
-        pos = basis.index_map()[lattice.reduce(v)[0].coords]
+        pos = basis.positions(lattice.reduce(v)[0].coords)[0]
         gaps = np.abs(lam[:, None] - lam[None, :]) + np.diag(np.full(len(lam), np.inf))
         separated = gaps.min(axis=1)[idx] > 1e-4 * np.linalg.norm(dense, 2)
         w_dense = np.abs(W[pos, idx]) ** 2

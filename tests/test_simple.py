@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -210,6 +211,19 @@ class TestIsoenergetic:
         roots = pb.isoenergetic_sample(z2, 20.0, 1, q, cas, [(1.0, 0.0)])
         assert roots[0].skipped is not None
         assert roots[0].radius is None
+
+    def test_precondition_errors_are_not_reported_as_no_bracket(self, z2):
+        # bracketing gives up only on numerical failures; an order above the
+        # series cap is a caller error and surfaces as such
+        q = pb.cosine_pair(z2, (1, 0), 0.1)
+        cas = dataclasses.replace(scaled_cascade(20.0, known_order=2), known_order_override=9)
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            pb.isoenergetic_sample(z2, 20.0, 1, q, cas, [(0.78, 0.6258)])
+
+    @pytest.mark.parametrize("order", [0, 9, 2.0, "x", True])
+    def test_known_order_outside_the_cap_is_rejected(self, order):
+        with pytest.raises(ValueError, match="known_order"):
+            scaled_cascade(20.0, known_order=order)
 
 
 def test_known_part_consistency(z2):
