@@ -17,6 +17,7 @@ from .errors import (
     NoCandidate,
     PartitionBreakdown,
     PhaseDegenerate,
+    PreconditionError,
     ShellViolation,
     SingularBasis,
     SmallDenominator,

@@ -84,16 +84,7 @@ def build_index_set(lattice: LatticeModel, v, directions, cascade: ParameterCasc
     if len(directions) > lattice.dimension - 1:
         raise ValueError("at most d - 1 directions")
     v = np.asarray(v, dtype=float)
-    if t is None:
-        gamma0, qm = lattice.reduce(v)
-        t = qm.reduced
-    else:
-        t = np.asarray(t, dtype=float)
-        coeff = lattice.basis @ (v - t) / (2 * np.pi)
-        n_int = np.round(coeff)
-        if not np.allclose(coeff, n_int, atol=1e-9):
-            raise ValueError("v - t must be a dual lattice vector")
-        gamma0 = lattice.vector(n_int.astype(int))
+    gamma0, t = lattice.split(v, t)
     k = len(directions)
     if b_radius is None:
         if cascade is None:

@@ -1,8 +1,10 @@
 """Command-line driver: reproducible experiment runs from a single config file.
 
 Flags choose the subcommand, verbosity, and output locations; every
-physics parameter comes from the config.  Exit codes: 0 success, 2 config
-error, 3 numerical failure.
+physics parameter comes from the config, checked at load.  A value the
+config leaves unset (None) is derived here; `value or derived` is safe
+because each such value is positive when set.  Exit codes: 0 success,
+2 config error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -25,16 +27,10 @@ def _log(args, *message):
         print(*message, file=sys.stderr)
 
 
-def _load(args) -> ExperimentConfig:
-    return ExperimentConfig.load(args.config)
-
-
-def cmd_params(args) -> int:
-    cfg = _load(args)
-    lat = cfg.lattice()
+def cmd_params(cfg: ExperimentConfig, args) -> int:
     rows = []
     for rho in cfg.rho_list():
-        cas = cfg.cascade(rho, d=lat.dimension)
+        cas = cfg.cascade(rho)
         checks = [
             {"name": name, "lhs": lhs, "rhs": rhs, "holds": ok}
             for name, lhs, rhs, ok in inequality_report(cas)
@@ -56,19 +52,13 @@ def cmd_params(args) -> int:
     return 0
 
 
-def cmd_classify(args) -> int:
-    cfg = _load(args)
-    lat = cfg.lattice()
+def cmd_classify(cfg: ExperimentConfig, args) -> int:
     sec = cfg.section("classify")
-    points = sec.get("points")
-    if not points:
-        raise ConfigError("missing [classify].points")
-    rho = _positive(sec, "classify", "rho", cfg.rho_list()[0])
-    cas = cfg.cascade(rho, d=lat.dimension)
+    rho = sec["rho"] or cfg.rho_list()[0]
+    cas = cfg.cascade(rho)
     results = []
-    for point in points:
-        x = _vector(point, "classify", lat.dimension)
-        verdict = classify(lat, x, cas)
+    for x in sec["points"]:
+        verdict = classify(cfg.lattice, x, cas)
         results.append({
             "point": [float(c) for c in x],
             "level": verdict.level,
@@ -82,24 +72,14 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def cmd_predict(args) -> int:
-    cfg = _load(args)
-    lat = cfg.lattice()
-    q = cfg.potential(lat)
-    l = cfg.degree()
+def cmd_predict(cfg: ExperimentConfig, args) -> int:
+    q = cfg.potential()
     sec = cfg.section("predict")
-    centers = sec.get("centers")
-    if not centers:
-        raise ConfigError("missing [predict].centers")
-    rho = _positive(sec, "predict", "rho", cfg.rho_list()[0])
-    cas = cfg.cascade(rho, d=lat.dimension)
-    k_max = _count(sec, "predict", "order", cas.known_order())
-    if k_max > cas.series_cap():
-        raise ConfigError(f"[predict].order must lie in 1..{cas.series_cap()}: {k_max}")
+    cas = cfg.cascade(sec["rho"] or cfg.rho_list()[0])
+    k_max = sec["order"] or cas.known_order()
     results = []
-    for center in centers:
-        v = _vector(center, "predict", lat.dimension)
-        exp = series.known_part_sequence(v, l, q, cas, k_max=k_max)
+    for v in sec["centers"]:
+        exp = series.known_part_sequence(v, cfg.degree, q, cas, k_max=k_max)
         results.append({
             "center": [float(c) for c in v],
             "f_values": list(exp.f_values),
@@ -112,96 +92,21 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _number(sec: dict, name: str, key: str, default):
-    """The configured finite number [name].key, or the default when none is set."""
-    if sec.get(key) is None:
-        return default
-    try:
-        value = float(sec[key])
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad [{name}].{key}: {err}") from err
-    if not np.isfinite(value):
-        raise ConfigError(f"[{name}].{key} must be finite: {value}")
-    return value
-
-
-def _positive(sec: dict, name: str, key: str, default=None):
-    """The configured finite positive number [name].key, or the default when none is set
-    (the default window radius is 0 for q = 0)."""
-    value = _number(sec, name, key, None)
-    if value is None:
-        return default
-    if value <= 0:
-        raise ConfigError(f"[{name}].{key} must be finite and positive: {value}")
-    return value
-
-
-def _count(sec: dict, name: str, key: str, default: int) -> int:
-    try:
-        value = int(sec.get(key, default))
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad [{name}].{key}: {err}") from err
-    if value < 1:
-        raise ConfigError(f"[{name}].{key} must be a positive integer: {value}")
-    return value
-
-
-def _grid(sec: dict, name: str, d: int) -> tuple[int, ...]:
-    try:
-        grid = scanner.checked_grid(sec.get("grid", [16] * d))
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad [{name}].grid: {err}") from err
-    if len(grid) != d:
-        raise ConfigError(f"[{name}].grid needs one count per axis ({d}): {list(grid)}")
-    return grid
-
-
-def _vector(value, name: str, d: int) -> np.ndarray:
-    """A configured point or direction of [name] as a finite vector of length d."""
-    try:
-        x = np.asarray(value, dtype=float).reshape(d)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad [{name}] entry {value}: need {d} numbers ({err})") from err
-    if not np.all(np.isfinite(x)):
-        raise ConfigError(f"bad [{name}] entry {value}: need finite numbers")
-    return x
-
-
-def _unit_vector(direction, name: str, d: int) -> np.ndarray:
-    u = _vector(direction, name, d)
-    norm = float(np.linalg.norm(u))
-    if not 0 < norm < np.inf:
-        raise ConfigError(f"[{name}] needs finite nonzero directions: {direction}")
-    return u / norm
-
-
-def cmd_verify(args) -> int:
-    cfg = _load(args)
-    lat = cfg.lattice()
-    q = cfg.potential(lat)
-    l = cfg.degree()
+def cmd_verify(cfg: ExperimentConfig, args) -> int:
+    q = cfg.potential()
     sec = cfg.section("verify")
-    direction = sec.get("direction")
-    if direction is None:
-        raise ConfigError("missing [verify].direction")
     rhos = cfg.rho_list()
-    cas = cfg.cascade(rhos[0], d=lat.dimension)
-    cap = cas.series_cap()
-    u = _unit_vector(direction, "verify", lat.dimension)
-    try:
-        orders = [int(k) for k in sec.get("orders", [1, 2])]
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad [verify].orders: {err}") from err
-    if not (orders and 1 <= min(orders) <= max(orders) <= cap):
-        raise ConfigError(f"[verify].orders must lie in 1..{cap}: {orders}")
-    window = _positive(sec, "verify", "window_radius", series.required_window_radius(q, cas))
-    table = series.order_sweep(lat, l, q, [rho * u for rho in rhos], orders, cas, window_radius=window)
+    cas = cfg.cascade(rhos[0])
+    u = sec["direction"] / float(np.linalg.norm(sec["direction"]))
+    window = sec["window_radius"] or series.required_window_radius(q, cas)
+    table = series.order_sweep(cfg.lattice, cfg.degree, q, [rho * u for rho in rhos], sec["orders"], cas,
+                               window_radius=window)
     out_dir = cfg.output_dir(args.output_dir)
     csv_path = out_dir / "verify.csv"
     with open(csv_path, "w") as fh:
         fh.write(csv_header_line(cfg))
         table.write_csv(fh)
-    slopes = {str(k): table.slopes[k] for k in orders}
+    slopes = {str(k): table.slopes[k] for k in sec["orders"]}
     write_json(out_dir / "verify.json", cfg, {
         "direction": [float(c) for c in u], "slopes": slopes,
         "diagnostics": [{"rho": rho, **diag} for rho, diag in zip(rhos, table.diagnostics)],
@@ -212,26 +117,17 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def cmd_resonant_check(args) -> int:
-    cfg = _load(args)
-    lat = cfg.lattice()
-    q = cfg.potential(lat)
-    l = cfg.degree()
+def cmd_resonant_check(cfg: ExperimentConfig, args) -> int:
+    lat, q, l = cfg.lattice, cfg.potential(), cfg.degree
     sec = cfg.section("resonant_check")
-    points = sec.get("points")
-    if not points:
-        raise ConfigError("missing [resonant_check].points")
-    window = _positive(sec, "resonant_check", "window_radius",
-                       series.required_window_radius(q, cfg.cascade(cfg.rho_list()[0], d=lat.dimension)))
+    window = sec["window_radius"] or series.required_window_radius(q, cfg.cascade(cfg.rho_list()[0]))
     out_dir = cfg.output_dir(args.output_dir)
     rows = []
-    for point in points:
-        v = _vector(point, "resonant_check", lat.dimension)
-        rho = _positive(sec, "resonant_check", "rho", float(np.linalg.norm(v)))
-        cas = cfg.cascade(rho, d=lat.dimension)
+    for v in sec["points"]:
+        cas = cfg.cascade(sec["rho"] or float(np.linalg.norm(v)))
         verdict = classify(lat, v, cas)
         if not verdict.is_resonant:
-            raise SpectralError(f"point {point} is non-resonant; resonant-check needs a resonant point")
+            raise SpectralError(f"point {v.tolist()} is non-resonant; resonant-check needs a resonant point")
         iset = block_mod.build_index_set(lat, v, verdict.directions, cas)
         blk = block_mod.assemble_block(iset, l, q)
         spectrum = bloch_solve(lat, l, q, v, window, refine=True)
@@ -247,7 +143,7 @@ def cmd_resonant_check(args) -> int:
             "deviation": match.deviation,
             "diagnostics": {"tail_coupling_bound": block_mod.tail_coupling_bound(iset, q)},
         })
-        print(f"v = {point}: level {verdict.level}, b_k = {iset.size}, deviation = {match.deviation!r}")
+        print(f"v = {v.tolist()}: level {verdict.level}, b_k = {iset.size}, deviation = {match.deviation!r}")
     csv_path = out_dir / "resonant_check.csv"
     with open(csv_path, "w") as fh:
         fh.write(csv_header_line(cfg))
@@ -262,24 +158,13 @@ def cmd_resonant_check(args) -> int:
     return 0
 
 
-def cmd_simple_check(args) -> int:
-    cfg = _load(args)
-    lat = cfg.lattice()
-    q = cfg.potential(lat)
-    l = cfg.degree()
+def cmd_simple_check(cfg: ExperimentConfig, args) -> int:
+    q = cfg.potential()
     sec = cfg.section("simple_check")
-    points = sec.get("points")
-    if not points:
-        raise ConfigError("missing [simple_check].points")
     results = []
-    for point in points:
-        v = _vector(point, "simple_check", lat.dimension)
-        rho = _positive(sec, "simple_check", "rho", float(np.linalg.norm(v)))
-        cas = cfg.cascade(rho, d=lat.dimension)
-        try:
-            report = simple.check_simplicity(lat, v, cas, l, q)
-        except ValueError as err:
-            raise SpectralError(f"simple-check precondition failed at {point}: {err}") from err
+    for v in sec["points"]:
+        cas = cfg.cascade(sec["rho"] or float(np.linalg.norm(v)))
+        report = simple.check_simplicity(cfg.lattice, v, cas, cfg.degree, q)
         results.append({
             "v": [float(c) for c in v],
             "f_value": report.f_value,
@@ -292,32 +177,23 @@ def cmd_simple_check(args) -> int:
                 for e in report.entries
             ],
         })
-        print(f"v = {point}: member = {report.member} ({len(report.entries)} competitors)")
+        print(f"v = {v.tolist()}: member = {report.member} ({len(report.entries)} competitors)")
     out = cfg.output_dir(args.output_dir) / "simple_check.json"
     write_json(out, cfg, results)
     return 0
 
 
-def cmd_bloch(args) -> int:
-    cfg = _load(args)
-    lat = cfg.lattice()
-    q = cfg.potential(lat)
-    l = cfg.degree()
+def cmd_bloch(cfg: ExperimentConfig, args) -> int:
+    lat, q = cfg.lattice, cfg.potential()
     sec = cfg.section("bloch")
-    centers = sec.get("centers")
-    if not centers:
-        raise ConfigError("missing [bloch].centers")
-    order = _count(sec, "bloch", "order", 2)
     results = []
-    for center in centers:
-        v = _vector(center, "bloch", lat.dimension)
-        rho = _positive(sec, "bloch", "rho", float(np.linalg.norm(v)))
-        cas = cfg.cascade(rho, d=lat.dimension)
-        window = _positive(sec, "bloch", "window_radius", series.required_window_radius(q, cas))
-        spectrum = bloch_solve(lat, l, q, v, window, refine=True)
+    for v in sec["centers"]:
+        cas = cfg.cascade(sec["rho"] or float(np.linalg.norm(v)))
+        window = sec["window_radius"] or series.required_window_radius(q, cas)
+        spectrum = bloch_solve(lat, cfg.degree, q, v, window, refine=True)
         gamma0, _ = lat.reduce(v)
         n = spectrum.dominant_index(gamma0.coords)
-        report = simple.bloch_verify(spectrum, n, gamma0.coords, order, q)
+        report = simple.bloch_verify(spectrum, n, gamma0.coords, sec["order"], q)
         results.append({
             "center": [float(c) for c in v],
             "weight": report.weight,
@@ -332,22 +208,18 @@ def cmd_bloch(args) -> int:
                 for r in report.rows
             ],
         })
-        print(f"center {center}: weight {report.weight!r}, residual mass {report.residual_mass!r}")
+        print(f"center {v.tolist()}: weight {report.weight!r}, residual mass {report.residual_mass!r}")
     out = cfg.output_dir(args.output_dir) / "bloch.json"
     write_json(out, cfg, results)
     return 0
 
 
-def cmd_bands(args) -> int:
-    cfg = _load(args)
-    lat = cfg.lattice()
-    q = cfg.potential(lat)
-    l = cfg.degree()
+def cmd_bands(cfg: ExperimentConfig, args) -> int:
+    l = cfg.degree
     sec = cfg.section("bands")
-    grid = _grid(sec, "bands", lat.dimension)
-    n_bands = _count(sec, "bands", "n_bands", 20)
-    table = scanner.band_functions(lat, l, q, grid, n_bands,
-                                   basis_radius=_positive(sec, "bands", "basis_radius"))
+    grid, n_bands = sec["grid"], sec["n_bands"]
+    table = scanner.band_functions(cfg.lattice, l, cfg.potential(), grid, n_bands,
+                                   basis_radius=sec["basis_radius"])
     out_dir = cfg.output_dir(args.output_dir)
     csv_path = out_dir / "bands.csv"
     with open(csv_path, "w") as fh:
@@ -368,19 +240,12 @@ def _band_diagnostics(table, l: int) -> dict:
             "continuity_report": scanner.continuity_report(table, l)}
 
 
-def cmd_gaps(args) -> int:
-    cfg = _load(args)
-    lat = cfg.lattice()
-    q = cfg.potential(lat)
-    l = cfg.degree()
+def cmd_gaps(cfg: ExperimentConfig, args) -> int:
+    l = cfg.degree
     sec = cfg.section("gaps")
-    grid = _grid(sec, "gaps", lat.dimension)
-    n_bands = _count(sec, "gaps", "n_bands", 30)
-    e_min = _number(sec, "gaps", "e_min", 0.0)
-    e_max = _number(sec, "gaps", "e_max", None)
     report, coarse, fine = scanner.stable_gap_report(
-        lat, l, q, grid, n_bands, e_min, e_max,
-        basis_radius=_positive(sec, "gaps", "basis_radius"))
+        cfg.lattice, l, cfg.potential(), sec["grid"], sec["n_bands"], sec["e_min"], sec["e_max"],
+        basis_radius=sec["basis_radius"])
     out = cfg.output_dir(args.output_dir) / "gaps.json"
     write_json(out, cfg, {
         "e_min": report.e_min, "e_max": report.e_max,
@@ -393,21 +258,13 @@ def cmd_gaps(args) -> int:
     return 0
 
 
-def cmd_isoenergetic(args) -> int:
-    cfg = _load(args)
-    lat = cfg.lattice()
-    q = cfg.potential(lat)
-    l = cfg.degree()
-    sec = cfg.section("isoenergetic")
-    rays = sec.get("rays")
-    if not rays:
-        raise ConfigError("missing [isoenergetic].rays")
-    for ray in rays:
-        _unit_vector(ray, "isoenergetic", lat.dimension)
+def cmd_isoenergetic(cfg: ExperimentConfig, args) -> int:
+    q = cfg.potential()
+    rays = cfg.section("isoenergetic")["rays"]
     results = []
     for rho in cfg.rho_list():
-        cas = cfg.cascade(rho, d=lat.dimension)
-        roots = simple.isoenergetic_sample(lat, rho, l, q, cas, rays)
+        cas = cfg.cascade(rho)
+        roots = simple.isoenergetic_sample(cfg.lattice, rho, cfg.degree, q, cas, rays)
         results.append({
             "rho": rho,
             "roots": [
@@ -424,17 +281,11 @@ def cmd_isoenergetic(args) -> int:
     return 0
 
 
-def cmd_measure(args) -> int:
-    cfg = _load(args)
-    lat = cfg.lattice()
-    sec = cfg.section("measure")
-    n_samples = _count(sec, "measure", "n_samples", 10000)
-    if n_samples < scanner.MIN_MEASURE_SAMPLES:
-        raise ConfigError(f"[measure].n_samples must be at least {scanner.MIN_MEASURE_SAMPLES}, got {n_samples}")
+def cmd_measure(cfg: ExperimentConfig, args) -> int:
+    n_samples = cfg.section("measure")["n_samples"]
     results = []
     for rho in cfg.rho_list():
-        cas = cfg.cascade(rho, d=lat.dimension)
-        est = scanner.measure_fraction(lat, rho, cas, n_samples, seed=cfg.seed())
+        est = scanner.measure_fraction(cfg.lattice, rho, cfg.cascade(rho), n_samples, seed=cfg.seed)
         results.append({
             "rho": rho, "n_samples": n_samples,
             "fractions": est.fractions, "stderr": est.stderr,
@@ -477,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](ExperimentConfig.load(args.config), args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -70,5 +70,9 @@ class InsufficientBands(SpectralError):
     """Band table does not cover the requested energy window."""
 
 
+class PreconditionError(SpectralError, ValueError):
+    """A point fails a routine's stated precondition (e.g. annulus, non-resonance)."""
+
+
 class ConfigError(Exception):
     """Bad experiment configuration (separate from numerical failures)."""

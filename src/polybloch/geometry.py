@@ -30,6 +30,16 @@ from .numerics import integer_rank, power_difference
 MAX_SERIES_ORDER = 6
 
 
+def _k1(d: int) -> int:
+    """k1 = floor(d / (3 alpha)) + 2 with alpha = 1/m, m = 3^d + d + 2: a function of d alone."""
+    return math.floor(d / (3 * (1.0 / (3**d + d + 2)))) + 2
+
+
+def series_cap(d: int) -> int:
+    """Highest series order evaluated at dimension d: k1, capped at MAX_SERIES_ORDER."""
+    return min(_k1(d), MAX_SERIES_ORDER)
+
+
 def s0_threshold(d: int) -> float:
     """Smallest smoothness the theory-mode cascade is built for."""
     return (3 * d - 1) / 2 * (3**d + d + 2) + 0.25 * d * 3**d + d + 6
@@ -181,7 +191,7 @@ def derive_parameters(d: int, l: int, s: float, rho: float, mode: str = "theory"
     alpha = 1.0 / m
     p = float(s) - d
     alpha_k = tuple(3**k * alpha for k in range(1, d + 2))
-    k1 = math.floor(d / (3 * alpha)) + 2
+    k1 = _k1(d)
     p1 = math.floor(p / 3) + 1
     eps1 = rho ** (-d - 2 * alpha)
     v_thresholds = overrides.pop("v_thresholds", None)
@@ -269,11 +279,7 @@ def _plane_distances(x, pool_matrix: np.ndarray, pool_norm_sq: np.ndarray, l: in
     first = 2.0 * (pool_matrix @ x) + pool_norm_sq
     if l == 1:
         return np.abs(first)
-    b_vals = a_val + first
-    acc = np.zeros_like(first)
-    for j in range(l):
-        acc += b_vals**j * a_val ** (l - 1 - j)
-    return np.abs(first * acc)
+    return np.abs(power_difference(first, a_val + first, a_val, l))
 
 
 def membership_profile(lattice: LatticeModel, x, cascade: ParameterCascade,

@@ -238,3 +238,17 @@ class LatticeModel:
         gamma = self.vector(n)
         t = x - gamma.embedding
         return gamma, QuasiMomentum(reduced=t, representative=x.copy())
+
+    def split(self, v, t=None) -> tuple[LatticeVector, np.ndarray]:
+        """v = gamma0 + t.  Without t this is reduce(v); with t, gamma0 = v - t,
+        which must be a dual lattice vector (ValueError otherwise)."""
+        v = np.asarray(v, dtype=float)
+        if t is None:
+            gamma0, qm = self.reduce(v)
+            return gamma0, qm.reduced
+        t = np.asarray(t, dtype=float)
+        coeff = self.basis @ (v - t) / TWO_PI
+        n = np.round(coeff)
+        if not np.allclose(coeff, n, atol=1e-9):
+            raise ValueError("v - t is not a dual lattice vector, so the center has no own index gamma0")
+        return self.vector(n.astype(int)), t

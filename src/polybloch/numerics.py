@@ -10,6 +10,7 @@ def power_difference(first: float, a: float, b: float, l: int) -> float:
     """a^l - b^l given the exactly-computed first difference a - b.
 
     Avoids catastrophic cancellation when a and b are large and close.
+    Element-wise when first and a (or b) are arrays.
     """
     acc = 0.0
     for j in range(l):
@@ -30,11 +31,7 @@ def relative_energies(v, points, l: int) -> np.ndarray:
     delta = np.asarray(points, dtype=float) - v
     first = 2.0 * np.vecdot(delta, v) + np.vecdot(delta, delta)
     b = float(v @ v)
-    a = b + first
-    acc = np.zeros_like(first)
-    for j in range(l):
-        acc += a**j * b ** (l - 1 - j)
-    return first * acc
+    return power_difference(first, b + first, b, l)
 
 
 def integer_rank(rows) -> int:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConvergenceFailure, WindowNotConverged
-from .lattice import TWO_PI, CoordinateIndex, LatticeModel, _ordered
+from .lattice import CoordinateIndex, LatticeModel, _ordered
 from .numerics import relative_energies
 from .potential import FourierPotential
 
@@ -341,16 +341,7 @@ def bloch_solve(lattice: LatticeModel, l: int, q: FourierPotential, v, window_ra
     describe both windows' solves.
     """
     v = np.asarray(v, dtype=float)
-    if t is None:
-        gamma0, qm = lattice.reduce(v)
-        t = qm.reduced
-    else:
-        t = np.asarray(t, dtype=float)
-        coeff = lattice.basis @ (v - t) / TWO_PI
-        n = np.round(coeff)
-        if not np.allclose(coeff, n, atol=1e-9):
-            raise ValueError("center v - t is not a dual lattice vector; window would exclude the center's own index")
-        gamma0 = lattice.vector(n.astype(int))
+    gamma0, t = lattice.split(v, t)
     spectra, counts, reasons = [], [], []
     for radius in (window_radius, window_radius * 1.5) if refine else (window_radius,):
         basis = PlanewaveBasis.window(lattice, t, v, radius)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .block import ResonantIndexSet, assemble_block, build_index_set, certified_nearest_eigenvalue
-from .errors import NoBracket, PhaseDegenerate, SpectralError
+from .errors import NoBracket, PhaseDegenerate, PreconditionError, SpectralError
 from .geometry import ParameterCascade, ResonanceClass, classify, direction_pool, membership_profile
 from .lattice import LatticeModel, LatticeVector
 from .numerics import power_difference
@@ -130,19 +130,18 @@ def check_simplicity(lattice: LatticeModel, v, cascade: ParameterCascade, l: int
     entry's diagnostics record which).  The member verdict holds exactly
     when every margin is >= 0, so an eigenvalue or known part exactly at
     F(v) +- 2 eps1 keeps v a member.  Requires v non-resonant and inside
-    the shrunk annulus.
+    the shrunk annulus (PreconditionError otherwise).
     """
     v = np.asarray(v, dtype=float)
     lo, hi = cascade.shrunk_shell()
     r = float(np.linalg.norm(v))
     if not lo <= r < hi:
-        raise ValueError(f"|v| = {r!r} outside the shrunk annulus [{lo!r}, {hi!r})")
+        raise PreconditionError(f"|v| = {r!r} outside the shrunk annulus [{lo!r}, {hi!r})")
     pool = direction_pool(lattice, cascade)
     verdict = classify(lattice, v, cascade, pool=pool)
     if verdict.is_resonant:
-        raise ValueError("center must be non-resonant for the simplicity test")
-    gamma0, qm = lattice.reduce(v)
-    t = qm.reduced
+        raise PreconditionError("center must be non-resonant for the simplicity test")
+    gamma0, t = lattice.split(v)
     center = known_part(v, l, q, cascade, order=order, min_denominator=min_denominator)
     eps1 = cascade.eps1
     entries = []

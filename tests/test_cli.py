@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,8 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polybloch.cli import main
+from polybloch.config import _SCHEMA
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -152,7 +157,7 @@ class TestOtherCommands:
         cfg = write_config(
             tmp_path,
             "resonant_check:\n  points: [[0.5, 10.0]]\n  window_radius: 8.0\n",
-            base=BASE_CONFIG.replace("re: 0.1", "re: 0.2") + "  a_radius: 1.2\n",
+            base=BASE_CONFIG.replace("re: 0.1", "re: 0.2").replace("known_order: 2\n", "known_order: 2\n  a_radius: 1.2\n"),
         )
         assert main(["resonant-check", "-c", str(cfg)]) == 0
         payload = json.loads((tmp_path / "out" / "resonant_check.json").read_text())
@@ -250,6 +255,11 @@ class TestErrors:
         cfg = write_config(tmp_path, "resonant_check:\n  points: [[6.1, 4.8]]\n  window_radius: 6.0\n")
         assert main(["resonant-check", "-c", str(cfg)]) == 3
 
+    def test_simple_check_precondition_is_numerical_failure(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "simple_check:\n  points: [[0.5, 10.0]]\n")
+        assert main(["simple-check", "-c", str(cfg)]) == 3
+        assert "non-resonant" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, section, key, value", [
         ("verify", "verify", "orders", [0]),
         ("verify", "verify", "direction", [0, 0]),
@@ -278,6 +288,17 @@ class TestErrors:
         ("isoenergetic", "cascade", "known_order", "x"),
         ("simple-check", "cascade", "known_order", 9),
         ("simple-check", "cascade", "known_order", "x"),
+        ("bands", "operator", "degree", "x"),
+        ("predict", "operator", "degree", 1.5),
+        ("params", "cascade", "rho", "x"),
+        ("classify", "cascade", "rho", "x"),
+        ("params", "cascade", "rho", []),
+        ("params", "experiment", "seed", "x"),
+        ("measure", "experiment", "seed", "x"),
+        ("classify", "cascade", "pool_radius", "x"),
+        ("predict", "cascade", "series_pool_radius", "x"),
+        ("simple-check", "cascade", "a_radius", "x"),
+        ("params", "verify", "window_raduis", 8.0),
     ])
     def test_bad_values_are_config_errors(self, tmp_path, command, section, key, value):
         raw = yaml.safe_load((REPO / "configs" / "cosine_sweep.yaml").read_text())
@@ -290,3 +311,25 @@ class TestErrors:
         assert run.returncode == 2, run.stderr
         assert "Traceback" not in run.stderr
         assert f"[{section}]" in run.stderr
+
+
+# every (section, key) of the schema, plus one misspelt key
+FUZZ_KEYS = [(section, key) for section, keys in _SCHEMA.items() for key in keys] + [("verify", "window_raduis")]
+FUZZ_VALUES = ["x", None, [], 0, -1, 1.5, float("nan"), float("inf"), True, [[1, "a"]], [0, 0], {}]
+
+
+@given(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES), st.sampled_from(["params", "classify", "predict"]))
+@settings(max_examples=150, deadline=None)
+def test_mutated_config_keeps_the_exit_contract(tmp_path_factory, key, value, command):
+    """One mutated value of the shipped config: exit 0, 2 or 3, and an exit 2 names the section."""
+    section, name = key
+    raw = yaml.safe_load((REPO / "configs" / "cosine_sweep.yaml").read_text())
+    raw[section][name] = value
+    out = tmp_path_factory.mktemp("fuzz")
+    (out / "exp.yaml").write_text(yaml.safe_dump(raw))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "-c", str(out / "exp.yaml"), "-o", str(out)])
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert f"[{section}]" in err.getvalue()

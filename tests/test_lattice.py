@@ -224,6 +224,21 @@ class TestReduce:
             assert np.all(coeff >= -1e-11)
             assert np.all(coeff < 1.0)
 
+    def test_split_with_a_given_t(self, z2):
+        v = np.array([5.3, 4.2])
+        gamma0, t = z2.split(v, v - z2.embed((4, -1)))
+        assert gamma0.coords == (4, -1)
+        assert z2.split(v)[0].coords == z2.reduce(v)[0].coords
+
+    def test_oracle_and_block_reject_a_non_lattice_offset(self, z2):
+        # v - t = (5.0, 3.95) is not a dual lattice vector
+        v, t = np.array([5.3, 4.2]), np.array([0.3, 0.25])
+        q = pb.cosine_pair(z2, (1, 0), 0.1)
+        with pytest.raises(ValueError, match="v - t is not a dual lattice vector"):
+            pb.bloch_solve(z2, 1, q, v, 4.0, t=t)
+        with pytest.raises(ValueError, match="v - t is not a dual lattice vector"):
+            pb.build_index_set(z2, v, [z2.vector((1, 0))], b_radius=1.0, a_radius=1.0, t=t)
+
 
 class TestLatticeModel:
     @pytest.mark.parametrize("basis, order", [

@@ -128,6 +128,15 @@ class TestCheckSimplicity:
         with pytest.raises(ValueError, match="non-resonant"):
             pb.check_simplicity(z2, np.array([0.5, 20.0]), cas, 1, q)
 
+    def test_preconditions_are_spectral_errors(self, z2):
+        q = pb.cosine_pair(z2, (1, 0), 0.1)
+        cas = scaled_cascade(20.0, known_order=2)
+        # a resonant center, and one outside the shrunk annulus
+        for v, match in (([0.5, 20.0], "non-resonant"), ([3.0, 4.0], "annulus")):
+            with pytest.raises(pb.PreconditionError, match=match) as info:
+                pb.check_simplicity(z2, np.array(v), cas, 1, q)
+            assert isinstance(info.value, pb.SpectralError)
+
 
 class TestBlochVerify:
     def test_zero_potential(self, z2):
