@@ -26,7 +26,8 @@ from .errors import (
 )
 from .lattice import LatticeModel, LatticeVector, QuasiMomentum, dual_lattice
 from .potential import FourierPotential, cosine_pair, cosine_sum, load_potential, random_potential
-from .oracle import BlochSpectrum, PlanewaveBasis, assemble, bloch_solve, diagonalize, free_eigenvalues, solve
+from .oracle import (BlochSpectrum, PlanewaveBasis, assemble, bloch_solve, diagonalize, free_eigenvalues, solve,
+                     track_dominant)
 from .geometry import (
     MAX_SERIES_ORDER,
     ParameterCascade,

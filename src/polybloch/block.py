@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyDirections
+from .errors import EmptyDirections, PreconditionError
 from .geometry import ParameterCascade
 from .lattice import CoordinateIndex, LatticeModel, LatticeVector, _integer_box, _ordered
 from .numerics import integer_rank, relative_energies
@@ -80,19 +80,19 @@ def build_index_set(lattice: LatticeModel, v, directions, cascade: ParameterCasc
     if not directions:
         raise EmptyDirections("need at least one resonance direction")
     if integer_rank([g.coords for g in directions]) != len(directions):
-        raise ValueError("directions must be linearly independent")
+        raise PreconditionError("directions must be linearly independent")
     if len(directions) > lattice.dimension - 1:
-        raise ValueError("at most d - 1 directions")
+        raise PreconditionError("at most d - 1 directions")
     v = np.asarray(v, dtype=float)
     gamma0, t = lattice.split(v, t)
     k = len(directions)
     if b_radius is None:
         if cascade is None:
-            raise ValueError("need b_radius or a cascade")
+            raise PreconditionError("need b_radius or a cascade")
         b_radius = cascade.block_b_radius(k)
     if a_radius is None:
         if cascade is None:
-            raise ValueError("need a_radius or a cascade")
+            raise PreconditionError("need a_radius or a cascade")
         a_radius = cascade.block_a_radius()
     b = _span_combinations(directions, b_radius)
     a = lattice.ball_coords(a_radius, exclude_zero=False)

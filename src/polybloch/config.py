@@ -153,7 +153,7 @@ _SCHEMA = {
     "resonant_check": {"points": (_POINTS, _REQUIRED), "window_radius": (_positive, None),
                        "rho": (_positive, None)},
     "simple_check": {"points": (_POINTS, _REQUIRED), "rho": (_positive, None)},
-    "bloch": {"centers": (_POINTS, _REQUIRED), "order": (_integer(1), 2),
+    "bloch": {"centers": (_POINTS, _REQUIRED), "order": (_integer(1, capped=True), 2),
               "window_radius": (_positive, None), "rho": (_positive, None)},
     "bands": {"grid": (_grid, lambda d: [16] * d), "n_bands": (_integer(1), 20),
               "basis_radius": (_positive, None)},

@@ -15,15 +15,25 @@ shift meaningful well below machine epsilon times |v|^{2l}.  The couplings
 come from FourierPotential.coupling_triplets, the builder the resonant
 blocks share.
 
+Order sweeps need one pair per window: the one dominated by gamma0's plane
+wave, whose eigenvalue every order's prediction is matched against.
+track_dominant factors H - sigma I once, sigma the highest-order
+prediction, as an LDL^H of the sparse operator (about 5 nonzeros per
+row), and runs a few steps of inverse iteration from e_gamma0.  The pair's
+Rayleigh quotient is accepted when it passes the residual and unit-norm
+certificates, weighs more than 1/2 on gamma0 (the weights on gamma0 sum to
+1 over all pairs, so no other pair can weigh more) and lies in every
+order's matching window.  Otherwise the counted interval solve below takes
+over.
+
 Given a relative-energy interval [lo, hi), the eigensolve uses the sparse
-operator (about 5 nonzeros per row): Sylvester's law of inertia counts the
-eigenvalues below lo and below hi from the signs of LDL^H pivots, and
-shift-invert Lanczos about the midpoint solves for exactly the difference
-(Ericsson & Ruhe 1980; the inertia check of Grimes, Lewis & Simon 1994).
-Each eigenvalue is replaced by its Rayleigh quotient, which brings it back
-to the full solve's accuracy.  When a guard trips (an untrustworthy pivot,
-or a count the Lanczos solve does not reproduce), the full dense solve
-takes over.
+operator: Sylvester's law of inertia counts the eigenvalues below lo and
+below hi from the signs of the same LDL^H pivots, and shift-invert Lanczos
+about the midpoint solves for exactly the difference (Ericsson & Ruhe
+1980; the inertia check of Grimes, Lewis & Simon 1994).  Each eigenvalue
+is replaced by its Rayleigh quotient, which brings it back to the full
+solve's accuracy.  When a guard trips (an untrustworthy pivot, or a count
+the Lanczos solve does not reproduce), the full dense solve takes over.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConvergenceFailure, WindowNotConverged
+from .errors import ConvergenceFailure, PreconditionError, WindowNotConverged
 from .lattice import CoordinateIndex, LatticeModel, _ordered
 from .numerics import relative_energies
 from .potential import FourierPotential
@@ -41,6 +51,8 @@ _RESIDUAL_TOL = 1e-8
 _CLUSTER_TOL = 1e-9
 _REFINE_TOL = 1e-9
 _PIVOT_TOL = 1e-12  # an inertia count needs every |U_ii| >= _PIVOT_TOL * ||H||_1
+_TRACK_TOL = 1e-14  # a tracked pair has converged once |H x - theta x| <= _TRACK_TOL * ||H||_1
+_TRACK_SOLVES = 4  # inverse-iteration solves per window before tracking is refused
 
 
 @dataclass(frozen=True)
@@ -218,6 +230,18 @@ def diagonalize(H, basis: PlanewaveBasis, t, l: int, shift: float = 0.0, interva
         HX = H @ evecs
     else:
         evals_rel, evecs, HX = found
+    return _certified(basis, t, l, shift, evals_rel, evecs, HX, {
+        "eigensolver": "dense" if interval is None or reason else "sparse",
+        "inertia_count": count, "dense_fallback_reason": reason})
+
+
+def _certified(basis: PlanewaveBasis, t, l: int, shift: float, evals_rel, evecs, HX,
+               diagnostics: dict) -> BlochSpectrum:
+    """The spectrum of the pairs (evals_rel, evecs) of the relative-frame H, HX = H @ evecs.
+
+    Raises ConvergenceFailure unless every vector has unit norm to 1e-10 and
+    residual |H x - lambda x| <= _RESIDUAL_TOL (1 + |lambda + shift|).
+    """
     coeff = evecs.T  # row N = coefficient table of eigenpair N
     norms = np.linalg.norm(coeff, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-10):
@@ -243,8 +267,7 @@ def diagonalize(H, basis: PlanewaveBasis, t, l: int, shift: float = 0.0, interva
         cluster_flags=cluster,
         shift=shift,
         eigenvalues_rel=evals_rel.copy(),
-        diagnostics={"eigensolver": "dense" if interval is None or reason else "sparse",
-                     "inertia_count": count, "dense_fallback_reason": reason},
+        diagnostics=diagnostics,
     )
 
 
@@ -301,19 +324,31 @@ def _inertia(H, s: float, floor: float) -> int | None:
     (perm_r == perm_c).  None when it did not, or when some |U_ii| < floor:
     an eigenvalue at s, or a pivot too small for its sign to be trusted.
     """
-    import scipy.sparse
-    import scipy.sparse.linalg
-
-    shifted = H - s * scipy.sparse.eye_array(H.shape[0], format="csc")
-    try:
-        lu = scipy.sparse.linalg.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                                      options={"SymmetricMode": True})
-    except RuntimeError:  # exactly singular
+    lu = _factor(H, s)
+    if lu is None:
         return None
     pivots = lu.U.diagonal()
     if not np.array_equal(lu.perm_r, lu.perm_c) or np.any(np.abs(pivots) < floor):
         return None
     return int(np.count_nonzero(pivots.real < 0))
+
+
+def _factor(H, s: float):
+    """SuperLU factorization of the sparse Hermitian H - sI, None when it is exactly singular.
+
+    Pivoting on the diagonal (diag_pivot_thresh=0) in a symmetric ordering,
+    SuperLU computes an LDL^H factorization (U = D L^H) whenever
+    perm_r == perm_c: _inertia reads its pivots, _track_pair solves with it.
+    """
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    shifted = H - s * scipy.sparse.eye_array(H.shape[0], format="csc")
+    try:
+        return scipy.sparse.linalg.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                                        options={"SymmetricMode": True})
+    except RuntimeError:  # exactly singular
+        return None
 
 
 def solve(lattice: LatticeModel, l: int, q: FourierPotential, t, basis: PlanewaveBasis,
@@ -332,7 +367,8 @@ def bloch_solve(lattice: LatticeModel, l: int, q: FourierPotential, v, window_ra
 
     With refine set, re-solves on a 1.5x window; the eigenvalue tracked to
     the center index must move by less than 1e-9 (1 + |Lambda|), else
-    WindowNotConverged.  The refined spectrum is returned.
+    WindowNotConverged (see _windows for the window's own precondition).
+    The refined spectrum is returned.
 
     With interval = (lo, hi), relative to |v|^{2l}, each window computes
     only the pairs in [lo, hi) (see diagonalize), and is solved again in
@@ -343,10 +379,7 @@ def bloch_solve(lattice: LatticeModel, l: int, q: FourierPotential, v, window_ra
     v = np.asarray(v, dtype=float)
     gamma0, t = lattice.split(v, t)
     spectra, counts, reasons = [], [], []
-    for radius in (window_radius, window_radius * 1.5) if refine else (window_radius,):
-        basis = PlanewaveBasis.window(lattice, t, v, radius)
-        if basis.positions(gamma0.coords)[0] < 0:
-            raise ValueError("window excludes the center's own index")
+    for basis in _windows(lattice, q, t, v, gamma0.coords, window_radius, refine):
         spectrum = solve(lattice, l, q, t, basis, shift_center=v, interval=interval)
         counts.append(spectrum.diagnostics["inertia_count"])
         reason = spectrum.diagnostics["dense_fallback_reason"]
@@ -355,24 +388,123 @@ def bloch_solve(lattice: LatticeModel, l: int, q: FourierPotential, v, window_ra
             reason = "half-rule"
         reasons.append(reason)
         spectra.append(spectrum)
+    sparse = all(s.diagnostics["eigensolver"] == "sparse" for s in spectra)
+    return _summarized(spectra, gamma0.coords, window_radius, refine, inertia_count=counts,
+                       eigensolver="sparse" if sparse else "dense",
+                       dense_fallback_reason=next((r for r in reasons if r), None))
+
+
+def track_dominant(lattice: LatticeModel, l: int, q: FourierPotential, v, window_radius: float,
+                   predictions, halfwidth: float, t=None, refine: bool = False) -> BlochSpectrum:
+    """The eigenpair dominated by gamma0's plane wave, v = gamma0 + t, solved alone in each window.
+
+    predictions (relative to |v|^{2l}, highest order last) are the values
+    the pair is matched against, each within halfwidth.  Each window's pair
+    comes from _track_pair; with refine set, the two windows' pairs are
+    compared as in bloch_solve.  The spectrum holds the one pair
+    (diagnostics eigensolver "tracked").  When either window refuses its
+    pair, the center is solved instead by bloch_solve over
+    [min P - halfwidth, max P + halfwidth], which holds every pair a
+    prediction can match, and diagnostics["tracking_refused"] says why.
+    """
+    v = np.asarray(v, dtype=float)
+    gamma0, t = lattice.split(v, t)
+    shift = float(v @ v) ** l
+    spectra, refused = [], None
+    for basis in _windows(lattice, q, t, v, gamma0.coords, window_radius, refine):
+        H = assemble(l, q, t, basis, shift_center=v, sparse=True)
+        refused, spectrum = _track_pair(H, basis, t, l, shift, gamma0.coords, predictions, halfwidth)
+        if refused is not None:
+            interval = (min(predictions) - halfwidth, max(predictions) + halfwidth)
+            spectrum = bloch_solve(lattice, l, q, v, window_radius, t=t, refine=refine, interval=interval)
+            return replace(spectrum, diagnostics={**spectrum.diagnostics, "tracking_refused": refused})
+        spectra.append(spectrum)
+    return _summarized(spectra, gamma0.coords, window_radius, refine, inertia_count=None,
+                       eigensolver="tracked", dense_fallback_reason=None, tracking_refused=None)
+
+
+def _track_pair(H, basis: PlanewaveBasis, t, l: int, shift: float, coords, predictions, halfwidth: float):
+    """(reason, spectrum): the pair of the sparse H reached by inverse iteration from e_coords.
+
+    H - sigma I, sigma = predictions[-1], is factored once; each iterate is
+    scaled to unit norm and a real positive entry on coords, so reruns are
+    byte-identical.  The pair (theta = x^H H x, x) is accepted, and reason
+    is None, when |H x - theta x| <= _TRACK_TOL ||H||_1 within
+    _TRACK_SOLVES solves, the unit-norm and residual certificates hold,
+    |x_coords|^2 > 1/2 (so it is the window's dominant pair, see
+    BlochSpectrum.dominant_index) and |theta - P| < halfwidth for every
+    prediction.  Otherwise spectrum is None and reason is "pivot" (H - sigma I
+    is exactly singular), "convergence", "weight" or "window".
+    """
+    lu = _factor(H, predictions[-1])
+    if lu is None:
+        return "pivot", None
+    pos = basis.positions(coords)[0]
+    tol = _TRACK_TOL * float(abs(H).sum(axis=0).max())
+    x = np.zeros(H.shape[0], dtype=complex)
+    x[pos] = 1.0
+    for _ in range(_TRACK_SOLVES):
+        x = lu.solve(x)
+        x *= np.exp(-1j * np.angle(x[pos])) / np.linalg.norm(x)
+        Hx = H @ x
+        theta = float(np.real(np.vdot(x, Hx)))
+        if np.linalg.norm(Hx - theta * x) <= tol:
+            break
+    else:
+        return "convergence", None
+    try:
+        spectrum = _certified(basis, t, l, shift, np.array([theta]), x[:, None], Hx[:, None], None)
+    except ConvergenceFailure:
+        return "convergence", None
+    if not abs(x[pos]) ** 2 > 0.5:
+        return "weight", None
+    if any(abs(theta - p) >= halfwidth for p in predictions):
+        return "window", None
+    return None, spectrum
+
+
+def _windows(lattice: LatticeModel, q: FourierPotential, t, v, coords, window_radius: float,
+             refine: bool) -> list[PlanewaveBasis]:
+    """The window around v, and with refine its 1.5x refinement.
+
+    The window must hold gamma0 = coords (else PreconditionError).  With
+    refine it must also hold every gamma0 + g, g in supp q, else
+    WindowNotConverged: without them the 1.5x window cannot move the
+    eigenvalue it certifies.
+    """
+    bases = [PlanewaveBasis.window(lattice, t, v, radius)
+             for radius in ((window_radius, window_radius * 1.5) if refine else (window_radius,))]
+    if bases[0].positions(coords)[0] < 0:
+        raise PreconditionError("window excludes the center's own index")
+    if refine and q.support and np.any(bases[0].positions(np.add(coords, q.support)) < 0):
+        raise WindowNotConverged(
+            f"window radius {window_radius} misses waves coupled to the center (support radius {q.support_radius})")
+    return bases
+
+
+def _summarized(spectra, coords, window_radius: float, refine: bool, **path) -> BlochSpectrum:
+    """The last window's spectrum, with diagnostics describing every window's solve.
+
+    With refine set, the eigenvalue tracked to coords must move by less
+    than _REFINE_TOL (1 + |Lambda|) between the two windows, else
+    WindowNotConverged.  path names the solve (inertia_count, eigensolver,
+    dense_fallback_reason, ...).
+    """
     move = None
     if refine:
         spectrum, refined = spectra
-        n_small = spectrum.dominant_index(gamma0.coords)
-        n_big = refined.dominant_index(gamma0.coords)
+        n_small = spectrum.dominant_index(coords)
+        n_big = refined.dominant_index(coords)
         move = abs(spectrum.relative_eigenvalue(n_small) - refined.relative_eigenvalue(n_big))
         lam = abs(refined.eigenvalues[n_big])
         if move >= _REFINE_TOL * (1.0 + lam):
             raise WindowNotConverged(
                 f"tracked eigenvalue moved {move:.3e} under window refinement ({window_radius} -> {window_radius * 1.5})")
-    sparse = all(s.diagnostics["eigensolver"] == "sparse" for s in spectra)
     return replace(spectra[-1], diagnostics={
         "basis_size": len(spectra[0].basis),
         "refined_basis_size": len(spectra[-1].basis) if refine else None,
         "pairs_solved": sum(len(s) for s in spectra),
-        "inertia_count": counts,
-        "eigensolver": "sparse" if sparse else "dense",
-        "dense_fallback_reason": next((r for r in reasons if r), None),
+        **path,
         "certificate_move": move,
         "worst_residual": max(float(np.max(s.residual_norms)) for s in spectra),
     })

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoCandidate, SmallDenominator
+from .errors import NoCandidate, PreconditionError, SmallDenominator
 from .geometry import MAX_SERIES_ORDER, ParameterCascade
 from .lattice import LatticeModel
 from .numerics import loglog_slope, power_difference
-from .oracle import BlochSpectrum, bloch_solve
+from .oracle import BlochSpectrum, track_dominant
 from .potential import FourierPotential
 
 _REALITY_REL = 1e-12
@@ -115,10 +115,8 @@ def evaluate_series(a_rel: float, v, l: int, q: FourierPotential, k: int,
                     pool_radius: float | None = None,
                     min_denominator: float | None = None) -> SeriesEvaluation:
     """S_1 .. S_k at the spectral parameter |v|^{2l} + a_rel."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > MAX_SERIES_ORDER:
-        raise ValueError(f"k = {k} exceeds the series cap {MAX_SERIES_ORDER}")
+    if not 1 <= k <= MAX_SERIES_ORDER:
+        raise PreconditionError(f"k = {k} outside the series orders 1..{MAX_SERIES_ORDER}")
     v = np.asarray(v, dtype=float)
     if min_denominator is None:
         min_denominator = 1e-12 * (1.0 + abs(a_rel))
@@ -255,7 +253,7 @@ class SweepRow:
 class SweepTable:
     rows: tuple[SweepRow, ...]
     slopes: dict
-    diagnostics: tuple[dict, ...]  # bloch_solve's, one per center
+    diagnostics: tuple[dict, ...]  # track_dominant's, one per center
 
     def errors_for(self, k: int) -> list[tuple[float, float]]:
         return [(r.rho, r.error) for r in self.rows if r.k == k]
@@ -280,9 +278,11 @@ def order_sweep(lattice: LatticeModel, l: int, q: FourierPotential, centers, k_l
     """Error table |Lambda_N - P_k| over a family of centers with |v| = rho_j.
 
     Centers must be non-resonant with margins bounded away from zero
-    uniformly (fixed irrational-slope directions achieve this).  The oracle
-    solves only the pairs match_eigenvalue can pick: those within the
-    matching half-width of some prediction.
+    uniformly (fixed irrational-slope directions achieve this).  Each
+    center's oracle solve is track_dominant: the one pair dominated by
+    gamma0, which match_eigenvalue picks for every order, or when tracking
+    is refused the counted pairs within the matching half-width of some
+    prediction.
     """
     k_list = sorted(set(int(k) for k in k_list))
     if min(k_list) < 1:
@@ -299,8 +299,7 @@ def order_sweep(lattice: LatticeModel, l: int, q: FourierPotential, centers, k_l
                                         min_denominator=min_denominator)
         gamma0, _ = lattice.reduce(v)
         preds = [expansion.prediction_rel(k) for k in k_list]
-        spectrum = bloch_solve(lattice, l, q, v, window, refine=refine,
-                               interval=(min(preds) - halfwidth, max(preds) + halfwidth))
+        spectrum = track_dominant(lattice, l, q, v, window, preds, halfwidth, refine=refine)
         diagnostics.append(spectrum.diagnostics)
         for k, pred_rel in zip(k_list, preds):
             match = match_eigenvalue(spectrum, gamma0.coords, pred_rel, halfwidth)

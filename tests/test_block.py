@@ -9,7 +9,7 @@ import polybloch as pb
 import reference_enumeration as ref
 from conftest import scaled_cascade
 from polybloch.block import certified_nearest_eigenvalue
-from polybloch.errors import EmptyDirections
+from polybloch.errors import EmptyDirections, PreconditionError
 from polybloch.numerics import integer_rank
 from polybloch.potential import FourierPotential
 from polybloch.simple import nearest_block_eigenvalue
@@ -76,6 +76,16 @@ class TestIndexSet:
             pb.build_index_set(z2, np.array([0.5, 10.0]),
                                [z2.vector((0, 1)), z2.vector((0, -2))],
                                b_radius=1.0, a_radius=1.0)
+
+    @pytest.mark.parametrize("directions, radii, match", [
+        ([(0, 1), (0, -2)], {"b_radius": 1.0, "a_radius": 1.0}, "independent"),
+        ([(0, 1), (1, 0)], {"b_radius": 1.0, "a_radius": 1.0}, "d - 1"),
+        ([(0, 1)], {"a_radius": 1.0}, "b_radius"),
+        ([(0, 1)], {"b_radius": 1.0}, "a_radius"),
+    ])
+    def test_bad_arguments_are_precondition_errors(self, z2, directions, radii, match):
+        with pytest.raises(PreconditionError, match=match):
+            pb.build_index_set(z2, np.array([0.5, 10.0]), [z2.vector(g) for g in directions], **radii)
 
     def test_deterministic_order(self, z2):
         v = np.array([0.5, 10.0])

@@ -12,6 +12,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polybloch import oracle
 from polybloch.cli import main
 from polybloch.config import _SCHEMA
 
@@ -139,6 +140,22 @@ class TestVerifyCommand:
         (diag,) = json.loads((tmp_path / "out" / "verify.json").read_text())["result"]["diagnostics"]
         assert diag["rho"] == 10.0
         assert 0 < 10 * diag["pairs_solved"] < diag["basis_size"] < diag["refined_basis_size"]
+        # one tracked pair per window, no inertia count and no counted fallback
+        assert diag["eigensolver"] == "tracked" and diag["pairs_solved"] == 2
+        assert diag["tracking_refused"] is None and diag["dense_fallback_reason"] is None
+        assert diag["inertia_count"] is None
+        assert 0 <= diag["certificate_move"] < 1e-9
+        assert 0 < diag["worst_residual"] < 1e-8
+
+    def test_verify_diagnostics_of_the_counted_fallback(self, tmp_path, monkeypatch):
+        # with no inverse-iteration solve allowed, tracking is refused and the
+        # center is solved by the inertia-counted interval solve
+        monkeypatch.setattr(oracle, "_TRACK_SOLVES", 0)
+        cfg = write_config(tmp_path, "verify:\n  direction: [0.78, 0.6258]\n  orders: [1, 2]\n")
+        assert main(["verify", "-c", str(cfg)]) == 0
+        (diag,) = json.loads((tmp_path / "out" / "verify.json").read_text())["result"]["diagnostics"]
+        assert diag["tracking_refused"] == "convergence"
+        assert 0 < 10 * diag["pairs_solved"] < diag["basis_size"] < diag["refined_basis_size"]
         assert diag["dense_fallback_reason"] is None and diag["eigensolver"] == "sparse"
         assert len(diag["inertia_count"]) == 2 and all(c >= 1 for c in diag["inertia_count"])
         assert 0 <= diag["certificate_move"] < 1e-9
@@ -255,6 +272,12 @@ class TestErrors:
         cfg = write_config(tmp_path, "resonant_check:\n  points: [[6.1, 4.8]]\n  window_radius: 6.0\n")
         assert main(["resonant-check", "-c", str(cfg)]) == 3
 
+    def test_window_without_coupled_waves_is_numerical_failure(self, tmp_path, capsys):
+        # a 0.01 window holds the center's wave alone, so its refinement certifies nothing
+        cfg = write_config(tmp_path, "bloch:\n  centers: [[15.6, 12.5]]\n  window_radius: 0.01\n")
+        assert main(["bloch", "-c", str(cfg)]) == 3
+        assert "coupled" in capsys.readouterr().err
+
     def test_simple_check_precondition_is_numerical_failure(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "simple_check:\n  points: [[0.5, 10.0]]\n")
         assert main(["simple-check", "-c", str(cfg)]) == 3
@@ -299,6 +322,7 @@ class TestErrors:
         ("predict", "cascade", "series_pool_radius", "x"),
         ("simple-check", "cascade", "a_radius", "x"),
         ("params", "verify", "window_raduis", 8.0),
+        ("bloch", "bloch", "order", 50),
     ])
     def test_bad_values_are_config_errors(self, tmp_path, command, section, key, value):
         raw = yaml.safe_load((REPO / "configs" / "cosine_sweep.yaml").read_text())
@@ -318,9 +342,7 @@ FUZZ_KEYS = [(section, key) for section, keys in _SCHEMA.items() for key in keys
 FUZZ_VALUES = ["x", None, [], 0, -1, 1.5, float("nan"), float("inf"), True, [[1, "a"]], [0, 0], {}]
 
 
-@given(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES), st.sampled_from(["params", "classify", "predict"]))
-@settings(max_examples=150, deadline=None)
-def test_mutated_config_keeps_the_exit_contract(tmp_path_factory, key, value, command):
+def exit_contract(tmp_path_factory, key, value, command):
     """One mutated value of the shipped config: exit 0, 2 or 3, and an exit 2 names the section."""
     section, name = key
     raw = yaml.safe_load((REPO / "configs" / "cosine_sweep.yaml").read_text())
@@ -333,3 +355,15 @@ def test_mutated_config_keeps_the_exit_contract(tmp_path_factory, key, value, co
     assert code in (0, 2, 3)
     if code == 2:
         assert f"[{section}]" in err.getvalue()
+
+
+@given(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES), st.sampled_from(["params", "classify", "predict"]))
+@settings(max_examples=150, deadline=None)
+def test_mutated_config_keeps_the_exit_contract(tmp_path_factory, key, value, command):
+    exit_contract(tmp_path_factory, key, value, command)
+
+
+@given(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES), st.sampled_from(["verify", "bloch"]))
+@settings(max_examples=25, deadline=None)
+def test_mutated_config_keeps_the_exit_contract_of_the_solves(tmp_path_factory, key, value, command):
+    exit_contract(tmp_path_factory, key, value, command)

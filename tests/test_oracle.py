@@ -5,11 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import polybloch as pb
-from polybloch.errors import WindowNotConverged
+from polybloch import oracle
+from polybloch.errors import PreconditionError, WindowNotConverged
 from polybloch.oracle import PlanewaveBasis
 from polybloch.potential import FourierPotential
 
@@ -144,6 +145,25 @@ class TestWindowedSolve:
         with pytest.raises(ValueError, match="own index"):
             pb.bloch_solve(z2, 1, FourierPotential(z2, {}), [5.3, 4.2], 3.0, t=np.array([0.1, 0.1]))
 
+    def test_window_without_the_center_is_a_precondition_error(self, z2):
+        # t passes split's tolerance for v - gamma0 (rtol 1e-5), but gamma0 + t is
+        # 1e-6 off v, outside a 1e-7 window
+        v = np.array([5.3, 4.2])
+        t = v - np.array([5.0, 4.0]) + np.array([1e-6, 0.0])
+        with pytest.raises(PreconditionError, match="own index"):
+            pb.bloch_solve(z2, 1, FourierPotential(z2, {}), v, 1e-7, t=t)
+
+    def test_window_missing_the_coupled_waves_fails_certificate(self, z2):
+        # a 0.01 window holds gamma0 alone, and so does its 1.5x refinement:
+        # the certified eigenvalue could not move, so the refinement proves nothing
+        q = pb.cosine_pair(z2, (1, 0), 0.1)
+        v = np.array([15.6, 12.5])
+        assert len(pb.bloch_solve(z2, 1, q, v, 0.01).basis) == 1
+        with pytest.raises(WindowNotConverged, match="coupled"):
+            pb.bloch_solve(z2, 1, q, v, 0.01, refine=True)
+        # one hop of the support is the least window the certificate accepts
+        assert pb.bloch_solve(z2, 1, q, v, 1.0, refine=True).diagnostics["basis_size"] == 5
+
     def test_shifted_frame_consistency(self, z2):
         q = pb.cosine_pair(z2, (1, 0), 0.2)
         v = np.array([5.3, 4.2])
@@ -274,6 +294,127 @@ class TestPartialSolve:
         lam_full = full.relative_eigenvalue(full.dominant_index(gamma0))
         lam_part = part.relative_eigenvalue(part.dominant_index(gamma0))
         assert abs(lam_part - lam_full) <= 1e-17
+
+
+class TestTrackedSolve:
+    """track_dominant against the counted bloch_solve over the matching interval."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.sampled_from([2, 3]), l=st.sampled_from([1, 2]), chains=st.booleans(),
+           seed=st.integers(0, 2**16), amplitude=st.floats(0.05, 0.5), axis=st.integers(0, 2),
+           direction=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3), rho=st.floats(3.0, 6.0),
+           radius=st.floats(1.5, 2.5), refine=st.booleans(), scale=st.sampled_from([0.01, 0.1, 1.0]),
+           offsets=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3), width=st.floats(0.05, 2.0))
+    @example(d=2, l=1, chains=True, seed=0, amplitude=0.3, axis=0, direction=[0.78, 0.6258, 0.0], rho=5.0,
+             radius=2.0, refine=True, scale=0.01, offsets=[0.0], width=1.0)
+    @example(d=3, l=2, chains=False, seed=7, amplitude=0.2, axis=0, direction=[0.78, 0.6258, 0.31], rho=4.0,
+             radius=2.0, refine=False, scale=0.01, offsets=[0.1, 0.0], width=1.0)
+    def test_tracked_matches_counted(self, d, l, chains, seed, amplitude, axis, direction, rho, radius,
+                                     refine, scale, offsets, width):
+        lattice = pb.LatticeModel.cubic(d)
+        if chains:  # rank-1 support: the operator splits into decoupled chains
+            q = pb.cosine_pair(lattice, np.eye(d, dtype=int)[axis % d], amplitude)
+        else:
+            q = pb.random_potential(seed, d, 1.0, 0.0, amplitude, lattice=lattice)
+        u = np.array(direction[:d]) + 1e-3
+        v = rho * u / np.linalg.norm(u)
+        gamma0 = lattice.reduce(v)[0].coords
+        # predictions about the first-order level shift, the highest order last
+        shift = float(v @ v) ** l
+        first = sum(abs(q.coefficient(g)) ** 2 / (shift - float(np.sum((v + lattice.embed(g)) ** 2)) ** l)
+                    for g in q.support)
+        preds = [first + scale * o for o in offsets]
+        hw = scale * width
+        interval = (min(preds) - hw, max(preds) + hw)
+        outcomes = []
+        for solver in (lambda: pb.track_dominant(lattice, l, q, v, radius, preds, hw, refine=refine),
+                       lambda: pb.bloch_solve(lattice, l, q, v, radius, refine=refine, interval=interval)):
+            try:
+                outcomes.append(solver())
+            except WindowNotConverged:
+                outcomes.append(None)
+        tracked, counted = outcomes
+        if counted is None or tracked is None:  # both measure the same pair's move under refinement
+            assert tracked is None and counted is None
+            return
+        diag = tracked.diagnostics
+        event(f"tracking refused: {diag['tracking_refused']}")
+        if diag["eigensolver"] != "tracked":
+            assert diag["tracking_refused"] in ("pivot", "convergence", "weight", "window")
+            assert {k: x for k, x in diag.items() if k != "tracking_refused"} == counted.diagnostics
+            assert tracked.eigenvalues_rel.tobytes() == counted.eigenvalues_rel.tobytes()
+            return
+        assert diag["tracking_refused"] is None and len(tracked) == 1
+        assert diag["pairs_solved"] == (2 if refine else 1)
+        lam, weight = tracked.relative_eigenvalue(0), tracked.weight(0, gamma0)
+        assert weight > 0.5 and all(abs(lam - p) < hw for p in preds)
+        # the counted pair's Rayleigh quotient: exact where the counted solve fell
+        # back to the dense eigh, whose own eigenvalue carries ~eps |H| of error
+        n = counted.dominant_index(gamma0)
+        x = counted.coefficients[n]
+        H = pb.assemble(l, q, counted.t, counted.basis, shift_center=v)
+        reference = float(np.real(np.vdot(x, H @ x)))
+        assert abs(lam - reference) <= 1e-12 * (1.0 + abs(reference))
+        assert abs(weight - counted.weight(n, gamma0)) <= 1e-10
+
+    def test_tracked_pair_is_the_counted_dominant_pair(self, z2):
+        # criterion 3's cosine pair at rho = 80 on its required window: one pair per window
+        q = pb.cosine_pair(z2, (1, 0), 0.1)
+        cas = scaled_cascade(20.0, known_order=3)
+        u = np.array([0.78, 0.6258])
+        v = 80.0 * u / np.linalg.norm(u)
+        gamma0 = z2.reduce(v)[0].coords
+        preds = [pb.known_part_sequence(v, 1, q, cas, k_max=3).prediction_rel(k) for k in (1, 2, 3)]
+        hw = cas.matching_halfwidth()
+        window = pb.required_window_radius(q, cas)
+        tracked = pb.track_dominant(z2, 1, q, v, window, preds, hw, refine=True)
+        counted = pb.bloch_solve(z2, 1, q, v, window, refine=True, interval=(min(preds) - hw, max(preds) + hw))
+        diag = tracked.diagnostics
+        assert (diag["eigensolver"], diag["tracking_refused"], diag["pairs_solved"]) == ("tracked", None, 2)
+        assert diag["inertia_count"] is None and diag["dense_fallback_reason"] is None
+        assert diag["certificate_move"] < 1e-20 and diag["worst_residual"] < 1e-13
+        n = counted.dominant_index(gamma0)
+        assert abs(tracked.relative_eigenvalue(0) - counted.relative_eigenvalue(n)) <= 1e-19
+        assert tracked.weight(0, gamma0) == pytest.approx(counted.weight(n, gamma0), abs=1e-14)
+        assert tracked.coefficient(0, gamma0).imag == 0.0 and tracked.coefficient(0, gamma0).real > 0
+
+    def refused(self, lattice, q, v, preds, hw, window=6.0):
+        spec = pb.track_dominant(lattice, 1, q, v, window, preds, hw, refine=True)
+        counted = pb.bloch_solve(lattice, 1, q, v, window, refine=True,
+                                 interval=(min(preds) - hw, max(preds) + hw))
+        assert spec.diagnostics["eigensolver"] != "tracked"
+        assert np.array_equal(spec.eigenvalues, counted.eigenvalues)
+        return spec.diagnostics["tracking_refused"]
+
+    def test_singular_shift_is_refused(self, z2):
+        # q = 0: the prediction 0 is exactly the eigenvalue of gamma0's wave
+        assert self.refused(z2, FourierPotential(z2, {}), np.array([5.3, 4.2]), [0.0, 0.0], 0.5) == "pivot"
+
+    def test_minor_weight_pair_is_refused(self, z2):
+        # near the resonance v1 = -1/2, gamma0 and gamma0 + e1 mix about 60/40;
+        # a shift at the 40% pair converges to it
+        q = pb.cosine_pair(z2, (1, 0), 0.2)
+        v = np.array([-0.459, 4.2])
+        full = pb.bloch_solve(z2, 1, q, v, 6.0)
+        weights = np.abs(full.coefficients[:, full.position(z2.reduce(v)[0].coords)]) ** 2
+        minor = np.argsort(weights)[-2]
+        assert 0.3 < weights[minor] < 0.5
+        assert self.refused(z2, q, v, [full.relative_eigenvalue(minor)], 0.01) == "weight"
+
+    def test_pair_outside_one_order_window_is_refused(self, z2):
+        # the highest order finds the dominant pair, which the first order's window misses
+        q = pb.cosine_pair(z2, (1, 0), 0.2)
+        v = np.array([5.3, 4.2])
+        f1 = pb.known_part_sequence(v, 1, q, k_max=1).known_part_rel()
+        assert self.refused(z2, q, v, [f1 + 0.02, f1], 0.01) == "window"
+
+    def test_solve_cap_is_refused(self, z2, monkeypatch):
+        q = pb.cosine_pair(z2, (1, 0), 0.2)
+        v = np.array([5.3, 4.2])
+        f1 = pb.known_part_sequence(v, 1, q, k_max=1).known_part_rel()
+        assert pb.track_dominant(z2, 1, q, v, 6.0, [f1], 0.01, refine=True).diagnostics["eigensolver"] == "tracked"
+        monkeypatch.setattr(oracle, "_TRACK_SOLVES", 1)
+        assert self.refused(z2, q, v, [f1], 0.01) == "convergence"
 
 
 def window_operator(lattice, l, q, v, radius):

@@ -3,7 +3,7 @@ import pytest
 
 import polybloch as pb
 from conftest import scaled_cascade
-from polybloch.errors import NoCandidate, SmallDenominator
+from polybloch.errors import NoCandidate, PreconditionError, SmallDenominator
 from polybloch.potential import FourierPotential
 
 V_HAND = np.array([5.3, 4.2])  # |v|^2 = 45.73
@@ -121,6 +121,10 @@ class TestKnownPart:
     def test_cap_enforced(self, cosine):
         with pytest.raises(ValueError):
             pb.known_part_sequence(V_HAND, 1, cosine, k_max=7)
+
+    def test_series_cap_is_a_precondition_error(self, cosine):
+        with pytest.raises(PreconditionError, match="series orders"):
+            pb.evaluate_series(0.0, V_HAND, 1, cosine, pb.MAX_SERIES_ORDER + 1)
 
 
 class TestMatching:
