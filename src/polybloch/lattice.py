@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SingularBasis
+from .errors import PreconditionError, SingularBasis
 
 TWO_PI = 2.0 * np.pi
 
@@ -241,14 +241,15 @@ class LatticeModel:
 
     def split(self, v, t=None) -> tuple[LatticeVector, np.ndarray]:
         """v = gamma0 + t.  Without t this is reduce(v); with t, gamma0 = v - t,
-        which must be a dual lattice vector (ValueError otherwise)."""
+        which must be a dual lattice vector to within the window tolerance,
+        |gamma0 - (v - t)| <= 1e-9 (PreconditionError otherwise), so every
+        window {gamma : |gamma + t - v| <= R}, R >= 0, holds gamma0."""
         v = np.asarray(v, dtype=float)
         if t is None:
             gamma0, qm = self.reduce(v)
             return gamma0, qm.reduced
         t = np.asarray(t, dtype=float)
-        coeff = self.basis @ (v - t) / TWO_PI
-        n = np.round(coeff)
-        if not np.allclose(coeff, n, atol=1e-9):
-            raise ValueError("v - t is not a dual lattice vector, so the center has no own index gamma0")
-        return self.vector(n.astype(int)), t
+        gamma0 = self.vector(np.round(self.basis @ (v - t) / TWO_PI).astype(int))
+        if not np.linalg.norm(gamma0.embedding - (v - t)) <= _BALL_REL_TOL:
+            raise PreconditionError("v - t is not a dual lattice vector, so the center has no own index gamma0")
+        return gamma0, t

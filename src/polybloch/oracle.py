@@ -395,7 +395,7 @@ def bloch_solve(lattice: LatticeModel, l: int, q: FourierPotential, v, window_ra
 
 
 def track_dominant(lattice: LatticeModel, l: int, q: FourierPotential, v, window_radius: float,
-                   predictions, halfwidth: float, t=None, refine: bool = False) -> BlochSpectrum:
+                   predictions, halfwidth: float, refine: bool = False) -> BlochSpectrum:
     """The eigenpair dominated by gamma0's plane wave, v = gamma0 + t, solved alone in each window.
 
     predictions (relative to |v|^{2l}, highest order last) are the values
@@ -408,7 +408,7 @@ def track_dominant(lattice: LatticeModel, l: int, q: FourierPotential, v, window
     prediction can match, and diagnostics["tracking_refused"] says why.
     """
     v = np.asarray(v, dtype=float)
-    gamma0, t = lattice.split(v, t)
+    gamma0, t = lattice.split(v)
     shift = float(v @ v) ** l
     spectra, refused = [], None
     for basis in _windows(lattice, q, t, v, gamma0.coords, window_radius, refine):
@@ -416,7 +416,7 @@ def track_dominant(lattice: LatticeModel, l: int, q: FourierPotential, v, window
         refused, spectrum = _track_pair(H, basis, t, l, shift, gamma0.coords, predictions, halfwidth)
         if refused is not None:
             interval = (min(predictions) - halfwidth, max(predictions) + halfwidth)
-            spectrum = bloch_solve(lattice, l, q, v, window_radius, t=t, refine=refine, interval=interval)
+            spectrum = bloch_solve(lattice, l, q, v, window_radius, refine=refine, interval=interval)
             return replace(spectrum, diagnostics={**spectrum.diagnostics, "tracking_refused": refused})
         spectra.append(spectrum)
     return _summarized(spectra, gamma0.coords, window_radius, refine, inertia_count=None,
@@ -467,7 +467,8 @@ def _windows(lattice: LatticeModel, q: FourierPotential, t, v, coords, window_ra
              refine: bool) -> list[PlanewaveBasis]:
     """The window around v, and with refine its 1.5x refinement.
 
-    The window must hold gamma0 = coords (else PreconditionError).  With
+    The window must hold gamma0 = coords, which split guarantees for any
+    radius >= 0 (else PreconditionError: a negative radius).  With
     refine it must also hold every gamma0 + g, g in supp q, else
     WindowNotConverged: without them the 1.5x window cannot move the
     eigenvalue it certifies.

@@ -145,13 +145,17 @@ class TestWindowedSolve:
         with pytest.raises(ValueError, match="own index"):
             pb.bloch_solve(z2, 1, FourierPotential(z2, {}), [5.3, 4.2], 3.0, t=np.array([0.1, 0.1]))
 
-    def test_window_without_the_center_is_a_precondition_error(self, z2):
-        # t passes split's tolerance for v - gamma0 (rtol 1e-5), but gamma0 + t is
-        # 1e-6 off v, outside a 1e-7 window
+    def test_center_1e6_off_the_lattice_is_a_precondition_error(self, z2):
         v = np.array([5.3, 4.2])
         t = v - np.array([5.0, 4.0]) + np.array([1e-6, 0.0])
-        with pytest.raises(PreconditionError, match="own index"):
-            pb.bloch_solve(z2, 1, FourierPotential(z2, {}), v, 1e-7, t=t)
+        with pytest.raises(PreconditionError, match="not a dual lattice vector"):
+            pb.bloch_solve(z2, 1, FourierPotential(z2, {}), v, 3.0, t=t)
+        # the exact split puts gamma0 in every window of radius >= 0
+        assert pb.bloch_solve(z2, 1, FourierPotential(z2, {}), v, 0.0, t=t - [1e-6, 0.0]).diagnostics["basis_size"] == 1
+
+    def test_negative_window_is_a_precondition_error(self, z2):
+        with pytest.raises(PreconditionError, match="window excludes the center's own index"):
+            pb.bloch_solve(z2, 1, FourierPotential(z2, {}), [5.3, 4.2], -1.0)
 
     def test_window_missing_the_coupled_waves_fails_certificate(self, z2):
         # a 0.01 window holds gamma0 alone, and so does its 1.5x refinement:
