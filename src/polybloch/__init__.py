@@ -35,10 +35,8 @@ from .geometry import (
     classify,
     derive_parameters,
     direction_pool,
-    in_V,
     inequality_report,
     membership_profile,
-    projection_bound,
     s0_threshold,
 )
 from .series import (

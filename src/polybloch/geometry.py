@@ -227,32 +227,9 @@ def derive_parameters(d: int, l: int, s: float, rho: float, mode: str = "theory"
 # -- resonance sets -------------------------------------------------------
 
 
-def plane_distance(x, b, l: int) -> float:
-    """| |x|^{2l} - |x+b|^{2l} |, computed cancellation-free."""
-    x = np.asarray(x, dtype=float)
-    b = np.asarray(b, dtype=float)
-    a_val = float(x @ x)
-    first = 2.0 * float(x @ b) + float(b @ b)  # |x+b|^2 - |x|^2
-    return abs(power_difference(first, a_val + first, a_val, l))
-
-
 def in_shell(x, rho: float) -> bool:
     r = float(np.linalg.norm(x))
     return 0.5 * rho <= r < 1.5 * rho
-
-
-def in_V(x, b, l: int, threshold: float, rho: float) -> tuple[bool, float]:
-    """Membership in the single-plane resonance set, with its signed margin.
-
-    margin = | |x|^{2l} - |x+b|^{2l} | - threshold; member means margin < 0
-    and x inside the annulus.
-    """
-    b_arr = b.embedding if isinstance(b, LatticeVector) else np.asarray(b, dtype=float)
-    if not np.any(b_arr):
-        raise ValueError("b must be nonzero")
-    diff = plane_distance(x, b_arr, l)
-    margin = diff - threshold
-    return bool(margin < 0 and in_shell(x, rho)), float(margin)
 
 
 @dataclass(frozen=True)
@@ -349,38 +326,3 @@ def classify(lattice: LatticeModel, x, cascade: ParameterCascade,
         raise PartitionBreakdown("membership flags inconsistent with witness search")
     margins = tuple(float(dists[i] - thr) for i in witness_idx)
     return ResonanceClass(level, tuple(pool[i] for i in witness_idx), margins, min_pool_margin)
-
-
-@dataclass(frozen=True)
-class ProjectionReport:
-    components: tuple[float, ...]
-    bound_scale: float
-    observed_constant: float
-
-
-def projection_bound(x, directions, cascade: ParameterCascade | None = None,
-                     level: int | None = None) -> ProjectionReport:
-    """Components of x in the span of the directions, with the growth constant.
-
-    Diagnostic for the bound component = O(rho^{alpha_k + (k-1) alpha}).
-    """
-    x = np.asarray(x, dtype=float)
-    dir_matrix = np.array([
-        d.embedding if isinstance(d, LatticeVector) else np.asarray(d, dtype=float)
-        for d in directions
-    ])
-    q_mat, _ = np.linalg.qr(dir_matrix.T)
-    # fix the orientation so the basis (hence component signs) is reproducible
-    for col in range(q_mat.shape[1]):
-        nz = np.nonzero(np.abs(q_mat[:, col]) > 1e-12)[0]
-        if len(nz) and q_mat[nz[0], col] < 0:
-            q_mat[:, col] = -q_mat[:, col]
-    comps = q_mat.T @ x
-    if cascade is not None:
-        k = level if level is not None else len(directions)
-        exponent = cascade.alpha_level(k) + (k - 1) * cascade.alpha
-        scale = cascade.rho**exponent
-    else:
-        scale = 1.0
-    observed = float(np.max(np.abs(comps)) / scale) if len(comps) else 0.0
-    return ProjectionReport(tuple(float(c) for c in comps), float(scale), observed)

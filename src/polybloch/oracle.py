@@ -16,24 +16,29 @@ come from FourierPotential.coupling_triplets, the builder the resonant
 blocks share.
 
 Order sweeps need one pair per window: the one dominated by gamma0's plane
-wave, whose eigenvalue every order's prediction is matched against.
-track_dominant factors H - sigma I once, sigma the highest-order
-prediction, as an LDL^H of the sparse operator (about 5 nonzeros per
-row), and runs a few steps of inverse iteration from e_gamma0.  The pair's
-Rayleigh quotient is accepted when it passes the residual and unit-norm
+wave, whose eigenvalue every order's prediction is matched against.  Away
+from gamma0 the window operator's diagonal dominates its couplings (the
+paper's corrections are |q| / (|gamma+t|^{2l} - |v|^{2l})), so
+track_dominant finds that pair by Davidson's method (Davidson 1975; Morgan
+& Scott 1986) from e_gamma0: each step is one sparse matvec, a
+Rayleigh-Ritz on the search space and the diagonally preconditioned
+correction (diag H - theta)^-1 r, one more order of the same perturbation
+series.  Nothing is factored.  The Ritz pair nearest the highest-order
+prediction is accepted when it passes the residual and unit-norm
 certificates, weighs more than 1/2 on gamma0 (the weights on gamma0 sum to
 1 over all pairs, so no other pair can weigh more) and lies in every
 order's matching window.  Otherwise the counted interval solve below takes
 over.
 
 Given a relative-energy interval [lo, hi), the eigensolve uses the sparse
-operator: Sylvester's law of inertia counts the eigenvalues below lo and
-below hi from the signs of the same LDL^H pivots, and shift-invert Lanczos
-about the midpoint solves for exactly the difference (Ericsson & Ruhe
-1980; the inertia check of Grimes, Lewis & Simon 1994).  Each eigenvalue
-is replaced by its Rayleigh quotient, which brings it back to the full
-solve's accuracy.  When a guard trips (an untrustworthy pivot, or a count
-the Lanczos solve does not reproduce), the full dense solve takes over.
+operator (about 5 nonzeros per row): Sylvester's law of inertia counts the
+eigenvalues below lo and below hi from the signs of LDL^H pivots, and
+shift-invert Lanczos about the midpoint solves for exactly the difference
+(Ericsson & Ruhe 1980; the inertia check of Grimes, Lewis & Simon 1994).
+Each eigenvalue is replaced by its Rayleigh quotient, which brings it back
+to the full solve's accuracy.  When a guard trips (an untrustworthy pivot,
+or a count the Lanczos solve does not reproduce), the full dense solve
+takes over.
 """
 
 from __future__ import annotations
@@ -51,8 +56,8 @@ _RESIDUAL_TOL = 1e-8
 _CLUSTER_TOL = 1e-9
 _REFINE_TOL = 1e-9
 _PIVOT_TOL = 1e-12  # an inertia count needs every |U_ii| >= _PIVOT_TOL * ||H||_1
-_TRACK_TOL = 1e-14  # a tracked pair has converged once |H x - theta x| <= _TRACK_TOL * ||H||_1
-_TRACK_SOLVES = 4  # inverse-iteration solves per window before tracking is refused
+_TRACK_TOL = 1e-16  # a tracked pair has converged once |H x - theta x| <= _TRACK_TOL * ||H||_1
+_TRACK_STEPS = 12  # Davidson steps (one matvec each) per window before tracking is refused
 
 
 @dataclass(frozen=True)
@@ -324,31 +329,19 @@ def _inertia(H, s: float, floor: float) -> int | None:
     (perm_r == perm_c).  None when it did not, or when some |U_ii| < floor:
     an eigenvalue at s, or a pivot too small for its sign to be trusted.
     """
-    lu = _factor(H, s)
-    if lu is None:
-        return None
-    pivots = lu.U.diagonal()
-    if not np.array_equal(lu.perm_r, lu.perm_c) or np.any(np.abs(pivots) < floor):
-        return None
-    return int(np.count_nonzero(pivots.real < 0))
-
-
-def _factor(H, s: float):
-    """SuperLU factorization of the sparse Hermitian H - sI, None when it is exactly singular.
-
-    Pivoting on the diagonal (diag_pivot_thresh=0) in a symmetric ordering,
-    SuperLU computes an LDL^H factorization (U = D L^H) whenever
-    perm_r == perm_c: _inertia reads its pivots, _track_pair solves with it.
-    """
     import scipy.sparse
     import scipy.sparse.linalg
 
     shifted = H - s * scipy.sparse.eye_array(H.shape[0], format="csc")
     try:
-        return scipy.sparse.linalg.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                                        options={"SymmetricMode": True})
+        lu = scipy.sparse.linalg.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                                      options={"SymmetricMode": True})
     except RuntimeError:  # exactly singular
         return None
+    pivots = lu.U.diagonal()
+    if not np.array_equal(lu.perm_r, lu.perm_c) or np.any(np.abs(pivots) < floor):
+        return None
+    return int(np.count_nonzero(pivots.real < 0))
 
 
 def solve(lattice: LatticeModel, l: int, q: FourierPotential, t, basis: PlanewaveBasis,
@@ -424,34 +417,50 @@ def track_dominant(lattice: LatticeModel, l: int, q: FourierPotential, v, window
 
 
 def _track_pair(H, basis: PlanewaveBasis, t, l: int, shift: float, coords, predictions, halfwidth: float):
-    """(reason, spectrum): the pair of the sparse H reached by inverse iteration from e_coords.
+    """(reason, spectrum): the pair of the sparse H that Davidson's method reaches from e_coords.
 
-    H - sigma I, sigma = predictions[-1], is factored once; each iterate is
-    scaled to unit norm and a real positive entry on coords, so reruns are
-    byte-identical.  The pair (theta = x^H H x, x) is accepted, and reason
-    is None, when |H x - theta x| <= _TRACK_TOL ||H||_1 within
-    _TRACK_SOLVES solves, the unit-norm and residual certificates hold,
-    |x_coords|^2 > 1/2 (so it is the window's dominant pair, see
-    BlochSpectrum.dominant_index) and |theta - P| < halfwidth for every
-    prediction.  Otherwise spectrum is None and reason is "pivot" (H - sigma I
-    is exactly singular), "convergence", "weight" or "window".
+    The search space V starts as [e_coords].  Each step multiplies H into
+    V's newest vector and takes, by Rayleigh-Ritz on span V, the Ritz pair
+    (theta, x) nearest sigma = predictions[-1], x scaled to unit norm and a
+    real positive entry on coords, so reruns are byte-identical.  It stops
+    once |H x - theta x| <= _TRACK_TOL ||H||_1; otherwise V gains the
+    correction (diag H - theta)^-1 (H x - theta x), orthogonalized twice
+    against V.  The pair (x^H H x, x), with H x multiplied afresh, is
+    accepted, and reason is None, when the loop stops within _TRACK_STEPS
+    steps, the unit-norm and residual certificates hold, |x_coords|^2 > 1/2
+    (so it is the window's dominant pair, see BlochSpectrum.dominant_index)
+    and |theta - P| < halfwidth for every prediction.  Otherwise spectrum
+    is None and reason is "convergence" (no stop within the cap, or a
+    failed certificate), "weight" or "window".
     """
-    lu = _factor(H, predictions[-1])
-    if lu is None:
-        return "pivot", None
     pos = basis.positions(coords)[0]
     tol = _TRACK_TOL * float(abs(H).sum(axis=0).max())
-    x = np.zeros(H.shape[0], dtype=complex)
-    x[pos] = 1.0
-    for _ in range(_TRACK_SOLVES):
-        x = lu.solve(x)
-        x *= np.exp(-1j * np.angle(x[pos])) / np.linalg.norm(x)
-        Hx = H @ x
-        theta = float(np.real(np.vdot(x, Hx)))
-        if np.linalg.norm(Hx - theta * x) <= tol:
+    diagonal = H.diagonal().real
+    V = np.zeros((_TRACK_STEPS + 1, H.shape[0]), dtype=complex)  # row k: the k-th orthonormal search vector
+    HV = np.zeros_like(V)
+    T = np.zeros((_TRACK_STEPS, _TRACK_STEPS), dtype=complex)  # lower triangle of V^H H V
+    V[0, pos] = 1.0
+    for k in range(_TRACK_STEPS):
+        HV[k] = H @ V[k]
+        T[k, :k + 1] = V[:k + 1] @ HV[k].conj()
+        ritz, S = np.linalg.eigh(T[:k + 1, :k + 1])
+        j = int(np.argmin(np.abs(ritz - predictions[-1])))
+        theta, s = float(ritz[j]), S[:, j]
+        x = s @ V[:k + 1]
+        scale = np.exp(-1j * np.angle(x[pos])) / np.linalg.norm(x)
+        x, s = x * scale, s * scale
+        r = s @ HV[:k + 1] - theta * x
+        if np.linalg.norm(r) <= tol:
             break
+        delta = diagonal - theta  # exactly 0 on a wave as free as gamma0's, e.g. on a resonance plane
+        c = r / np.where(np.abs(delta) < tol, tol, delta)
+        for _ in range(2):
+            c -= np.conj(V[:k + 1] @ c.conj()) @ V[:k + 1]
+        V[k + 1] = c / np.linalg.norm(c)
     else:
         return "convergence", None
+    Hx = H @ x
+    theta = float(np.real(np.vdot(x, Hx)))
     try:
         spectrum = _certified(basis, t, l, shift, np.array([theta]), x[:, None], Hx[:, None], None)
     except ConvergenceFailure:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientBands, WindowNotConverged
+from .errors import InsufficientBands, PreconditionError, WindowNotConverged
 from .geometry import ParameterCascade, classify, direction_pool
 from .lattice import LatticeModel
 from .numerics import relative_energies
@@ -22,6 +22,7 @@ from .oracle import PlanewaveBasis, assemble
 from .potential import FourierPotential
 
 _CERTIFY_TOL = 1e-9
+MAX_BAND_BASIS = 4096  # plane waves in one dense band solve: its matrix alone takes 16 n^2 bytes (256 MiB)
 MIN_MEASURE_SAMPLES = 1000
 
 
@@ -71,7 +72,14 @@ class BandTable:
 def certified_basis_radius(lattice: LatticeModel, l: int, q: FourierPotential, n_bands: int,
                            probe_t=None, max_tries: int = 6) -> float:
     """Smallest tried full-ball radius whose first n_bands eigenvalues are
-    stable (1e-9 relative) under a 1.5x radius refinement at a probe t."""
+    stable (1e-9 relative) under a 1.5x radius refinement at a probe t.
+
+    PreconditionError, before anything is allocated, when the 2 n_bands
+    waves the search starts from, or a ball it then solves, exceed
+    MAX_BAND_BASIS."""
+    if 2 * n_bands > MAX_BAND_BASIS:
+        raise PreconditionError(f"n_bands = {n_bands} needs a basis of at least {2 * n_bands} plane waves; "
+                                f"a dense band solve takes at most {MAX_BAND_BASIS}")
     if probe_t is None:
         coeff = np.full(lattice.dimension, 0.37)
         coeff[-1] = 0.23
@@ -92,11 +100,23 @@ def certified_basis_radius(lattice: LatticeModel, l: int, q: FourierPotential, n
 
 
 def _solve_bands_at(lattice, l, q, t, radius, n_bands) -> np.ndarray:
+    H = assemble(l, q, t, _band_basis(lattice, radius, n_bands))
+    return np.linalg.eigvalsh(H)[:n_bands]
+
+
+def _band_basis(lattice: LatticeModel, radius: float, n_bands: int) -> PlanewaveBasis:
+    """The full ball of the given radius, checked to carry n_bands bands in a dense solve.
+
+    InsufficientBands below n_bands waves; PreconditionError above
+    MAX_BAND_BASIS, before the dense matrix is allocated.
+    """
     basis = PlanewaveBasis.full_ball(lattice, radius)
     if len(basis) < n_bands:
         raise InsufficientBands(f"basis of {len(basis)} plane waves cannot carry {n_bands} bands")
-    H = assemble(l, q, t, basis)
-    return np.linalg.eigvalsh(H)[:n_bands]
+    if len(basis) > MAX_BAND_BASIS:
+        raise PreconditionError(f"basis radius {radius:.6g} holds {len(basis)} plane waves; "
+                                f"a dense band solve takes at most {MAX_BAND_BASIS}")
+    return basis
 
 
 def symmetry_group(lattice: LatticeModel, q: FourierPotential, grid_counts,
@@ -133,9 +153,7 @@ def band_functions(lattice: LatticeModel, l: int, q: FourierPotential, grid_coun
     grid_counts = checked_grid(grid_counts)
     if basis_radius is None:
         basis_radius = certified_basis_radius(lattice, l, q, n_bands)
-    basis = PlanewaveBasis.full_ball(lattice, basis_radius)
-    if len(basis) < n_bands:
-        raise InsufficientBands(f"basis of {len(basis)} plane waves cannot carry {n_bands} bands")
+    basis = _band_basis(lattice, basis_radius, n_bands)
     counts = np.array(grid_counts)
     k = np.indices(grid_counts).reshape(len(counts), -1).T
     t_points = (k / counts) @ lattice.dual_basis

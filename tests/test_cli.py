@@ -148,9 +148,9 @@ class TestVerifyCommand:
         assert 0 < diag["worst_residual"] < 1e-8
 
     def test_verify_diagnostics_of_the_counted_fallback(self, tmp_path, monkeypatch):
-        # with no inverse-iteration solve allowed, tracking is refused and the
+        # with no Davidson step allowed, tracking is refused and the
         # center is solved by the inertia-counted interval solve
-        monkeypatch.setattr(oracle, "_TRACK_SOLVES", 0)
+        monkeypatch.setattr(oracle, "_TRACK_STEPS", 0)
         cfg = write_config(tmp_path, "verify:\n  direction: [0.78, 0.6258]\n  orders: [1, 2]\n")
         assert main(["verify", "-c", str(cfg)]) == 0
         (diag,) = json.loads((tmp_path / "out" / "verify.json").read_text())["result"]["diagnostics"]
@@ -277,6 +277,12 @@ class TestErrors:
         cfg = write_config(tmp_path, "bloch:\n  centers: [[15.6, 12.5]]\n  window_radius: 0.01\n")
         assert main(["bloch", "-c", str(cfg)]) == 3
         assert "coupled" in capsys.readouterr().err
+
+    def test_band_count_beyond_the_dense_bound_is_numerical_failure(self, tmp_path, capsys):
+        # 100,000 bands would need a dense solve of about 200,000 plane waves (617 GiB)
+        cfg = write_config(tmp_path, "bands:\n  grid: [16, 16]\n  n_bands: 100000\n")
+        assert main(["bands", "-c", str(cfg)]) == 3
+        assert "a dense band solve takes at most" in capsys.readouterr().err
 
     def test_simple_check_precondition_is_numerical_failure(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "simple_check:\n  points: [[0.5, 10.0]]\n")

@@ -4,8 +4,27 @@ import pytest
 import polybloch as pb
 from conftest import scaled_cascade
 from polybloch.errors import CascadeInequalityViolated, PartitionBreakdown, ShellViolation
-from polybloch.geometry import membership_profile, plane_distance
-from polybloch.numerics import integer_rank
+from polybloch.geometry import in_shell, membership_profile
+from polybloch.numerics import integer_rank, power_difference
+
+
+def plane_distance(x, b, l: int) -> float:
+    """| |x|^{2l} - |x+b|^{2l} |, computed cancellation-free."""
+    x = np.asarray(x, dtype=float)
+    b = np.asarray(b, dtype=float)
+    a_val = float(x @ x)
+    first = 2.0 * float(x @ b) + float(b @ b)  # |x+b|^2 - |x|^2
+    return abs(power_difference(first, a_val + first, a_val, l))
+
+
+def in_V(x, b, l: int, threshold: float, rho: float) -> tuple[bool, float]:
+    """Membership in the single-plane resonance set, with its signed margin.
+
+    margin = | |x|^{2l} - |x+b|^{2l} | - threshold; member means margin < 0
+    and x inside the annulus.  The single-plane reference for classify.
+    """
+    margin = plane_distance(x, b, l) - threshold
+    return bool(margin < 0 and in_shell(x, rho)), float(margin)
 
 
 class TestCascade:
@@ -61,12 +80,12 @@ class TestCascade:
 
 class TestInV:
     def test_member_hand_example(self):
-        flag, margin = pb.in_V([10.0, 0.05], [0.0, 1.0], 1, 2.0, 10.0)
+        flag, margin = in_V([10.0, 0.05], [0.0, 1.0], 1, 2.0, 10.0)
         assert flag
         assert margin == pytest.approx(1.1 - 2.0)
 
     def test_nonmember_hand_example(self):
-        flag, margin = pb.in_V([10.0, 5.0], [0.0, 1.0], 1, 2.0, 10.0)
+        flag, margin = in_V([10.0, 5.0], [0.0, 1.0], 1, 2.0, 10.0)
         assert not flag
         assert margin == pytest.approx(11.0 - 2.0)
 
@@ -74,12 +93,12 @@ class TestInV:
         # |x| = |x+b| exactly: distance 0, member for any positive threshold
         x = np.array([-0.5, 12.0])
         for thr in (0.1, 2.0):
-            flag, margin = pb.in_V(x, [1.0, 0.0], 1, thr, 10.0)
+            flag, margin = in_V(x, [1.0, 0.0], 1, thr, 10.0)
             assert flag
             assert margin == pytest.approx(-thr)
 
     def test_shell_required(self):
-        flag, _ = pb.in_V([100.0, 0.0], [0.0, 1.0], 1, 1000.0, 10.0)
+        flag, _ = in_V([100.0, 0.0], [0.0, 1.0], 1, 1000.0, 10.0)
         assert not flag  # inequality holds but x is outside the annulus
 
     def test_degree_scaling_inclusion(self, z2):
@@ -92,10 +111,10 @@ class TestInV:
                 x = rng.uniform(-1, 1, 2)
                 x *= rng.uniform(10, 14) / np.linalg.norm(x)
                 for b in pool:
-                    in_l, _ = pb.in_V(x, b.embedding, l, 50.0, 10.0)
+                    in_l, _ = in_V(x, b.embedding, l, 50.0, 10.0)
                     if in_l:
                         hits += 1
-                        in_1, _ = pb.in_V(x, b.embedding, 1, 50.0, 10.0)
+                        in_1, _ = in_V(x, b.embedding, 1, 50.0, 10.0)
                         assert in_1
             assert hits > 0
 
@@ -202,28 +221,6 @@ class TestClassify:
         cas = scaled_cascade(10.0, thresholds=(500.0, 501.0, 502.0))
         with pytest.raises(PartitionBreakdown):
             pb.classify(z2, np.array([10.0, 0.0]), cas)
-
-
-class TestProjectionBound:
-    def test_single_direction_component(self, z2):
-        rho, delta = 30.0, 0.3
-        cas = scaled_cascade(rho)
-        x = np.array([rho, delta])
-        report = pb.projection_bound(x, [z2.vector((0, 1))], cas)
-        assert report.components[0] == pytest.approx(delta)
-        # margin inequality |2 delta + 1| < thr gives |x2| <= (thr + 1) / 2
-        thr = cas.v_threshold(1)
-        assert abs(report.components[0]) <= (thr + 1) / 2
-
-    def test_orthogonal_zero(self, z2):
-        report = pb.projection_bound([0.0, 7.7], [z2.vector((1, 0))])
-        assert report.components[0] == pytest.approx(0.0)
-
-    def test_diagonal_direction_inner_product(self, z2):
-        x = np.array([3.1, -1.2])
-        report = pb.projection_bound(x, [z2.vector((1, 1))])
-        expected = float(x @ np.array([1.0, 1.0])) / np.sqrt(2)
-        assert abs(report.components[0]) == pytest.approx(abs(expected))
 
 
 def test_integer_rank_exact():

@@ -344,7 +344,7 @@ class TestTrackedSolve:
         diag = tracked.diagnostics
         event(f"tracking refused: {diag['tracking_refused']}")
         if diag["eigensolver"] != "tracked":
-            assert diag["tracking_refused"] in ("pivot", "convergence", "weight", "window")
+            assert diag["tracking_refused"] in ("convergence", "weight", "window")
             assert {k: x for k, x in diag.items() if k != "tracking_refused"} == counted.diagnostics
             assert tracked.eigenvalues_rel.tobytes() == counted.eigenvalues_rel.tobytes()
             return
@@ -390,9 +390,19 @@ class TestTrackedSolve:
         assert np.array_equal(spec.eigenvalues, counted.eigenvalues)
         return spec.diagnostics["tracking_refused"]
 
-    def test_singular_shift_is_refused(self, z2):
-        # q = 0: the prediction 0 is exactly the eigenvalue of gamma0's wave
-        assert self.refused(z2, FourierPotential(z2, {}), np.array([5.3, 4.2]), [0.0, 0.0], 0.5) == "pivot"
+    def test_free_center_is_tracked_exactly(self, z2):
+        # q = 0: e_gamma0 is an eigenvector, so the first step's Ritz pair is exact,
+        # even with the prediction 0 exactly on its eigenvalue
+        q = FourierPotential(z2, {})
+        v = np.array([5.3, 4.2])
+        gamma0 = z2.reduce(v)[0].coords
+        tracked = pb.track_dominant(z2, 1, q, v, 6.0, [0.0, 0.0], 0.5, refine=True)
+        counted = pb.bloch_solve(z2, 1, q, v, 6.0, refine=True, interval=(-0.5, 0.5))
+        diag = tracked.diagnostics
+        assert (diag["eigensolver"], diag["tracking_refused"], diag["pairs_solved"]) == ("tracked", None, 2)
+        assert tracked.relative_eigenvalue(0) == 0.0 and tracked.weight(0, gamma0) == 1.0
+        n = counted.dominant_index(gamma0)
+        assert counted.relative_eigenvalue(n) == 0.0 and counted.weight(n, gamma0) == 1.0
 
     def test_minor_weight_pair_is_refused(self, z2):
         # near the resonance v1 = -1/2, gamma0 and gamma0 + e1 mix about 60/40;
@@ -404,6 +414,12 @@ class TestTrackedSolve:
         minor = np.argsort(weights)[-2]
         assert 0.3 < weights[minor] < 0.5
         assert self.refused(z2, q, v, [full.relative_eigenvalue(minor)], 0.01) == "weight"
+
+    def test_center_on_a_resonance_plane_is_refused(self, z2):
+        # v1 = -1/2 exactly: gamma0 and gamma0 + e1 share the diagonal entry 0, so
+        # the first correction divides by a zero diag H - theta; the pairs mix 50/50
+        q = pb.cosine_pair(z2, (1, 0), 0.2)
+        assert self.refused(z2, q, np.array([-0.5, 4.2]), [0.2], 0.5) == "weight"
 
     def test_pair_outside_one_order_window_is_refused(self, z2):
         # the highest order finds the dominant pair, which the first order's window misses
@@ -417,7 +433,7 @@ class TestTrackedSolve:
         v = np.array([5.3, 4.2])
         f1 = pb.known_part_sequence(v, 1, q, k_max=1).known_part_rel()
         assert pb.track_dominant(z2, 1, q, v, 6.0, [f1], 0.01, refine=True).diagnostics["eigensolver"] == "tracked"
-        monkeypatch.setattr(oracle, "_TRACK_SOLVES", 1)
+        monkeypatch.setattr(oracle, "_TRACK_STEPS", 1)
         assert self.refused(z2, q, v, [f1], 0.01) == "convergence"
 
 

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 import polybloch as pb
 from conftest import scaled_cascade
-from polybloch.errors import InsufficientBands
+from polybloch.errors import InsufficientBands, PreconditionError
 from polybloch.potential import FourierPotential
-from polybloch.scanner import BandTable, symmetry_group
+from polybloch.scanner import MAX_BAND_BASIS, BandTable, symmetry_group
 
 TWO_PI = 2 * np.pi
 LATTICES = {
@@ -97,6 +97,18 @@ class TestBandFunctions:
         q = pb.cosine_sum(z2, [(1, 0), (0, 1)], 0.2)
         r = pb.certified_basis_radius(z2, 1, q, 20)
         assert r > np.sqrt(20 / np.pi)  # must exceed the free-counting radius
+
+    def test_band_count_beyond_the_dense_bound_is_refused(self, z2):
+        q = pb.cosine_sum(z2, [(1, 0), (0, 1)], 0.2)
+        with pytest.raises(PreconditionError, match="at least 4098 plane waves"):
+            pb.certified_basis_radius(z2, 1, q, MAX_BAND_BASIS // 2 + 1)
+        # the start fits, but the first ball solved after the coupling margin does not
+        with pytest.raises(PreconditionError, match="a dense band solve takes at most 4096"):
+            pb.certified_basis_radius(z2, 1, q, 2000)
+
+    def test_basis_radius_beyond_the_dense_bound_is_refused(self, z2):
+        with pytest.raises(PreconditionError, match="holds 5013 plane waves"):
+            pb.band_functions(z2, 1, FourierPotential(z2, {}), (8, 8), 5, basis_radius=40.0)
 
 
 class TestSymmetryReduction:
