@@ -8,7 +8,8 @@ directions inside a span ball, a a short lattice translate), the diagonal
 holds |h_i + t|^{2l} and the off-diagonal the potential couplings
 q_{h_i - h_j}.
 
-Simplicity verdicts need only the block eigenvalue nearest a known part:
+Both blocks, dense and sparse, come from oracle.assemble.  Simplicity
+verdicts need only the block eigenvalue nearest a known part:
 certified_nearest_eigenvalue solves for it on the sparse block and proves
 it nearest by a Sylvester-inertia count.
 """
@@ -22,8 +23,8 @@ import numpy as np
 from .errors import EmptyDirections, PreconditionError
 from .geometry import ParameterCascade
 from .lattice import CoordinateIndex, LatticeModel, LatticeVector, _integer_box, _ordered
-from .numerics import integer_rank, relative_energies
-from .oracle import _PIVOT_TOL, _RESIDUAL_TOL, BlochSpectrum, _inertia, _sparse_operator
+from .numerics import integer_rank
+from .oracle import _PIVOT_TOL, _RESIDUAL_TOL, BlochSpectrum, _inertia, assemble
 from .potential import FourierPotential
 
 
@@ -55,10 +56,6 @@ class ResonantIndexSet:
     @property
     def size(self) -> int:
         return len(self.coords)
-
-    def points(self) -> np.ndarray:
-        """The h_i + t as rows."""
-        return self.embeddings + self.t
 
 
 def _span_combinations(directions: list[LatticeVector], radius: float) -> np.ndarray:
@@ -130,12 +127,9 @@ def assemble_block(index_set: ResonantIndexSet, l: int, q: FourierPotential) -> 
     """Entries c_ii = |h_i + t|^{2l}, c_ij = q_{h_i - h_j} (zero off support)."""
     v = index_set.center
     shift = float(v @ v) ** l
-    diag_rel = relative_energies(v, index_set.points(), l)
-    diag = np.diag_indices(index_set.size)
-    H = q.couplings(index_set.coords)
-    H[diag] = diag_rel
+    H = assemble(l, q, index_set.t, index_set, shift_center=v)
     evals_rel = np.linalg.eigvalsh(H)
-    H[diag] = shift + diag_rel
+    H[np.diag_indices(index_set.size)] += shift
     return ResonantBlock(
         index_set=index_set, matrix=H,
         eigenvalues=evals_rel + shift, eigenvalues_rel=evals_rel, shift=shift,
@@ -157,7 +151,7 @@ def certified_nearest_eigenvalue(index_set: ResonantIndexSet, l: int, q: Fourier
     """
     v = index_set.center
     shift = float(v @ v) ** l
-    H = _sparse_operator(l, q, index_set.coords, index_set.points(), v)
+    H = assemble(l, q, index_set.t, index_set, shift_center=v, sparse=True)
     count, reason, theta = _nearest_pair(H, target - shift, shift)
     return None if reason else theta + shift, {
         "eigensolver": "dense" if reason else "sparse", "dense_fallback_reason": reason,

@@ -103,8 +103,8 @@ class ParameterCascade:
         return self.series_cap()
 
     def series_cap(self) -> int:
-        """Highest series order evaluated: k1, capped at MAX_SERIES_ORDER."""
-        return min(self.k1, MAX_SERIES_ORDER)
+        """Highest series order evaluated: series_cap(d)."""
+        return series_cap(self.d)
 
     def matching_halfwidth(self) -> float:
         """Half-width of the eigenvalue matching window (threshold / 2)."""

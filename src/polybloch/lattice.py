@@ -9,6 +9,7 @@ where normalization matters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,10 @@ TWO_PI = 2.0 * np.pi
 # relative tolerance used when deciding strict ball membership for
 # non-integral lattices; integral lattices use exact integer arithmetic
 _BALL_REL_TOL = 1e-9
+
+# integer points in one enumeration box: a d = 3 row peaks near 90 bytes (coordinates,
+# embedding, distances), so about 190 MB; a 69,599-wave d = 3 window needs about 1.5e5
+MAX_BOX_POINTS = 2**21
 
 
 @dataclass(frozen=True)
@@ -45,9 +50,21 @@ class LatticeVector:
 
 
 def _integer_box(lo, hi) -> np.ndarray:
-    """(N, d) int64 rows of every integer point n with lo <= n <= hi, last axis fastest."""
+    """(N, d) int64 rows of every integer point n with lo <= n <= hi, last axis fastest.
+    PreconditionError, before anything is allocated, when N exceeds MAX_BOX_POINTS."""
+    size = math.prod(max(0, int(b) - int(a) + 1) for a, b in zip(lo, hi))
+    if size > MAX_BOX_POINTS:
+        raise PreconditionError(f"enumerating this radius needs a box of {size:.3g} lattice points; "
+                                f"one enumeration takes at most {MAX_BOX_POINTS}")
     axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo, hi)]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def _in_shifted_ball(embeddings, center, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """(|gamma - center|^2, |gamma - center| <= radius, inclusive and tolerant) for rows gamma."""
+    diff = embeddings - center
+    dist_sq = np.vecdot(diff, diff)
+    return dist_sq, np.sqrt(dist_sq) <= radius + _BALL_REL_TOL * max(1.0, radius)
 
 
 def _ordered(coords: np.ndarray, key: np.ndarray) -> np.ndarray:
@@ -205,9 +222,7 @@ class LatticeModel:
         half = [radius * np.linalg.norm(self.basis[i]) / TWO_PI for i in range(self.dimension)]
         box = _integer_box([int(np.floor(c - h - 1e-9)) for c, h in zip(c_coeff, half)],
                            [int(np.ceil(c + h + 1e-9)) for c, h in zip(c_coeff, half)])
-        diff = self.embed(box) - center
-        dist_sq = np.vecdot(diff, diff)
-        inside = np.sqrt(dist_sq) <= radius + _BALL_REL_TOL * max(1.0, radius)
+        dist_sq, inside = _in_shifted_ball(self.embed(box), center, radius)
         return _ordered(box[inside], dist_sq[inside])
 
     def point_group(self) -> tuple[np.ndarray, ...]:

@@ -11,9 +11,10 @@ Internally the matrix is assembled relative to the shift |v|^{2l} with the
 diagonal computed through the cancellation-free identity
 A^l - B^l = (A - B) * sum_j A^j B^(l-1-j),  A - B = 2(v, delta) + |delta|^2
 (numerics.relative_energies), which keeps eigenvalue differences near the
-shift meaningful well below machine epsilon times |v|^{2l}.  The couplings
-come from FourierPotential.coupling_triplets, the builder the resonant
-blocks share.
+shift meaningful well below machine epsilon times |v|^{2l}.  assemble is
+the one operator builder, of windows and resonant blocks alike.  Each
+center's windows come from one enumeration (_windows): the inner window is
+the leading rows of its 1.5x refinement, and its operator the leading block.
 
 Order sweeps need one pair per window: the one dominated by gamma0's plane
 wave, whose eigenvalue every order's prediction is matched against.  Away
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConvergenceFailure, PreconditionError, WindowNotConverged
-from .lattice import CoordinateIndex, LatticeModel, _ordered
+from .lattice import CoordinateIndex, LatticeModel, _in_shifted_ball, _ordered
 from .numerics import relative_energies
 from .potential import FourierPotential
 
@@ -62,7 +63,7 @@ _TRACK_STEPS = 12  # Davidson steps (one matvec each) per window before tracking
 
 @dataclass(frozen=True)
 class PlanewaveBasis:
-    """Ordered plane-wave index set: full ball or window around a center.
+    """Ordered plane-wave index set: full ball, window, or union of windows.
 
     coords holds the integer dual coordinates of the plane waves as
     read-only (n, d) int64 rows; embeddings holds coords @ dual_basis.
@@ -70,14 +71,10 @@ class PlanewaveBasis:
 
     lattice: LatticeModel
     coords: np.ndarray = field(repr=False, compare=False)
-    center: np.ndarray
-    window_radius: float
-    mode: str  # "full-ball" | "window" | "union-window"
     embeddings: np.ndarray = field(init=False, repr=False, compare=False)
     _index: CoordinateIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.center.setflags(write=False)
         coords, embeddings = self.lattice.index_arrays(self.coords)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "embeddings", embeddings)
@@ -88,16 +85,12 @@ class PlanewaveBasis:
 
     @classmethod
     def full_ball(cls, lattice: LatticeModel, radius: float) -> "PlanewaveBasis":
-        coords = lattice.ball_coords(radius, exclude_zero=False)
-        return cls(lattice, coords, np.zeros(lattice.dimension), float(radius), "full-ball")
+        return cls(lattice, lattice.ball_coords(radius, exclude_zero=False))
 
     @classmethod
     def window(cls, lattice: LatticeModel, t, center, radius: float) -> "PlanewaveBasis":
         """Exactly {gamma : |gamma + t - center| <= radius}, deterministic order."""
-        t = np.asarray(t, dtype=float)
-        center = np.asarray(center, dtype=float).copy()
-        coords = lattice.enumerate_shifted_ball(center - t, radius)
-        return cls(lattice, coords, center, float(radius), "window")
+        return cls(lattice, lattice.enumerate_shifted_ball(np.asarray(center, dtype=float) - t, radius))
 
     @classmethod
     def union_windows(cls, lattice: LatticeModel, t, centers, radius: float) -> "PlanewaveBasis":
@@ -107,12 +100,10 @@ class PlanewaveBasis:
         regions of the dual lattice (competitor analysis); ordered by
         (|gamma|^2, coords).
         """
-        t = np.asarray(t, dtype=float)
         coords = np.unique(np.concatenate([lattice.enumerate_shifted_ball(np.asarray(c, dtype=float) - t, radius)
                                            for c in centers]), axis=0)
         emb = lattice.embed(coords)
-        first = np.asarray(centers[0], dtype=float).copy()
-        return cls(lattice, _ordered(coords, np.vecdot(emb, emb)), first, float(radius), "union-window")
+        return cls(lattice, _ordered(coords, np.vecdot(emb, emb)))
 
     def positions(self, coords) -> np.ndarray:
         """The row of each coordinate row in the basis, -1 where it is absent."""
@@ -173,43 +164,31 @@ class BlochSpectrum:
         return float(self.eigenvalues[n] - self.shift)
 
 
-def assemble(l: int, q: FourierPotential, t, basis: PlanewaveBasis, shift_center=None,
-             sparse: bool = False):
-    """Hermitian matrix of (-Laplace)^l + q in the given plane-wave basis.
+def assemble(l: int, q: FourierPotential, t, basis, shift_center=None, sparse: bool = False):
+    """Hermitian matrix of (-Laplace)^l + q over a PlanewaveBasis or a ResonantIndexSet.
 
     With shift_center = v the diagonal holds |gamma+t|^{2l} - |v|^{2l}
     (cancellation-free); eigenvalues of the result are then relative to
     |v|^{2l}.  The result is a dense array, or with sparse set a
-    scipy.sparse CSC array built from q.coupling_triplets.
+    scipy.sparse CSC array built from q.coupling_triplets.  An entry
+    depends on its own two rows only, so leading rows give the leading block.
     """
-    if len(basis) == 0:
+    n = len(basis.coords)
+    if n == 0:
         raise ValueError("basis must be non-empty")
     t = np.asarray(t, dtype=float)
     v = np.zeros_like(t) if shift_center is None else np.asarray(shift_center, dtype=float)
-    if sparse:
-        return _sparse_operator(l, q, basis.coords, basis.embeddings + t, v)
-    H = q.couplings(basis.coords)
-    H[np.diag_indices(len(basis))] = relative_energies(v, basis.embeddings + t, l)
-    return H
-
-
-def _sparse_operator(l: int, q: FourierPotential, coords, points, v):
-    """CSC array of (-Laplace)^l + q over an index set, relative to |v|^{2l}.
-
-    Row i is the plane wave with dual coordinates coords[i] at the point
-    points[i] (its embedding plus t): the diagonal holds
-    relative_energies(v, points, l), the off-diagonal q.coupling_triplets(coords).
-    The windowed oracle and the resonant blocks both build their sparse
-    operators here.
-    """
+    energies = relative_energies(v, basis.embeddings + t, l)
+    if not sparse:
+        H = q.couplings(basis.coords)
+        H[np.diag_indices(n)] = energies
+        return H
     import scipy.sparse  # here, not at module level: only sparse solves need it
 
-    energies = relative_energies(v, points, l)
-    i, j, values = q.coupling_triplets(coords)
-    diag = np.arange(len(energies))
+    i, j, values = q.coupling_triplets(basis.coords)
+    diag = np.arange(n)
     return scipy.sparse.csc_array((np.concatenate((values, energies)),
-                                   (np.concatenate((i, diag)), np.concatenate((j, diag)))),
-                                  shape=(len(energies), len(energies)))
+                                   (np.concatenate((i, diag)), np.concatenate((j, diag)))), shape=(n, n))
 
 
 def diagonalize(H, basis: PlanewaveBasis, t, l: int, shift: float = 0.0, interval=None) -> BlochSpectrum:
@@ -392,21 +371,25 @@ def track_dominant(lattice: LatticeModel, l: int, q: FourierPotential, v, window
     """The eigenpair dominated by gamma0's plane wave, v = gamma0 + t, solved alone in each window.
 
     predictions (relative to |v|^{2l}, highest order last) are the values
-    the pair is matched against, each within halfwidth.  Each window's pair
-    comes from _track_pair; with refine set, the two windows' pairs are
-    compared as in bloch_solve.  The spectrum holds the one pair
-    (diagnostics eigensolver "tracked").  When either window refuses its
-    pair, the center is solved instead by bloch_solve over
-    [min P - halfwidth, max P + halfwidth], which holds every pair a
-    prediction can match, and diagnostics["tracking_refused"] says why.
+    the pair is matched against, each within halfwidth.  The operator is
+    assembled once, over the outermost window (see _windows), and each
+    window's pair comes from _track_pair on its leading block; with refine
+    set, the two windows' pairs are compared as in bloch_solve.  The
+    spectrum holds the one pair (diagnostics eigensolver "tracked").  When
+    either window refuses its pair, the center is solved instead by
+    bloch_solve over [min P - halfwidth, max P + halfwidth], which holds
+    every pair a prediction can match, and diagnostics["tracking_refused"]
+    says why.
     """
     v = np.asarray(v, dtype=float)
     gamma0, t = lattice.split(v)
     shift = float(v @ v) ** l
+    bases = _windows(lattice, q, t, v, gamma0.coords, window_radius, refine)
+    H = assemble(l, q, t, bases[-1], shift_center=v, sparse=True)
     spectra, refused = [], None
-    for basis in _windows(lattice, q, t, v, gamma0.coords, window_radius, refine):
-        H = assemble(l, q, t, basis, shift_center=v, sparse=True)
-        refused, spectrum = _track_pair(H, basis, t, l, shift, gamma0.coords, predictions, halfwidth)
+    for basis in bases:
+        k = len(basis)
+        refused, spectrum = _track_pair(H[:k, :k], basis, t, l, shift, gamma0.coords, predictions, halfwidth)
         if refused is not None:
             interval = (min(predictions) - halfwidth, max(predictions) + halfwidth)
             spectrum = bloch_solve(lattice, l, q, v, window_radius, refine=refine, interval=interval)
@@ -474,16 +457,20 @@ def _track_pair(H, basis: PlanewaveBasis, t, l: int, shift: float, coords, predi
 
 def _windows(lattice: LatticeModel, q: FourierPotential, t, v, coords, window_radius: float,
              refine: bool) -> list[PlanewaveBasis]:
-    """The window around v, and with refine its 1.5x refinement.
+    """The window around v, and with refine its 1.5x refinement, from one enumeration.
 
-    The window must hold gamma0 = coords, which split guarantees for any
-    radius >= 0 (else PreconditionError: a negative radius).  With
-    refine it must also hold every gamma0 + g, g in supp q, else
-    WindowNotConverged: without them the 1.5x window cannot move the
+    The outer ball's rows are ordered by (|gamma + t - v|^2, coords), so the
+    inner window, cut by the enumeration's own membership test, is exactly
+    its leading rows.  The window must hold gamma0 = coords, which split
+    guarantees for any radius >= 0 (else PreconditionError: a negative
+    radius).  With refine it must also hold every gamma0 + g, g in supp q,
+    else WindowNotConverged: without them the 1.5x window cannot move the
     eigenvalue it certifies.
     """
-    bases = [PlanewaveBasis.window(lattice, t, v, radius)
-             for radius in ((window_radius, window_radius * 1.5) if refine else (window_radius,))]
+    bases = [PlanewaveBasis.window(lattice, t, v, window_radius * 1.5 if refine else window_radius)]
+    if refine:
+        _, inside = _in_shifted_ball(bases[0].embeddings, v - t, window_radius)
+        bases.insert(0, PlanewaveBasis(lattice, bases[0].coords[:np.count_nonzero(inside)]))
     if bases[0].positions(coords)[0] < 0:
         raise PreconditionError("window excludes the center's own index")
     if refine and q.support and np.any(bases[0].positions(np.add(coords, q.support)) < 0):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polybloch as pb
+from polybloch import oracle
 from polybloch.block import ResonantIndexSet, assemble_block
 from polybloch.numerics import power_difference
 from polybloch.oracle import PlanewaveBasis
@@ -84,7 +85,7 @@ def instances(draw):
 @given(instances())
 def test_builder_matches_pairwise_reference(case):
     lattice, q, vectors, t, l, v = case
-    basis = PlanewaveBasis(lattice, [h.coords for h in vectors], np.zeros(lattice.dimension), 0.0, "window")
+    basis = PlanewaveBasis(lattice, [h.coords for h in vectors])
     coupling = q.couplings(basis.coords)
     reference = pairwise_couplings(q, vectors)
     assert np.array_equal(coupling, reference)
@@ -113,10 +114,61 @@ def test_block_and_oracle_assemble_the_same_matrix(case):
     index_set = ResonantIndexSet(lattice=lattice, center=np.array(v), t=np.array(t), gamma0=vectors[0],
                                  directions=(), coords=coords, b_radius=0.0, a_radius=0.0)
     block = assemble_block(index_set, l, q)
-    basis = PlanewaveBasis(lattice, coords, np.array(v), 0.0, "window")
+    basis = PlanewaveBasis(lattice, coords)
     H = pb.assemble(l, q, t, basis, shift_center=v)
     n = len(vectors)
     off = ~np.eye(n, dtype=bool)
     assert np.array_equal(block.matrix[off], H[off])
     assert np.array_equal(np.diag(block.matrix).real, block.shift + np.diag(H).real)
     assert np.array_equal(block.eigenvalues_rel, np.linalg.eigvalsh(H))
+
+
+WINDOW_LATTICES = {
+    "Z2": np.eye(2),
+    "Z3": np.eye(3),
+    "hexagonal": np.array([[1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]]),
+    "oblique": np.array(OBLIQUE[2]),
+}
+
+
+@st.composite
+def nested_windows(draw):
+    """A lattice, a Hermitian q on a short support, l, a center and an inner radius reaching supp q."""
+    lattice = pb.LatticeModel(2 * np.pi * WINDOW_LATTICES[draw(st.sampled_from(sorted(WINDOW_LATTICES)))])
+    d = lattice.dimension
+    point = st.tuples(*([st.integers(-1, 1)] * d))
+    table = {}
+    for g in draw(st.lists(point.filter(any), min_size=1, max_size=4, unique=True)):
+        value = complex(draw(st.floats(-1, 1)), draw(st.floats(-1, 1)))
+        if value != 0:
+            table[g] = value
+            table[tuple(-c for c in g)] = value.conjugate()
+    q = FourierPotential(lattice, table)
+    v = np.array(draw(st.tuples(*([st.floats(-20.0, 20.0)] * d))))
+    radius = q.support_radius + draw(st.floats(0.0, 2.0))
+    return lattice, q, draw(st.sampled_from([1, 2])), v, radius
+
+
+@settings(max_examples=40, deadline=None)
+@given(nested_windows())
+def test_inner_window_is_the_leading_block_of_its_refinement(case):
+    # the reference builds the inner window on its own: its own enumeration and assembly
+    lattice, q, l, v, radius = case
+    gamma0, t = lattice.split(v)
+    inner, outer = oracle._windows(lattice, q, t, v, gamma0.coords, radius, refine=True)
+    reference = PlanewaveBasis.window(lattice, t, v, radius)
+    k = len(reference)
+    assert len(inner) == k
+    for basis in (inner, outer):
+        assert basis.coords[:k].tobytes() == reference.coords.tobytes()
+        assert basis.embeddings[:k].tobytes() == reference.embeddings.tobytes()
+
+    dense = pb.assemble(l, q, t, outer, shift_center=v)
+    want = pb.assemble(l, q, t, reference, shift_center=v)
+    assert np.ascontiguousarray(dense[:k, :k]).tobytes() == want.tobytes()
+    sparse = pb.assemble(l, q, t, outer, shift_center=v, sparse=True)
+    assert np.array_equal(sparse.toarray(), dense)
+    block = sparse[:k, :k]
+    want = pb.assemble(l, q, t, reference, shift_center=v, sparse=True)
+    for name in ("indptr", "indices", "data"):
+        assert getattr(block, name).tobytes() == getattr(want, name).tobytes()

@@ -284,6 +284,26 @@ class TestErrors:
         assert main(["bands", "-c", str(cfg)]) == 3
         assert "a dense band solve takes at most" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, section, key", [
+        ("bands", "bands", "basis_radius"),
+        ("gaps", "gaps", "basis_radius"),
+        ("bloch", "bloch", "window_radius"),
+        ("verify", "verify", "window_radius"),
+        ("resonant-check", "resonant_check", "window_radius"),
+    ])
+    def test_radius_beyond_the_enumeration_bound_is_numerical_failure(self, tmp_path, command, section, key):
+        # a radius of 1e6 would enumerate a box of about 4e12 lattice points
+        raw = yaml.safe_load((REPO / "configs" / "cosine_sweep.yaml").read_text())
+        raw[section][key] = 1e6
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-m", "polybloch.cli", command, "-c", str(cfg), "-o", str(tmp_path)],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 3, run.stderr
+        assert "Traceback" not in run.stderr
+        assert "one enumeration takes at most" in run.stderr
+
     def test_simple_check_precondition_is_numerical_failure(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "simple_check:\n  points: [[0.5, 10.0]]\n")
         assert main(["simple-check", "-c", str(cfg)]) == 3
@@ -372,4 +392,10 @@ def test_mutated_config_keeps_the_exit_contract(tmp_path_factory, key, value, co
 @given(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES), st.sampled_from(["verify", "bloch"]))
 @settings(max_examples=25, deadline=None)
 def test_mutated_config_keeps_the_exit_contract_of_the_solves(tmp_path_factory, key, value, command):
+    exit_contract(tmp_path_factory, key, value, command)
+
+
+@given(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES), st.just("bands"))
+@settings(max_examples=30, deadline=None)
+def test_mutated_config_keeps_the_exit_contract_of_the_band_scan(tmp_path_factory, key, value, command):
     exit_contract(tmp_path_factory, key, value, command)

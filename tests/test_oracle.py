@@ -20,7 +20,7 @@ REPO = Path(__file__).resolve().parents[1]
 
 
 def two_state_basis(z2):
-    return PlanewaveBasis(z2, [(0, 0), (1, 0)], np.zeros(2), 2.0, "window")
+    return PlanewaveBasis(z2, [(0, 0), (1, 0)])
 
 
 class TestAssemble:
@@ -381,6 +381,28 @@ class TestTrackedSolve:
         assert abs(tracked.relative_eigenvalue(0) - counted.relative_eigenvalue(n)) <= 1e-19
         assert tracked.weight(0, gamma0) == pytest.approx(counted.weight(n, gamma0), abs=1e-14)
         assert tracked.coefficient(0, gamma0).imag == 0.0 and tracked.coefficient(0, gamma0).real > 0
+
+    def test_tracked_center_enumerates_and_assembles_once(self, z2, monkeypatch):
+        # the inner window is the leading block of the 1.5x window's one enumeration and operator
+        calls = {"enumerate": 0, "assemble": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(pb.LatticeModel, "enumerate_shifted_ball",
+                            counted("enumerate", pb.LatticeModel.enumerate_shifted_ball))
+        monkeypatch.setattr(oracle, "assemble", counted("assemble", oracle.assemble))
+        q = pb.cosine_pair(z2, (1, 0), 0.2)
+        centers = [np.array([5.3, 4.2]), np.array([-3.1, 6.4])]
+        for v in centers:
+            f1 = pb.known_part_sequence(v, 1, q, k_max=1).known_part_rel()
+            spectrum = pb.track_dominant(z2, 1, q, v, 6.0, [f1], 0.01, refine=True)
+            assert spectrum.diagnostics["eigensolver"] == "tracked"
+            assert spectrum.diagnostics["pairs_solved"] == 2
+        assert calls == {"enumerate": len(centers), "assemble": len(centers)}
 
     def refused(self, lattice, q, v, preds, hw, window=6.0):
         spec = pb.track_dominant(lattice, 1, q, v, window, preds, hw, refine=True)
