@@ -78,6 +78,7 @@ from .scanner import (
     GapReport,
     MeasureEstimate,
     band_functions,
+    basis_moves,
     certified_basis_radius,
     continuity_report,
     gap_report,

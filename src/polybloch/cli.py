@@ -218,8 +218,8 @@ def cmd_bands(cfg: ExperimentConfig, args) -> int:
     l = cfg.degree
     sec = cfg.section("bands")
     grid, n_bands = sec["grid"], sec["n_bands"]
-    table = scanner.band_functions(cfg.lattice, l, cfg.potential(), grid, n_bands,
-                                   basis_radius=sec["basis_radius"])
+    q = cfg.potential()
+    table = scanner.band_functions(cfg.lattice, l, q, grid, n_bands, basis_radius=sec["basis_radius"])
     out_dir = cfg.output_dir(args.output_dir)
     csv_path = out_dir / "bands.csv"
     with open(csv_path, "w") as fh:
@@ -229,22 +229,27 @@ def cmd_bands(cfg: ExperimentConfig, args) -> int:
         "grid": list(grid), "n_bands": n_bands, "basis_radius": table.basis_radius,
         "band_min": [float(x) for x in table.band_min],
         "band_max": [float(x) for x in table.band_max],
-        "diagnostics": _band_diagnostics(table, l),
+        "diagnostics": _band_diagnostics(cfg, q, table),
     })
     print(f"bands: {n_bands} over {grid} grid (basis radius {table.basis_radius!r}) -> {csv_path}")
     return 0
 
 
-def _band_diagnostics(table, l: int) -> dict:
+def _band_diagnostics(cfg: ExperimentConfig, q, table) -> dict:
+    """Sizes, the solve path, and the basis moves at the table's radius (see scanner.basis_moves)."""
+    l = cfg.degree
     return {"solved_points": table.solved_points, "symmetry_order": table.symmetry_order,
+            "real_symmetric": table.real_symmetric,
+            **scanner.basis_moves(cfg.lattice, l, q, table.basis_radius, table.n_bands),
             "continuity_report": scanner.continuity_report(table, l)}
 
 
 def cmd_gaps(cfg: ExperimentConfig, args) -> int:
     l = cfg.degree
     sec = cfg.section("gaps")
+    q = cfg.potential()
     report, coarse, fine = scanner.stable_gap_report(
-        cfg.lattice, l, cfg.potential(), sec["grid"], sec["n_bands"], sec["e_min"], sec["e_max"],
+        cfg.lattice, l, q, sec["grid"], sec["n_bands"], sec["e_min"], sec["e_max"],
         basis_radius=sec["basis_radius"])
     out = cfg.output_dir(args.output_dir) / "gaps.json"
     write_json(out, cfg, {
@@ -252,7 +257,7 @@ def cmd_gaps(cfg: ExperimentConfig, args) -> int:
         "gaps": [list(g) for g in report.gaps],
         "stable": report.stable,
         "grids": [list(coarse.grid_counts), list(fine.grid_counts)],
-        "diagnostics": _band_diagnostics(fine, l),
+        "diagnostics": _band_diagnostics(cfg, q, fine),
     })
     print(f"gaps in ({report.e_min!r}, {report.e_max!r}]: {len(report.gaps)} (stable = {report.stable}) -> {out}")
     return 0

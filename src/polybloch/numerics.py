@@ -1,5 +1,5 @@
-"""Small shared numerical helpers: exact integer rank, cancellation-free
-power differences, and log-log slope fits."""
+"""Small shared numerical helpers: exact integer rank and lattice bases,
+cancellation-free power differences, and log-log slope fits."""
 
 from __future__ import annotations
 
@@ -60,6 +60,29 @@ def integer_rank(rows) -> int:
         if r == n_rows:
             break
     return r
+
+
+def integer_row_basis(rows) -> tuple[list[list[int]], list[list[int]]]:
+    """A basis of the lattice the integer rows generate, by unimodular row reduction.
+
+    Returns (basis, combos) with basis[i] = sum_j combos[i][j] rows[j]; the
+    basis rows are independent, and every input row is an integer
+    combination of them.
+    """
+    m = [[int(x) for x in row] for row in rows]
+    u = [[int(i == j) for j in range(len(m))] for i in range(len(m))]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        while any(m[i][c] for i in range(r + 1, len(m))):  # Euclid down column c
+            p = min((i for i in range(r, len(m)) if m[i][c]), key=lambda i: abs(m[i][c]))
+            m[r], m[p], u[r], u[p] = m[p], m[r], u[p], u[r]
+            for i in range(r + 1, len(m)):
+                f = m[i][c] // m[r][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                u[i] = [a - f * b for a, b in zip(u[i], u[r])]
+        if r < len(m) and m[r][c]:
+            r += 1
+    return m[:r], u[:r]
 
 
 def loglog_slope(xs, ys) -> float:

@@ -406,7 +406,11 @@ def _track_pair(H, basis: PlanewaveBasis, t, l: int, shift: float, coords, predi
     V's newest vector and takes, by Rayleigh-Ritz on span V, the Ritz pair
     (theta, x) nearest sigma = predictions[-1], x scaled to unit norm and a
     real positive entry on coords, so reruns are byte-identical.  It stops
-    once |H x - theta x| <= _TRACK_TOL ||H||_1; otherwise V gains the
+    once |H x - theta x| <= _TRACK_TOL ||H||_1, or once it is within the
+    rounding of its own evaluation r = sum_k s_k (H v_k) - theta x:
+    m eps || |H| sum_k |s_k| |v_k| ||, m the most nonzeros in a column of
+    H.  (On small windows whose pair spreads over most waves, the residual
+    can stall there, above the fixed tolerance.)  Otherwise V gains the
     correction (diag H - theta)^-1 (H x - theta x), orthogonalized twice
     against V.  The pair (x^H H x, x), with H x multiplied afresh, is
     accepted, and reason is None, when the loop stops within _TRACK_STEPS
@@ -417,7 +421,11 @@ def _track_pair(H, basis: PlanewaveBasis, t, l: int, shift: float, coords, predi
     failed certificate), "weight" or "window".
     """
     pos = basis.positions(coords)[0]
-    tol = _TRACK_TOL * float(abs(H).sum(axis=0).max())
+    absH = abs(H)
+    norm1 = float(absH.sum(axis=0).max())
+    tol = _TRACK_TOL * norm1
+    # fl(H v) - H v <= m eps |H| |v| entrywise, m the most nonzeros in a column
+    rounding = np.finfo(float).eps * float(np.diff(absH.indptr).max())
     diagonal = H.diagonal().real
     V = np.zeros((_TRACK_STEPS + 1, H.shape[0]), dtype=complex)  # row k: the k-th orthonormal search vector
     HV = np.zeros_like(V)
@@ -433,7 +441,10 @@ def _track_pair(H, basis: PlanewaveBasis, t, l: int, shift: float, coords, predi
         scale = np.exp(-1j * np.angle(x[pos])) / np.linalg.norm(x)
         x, s = x * scale, s * scale
         r = s @ HV[:k + 1] - theta * x
-        if np.linalg.norm(r) <= tol:
+        res = np.linalg.norm(r)
+        # the rounding floor is at most rounding ||H||_1 ||s||_1: multiply it out only below that
+        if res <= tol or (res <= rounding * norm1 * np.abs(s).sum()
+                          and res <= rounding * np.linalg.norm(absH @ (np.abs(s) @ np.abs(V[:k + 1])))):
             break
         delta = diagonal - theta  # exactly 0 on a wave as free as gamma0's, e.g. on a resonance plane
         c = r / np.where(np.abs(delta) < tol, tol, delta)

@@ -5,7 +5,9 @@ modeled by finite support plus a declared smoothness, which makes the
 short-wave truncation exact beyond the support radius.  Real-valuedness
 (Hermitian symmetry of the table) is required so the plane-wave matrix is
 Hermitian and all Bloch eigenvalues real; non-Hermitian tables are
-rejected by the loader.
+rejected by the loader.  Translating q(x) -> q(x + x0) keeps every
+spectrum; even_translate finds the translate whose table is real, when
+there is one.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import CoordinateIndex, LatticeModel
+from .numerics import integer_row_basis
 
 _HERMITIAN_TOL = 1e-12
+_EVEN_TOL = 1e-14  # a translate is real when every |Im q_g| <= _EVEN_TOL max |q|
 
 
 @dataclass(frozen=True)
@@ -105,6 +109,49 @@ class FourierPotential:
         scale = max((abs(v) for v in self._table.values()), default=1.0)
         return all(abs(image.get(k, 0j) - self._table.get(k, 0j)) <= _HERMITIAN_TOL * scale
                    for k in image.keys() | self._table.keys())
+
+    def even_translate(self) -> "FourierPotential | None":
+        """The table of q(x + x0) when some x0 makes it real (and so, being
+        Hermitian, even), else None.
+
+        Translation keeps every spectrum: q(x + x0) has the coefficients
+        q_g e^{i(g, x0)}, and its operator on any index set is D H D^H with
+        the diagonal unitary D = diag(e^{i(gamma, x0)}).  The table is real
+        when each 2(g, x0) = -arg q_g^2 mod 2 pi.  One g of each +- pair is
+        kept, and a unimodular row reduction (numerics.integer_row_basis)
+        gives a basis of the lattice they generate, each basis vector an
+        integer combination of them, so its phase follows from theirs.
+        Solving the basis equations fixes 2(g, x0) mod 2 pi on that whole
+        lattice, so an x0 exists exactly when this one makes every entry
+        real, checked to _EVEN_TOL max |q| (rounding leaves about 4e-15);
+        the imaginary parts left are dropped.  A real table comes back
+        unchanged (x0 = 0).  An x0 always exists when the pairs are linearly
+        independent.  Only the band layer (scanner) solves the translate: it
+        changes eigenvector phases.
+        """
+        if not self._table:
+            return self
+        seen, reps = set(), []
+        for g in self._support:
+            if tuple(-c for c in g) not in seen:
+                seen.add(g)
+                reps.append(g)
+        basis, combos = integer_row_basis(reps)
+        values = np.array([self._table[g] for g in reps])
+        squares = values * values  # arg q_g^2 = 2 arg q_g mod 2 pi
+        # b . n = 2(g, x0) for g with integer coordinates n.  b matters mod 2 pi
+        # (each (g, x0) then moves by a multiple of pi), and reducing it keeps
+        # b . n accurate; one least-squares step over the pairs themselves then
+        # removes the rounding that large combos carry into the basis phases.
+        pairs = np.array(reps)
+        b = np.linalg.lstsq(np.array(basis, dtype=float), -(np.array(combos) @ np.angle(squares)),
+                            rcond=None)[0] % (2 * np.pi)
+        b -= np.linalg.lstsq(pairs, np.angle(squares * np.exp(1j * (pairs @ b))), rcond=None)[0]
+        coords = list(self._table)
+        moved = np.array([self._table[g] for g in coords]) * np.exp(0.5j * (np.array(coords) @ b))
+        if np.max(np.abs(moved.imag)) > _EVEN_TOL * np.max(np.abs(moved)):
+            return None
+        return FourierPotential(self.lattice, dict(zip(coords, moved.real)), self.smoothness)
 
     def one_norm(self) -> float:
         """Sum of |q_gamma|; the operator-norm bound on the perturbation."""

@@ -5,6 +5,14 @@ Bands are evaluated on a half-open uniform grid over the dual fundamental
 cell with one shared full-ball basis whose radius is certified by a
 refinement check; gaps are the complement of the band-range union and are
 only reported when stable under grid doubling.
+
+Translating q(x) -> q(x + x0) keeps every band, so the band layer solves
+q's even translate when it has one (FourierPotential.even_translate: every
+table whose +- pairs are linearly independent has one).  Its band matrices are real symmetric, so each grid point is a
+float64 eigvalsh, and its symmetry group holds -I and whatever mirrors the
+real table has.  Other tables are solved as given, with complex matrices.
+A translate changes eigenvector phases, so only this layer, which keeps
+eigenvalues alone, uses it; BandTable.real_symmetric says which path ran.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from .errors import InsufficientBands, PreconditionError, WindowNotConverged
 from .geometry import ParameterCascade, classify, direction_pool
 from .lattice import LatticeModel
 from .numerics import relative_energies
-from .oracle import PlanewaveBasis, assemble
+from .oracle import PlanewaveBasis
 from .potential import FourierPotential
 
 _CERTIFY_TOL = 1e-9
@@ -36,6 +44,7 @@ class BandTable:
     axis_steps: tuple[float, ...]  # |dual_basis[axis]| / grid_counts[axis]
     solved_points: int = 0  # eigensolves behind the values; 0 for a subsampled table
     symmetry_order: int = 1  # number of grid maps the values were copied along
+    real_symmetric: bool = False  # solved as q's even translate, by real symmetric eigensolves
 
     def __post_init__(self):
         self.t_points.setflags(write=False)
@@ -58,7 +67,8 @@ class BandTable:
             return a.reshape(self.grid_counts + a.shape[1:])[even].reshape(-1, a.shape[1])
 
         return BandTable(half, self.n_bands, sub(self.t_points), sub(self.values), self.basis_radius,
-                         tuple(2 * s for s in self.axis_steps), symmetry_order=self.symmetry_order)
+                         tuple(2 * s for s in self.axis_steps), symmetry_order=self.symmetry_order,
+                         real_symmetric=self.real_symmetric)
 
     def write_csv(self, fh):
         writer = csv.writer(fh)
@@ -81,26 +91,69 @@ def certified_basis_radius(lattice: LatticeModel, l: int, q: FourierPotential, n
         raise PreconditionError(f"n_bands = {n_bands} needs a basis of at least {2 * n_bands} plane waves; "
                                 f"a dense band solve takes at most {MAX_BAND_BASIS}")
     if probe_t is None:
-        coeff = np.full(lattice.dimension, 0.37)
-        coeff[-1] = 0.23
-        probe_t = coeff @ lattice.dual_basis
+        probe_t = _probe_points(lattice)["probe"]
+    q, real = _band_potential(q)
     # start from the free-counting estimate plus coupling reach
     radius = 1.0
     while len(lattice.ball_coords(radius, exclude_zero=False)) < 2 * n_bands:
         radius += 0.5
     radius += 2.0 * max(q.support_radius, 1.0)
     for _ in range(max_tries):
-        small = _solve_bands_at(lattice, l, q, probe_t, radius, n_bands)
-        big = _solve_bands_at(lattice, l, q, probe_t, 1.5 * radius, n_bands)
-        move = np.max(np.abs(small - big) / (1.0 + np.abs(big)))
+        move = _basis_move(lattice, l, q, real, probe_t, radius, n_bands)
         if move < _CERTIFY_TOL:
             return radius
         radius *= 1.25
     raise WindowNotConverged(f"basis radius not certified after {max_tries} refinements (last move {move:.3e})")
 
 
-def _solve_bands_at(lattice, l, q, t, radius, n_bands) -> np.ndarray:
-    H = assemble(l, q, t, _band_basis(lattice, radius, n_bands))
+def _probe_points(lattice: LatticeModel) -> dict[str, np.ndarray]:
+    """The t where basis moves are measured: certified_basis_radius's interior
+    probe, coefficients (0.37, ..., 0.37, 0.23), and the cell corner
+    t = (b_1 + ... + b_d) / 2, near which the truncation error is largest."""
+    coeff = np.full(lattice.dimension, 0.37)
+    coeff[-1] = 0.23
+    return {"probe": coeff @ lattice.dual_basis, "corner": 0.5 * lattice.dual_basis.sum(axis=0)}
+
+
+def basis_moves(lattice: LatticeModel, l: int, q: FourierPotential, radius: float,
+                n_bands: int) -> dict[str, float]:
+    """The largest relative move of the first n_bands under a 1.5x basis
+    radius, at each of _probe_points: the probe's is the one
+    certified_basis_radius bounds, the corner's is only reported."""
+    q, real = _band_potential(q)
+    return {f"{name}_move": _basis_move(lattice, l, q, real, t, radius, n_bands)
+            for name, t in _probe_points(lattice).items()}
+
+
+def _basis_move(lattice, l, q, real, t, radius, n_bands) -> float:
+    """max |small - big| / (1 + |big|) over the first n_bands at t, on the radius and 1.5x balls."""
+    values = []
+    for r in (radius, 1.5 * radius):
+        basis = _band_basis(lattice, r, n_bands)
+        values.append(_bands_at(_band_couplings(q, real, basis.coords), basis, l, t, n_bands))
+    small, big = values
+    return float(np.max(np.abs(small - big) / (1.0 + np.abs(big))))
+
+
+def _band_potential(q: FourierPotential) -> tuple[FourierPotential, bool]:
+    """The table the band layer solves, and whether it is real.
+
+    q's even translate (FourierPotential.even_translate) when it has one:
+    the same bands, from real symmetric matrices.  Otherwise q itself.
+    """
+    even = q.even_translate()
+    return (q, False) if even is None else (even, True)
+
+
+def _band_couplings(q: FourierPotential, real: bool, coords) -> np.ndarray:
+    """q's dense couplings over coords, as float64 when the table is real."""
+    H = q.couplings(coords)
+    return np.ascontiguousarray(H.real) if real else H
+
+
+def _bands_at(H, basis: PlanewaveBasis, l: int, t, n_bands: int) -> np.ndarray:
+    """The lowest n_bands eigenvalues at t, writing the diagonal |gamma + t|^{2l} into the couplings H."""
+    H[np.diag_indices(len(basis))] = relative_energies(np.zeros_like(t), basis.embeddings + t, l)
     return np.linalg.eigvalsh(H)[:n_bands]
 
 
@@ -144,6 +197,8 @@ def band_functions(lattice: LatticeModel, l: int, q: FourierPotential, grid_coun
 
     The basis is shared across grid points (only the diagonal depends on
     t), and its radius is certified by refinement unless given explicitly.
+    The matrices are those of q's even translate when it has one (see the
+    module docstring), real symmetric, else of q.
     One point per orbit of symmetry_group, the lexicographically smallest,
     is solved and its values are copied to the orbit.  A copy agrees with a
     direct solve up to the basis truncation error (by which finite-basis
@@ -157,22 +212,20 @@ def band_functions(lattice: LatticeModel, l: int, q: FourierPotential, grid_coun
     counts = np.array(grid_counts)
     k = np.indices(grid_counts).reshape(len(counts), -1).T
     t_points = (k / counts) @ lattice.dual_basis
+    q, real = _band_potential(q)
     group = symmetry_group(lattice, q, grid_counts, basis.coords)
     # k -> kM on coefficients is k -> k A mod counts on indices, A_ij = M_ij counts_j / counts_i
     rep = np.min([np.ravel_multi_index(((k @ (M * counts // counts[:, None])) % counts).T, grid_counts)
                   for M in group], axis=0)
     solve, source = np.unique(rep, return_inverse=True)
-    H = q.couplings(basis.coords)
-    zero = np.zeros(lattice.dimension)
-    solved = []
-    for i in solve:
-        H[np.diag_indices(len(basis))] = relative_energies(zero, basis.embeddings + t_points[i], l)
-        solved.append(np.linalg.eigvalsh(H)[:n_bands])
+    H = _band_couplings(q, real, basis.coords)
+    solved = [_bands_at(H, basis, l, t_points[i], n_bands) for i in solve]
     steps = tuple(float(np.linalg.norm(lattice.dual_basis[i])) / grid_counts[i]
                   for i in range(lattice.dimension))
     return BandTable(grid_counts=grid_counts, n_bands=n_bands,
                      t_points=t_points, values=np.array(solved)[source], basis_radius=float(basis_radius),
-                     axis_steps=steps, solved_points=len(solve), symmetry_order=len(group))
+                     axis_steps=steps, solved_points=len(solve), symmetry_order=len(group),
+                     real_symmetric=real)
 
 
 def checked_grid(grid_counts) -> tuple[int, ...]:

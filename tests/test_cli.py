@@ -221,7 +221,9 @@ class TestOtherCommands:
         assert main(["gaps", "-c", str(cfg)]) == 0
         bands = json.loads((tmp_path / "out" / "bands.json").read_text())
         assert len(bands["result"]["band_min"]) == 12
-        assert set(bands["result"]["diagnostics"]) == {"solved_points", "symmetry_order", "continuity_report"}
+        assert set(bands["result"]["diagnostics"]) == {"solved_points", "symmetry_order", "real_symmetric",
+                                                       "probe_move", "corner_move", "continuity_report"}
+        assert bands["result"]["diagnostics"]["real_symmetric"] is True  # the cosine pair is its own even translate
         gaps = json.loads((tmp_path / "out" / "gaps.json").read_text())
         assert gaps["result"]["stable"] in (True, False)
 

@@ -5,7 +5,7 @@ import polybloch as pb
 from conftest import scaled_cascade
 from polybloch.errors import CascadeInequalityViolated, PartitionBreakdown, ShellViolation
 from polybloch.geometry import in_shell, membership_profile
-from polybloch.numerics import integer_rank, power_difference
+from polybloch.numerics import integer_rank, integer_row_basis, power_difference
 
 
 def plane_distance(x, b, l: int) -> float:
@@ -221,6 +221,16 @@ class TestClassify:
         cas = scaled_cascade(10.0, thresholds=(500.0, 501.0, 502.0))
         with pytest.raises(PartitionBreakdown):
             pb.classify(z2, np.array([10.0, 0.0]), cas)
+
+
+def test_integer_row_basis_generates_the_rows():
+    rows = [(3, 0), (0, 1), (1, 3), (2, 4)]
+    basis, combos = integer_row_basis(rows)
+    assert np.array_equal(np.array(combos) @ np.array(rows), np.array(basis))
+    assert integer_rank(basis) == len(basis) == 2
+    coeff = np.linalg.solve(np.array(basis, dtype=float).T, np.array(rows, dtype=float).T)
+    assert np.allclose(coeff, np.round(coeff))  # each row is an integer combination of the basis
+    assert integer_row_basis([]) == ([], [])
 
 
 def test_integer_rank_exact():

@@ -450,6 +450,25 @@ class TestTrackedSolve:
         f1 = pb.known_part_sequence(v, 1, q, k_max=1).known_part_rel()
         assert self.refused(z2, q, v, [f1 + 0.02, f1], 0.01) == "window"
 
+    def test_residual_stalled_at_rounding_is_tracked(self, z2):
+        # a 9-wave window whose dominant pair (weight 0.83) spreads over it: the residual
+        # stalls within the rounding of its own evaluation, above 1e-16 ||H||_1, the stop
+        # that alone refused the window as "convergence"
+        q = pb.random_potential(24066, 2, 1.5, 0.0, 0.9781030510583639, lattice=z2)
+        v, radius = np.array([3.3994398659760097, -0.2054366877004561]), 1.7235301597834696
+        gamma0 = z2.reduce(v)[0].coords
+        full = pb.bloch_solve(z2, 1, q, v, radius)
+        lam = full.relative_eigenvalue(full.dominant_index(gamma0))
+        tracked = pb.track_dominant(z2, 1, q, v, radius, [lam], 0.05)
+        counted = pb.bloch_solve(z2, 1, q, v, radius, interval=(lam - 0.05, lam + 0.05))
+        assert len(counted.basis) == 9
+        assert (tracked.diagnostics["eigensolver"], tracked.diagnostics["tracking_refused"]) == ("tracked", None)
+        n = counted.dominant_index(gamma0)
+        x = counted.coefficients[n]
+        reference = float(np.real(np.vdot(x, pb.assemble(1, q, counted.t, counted.basis, shift_center=v) @ x)))
+        assert abs(tracked.relative_eigenvalue(0) - reference) <= 1e-12 * (1.0 + abs(reference))
+        assert abs(tracked.weight(0, gamma0) - counted.weight(n, gamma0)) <= 1e-12
+
     def test_solve_cap_is_refused(self, z2, monkeypatch):
         q = pb.cosine_pair(z2, (1, 0), 0.2)
         v = np.array([5.3, 4.2])

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import polybloch as pb
@@ -111,3 +112,48 @@ def test_scaling_homogeneity(z2):
     q = pb.cosine_pair(z2, (1, 0), 1.0)
     assert q.scaled(0.25).coefficient((1, 0)) == pytest.approx(0.25)
     assert q.scaled(0.25).one_norm() == pytest.approx(0.5)
+
+
+def translated(table, lattice, a):
+    """The table of q(x + x0), (g, x0) = a . g on integer coordinates g."""
+    return FourierPotential(lattice, {g: z * np.exp(1j * np.dot(g, a)) for g, z in table.items()})
+
+
+def even(pairs):
+    """A real even table from {g: q_g} on one g of each pair."""
+    table = dict(pairs)
+    table.update({tuple(-c for c in g): z for g, z in pairs.items()})
+    return table
+
+
+class TestEvenTranslate:
+    @pytest.mark.parametrize("make", [lambda z2: pb.cosine_pair(z2, (1, 0), 0.1),
+                                      lambda z2: pb.cosine_sum(z2, [(1, 0), (0, 1)], 0.2)])
+    def test_real_table_is_its_own_translate(self, z2, make):
+        q = make(z2)
+        assert q.even_translate().to_records() == q.to_records()  # x0 = 0
+
+    def test_zero_table(self, z2):
+        assert FourierPotential(z2, {}).even_translate().is_zero()
+
+    @pytest.mark.parametrize("pairs, a", [
+        # (1, 0) is half the sum of the other two, whose phases fix its own only
+        # up to sign: with q_(1,1) negative, making both positive leaves q_(1,0) imaginary
+        ({(1, 1): -0.3, (1, -1): 0.2, (1, 0): 0.25}, (0.7, -1.3)),
+        # (1, 3) is a third of (3, 0) plus three times (0, 1): only a basis of the
+        # lattice all three generate fixes the phases, no choice of signs on the two shortest
+        ({(3, 0): 0.3, (0, 1): -0.2, (1, 3): 0.25}, (2.0, 0.0)),
+    ])
+    def test_translate_of_a_real_table_with_dependent_pairs(self, z2, pairs, a):
+        q = translated(even(pairs), z2, a)
+        assert max(abs(q.coefficient(g).imag) for g in q.support) > 0.05
+        found = q.even_translate()
+        assert found is not None and found.is_invariant(-np.eye(2, dtype=int))
+        assert all(r["im"] == 0.0 for r in found.to_records())
+        assert found.support == q.support
+        assert [abs(found.coefficient(g)) for g in q.support] == pytest.approx([abs(q.coefficient(g)) for g in q.support])
+
+    def test_three_generic_pairs_have_none(self, z2):
+        pairs = {(1, 0): np.exp(1.0j), (0, 1): 0.5 * np.exp(2.0j), (1, 1): 0.7 * np.exp(0.3j)}
+        table = {**pairs, **{tuple(-c for c in g): np.conj(z) for g, z in pairs.items()}}
+        assert FourierPotential(z2, table).even_translate() is None

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import polybloch as pb
 from conftest import scaled_cascade
 from polybloch.errors import InsufficientBands, PreconditionError
+from polybloch.numerics import integer_rank
 from polybloch.potential import FourierPotential
 from polybloch.scanner import MAX_BAND_BASIS, BandTable, symmetry_group
 
@@ -133,16 +134,24 @@ class TestSymmetryReduction:
         assert_close_to_reference(table.values, reference)
         assert table.solved_points < len(t_points)
 
-    @pytest.mark.parametrize("kind", ["generic", "cosine_sum"])
-    def test_three_dimensions_match_brute_force(self, kind):
+    @pytest.mark.parametrize("kind, support_radius, amplitude, order", [
+        # three independent pairs: the scan solves the even translate, whose
+        # real table keeps -I and the three axis mirrors
+        pytest.param("generic", 1.0, 0.03, 8, id="generic"),
+        # nine pairs have no even translate: time reversal alone; their longer
+        # hops need the smaller amplitude at this basis radius
+        pytest.param("generic", 1.5, 0.01, 2, id="generic-no-translate"),
+        pytest.param("cosine_sum", 1.0, 0.03, 16, id="cosine_sum"),
+    ])
+    def test_three_dimensions_match_brute_force(self, kind, support_radius, amplitude, order):
         z3 = pb.LatticeModel.cubic(3)
-        q = make_potential(z3, kind, 5, 0.03, support_radius=1.0)
+        q = make_potential(z3, kind, 5, amplitude, support_radius=support_radius)
         table = pb.band_functions(z3, 1, q, (8, 8, 10), 2, basis_radius=4.0)
         rows = np.random.default_rng(0).choice(len(table.t_points), 48, replace=False)
         t_points, reference = brute_force_bands(z3, 1, q, (8, 8, 10), 2, 4.0, rows)
         assert np.array_equal(table.t_points, t_points)
         assert_close_to_reference(table.values[rows], reference)
-        assert table.symmetry_order == (2 if kind == "generic" else 16)
+        assert table.symmetry_order == order
 
     @settings(max_examples=8, deadline=None)
     @given(lattice=st.sampled_from(sorted(LATTICES)), grid=st.sampled_from(GRIDS),
@@ -259,3 +268,93 @@ class TestMeasureFraction:
         cas = scaled_cascade(25.0)
         with pytest.raises(ValueError):
             pb.measure_fraction(z2, 25.0, cas, 100, seed=1)
+
+
+TRANSLATE_LATTICES = {**LATTICES, "cubic": pb.LatticeModel.cubic(3)}
+
+
+@st.composite
+def pair_tables(draw, lattice, independent: bool):
+    """One g of each of up to d (independent) or d + 2 (any) +- pairs, in the box |g_i| <= 2."""
+    d = lattice.dimension
+    vectors = st.lists(st.integers(-2, 2), min_size=d, max_size=d).map(tuple).filter(any)
+    pairs = draw(st.lists(vectors, min_size=1, max_size=d if independent else d + 2,
+                          unique_by=lambda g: max(g, tuple(-c for c in g))))
+    assume(not independent or integer_rank(pairs) == len(pairs))
+    return pairs
+
+
+def hermitian(lattice, pairs, values):
+    table = {g: complex(z) for g, z in zip(pairs, values)}
+    table.update({tuple(-c for c in g): complex(z).conjugate() for g, z in zip(pairs, values)})
+    return FourierPotential(lattice, table)
+
+
+def assert_same_bands(lattice, l, q, other, coeff):
+    t = np.array(coeff[:lattice.dimension]) @ lattice.dual_basis
+    basis = pb.PlanewaveBasis.full_ball(lattice, 3.0)
+    expected = np.linalg.eigvalsh(pb.assemble(l, q, t, basis))
+    assert np.all(np.abs(np.linalg.eigvalsh(pb.assemble(l, other, t, basis)) - expected)
+                  <= 1e-12 * (1 + np.abs(expected)))
+
+
+class TestEvenTranslate:
+    """q(x + x0) has the bands of q: the band layer's real-symmetric path against q itself."""
+
+    coeff = st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=3, max_size=3)
+    magnitude = st.floats(0.05, 1.0)
+
+    def assert_even_translate(self, lattice, l, q, coeff):
+        found = q.even_translate()
+        assert found is not None and found.is_invariant(-np.eye(lattice.dimension, dtype=int))
+        assert all(r["im"] == 0.0 for r in found.to_records())
+        assert_same_bands(lattice, l, q, found, coeff)
+
+    @settings(max_examples=30, deadline=None)
+    @given(lattice=st.sampled_from(sorted(TRANSLATE_LATTICES)), l=st.sampled_from([1, 2]), data=st.data())
+    def test_independent_pairs_have_an_even_translate(self, lattice, l, data):
+        lat = TRANSLATE_LATTICES[lattice]
+        pairs = data.draw(pair_tables(lat, independent=True))
+        values = [r * np.exp(1j * phase) for r, phase in data.draw(
+            st.lists(st.tuples(self.magnitude, st.floats(-np.pi, np.pi)), min_size=len(pairs), max_size=len(pairs)))]
+        self.assert_even_translate(lat, l, hermitian(lat, pairs, values), data.draw(self.coeff))
+
+    @settings(max_examples=30, deadline=None)
+    @given(lattice=st.sampled_from(sorted(TRANSLATE_LATTICES)), l=st.sampled_from([1, 2]), data=st.data())
+    def test_translates_of_real_even_tables(self, lattice, l, data):
+        # pairs may depend on each other over the integers, and signs are mixed
+        lat = TRANSLATE_LATTICES[lattice]
+        pairs = data.draw(pair_tables(lat, independent=False))
+        values = data.draw(st.lists(st.tuples(self.magnitude, st.sampled_from([-1.0, 1.0])),
+                                    min_size=len(pairs), max_size=len(pairs)))
+        a = np.array(data.draw(st.lists(st.floats(-np.pi, np.pi), min_size=lat.dimension, max_size=lat.dimension)))
+        values = [r * s * np.exp(1j * np.dot(g, a)) for g, (r, s) in zip(pairs, values)]
+        self.assert_even_translate(lat, l, hermitian(lat, pairs, values), data.draw(self.coeff))
+
+    @settings(max_examples=10, deadline=None)
+    @example(lattice="hexagonal", magnitudes=[1.0, 0.5, 0.7], phases=[0.0, 0.0, 1.0])
+    @given(lattice=st.sampled_from(sorted(LATTICES)), magnitudes=st.lists(magnitude, min_size=3, max_size=3),
+           phases=st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3))
+    def test_three_pairs_in_the_plane_keep_the_complex_path(self, lattice, magnitudes, phases):
+        # (1, 1) = (1, 0) + (0, 1): a translate needs arg q_(1,1) - arg q_(1,0) - arg q_(0,1) in pi Z
+        assume(abs(np.sin(phases[2] - phases[0] - phases[1])) > 1e-3)
+        # distinct magnitudes: no point-group map permutes the pairs, so the group is time reversal
+        assume(min(abs(a - b) for a, b in zip(magnitudes, magnitudes[1:] + magnitudes[:1])) > 1e-6)
+        lat = LATTICES[lattice]
+        q = hermitian(lat, [(1, 0), (0, 1), (1, 1)], np.multiply(magnitudes, np.exp(1j * np.array(phases))))
+        assert q.even_translate() is None
+        table = pb.band_functions(lat, 1, q, (8, 8), 4, basis_radius=4.0)
+        coords = pb.PlanewaveBasis.full_ball(lat, 4.0).coords
+        assert not table.real_symmetric
+        # -t mod 1 pairs the 64 points except the 4 with 2t = 0 mod 1
+        assert (table.symmetry_order, table.solved_points) == (len(symmetry_group(lat, q, (8, 8), coords)), 34)
+        assert table.symmetry_order == 2
+
+    def test_band_scan_reports_its_path(self, z2):
+        q = pb.random_potential(3, 2, 1.0, 0.0, 0.09, lattice=z2)  # two independent pairs
+        table = pb.band_functions(z2, 1, q, (16, 16), 6, basis_radius=7.5)
+        assert table.real_symmetric and table.every_other().real_symmetric
+        # -I and the two axis mirrors of the real translate, against -I alone for q
+        assert (table.symmetry_order, table.solved_points) == (4, 81)
+        reference = brute_force_bands(z2, 1, q, (16, 16), 6, 7.5)[1]
+        assert_close_to_reference(table.values, reference)
