@@ -1,7 +1,14 @@
 """Small shared numerical helpers: exact integer rank and lattice bases,
-cancellation-free power differences, and log-log slope fits."""
+cancellation-free power differences, log-log slope fits, and a cap on
+numpy's BLAS threads."""
 
 from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import glob
+import os
 
 import numpy as np
 
@@ -92,3 +99,51 @@ def loglog_slope(xs, ys) -> float:
     if np.any(ys == 0):
         raise ValueError("cannot fit a log-log slope through zero values")
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """(get, set) of the thread count of the OpenBLAS numpy's wheel loaded, or None.
+
+    Only a library already loaded is opened (RTLD_NOLOAD), so no second
+    BLAS is ever started; builds without one have no calls.
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    put.restype = None
+                    return get, put
+    return None
+
+
+def blas_threads() -> int | None:
+    """numpy's current BLAS thread count, or None where it cannot be read."""
+    calls = _openblas_thread_calls()
+    return None if calls is None else int(calls[0]())
+
+
+@contextlib.contextmanager
+def capped_blas_threads(limit: int | None):
+    """Run the block with numpy's BLAS on at most `limit` threads.
+
+    The count is process-wide and restored on exit.  limit None, or a BLAS
+    whose count cannot be set, leaves it unchanged.
+    """
+    calls = _openblas_thread_calls()
+    previous = None if calls is None or limit is None else int(calls[0]())
+    if previous is None or previous <= limit:
+        yield
+        return
+    calls[1](int(limit))
+    try:
+        yield
+    finally:
+        calls[1](previous)

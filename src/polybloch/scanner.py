@@ -25,12 +25,21 @@ import numpy as np
 from .errors import InsufficientBands, PreconditionError, WindowNotConverged
 from .geometry import ParameterCascade, classify, direction_pool
 from .lattice import LatticeModel
-from .numerics import relative_energies
+from .numerics import capped_blas_threads, relative_energies
 from .oracle import PlanewaveBasis
 from .potential import FourierPotential
 
 _CERTIFY_TOL = 1e-9
 MAX_BAND_BASIS = 4096  # plane waves in one dense band solve: its matrix alone takes 16 n^2 bytes (256 MiB)
+# Dense band solves on at most this many plane waves run on one BLAS thread.
+# On 2 vCPUs a real eigvalsh takes as long on one thread as on two at 225
+# waves (2.9 vs 3.0 ms) and 1.2x longer at 506 (24 vs 20 ms), the 1.5x
+# certification basis of 225.  When another process holds a vCPU, two
+# threads wait on each other: at 225 waves one thread is then 2.5x faster
+# (3.2 vs 8.1 ms).  After each threaded call the idle thread also spins on
+# the other vCPU for about 0.13 s.  From 800 waves on, two threads are
+# 1.4-2x faster.
+SERIAL_BAND_BASIS = 600
 MIN_MEASURE_SAMPLES = 1000
 
 
@@ -130,7 +139,8 @@ def _basis_move(lattice, l, q, real, t, radius, n_bands) -> float:
     values = []
     for r in (radius, 1.5 * radius):
         basis = _band_basis(lattice, r, n_bands)
-        values.append(_bands_at(_band_couplings(q, real, basis.coords), basis, l, t, n_bands))
+        with _band_threads(basis):
+            values.append(_bands_at(_band_couplings(q, real, basis.coords), basis, l, t, n_bands))
     small, big = values
     return float(np.max(np.abs(small - big) / (1.0 + np.abs(big))))
 
@@ -149,6 +159,11 @@ def _band_couplings(q: FourierPotential, real: bool, coords) -> np.ndarray:
     """q's dense couplings over coords, as float64 when the table is real."""
     H = q.couplings(coords)
     return np.ascontiguousarray(H.real) if real else H
+
+
+def _band_threads(basis: PlanewaveBasis):
+    """The BLAS thread cap for dense solves on basis: one thread up to SERIAL_BAND_BASIS waves."""
+    return capped_blas_threads(1 if len(basis) <= SERIAL_BAND_BASIS else None)
 
 
 def _bands_at(H, basis: PlanewaveBasis, l: int, t, n_bands: int) -> np.ndarray:
@@ -219,7 +234,8 @@ def band_functions(lattice: LatticeModel, l: int, q: FourierPotential, grid_coun
                   for M in group], axis=0)
     solve, source = np.unique(rep, return_inverse=True)
     H = _band_couplings(q, real, basis.coords)
-    solved = [_bands_at(H, basis, l, t_points[i], n_bands) for i in solve]
+    with _band_threads(basis):
+        solved = [_bands_at(H, basis, l, t_points[i], n_bands) for i in solve]
     steps = tuple(float(np.linalg.norm(lattice.dual_basis[i])) / grid_counts[i]
                   for i in range(lattice.dimension))
     return BandTable(grid_counts=grid_counts, n_bands=n_bands,

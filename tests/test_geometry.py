@@ -5,7 +5,7 @@ import polybloch as pb
 from conftest import scaled_cascade
 from polybloch.errors import CascadeInequalityViolated, PartitionBreakdown, ShellViolation
 from polybloch.geometry import in_shell, membership_profile
-from polybloch.numerics import integer_rank, integer_row_basis, power_difference
+from polybloch.numerics import blas_threads, capped_blas_threads, integer_rank, integer_row_basis, power_difference
 
 
 def plane_distance(x, b, l: int) -> float:
@@ -231,6 +231,20 @@ def test_integer_row_basis_generates_the_rows():
     coeff = np.linalg.solve(np.array(basis, dtype=float).T, np.array(rows, dtype=float).T)
     assert np.allclose(coeff, np.round(coeff))  # each row is an integer combination of the basis
     assert integer_row_basis([]) == ([], [])
+
+
+def test_capped_blas_threads_caps_and_restores():
+    before = blas_threads()
+    if before is None:
+        pytest.skip("numpy's BLAS thread count cannot be read here")
+    with capped_blas_threads(1):
+        assert blas_threads() == 1
+    assert blas_threads() == before
+    with pytest.raises(RuntimeError), capped_blas_threads(1):
+        raise RuntimeError
+    assert blas_threads() == before
+    with capped_blas_threads(None), capped_blas_threads(before + 1):
+        assert blas_threads() == before
 
 
 def test_integer_rank_exact():
