@@ -10,8 +10,9 @@ q_{h_i - h_j}.
 
 Both blocks, dense and sparse, come from oracle.assemble.  Simplicity
 verdicts need only the block eigenvalue nearest a known part:
-certified_nearest_eigenvalue solves for it on the sparse block and proves
-it nearest by a Sylvester-inertia count.
+nearest_eigenvalue solves for it on the sparse block with the oracle's
+shift-invert core and proves it nearest by a Sylvester-inertia count, or
+solves the dense block when a guard of that solve trips.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import EmptyDirections, PreconditionError
 from .geometry import ParameterCascade
 from .lattice import CoordinateIndex, LatticeModel, LatticeVector, _integer_box, _ordered
 from .numerics import integer_rank
-from .oracle import _PIVOT_TOL, _RESIDUAL_TOL, BlochSpectrum, _inertia, assemble
+from .oracle import _PIVOT_TOL, _RESIDUAL_TOL, BlochSpectrum, _inertia, _shift_invert, assemble
 from .potential import FourierPotential
 
 
@@ -136,72 +137,56 @@ def assemble_block(index_set: ResonantIndexSet, l: int, q: FourierPotential) -> 
     )
 
 
-def certified_nearest_eigenvalue(index_set: ResonantIndexSet, l: int, q: FourierPotential,
-                                 target: float) -> tuple[float | None, dict]:
-    """The block eigenvalue nearest target, from the sparse block, certified by inertia.
+def nearest_eigenvalue(index_set: ResonantIndexSet, l: int, q: FourierPotential,
+                       target: float) -> tuple[float, dict]:
+    """The eigenvalue of the block on index_set nearest target, and the solve's diagnostics.
 
-    Returns (value, diagnostics), value in the absolute frame (see
-    _nearest_pair for the solve and its certificate).  diagnostics holds
-    "eigensolver", "dense_fallback_reason", "inertia_count" and
-    "block_size".  When a guard trips, value is None, the eigensolver is
-    "dense" (the caller solves the dense block) and the reason is "pivot"
-    (no trustworthy LDL^H at a count shift, or target exactly on an
-    eigenvalue) or "count" (a nonzero count, Lanczos not converged or
-    failing the residual certificate, or a block too small for Lanczos).
+    The sparse block is solved by shift-invert Lanczos about s = target -
+    |v|^{2l} for one pair (oracle._shift_invert): theta, the Rayleigh
+    quotient of its unit vector x.  The residual r = |H x - theta x| must
+    pass the oracle's residual certificate (at theta + |v|^{2l}), so some
+    eigenvalue lies within r of theta.  With d = |theta - s| and tau = r
+    plus the pivot floor, the count nu(s + d - tau) - nu(s - d + tau) = 0
+    (see oracle._inertia) proves that no eigenvalue lies nearer s than
+    d - tau: the nearest eigenvalue's distance lies in [d - tau, d + r].
+    When d <= tau that interval holds 0 anyway, and the count, 0, needs no
+    factorization.  The count's shifts stay tau - r from the eigenvalue
+    found, which keeps their pivots trustworthy.
+
+    When a guard trips, the dense eigvalsh of the same block answers.
+    diagnostics holds "eigensolver" ("sparse" or "dense"), "inertia_count",
+    "block_size" and "dense_fallback_reason": None, "pivot" (no trustworthy
+    LDL^H at a count shift, or target exactly on an eigenvalue) or "count"
+    (a nonzero count, Lanczos not converged or failing the residual
+    certificate, or a block too small for Lanczos).
     """
     v = index_set.center
     shift = float(v @ v) ** l
     H = assemble(l, q, index_set.t, index_set, shift_center=v, sparse=True)
-    count, reason, theta = _nearest_pair(H, target - shift, shift)
-    return None if reason else theta + shift, {
-        "eigensolver": "dense" if reason else "sparse", "dense_fallback_reason": reason,
-        "inertia_count": count, "block_size": index_set.size}
-
-
-def _nearest_pair(H, s: float, shift: float):
-    """The eigenvalue of the sparse Hermitian H nearest s, proved nearest by inertia.
-
-    Shift-invert Lanczos about s solves for one pair, from a fixed start
-    vector so that reruns are byte-identical.  Its eigenvalue is replaced
-    by the Rayleigh quotient theta of its unit vector x, and the residual
-    r = |H x - theta x| must pass the oracle's residual certificate (at
-    theta + shift), so some eigenvalue lies within r of theta.  With
-    d = |theta - s| and tau = r plus the pivot floor, the count
-    nu(s + d - tau) - nu(s - d + tau) = 0 (see oracle._inertia) proves that
-    no eigenvalue lies nearer s than d - tau: the nearest eigenvalue's
-    distance lies in [d - tau, d + r].  When d <= tau that interval holds 0
-    anyway, and the count, 0, needs no factorization.  The count's shifts
-    stay tau - r from the eigenvalue found, which keeps their pivots
-    trustworthy.  Returns (count, reason, theta) as
-    certified_nearest_eigenvalue reports them.
-    """
-    import scipy.sparse.linalg  # here, not at module level: its import costs ~30 MB
-
-    n = H.shape[0]
-    if n < 3:  # Lanczos needs k = 1 < n - 1
-        return None, "count", None
-    v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
-    try:
-        _, X = scipy.sparse.linalg.eigsh(H, k=1, sigma=s, v0=v0)
-    except scipy.sparse.linalg.ArpackNoConvergence:
-        return None, "count", None
-    except RuntimeError:  # H - sI is exactly singular: an eigenvalue at s
-        return None, "pivot", None
-    x = X[:, 0] / np.linalg.norm(X[:, 0])
-    Hx = H @ x
-    theta = float(np.real(np.vdot(x, Hx)))
-    resid = float(np.linalg.norm(Hx - theta * x))
-    if resid > _RESIDUAL_TOL * (1.0 + abs(theta + shift)):
-        return None, "count", None
-    floor = _PIVOT_TOL * float(abs(H).sum(axis=0).max())
-    d, tau = abs(theta - s), resid + floor
-    if d <= tau:
-        return 0, None, theta
-    below = [_inertia(H, s + side * (d - tau), floor) for side in (-1, 1)]
-    if None in below:
-        return None, "pivot", None
-    count = below[1] - below[0]
-    return count, "count" if count else None, theta
+    s, count = target - shift, None
+    reason, pairs = _shift_invert(H, 1, s)
+    if reason is None:
+        theta, x, hx = float(pairs[0][0]), pairs[1][:, 0], pairs[2][:, 0]
+        resid = float(np.linalg.norm(hx - theta * x))
+        floor = _PIVOT_TOL * float(abs(H).sum(axis=0).max())
+        d, tau = abs(theta - s), resid + floor
+        if resid > _RESIDUAL_TOL * (1.0 + abs(theta + shift)):
+            reason = "count"
+        elif d <= tau:
+            count = 0
+        else:
+            below = [_inertia(H, s + side * (d - tau), floor) for side in (-1, 1)]
+            if None in below:
+                reason = "pivot"
+            else:
+                count = below[1] - below[0]
+                reason = "count" if count else None
+    diagnostics = {"eigensolver": "dense" if reason else "sparse", "dense_fallback_reason": reason,
+                   "inertia_count": count, "block_size": index_set.size}
+    if reason is None:
+        return theta + shift, diagnostics
+    eigenvalues = np.linalg.eigvalsh(H.toarray()) + shift
+    return float(eigenvalues[np.argmin(np.abs(eigenvalues - target))]), diagnostics
 
 
 @dataclass(frozen=True)

@@ -280,6 +280,8 @@ class ExperimentConfig:
 
 def write_json(path: Path, config: ExperimentConfig, payload) -> None:
     doc = {"config_sha256": config.sha256, "seed": config.seed, "result": payload}
+    if config.q is not None:
+        doc["potential_one_norm"] = config.q.one_norm()
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -28,18 +28,22 @@ series.  Nothing is factored.  The Ritz pair nearest the highest-order
 prediction is accepted when it passes the residual and unit-norm
 certificates, weighs more than 1/2 on gamma0 (the weights on gamma0 sum to
 1 over all pairs, so no other pair can weigh more) and lies in every
-order's matching window.  Otherwise the counted interval solve below takes
-over.
+order's matching window.  Otherwise the counted solve below takes over,
+on the blocks already assembled.
 
-Given a relative-energy interval [lo, hi), the eigensolve uses the sparse
-operator (about 5 nonzeros per row): Sylvester's law of inertia counts the
-eigenvalues below lo and below hi from the signs of LDL^H pivots, and
-shift-invert Lanczos about the midpoint solves for exactly the difference
-(Ericsson & Ruhe 1980; the inertia check of Grimes, Lewis & Simon 1994).
-Each eigenvalue is replaced by its Rayleigh quotient, which brings it back
-to the full solve's accuracy.  When a guard trips (an untrustworthy pivot,
-or a count the Lanczos solve does not reproduce), the full dense solve
-takes over.
+The counted solve (_counted_window) returns the pairs with relative
+eigenvalue in an interval [lo, hi) from the sparse operator (about 5
+nonzeros per row): Sylvester's law of inertia counts the eigenvalues below
+lo and below hi from the signs of LDL^H pivots, and shift-invert Lanczos
+about the midpoint solves for exactly the difference (Ericsson & Ruhe
+1980; the inertia check of Grimes, Lewis & Simon 1994).  Each eigenvalue
+is replaced by its Rayleigh quotient, which brings it back to the full
+solve's accuracy.  When a guard trips (an untrustworthy pivot, or a count
+the Lanczos solve does not reproduce), or no pair found weighs more than
+1/2 on gamma0, the dense solve of the whole block takes over.  The same
+shift-invert core (_shift_invert) and inertia count (_inertia) certify the
+resonant block's eigenvalue nearest a known part (block.nearest_eigenvalue).
+bloch_solve, solve and diagonalize are the full dense solves.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ _CLUSTER_TOL = 1e-9
 _REFINE_TOL = 1e-9
 _PIVOT_TOL = 1e-12  # an inertia count needs every |U_ii| >= _PIVOT_TOL * ||H||_1
 _TRACK_TOL = 1e-16  # a tracked pair has converged once |H x - theta x| <= _TRACK_TOL * ||H||_1
-_TRACK_STEPS = 12  # Davidson steps (one matvec each) per window before tracking is refused
+_TRACK_STEPS = 24  # Davidson steps (one matvec each) per window before tracking is refused
 
 
 @dataclass(frozen=True)
@@ -123,7 +127,7 @@ class BlochSpectrum:
     cluster_flags: np.ndarray
     shift: float = 0.0
     eigenvalues_rel: np.ndarray = field(default=None, repr=False)
-    diagnostics: dict = field(default=None, repr=False, compare=False)  # set by diagonalize and bloch_solve
+    diagnostics: dict = field(default=None, repr=False, compare=False)  # set by bloch_solve and track_dominant
 
     def __post_init__(self):
         for arr in (self.t, self.eigenvalues, self.coefficients, self.residual_norms, self.cluster_flags):
@@ -191,36 +195,14 @@ def assemble(l: int, q: FourierPotential, t, basis, shift_center=None, sparse: b
                                    (np.concatenate((i, diag)), np.concatenate((j, diag)))), shape=(n, n))
 
 
-def diagonalize(H, basis: PlanewaveBasis, t, l: int, shift: float = 0.0, interval=None) -> BlochSpectrum:
-    """Hermitian eigensolve with residual and unit-norm certificates.
-
-    interval=None solves the dense H in full.  With interval = (lo, hi) only
-    the pairs with eigenvalue in [lo, hi) are returned, each eigenvalue the
-    Rayleigh quotient Re(x^H H x) of its vector: H (sparse or dense) is
-    counted by inertia and solved by shift-invert Lanczos (_window_pairs),
-    or, when one of its guards trips, by the full dense solve.  The
-    spectrum's diagnostics name the path ("eigensolver"), the inertia count
-    and the guard that tripped ("dense_fallback_reason").
-    """
-    count = reason = None
-    if interval is not None:
-        count, reason, found = _window_pairs(H, *interval)
-    if interval is None or reason is not None:
-        H = H.toarray() if hasattr(H, "toarray") else np.asarray(H)
-        evals_rel, evecs = np.linalg.eigh(H)
-        if interval is not None:
-            inside = (interval[0] <= evals_rel) & (evals_rel < interval[1])
-            evals_rel, evecs = evals_rel[inside], evecs[:, inside]
-        HX = H @ evecs
-    else:
-        evals_rel, evecs, HX = found
-    return _certified(basis, t, l, shift, evals_rel, evecs, HX, {
-        "eigensolver": "dense" if interval is None or reason else "sparse",
-        "inertia_count": count, "dense_fallback_reason": reason})
+def diagonalize(H, basis: PlanewaveBasis, t, l: int, shift: float = 0.0) -> BlochSpectrum:
+    """Full dense Hermitian eigensolve with residual and unit-norm certificates."""
+    H = np.asarray(H)
+    evals_rel, evecs = np.linalg.eigh(H)
+    return _certified(basis, t, l, shift, evals_rel, evecs, H @ evecs)
 
 
-def _certified(basis: PlanewaveBasis, t, l: int, shift: float, evals_rel, evecs, HX,
-               diagnostics: dict) -> BlochSpectrum:
+def _certified(basis: PlanewaveBasis, t, l: int, shift: float, evals_rel, evecs, HX) -> BlochSpectrum:
     """The spectrum of the pairs (evals_rel, evecs) of the relative-frame H, HX = H @ evecs.
 
     Raises ConvergenceFailure unless every vector has unit norm to 1e-10 and
@@ -251,52 +233,64 @@ def _certified(basis: PlanewaveBasis, t, l: int, shift: float, evals_rel, evecs,
         cluster_flags=cluster,
         shift=shift,
         eigenvalues_rel=evals_rel.copy(),
-        diagnostics=diagnostics,
     )
 
 
 def _window_pairs(H, lo: float, hi: float):
-    """The eigenpairs of H with eigenvalue in [lo, hi), certified complete by inertia.
+    """The eigenpairs of the sparse H with eigenvalue in [lo, hi), certified complete by inertia.
 
-    count = nu(hi) - nu(lo) pairs lie in [lo, hi) (see _inertia); exactly
-    that many are solved by shift-invert Lanczos about the midpoint, from a
-    fixed start vector so that reruns are byte-identical, and each
-    eigenvalue is replaced by its Rayleigh quotient.  Returns (count,
-    reason, pairs): reason is None and pairs is (eigenvalues, vectors,
-    H @ vectors) in ascending order, or reason names the guard that tripped
-    and pairs is None.  "pivot": no trustworthy LDL^H at lo or hi, or an
-    eigenvalue exactly at the midpoint.  "count": the count is not below
-    n - 1 (Lanczos needs k < n - 1), or Lanczos did not converge, or a
-    Rayleigh quotient falls outside [lo, hi), so the solve did not find the
-    counted pairs.
+    count = nu(hi) - nu(lo) pairs lie in [lo, hi) (see _inertia), and
+    exactly that many are solved about the midpoint (_shift_invert).
+    Returns (count, reason, pairs): reason is None and pairs is
+    (eigenvalues, vectors, H @ vectors) in ascending order, or reason names
+    the guard that tripped and pairs is None.  "pivot": no trustworthy
+    LDL^H at lo or hi, or an eigenvalue exactly at the midpoint.  "count":
+    Lanczos could not or did not find the counted pairs (see _shift_invert),
+    or a Rayleigh quotient falls outside [lo, hi).
     """
-    import scipy.sparse  # here, not at module level: its import costs ~30 MB
-    import scipy.sparse.linalg
-
-    H = scipy.sparse.csc_array(H)
-    n = H.shape[0]
     floor = _PIVOT_TOL * float(abs(H).sum(axis=0).max())
     below = [_inertia(H, s, floor) for s in (lo, hi)]
     if None in below:
         return None, "pivot", None
     count = below[1] - below[0]
-    if not 0 <= count < n - 1:
-        return count, "count", None
-    X = np.zeros((n, 0), dtype=complex)
-    if count:
-        v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
-        try:
-            _, X = scipy.sparse.linalg.eigsh(H, k=count, sigma=0.5 * (lo + hi), v0=v0)
-        except scipy.sparse.linalg.ArpackNoConvergence:
-            return count, "count", None
-        except RuntimeError:  # H - sigma I is exactly singular: an eigenvalue at the midpoint
-            return count, "pivot", None
+    if count == 0:
+        empty = np.zeros((H.shape[0], 0), dtype=complex)
+        return 0, None, (np.zeros(0), empty, empty)
+    reason, pairs = _shift_invert(H, count, 0.5 * (lo + hi))
+    if reason is None and np.any((pairs[0] < lo) | (pairs[0] >= hi)):
+        reason = "count"
+    if reason is not None:
+        return count, reason, None
+    order = np.argsort(pairs[0], kind="stable")
+    return count, None, tuple(p[..., order] for p in pairs)
+
+
+def _shift_invert(H, k: int, sigma: float):
+    """(reason, pairs): the k eigenpairs of the sparse Hermitian H nearest sigma.
+
+    Shift-invert Lanczos (scipy's eigsh) starts from a fixed vector, so that
+    reruns are byte-identical.  pairs is (theta, X, H @ X), X the unit
+    vectors and theta their Rayleigh quotients Re(x^H H x), which bring the
+    eigenvalues back to a full solve's accuracy.  Otherwise pairs is None
+    and reason names the guard that tripped: "count" when k is not in
+    [1, n - 1) (Lanczos needs k < n - 1) or Lanczos did not converge,
+    "pivot" when H - sigma I is exactly singular (an eigenvalue at sigma).
+    """
+    import scipy.sparse.linalg  # here, not at module level: its import costs ~30 MB
+
+    n = H.shape[0]
+    if not 0 < k < n - 1:
+        return "count", None
+    v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
+    try:
+        _, X = scipy.sparse.linalg.eigsh(H, k=k, sigma=sigma, v0=v0)
+    except scipy.sparse.linalg.ArpackNoConvergence:
+        return "count", None
+    except RuntimeError:  # H - sigma I is exactly singular
+        return "pivot", None
+    X = X / np.linalg.norm(X, axis=0)
     HX = H @ X
-    evals = np.real(np.vecdot(X, HX, axis=0))
-    if np.any((evals < lo) | (evals >= hi)):
-        return count, "count", None
-    order = np.argsort(evals, kind="stable")
-    return count, None, (evals[order], X[:, order], HX[:, order])
+    return None, (np.real(np.vecdot(X, HX, axis=0)), X, HX)
 
 
 def _inertia(H, s: float, floor: float) -> int | None:
@@ -324,46 +318,29 @@ def _inertia(H, s: float, floor: float) -> int | None:
 
 
 def solve(lattice: LatticeModel, l: int, q: FourierPotential, t, basis: PlanewaveBasis,
-          shift_center=None, interval=None) -> BlochSpectrum:
+          shift_center=None) -> BlochSpectrum:
     shift = 0.0
     if shift_center is not None:
         v = np.asarray(shift_center, dtype=float)
         shift = float(v @ v) ** l
-    H = assemble(l, q, t, basis, shift_center=shift_center, sparse=interval is not None)
-    return diagonalize(H, basis, t, l, shift=shift, interval=interval)
+    H = assemble(l, q, t, basis, shift_center=shift_center)
+    return diagonalize(H, basis, t, l, shift=shift)
 
 
 def bloch_solve(lattice: LatticeModel, l: int, q: FourierPotential, v, window_radius: float,
-                t=None, refine: bool = False, interval=None) -> BlochSpectrum:
-    """Windowed ground truth near |v|^{2l}, v = gamma0 + t.
+                t=None, refine: bool = False) -> BlochSpectrum:
+    """Windowed ground truth near |v|^{2l}, v = gamma0 + t, solved in full.
 
     With refine set, re-solves on a 1.5x window; the eigenvalue tracked to
     the center index must move by less than 1e-9 (1 + |Lambda|), else
     WindowNotConverged (see _windows for the window's own precondition).
     The refined spectrum is returned.
-
-    With interval = (lo, hi), relative to |v|^{2l}, each window computes
-    only the pairs in [lo, hi) (see diagonalize), and is solved again in
-    full when none of them weighs more than 1/2 on gamma0 (see
-    BlochSpectrum.dominant_index).  The returned spectrum's diagnostics
-    describe both windows' solves.
     """
     v = np.asarray(v, dtype=float)
     gamma0, t = lattice.split(v, t)
-    spectra, counts, reasons = [], [], []
-    for basis in _windows(lattice, q, t, v, gamma0.coords, window_radius, refine):
-        spectrum = solve(lattice, l, q, t, basis, shift_center=v, interval=interval)
-        counts.append(spectrum.diagnostics["inertia_count"])
-        reason = spectrum.diagnostics["dense_fallback_reason"]
-        if interval is not None and not _tracks(spectrum, gamma0.coords):
-            spectrum = solve(lattice, l, q, t, basis, shift_center=v)
-            reason = "half-rule"
-        reasons.append(reason)
-        spectra.append(spectrum)
-    sparse = all(s.diagnostics["eigensolver"] == "sparse" for s in spectra)
-    return _summarized(spectra, gamma0.coords, window_radius, refine, inertia_count=counts,
-                       eigensolver="sparse" if sparse else "dense",
-                       dense_fallback_reason=next((r for r in reasons if r), None))
+    spectra = [solve(lattice, l, q, t, basis, shift_center=v)
+               for basis in _windows(lattice, q, t, v, gamma0.coords, window_radius, refine)]
+    return _summarized(spectra, gamma0.coords, window_radius, refine, eigensolver="dense")
 
 
 def track_dominant(lattice: LatticeModel, l: int, q: FourierPotential, v, window_radius: float,
@@ -376,27 +353,50 @@ def track_dominant(lattice: LatticeModel, l: int, q: FourierPotential, v, window
     window's pair comes from _track_pair on its leading block; with refine
     set, the two windows' pairs are compared as in bloch_solve.  The
     spectrum holds the one pair (diagnostics eigensolver "tracked").  When
-    either window refuses its pair, the center is solved instead by
-    bloch_solve over [min P - halfwidth, max P + halfwidth], which holds
-    every pair a prediction can match, and diagnostics["tracking_refused"]
-    says why.
+    either window refuses its pair, every window's block is solved instead
+    by _counted_window over [min P - halfwidth, max P + halfwidth], which
+    holds every pair a prediction can match, and
+    diagnostics["tracking_refused"] says why.
     """
     v = np.asarray(v, dtype=float)
     gamma0, t = lattice.split(v)
     shift = float(v @ v) ** l
     bases = _windows(lattice, q, t, v, gamma0.coords, window_radius, refine)
     H = assemble(l, q, t, bases[-1], shift_center=v, sparse=True)
-    spectra, refused = [], None
+    spectra = []
     for basis in bases:
         k = len(basis)
         refused, spectrum = _track_pair(H[:k, :k], basis, t, l, shift, gamma0.coords, predictions, halfwidth)
         if refused is not None:
-            interval = (min(predictions) - halfwidth, max(predictions) + halfwidth)
-            spectrum = bloch_solve(lattice, l, q, v, window_radius, refine=refine, interval=interval)
-            return replace(spectrum, diagnostics={**spectrum.diagnostics, "tracking_refused": refused})
+            break
         spectra.append(spectrum)
-    return _summarized(spectra, gamma0.coords, window_radius, refine, inertia_count=None,
-                       eigensolver="tracked", dense_fallback_reason=None, tracking_refused=None)
+    else:
+        return _summarized(spectra, gamma0.coords, window_radius, refine, inertia_count=None,
+                           eigensolver="tracked", dense_fallback_reason=None, tracking_refused=None)
+    lo, hi = min(predictions) - halfwidth, max(predictions) + halfwidth
+    counts, reasons, spectra = zip(*(_counted_window(H[:len(b), :len(b)], b, t, l, shift, lo, hi, gamma0.coords)
+                                     for b in bases))
+    return _summarized(spectra, gamma0.coords, window_radius, refine, inertia_count=list(counts),
+                       eigensolver="dense" if any(reasons) else "sparse",
+                       dense_fallback_reason=next((r for r in reasons if r), None), tracking_refused=refused)
+
+
+def _counted_window(H, basis: PlanewaveBasis, t, l: int, shift: float, lo: float, hi: float, coords):
+    """(count, reason, spectrum): the pairs of the sparse H in [lo, hi), counted by inertia.
+
+    The pairs come from _window_pairs, and reason is None, when its guards
+    hold and one of them weighs more than 1/2 on coords, which makes it the
+    full spectrum's dominant pair (see BlochSpectrum.dominant_index).
+    Otherwise the spectrum is the dense eigh of H in full, and reason names
+    the guard that tripped, or is "half-rule".
+    """
+    count, reason, pairs = _window_pairs(H, lo, hi)
+    if reason is None:
+        spectrum = _certified(basis, t, l, shift, *pairs)
+        if len(spectrum) and spectrum.weight(spectrum.dominant_index(coords), coords) > 0.5:
+            return count, None, spectrum
+        reason = "half-rule"
+    return count, reason, diagonalize(H.toarray(), basis, t, l, shift)
 
 
 def _track_pair(H, basis: PlanewaveBasis, t, l: int, shift: float, coords, predictions, halfwidth: float):
@@ -456,7 +456,7 @@ def _track_pair(H, basis: PlanewaveBasis, t, l: int, shift: float, coords, predi
     Hx = H @ x
     theta = float(np.real(np.vdot(x, Hx)))
     try:
-        spectrum = _certified(basis, t, l, shift, np.array([theta]), x[:, None], Hx[:, None], None)
+        spectrum = _certified(basis, t, l, shift, np.array([theta]), x[:, None], Hx[:, None])
     except ConvergenceFailure:
         return "convergence", None
     if not abs(x[pos]) ** 2 > 0.5:
@@ -516,11 +516,6 @@ def _summarized(spectra, coords, window_radius: float, refine: bool, **path) -> 
         "certificate_move": move,
         "worst_residual": max(float(np.max(s.residual_norms)) for s in spectra),
     })
-
-
-def _tracks(spectrum: BlochSpectrum, coords) -> bool:
-    """Whether some pair weighs more than 1/2 on coords, which makes it the full spectrum's dominant pair."""
-    return len(spectrum) > 0 and spectrum.weight(spectrum.dominant_index(coords), coords) > 0.5
 
 
 def free_eigenvalues(lattice: LatticeModel, t, l: int, basis: PlanewaveBasis) -> np.ndarray:

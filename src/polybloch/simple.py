@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .block import ResonantIndexSet, assemble_block, build_index_set, certified_nearest_eigenvalue
+from .block import assemble_block, build_index_set, nearest_eigenvalue  # noqa: F401 (simple.assemble_block stays bound)
 from .errors import NoBracket, PhaseDegenerate, PreconditionError, SpectralError
 from .geometry import ParameterCascade, ResonanceClass, classify, direction_pool, membership_profile
 from .lattice import LatticeModel, LatticeVector
@@ -102,21 +102,6 @@ class SimplicityReport:
         return [e for e in self.entries if e.margin < 0]
 
 
-def nearest_block_eigenvalue(index_set: ResonantIndexSet, l: int, q: FourierPotential,
-                             target: float) -> tuple[float, dict]:
-    """The eigenvalue of the block on index_set nearest target, and the solve's diagnostics.
-
-    The sparse block answers, certified by inertia
-    (block.certified_nearest_eigenvalue); when one of its guards trips, the
-    dense block (assemble_block) does.
-    """
-    value, diagnostics = certified_nearest_eigenvalue(index_set, l, q, target)
-    if value is None:
-        eigenvalues = assemble_block(index_set, l, q).eigenvalues
-        value = float(eigenvalues[np.argmin(np.abs(eigenvalues - target))])
-    return value, diagnostics
-
-
 def check_simplicity(lattice: LatticeModel, v, cascade: ParameterCascade, l: int,
                      q: FourierPotential, order: int | None = None,
                      min_denominator: float | None = None) -> SimplicityReport:
@@ -126,7 +111,7 @@ def check_simplicity(lattice: LatticeModel, v, cascade: ParameterCascade, l: int
     point.  A resonant competitor's margin is |F(v) - lambda| - 2 eps1, with
     lambda the eigenvalue of its block nearest F(v), solved on the sparse
     block and certified by a Sylvester-inertia count, or on the dense block
-    when a guard of that solve trips (nearest_block_eigenvalue; each block
+    when a guard of that solve trips (block.nearest_eigenvalue; each block
     entry's diagnostics record which).  The member verdict holds exactly
     when every margin is >= 0, so an eigenvalue or known part exactly at
     F(v) +- 2 eps1 keeps v a member.  Requires v non-resonant and inside
@@ -151,7 +136,7 @@ def check_simplicity(lattice: LatticeModel, v, cascade: ParameterCascade, l: int
         x = gamma.embedding + t
         if cls.is_resonant:
             index_set = build_index_set(lattice, x, cls.directions, cascade, t=t)
-            value, diagnostics = nearest_block_eigenvalue(index_set, l, q, center.value)
+            value, diagnostics = nearest_eigenvalue(index_set, l, q, center.value)
             entries.append(CompetitorMargin(
                 coords=gamma.coords, level=cls.level, kind="block", competitor_value=value,
                 margin=float(abs(value - center.value) - 2 * eps1), diagnostics=diagnostics,

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 import polybloch as pb
 import reference_enumeration as ref
 from conftest import scaled_cascade
-from polybloch.block import certified_nearest_eigenvalue
+from polybloch.block import nearest_eigenvalue
 from polybloch.errors import EmptyDirections, PreconditionError
 from polybloch.numerics import integer_rank
 from polybloch.potential import FourierPotential
-from polybloch.simple import nearest_block_eigenvalue
 
 
 def brute_force_offsets(directions, b_radius, a_radius, box=4):
@@ -274,7 +273,7 @@ class TestNearestEigenvalue:
         dense = pb.assemble_block(index_set, l, q)
         lam = dense.eigenvalues
         target = lam[pick % len(lam)] + offset * (1e-9 if near else 1.0)
-        value, diag = nearest_block_eigenvalue(index_set, l, q, target)
+        value, diag = nearest_eigenvalue(index_set, l, q, target)
         assert diag["block_size"] == index_set.size
         if diag["eigensolver"] == "sparse":
             assert diag["dense_fallback_reason"] is None and diag["inertia_count"] == 0
@@ -306,7 +305,7 @@ class TestNearestEigenvalue:
         # 1e-11, the certified interval is empty and nothing is factorized)
         q, index_set, dense = self.generic_block(z2)
         lam = dense.eigenvalues[np.argmin(np.abs(dense.eigenvalues - dense.shift))]
-        value, diag = nearest_block_eigenvalue(index_set, 1, q, lam + offset)
+        value, diag = nearest_eigenvalue(index_set, 1, q, lam + offset)
         assert diag == {"eigensolver": "sparse", "dense_fallback_reason": None, "inertia_count": 0,
                         "block_size": index_set.size}
         assert abs(value - lam) <= 1e-12 * np.max(np.abs(dense.eigenvalues))
@@ -319,8 +318,7 @@ class TestNearestEigenvalue:
                                        b_radius=2.0, a_radius=2.0)
         dense = pb.assemble_block(index_set, 1, q0)
         for target in (dense.eigenvalues[2], dense.shift):
-            assert certified_nearest_eigenvalue(index_set, 1, q0, target)[0] is None
-            value, diag = nearest_block_eigenvalue(index_set, 1, q0, target)
+            value, diag = nearest_eigenvalue(index_set, 1, q0, target)
             assert diag == {"eigensolver": "dense", "dense_fallback_reason": "pivot", "inertia_count": None,
                             "block_size": index_set.size}
             assert value == target
@@ -336,7 +334,7 @@ class TestNearestEigenvalue:
         target = dense.shift + 0.5 * (mu[10] + mu[11]) - 1e-3
         second = 11
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda A, k, **kw: (mu[[second]], W[:, [second]]))
-        value, diag = nearest_block_eigenvalue(index_set, 1, q, target)
+        value, diag = nearest_eigenvalue(index_set, 1, q, target)
         assert diag == {"eigensolver": "dense", "dense_fallback_reason": "count", "inertia_count": 1,
                         "block_size": index_set.size}
         assert value == dense_nearest(dense, target)
@@ -350,7 +348,7 @@ class TestNearestEigenvalue:
         mu, W = np.linalg.eigh(dense.matrix - dense.shift * np.eye(index_set.size))
         x = W[:, [10]] + 1e-3 * W[:, [11]]
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda A, k, **kw: (mu[[10]], x / np.linalg.norm(x)))
-        value, diag = nearest_block_eigenvalue(index_set, 1, q, dense.shift + mu[10])
+        value, diag = nearest_eigenvalue(index_set, 1, q, dense.shift + mu[10])
         assert diag == {"eigensolver": "dense", "dense_fallback_reason": "count", "inertia_count": None,
                         "block_size": index_set.size}
         assert value == dense_nearest(dense, dense.shift + mu[10])
@@ -363,7 +361,7 @@ class TestNearestEigenvalue:
 
         q, index_set, dense = self.generic_block(z2)
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-        value, diag = nearest_block_eigenvalue(index_set, 1, q, dense.shift)
+        value, diag = nearest_eigenvalue(index_set, 1, q, dense.shift)
         assert diag == {"eigensolver": "dense", "dense_fallback_reason": "count", "inertia_count": None,
                         "block_size": index_set.size}
         assert value == dense_nearest(dense, dense.shift)

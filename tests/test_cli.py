@@ -106,6 +106,17 @@ class TestClassifyCommand:
         assert "margins" in verdicts[0]
 
 
+def test_json_artifacts_report_the_potential_one_norm(tmp_path):
+    # ||q||_1 of the shipped cosine pair (0.1 at +-(1, 0)) sits next to the config
+    # hash; a config without [potential] reports none
+    shipped = REPO / "configs" / "cosine_sweep.yaml"
+    assert main(["params", "-c", str(shipped), "-o", str(tmp_path / "shipped")]) == 0
+    assert json.loads((tmp_path / "shipped" / "params.json").read_text())["potential_one_norm"] == 0.2
+    base = BASE_CONFIG[:BASE_CONFIG.index("potential:")] + BASE_CONFIG[BASE_CONFIG.index("cascade:"):]
+    assert main(["params", "-c", str(write_config(tmp_path, base=base))]) == 0
+    assert "potential_one_norm" not in json.loads((tmp_path / "out" / "params.json").read_text())
+
+
 class TestVerifyCommand:
     def test_zero_potential_zero_errors(self, tmp_path):
         base = BASE_CONFIG.replace(

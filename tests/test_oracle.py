@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import polybloch as pb
 from polybloch import oracle
-from polybloch.errors import PreconditionError, WindowNotConverged
+from polybloch.errors import NoCandidate, PreconditionError, WindowNotConverged
 from polybloch.oracle import PlanewaveBasis
 from polybloch.potential import FourierPotential
 
@@ -21,6 +22,39 @@ REPO = Path(__file__).resolve().parents[1]
 
 def two_state_basis(z2):
     return PlanewaveBasis(z2, [(0, 0), (1, 0)])
+
+
+def counted_solve(lattice, l, q, v, radius, preds, hw, refine=False):
+    """track_dominant's counted fallback over [min P - hw, max P + hw), tracking refused at once."""
+    with mock.patch.object(oracle, "_TRACK_STEPS", 0):
+        spectrum = pb.track_dominant(lattice, l, q, v, radius, preds, hw, refine=refine)
+    assert spectrum.diagnostics["tracking_refused"] == "convergence"
+    return spectrum
+
+
+def assert_matches_dense(spectrum, dense, l, q, v, preds, hw):
+    """Every prediction's match_eigenvalue on spectrum is the dense full solve's.
+
+    Exactly so where spectrum is a dense solve in full; otherwise the pair
+    matched carries the dense pair's Rayleigh quotient to 1e-12 (1 + |lambda|)
+    and its weight on gamma0 to 1e-10 (eigh's own eigenvalues carry ~eps |H|).
+    """
+    gamma0 = dense.basis.lattice.reduce(v)[0].coords
+    W = dense.coefficients.T
+    lam = np.real(np.vecdot(W, pb.assemble(l, q, dense.t, dense.basis, shift_center=v) @ W, axis=0))
+    for p in preds:
+        try:
+            ref = pb.match_eigenvalue(dense, gamma0, p, hw)
+        except NoCandidate:
+            with pytest.raises(NoCandidate):
+                pb.match_eigenvalue(spectrum, gamma0, p, hw)
+            continue
+        got = pb.match_eigenvalue(spectrum, gamma0, p, hw)
+        if len(spectrum) == len(spectrum.basis):
+            assert got == ref
+        else:
+            assert abs(spectrum.relative_eigenvalue(got.index) - lam[ref.index]) <= 1e-12 * (1.0 + abs(lam[ref.index]))
+            assert abs(got.weight - ref.weight) <= 1e-10
 
 
 class TestAssemble:
@@ -178,7 +212,7 @@ class TestWindowedSolve:
 
 
 class TestPartialSolve:
-    """Interval solves against the full eigh of the same window."""
+    """The counted interval solve against the full eigh of the same window."""
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**16), support=st.sampled_from([1.0, 1.5]), amplitude=st.floats(0.05, 1.0),
@@ -195,11 +229,10 @@ class TestPartialSolve:
         q = pb.random_potential(seed, 2, support, 0.0, amplitude, lattice=z2)
         v = rho * np.array([np.cos(angle), np.sin(angle)])
         gamma0 = z2.reduce(v)[0].coords
-        lo, hi = scale * (middle - width), scale * (middle + width)
+        pred, hw = scale * middle, scale * width
+        lo, hi = pred - hw, pred + hw
         full = pb.bloch_solve(z2, l, q, v, radius)
         H = pb.assemble(l, q, full.t, full.basis, shift_center=v)
-        part = pb.diagonalize(H, full.basis, full.t, l, shift=full.shift, interval=(lo, hi))
-        rel_part = part.eigenvalues_rel
         # eigh's own eigenvalues are good to ~eps |H|, which exceeds the tolerance
         # when |H| passes a few thousand; the Rayleigh quotients of its vectors are
         # good to |residual|^2 / gap
@@ -208,33 +241,40 @@ class TestPartialSolve:
         order = np.argsort(lam, kind="stable")
         lam, W = lam[order], W[:, order]
         tol = 1e-12 * (1.0 + np.abs(lam))
-        assert np.all((rel_part > lo - 1e-12 * (1 + abs(lo))) & (rel_part <= hi + 1e-12 * (1 + abs(hi))))
-        # the pairs returned are a run of consecutive eigenvalues, matched in sorted
-        # order; an eigenvalue within rounding of lo may fall on either side of it
-        m, tol_lo = len(rel_part), 1e-12 * (1 + abs(lo))
-        starts = [a for a in range(np.count_nonzero(lam < lo - tol_lo), np.count_nonzero(lam < lo + tol_lo) + 1)
-                  if a + m <= len(lam) and np.all(np.abs(rel_part - lam[a:a + m]) <= tol[a:a + m])]
-        assert starts
-        idx = starts[0] + np.arange(m)
-        # every eigenvalue inside [lo, hi) by more than tol is returned
-        surely_inside = np.nonzero((lam >= lo + tol) & (lam < hi - tol))[0]
-        assert set(surely_inside.tolist()) <= set(idx.tolist())
-        # weights on gamma0 of well-separated pairs, whose vectors are fixed to ~eps |H| / gap
         pos = full.position(gamma0)
-        gaps = np.abs(lam[:, None] - lam[None, :]) + np.diag(np.full(len(lam), np.inf))
-        separated = gaps.min(axis=1)[idx] > 1e-4 * np.linalg.norm(H, 2)
-        w_full = np.abs(W[pos, idx]) ** 2
-        w_part = np.abs(part.coefficients[:, pos]) ** 2
-        assert np.all(np.abs(w_part - w_full)[separated] <= 1e-10)
-        # the dominant pair's eigenvalue (its index is arbitrary within a degenerate pair)
         n_full = int(np.argmax(np.abs(W[pos]) ** 2))
-        if len(part) and part.weight(part.dominant_index(gamma0), gamma0) > 0.5:
-            assert abs(lam[idx[part.dominant_index(gamma0)]] - lam[n_full]) <= tol[n_full]
-        windowed = pb.bloch_solve(z2, l, q, v, radius, interval=(lo, hi))
+        _, reason, pairs = oracle._window_pairs(pb.assemble(l, q, full.t, full.basis, shift_center=v, sparse=True),
+                                                lo, hi)
+        if reason is not None:
+            assert reason in ("pivot", "count")
+        else:
+            rel_part, X, _ = pairs
+            assert np.all((rel_part > lo - 1e-12 * (1 + abs(lo))) & (rel_part <= hi + 1e-12 * (1 + abs(hi))))
+            # the pairs returned are a run of consecutive eigenvalues, matched in sorted
+            # order; an eigenvalue within rounding of lo may fall on either side of it
+            m, tol_lo = len(rel_part), 1e-12 * (1 + abs(lo))
+            starts = [a for a in range(np.count_nonzero(lam < lo - tol_lo), np.count_nonzero(lam < lo + tol_lo) + 1)
+                      if a + m <= len(lam) and np.all(np.abs(rel_part - lam[a:a + m]) <= tol[a:a + m])]
+            assert starts
+            idx = starts[0] + np.arange(m)
+            # every eigenvalue inside [lo, hi) by more than tol is returned
+            surely_inside = np.nonzero((lam >= lo + tol) & (lam < hi - tol))[0]
+            assert set(surely_inside.tolist()) <= set(idx.tolist())
+            # weights on gamma0 of well-separated pairs, whose vectors are fixed to ~eps |H| / gap
+            gaps = np.abs(lam[:, None] - lam[None, :]) + np.diag(np.full(len(lam), np.inf))
+            separated = gaps.min(axis=1)[idx] > 1e-4 * np.linalg.norm(H, 2)
+            w_full = np.abs(W[pos, idx]) ** 2
+            w_part = np.abs(X[pos]) ** 2
+            assert np.all(np.abs(w_part - w_full)[separated] <= 1e-10)
+            # the dominant pair's eigenvalue (its index is arbitrary within a degenerate pair)
+            if m and w_part.max() > 0.5:
+                assert abs(lam[idx[int(np.argmax(w_part))]] - lam[n_full]) <= tol[n_full]
+        windowed = counted_solve(z2, l, q, v, radius, [pred], hw)
         tracked_inside = lo + tol[n_full] <= lam[n_full] < hi - tol[n_full]
         if not tracked_inside:
-            assert windowed.diagnostics["dense_fallback_reason"] == "half-rule"
-        if windowed.diagnostics["dense_fallback_reason"] == "half-rule":
+            assert windowed.diagnostics["eigensolver"] == "dense"
+        if windowed.diagnostics["eigensolver"] == "dense":
+            assert windowed.diagnostics["dense_fallback_reason"] in ("pivot", "count", "half-rule")
             assert len(windowed) == len(full)
             assert np.array_equal(windowed.eigenvalues, full.eigenvalues)
         else:
@@ -245,7 +285,7 @@ class TestPartialSolve:
         q = pb.cosine_pair(z2, (1, 0), 0.2)
         v = np.array([5.3, 4.2])
         full = pb.bloch_solve(z2, 1, q, v, 6.0, refine=True)
-        spec = pb.bloch_solve(z2, 1, q, v, 6.0, refine=True, interval=(1e6, 1e6 + 1.0))
+        spec = counted_solve(z2, 1, q, v, 6.0, [1e6 + 0.5], 0.5, refine=True)
         assert spec.diagnostics["dense_fallback_reason"] == "half-rule"
         assert np.array_equal(spec.eigenvalues, full.eigenvalues)
         assert spec.diagnostics["pairs_solved"] == spec.diagnostics["basis_size"] + len(spec)
@@ -262,7 +302,7 @@ class TestPartialSolve:
         minor, major = np.argsort(weights)[-2:]
         assert 0.3 < weights[minor] < 0.5 < weights[major]
         lam = full.relative_eigenvalue(minor)
-        spec = pb.bloch_solve(z2, 1, q, v, 6.0, interval=(lam - 0.01, lam + 0.01))
+        spec = counted_solve(z2, 1, q, v, 6.0, [lam], 0.01)
         assert spec.diagnostics["dense_fallback_reason"] == "half-rule"
         assert spec.relative_eigenvalue(spec.dominant_index(gamma0)) == full.relative_eigenvalue(major)
 
@@ -271,7 +311,7 @@ class TestPartialSolve:
         v = np.array([5.3, 4.2])
         gamma0 = z2.reduce(v)[0].coords
         full = pb.bloch_solve(z2, 1, q, v, 8.0, refine=True)
-        spec = pb.bloch_solve(z2, 1, q, v, 8.0, refine=True, interval=(-0.5, 0.5))
+        spec = counted_solve(z2, 1, q, v, 8.0, [0.0], 0.5, refine=True)
         diag = spec.diagnostics
         assert diag["dense_fallback_reason"] is None and diag["eigensolver"] == "sparse"
         assert diag["pairs_solved"] < 10 < diag["basis_size"] < diag["refined_basis_size"] == len(full.basis)
@@ -293,7 +333,7 @@ class TestPartialSolve:
         hw = cas.matching_halfwidth()
         window = pb.required_window_radius(q, cas)
         full = pb.bloch_solve(z2, 1, q, v, window)
-        part = pb.bloch_solve(z2, 1, q, v, window, interval=(min(preds) - hw, max(preds) + hw))
+        part = counted_solve(z2, 1, q, v, window, preds, hw)
         assert part.diagnostics["dense_fallback_reason"] is None
         lam_full = full.relative_eigenvalue(full.dominant_index(gamma0))
         lam_part = part.relative_eigenvalue(part.dominant_index(gamma0))
@@ -301,7 +341,7 @@ class TestPartialSolve:
 
 
 class TestTrackedSolve:
-    """track_dominant against the counted bloch_solve over the matching interval."""
+    """track_dominant against the dense bloch_solve of the same windows."""
 
     @settings(max_examples=100, deadline=None)
     @given(d=st.sampled_from([2, 3]), l=st.sampled_from([1, 2]), chains=st.booleans(),
@@ -313,8 +353,8 @@ class TestTrackedSolve:
              radius=2.0, refine=True, scale=0.01, offsets=[0.0], width=1.0)
     @example(d=3, l=2, chains=False, seed=7, amplitude=0.2, axis=0, direction=[0.78, 0.6258, 0.31], rho=4.0,
              radius=2.0, refine=False, scale=0.01, offsets=[0.1, 0.0], width=1.0)
-    def test_tracked_matches_counted(self, d, l, chains, seed, amplitude, axis, direction, rho, radius,
-                                     refine, scale, offsets, width):
+    def test_tracked_matches_dense(self, d, l, chains, seed, amplitude, axis, direction, rho, radius,
+                                   refine, scale, offsets, width):
         lattice = pb.LatticeModel.cubic(d)
         if chains:  # rank-1 support: the operator splits into decoupled chains
             q = pb.cosine_pair(lattice, np.eye(d, dtype=int)[axis % d], amplitude)
@@ -329,37 +369,35 @@ class TestTrackedSolve:
                     for g in q.support)
         preds = [first + scale * o for o in offsets]
         hw = scale * width
-        interval = (min(preds) - hw, max(preds) + hw)
         outcomes = []
         for solver in (lambda: pb.track_dominant(lattice, l, q, v, radius, preds, hw, refine=refine),
-                       lambda: pb.bloch_solve(lattice, l, q, v, radius, refine=refine, interval=interval)):
+                       lambda: pb.bloch_solve(lattice, l, q, v, radius, refine=refine)):
             try:
                 outcomes.append(solver())
             except WindowNotConverged:
                 outcomes.append(None)
-        tracked, counted = outcomes
-        if counted is None or tracked is None:  # both measure the same pair's move under refinement
-            assert tracked is None and counted is None
+        tracked, dense = outcomes
+        if dense is None or tracked is None:  # both measure the same pair's move under refinement
+            assert tracked is None and dense is None
             return
         diag = tracked.diagnostics
         event(f"tracking refused: {diag['tracking_refused']}")
         if diag["eigensolver"] != "tracked":
             assert diag["tracking_refused"] in ("convergence", "weight", "window")
-            assert {k: x for k, x in diag.items() if k != "tracking_refused"} == counted.diagnostics
-            assert tracked.eigenvalues_rel.tobytes() == counted.eigenvalues_rel.tobytes()
+            assert diag["eigensolver"] in ("sparse", "dense") and len(diag["inertia_count"]) == (2 if refine else 1)
+            assert_matches_dense(tracked, dense, l, q, v, preds, hw)
             return
         assert diag["tracking_refused"] is None and len(tracked) == 1
         assert diag["pairs_solved"] == (2 if refine else 1)
         lam, weight = tracked.relative_eigenvalue(0), tracked.weight(0, gamma0)
         assert weight > 0.5 and all(abs(lam - p) < hw for p in preds)
-        # the counted pair's Rayleigh quotient: exact where the counted solve fell
-        # back to the dense eigh, whose own eigenvalue carries ~eps |H| of error
-        n = counted.dominant_index(gamma0)
-        x = counted.coefficients[n]
-        H = pb.assemble(l, q, counted.t, counted.basis, shift_center=v)
+        # the dense pair's Rayleigh quotient: its own eigenvalue carries ~eps |H| of error
+        n = dense.dominant_index(gamma0)
+        x = dense.coefficients[n]
+        H = pb.assemble(l, q, dense.t, dense.basis, shift_center=v)
         reference = float(np.real(np.vdot(x, H @ x)))
         assert abs(lam - reference) <= 1e-12 * (1.0 + abs(reference))
-        assert abs(weight - counted.weight(n, gamma0)) <= 1e-10
+        assert abs(weight - dense.weight(n, gamma0)) <= 1e-10
 
     def test_tracked_pair_is_the_counted_dominant_pair(self, z2):
         # criterion 3's cosine pair at rho = 80 on its required window: one pair per window
@@ -372,7 +410,7 @@ class TestTrackedSolve:
         hw = cas.matching_halfwidth()
         window = pb.required_window_radius(q, cas)
         tracked = pb.track_dominant(z2, 1, q, v, window, preds, hw, refine=True)
-        counted = pb.bloch_solve(z2, 1, q, v, window, refine=True, interval=(min(preds) - hw, max(preds) + hw))
+        counted = counted_solve(z2, 1, q, v, window, preds, hw, refine=True)
         diag = tracked.diagnostics
         assert (diag["eigensolver"], diag["tracking_refused"], diag["pairs_solved"]) == ("tracked", None, 2)
         assert diag["inertia_count"] is None and diag["dense_fallback_reason"] is None
@@ -403,13 +441,17 @@ class TestTrackedSolve:
             assert spectrum.diagnostics["eigensolver"] == "tracked"
             assert spectrum.diagnostics["pairs_solved"] == 2
         assert calls == {"enumerate": len(centers), "assemble": len(centers)}
+        # a refused center solves the leading blocks of the same operator
+        calls.update(enumerate=0, assemble=0)
+        f1 = pb.known_part_sequence(centers[0], 1, q, k_max=1).known_part_rel()
+        spectrum = pb.track_dominant(z2, 1, q, centers[0], 6.0, [f1 + 0.02, f1], 0.01, refine=True)
+        assert spectrum.diagnostics["tracking_refused"] == "window"
+        assert calls == {"enumerate": 1, "assemble": 1}
 
     def refused(self, lattice, q, v, preds, hw, window=6.0):
         spec = pb.track_dominant(lattice, 1, q, v, window, preds, hw, refine=True)
-        counted = pb.bloch_solve(lattice, 1, q, v, window, refine=True,
-                                 interval=(min(preds) - hw, max(preds) + hw))
         assert spec.diagnostics["eigensolver"] != "tracked"
-        assert np.array_equal(spec.eigenvalues, counted.eigenvalues)
+        assert_matches_dense(spec, pb.bloch_solve(lattice, 1, q, v, window, refine=True), 1, q, v, preds, hw)
         return spec.diagnostics["tracking_refused"]
 
     def test_free_center_is_tracked_exactly(self, z2):
@@ -419,7 +461,7 @@ class TestTrackedSolve:
         v = np.array([5.3, 4.2])
         gamma0 = z2.reduce(v)[0].coords
         tracked = pb.track_dominant(z2, 1, q, v, 6.0, [0.0, 0.0], 0.5, refine=True)
-        counted = pb.bloch_solve(z2, 1, q, v, 6.0, refine=True, interval=(-0.5, 0.5))
+        counted = counted_solve(z2, 1, q, v, 6.0, [0.0, 0.0], 0.5, refine=True)
         diag = tracked.diagnostics
         assert (diag["eigensolver"], diag["tracking_refused"], diag["pairs_solved"]) == ("tracked", None, 2)
         assert tracked.relative_eigenvalue(0) == 0.0 and tracked.weight(0, gamma0) == 1.0
@@ -460,7 +502,7 @@ class TestTrackedSolve:
         full = pb.bloch_solve(z2, 1, q, v, radius)
         lam = full.relative_eigenvalue(full.dominant_index(gamma0))
         tracked = pb.track_dominant(z2, 1, q, v, radius, [lam], 0.05)
-        counted = pb.bloch_solve(z2, 1, q, v, radius, interval=(lam - 0.05, lam + 0.05))
+        counted = counted_solve(z2, 1, q, v, radius, [lam], 0.05)
         assert len(counted.basis) == 9
         assert (tracked.diagnostics["eigensolver"], tracked.diagnostics["tracking_refused"]) == ("tracked", None)
         n = counted.dominant_index(gamma0)
@@ -477,6 +519,27 @@ class TestTrackedSolve:
         monkeypatch.setattr(oracle, "_TRACK_STEPS", 1)
         assert self.refused(z2, q, v, [f1], 0.01) == "convergence"
 
+    def test_slow_convergence_within_the_cap_is_tracked(self, monkeypatch):
+        # a 19-wave window at d = 3 whose residual falls about tenfold per step and
+        # reaches 1e-16 ||H||_1 at step 15: a 12-step cap refused it as "convergence"
+        lattice = pb.LatticeModel.cubic(3)
+        q = pb.random_potential(64727, 3, 1.0, 0.0, 0.23694736248191073, lattice=lattice)
+        u = np.array([0.56416212087482, -0.45656199529368235, 0.1315094616701118]) + 1e-3
+        v, radius = 4.93804523967398 * u / np.linalg.norm(u), 1.69967725815301
+        preds, hw = [0.11254585692981786], 0.16439107790019175
+        gamma0 = lattice.reduce(v)[0].coords
+        tracked = pb.track_dominant(lattice, 1, q, v, radius, preds, hw)
+        assert (tracked.diagnostics["eigensolver"], tracked.diagnostics["tracking_refused"]) == ("tracked", None)
+        dense = pb.bloch_solve(lattice, 1, q, v, radius)
+        assert len(dense.basis) == 19
+        n = dense.dominant_index(gamma0)
+        x = dense.coefficients[n]
+        reference = float(np.real(np.vdot(x, pb.assemble(1, q, dense.t, dense.basis, shift_center=v) @ x)))
+        assert abs(tracked.relative_eigenvalue(0) - reference) <= 1e-12 * (1.0 + abs(reference))
+        assert abs(tracked.weight(0, gamma0) - dense.weight(n, gamma0)) <= 1e-10
+        monkeypatch.setattr(oracle, "_TRACK_STEPS", 12)
+        assert pb.track_dominant(lattice, 1, q, v, radius, preds, hw).diagnostics["tracking_refused"] == "convergence"
+
 
 def window_operator(lattice, l, q, v, radius):
     """Basis, t, shift and sparse relative-frame operator of the window around v."""
@@ -492,7 +555,7 @@ class TestSparseSlice:
     Convention: the inertia count nu(s) is the number of eigenvalues below s,
     so an interval solve returns the pairs in [lo, hi).  An eigenvalue on an
     endpoint makes a pivot vanish, which the pivot guard sends to the dense
-    solve; that solve keeps the same half-open interval.
+    solve of the whole block.
     """
 
     @settings(max_examples=100, deadline=None)
@@ -512,15 +575,18 @@ class TestSparseSlice:
             q = pb.random_potential(seed, d, 1.0, 0.0, amplitude, lattice=lattice)
         u = np.array(direction[:d]) + 1e-3
         v = rho * u / np.linalg.norm(u)
+        gamma0 = lattice.reduce(v)[0].coords
         basis, t, shift, H = window_operator(lattice, l, q, v, radius)
         lo, hi = scale * (middle - width), scale * (middle + width)
         dense = H.toarray()
         lam, W = np.linalg.eigh(dense)
-        part = pb.diagonalize(H, basis, t, l, shift=shift, interval=(lo, hi))
-        diag = part.diagnostics
-        if diag["eigensolver"] == "dense":
-            assert diag["dense_fallback_reason"] in ("pivot", "count")
-            assert np.array_equal(part.eigenvalues_rel, lam[(lo <= lam) & (lam < hi)])
+        count, reason, pairs = oracle._window_pairs(H, lo, hi)
+        if reason is not None:
+            assert reason in ("pivot", "count")
+            # the fallback is the dense eigh of the same block, in full
+            fallback = oracle._counted_window(H, basis, t, l, shift, lo, hi, gamma0)
+            assert fallback[:2] == (count, reason)
+            assert np.array_equal(fallback[2].eigenvalues_rel, lam)
         # eigh's own eigenvalues are good to ~eps |H|, which exceeds the tolerance
         # when |H| passes a few thousand; the Rayleigh quotients of its vectors are
         # good to |residual|^2 / gap
@@ -530,23 +596,26 @@ class TestSparseSlice:
         tol = 1e-12 * (1.0 + np.abs(lam))
         inside = (lo <= lam) & (lam < hi)
         clear = not np.any((np.abs(lam - lo) <= tol) | (np.abs(lam - hi) <= tol))
-        if diag["eigensolver"] == "sparse":
-            assert diag["dense_fallback_reason"] is None and len(part) == diag["inertia_count"]
-            assert np.all((lo <= part.eigenvalues_rel) & (part.eigenvalues_rel < hi))
+        if reason is None:
+            evals, X, _ = pairs
+            assert len(evals) == count
+            assert np.all((lo <= evals) & (evals < hi))
         if not clear:  # an eigenvalue within rounding of an endpoint may fall on either side
             return
-        if diag["inertia_count"] is not None:
-            assert diag["inertia_count"] == np.count_nonzero(inside)
+        if count is not None:
+            assert count == np.count_nonzero(inside)
+        if reason is not None:
+            return
         idx = np.flatnonzero(inside)
-        assert np.all(np.abs(part.eigenvalues_rel - lam[idx]) <= tol[idx])
+        assert np.all(np.abs(evals - lam[idx]) <= tol[idx])
         # weights on gamma0 of well-separated pairs, whose vectors are fixed to ~eps |H| / gap
-        pos = basis.positions(lattice.reduce(v)[0].coords)[0]
+        pos = basis.positions(gamma0)[0]
         gaps = np.abs(lam[:, None] - lam[None, :]) + np.diag(np.full(len(lam), np.inf))
         separated = gaps.min(axis=1)[idx] > 1e-4 * np.linalg.norm(dense, 2)
         w_dense = np.abs(W[pos, idx]) ** 2
-        w_part = np.abs(part.coefficients[:, pos]) ** 2
+        w_part = np.abs(X[pos]) ** 2
         assert np.all(np.abs(w_part - w_dense)[separated] <= 1e-10)
-        if len(part) and w_part.max() > 0.5:
+        if len(evals) and w_part.max() > 0.5:
             assert idx[int(np.argmax(w_part))] == int(np.argmax(np.abs(W[pos]) ** 2))
 
     @pytest.mark.parametrize("offset", [0.0, 1e-13])
@@ -557,32 +626,32 @@ class TestSparseSlice:
         basis, t, shift, H = window_operator(z2, 1, FourierPotential(z2, {}), v, 3.0)
         lam = np.sort(H.diagonal().real)
         lo, hi = lam[3] + offset, lam[9]
-        spec = pb.diagonalize(H, basis, t, 1, shift=shift, interval=(lo, hi))
-        assert spec.diagnostics == {"eigensolver": "dense", "inertia_count": None, "dense_fallback_reason": "pivot"}
-        assert np.array_equal(spec.eigenvalues_rel, lam[(lo <= lam) & (lam < hi)])
-        # the half-open convention: lam[3] is in when lo sits exactly on it, lam[9] never
-        assert (spec.eigenvalues_rel[0] == lam[3]) == (offset == 0.0)
-        assert spec.eigenvalues_rel[-1] < lam[9]
+        count, reason, spec = oracle._counted_window(H, basis, t, 1, shift, lo, hi, z2.reduce(v)[0].coords)
+        assert (count, reason) == (None, "pivot")
+        assert np.array_equal(spec.eigenvalues_rel, lam)
 
     def test_off_diagonal_pivot_takes_pivot_guard(self, z2):
         # H - lo I has a zero diagonal coupled off the diagonal: SuperLU must
         # pivot off the diagonal, perm_r != perm_c, and there is no LDL^H to count
+        import scipy.sparse
+
         basis = PlanewaveBasis.full_ball(z2, 1.5)
         H = np.diag([0.0, 0.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]).astype(complex)
         H[0, 1] = H[1, 0] = 1.0
-        spec = pb.diagonalize(H, basis, np.zeros(2), 1, interval=(0.0, 3.5))
-        assert spec.diagnostics["dense_fallback_reason"] == "pivot"
-        assert np.allclose(spec.eigenvalues, [1.0, 3.0])
+        _, reason, spec = oracle._counted_window(scipy.sparse.csc_array(H), basis, np.zeros(2), 1, 0.0, 0.0, 3.5,
+                                                 basis.coords[0])
+        assert reason == "pivot"
+        assert np.allclose(spec.eigenvalues, [-1.0, 1.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0])
 
     def test_count_near_basis_size_takes_count_guard(self, z2):
         q = pb.cosine_pair(z2, (1, 0), 0.2)
         v = np.array([5.3, 4.2])
         basis, t, shift, H = window_operator(z2, 1, q, v, 1.5)
         lam = np.linalg.eigh(H.toarray())[0]
-        spec = pb.diagonalize(H, basis, t, 1, shift=shift, interval=(lam[1] - 0.5, lam[-1] + 1.0))
-        assert spec.diagnostics == {"eigensolver": "dense", "inertia_count": len(basis) - 1,
-                                    "dense_fallback_reason": "count"}
-        assert np.array_equal(spec.eigenvalues_rel, lam[1:])
+        count, reason, spec = oracle._counted_window(H, basis, t, 1, shift, lam[1] - 0.5, lam[-1] + 1.0,
+                                                     z2.reduce(v)[0].coords)
+        assert (count, reason) == (len(basis) - 1, "count")
+        assert np.array_equal(spec.eigenvalues_rel, lam)
 
     def test_pair_outside_interval_takes_count_guard(self, z2, monkeypatch):
         # a Lanczos solve that returns the wrong pair: its Rayleigh quotient
@@ -595,14 +664,14 @@ class TestSparseSlice:
         lam, W = np.linalg.eigh(H.toarray())
         n = int(np.argmin(np.abs(lam)))
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda A, k, **kw: (lam[n + 5:n + 5 + k], W[:, n + 5:n + 5 + k]))
-        interval = (lam[n] - 1e-3, lam[n] + 1e-3)
-        spec = pb.diagonalize(H, basis, t, 1, shift=shift, interval=interval)
-        assert spec.diagnostics == {"eigensolver": "dense", "inertia_count": 1, "dense_fallback_reason": "count"}
-        assert np.array_equal(spec.eigenvalues_rel, lam[[n]])
+        count, reason, spec = oracle._counted_window(H, basis, t, 1, shift, lam[n] - 1e-3, lam[n] + 1e-3,
+                                                     z2.reduce(v)[0].coords)
+        assert (count, reason) == (1, "count")
+        assert np.array_equal(spec.eigenvalues_rel, lam)
 
-    def test_bloch_solve_reports_the_guard(self, z2):
+    def test_counted_fallback_reports_the_guard(self, z2):
         v = np.array([5.3, 4.2])
-        spec = pb.bloch_solve(z2, 1, FourierPotential(z2, {}), v, 3.0, refine=True, interval=(-1.0, 1.0))
+        spec = counted_solve(z2, 1, FourierPotential(z2, {}), v, 3.0, [0.0], 1.0, refine=True)
         diag = spec.diagnostics
         # the counts hold gamma0 (at 0) and gamma0 + (-1, 1) (at -0.2); the free
         # eigenvalue at the shift sits exactly on the midpoint 0
@@ -614,14 +683,14 @@ class TestSparseSlice:
     def test_rerun_is_byte_identical(self, z2):
         q = pb.random_potential(3, 2, 1.5, 0.0, 0.5, lattice=z2)
         v = np.array([7.1, 3.3])
-        first, second = (pb.bloch_solve(z2, 1, q, v, 5.0, refine=True, interval=(-2.0, 2.0)) for _ in range(2))
+        first, second = (counted_solve(z2, 1, q, v, 5.0, [0.0], 2.0, refine=True) for _ in range(2))
         assert first.diagnostics["eigensolver"] == "sparse"
         assert first.eigenvalues_rel.tobytes() == second.eigenvalues_rel.tobytes()
         assert first.coefficients.tobytes() == second.coefficients.tobytes()
 
 
 def test_import_and_full_solves_leave_scipy_sparse_unloaded():
-    # scipy.sparse.linalg adds ~30 MB of resident memory; only interval solves and
+    # scipy.sparse.linalg adds ~30 MB of resident memory; only counted solves and
     # simplicity verdicts may pay it, not the simplicity set-up path (known parts,
     # the competitor set and the dense block)
     code = (
@@ -645,3 +714,25 @@ def test_import_and_full_solves_leave_scipy_sparse_unloaded():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+def test_tracked_order_sweep_leaves_scipy_sparse_linalg_unloaded():
+    # a tracked center multiplies by the sparse operator but factors and Lanczos-solves
+    # nothing, so only a refused center pays the ~30 MB scipy.sparse.linalg import
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import polybloch as pb\n"
+        "lat = pb.LatticeModel.cubic(2)\n"
+        "q = pb.cosine_pair(lat, (1, 0), 0.1)\n"
+        "cas = pb.derive_parameters(2, 1, 45.0, 20.0, mode='scaled', overrides={\n"
+        "    'v_thresholds': [2.0, 4.0, 8.0], 'pool_radius': 3.0, 'known_order': 3})\n"
+        "u = np.array([0.78, 0.6258]) / np.linalg.norm([0.78, 0.6258])\n"
+        "table = pb.order_sweep(lat, 1, q, [20.0 * u, 40.0 * u], [1, 2, 3], cas)\n"
+        "assert [d['eigensolver'] for d in table.diagnostics] == ['tracked', 'tracked']\n"
+        "print('scipy.sparse' in sys.modules, 'scipy.sparse.linalg' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "True False"
