@@ -162,7 +162,7 @@ def nearest_eigenvalue(index_set: ResonantIndexSet, l: int, q: FourierPotential,
     """
     v = index_set.center
     shift = float(v @ v) ** l
-    H = assemble(l, q, index_set.t, index_set, shift_center=v, sparse=True)
+    H = assemble(l, q, index_set.t, index_set, shift_center=v, sparse=True).tocsc()
     s, count = target - shift, None
     reason, pairs = _shift_invert(H, 1, s)
     if reason is None:

@@ -21,10 +21,12 @@ wave, whose eigenvalue every order's prediction is matched against.  Away
 from gamma0 the window operator's diagonal dominates its couplings (the
 paper's corrections are |q| / (|gamma+t|^{2l} - |v|^{2l})), so
 track_dominant finds that pair by Davidson's method (Davidson 1975; Morgan
-& Scott 1986) from e_gamma0: each step is one sparse matvec, a
-Rayleigh-Ritz on the search space and the diagonally preconditioned
-correction (diag H - theta)^-1 r, one more order of the same perturbation
-series.  Nothing is factored.  The Ritz pair nearest the highest-order
+& Scott 1986) from e_gamma0, and the 1.5x window's from the inner window's
+pair: each step is one sparse matvec, a Rayleigh-Ritz on the search space
+and the diagonally preconditioned correction (diag H - theta)^-1 r, one
+more order of the same perturbation series.  Nothing is factored, and the
+sparse operator is a WindowOperator in numpy alone: its matvec gathers
+once per support vector.  The Ritz pair nearest the highest-order
 prediction is accepted when it passes the residual and unit-norm
 certificates, weighs more than 1/2 on gamma0 (the weights on gamma0 sum to
 1 over all pairs, so no other pair can weigh more) and lies in every
@@ -32,17 +34,18 @@ order's matching window.  Otherwise the counted solve below takes over,
 on the blocks already assembled.
 
 The counted solve (_counted_window) returns the pairs with relative
-eigenvalue in an interval [lo, hi) from the sparse operator (about 5
-nonzeros per row): Sylvester's law of inertia counts the eigenvalues below
-lo and below hi from the signs of LDL^H pivots, and shift-invert Lanczos
-about the midpoint solves for exactly the difference (Ericsson & Ruhe
-1980; the inertia check of Grimes, Lewis & Simon 1994).  Each eigenvalue
-is replaced by its Rayleigh quotient, which brings it back to the full
-solve's accuracy.  When a guard trips (an untrustworthy pivot, or a count
-the Lanczos solve does not reproduce), or no pair found weighs more than
-1/2 on gamma0, the dense solve of the whole block takes over.  The same
-shift-invert core (_shift_invert) and inertia count (_inertia) certify the
-resonant block's eigenvalue nearest a known part (block.nearest_eigenvalue).
+eigenvalue in an interval [lo, hi) from the sparse operator's CSC array
+(WindowOperator.tocsc, about 5 nonzeros per row): Sylvester's law of
+inertia counts the eigenvalues below lo and below hi from the signs of
+LDL^H pivots, and shift-invert Lanczos about the midpoint solves for
+exactly the difference (Ericsson & Ruhe 1980; the inertia check of Grimes,
+Lewis & Simon 1994).  Each eigenvalue is replaced by its Rayleigh
+quotient, which brings it back to the full solve's accuracy.  When a guard
+trips (an untrustworthy pivot, or a count the Lanczos solve does not
+reproduce), or no pair found weighs more than 1/2 on gamma0, the dense
+solve of the whole block takes over.  The same shift-invert core
+(_shift_invert) and inertia count (_inertia) certify the resonant block's
+eigenvalue nearest a known part (block.nearest_eigenvalue).
 bloch_solve, solve and diagonalize are the full dense solves.
 """
 
@@ -168,31 +171,89 @@ class BlochSpectrum:
         return float(self.eigenvalues[n] - self.shift)
 
 
+class WindowOperator:
+    """A sparse Hermitian operator in numpy alone, as assemble(..., sparse=True) returns it.
+
+    diagonal() is the real diagonal, and (columns, values) the
+    off-diagonal of FourierPotential.coupling_table: row i holds
+    values[s, i] in column columns[s, i], with the sentinel n (value 0)
+    where there is none.  H @ x gathers x once per offset, abs(H) is the
+    operator of the entries' moduli, and H[:k, :k] is the leading block:
+    the operator over the first k rows, exactly.  tocsc() builds the
+    scipy.sparse CSC array that SuperLU and ARPACK need, toarray() the
+    dense matrix.
+    """
+
+    def __init__(self, diagonal: np.ndarray, columns: np.ndarray, values: np.ndarray):
+        self._diagonal, self.columns, self.values = diagonal, columns, values
+        self.shape = (len(diagonal), len(diagonal))
+
+    def diagonal(self) -> np.ndarray:
+        return self._diagonal
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """H x for a vector x."""
+        return self._diagonal * x + np.sum(self.values * np.append(x, 0)[self.columns], axis=0)
+
+    def __abs__(self) -> "WindowOperator":
+        return WindowOperator(np.abs(self._diagonal), self.columns, np.abs(self.values))
+
+    def __getitem__(self, key) -> "WindowOperator":
+        """The leading block H[:k, :k], the one slice supported."""
+        k = key[0].stop
+        if key != (slice(None, k), slice(None, k)):
+            raise IndexError("only a leading block H[:k, :k] can be sliced")
+        inside = self.columns[:, :k] < k
+        return WindowOperator(self._diagonal[:k], np.where(inside, self.columns[:, :k], k),
+                              np.where(inside, self.values[:, :k], 0))
+
+    def one_norm(self) -> float:
+        """||H||_1, the largest column sum of |H| (the largest row sum: H is Hermitian)."""
+        return float(np.max(np.abs(self._diagonal) + np.abs(self.values).sum(axis=0)))
+
+    def column_nonzeros(self) -> int:
+        """The most stored entries in a column, the diagonal included."""
+        return 1 + int(np.max(np.count_nonzero(self.columns < self.shape[0], axis=0)))
+
+    def _triplets(self):
+        n = self.shape[0]
+        s, i = np.nonzero(self.columns < n)
+        return i, self.columns[s, i], self.values[s, i]
+
+    def toarray(self) -> np.ndarray:
+        n = self.shape[0]
+        H = np.zeros((n, n), dtype=complex)
+        i, j, values = self._triplets()
+        H[i, j] = values
+        H[np.diag_indices(n)] = self._diagonal
+        return H
+
+    def tocsc(self):
+        import scipy.sparse  # here, not at module level: only SuperLU and ARPACK need it
+
+        n = self.shape[0]
+        i, j, values = self._triplets()
+        diag = np.arange(n)
+        return scipy.sparse.csc_array((np.concatenate((values, self._diagonal)),
+                                       (np.concatenate((i, diag)), np.concatenate((j, diag)))), shape=(n, n))
+
+
 def assemble(l: int, q: FourierPotential, t, basis, shift_center=None, sparse: bool = False):
     """Hermitian matrix of (-Laplace)^l + q over a PlanewaveBasis or a ResonantIndexSet.
 
     With shift_center = v the diagonal holds |gamma+t|^{2l} - |v|^{2l}
     (cancellation-free); eigenvalues of the result are then relative to
-    |v|^{2l}.  The result is a dense array, or with sparse set a
-    scipy.sparse CSC array built from q.coupling_triplets.  An entry
-    depends on its own two rows only, so leading rows give the leading block.
+    |v|^{2l}.  The result is a WindowOperator over q.coupling_table with
+    sparse set, else its dense array.  An entry depends on its own two
+    rows only, so leading rows give the leading block.
     """
     n = len(basis.coords)
     if n == 0:
         raise ValueError("basis must be non-empty")
     t = np.asarray(t, dtype=float)
     v = np.zeros_like(t) if shift_center is None else np.asarray(shift_center, dtype=float)
-    energies = relative_energies(v, basis.embeddings + t, l)
-    if not sparse:
-        H = q.couplings(basis.coords)
-        H[np.diag_indices(n)] = energies
-        return H
-    import scipy.sparse  # here, not at module level: only sparse solves need it
-
-    i, j, values = q.coupling_triplets(basis.coords)
-    diag = np.arange(n)
-    return scipy.sparse.csc_array((np.concatenate((values, energies)),
-                                   (np.concatenate((i, diag)), np.concatenate((j, diag)))), shape=(n, n))
+    H = WindowOperator(relative_energies(v, basis.embeddings + t, l), *q.coupling_table(basis.coords))
+    return H if sparse else H.toarray()
 
 
 def diagonalize(H, basis: PlanewaveBasis, t, l: int, shift: float = 0.0) -> BlochSpectrum:
@@ -351,45 +412,55 @@ def track_dominant(lattice: LatticeModel, l: int, q: FourierPotential, v, window
     the pair is matched against, each within halfwidth.  The operator is
     assembled once, over the outermost window (see _windows), and each
     window's pair comes from _track_pair on its leading block; with refine
-    set, the two windows' pairs are compared as in bloch_solve.  The
-    spectrum holds the one pair (diagnostics eigensolver "tracked").  When
-    either window refuses its pair, every window's block is solved instead
-    by _counted_window over [min P - halfwidth, max P + halfwidth], which
+    set, the 1.5x window starts from the inner window's pair, and the two
+    windows' pairs are compared as in bloch_solve.  The spectrum holds the
+    one pair (diagnostics eigensolver "tracked").  When either window
+    refuses its pair, every window's block is solved instead by
+    _counted_window over [min P - halfwidth, max P + halfwidth], which
     holds every pair a prediction can match, and
-    diagnostics["tracking_refused"] says why.
+    diagnostics["tracking_refused"] says why.  diagnostics["track_steps"]
+    lists the Davidson steps taken in each window tried.
     """
     v = np.asarray(v, dtype=float)
     gamma0, t = lattice.split(v)
     shift = float(v @ v) ** l
     bases = _windows(lattice, q, t, v, gamma0.coords, window_radius, refine)
     H = assemble(l, q, t, bases[-1], shift_center=v, sparse=True)
-    spectra = []
+    spectra, steps, start = [], [], None
     for basis in bases:
         k = len(basis)
-        refused, spectrum = _track_pair(H[:k, :k], basis, t, l, shift, gamma0.coords, predictions, halfwidth)
+        refused, taken, spectrum = _track_pair(H[:k, :k], basis, t, l, shift, gamma0.coords, predictions,
+                                               halfwidth, start)
+        steps.append(taken)
         if refused is not None:
             break
         spectra.append(spectrum)
+        start = spectrum.coefficients[0]
     else:
         return _summarized(spectra, gamma0.coords, window_radius, refine, inertia_count=None,
-                           eigensolver="tracked", dense_fallback_reason=None, tracking_refused=None)
+                           eigensolver="tracked", dense_fallback_reason=None, tracking_refused=None,
+                           track_steps=steps)
     lo, hi = min(predictions) - halfwidth, max(predictions) + halfwidth
     counts, reasons, spectra = zip(*(_counted_window(H[:len(b), :len(b)], b, t, l, shift, lo, hi, gamma0.coords)
                                      for b in bases))
     return _summarized(spectra, gamma0.coords, window_radius, refine, inertia_count=list(counts),
                        eigensolver="dense" if any(reasons) else "sparse",
-                       dense_fallback_reason=next((r for r in reasons if r), None), tracking_refused=refused)
+                       dense_fallback_reason=next((r for r in reasons if r), None), tracking_refused=refused,
+                       track_steps=steps)
 
 
 def _counted_window(H, basis: PlanewaveBasis, t, l: int, shift: float, lo: float, hi: float, coords):
     """(count, reason, spectrum): the pairs of the sparse H in [lo, hi), counted by inertia.
 
-    The pairs come from _window_pairs, and reason is None, when its guards
-    hold and one of them weighs more than 1/2 on coords, which makes it the
-    full spectrum's dominant pair (see BlochSpectrum.dominant_index).
-    Otherwise the spectrum is the dense eigh of H in full, and reason names
-    the guard that tripped, or is "half-rule".
+    H is a WindowOperator or its CSC array (tocsc), which SuperLU and
+    ARPACK solve.  The pairs come from _window_pairs, and reason is None,
+    when its guards hold and one of them weighs more than 1/2 on coords,
+    which makes it the full spectrum's dominant pair (see
+    BlochSpectrum.dominant_index).  Otherwise the spectrum is the dense eigh
+    of H in full, and reason names the guard that tripped, or is
+    "half-rule".
     """
+    H = H.tocsc()
     count, reason, pairs = _window_pairs(H, lo, hi)
     if reason is None:
         spectrum = _certified(basis, t, l, shift, *pairs)
@@ -399,10 +470,14 @@ def _counted_window(H, basis: PlanewaveBasis, t, l: int, shift: float, lo: float
     return count, reason, diagonalize(H.toarray(), basis, t, l, shift)
 
 
-def _track_pair(H, basis: PlanewaveBasis, t, l: int, shift: float, coords, predictions, halfwidth: float):
-    """(reason, spectrum): the pair of the sparse H that Davidson's method reaches from e_coords.
+def _track_pair(H: WindowOperator, basis: PlanewaveBasis, t, l: int, shift: float, coords, predictions,
+                halfwidth: float, start=None):
+    """(reason, steps, spectrum): the pair of H that Davidson's method reaches from start.
 
-    The search space V starts as [e_coords].  Each step multiplies H into
+    The search space V starts as [start]: e_coords when start is None,
+    else the unit vector whose leading entries are start and the rest 0
+    (track_dominant passes the inner window's pair, whose leading rows the
+    outer window shares).  Each step multiplies H into
     V's newest vector and takes, by Rayleigh-Ritz on span V, the Ritz pair
     (theta, x) nearest sigma = predictions[-1], x scaled to unit norm and a
     real positive entry on coords, so reruns are byte-identical.  It stops
@@ -418,19 +493,23 @@ def _track_pair(H, basis: PlanewaveBasis, t, l: int, shift: float, coords, predi
     (so it is the window's dominant pair, see BlochSpectrum.dominant_index)
     and |theta - P| < halfwidth for every prediction.  Otherwise spectrum
     is None and reason is "convergence" (no stop within the cap, or a
-    failed certificate), "weight" or "window".
+    failed certificate), "weight" or "window".  steps counts the
+    Davidson steps taken (matvecs, the final one aside).
     """
     pos = basis.positions(coords)[0]
     absH = abs(H)
-    norm1 = float(absH.sum(axis=0).max())
+    norm1 = H.one_norm()
     tol = _TRACK_TOL * norm1
     # fl(H v) - H v <= m eps |H| |v| entrywise, m the most nonzeros in a column
-    rounding = np.finfo(float).eps * float(np.diff(absH.indptr).max())
-    diagonal = H.diagonal().real
+    rounding = np.finfo(float).eps * H.column_nonzeros()
+    diagonal = H.diagonal()
     V = np.zeros((_TRACK_STEPS + 1, H.shape[0]), dtype=complex)  # row k: the k-th orthonormal search vector
     HV = np.zeros_like(V)
     T = np.zeros((_TRACK_STEPS, _TRACK_STEPS), dtype=complex)  # lower triangle of V^H H V
-    V[0, pos] = 1.0
+    if start is None:
+        V[0, pos] = 1.0
+    else:
+        V[0, :len(start)] = start / np.linalg.norm(start)
     for k in range(_TRACK_STEPS):
         HV[k] = H @ V[k]
         T[k, :k + 1] = V[:k + 1] @ HV[k].conj()
@@ -452,18 +531,19 @@ def _track_pair(H, basis: PlanewaveBasis, t, l: int, shift: float, coords, predi
             c -= np.conj(V[:k + 1] @ c.conj()) @ V[:k + 1]
         V[k + 1] = c / np.linalg.norm(c)
     else:
-        return "convergence", None
+        return "convergence", _TRACK_STEPS, None
+    steps = k + 1
     Hx = H @ x
     theta = float(np.real(np.vdot(x, Hx)))
     try:
         spectrum = _certified(basis, t, l, shift, np.array([theta]), x[:, None], Hx[:, None])
     except ConvergenceFailure:
-        return "convergence", None
+        return "convergence", steps, None
     if not abs(x[pos]) ** 2 > 0.5:
-        return "weight", None
+        return "weight", steps, None
     if any(abs(theta - p) >= halfwidth for p in predictions):
-        return "window", None
-    return None, spectrum
+        return "window", steps, None
+    return None, steps, spectrum
 
 
 def _windows(lattice: LatticeModel, q: FourierPotential, t, v, coords, window_radius: float,

@@ -63,31 +63,42 @@ class FourierPotential:
     def is_zero(self) -> bool:
         return not self._table
 
-    def coupling_triplets(self, coords) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nonzero off-diagonal entries (i, j, q_{c_i - c_j}) over the rows c of an index set.
+    def coupling_table(self, coords) -> tuple[np.ndarray, np.ndarray]:
+        """(columns, values): the off-diagonal entries q_{c_i - c_j} over the rows c of an index set.
 
-        Each support vector g is looked up once: c_i - g is found by the
-        mixed-radix key search of lattice.CoordinateIndex, so the cost is
-        O(n |supp| log n) with O(n) temporaries.
-        Only pairs i < j are looked up; (j, i) receives the conjugate, so the
-        operator is exactly Hermitian even for tables that are Hermitian only
-        to the loader's tolerance.  Each pair appears once; no entry is on
-        the diagonal.
+        One table row per nonzero offset g_s of supp q and its negatives
+        (the same set for any table the loader accepts): columns[s, i] is
+        the row j of c_i - g_s and values[s, i] the entry H[i, j], or the
+        sentinel n = len(coords) and 0 where there is none.  Each g_s is
+        looked up once, by the mixed-radix key search of
+        lattice.CoordinateIndex, so the cost is O(n |supp| log n) with O(n)
+        temporaries.  H[i, j] is q_{g_s} when i < j and conj(q_{-g_s})
+        when i > j: each pair i < j takes its value from the lookup of its
+        upper entry and (j, i) the conjugate, so the operator is exactly
+        Hermitian even for tables that are Hermitian only to the loader's
+        tolerance.  No entry is on the diagonal.
         """
         coords = np.asarray(coords, dtype=np.int64)
+        n = len(coords)
+        offsets = [g for g in dict.fromkeys(self._support + tuple(tuple(-c for c in g) for g in self._support))
+                   if any(g)]
         index = CoordinateIndex(coords)
-        members = np.arange(len(coords))
-        empty = np.zeros(0, dtype=np.int64)
-        rows, cols, values = [empty], [empty], [np.zeros(0, dtype=complex)]
-        for g in self._support:
-            j = index.find(coords - np.asarray(g, dtype=np.int64))
-            i = np.flatnonzero(members < j)  # absent targets have j = -1
-            j = j[i]
-            value = np.full(len(i), self.coefficient(g))
-            rows += [i, j]
-            cols += [j, i]
-            values += [value, value.conj()]
-        return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+        members = np.arange(n)
+        columns = np.full((len(offsets), n), n, dtype=np.int64)
+        values = np.zeros((len(offsets), n), dtype=complex)
+        for s, g in enumerate(offsets):
+            j = index.find(coords - np.asarray(g, dtype=np.int64))  # absent targets have j = -1
+            value = np.where(members < j, self.coefficient(g), np.conj(self.coefficient(tuple(-c for c in g))))
+            kept = (j >= 0) & (value != 0)
+            columns[s, kept] = j[kept]
+            values[s, kept] = value[kept]
+        return columns, values
+
+    def coupling_triplets(self, coords) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nonzero off-diagonal entries (i, j, q_{c_i - c_j}) of coupling_table, each pair once."""
+        columns, values = self.coupling_table(coords)
+        s, i = np.nonzero(columns < len(coords))
+        return i, columns[s, i], values[s, i]
 
     def couplings(self, coords) -> np.ndarray:
         """Dense (n, n) matrix of q_{c_i - c_j} over the rows c of an index set

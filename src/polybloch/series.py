@@ -220,7 +220,10 @@ def match_eigenvalue(spectrum: BlochSpectrum, gamma, prediction_rel: float,
 
     prediction_rel is the prediction minus the spectrum shift (|v|^{2l} for
     windowed solves); residual is the matched eigenvalue minus prediction
-    in the same frame.
+    in the same frame.  NoCandidate unless the pair matched weighs more
+    than 1/2 on gamma: it is then the dominant pair of the whole spectrum
+    (see BlochSpectrum.dominant_index), whichever pairs a partial solve
+    returned, and never a pair whose weight is rounding noise.
     """
     pos = spectrum.position(gamma)
     if pos is None:
@@ -231,6 +234,9 @@ def match_eigenvalue(spectrum: BlochSpectrum, gamma, prediction_rel: float,
         raise NoCandidate(
             f"no eigenvalue within {halfwidth!r} of prediction (rel) {prediction_rel!r}")
     weights = np.abs(spectrum.coefficients[inside, pos]) ** 2
+    if not np.max(weights) > 0.5:
+        raise NoCandidate(f"no eigenpair within {halfwidth!r} of prediction (rel) {prediction_rel!r} "
+                          f"weighs more than 1/2 on gamma {gamma} (at most {float(np.max(weights))!r})")
     best = inside[int(np.argmax(weights))]
     return MatchResult(
         index=int(best),

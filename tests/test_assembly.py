@@ -2,16 +2,20 @@
 
 The references below fill the matrix the way the builder replaced: one
 coefficient lookup per pair i < j and one scalar power difference per row.
+The sparse operator is checked against the CSC array the builder made
+before it: the scatter of reference_triplets.
 """
 
 import numpy as np
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polybloch as pb
 from polybloch import oracle
 from polybloch.block import ResonantIndexSet, assemble_block
-from polybloch.numerics import power_difference
+from polybloch.lattice import CoordinateIndex
+from polybloch.numerics import power_difference, relative_energies
 from polybloch.oracle import PlanewaveBasis
 from polybloch.potential import FourierPotential
 
@@ -45,6 +49,43 @@ def pairwise_diagonal(vectors, t, l, v):
         first = 2.0 * float(v @ delta) + float(delta @ delta)
         out.append(power_difference(first, v_sq + first, v_sq, l))
     return np.array(out)
+
+
+def reference_triplets(q, coords):
+    """Off-diagonal (i, j, q_{c_i - c_j}): one lookup per support vector, pairs i < j, (j, i) conjugated."""
+    coords = np.asarray(coords, dtype=np.int64)
+    index = CoordinateIndex(coords)
+    members = np.arange(len(coords))
+    empty = np.zeros(0, dtype=np.int64)
+    rows, cols, values = [empty], [empty], [np.zeros(0, dtype=complex)]
+    for g in q.support:
+        j = index.find(coords - np.asarray(g, dtype=np.int64))
+        i = np.flatnonzero(members < j)  # absent targets have j = -1
+        j = j[i]
+        value = np.full(len(i), q.coefficient(g))
+        rows += [i, j]
+        cols += [j, i]
+        values += [value, value.conj()]
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+
+
+def reference_csc(l, q, t, basis, v, dense=False):
+    """The relative-frame operator scattered from reference_triplets: a CSC array, or with dense set an array."""
+    n = len(basis)
+    energies = relative_energies(np.zeros_like(t) if v is None else v, basis.embeddings + t, l)
+    i, j, values = reference_triplets(q, basis.coords)
+    if dense:  # assigned, not summed as in toarray(), so an entry's -0.0 stays
+        H = np.zeros((n, n), dtype=complex)
+        H[i, j] = values
+        H[np.diag_indices(n)] = energies
+        return H
+    diag = np.arange(n)
+    return scipy.sparse.csc_array((np.concatenate((values, energies)),
+                                   (np.concatenate((i, diag)), np.concatenate((j, diag)))), shape=(n, n))
+
+
+def csc_bytes(A):
+    return [(getattr(A, name).dtype, getattr(A, name).tobytes()) for name in ("indptr", "indices", "data")]
 
 
 @st.composite
@@ -170,5 +211,49 @@ def test_inner_window_is_the_leading_block_of_its_refinement(case):
     assert np.array_equal(sparse.toarray(), dense)
     block = sparse[:k, :k]
     want = pb.assemble(l, q, t, reference, shift_center=v, sparse=True)
-    for name in ("indptr", "indices", "data"):
-        assert getattr(block, name).tobytes() == getattr(want, name).tobytes()
+    assert csc_bytes(block.tocsc()) == csc_bytes(want.tocsc())
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances())
+def test_window_operator_matches_the_reference_csc_in_every_leading_block(case):
+    lattice, q, vectors, t, l, v = case
+    basis = PlanewaveBasis(lattice, [h.coords for h in vectors])
+    op = pb.assemble(l, q, t, basis, shift_center=v, sparse=True)
+    n = len(basis)
+    assert op.shape == (n, n) and op.columns.shape == op.values.shape
+    assert np.array_equal(op.toarray(), pb.assemble(l, q, t, basis, shift_center=v))
+    rng = np.random.default_rng(n)
+    for k in range(1, n + 1):
+        block = op[:k, :k]
+        leading = PlanewaveBasis(lattice, basis.coords[:k])
+        want = reference_csc(l, q, t, leading, v)
+        dense = block.toarray()
+        # exactly Hermitian, even on tables Hermitian only to the loader's tolerance
+        assert np.array_equal(dense, dense.conj().T)
+        assert dense.tobytes() == reference_csc(l, q, t, leading, v, dense=True).tobytes()
+        assert csc_bytes(block.tocsc()) == csc_bytes(want)
+        assert block.column_nonzeros() == int(np.diff(want.indptr).max())
+        norm1 = float(abs(want).sum(axis=0).max())
+        assert abs(block.one_norm() - norm1) <= 8 * k * EPS * norm1
+        x = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        y = np.abs(x)
+        # each product's rounding is within (m + 2) eps |H| |x| entrywise, m the nonzeros per column
+        bound = 2 * (block.column_nonzeros() + 2) * EPS * (abs(want) @ y)
+        assert np.all(np.abs(block @ x - want @ x) <= bound)
+        assert np.all(np.abs(abs(block) @ y - abs(want) @ y) <= bound)
+
+
+def test_window_operator_of_an_empty_table_is_its_diagonal(z2):
+    basis = PlanewaveBasis.full_ball(z2, 2.5)
+    t, v = np.array([0.1, 0.2]), np.array([3.1, 4.2])
+    q = FourierPotential(z2, {})
+    op = pb.assemble(2, q, t, basis, shift_center=v, sparse=True)
+    energies = relative_energies(v, basis.embeddings + t, 2)
+    assert op.columns.shape == (0, len(basis))
+    assert op.diagonal().tobytes() == energies.tobytes()
+    x = np.arange(len(basis)) + 1j
+    assert np.array_equal(op @ x, energies * x)
+    assert op.one_norm() == np.max(np.abs(energies)) and op.column_nonzeros() == 1
+    assert csc_bytes(op.tocsc()) == csc_bytes(reference_csc(2, q, t, basis, v))
+    assert csc_bytes(op[:5, :5].tocsc()) == csc_bytes(reference_csc(2, q, t, PlanewaveBasis(z2, basis.coords[:5]), v))

@@ -155,6 +155,8 @@ class TestVerifyCommand:
         assert diag["eigensolver"] == "tracked" and diag["pairs_solved"] == 2
         assert diag["tracking_refused"] is None and diag["dense_fallback_reason"] is None
         assert diag["inertia_count"] is None
+        # Davidson steps per window: the refined window starts from the inner window's pair
+        assert len(diag["track_steps"]) == 2 and 1 <= diag["track_steps"][1] <= 2 <= diag["track_steps"][0]
         assert 0 <= diag["certificate_move"] < 1e-9
         assert 0 < diag["worst_residual"] < 1e-8
 
@@ -316,6 +318,16 @@ class TestErrors:
         assert run.returncode == 3, run.stderr
         assert "Traceback" not in run.stderr
         assert "one enumeration takes at most" in run.stderr
+
+    def test_order_without_a_dominant_pair_is_numerical_failure(self, tmp_path, capsys):
+        # at rho = 2 the first order's window holds only pairs that weigh about 1e-31 on
+        # gamma0: that weight is rounding noise, so nothing is matched
+        base = BASE_CONFIG.replace("re: 0.1", "re: 0.5").replace("rho: [10.0]", "rho: [2.0]")
+        angle = 1.3612820512820514
+        cfg = write_config(tmp_path, f"verify:\n  direction: [{float(np.cos(angle))!r}, {float(np.sin(angle))!r}]\n"
+                                     "  orders: [1, 2]\n", base=base)
+        assert main(["verify", "-c", str(cfg)]) == 3
+        assert "weighs more than 1/2" in capsys.readouterr().err
 
     def test_simple_check_precondition_is_numerical_failure(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "simple_check:\n  points: [[0.5, 10.0]]\n")

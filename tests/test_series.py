@@ -152,6 +152,21 @@ class TestMatching:
         with pytest.raises(NoCandidate):
             pb.match_eigenvalue(spec, gamma0.coords, 1e3, 1.0)
 
+    def test_minor_weight_pair_is_no_candidate(self, z2):
+        # near the resonance v1 = -1/2, gamma0 and gamma0 + e1 mix about 60/40: a window
+        # holding only the 40% pair matches nothing, and a wider one the 60% pair
+        q = pb.cosine_pair(z2, (1, 0), 0.2)
+        v = np.array([-0.459, 4.2])
+        spec = pb.bloch_solve(z2, 1, q, v, 6.0)
+        gamma0, _ = z2.reduce(v)
+        weights = np.abs(spec.coefficients[:, spec.position(gamma0.coords)]) ** 2
+        minor, major = np.argsort(weights)[-2:]
+        lam = spec.relative_eigenvalue(minor)
+        with pytest.raises(NoCandidate, match="weighs more than 1/2"):
+            pb.match_eigenvalue(spec, gamma0.coords, lam, 0.01)
+        wide = abs(spec.relative_eigenvalue(major) - lam) + 0.01
+        assert pb.match_eigenvalue(spec, gamma0.coords, lam, wide).index == major
+
     def test_oracle_cross_check_first_order(self, z2):
         # windowed diagonalization agrees with |v|^2 + F_1 far beyond |F_1|
         q = pb.cosine_pair(z2, (1, 0), 0.1)
