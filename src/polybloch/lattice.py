@@ -49,13 +49,21 @@ class LatticeVector:
         return hash(self.coords)
 
 
+def _box_size(lo, hi, use: str, unit: str) -> int:
+    """The number of integer points n with lo <= n <= hi.  PreconditionError
+    when it exceeds MAX_BOX_POINTS: `use` needs the box, and one `unit` is
+    bounded."""
+    size = math.prod(max(0, int(b) - int(a) + 1) for a, b in zip(lo, hi))
+    if size > MAX_BOX_POINTS:
+        raise PreconditionError(f"{use} needs a box of {size:.3g} lattice points; "
+                                f"one {unit} takes at most {MAX_BOX_POINTS}")
+    return size
+
+
 def _integer_box(lo, hi) -> np.ndarray:
     """(N, d) int64 rows of every integer point n with lo <= n <= hi, last axis fastest.
     PreconditionError, before anything is allocated, when N exceeds MAX_BOX_POINTS."""
-    size = math.prod(max(0, int(b) - int(a) + 1) for a, b in zip(lo, hi))
-    if size > MAX_BOX_POINTS:
-        raise PreconditionError(f"enumerating this radius needs a box of {size:.3g} lattice points; "
-                                f"one enumeration takes at most {MAX_BOX_POINTS}")
+    _box_size(lo, hi, "enumerating this radius", "enumeration")
     axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo, hi)]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
@@ -75,29 +83,31 @@ def _ordered(coords: np.ndarray, key: np.ndarray) -> np.ndarray:
 
 
 class CoordinateIndex:
-    """Row lookup in an (n, d) integer coordinate array: rows are keyed in
-    mixed radix over the array's bounding box and the keys sorted once, so
-    find() binary-searches m rows in O(m log n) with O(m) temporaries."""
+    """Row lookup in an (n, d) array of distinct integer coordinate rows.
+
+    A dense slot table over the rows' bounding box, keyed in mixed radix,
+    holds each row's number, and -1 in every slot no row fills.  So
+    construction is one scatter, and find() of m targets one bounds check
+    and one gather: O(m) time and temporaries.  The box may hold at most
+    MAX_BOX_POINTS slots (PreconditionError, before anything is allocated).
+    """
 
     def __init__(self, coords):
         coords = np.asarray(coords, dtype=np.int64)
         self._lo = coords.min(axis=0) if len(coords) else np.zeros(coords.shape[1], dtype=np.int64)
-        self._hi = coords.max(axis=0) if len(coords) else self._lo - 1  # an empty box
-        self._stride = np.cumprod(np.concatenate(([1], (self._hi - self._lo + 1)[:-1])))
-        keys = (coords - self._lo) @ self._stride
-        self._order = np.argsort(keys)
-        self._keys = keys[self._order]
+        hi = coords.max(axis=0) if len(coords) else self._lo - 1  # an empty box
+        size = _box_size(self._lo, hi, "indexing these coordinates", "index")
+        extent = hi - self._lo + 1
+        self._extent = extent.astype(np.uint64)
+        self._stride = np.cumprod(np.concatenate(([1], extent[:-1])))
+        self._slots = np.full(size + 1, -1, dtype=np.int64)  # slot `size` stands for every target outside
+        self._slots[(coords - self._lo) @ self._stride] = np.arange(len(coords))
 
     def find(self, targets) -> np.ndarray:
         """The row of each target row in the indexed array, -1 where it is absent."""
-        targets = np.asarray(targets, dtype=np.int64).reshape(-1, len(self._lo))
-        rows = np.full(len(targets), -1, dtype=np.int64)
-        inside = np.flatnonzero(np.all((targets >= self._lo) & (targets <= self._hi), axis=1))
-        wanted = (targets[inside] - self._lo) @ self._stride
-        pos = np.minimum(np.searchsorted(self._keys, wanted), len(self._keys) - 1)
-        hit = self._keys[pos] == wanted
-        rows[inside[hit]] = self._order[pos[hit]]
-        return rows
+        offsets = np.asarray(targets, dtype=np.int64).reshape(-1, len(self._lo)) - self._lo
+        inside = np.all(offsets.view(np.uint64) < self._extent, axis=1)  # a negative offset wraps above
+        return self._slots[np.where(inside, offsets @ self._stride, len(self._slots) - 1)]
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,28 @@ def loglog_slope(xs, ys) -> float:
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
+# Dense band solves on at most this many plane waves run on one BLAS thread.
+# On 2 vCPUs a real eigvalsh takes as long on one thread as on two at 225
+# waves (2.9 vs 3.0 ms) and 1.2x longer at 506 (24 vs 20 ms), the 1.5x
+# certification basis of 225.  When another process holds a vCPU, two
+# threads wait on each other: at 225 waves one thread is then 2.5x faster
+# (3.2 vs 8.1 ms).  After each threaded call the idle thread also spins on
+# the other vCPU for about 0.13 s.  From 800 waves on, two threads are
+# 1.4-2x faster.
+SERIAL_BAND_BASIS = 600
+# Davidson's tracked solves (oracle._track_pair) on windows of at most this
+# many plane waves run on one BLAS thread.  Their BLAS work is complex
+# matrix-vector products on the (k <= 25) x n search space.  On 2 vCPUs,
+# one step's products with 10 rows take 0.04 vs 0.07 ms on one thread and
+# two at 900 waves, and 0.16-0.17 vs 0.18-0.20 ms at 4,000; from 5,000 to
+# 6,000 they are within 5% of each other, and from 6,500 on two threads
+# win by 7-13%, by 1.3-1.7x at 20,479.  When the calling thread moves to
+# the other vCPU between solves, the second thread costs about 8 ms per
+# solve up to at least 11,000 waves (a 10-step solve: 15.4 vs 8.6 ms at
+# 2,109 waves, 27 vs 20 ms at 5,575).  The counted fallback stays threaded.
+SERIAL_TRACK_BASIS = 6000
+
+
 @functools.cache
 def _openblas_thread_calls():
     """(get, set) of the thread count of the OpenBLAS numpy's wheel loaded, or None.

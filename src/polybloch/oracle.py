@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, PreconditionError, WindowNotConverged
 from .lattice import CoordinateIndex, LatticeModel, _in_shifted_ball, _ordered
-from .numerics import relative_energies
+from .numerics import SERIAL_TRACK_BASIS, capped_blas_threads, relative_energies
 from .potential import FourierPotential
 
 _RESIDUAL_TOL = 1e-8
@@ -411,10 +411,11 @@ def track_dominant(lattice: LatticeModel, l: int, q: FourierPotential, v, window
     predictions (relative to |v|^{2l}, highest order last) are the values
     the pair is matched against, each within halfwidth.  The operator is
     assembled once, over the outermost window (see _windows), and each
-    window's pair comes from _track_pair on its leading block; with refine
-    set, the 1.5x window starts from the inner window's pair, and the two
-    windows' pairs are compared as in bloch_solve.  The spectrum holds the
-    one pair (diagnostics eigensolver "tracked").  When either window
+    window's pair comes from _track_pair on its leading block, on one BLAS
+    thread when the window has at most numerics.SERIAL_TRACK_BASIS waves;
+    with refine set, the 1.5x window starts from the inner window's pair,
+    and the two windows' pairs are compared as in bloch_solve.  The
+    spectrum holds the one pair (diagnostics eigensolver "tracked").  When either window
     refuses its pair, every window's block is solved instead by
     _counted_window over [min P - halfwidth, max P + halfwidth], which
     holds every pair a prediction can match, and
@@ -429,8 +430,9 @@ def track_dominant(lattice: LatticeModel, l: int, q: FourierPotential, v, window
     spectra, steps, start = [], [], None
     for basis in bases:
         k = len(basis)
-        refused, taken, spectrum = _track_pair(H[:k, :k], basis, t, l, shift, gamma0.coords, predictions,
-                                               halfwidth, start)
+        with capped_blas_threads(1 if k <= SERIAL_TRACK_BASIS else None):
+            refused, taken, spectrum = _track_pair(H[:k, :k], basis, t, l, shift, gamma0.coords, predictions,
+                                                   halfwidth, start)
         steps.append(taken)
         if refused is not None:
             break
@@ -487,30 +489,32 @@ def _track_pair(H: WindowOperator, basis: PlanewaveBasis, t, l: int, shift: floa
     H.  (On small windows whose pair spreads over most waves, the residual
     can stall there, above the fixed tolerance.)  Otherwise V gains the
     correction (diag H - theta)^-1 (H x - theta x), orthogonalized twice
-    against V.  The pair (x^H H x, x), with H x multiplied afresh, is
-    accepted, and reason is None, when the loop stops within _TRACK_STEPS
-    steps, the unit-norm and residual certificates hold, |x_coords|^2 > 1/2
-    (so it is the window's dominant pair, see BlochSpectrum.dominant_index)
-    and |theta - P| < halfwidth for every prediction.  Otherwise spectrum
+    against V; V and H V grow with the steps taken (_with_row), not sized
+    for the cap up front.  The pair (x^H H x, x), with H x multiplied
+    afresh, is accepted, and reason is None, when the loop stops within
+    _TRACK_STEPS steps, the unit-norm and residual certificates hold,
+    |x_coords|^2 > 1/2 (so it is the window's dominant pair, see
+    BlochSpectrum.dominant_index) and |theta - P| < halfwidth for every
+    prediction.  Otherwise spectrum
     is None and reason is "convergence" (no stop within the cap, or a
     failed certificate), "weight" or "window".  steps counts the
     Davidson steps taken (matvecs, the final one aside).
     """
     pos = basis.positions(coords)[0]
-    absH = abs(H)
     norm1 = H.one_norm()
     tol = _TRACK_TOL * norm1
     # fl(H v) - H v <= m eps |H| |v| entrywise, m the most nonzeros in a column
     rounding = np.finfo(float).eps * H.column_nonzeros()
     diagonal = H.diagonal()
-    V = np.zeros((_TRACK_STEPS + 1, H.shape[0]), dtype=complex)  # row k: the k-th orthonormal search vector
-    HV = np.zeros_like(V)
+    V = np.zeros((1, H.shape[0]), dtype=complex)  # row k: the k-th orthonormal search vector
+    HV = np.empty_like(V)  # row k: H times V's row k
     T = np.zeros((_TRACK_STEPS, _TRACK_STEPS), dtype=complex)  # lower triangle of V^H H V
     if start is None:
         V[0, pos] = 1.0
     else:
         V[0, :len(start)] = start / np.linalg.norm(start)
     for k in range(_TRACK_STEPS):
+        HV = _with_row(HV, k)
         HV[k] = H @ V[k]
         T[k, :k + 1] = V[:k + 1] @ HV[k].conj()
         ritz, S = np.linalg.eigh(T[:k + 1, :k + 1])
@@ -523,12 +527,13 @@ def _track_pair(H: WindowOperator, basis: PlanewaveBasis, t, l: int, shift: floa
         res = np.linalg.norm(r)
         # the rounding floor is at most rounding ||H||_1 ||s||_1: multiply it out only below that
         if res <= tol or (res <= rounding * norm1 * np.abs(s).sum()
-                          and res <= rounding * np.linalg.norm(absH @ (np.abs(s) @ np.abs(V[:k + 1])))):
+                          and res <= rounding * np.linalg.norm(abs(H) @ (np.abs(s) @ np.abs(V[:k + 1])))):
             break
         delta = diagonal - theta  # exactly 0 on a wave as free as gamma0's, e.g. on a resonance plane
         c = r / np.where(np.abs(delta) < tol, tol, delta)
         for _ in range(2):
             c -= np.conj(V[:k + 1] @ c.conj()) @ V[:k + 1]
+        V = _with_row(V, k + 1)
         V[k + 1] = c / np.linalg.norm(c)
     else:
         return "convergence", _TRACK_STEPS, None
@@ -544,6 +549,17 @@ def _track_pair(H: WindowOperator, basis: PlanewaveBasis, t, l: int, shift: floa
     if any(abs(theta - p) >= halfwidth for p in predictions):
         return "window", steps, None
     return None, steps, spectrum
+
+
+def _with_row(rows: np.ndarray, k: int) -> np.ndarray:
+    """rows when it has a row k, else a copy of its first k rows with room
+    for twice as many rows (at most _TRACK_STEPS + 1).  Rows are copied
+    whole, so the grown search space holds the same values bit for bit."""
+    if k < len(rows):
+        return rows
+    grown = np.empty((min(2 * len(rows), _TRACK_STEPS + 1), rows.shape[1]), dtype=rows.dtype)
+    grown[:k] = rows[:k]
+    return grown
 
 
 def _windows(lattice: LatticeModel, q: FourierPotential, t, v, coords, window_radius: float,

@@ -70,13 +70,13 @@ class FourierPotential:
         (the same set for any table the loader accepts): columns[s, i] is
         the row j of c_i - g_s and values[s, i] the entry H[i, j], or the
         sentinel n = len(coords) and 0 where there is none.  Each g_s is
-        looked up once, by the mixed-radix key search of
-        lattice.CoordinateIndex, so the cost is O(n |supp| log n) with O(n)
-        temporaries.  H[i, j] is q_{g_s} when i < j and conj(q_{-g_s})
-        when i > j: each pair i < j takes its value from the lookup of its
-        upper entry and (j, i) the conjugate, so the operator is exactly
-        Hermitian even for tables that are Hermitian only to the loader's
-        tolerance.  No entry is on the diagonal.
+        looked up once, by one gather from lattice.CoordinateIndex's slot
+        table, so the cost is O(n |supp|) with O(n) temporaries.  H[i, j]
+        is q_{g_s} when i < j and conj(q_{-g_s}) when i > j: each pair
+        i < j takes its value from the lookup of its upper entry and (j, i)
+        the conjugate, so the operator is exactly Hermitian even for tables
+        that are Hermitian only to the loader's tolerance.  No entry is on
+        the diagonal.
         """
         coords = np.asarray(coords, dtype=np.int64)
         n = len(coords)

@@ -25,21 +25,12 @@ import numpy as np
 from .errors import InsufficientBands, PreconditionError, WindowNotConverged
 from .geometry import ParameterCascade, classify, direction_pool
 from .lattice import LatticeModel
-from .numerics import capped_blas_threads, relative_energies
+from .numerics import SERIAL_BAND_BASIS, capped_blas_threads, relative_energies
 from .oracle import PlanewaveBasis
 from .potential import FourierPotential
 
 _CERTIFY_TOL = 1e-9
 MAX_BAND_BASIS = 4096  # plane waves in one dense band solve: its matrix alone takes 16 n^2 bytes (256 MiB)
-# Dense band solves on at most this many plane waves run on one BLAS thread.
-# On 2 vCPUs a real eigvalsh takes as long on one thread as on two at 225
-# waves (2.9 vs 3.0 ms) and 1.2x longer at 506 (24 vs 20 ms), the 1.5x
-# certification basis of 225.  When another process holds a vCPU, two
-# threads wait on each other: at 225 waves one thread is then 2.5x faster
-# (3.2 vs 8.1 ms).  After each threaded call the idle thread also spins on
-# the other vCPU for about 0.13 s.  From 800 waves on, two threads are
-# 1.4-2x faster.
-SERIAL_BAND_BASIS = 600
 MIN_MEASURE_SAMPLES = 1000
 
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 import polybloch as pb
 import reference_enumeration as ref
-from polybloch.errors import SingularBasis
-from polybloch.lattice import CoordinateIndex
+from polybloch.errors import PreconditionError, SingularBasis
+from polybloch.lattice import MAX_BOX_POINTS, CoordinateIndex
 
 TWO_PI = 2 * np.pi
 HEXAGONAL = TWO_PI * np.array([[1.0, 0.0], [0.5, np.sqrt(3) / 2]])
@@ -180,6 +181,42 @@ class TestCoordinateIndex:
     def test_empty_set_finds_nothing(self):
         index = CoordinateIndex(np.zeros((0, 2), dtype=np.int64))
         assert index.find([[0, 0], [1, -1]]).tolist() == [-1, -1]
+
+
+def rows_and_targets(d):
+    """Distinct rows, some negative, and targets in and far outside their box, at dimension d."""
+    row = st.tuples(*[st.integers(-12, 12)] * d)
+    target = st.tuples(*[st.one_of(st.integers(-16, 16), st.integers(-10**12, 10**12))] * d)
+    return st.tuples(st.just(d), st.lists(row, unique=True, max_size=60), st.lists(target, max_size=40))
+
+
+class TestCoordinateSlotTable:
+    """CoordinateIndex.find against a dict from each row's coordinates to its number."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3).flatmap(rows_and_targets))
+    def test_find_matches_a_dict(self, case):
+        d, rows, targets = case
+        reference = {row: i for i, row in enumerate(rows)}
+        index = CoordinateIndex(np.array(rows, dtype=np.int64).reshape(-1, d))
+        assert index.find(np.array(rows, dtype=np.int64).reshape(-1, d)).tolist() == list(range(len(rows)))
+        probe = rows + targets
+        found = index.find(np.array(probe, dtype=np.int64).reshape(-1, d))
+        assert found.tolist() == [reference.get(p, -1) for p in probe]
+
+    def test_box_beyond_the_bound_is_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionError, match="one index takes at most"):
+                CoordinateIndex(np.array([[0, 0], [0, MAX_BOX_POINTS]]))  # MAX_BOX_POINTS + 1 slots
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16  # its table would take 8 (MAX_BOX_POINTS + 2) bytes
+        with pytest.raises(PreconditionError):
+            CoordinateIndex(np.array([[0, 0, 0], [10**6, 10**6, 10**6]]))  # about 1e18 slots
+        index = CoordinateIndex(np.array([[0, 0], [0, MAX_BOX_POINTS - 1]]))  # exactly the bound
+        assert index.find([[0, MAX_BOX_POINTS - 1], [0, 1]]).tolist() == [1, -1]
 
 
 class TestReduce:

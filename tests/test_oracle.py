@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import polybloch as pb
 from polybloch import oracle
 from polybloch.errors import NoCandidate, PreconditionError, WindowNotConverged
+from polybloch.numerics import blas_threads
 from polybloch.oracle import PlanewaveBasis
 from polybloch.potential import FourierPotential
 
@@ -488,6 +489,38 @@ class TestTrackedSolve:
         spectrum = pb.track_dominant(z2, 1, q, centers[0], 6.0, [f1 + 0.02, f1], 0.01, refine=True)
         assert spectrum.diagnostics["tracking_refused"] == "window"
         assert calls == {"enumerate": 1, "assemble": 1}
+
+    def test_small_windows_track_on_one_blas_thread(self, z2, monkeypatch):
+        # _track_pair runs on one thread up to SERIAL_TRACK_BASIS waves, the counted
+        # fallback and larger windows on the caller's count, which is restored after
+        before = blas_threads()
+        if before is None or before < 2:
+            pytest.skip("numpy's BLAS runs on one thread here, or its count cannot be read")
+        seen = []
+
+        def recorded(name, fn):
+            def wrapper(*args, **kwargs):
+                seen.append((name, len(args[1]), blas_threads()))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(oracle, "_track_pair", recorded("track", oracle._track_pair))
+        monkeypatch.setattr(oracle, "_counted_window", recorded("counted", oracle._counted_window))
+        q = pb.cosine_pair(z2, (1, 0), 0.2)
+        v = np.array([5.3, 4.2])
+        f1 = pb.known_part_sequence(v, 1, q, k_max=1).known_part_rel()
+        assert pb.track_dominant(z2, 1, q, v, 6.0, [f1], 0.01, refine=True).diagnostics["eigensolver"] == "tracked"
+        (_, inner, _), (_, outer, _) = seen
+        assert seen == [("track", inner, 1), ("track", outer, 1)] and blas_threads() == before
+        seen.clear()
+        spectrum = pb.track_dominant(z2, 1, q, v, 6.0, [f1 + 0.02, f1], 0.01, refine=True)
+        assert spectrum.diagnostics["tracking_refused"] == "window"
+        assert seen == [("track", inner, 1), ("counted", inner, before), ("counted", outer, before)]
+        assert blas_threads() == before
+        seen.clear()
+        monkeypatch.setattr(oracle, "SERIAL_TRACK_BASIS", inner)
+        assert pb.track_dominant(z2, 1, q, v, 6.0, [f1], 0.01, refine=True).diagnostics["eigensolver"] == "tracked"
+        assert seen == [("track", inner, 1), ("track", outer, before)] and blas_threads() == before
 
     def refused(self, lattice, q, v, preds, hw, window=6.0):
         spec = pb.track_dominant(lattice, 1, q, v, window, preds, hw, refine=True)
