@@ -60,9 +60,6 @@ class FourierPotential:
             return 0.0
         return max(self.lattice.vector(c).norm for c in self._support)
 
-    def is_zero(self) -> bool:
-        return not self._table
-
     def coupling_table(self, coords) -> tuple[np.ndarray, np.ndarray]:
         """(columns, values): the off-diagonal entries q_{c_i - c_j} over the rows c of an index set.
 
@@ -93,21 +90,6 @@ class FourierPotential:
             columns[s, kept] = j[kept]
             values[s, kept] = value[kept]
         return columns, values
-
-    def coupling_triplets(self, coords) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nonzero off-diagonal entries (i, j, q_{c_i - c_j}) of coupling_table, each pair once."""
-        columns, values = self.coupling_table(coords)
-        s, i = np.nonzero(columns < len(coords))
-        return i, columns[s, i], values[s, i]
-
-    def couplings(self, coords) -> np.ndarray:
-        """Dense (n, n) matrix of q_{c_i - c_j} over the rows c of an index set
-        (coupling_triplets scattered; the diagonal is zero)."""
-        n = len(coords)
-        H = np.zeros((n, n), dtype=complex)
-        i, j, values = self.coupling_triplets(coords)
-        H[i, j] = values
-        return H
 
     def is_invariant(self, matrix, time_reversed: bool = False) -> bool:
         """Whether q_{nM} = q_n for every n, or q_{-nM} = conj(q_n) when
@@ -240,11 +222,6 @@ class FourierPotential:
         if not report.passed:
             raise ValueError("invalid potential table: " + "; ".join(report.violations))
         return pot
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_records(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
 
 
 def load_potential(path, lattice: LatticeModel, smoothness: float = 0.0) -> FourierPotential:

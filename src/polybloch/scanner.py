@@ -26,7 +26,7 @@ from .errors import InsufficientBands, PreconditionError, WindowNotConverged
 from .geometry import ParameterCascade, classify, direction_pool
 from .lattice import LatticeModel
 from .numerics import SERIAL_BAND_BASIS, capped_blas_threads, relative_energies
-from .oracle import PlanewaveBasis
+from .oracle import PlanewaveBasis, assemble
 from .potential import FourierPotential
 
 _CERTIFY_TOL = 1e-9
@@ -131,7 +131,7 @@ def _basis_move(lattice, l, q, real, t, radius, n_bands) -> float:
     for r in (radius, 1.5 * radius):
         basis = _band_basis(lattice, r, n_bands)
         with _band_threads(basis):
-            values.append(_bands_at(_band_couplings(q, real, basis.coords), basis, l, t, n_bands))
+            values.append(_bands_at(_band_couplings(l, q, real, basis), basis, l, t, n_bands))
     small, big = values
     return float(np.max(np.abs(small - big) / (1.0 + np.abs(big))))
 
@@ -146,9 +146,13 @@ def _band_potential(q: FourierPotential) -> tuple[FourierPotential, bool]:
     return (q, False) if even is None else (even, True)
 
 
-def _band_couplings(q: FourierPotential, real: bool, coords) -> np.ndarray:
-    """q's dense couplings over coords, as float64 when the table is real."""
-    H = q.couplings(coords)
+def _band_couplings(l: int, q: FourierPotential, real: bool, basis: PlanewaveBasis) -> np.ndarray:
+    """q's dense operator over basis, as float64 when the table is real.
+
+    oracle.assemble at t = 0: its off-diagonal is the band couplings at
+    every t, and _bands_at overwrites its diagonal.
+    """
+    H = assemble(l, q, np.zeros(basis.embeddings.shape[1]), basis)
     return np.ascontiguousarray(H.real) if real else H
 
 
@@ -224,7 +228,7 @@ def band_functions(lattice: LatticeModel, l: int, q: FourierPotential, grid_coun
     rep = np.min([np.ravel_multi_index(((k @ (M * counts // counts[:, None])) % counts).T, grid_counts)
                   for M in group], axis=0)
     solve, source = np.unique(rep, return_inverse=True)
-    H = _band_couplings(q, real, basis.coords)
+    H = _band_couplings(l, q, real, basis)
     with _band_threads(basis):
         solved = [_bands_at(H, basis, l, t_points[i], n_bands) for i in solve]
     steps = tuple(float(np.linalg.norm(lattice.dual_basis[i])) / grid_counts[i]

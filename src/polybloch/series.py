@@ -6,6 +6,10 @@ summation pool with all partial sums nonzero, divided by the product of
 denominators a - |v - (g1+...+gj)|^{2l}.  The known parts follow the
 recursion F_0 = 0, F_s = sum_{k<=s} S_k evaluated at |v|^{2l} + F_{s-1}.
 
+One walk (_path_sums) computes every path sum: S_1 .. S_k in one pass to
+depth k, each node's denominator once, and, started at -offset, the
+Bloch-coefficient predictions of polybloch.simple.
+
 All spectral arithmetic runs in the frame relative to |v|^{2l}: the
 denominators use the cancellation-free identity for |v|^{2l} - |v-s|^{2l},
 so predictions stay meaningful at large |v| where the absolute eigenvalues
@@ -58,51 +62,79 @@ def _series_pool(q: FourierPotential, pool_radius: float | None):
     """
     if pool_radius is not None and pool_radius < q.support_radius:
         q = q.truncate(pool_radius)[0]
-    pool = [(coords, q.lattice.vector(coords).embedding, q.coefficient(coords)) for coords in q.support]
-    return q, pool
+    return q, [(coords, q.lattice.embed(coords), q.coefficient(coords)) for coords in q.support]
 
 
-def _sum_order(a_rel: float, v: np.ndarray, l: int, q: FourierPotential, k: int,
-               pool, min_denominator: float) -> tuple[complex, float, int, int]:
-    """(sum, denominator floor, contributing count, admissible count) for one k."""
-    d = len(v)
+def _path_sums(a_rel: float, v: np.ndarray, l: int, q: FourierPotential, pool, depth: int,
+               min_denominator: float, start=None) -> tuple[list[complex], float, list[int], list[int]]:
+    """Every path sum of one walk through the pool, per depth 0..depth.
+
+    The walk steps from node sigma to sigma + g, g in the pool, while the
+    partial sums stay nonzero.  Node sigma's denominator a - |v - sigma|^{2l}
+    (a_rel relative to |v|^{2l}) is computed once, from the embedding
+    accumulated along the path.  A path's term at depth j is its j step
+    coefficients times the closing q_{-sigma}, from the pool's own table,
+    over its nodes' denominators.  From the origin (start None), which is no
+    node, depth j holds S_j; from the node `start`, depth 0 holds
+    q_{-start} / den(start).  Returns per depth the sums, the contributing
+    (nonzero closing) and admissible (node) counts, and the least |den| over
+    all nodes.  SmallDenominator at a node with |den| <= min_denominator.
+    """
     v_sq = float(v @ v)
-    total = 0j
+    sums = [0j] * (depth + 1)
+    contributing = [0] * (depth + 1)
+    admissible = [0] * (depth + 1)
     floor = np.inf
-    contributing = 0
-    admissible = 0
+    closing_of = {tuple(-c for c in coords): coeff for coords, _, coeff in pool}.get  # q_{-sigma} by sigma
 
     def denominator(sigma_emb: np.ndarray) -> float:
         # a - |v - sigma|^{2l} = a_rel - (|v - sigma|^{2l} - |v|^{2l})
         first = float(sigma_emb @ sigma_emb) - 2.0 * float(v @ sigma_emb)
         return a_rel - power_difference(first, v_sq + first, v_sq, l)
 
-    def walk(depth: int, sigma: tuple, sigma_emb: np.ndarray, numer: complex, denom: float):
-        nonlocal total, floor, contributing, admissible
+    def walk(j: int, sigma: tuple, sigma_emb: np.ndarray, numer: complex, denom: float):
+        nonlocal floor
         for coords, emb, coeff in pool:
             s_new = tuple(a + b for a, b in zip(sigma, coords))
-            if all(c == 0 for c in s_new):
+            if not any(s_new):
                 continue  # partial sums must be nonzero
             emb_new = sigma_emb + emb
             den = denominator(emb_new)
-            if abs(den) < floor:
-                floor = abs(den)
-            if abs(den) <= min_denominator:
-                raise SmallDenominator(s_new, abs(den))
-            if depth == k:
-                admissible += 1
-                closing = q.coefficient(tuple(-c for c in s_new))
-                if closing != 0:
-                    contributing += 1
-                    total += numer * coeff * closing / (denom * den)
-            else:
-                walk(depth + 1, s_new, emb_new, numer * coeff, denom * den)
+            size = abs(den)
+            if size < floor:
+                floor = size
+            if size <= min_denominator:
+                raise SmallDenominator(s_new, size)
+            admissible[j] += 1
+            numer_new, denom_new = numer * coeff, denom * den
+            closing = closing_of(s_new, 0j)
+            if closing != 0:
+                contributing[j] += 1
+                sums[j] += numer_new * closing / denom_new
+            if j < depth:
+                walk(j + 1, s_new, emb_new, numer_new, denom_new)
 
-    if pool:
-        walk(1, (0,) * d, np.zeros(d), 1.0 + 0j, 1.0)
-    if not np.isfinite(floor):
-        floor = np.inf
-    return total, float(floor), contributing, admissible
+    if start is None:
+        sigma, sigma_emb, denom = (0,) * len(v), np.zeros(len(v)), 1.0
+    else:
+        sigma, sigma_emb = tuple(start), q.lattice.embed(start)
+        denom = denominator(sigma_emb)
+        floor = abs(denom)
+        if floor <= min_denominator:
+            raise SmallDenominator(sigma, floor)
+        closing = closing_of(sigma, 0j)
+        sums[0] = closing / denom  # divided even when zero, which keeps the signs of its zero parts
+        admissible[0], contributing[0] = 1, int(closing != 0)
+    if depth:
+        walk(1, sigma, sigma_emb, 1.0 + 0j, denom)
+    return sums, float(floor), contributing, admissible
+
+
+def _sum_order(a_rel: float, v: np.ndarray, l: int, q: FourierPotential, k: int,
+               pool, min_denominator: float) -> tuple[complex, float, int, int]:
+    """(S_k, denominator floor, contributing count, admissible count): depth k of _path_sums."""
+    sums, floor, contributing, admissible = _path_sums(a_rel, v, l, q, pool, k, min_denominator)
+    return sums[k], floor, contributing[k], admissible[k]
 
 
 def _assert_real(value: complex, context: str) -> float:
@@ -121,18 +153,12 @@ def evaluate_series(a_rel: float, v, l: int, q: FourierPotential, k: int,
     if min_denominator is None:
         min_denominator = 1e-12 * (1.0 + abs(a_rel))
     q_eff, pool = _series_pool(q, pool_radius)
-    values, terms, admissible = [], [], []
-    floor = np.inf
-    for kk in range(1, k + 1):
-        total, fl, contr, adm = _sum_order(a_rel, v, l, q_eff, kk, pool, min_denominator)
-        values.append(_assert_real(total, f"S_{kk}"))
-        terms.append(contr)
-        admissible.append(adm)
-        floor = min(floor, fl)
+    sums, floor, terms, admissible = _path_sums(a_rel, v, l, q_eff, pool, k, min_denominator)
+    values = [_assert_real(sums[j], f"S_{j}") for j in range(1, k + 1)]
     return SeriesEvaluation(
         center=v.copy(), degree=l, order=k, a_rel=float(a_rel),
-        values=tuple(values), denominator_floor=float(floor),
-        term_counts=tuple(terms), admissible_counts=tuple(admissible),
+        values=tuple(values), denominator_floor=floor,
+        term_counts=tuple(terms[1:]), admissible_counts=tuple(admissible[1:]),
     )
 
 

@@ -6,11 +6,13 @@ F(v) = |v|^{2l} + F_{K-1}(v) stays at least 2 eps1 away from every
 competitor's known part (non-resonant competitors) or block eigenvalue
 (resonant competitors), the competitors being the gamma' whose free energy
 lands within a third of the level-1 threshold of F(v).
+
+The coefficient predictions A_k(offset) are path sums of series' walk
+started at -offset (series._path_sums), one walk per offset for all orders.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,10 +21,9 @@ from .block import assemble_block, build_index_set, nearest_eigenvalue  # noqa: 
 from .errors import NoBracket, PhaseDegenerate, PreconditionError, SpectralError
 from .geometry import ParameterCascade, ResonanceClass, classify, direction_pool, membership_profile
 from .lattice import LatticeModel, LatticeVector
-from .numerics import power_difference
 from .oracle import BlochSpectrum
 from .potential import FourierPotential
-from .series import KnownPartExpansion, known_part_sequence
+from .series import KnownPartExpansion, _path_sums, _series_pool, known_part_sequence
 
 
 @dataclass(frozen=True)
@@ -173,41 +174,16 @@ def coefficient_prediction(v, l: int, q: FourierPotential, offset, k: int,
                            known_rel: float = 0.0) -> complex:
     """Order-k coefficient prediction A_k(offset) for the eigenvector row.
 
-    A_1 uses the free denominators; higher orders run chains of k-1
-    support steps against the known part |v|^{2l} + known_rel.
+    A_1 is q_offset over the free denominator |v|^{2l} - |v + offset|^{2l};
+    A_k, k >= 2, sums the chains of k-1 further support steps against the
+    known part |v|^{2l} + known_rel.  A_k is depth k-1 of series' path-sum
+    walk started at -offset; SmallDenominator on an exactly zero
+    denominator.
     """
-    v = np.asarray(v, dtype=float)
-    v_sq = float(v @ v)
-    offset = tuple(int(c) for c in offset)
-
-    def denominator(sigma_coords, rel):
-        # (|v|^{2l} + rel) - |v + sigma|^{2l}, cancellation-free
-        emb = q.lattice.embed(sigma_coords)
-        first = 2.0 * float(v @ emb) + float(emb @ emb)
-        return rel - power_difference(first, v_sq + first, v_sq, l)
-
-    if k == 1:
-        return q.coefficient(offset) / denominator(offset, 0.0)
-    total = 0j
-    for chain in itertools.product(q.support, repeat=k - 1):
-        numer = 1.0 + 0j
-        partial = offset
-        denom = denominator(offset, known_rel)
-        ok = True
-        for g in chain:
-            numer *= q.coefficient(g)
-            partial = tuple(a - b for a, b in zip(partial, g))
-            if all(c == 0 for c in partial):
-                ok = False
-                break
-            denom *= denominator(partial, known_rel)
-        if not ok:
-            continue
-        closing = q.coefficient(partial)
-        if closing == 0:
-            continue
-        total += numer * closing / denom
-    return total
+    start = tuple(-int(c) for c in offset)
+    rel = 0.0 if k == 1 else known_rel
+    _, pool = _series_pool(q, None)
+    return _path_sums(rel, np.asarray(v, dtype=float), l, q, pool, k - 1, 0.0, start=start)[0][k - 1]
 
 
 @dataclass(frozen=True)
@@ -252,24 +228,33 @@ def bloch_verify(spectrum: BlochSpectrum, n: int, gamma, order: int, q: FourierP
     residual_mass = float(np.sum(np.abs(row) ** 2) - weight)
     l = spectrum.degree
     v = spectrum.basis.lattice.embed(gamma) + spectrum.t
+    _, pool = _series_pool(q, None)
+
+    def predictions(offset) -> list[complex]:
+        """A_1 .. A_{max(order, 2) - 1} (coefficient_prediction): A_1, then the rest from one walk."""
+        start = tuple(-int(c) for c in offset)
+        first = _path_sums(0.0, v, l, q, pool, 0, 0.0, start=start)[0]
+        if order <= 2:
+            return first
+        return first + _path_sums(known_rel, v, l, q, pool, order - 2, 0.0, start=start)[0][1:]
+
     rows = []
     for g in q.support:
-        first = coefficient_prediction(v, l, q, g, 1)
-        total = sum(coefficient_prediction(v, l, q, g, k, known_rel) for k in range(1, max(order, 2)))
+        orders = predictions(g)
         target = tuple(a + b for a, b in zip(gamma, g))
         tpos = spectrum.position(target)
         measured = complex(row[tpos] / b_gamma) if tpos is not None else 0j
         rows.append(CoefficientRow(
-            offset=g, predicted_first_order=complex(first),
-            predicted_total=complex(total), measured=measured,
+            offset=g, predicted_first_order=complex(orders[0]),
+            predicted_total=complex(sum(orders)), measured=measured,
         ))
     norm_pred = 1.0
     if order >= 2:
+        table = [predictions(off) for off in _reachable_offsets(q, order - 1)]
         acc = 0.0
-        offsets = _reachable_offsets(q, order - 1)
-        for k in range(1, order):
-            for off in offsets:
-                acc += abs(coefficient_prediction(v, l, q, off, k, known_rel)) ** 2
+        for k in range(order - 1):
+            for orders in table:
+                acc += abs(orders[k]) ** 2
         norm_pred = float(1.0 / np.sqrt(1.0 + acc))
     return BlochReport(
         eigen_index=n, gamma=gamma, order=order, weight=float(weight),

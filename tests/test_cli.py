@@ -424,3 +424,10 @@ def test_mutated_config_keeps_the_exit_contract_of_the_solves(tmp_path_factory, 
 @settings(max_examples=30, deadline=None)
 def test_mutated_config_keeps_the_exit_contract_of_the_band_scan(tmp_path_factory, key, value, command):
     exit_contract(tmp_path_factory, key, value, command)
+
+
+@pytest.mark.parametrize("command", ["simple-check", "isoenergetic"])
+@given(key=st.sampled_from(FUZZ_KEYS), value=st.sampled_from(FUZZ_VALUES))
+@settings(max_examples=25, deadline=None)
+def test_mutated_config_keeps_the_exit_contract_of_the_series_commands(tmp_path_factory, command, key, value):
+    exit_contract(tmp_path_factory, key, value, command)
