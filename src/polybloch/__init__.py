@@ -26,8 +26,7 @@ from .errors import (
 )
 from .lattice import LatticeModel, LatticeVector, QuasiMomentum, dual_lattice
 from .potential import FourierPotential, cosine_pair, cosine_sum, load_potential, random_potential
-from .oracle import (BlochSpectrum, PlanewaveBasis, assemble, bloch_solve, diagonalize, free_eigenvalues, solve,
-                     track_dominant)
+from .oracle import BlochSpectrum, PlanewaveBasis, assemble, bloch_solve, diagonalize, solve, track_dominant
 from .geometry import (
     MAX_SERIES_ORDER,
     ParameterCascade,
@@ -37,7 +36,6 @@ from .geometry import (
     direction_pool,
     inequality_report,
     membership_profile,
-    s0_threshold,
 )
 from .series import (
     KnownPartExpansion,

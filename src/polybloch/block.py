@@ -10,9 +10,10 @@ q_{h_i - h_j}.
 
 Both blocks, dense and sparse, come from oracle.assemble.  Simplicity
 verdicts need only the block eigenvalue nearest a known part:
-nearest_eigenvalue solves for it on the sparse block with the oracle's
-shift-invert core and proves it nearest by a Sylvester-inertia count, or
-solves the dense block when a guard of that solve trips.
+nearest_eigenvalue solves for it on the sparse block, real when q has an
+even translate, with the oracle's shift-invert core and proves it nearest
+by a Sylvester-inertia count, or solves q's dense block when a guard of
+that solve trips.
 """
 
 from __future__ import annotations
@@ -141,11 +142,15 @@ def nearest_eigenvalue(index_set: ResonantIndexSet, l: int, q: FourierPotential,
                        target: float) -> tuple[float, dict]:
     """The eigenvalue of the block on index_set nearest target, and the solve's diagnostics.
 
-    The sparse block is solved by shift-invert Lanczos about s = target -
-    |v|^{2l} for one pair (oracle._shift_invert): theta, the Rayleigh
-    quotient of its unit vector x.  The residual r = |H x - theta x| must
-    pass the oracle's residual certificate (at theta + |v|^{2l}), so some
-    eigenvalue lies within r of theta.  With d = |theta - s| and tau = r
+    The sparse block solved is that of q's even translate when q has one
+    (FourierPotential.eigenvalue_table): D H D^H for a diagonal unitary D,
+    with H's eigenvalues, as a float64 CSC array, which SuperLU factors in
+    real arithmetic and ARPACK solves by real symmetric Lanczos.  Otherwise
+    it is q's own complex Hermitian block.  It is solved by shift-invert
+    Lanczos about s = target - |v|^{2l} for one pair (oracle._shift_invert):
+    theta, the Rayleigh quotient of its unit vector x.  The residual
+    r = |H x - theta x| must pass the oracle's residual certificate (at
+    theta + |v|^{2l}), so some eigenvalue lies within r of theta.  With d = |theta - s| and tau = r
     plus the pivot floor, the count nu(s + d - tau) - nu(s - d + tau) = 0
     (see oracle._inertia) proves that no eigenvalue lies nearer s than
     d - tau: the nearest eigenvalue's distance lies in [d - tau, d + r].
@@ -153,16 +158,20 @@ def nearest_eigenvalue(index_set: ResonantIndexSet, l: int, q: FourierPotential,
     factorization.  The count's shifts stay tau - r from the eigenvalue
     found, which keeps their pivots trustworthy.
 
-    When a guard trips, the dense eigvalsh of the same block answers.
-    diagnostics holds "eigensolver" ("sparse" or "dense"), "inertia_count",
-    "block_size" and "dense_fallback_reason": None, "pivot" (no trustworthy
+    When a guard trips, the dense eigvalsh of q's own complex block
+    answers, bit for bit assemble_block's eigenvalues.  diagnostics holds
+    "eigensolver" ("sparse" or "dense"), "inertia_count", "block_size",
+    "real_symmetric" (whether the sparse solve ran on the real translate)
+    and "dense_fallback_reason": None, "pivot" (no trustworthy
     LDL^H at a count shift, or target exactly on an eigenvalue) or "count"
     (a nonzero count, Lanczos not converged or failing the residual
     certificate, or a block too small for Lanczos).
     """
     v = index_set.center
     shift = float(v @ v) ** l
-    H = assemble(l, q, index_set.t, index_set, shift_center=v, sparse=True).tocsc()
+    table, real = q.eigenvalue_table()
+    H = assemble(l, table, index_set.t, index_set, shift_center=v, sparse=True).tocsc()
+    H = H.real if real else H
     s, count = target - shift, None
     reason, pairs = _shift_invert(H, 1, s)
     if reason is None:
@@ -182,10 +191,10 @@ def nearest_eigenvalue(index_set: ResonantIndexSet, l: int, q: FourierPotential,
                 count = below[1] - below[0]
                 reason = "count" if count else None
     diagnostics = {"eigensolver": "dense" if reason else "sparse", "dense_fallback_reason": reason,
-                   "inertia_count": count, "block_size": index_set.size}
+                   "inertia_count": count, "block_size": index_set.size, "real_symmetric": real}
     if reason is None:
         return theta + shift, diagnostics
-    eigenvalues = np.linalg.eigvalsh(H.toarray()) + shift
+    eigenvalues = np.linalg.eigvalsh(assemble(l, q, index_set.t, index_set, shift_center=v)) + shift
     return float(eigenvalues[np.argmin(np.abs(eigenvalues - target))]), diagnostics
 
 

@@ -40,11 +40,6 @@ def series_cap(d: int) -> int:
     return min(_k1(d), MAX_SERIES_ORDER)
 
 
-def s0_threshold(d: int) -> float:
-    """Smallest smoothness the theory-mode cascade is built for."""
-    return (3 * d - 1) / 2 * (3**d + d + 2) + 0.25 * d * 3**d + d + 6
-
-
 @dataclass(frozen=True)
 class ParameterCascade:
     """Derived exponent bookkeeping for one (d, l, s, rho) experiment."""

@@ -329,26 +329,36 @@ def _window_pairs(H, lo: float, hi: float):
 def _shift_invert(H, k: int, sigma: float):
     """(reason, pairs): the k eigenpairs of the sparse Hermitian H nearest sigma.
 
-    Shift-invert Lanczos (scipy's eigsh) starts from a fixed vector, so that
-    reruns are byte-identical.  pairs is (theta, X, H @ X), X the unit
-    vectors and theta their Rayleigh quotients Re(x^H H x), which bring the
-    eigenvalues back to a full solve's accuracy.  Otherwise pairs is None
-    and reason names the guard that tripped: "count" when k is not in
-    [1, n - 1) (Lanczos needs k < n - 1) or Lanczos did not converge,
-    "pivot" when H - sigma I is exactly singular (an eigenvalue at sigma).
+    Shift-invert Lanczos (scipy's eigsh) starts from a fixed vector in H's
+    dtype, so that reruns are byte-identical: on a float64 H, ARPACK runs
+    real symmetric Lanczos and SuperLU factors in real arithmetic.  The
+    inverse is one SuperLU factorization of H - sigma I in the symmetric
+    minimum-degree ordering that _inertia uses, which fills less than
+    eigsh's default COLAMD on these operators.  pairs is (theta, X, H @ X),
+    X the unit vectors and theta their Rayleigh quotients Re(x^H H x),
+    which bring the eigenvalues back to a full solve's accuracy.  Otherwise
+    pairs is None and reason names the guard that tripped: "count" when k
+    is not in [1, n - 1) (Lanczos needs k < n - 1) or ARPACK did not
+    converge or failed otherwise, "pivot" when H - sigma I is exactly
+    singular (an eigenvalue at sigma).
     """
+    import scipy.sparse
     import scipy.sparse.linalg  # here, not at module level: its import costs ~30 MB
 
     n = H.shape[0]
     if not 0 < k < n - 1:
         return "count", None
-    v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
+    v0 = np.random.default_rng(0).standard_normal(n).astype(H.dtype)
     try:
-        _, X = scipy.sparse.linalg.eigsh(H, k=k, sigma=sigma, v0=v0)
-    except scipy.sparse.linalg.ArpackNoConvergence:
-        return "count", None
+        lu = scipy.sparse.linalg.splu(H - sigma * scipy.sparse.eye_array(n, format="csc"),
+                                      permc_spec="MMD_AT_PLUS_A")
     except RuntimeError:  # H - sigma I is exactly singular
         return "pivot", None
+    inverse = scipy.sparse.linalg.LinearOperator(H.shape, matvec=lu.solve, dtype=H.dtype)
+    try:
+        _, X = scipy.sparse.linalg.eigsh(H, k=k, sigma=sigma, v0=v0, OPinv=inverse)
+    except scipy.sparse.linalg.ArpackError:  # no convergence, or another ARPACK failure
+        return "count", None
     X = X / np.linalg.norm(X, axis=0)
     HX = H @ X
     return None, (np.real(np.vecdot(X, HX, axis=0)), X, HX)
@@ -612,10 +622,3 @@ def _summarized(spectra, coords, window_radius: float, refine: bool, **path) -> 
         "certificate_move": move,
         "worst_residual": max(float(np.max(s.residual_norms)) for s in spectra),
     })
-
-
-def free_eigenvalues(lattice: LatticeModel, t, l: int, basis: PlanewaveBasis) -> np.ndarray:
-    """Sorted |gamma + t|^{2l} over the basis (the q = 0 spectrum)."""
-    t = np.asarray(t, dtype=float)
-    x = basis.embeddings + t
-    return np.sort(np.vecdot(x, x) ** l)

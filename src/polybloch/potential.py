@@ -119,8 +119,10 @@ class FourierPotential:
         real, checked to _EVEN_TOL max |q| (rounding leaves about 4e-15);
         the imaginary parts left are dropped.  A real table comes back
         unchanged (x0 = 0).  An x0 always exists when the pairs are linearly
-        independent.  Only the band layer (scanner) solves the translate: it
-        changes eigenvector phases.
+        independent.  It changes eigenvector phases, so only layers that keep
+        eigenvalues alone solve the translate (see eigenvalue_table): the
+        band layer (scanner) and the resonant block's nearest eigenvalue
+        (block.nearest_eigenvalue).
         """
         if not self._table:
             return self
@@ -145,6 +147,15 @@ class FourierPotential:
         if np.max(np.abs(moved.imag)) > _EVEN_TOL * np.max(np.abs(moved)):
             return None
         return FourierPotential(self.lattice, dict(zip(coords, moved.real)), self.smoothness)
+
+    def eigenvalue_table(self) -> tuple["FourierPotential", bool]:
+        """The table whose operators have q's eigenvalues, and whether it is real.
+
+        q's even translate when it has one: on every index set its operator
+        is D H D^H (see even_translate), real symmetric.  Otherwise q itself.
+        """
+        even = self.even_translate()
+        return (self, False) if even is None else (even, True)
 
     def one_norm(self) -> float:
         """Sum of |q_gamma|; the operator-norm bound on the perturbation."""

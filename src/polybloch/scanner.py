@@ -7,12 +7,14 @@ refinement check; gaps are the complement of the band-range union and are
 only reported when stable under grid doubling.
 
 Translating q(x) -> q(x + x0) keeps every band, so the band layer solves
-q's even translate when it has one (FourierPotential.even_translate: every
-table whose +- pairs are linearly independent has one).  Its band matrices are real symmetric, so each grid point is a
-float64 eigvalsh, and its symmetry group holds -I and whatever mirrors the
-real table has.  Other tables are solved as given, with complex matrices.
-A translate changes eigenvector phases, so only this layer, which keeps
-eigenvalues alone, uses it; BandTable.real_symmetric says which path ran.
+q's even translate when it has one (FourierPotential.eigenvalue_table:
+every table whose +- pairs are linearly independent has one).  Its band
+matrices are real symmetric, so each grid point is a float64 eigvalsh, and
+its symmetry group holds -I and whatever mirrors the real table has.
+Other tables are solved as given, with complex matrices.  A translate
+changes eigenvector phases, so only layers that keep eigenvalues alone use
+it: this one and the resonant block's nearest eigenvalue
+(block.nearest_eigenvalue).  BandTable.real_symmetric says which path ran.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ def certified_basis_radius(lattice: LatticeModel, l: int, q: FourierPotential, n
                                 f"a dense band solve takes at most {MAX_BAND_BASIS}")
     if probe_t is None:
         probe_t = _probe_points(lattice)["probe"]
-    q, real = _band_potential(q)
+    q, real = q.eigenvalue_table()
     # start from the free-counting estimate plus coupling reach
     radius = 1.0
     while len(lattice.ball_coords(radius, exclude_zero=False)) < 2 * n_bands:
@@ -120,7 +122,7 @@ def basis_moves(lattice: LatticeModel, l: int, q: FourierPotential, radius: floa
     """The largest relative move of the first n_bands under a 1.5x basis
     radius, at each of _probe_points: the probe's is the one
     certified_basis_radius bounds, the corner's is only reported."""
-    q, real = _band_potential(q)
+    q, real = q.eigenvalue_table()
     return {f"{name}_move": _basis_move(lattice, l, q, real, t, radius, n_bands)
             for name, t in _probe_points(lattice).items()}
 
@@ -134,16 +136,6 @@ def _basis_move(lattice, l, q, real, t, radius, n_bands) -> float:
             values.append(_bands_at(_band_couplings(l, q, real, basis), basis, l, t, n_bands))
     small, big = values
     return float(np.max(np.abs(small - big) / (1.0 + np.abs(big))))
-
-
-def _band_potential(q: FourierPotential) -> tuple[FourierPotential, bool]:
-    """The table the band layer solves, and whether it is real.
-
-    q's even translate (FourierPotential.even_translate) when it has one:
-    the same bands, from real symmetric matrices.  Otherwise q itself.
-    """
-    even = q.even_translate()
-    return (q, False) if even is None else (even, True)
 
 
 def _band_couplings(l: int, q: FourierPotential, real: bool, basis: PlanewaveBasis) -> np.ndarray:
@@ -222,7 +214,7 @@ def band_functions(lattice: LatticeModel, l: int, q: FourierPotential, grid_coun
     counts = np.array(grid_counts)
     k = np.indices(grid_counts).reshape(len(counts), -1).T
     t_points = (k / counts) @ lattice.dual_basis
-    q, real = _band_potential(q)
+    q, real = q.eigenvalue_table()
     group = symmetry_group(lattice, q, grid_counts, basis.coords)
     # k -> kM on coefficients is k -> k A mod counts on indices, A_ij = M_ij counts_j / counts_i
     rep = np.min([np.ravel_multi_index(((k @ (M * counts // counts[:, None])) % counts).T, grid_counts)

@@ -84,7 +84,7 @@ class CompetitorMargin:
     kind: str  # "known-part" | "block"
     competitor_value: float
     margin: float  # |F(v) - value| - 2 eps1 (min over block eigenvalues for blocks)
-    # blocks only: the solve's eigensolver, dense_fallback_reason, inertia_count and block_size
+    # blocks only: the solve's eigensolver, dense_fallback_reason, inertia_count, block_size and real_symmetric
     diagnostics: dict | None = field(default=None, compare=False)
 
 
@@ -111,12 +111,15 @@ def check_simplicity(lattice: LatticeModel, v, cascade: ParameterCascade, l: int
     A non-resonant competitor's margin is |F(v) - F(x)| - 2 eps1, with x its
     point.  A resonant competitor's margin is |F(v) - lambda| - 2 eps1, with
     lambda the eigenvalue of its block nearest F(v), solved on the sparse
-    block and certified by a Sylvester-inertia count, or on the dense block
-    when a guard of that solve trips (block.nearest_eigenvalue; each block
-    entry's diagnostics record which).  The member verdict holds exactly
-    when every margin is >= 0, so an eigenvalue or known part exactly at
-    F(v) +- 2 eps1 keeps v a member.  Requires v non-resonant and inside
-    the shrunk annulus (PreconditionError otherwise).
+    block and certified by a Sylvester-inertia count, or on q's dense
+    complex block when a guard of that solve trips
+    (block.nearest_eigenvalue).  The sparse block is that of q's even
+    translate, real symmetric, when q has one, else q's complex Hermitian
+    block; each block entry's diagnostics record which path ran
+    (real_symmetric) and which solve answered.  The member verdict holds
+    exactly when every margin is >= 0, so an eigenvalue or known part
+    exactly at F(v) +- 2 eps1 keeps v a member.  Requires v non-resonant
+    and inside the shrunk annulus (PreconditionError otherwise).
     """
     v = np.asarray(v, dtype=float)
     lo, hi = cascade.shrunk_shell()

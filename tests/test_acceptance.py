@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import polybloch as pb
-from conftest import scaled_cascade
+from conftest import free_eigenvalues, s0_threshold, scaled_cascade
 from polybloch.block import ResonantIndexSet
 from polybloch.errors import CascadeInequalityViolated, SmallDenominator
 from polybloch.numerics import loglog_slope
@@ -57,7 +57,7 @@ def test_criterion_1_free_operator_exactness():
             for _ in range(17):
                 coeff = rng.random(d)
                 t = coeff @ lat.dual_basis
-                free = pb.free_eigenvalues(lat, t, 1, basis)
+                free = free_eigenvalues(lat, t, 1, basis)
                 for l in (1, 2):
                     spec = pb.solve(lat, l, q0, t, basis)
                     expected = free**l if l == 2 else free
@@ -73,8 +73,8 @@ def test_criterion_1_free_operator_exactness():
 
 
 def test_criterion_2_parameter_cascade(tmp_path, capsys):
-    c2 = pb.derive_parameters(2, 1, pb.s0_threshold(2), 20.0)
-    c3 = pb.derive_parameters(3, 1, pb.s0_threshold(3), 20.0)
+    c2 = pb.derive_parameters(2, 1, s0_threshold(2), 20.0)
+    c3 = pb.derive_parameters(3, 1, s0_threshold(3), 20.0)
     checks = {
         "d2 m": c2.m == 13,
         "d2 alpha": abs(c2.alpha - 1 / 13) < 1e-15,

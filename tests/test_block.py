@@ -250,20 +250,24 @@ class TestNearestEigenvalue:
 
     @settings(max_examples=100, deadline=None)
     @given(d=st.sampled_from([2, 3]), l=st.sampled_from([1, 2]), chains=st.booleans(),
+           support=st.sampled_from([1.0, 1.5]),
            seed=st.integers(0, 2**16), amplitude=st.floats(0.05, 1.0), axis=st.integers(0, 2),
            two_directions=st.booleans(), direction=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
            rho=st.floats(2.0, 6.0), radius=st.floats(1.0, 2.5), pick=st.integers(0, 10**6),
            near=st.booleans(), offset=st.floats(-1.0, 1.0), ratio=st.floats(0.0, 2.0))
-    @example(d=2, l=1, chains=False, seed=3, amplitude=0.5, axis=1, two_directions=False,
+    @example(d=2, l=1, chains=False, support=1.0, seed=3, amplitude=0.5, axis=1, two_directions=False,
              direction=[0.05, 1.0, 0.0], rho=5.0, radius=2.5, pick=0, near=True, offset=0.5, ratio=1.0)
-    def test_sparse_matches_dense(self, d, l, chains, seed, amplitude, axis, two_directions, direction,
+    def test_sparse_matches_dense(self, d, l, chains, support, seed, amplitude, axis, two_directions, direction,
                                   rho, radius, pick, near, offset, ratio):
+        # cosine pairs and radius-1 tables have an even translate, solved real;
+        # radius-1.5 tables (more +- pairs than d) generically have none, and
+        # q's own complex block is solved
         lattice = pb.LatticeModel.cubic(d)
         axes = np.eye(d, dtype=int)
         if chains:  # rank-1 support: the block splits into decoupled chains
             q = pb.cosine_pair(lattice, axes[axis % d], amplitude)
         else:
-            q = pb.random_potential(seed, d, 1.0, 0.0, amplitude, lattice=lattice)
+            q = pb.random_potential(seed, d, support, 0.0, amplitude, lattice=lattice)
         directions = [lattice.vector(axes[axis % d])]
         if d == 3 and two_directions:
             directions.append(lattice.vector(axes[(axis + 1) % d]))
@@ -275,6 +279,7 @@ class TestNearestEigenvalue:
         target = lam[pick % len(lam)] + offset * (1e-9 if near else 1.0)
         value, diag = nearest_eigenvalue(index_set, l, q, target)
         assert diag["block_size"] == index_set.size
+        assert diag["real_symmetric"] == (q.even_translate() is not None)
         if diag["eigensolver"] == "sparse":
             assert diag["dense_fallback_reason"] is None and diag["inertia_count"] == 0
         else:
@@ -307,7 +312,7 @@ class TestNearestEigenvalue:
         lam = dense.eigenvalues[np.argmin(np.abs(dense.eigenvalues - dense.shift))]
         value, diag = nearest_eigenvalue(index_set, 1, q, lam + offset)
         assert diag == {"eigensolver": "sparse", "dense_fallback_reason": None, "inertia_count": 0,
-                        "block_size": index_set.size}
+                        "block_size": index_set.size, "real_symmetric": False}
         assert abs(value - lam) <= 1e-12 * np.max(np.abs(dense.eigenvalues))
 
     def test_target_on_an_eigenvalue_takes_pivot_guard(self, z2):
@@ -320,7 +325,7 @@ class TestNearestEigenvalue:
         for target in (dense.eigenvalues[2], dense.shift):
             value, diag = nearest_eigenvalue(index_set, 1, q0, target)
             assert diag == {"eigensolver": "dense", "dense_fallback_reason": "pivot", "inertia_count": None,
-                            "block_size": index_set.size}
+                            "block_size": index_set.size, "real_symmetric": True}
             assert value == target
 
     def test_nonzero_count_takes_count_guard(self, z2, monkeypatch):
@@ -336,7 +341,7 @@ class TestNearestEigenvalue:
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda A, k, **kw: (mu[[second]], W[:, [second]]))
         value, diag = nearest_eigenvalue(index_set, 1, q, target)
         assert diag == {"eigensolver": "dense", "dense_fallback_reason": "count", "inertia_count": 1,
-                        "block_size": index_set.size}
+                        "block_size": index_set.size, "real_symmetric": False}
         assert value == dense_nearest(dense, target)
         assert abs(value - dense.shift - mu[10]) < abs(value - dense.shift - mu[second])
 
@@ -350,7 +355,7 @@ class TestNearestEigenvalue:
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda A, k, **kw: (mu[[10]], x / np.linalg.norm(x)))
         value, diag = nearest_eigenvalue(index_set, 1, q, dense.shift + mu[10])
         assert diag == {"eigensolver": "dense", "dense_fallback_reason": "count", "inertia_count": None,
-                        "block_size": index_set.size}
+                        "block_size": index_set.size, "real_symmetric": False}
         assert value == dense_nearest(dense, dense.shift + mu[10])
 
     def test_arpack_no_convergence_takes_count_guard(self, z2, monkeypatch):
@@ -363,5 +368,5 @@ class TestNearestEigenvalue:
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
         value, diag = nearest_eigenvalue(index_set, 1, q, dense.shift)
         assert diag == {"eigensolver": "dense", "dense_fallback_reason": "count", "inertia_count": None,
-                        "block_size": index_set.size}
+                        "block_size": index_set.size, "real_symmetric": False}
         assert value == dense_nearest(dense, dense.shift)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import polybloch as pb
-from conftest import scaled_cascade
+from conftest import s0_threshold, scaled_cascade
 from polybloch.errors import CascadeInequalityViolated, PartitionBreakdown, ShellViolation
 from polybloch.geometry import in_shell, membership_profile
 from polybloch.numerics import blas_threads, capped_blas_threads, integer_rank, integer_row_basis, power_difference
@@ -39,18 +39,18 @@ class TestCascade:
         assert c.eps1 == pytest.approx(20.0 ** (-2 - 2 / 13))
 
     def test_d3_values(self):
-        c = pb.derive_parameters(3, 1, pb.s0_threshold(3), 20.0)
+        c = pb.derive_parameters(3, 1, s0_threshold(3), 20.0)
         assert c.m == 32
         assert c.alpha == pytest.approx(1 / 32)
         assert c.k1 == 34
 
     def test_s0_arithmetic(self):
-        assert pb.s0_threshold(2) == pytest.approx(45.0)
-        assert pb.s0_threshold(3) == pytest.approx(157.25)
+        assert s0_threshold(2) == pytest.approx(45.0)
+        assert s0_threshold(3) == pytest.approx(157.25)
 
     def test_all_inequalities_hold_at_s0(self):
         for d in (2, 3):
-            c = pb.derive_parameters(d, 1, pb.s0_threshold(d), 50.0)
+            c = pb.derive_parameters(d, 1, s0_threshold(d), 50.0)
             assert all(ok for _, _, _, ok in pb.inequality_report(c))
 
     def test_small_s_triggers_named_violation(self):

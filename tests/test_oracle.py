@@ -16,7 +16,7 @@ from polybloch.numerics import blas_threads
 from polybloch.oracle import PlanewaveBasis
 from polybloch.potential import FourierPotential
 
-from conftest import scaled_cascade
+from conftest import free_eigenvalues, scaled_cascade
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -120,7 +120,7 @@ class TestDiagonalize:
         basis = PlanewaveBasis.full_ball(z2, 3.2)
         t = np.array([0.21, 0.37])
         spec = pb.solve(z2, 1, q, t, basis)
-        free = pb.free_eigenvalues(z2, t, 1, basis)
+        free = free_eigenvalues(z2, t, 1, basis)
         assert np.sum(spec.eigenvalues) == pytest.approx(np.sum(free), rel=1e-8)
 
     def test_perturbation_bound(self, z2):
@@ -128,7 +128,7 @@ class TestDiagonalize:
         basis = PlanewaveBasis.full_ball(z2, 3.2)
         t = np.array([0.21, 0.37])
         spec = pb.solve(z2, 1, q, t, basis)
-        free = pb.free_eigenvalues(z2, t, 1, basis)
+        free = free_eigenvalues(z2, t, 1, basis)
         assert np.max(np.abs(spec.eigenvalues - free)) <= q.one_norm() + 1e-12
 
     def test_cluster_flags_on_degeneracy(self, z2):

@@ -4,7 +4,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import polybloch as pb
-from conftest import scaled_cascade
+from conftest import free_eigenvalues, scaled_cascade
 from polybloch.errors import InsufficientBands, PreconditionError
 from polybloch.numerics import integer_rank
 from polybloch.potential import FourierPotential
@@ -54,7 +54,7 @@ class TestBandFunctions:
         table = pb.band_functions(z2, 1, q0, (8, 8), 12, basis_radius=5.0)
         for i, t in enumerate(table.t_points[:10]):
             basis = pb.PlanewaveBasis.full_ball(z2, 5.0)
-            free = pb.free_eigenvalues(z2, t, 1, basis)[:12]
+            free = free_eigenvalues(z2, t, 1, basis)[:12]
             assert np.allclose(table.values[i], free, atol=1e-10)
 
     def test_free_band1_range(self, z2):
