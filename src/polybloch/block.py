@@ -2,11 +2,11 @@
 and matching of its eigenvalues against the oracle.
 
 Near k independent diffraction planes the eigenvalue is tracked not by a
-scalar series but by a finite Hermitian block: indices are the distinct
-points gamma0 + b + a (b an integer combination of the resonance
-directions inside a span ball, a a short lattice translate), the diagonal
-holds |h_i + t|^{2l} and the off-diagonal the potential couplings
-q_{h_i - h_j}.
+scalar series but by a finite Hermitian block.  Its index set, a
+ResonantIndexSet (a lattice.PlanewaveBasis), holds the distinct points
+gamma0 + b + a (b an integer combination of the resonance directions
+inside a span ball, a a short lattice translate); the diagonal holds
+|h_i + t|^{2l} and the off-diagonal the potential couplings q_{h_i - h_j}.
 
 Both blocks, dense and sparse, come from oracle.assemble.  Simplicity
 verdicts need only the block eigenvalue nearest a known part:
@@ -18,42 +18,33 @@ that solve trips.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyDirections, PreconditionError
 from .geometry import ParameterCascade
-from .lattice import CoordinateIndex, LatticeModel, LatticeVector, _integer_box, _ordered
+from .lattice import LatticeModel, LatticeVector, PlanewaveBasis, _integer_box, _ordered
 from .numerics import integer_rank
 from .oracle import _PIVOT_TOL, _RESIDUAL_TOL, BlochSpectrum, _inertia, _shift_invert, assemble
 from .potential import FourierPotential
 
 
 @dataclass(frozen=True)
-class ResonantIndexSet:
-    """Distinct points h_i + t forming the block index set around v = gamma0 + t.
+class ResonantIndexSet(PlanewaveBasis):
+    """The index set of the distinct h_i, gamma0 among them: the block's points h_i + t around v = gamma0 + t."""
 
-    coords holds the h_i, gamma0 among them, as read-only (n, d) int64 rows;
-    embeddings holds coords @ dual_basis.
-    """
-
-    lattice: LatticeModel
     center: np.ndarray
     t: np.ndarray
     gamma0: LatticeVector
     directions: tuple[LatticeVector, ...]
-    coords: np.ndarray = field(repr=False, compare=False)
     b_radius: float
     a_radius: float
-    embeddings: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        super().__post_init__()
         self.center.setflags(write=False)
         self.t.setflags(write=False)
-        coords, embeddings = self.lattice.index_arrays(self.coords)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "embeddings", embeddings)
 
     @property
     def size(self) -> int:
@@ -231,9 +222,8 @@ def dominant_block_index(spectrum: BlochSpectrum, index_set: ResonantIndexSet) -
 def match_resonant(spectrum: BlochSpectrum, block: ResonantBlock) -> BlockMatch:
     """Closest block eigenvalue to the dominant-weight oracle eigenvalue."""
     n, weight = dominant_block_index(spectrum, block.index_set)
-    if spectrum.eigenvalues_rel is not None and spectrum.shift == block.shift:
-        lam = spectrum.eigenvalues_rel[n]
-        devs = np.abs(block.eigenvalues_rel - lam)
+    if spectrum.shift == block.shift:
+        devs = np.abs(block.eigenvalues_rel - spectrum.eigenvalues_rel[n])
     else:
         devs = np.abs(block.eigenvalues - spectrum.eigenvalues[n])
     j = int(np.argmin(devs))
@@ -247,8 +237,7 @@ def tail_coupling_bound(index_set: ResonantIndexSet, q: FourierPotential) -> flo
     outside the set; the maximum over members bounds the deviation between
     block and oracle eigenvalues.
     """
-    index = CoordinateIndex(index_set.coords)
     leak = np.zeros(index_set.size)
     for g in q.support:
-        leak[index.find(index_set.coords - np.asarray(g, dtype=np.int64)) < 0] += abs(q.coefficient(g))
+        leak[index_set.positions(index_set.coords - np.asarray(g, dtype=np.int64)) < 0] += abs(q.coefficient(g))
     return float(leak.max(initial=0.0))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CascadeInequalityViolated, PartitionBreakdown, ShellViolation
-from .lattice import LatticeModel, LatticeVector
+from .lattice import LatticeModel, LatticeVector, PlanewaveBasis
 from .numerics import integer_rank, power_difference
 
 # series order is capped regardless of k1: term count grows as |support|^k
@@ -241,8 +241,9 @@ class ResonanceClass:
         return self.level > 0
 
 
-def direction_pool(lattice: LatticeModel, cascade: ParameterCascade) -> list[LatticeVector]:
-    return lattice.enumerate_ball(cascade.direction_pool_radius(), exclude_zero=True)
+def direction_pool(lattice: LatticeModel, cascade: ParameterCascade) -> PlanewaveBasis:
+    """The short directions behind the resonance sets: the index set of 0 < |gamma| < p rho^alpha."""
+    return PlanewaveBasis(lattice, lattice.ball_coords(cascade.direction_pool_radius()))
 
 
 def _plane_distances(x, pool_matrix: np.ndarray, pool_norm_sq: np.ndarray, l: int) -> np.ndarray:
@@ -255,33 +256,27 @@ def _plane_distances(x, pool_matrix: np.ndarray, pool_norm_sq: np.ndarray, l: in
 
 
 def membership_profile(lattice: LatticeModel, x, cascade: ParameterCascade,
-                       pool: list[LatticeVector] | None = None, degree: int = 1):
+                       pool: PlanewaveBasis | None = None, degree: int = 1):
     """Distances to every pool plane plus the E_k membership flags for k = 1..d.
 
-    Returns (pool, distances, member_flags).
+    Returns (pool, distances, member_flags); distance i belongs to pool row i.
     """
     if pool is None:
         pool = direction_pool(lattice, cascade)
-    pool_matrix = np.array([v.embedding for v in pool]) if pool else np.zeros((0, cascade.d))
-    pool_norm_sq = np.array([v.norm_sq for v in pool]) if pool else np.zeros(0)
-    dists = _plane_distances(x, pool_matrix, pool_norm_sq, degree) if pool else np.zeros(0)
+    dists = _plane_distances(x, pool.embeddings, np.vecdot(pool.embeddings, pool.embeddings), degree)
     flags = []
     for k in range(1, cascade.d + 1):
         idx = np.nonzero(dists < cascade.v_threshold(k))[0]
-        if len(idx) < k:
-            flags.append(False)
-            continue
-        rank = integer_rank([pool[i].coords for i in idx])
-        flags.append(rank >= k)
+        flags.append(len(idx) >= k and integer_rank(pool.coords[idx]) >= k)
     return pool, dists, flags
 
 
-def _lex_witnesses(pool, idx_sorted, k: int):
+def _lex_witnesses(pool: PlanewaveBasis, idx_sorted, k: int):
     """Greedy lexicographically-smallest independent k-tuple; returns indices."""
     chosen: list[int] = []
     for i in idx_sorted:
         trial = chosen + [i]
-        if integer_rank([pool[j].coords for j in trial]) == len(trial):
+        if integer_rank(pool.coords[trial]) == len(trial):
             chosen = trial
             if len(chosen) == k:
                 return chosen
@@ -289,7 +284,7 @@ def _lex_witnesses(pool, idx_sorted, k: int):
 
 
 def classify(lattice: LatticeModel, x, cascade: ParameterCascade,
-             pool: list[LatticeVector] | None = None, degree: int = 1) -> ResonanceClass:
+             pool: PlanewaveBasis | None = None, degree: int = 1) -> ResonanceClass:
     """Largest k with x in E_k but not E_{k+1}; k = 0 is the non-resonance domain.
 
     Classification uses the first-degree sets (the partition of the annulus
@@ -315,9 +310,9 @@ def classify(lattice: LatticeModel, x, cascade: ParameterCascade,
         return ResonanceClass(0, (), (), min_pool_margin)
     thr = cascade.v_threshold(level)
     idx = np.nonzero(dists < thr)[0]
-    idx_sorted = sorted(idx, key=lambda i: pool[i].coords)
+    idx_sorted = idx[np.lexsort(pool.coords[idx].T[::-1])]  # by coordinates, the first column first
     witness_idx = _lex_witnesses(pool, idx_sorted, level)
     if witness_idx is None:
         raise PartitionBreakdown("membership flags inconsistent with witness search")
     margins = tuple(float(dists[i] - thr) for i in witness_idx)
-    return ResonanceClass(level, tuple(pool[i] for i in witness_idx), margins, min_pool_margin)
+    return ResonanceClass(level, tuple(lattice.vector(pool.coords[i]) for i in witness_idx), margins, min_pool_margin)

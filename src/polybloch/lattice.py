@@ -1,4 +1,4 @@
-"""Period lattices, dual lattices, vector enumeration, and quasimomentum reduction.
+"""Period lattices, dual lattices, vector enumeration, index sets, and quasimomentum reduction.
 
 Conventions: a lattice is stored as a (d, d) array whose *rows* are the
 period vectors (matching the row-major config format).  The dual rows
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,14 +37,6 @@ class LatticeVector:
 
     def __post_init__(self):
         self.embedding.setflags(write=False)
-
-    @property
-    def norm_sq(self) -> float:
-        return float(self.embedding @ self.embedding)
-
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt(self.norm_sq))
 
     def __hash__(self):
         return hash(self.coords)
@@ -115,11 +108,9 @@ class QuasiMomentum:
     """Quasimomentum reduced into the half-open dual fundamental cell."""
 
     reduced: np.ndarray
-    representative: np.ndarray
 
     def __post_init__(self):
         self.reduced.setflags(write=False)
-        self.representative.setflags(write=False)
 
 
 def dual_lattice(basis) -> np.ndarray:
@@ -184,14 +175,6 @@ class LatticeModel:
     def vector(self, coords) -> LatticeVector:
         coords = tuple(int(c) for c in coords)
         return LatticeVector(coords, self.embed(coords))
-
-    def index_arrays(self, coords) -> tuple[np.ndarray, np.ndarray]:
-        """An index set as read-only (n, d) int64 coordinates (copied) and their embeddings."""
-        coords = np.array(coords, dtype=np.int64).reshape(-1, self.dimension)
-        embeddings = self.embed(coords)
-        coords.setflags(write=False)
-        embeddings.setflags(write=False)
-        return coords, embeddings
 
     def ball_coords(self, radius: float, exclude_zero: bool = True) -> np.ndarray:
         """Coordinates of all gamma with |gamma| < radius (strict), optionally without 0.
@@ -262,7 +245,7 @@ class LatticeModel:
         n = np.floor(coeff + 1e-12).astype(int)
         gamma = self.vector(n)
         t = x - gamma.embedding
-        return gamma, QuasiMomentum(reduced=t, representative=x.copy())
+        return gamma, QuasiMomentum(reduced=t)
 
     def split(self, v, t=None) -> tuple[LatticeVector, np.ndarray]:
         """v = gamma0 + t.  Without t this is reduce(v); with t, gamma0 = v - t,
@@ -278,3 +261,71 @@ class LatticeModel:
         if not np.linalg.norm(gamma0.embedding - (v - t)) <= _BALL_REL_TOL:
             raise PreconditionError("v - t is not a dual lattice vector, so the center has no own index gamma0")
         return gamma0, t
+
+
+@dataclass(frozen=True)
+class PlanewaveBasis:
+    """A finite set of dual-lattice vectors: a plane-wave window, a resonant block or the direction pool.
+
+    coords holds the integer dual coordinates as read-only (n, d) int64
+    rows (copied), embeddings coords @ dual_basis.  positions searches one
+    CoordinateIndex, built on its first call.  leading(k) is the set of the
+    first k rows: it shares these arrays and that index.
+    """
+
+    lattice: LatticeModel
+    coords: np.ndarray = field(repr=False, compare=False)
+    embeddings: np.ndarray = field(init=False, repr=False, compare=False)
+    _whole: "PlanewaveBasis | None" = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        coords = np.array(self.coords, dtype=np.int64).reshape(-1, self.lattice.dimension)
+        embeddings = self.lattice.embed(coords)
+        coords.setflags(write=False)
+        embeddings.setflags(write=False)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "embeddings", embeddings)
+
+    def __len__(self):
+        return len(self.coords)
+
+    @classmethod
+    def full_ball(cls, lattice: LatticeModel, radius: float) -> "PlanewaveBasis":
+        return cls(lattice, lattice.ball_coords(radius, exclude_zero=False))
+
+    @classmethod
+    def window(cls, lattice: LatticeModel, t, center, radius: float) -> "PlanewaveBasis":
+        """Exactly {gamma : |gamma + t - center| <= radius}, deterministic order."""
+        return cls(lattice, lattice.enumerate_shifted_ball(np.asarray(center, dtype=float) - t, radius))
+
+    @classmethod
+    def union_windows(cls, lattice: LatticeModel, t, centers, radius: float) -> "PlanewaveBasis":
+        """Deduped union of windows around several centers.
+
+        Used when eigenvalues near one energy arise from several separated
+        regions of the dual lattice (competitor analysis); ordered by
+        (|gamma|^2, coords).
+        """
+        coords = np.unique(np.concatenate([lattice.enumerate_shifted_ball(np.asarray(c, dtype=float) - t, radius)
+                                           for c in centers]), axis=0)
+        emb = lattice.embed(coords)
+        return cls(lattice, _ordered(coords, np.vecdot(emb, emb)))
+
+    @cached_property
+    def _index(self) -> CoordinateIndex:
+        return CoordinateIndex(self.coords)
+
+    def positions(self, coords) -> np.ndarray:
+        """The row of each coordinate row in the set, -1 where it is absent."""
+        if self._whole is None:
+            return self._index.find(coords)
+        rows = self._whole.positions(coords)
+        return np.where(rows < len(self), rows, -1)
+
+    def leading(self, k: int) -> "PlanewaveBasis":
+        """The set of the first k rows, searched through this set's index with the rows from k masked."""
+        prefix = object.__new__(PlanewaveBasis)
+        for name, value in (("lattice", self.lattice), ("coords", self.coords[:k]),
+                            ("embeddings", self.embeddings[:k]), ("_whole", self)):
+            object.__setattr__(prefix, name, value)
+        return prefix

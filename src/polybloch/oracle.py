@@ -13,8 +13,9 @@ A^l - B^l = (A - B) * sum_j A^j B^(l-1-j),  A - B = 2(v, delta) + |delta|^2
 (numerics.relative_energies), which keeps eigenvalue differences near the
 shift meaningful well below machine epsilon times |v|^{2l}.  assemble is
 the one operator builder, of windows and resonant blocks alike.  Each
-center's windows come from one enumeration (_windows): the inner window is
-the leading rows of its 1.5x refinement, and its operator the leading block.
+center's windows come from one enumeration and share one coordinate index
+(_windows): the inner window is the leading rows of its 1.5x refinement,
+and its operator the leading block.
 
 Order sweeps need one pair per window: the one dominated by gamma0's plane
 wave, whose eigenvalue every order's prediction is matched against.  Away
@@ -56,7 +57,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConvergenceFailure, PreconditionError, WindowNotConverged
-from .lattice import CoordinateIndex, LatticeModel, _in_shifted_ball, _ordered
+from .lattice import LatticeModel, PlanewaveBasis, _in_shifted_ball
 from .numerics import SERIAL_TRACK_BASIS, capped_blas_threads, relative_energies
 from .potential import FourierPotential
 
@@ -66,55 +67,6 @@ _REFINE_TOL = 1e-9
 _PIVOT_TOL = 1e-12  # an inertia count needs every |U_ii| >= _PIVOT_TOL * ||H||_1
 _TRACK_TOL = 1e-16  # a tracked pair has converged once |H x - theta x| <= _TRACK_TOL * ||H||_1
 _TRACK_STEPS = 24  # Davidson steps (one matvec each) per window before tracking is refused
-
-
-@dataclass(frozen=True)
-class PlanewaveBasis:
-    """Ordered plane-wave index set: full ball, window, or union of windows.
-
-    coords holds the integer dual coordinates of the plane waves as
-    read-only (n, d) int64 rows; embeddings holds coords @ dual_basis.
-    """
-
-    lattice: LatticeModel
-    coords: np.ndarray = field(repr=False, compare=False)
-    embeddings: np.ndarray = field(init=False, repr=False, compare=False)
-    _index: CoordinateIndex = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        coords, embeddings = self.lattice.index_arrays(self.coords)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "embeddings", embeddings)
-        object.__setattr__(self, "_index", CoordinateIndex(coords))
-
-    def __len__(self):
-        return len(self.coords)
-
-    @classmethod
-    def full_ball(cls, lattice: LatticeModel, radius: float) -> "PlanewaveBasis":
-        return cls(lattice, lattice.ball_coords(radius, exclude_zero=False))
-
-    @classmethod
-    def window(cls, lattice: LatticeModel, t, center, radius: float) -> "PlanewaveBasis":
-        """Exactly {gamma : |gamma + t - center| <= radius}, deterministic order."""
-        return cls(lattice, lattice.enumerate_shifted_ball(np.asarray(center, dtype=float) - t, radius))
-
-    @classmethod
-    def union_windows(cls, lattice: LatticeModel, t, centers, radius: float) -> "PlanewaveBasis":
-        """Deduped union of windows around several centers.
-
-        Used when eigenvalues near one energy arise from several separated
-        regions of the dual lattice (competitor analysis); ordered by
-        (|gamma|^2, coords).
-        """
-        coords = np.unique(np.concatenate([lattice.enumerate_shifted_ball(np.asarray(c, dtype=float) - t, radius)
-                                           for c in centers]), axis=0)
-        emb = lattice.embed(coords)
-        return cls(lattice, _ordered(coords, np.vecdot(emb, emb)))
-
-    def positions(self, coords) -> np.ndarray:
-        """The row of each coordinate row in the basis, -1 where it is absent."""
-        return self._index.find(coords)
 
 
 @dataclass(frozen=True)
@@ -128,15 +80,14 @@ class BlochSpectrum:
     coefficients: np.ndarray  # row N holds b(N, gamma) for gamma = basis.coords[i] in column i
     residual_norms: np.ndarray
     cluster_flags: np.ndarray
+    eigenvalues_rel: np.ndarray = field(repr=False)
     shift: float = 0.0
-    eigenvalues_rel: np.ndarray = field(default=None, repr=False)
     diagnostics: dict = field(default=None, repr=False, compare=False)  # set by bloch_solve and track_dominant
 
     def __post_init__(self):
-        for arr in (self.t, self.eigenvalues, self.coefficients, self.residual_norms, self.cluster_flags):
+        for arr in (self.t, self.eigenvalues, self.coefficients, self.residual_norms, self.cluster_flags,
+                    self.eigenvalues_rel):
             arr.setflags(write=False)
-        if self.eigenvalues_rel is not None:
-            self.eigenvalues_rel.setflags(write=False)
 
     def __len__(self):
         return len(self.eigenvalues)
@@ -166,9 +117,7 @@ class BlochSpectrum:
 
     def relative_eigenvalue(self, n: int) -> float:
         """Eigenvalue minus shift, at shifted-frame precision."""
-        if self.eigenvalues_rel is not None:
-            return float(self.eigenvalues_rel[n])
-        return float(self.eigenvalues[n] - self.shift)
+        return float(self.eigenvalues_rel[n])
 
 
 class WindowOperator:
@@ -239,7 +188,7 @@ class WindowOperator:
 
 
 def assemble(l: int, q: FourierPotential, t, basis, shift_center=None, sparse: bool = False):
-    """Hermitian matrix of (-Laplace)^l + q over a PlanewaveBasis or a ResonantIndexSet.
+    """Hermitian matrix of (-Laplace)^l + q over an index set (lattice.PlanewaveBasis).
 
     With shift_center = v the diagonal holds |gamma+t|^{2l} - |v|^{2l}
     (cancellation-free); eigenvalues of the result are then relative to
@@ -252,7 +201,7 @@ def assemble(l: int, q: FourierPotential, t, basis, shift_center=None, sparse: b
         raise ValueError("basis must be non-empty")
     t = np.asarray(t, dtype=float)
     v = np.zeros_like(t) if shift_center is None else np.asarray(shift_center, dtype=float)
-    H = WindowOperator(relative_energies(v, basis.embeddings + t, l), *q.coupling_table(basis.coords))
+    H = WindowOperator(relative_energies(v, basis.embeddings + t, l), *q.coupling_table(basis))
     return H if sparse else H.toarray()
 
 
@@ -578,7 +527,8 @@ def _windows(lattice: LatticeModel, q: FourierPotential, t, v, coords, window_ra
 
     The outer ball's rows are ordered by (|gamma + t - v|^2, coords), so the
     inner window, cut by the enumeration's own membership test, is exactly
-    its leading rows.  The window must hold gamma0 = coords, which split
+    its leading rows (PlanewaveBasis.leading: one coordinate index serves
+    both windows).  The window must hold gamma0 = coords, which split
     guarantees for any radius >= 0 (else PreconditionError: a negative
     radius).  With refine it must also hold every gamma0 + g, g in supp q,
     else WindowNotConverged: without them the 1.5x window cannot move the
@@ -587,7 +537,7 @@ def _windows(lattice: LatticeModel, q: FourierPotential, t, v, coords, window_ra
     bases = [PlanewaveBasis.window(lattice, t, v, window_radius * 1.5 if refine else window_radius)]
     if refine:
         _, inside = _in_shifted_ball(bases[0].embeddings, v - t, window_radius)
-        bases.insert(0, PlanewaveBasis(lattice, bases[0].coords[:np.count_nonzero(inside)]))
+        bases.insert(0, bases[0].leading(np.count_nonzero(inside)))
     if bases[0].positions(coords)[0] < 0:
         raise PreconditionError("window excludes the center's own index")
     if refine and q.support and np.any(bases[0].positions(np.add(coords, q.support)) < 0):

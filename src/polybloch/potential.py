@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import CoordinateIndex, LatticeModel
+from .lattice import LatticeModel
 from .numerics import integer_row_basis
 
 _HERMITIAN_TOL = 1e-12
@@ -43,7 +43,16 @@ class FourierPotential:
             if value != 0:
                 table[coords] = value
         self._table = table
-        self._support = tuple(sorted(table, key=lambda c: (lattice.vector(c).norm_sq, c)))
+        # one embedding of the support rows serves every norm below; _norms is in table order
+        keys = list(table)
+        emb = lattice.embed(np.array(keys, dtype=np.int64).reshape(-1, lattice.dimension))
+        norm_sq = np.vecdot(emb, emb)
+        self._norms = np.sqrt(norm_sq).tolist()
+        order = sorted(range(len(keys)), key=lambda i: (norm_sq[i], keys[i]))
+        self._support = tuple(keys[i] for i in order)
+        self.support_embeddings = emb[order]
+        self.support_embeddings.setflags(write=False)
+        self._eigenvalue_table = None
 
     # -- basic access -------------------------------------------------
 
@@ -52,39 +61,37 @@ class FourierPotential:
 
     @property
     def support(self) -> tuple[tuple[int, ...], ...]:
+        """The g with q_g != 0, ordered by (|g|^2, coords); support_embeddings holds their embeddings."""
         return self._support
 
     @property
     def support_radius(self) -> float:
-        if not self._support:
-            return 0.0
-        return max(self.lattice.vector(c).norm for c in self._support)
+        return max(self._norms, default=0.0)
 
-    def coupling_table(self, coords) -> tuple[np.ndarray, np.ndarray]:
+    def coupling_table(self, index_set) -> tuple[np.ndarray, np.ndarray]:
         """(columns, values): the off-diagonal entries q_{c_i - c_j} over the rows c of an index set.
 
-        One table row per nonzero offset g_s of supp q and its negatives
-        (the same set for any table the loader accepts): columns[s, i] is
-        the row j of c_i - g_s and values[s, i] the entry H[i, j], or the
-        sentinel n = len(coords) and 0 where there is none.  Each g_s is
-        looked up once, by one gather from lattice.CoordinateIndex's slot
-        table, so the cost is O(n |supp|) with O(n) temporaries.  H[i, j]
-        is q_{g_s} when i < j and conj(q_{-g_s}) when i > j: each pair
-        i < j takes its value from the lookup of its upper entry and (j, i)
-        the conjugate, so the operator is exactly Hermitian even for tables
-        that are Hermitian only to the loader's tolerance.  No entry is on
-        the diagonal.
+        index_set is a lattice.PlanewaveBasis.  One table row per nonzero
+        offset g_s of supp q and its negatives (the same set for any table
+        the loader accepts): columns[s, i] is the row j of c_i - g_s and
+        values[s, i] the entry H[i, j], or the sentinel n = len(c) and 0
+        where there is none.  Each g_s is looked up once, by one gather
+        through the set's own positions, so the cost is O(n |supp|) with
+        O(n) temporaries.  H[i, j] is q_{g_s} when i < j and conj(q_{-g_s})
+        when i > j: each pair i < j takes its value from the lookup of its
+        upper entry and (j, i) the conjugate, so the operator is exactly
+        Hermitian even for tables that are Hermitian only to the loader's
+        tolerance.  No entry is on the diagonal.
         """
-        coords = np.asarray(coords, dtype=np.int64)
+        coords = index_set.coords
         n = len(coords)
         offsets = [g for g in dict.fromkeys(self._support + tuple(tuple(-c for c in g) for g in self._support))
                    if any(g)]
-        index = CoordinateIndex(coords)
         members = np.arange(n)
         columns = np.full((len(offsets), n), n, dtype=np.int64)
         values = np.zeros((len(offsets), n), dtype=complex)
         for s, g in enumerate(offsets):
-            j = index.find(coords - np.asarray(g, dtype=np.int64))  # absent targets have j = -1
+            j = index_set.positions(coords - np.asarray(g, dtype=np.int64))  # absent targets have j = -1
             value = np.where(members < j, self.coefficient(g), np.conj(self.coefficient(tuple(-c for c in g))))
             kept = (j >= 0) & (value != 0)
             columns[s, kept] = j[kept]
@@ -153,9 +160,13 @@ class FourierPotential:
 
         q's even translate when it has one: on every index set its operator
         is D H D^H (see even_translate), real symmetric.  Otherwise q itself.
+        Computed on the first call; the table is immutable, so later calls
+        return the same pair.
         """
-        even = self.even_translate()
-        return (self, False) if even is None else (even, True)
+        if self._eigenvalue_table is None:
+            even = self.even_translate()
+            self._eigenvalue_table = (self, False) if even is None else (even, True)
+        return self._eigenvalue_table
 
     def one_norm(self) -> float:
         """Sum of |q_gamma|; the operator-norm bound on the perturbation."""
@@ -165,8 +176,7 @@ class FourierPotential:
         """Sum of |q_gamma|^2 (1 + |gamma|^{2s})."""
         s = self.smoothness
         total = 0.0
-        for coords, value in self._table.items():
-            nrm = self.lattice.vector(coords).norm
+        for value, nrm in zip(self._table.values(), self._norms):
             total += abs(value) ** 2 * (1.0 + nrm ** (2 * s))
         return float(total)
 
@@ -207,8 +217,8 @@ class FourierPotential:
         if radius <= 0:
             raise ValueError("radius must be > 0")
         kept, tail = {}, 0.0
-        for coords, value in self._table.items():
-            if self.lattice.vector(coords).norm < radius:
+        for (coords, value), nrm in zip(self._table.items(), self._norms):
+            if nrm < radius:
                 kept[coords] = value
             else:
                 tail += abs(value)

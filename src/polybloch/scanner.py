@@ -175,17 +175,17 @@ def _band_basis(lattice: LatticeModel, radius: float, n_bands: int) -> Planewave
 
 
 def symmetry_group(lattice: LatticeModel, q: FourierPotential, grid_counts,
-                   basis_coords) -> tuple[np.ndarray, ...]:
+                   basis: PlanewaveBasis) -> tuple[np.ndarray, ...]:
     """Maps c -> cM of grid coefficients c = k / grid_counts that leave the
     spectrum on the basis unchanged.  A point-group element M that maps the
-    grid and the basis onto themselves gives M when q_{nM} = q_n (H(cM) is
+    grid and the basis onto themselves (n -> nM is one-to-one, so onto
+    once every image is in the basis) gives M when q_{nM} = q_n (H(cM) is
     H(c) permuted by n -> nM) and its time-reversed partner -M when
     q_{-nM} = conj(q_n) (H(-cM) is conj H(c) permuted by n -> -nM)."""
     counts = np.array(grid_counts)
-    basis = {tuple(c) for c in basis_coords.tolist()}
     maps = {}
     for M in lattice.point_group():
-        if np.any(M * counts % counts[:, None]) or basis != {tuple(c) for c in (basis_coords @ M).tolist()}:
+        if np.any(M * counts % counts[:, None]) or np.any(basis.positions(basis.coords @ M) < 0):
             continue
         for sign in (1, -1):
             if q.is_invariant(M, time_reversed=sign < 0):
@@ -215,7 +215,7 @@ def band_functions(lattice: LatticeModel, l: int, q: FourierPotential, grid_coun
     k = np.indices(grid_counts).reshape(len(counts), -1).T
     t_points = (k / counts) @ lattice.dual_basis
     q, real = q.eigenvalue_table()
-    group = symmetry_group(lattice, q, grid_counts, basis.coords)
+    group = symmetry_group(lattice, q, grid_counts, basis)
     # k -> kM on coefficients is k -> k A mod counts on indices, A_ij = M_ij counts_j / counts_i
     rep = np.min([np.ravel_multi_index(((k @ (M * counts // counts[:, None])) % counts).T, grid_counts)
                   for M in group], axis=0)

@@ -62,7 +62,7 @@ def _series_pool(q: FourierPotential, pool_radius: float | None):
     """
     if pool_radius is not None and pool_radius < q.support_radius:
         q = q.truncate(pool_radius)[0]
-    return q, [(coords, q.lattice.embed(coords), q.coefficient(coords)) for coords in q.support]
+    return q, [(coords, emb, q.coefficient(coords)) for coords, emb in zip(q.support, q.support_embeddings)]
 
 
 def _path_sums(a_rel: float, v: np.ndarray, l: int, q: FourierPotential, pool, depth: int,
@@ -254,7 +254,7 @@ def match_eigenvalue(spectrum: BlochSpectrum, gamma, prediction_rel: float,
     pos = spectrum.position(gamma)
     if pos is None:
         raise NoCandidate(f"gamma {gamma} not inside the oracle window")
-    rel = spectrum.eigenvalues_rel if spectrum.eigenvalues_rel is not None else spectrum.eigenvalues - spectrum.shift
+    rel = spectrum.eigenvalues_rel
     inside = np.nonzero(np.abs(rel - prediction_rel) < halfwidth)[0]
     if len(inside) == 0:
         raise NoCandidate(

@@ -4,12 +4,16 @@ These are the enumerators the array ones in polybloch.lattice and
 polybloch.block replaced.  They walk the box with itertools.product, embed
 each point on its own (n @ dual_basis), test it with a scalar comparison
 and sort keyed tuples, so they return plain coordinate tuples in the order
-the array versions must reproduce.
+the array versions must reproduce.  membership_profile and classify_level
+are the resonance-set tests over the direction pool as a list of
+LatticeVectors, the form the index-set pool of polybloch.geometry replaced.
 """
 
 import itertools
 
 import numpy as np
+
+from polybloch.numerics import integer_rank, power_difference
 
 TWO_PI = 2 * np.pi
 BALL_REL_TOL = 1e-9
@@ -107,3 +111,41 @@ def index_set(lattice, gamma0, directions, b_radius, a_radius):
         keyed.append((float(emb @ emb), tuple(g + o for g, o in zip(gamma0, off))))
     keyed.sort()
     return [h for _, h in keyed]
+
+
+def membership_profile(lattice, x, cascade, degree=1):
+    """(pool, distances, flags) of geometry.membership_profile, the pool as enumerate_ball LatticeVectors."""
+    pool = lattice.enumerate_ball(cascade.direction_pool_radius())
+    x = np.asarray(x, dtype=float)
+    pool_matrix = np.array([g.embedding for g in pool]).reshape(-1, len(x))
+    pool_norm_sq = np.array([float(g.embedding @ g.embedding) for g in pool])
+    a_val = float(x @ x)
+    first = 2.0 * (pool_matrix @ x) + pool_norm_sq
+    dists = np.abs(first) if degree == 1 else np.abs(power_difference(first, a_val + first, a_val, degree))
+    flags = []
+    for k in range(1, cascade.d + 1):
+        idx = np.nonzero(dists < cascade.v_threshold(k))[0]
+        flags.append(len(idx) >= k and integer_rank([pool[i].coords for i in idx]) >= k)
+    return pool, dists, flags
+
+
+def classify_level(lattice, x, cascade, degree=1):
+    """(level, witness coords, margins, min_pool_margin) of geometry.classify from membership_profile above.
+
+    level is None where E_d reaches x; the witnesses are the greedy
+    independent tuple in coordinate-tuple order, fewer than level when the
+    search runs out (classify raises PartitionBreakdown in both cases).
+    """
+    pool, dists, flags = membership_profile(lattice, x, cascade, degree)
+    min_pool_margin = float(np.min(dists - cascade.v_threshold(1))) if len(dists) else float("inf")
+    member = [True] + flags
+    level = next((k for k in range(cascade.d - 1, -1, -1) if member[k] and not member[k + 1]), None)
+    if not level:
+        return level, (), (), min_pool_margin
+    threshold = cascade.v_threshold(level)
+    chosen = []
+    for i in sorted(np.nonzero(dists < threshold)[0], key=lambda i: pool[i].coords):
+        if len(chosen) < level and integer_rank([pool[j].coords for j in chosen + [i]]) == len(chosen) + 1:
+            chosen.append(i)
+    return (level, tuple(pool[i].coords for i in chosen), tuple(float(dists[i] - threshold) for i in chosen),
+            min_pool_margin)

@@ -200,6 +200,13 @@ def test_inner_window_is_the_leading_block_of_its_refinement(case):
     for basis in (inner, outer):
         assert basis.coords[:k].tobytes() == reference.coords.tobytes()
         assert basis.embeddings[:k].tobytes() == reference.embeddings.tobytes()
+    # the inner window searches the outer window's index: rows from k on, and points outside, are absent
+    rng = np.random.default_rng(len(outer))
+    beyond = rng.integers(1, 4, (6, lattice.dimension))
+    outer_only = outer.coords[k + rng.permutation(len(outer) - k)[:8]]
+    targets = np.concatenate([inner.coords[rng.integers(0, k, 8)], outer_only,
+                              outer.coords.max(axis=0) + beyond, outer.coords.min(axis=0) - beyond])
+    assert np.array_equal(inner.positions(targets), reference.positions(targets))
 
     dense = pb.assemble(l, q, t, outer, shift_center=v)
     want = pb.assemble(l, q, t, reference, shift_center=v)

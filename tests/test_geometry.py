@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import polybloch as pb
+import reference_enumeration as ref
 from conftest import s0_threshold, scaled_cascade
 from polybloch.errors import CascadeInequalityViolated, PartitionBreakdown, ShellViolation
 from polybloch.geometry import in_shell, membership_profile
@@ -221,6 +224,57 @@ class TestClassify:
         cas = scaled_cascade(10.0, thresholds=(500.0, 501.0, 502.0))
         with pytest.raises(PartitionBreakdown):
             pb.classify(z2, np.array([10.0, 0.0]), cas)
+
+
+POOL_LATTICES = {
+    "Z2": np.eye(2),
+    "Z3": np.eye(3),
+    "hexagonal": np.array([[1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]]),
+    "oblique2": np.array([[1.0, 0.0], [0.37, 1.21]]),
+    "oblique3": np.array([[1.0, 0.0, 0.0], [0.31, 1.13, 0.0], [0.17, -0.29, 0.91]]),
+}
+
+
+@st.composite
+def pool_points(draw):
+    """A lattice, a scaled cascade, its direction pool, a degree and a point in or near the annulus,
+    moved onto up to d - 1 pool planes |x + g| = |x| in one draw in two."""
+    lattice = pb.LatticeModel(2 * np.pi * POOL_LATTICES[draw(st.sampled_from(sorted(POOL_LATTICES)))])
+    d = lattice.dimension
+    rho = draw(st.floats(8.0, 60.0))
+    base = draw(st.floats(0.2, 4.0))
+    cas = scaled_cascade(rho, d=d, thresholds=tuple(base * 2.0**k for k in range(d + 1)),
+                         pool_radius=draw(st.floats(1.5, 3.0)))
+    pool = pb.direction_pool(lattice, cas)
+    direction = np.array(draw(st.tuples(*([st.floats(-1.0, 1.0)] * d))))
+    assume(np.linalg.norm(direction) > 0.1)
+    x = draw(st.floats(0.45, 1.55)) * rho * direction / np.linalg.norm(direction)
+    if draw(st.booleans()):
+        G = pool.embeddings[draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=d - 1, unique=True))]
+        x = x + np.linalg.lstsq(G, -0.5 * np.vecdot(G, G) - G @ x, rcond=None)[0]
+    return lattice, cas, pool, x, draw(st.sampled_from([1, 2]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pool_points())
+def test_pool_index_set_classifies_as_the_lattice_vector_list(case):
+    lattice, cas, pool, x, degree = case
+    want_pool, want_dists, want_flags = ref.membership_profile(lattice, x, cas, degree)
+    got_pool, dists, flags = membership_profile(lattice, x, cas, pool=pool, degree=degree)
+    assert got_pool is pool and [tuple(c) for c in pool.coords.tolist()] == [g.coords for g in want_pool]
+    assert dists.tobytes() == want_dists.tobytes() and flags == want_flags
+    if not in_shell(x, cas.rho):
+        return
+    level, witnesses, margins, min_pool_margin = ref.classify_level(lattice, x, cas, degree)
+    if level is None or len(witnesses) < level:
+        with pytest.raises(PartitionBreakdown):
+            pb.classify(lattice, x, cas, pool=pool, degree=degree)
+        return
+    verdict = pb.classify(lattice, x, cas, pool=pool, degree=degree)
+    assert (verdict.level, verdict.margins, verdict.min_pool_margin) == (level, margins, min_pool_margin)
+    assert tuple(g.coords for g in verdict.directions) == witnesses
+    for g in verdict.directions:
+        assert isinstance(g, pb.LatticeVector) and g.embedding.tobytes() == lattice.embed(g.coords).tobytes()
 
 
 def test_integer_row_basis_generates_the_rows():

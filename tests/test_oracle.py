@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import polybloch as pb
 from polybloch import oracle
 from polybloch.errors import NoCandidate, PreconditionError, WindowNotConverged
+from polybloch.lattice import CoordinateIndex
 from polybloch.numerics import blas_threads
 from polybloch.oracle import PlanewaveBasis
 from polybloch.potential import FourierPotential
@@ -464,7 +465,8 @@ class TestTrackedSolve:
 
     def test_tracked_center_enumerates_and_assembles_once(self, z2, monkeypatch):
         # the inner window is the leading block of the 1.5x window's one enumeration and operator
-        calls = {"enumerate": 0, "assemble": 0}
+        # and both windows search one coordinate index
+        calls = {"enumerate": 0, "assemble": 0, "index": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -475,6 +477,7 @@ class TestTrackedSolve:
         monkeypatch.setattr(pb.LatticeModel, "enumerate_shifted_ball",
                             counted("enumerate", pb.LatticeModel.enumerate_shifted_ball))
         monkeypatch.setattr(oracle, "assemble", counted("assemble", oracle.assemble))
+        monkeypatch.setattr(CoordinateIndex, "__init__", counted("index", CoordinateIndex.__init__))
         q = pb.cosine_pair(z2, (1, 0), 0.2)
         centers = [np.array([5.3, 4.2]), np.array([-3.1, 6.4])]
         for v in centers:
@@ -482,13 +485,13 @@ class TestTrackedSolve:
             spectrum = pb.track_dominant(z2, 1, q, v, 6.0, [f1], 0.01, refine=True)
             assert spectrum.diagnostics["eigensolver"] == "tracked"
             assert spectrum.diagnostics["pairs_solved"] == 2
-        assert calls == {"enumerate": len(centers), "assemble": len(centers)}
+        assert calls == {"enumerate": len(centers), "assemble": len(centers), "index": len(centers)}
         # a refused center solves the leading blocks of the same operator
-        calls.update(enumerate=0, assemble=0)
+        calls.update(enumerate=0, assemble=0, index=0)
         f1 = pb.known_part_sequence(centers[0], 1, q, k_max=1).known_part_rel()
         spectrum = pb.track_dominant(z2, 1, q, centers[0], 6.0, [f1 + 0.02, f1], 0.01, refine=True)
         assert spectrum.diagnostics["tracking_refused"] == "window"
-        assert calls == {"enumerate": 1, "assemble": 1}
+        assert calls == {"enumerate": 1, "assemble": 1, "index": 1}
 
     def test_small_windows_track_on_one_blas_thread(self, z2, monkeypatch):
         # _track_pair runs on one thread up to SERIAL_TRACK_BASIS waves, the counted

@@ -2,9 +2,38 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polybloch as pb
+from polybloch import potential
 from polybloch.potential import FourierPotential
+
+SUPPORT_LATTICES = {
+    "Z2": np.eye(2),
+    "Z3": np.eye(3),
+    "hexagonal": np.array([[1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]]),
+    "oblique": np.array([[1.0, 0.0, 0.0], [0.31, 1.13, 0.0], [0.17, -0.29, 0.91]]),
+}
+
+
+def vector_support(q):
+    """(support, support radius) from one LatticeVector per support vector, the form the arrays replaced."""
+    vectors = [q.lattice.vector(r["n"]) for r in q.to_records()]
+    support = tuple(v.coords for v in sorted(vectors, key=lambda v: (float(v.embedding @ v.embedding), v.coords)))
+    return support, max((float(np.sqrt(float(v.embedding @ v.embedding))) for v in vectors), default=0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(SUPPORT_LATTICES)))
+def test_support_arrays_match_the_lattice_vector_form(data, name):
+    lattice = pb.LatticeModel(2 * np.pi * SUPPORT_LATTICES[name])
+    point = st.tuples(*([st.integers(-4, 4)] * lattice.dimension))
+    rows = data.draw(st.lists(point, max_size=12, unique=True))
+    q = FourierPotential(lattice, {g: complex(i + 1, -i) for i, g in enumerate(rows)})
+    support, radius = vector_support(q)
+    assert q.support == support and q.support_radius == radius
+    assert q.support_embeddings.tobytes() == lattice.embed(np.array(support).reshape(-1, lattice.dimension)).tobytes()
 
 
 class TestValidate:
@@ -154,6 +183,19 @@ class TestEvenTranslate:
         assert all(r["im"] == 0.0 for r in found.to_records())
         assert found.support == q.support
         assert [abs(found.coefficient(g)) for g in q.support] == pytest.approx([abs(q.coefficient(g)) for g in q.support])
+
+    def test_eigenvalue_table_is_computed_once(self, z2, monkeypatch):
+        calls = []
+
+        def counted(rows):
+            calls.append(rows)
+            return integer_row_basis(rows)
+
+        integer_row_basis = potential.integer_row_basis
+        monkeypatch.setattr(potential, "integer_row_basis", counted)
+        q = translated(even({(1, 0): 0.3, (0, 1): -0.2}), z2, (0.7, -1.3))
+        first = q.eigenvalue_table()
+        assert first[1] and q.eigenvalue_table() is first and len(calls) == 1
 
     def test_three_generic_pairs_have_none(self, z2):
         pairs = {(1, 0): np.exp(1.0j), (0, 1): 0.5 * np.exp(2.0j), (1, 1): 0.7 * np.exp(0.3j)}

@@ -170,18 +170,21 @@ class TestSymmetryReduction:
     @given(seed=st.integers(0, 2**16), support=st.sampled_from([1.0, 1.5, 2.0]), grid=st.sampled_from(GRIDS))
     def test_generic_table_group_is_time_reversal_only(self, z2, seed, support, grid):
         q = pb.random_potential(seed, 2, support, 0.0, 1.0, lattice=z2)
-        coords = pb.PlanewaveBasis.full_ball(z2, 5.0).coords
-        assert as_set(symmetry_group(z2, q, grid, coords)) == as_set([np.eye(2, dtype=int), -np.eye(2, dtype=int)])
+        basis = pb.PlanewaveBasis.full_ball(z2, 5.0)
+        assert as_set(symmetry_group(z2, q, grid, basis)) == as_set([np.eye(2, dtype=int), -np.eye(2, dtype=int)])
 
     def test_cosine_sum_group(self, z2):
         q = pb.cosine_sum(z2, [(1, 0), (0, 1)], 0.2)
-        coords = pb.PlanewaveBasis.full_ball(z2, 5.0).coords
-        square = symmetry_group(z2, q, (16, 16), coords)
+        basis = pb.PlanewaveBasis.full_ball(z2, 5.0)
+        square = symmetry_group(z2, q, (16, 16), basis)
         assert len(square) == 8
         assert as_set(square) == as_set(z2.point_group())
-        # the quarter turns and diagonal mirrors do not map an 8 x 12 grid onto itself
-        assert as_set(symmetry_group(z2, q, (8, 12), coords)) == {
-            ((1, 0), (0, 1)), ((-1, 0), (0, -1)), ((1, 0), (0, -1)), ((-1, 0), (0, 1))}
+        # the quarter turns and diagonal mirrors do not map an 8 x 12 grid onto itself,
+        # nor a basis stretched along the first axis
+        mirrors = {((1, 0), (0, 1)), ((-1, 0), (0, -1)), ((1, 0), (0, -1)), ((-1, 0), (0, 1))}
+        assert as_set(symmetry_group(z2, q, (8, 12), basis)) == mirrors
+        stretched = pb.PlanewaveBasis.union_windows(z2, np.zeros(2), [(0.5, 0.0), (-0.5, 0.0)], 5.0)
+        assert as_set(symmetry_group(z2, q, (16, 16), stretched)) == mirrors
 
     def test_orbit_counts(self, z2):
         q = pb.random_potential(3, 2, 1.5, 0.0, 1.0, lattice=z2)
@@ -344,10 +347,10 @@ class TestEvenTranslate:
         q = hermitian(lat, [(1, 0), (0, 1), (1, 1)], np.multiply(magnitudes, np.exp(1j * np.array(phases))))
         assert q.even_translate() is None
         table = pb.band_functions(lat, 1, q, (8, 8), 4, basis_radius=4.0)
-        coords = pb.PlanewaveBasis.full_ball(lat, 4.0).coords
+        basis = pb.PlanewaveBasis.full_ball(lat, 4.0)
         assert not table.real_symmetric
         # -t mod 1 pairs the 64 points except the 4 with 2t = 0 mod 1
-        assert (table.symmetry_order, table.solved_points) == (len(symmetry_group(lat, q, (8, 8), coords)), 34)
+        assert (table.symmetry_order, table.solved_points) == (len(symmetry_group(lat, q, (8, 8), basis)), 34)
         assert table.symmetry_order == 2
 
     def test_band_scan_reports_its_path(self, z2):

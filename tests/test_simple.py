@@ -7,6 +7,7 @@ import pytest
 import polybloch as pb
 from conftest import scaled_cascade
 from polybloch.errors import PhaseDegenerate
+from polybloch.lattice import CoordinateIndex
 from polybloch.potential import FourierPotential
 
 
@@ -40,14 +41,14 @@ class TestKSet:
         v = np.array([5.0, 2.0])
         got = pb.k_set(z2, v, np.zeros(2), cas, 1, q0, f_value=29.0)
         assert [g.coords for g, _ in got] == [(5, 2)] or (5, 2) in [g.coords for g, _ in got]
-        assert all(abs(g.norm_sq - 29.0) < 0.1 for g, _ in got)
+        assert all(abs(g.embedding @ g.embedding - 29.0) < 0.1 for g, _ in got)
 
     def test_degenerate_window_zero(self, z2):
         q0 = FourierPotential(z2, {})
         # window -> 0 keeps only exact ties with F(v)
         cas = scaled_cascade(5.0, thresholds=(1e-9, 2e-9, 4e-9), known_order=1)
         got = pb.k_set(z2, np.array([5.0, 0.0]), np.zeros(2), cas, 1, q0, f_value=25.0)
-        norms = {g.norm_sq for g, _ in got}
+        norms = {float(g.embedding @ g.embedding) for g, _ in got}
         assert norms == {25.0}
 
     def test_competitors_carry_classes(self, z2):
@@ -69,6 +70,20 @@ class TestCheckSimplicity:
         report = pb.check_simplicity(z2, v, cas, 1, q)
         assert report.member
         assert all(e.margin >= 0 for e in report.entries)
+
+    def test_one_coordinate_index_per_block_and_none_for_the_pool(self, z2, monkeypatch):
+        built, init = [], CoordinateIndex.__init__
+
+        def counted(index, coords):
+            built.append(len(coords))
+            init(index, coords)
+
+        monkeypatch.setattr(CoordinateIndex, "__init__", counted)
+        v = np.array([12.48, -15.628])
+        cas = scaled_cascade(float(np.linalg.norm(v)), known_order=2, a_radius=1.2)
+        report = pb.check_simplicity(z2, v, cas, 1, pb.cosine_pair(z2, (1, 0), 0.1))
+        blocks = sorted(e.diagnostics["block_size"] for e in report.entries if e.kind == "block")
+        assert len(blocks) == 2 and sorted(built) == blocks
 
     def test_trivial_member_when_k_is_singleton(self, z2):
         # nearest competitor free energy sits 0.034 away, outside window 0.05/3
