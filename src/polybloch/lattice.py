@@ -270,13 +270,16 @@ class PlanewaveBasis:
     coords holds the integer dual coordinates as read-only (n, d) int64
     rows (copied), embeddings coords @ dual_basis.  positions searches one
     CoordinateIndex, built on its first call.  leading(k) is the set of the
-    first k rows: it shares these arrays and that index.
+    first k rows and translated(shift) the set of the rows shift + c: both
+    search this set's index.
     """
 
     lattice: LatticeModel
     coords: np.ndarray = field(repr=False, compare=False)
     embeddings: np.ndarray = field(init=False, repr=False, compare=False)
-    _whole: "PlanewaveBasis | None" = field(default=None, init=False, repr=False, compare=False)
+    # a derived set: the rows of _base.positions(c - _shift) below len(self) are its own
+    _base: "PlanewaveBasis | None" = field(default=None, init=False, repr=False, compare=False)
+    _shift: np.ndarray | int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coords = np.array(self.coords, dtype=np.int64).reshape(-1, self.lattice.dimension)
@@ -317,15 +320,31 @@ class PlanewaveBasis:
 
     def positions(self, coords) -> np.ndarray:
         """The row of each coordinate row in the set, -1 where it is absent."""
-        if self._whole is None:
+        if self._base is None:
             return self._index.find(coords)
-        rows = self._whole.positions(coords)
+        rows = self._base.positions(np.asarray(coords, dtype=np.int64) - self._shift)
         return np.where(rows < len(self), rows, -1)
 
     def leading(self, k: int) -> "PlanewaveBasis":
         """The set of the first k rows, searched through this set's index with the rows from k masked."""
-        prefix = object.__new__(PlanewaveBasis)
-        for name, value in (("lattice", self.lattice), ("coords", self.coords[:k]),
-                            ("embeddings", self.embeddings[:k]), ("_whole", self)):
-            object.__setattr__(prefix, name, value)
-        return prefix
+        return self._derived(self.coords[:k], self.embeddings[:k], 0)
+
+    def translated(self, shift) -> "PlanewaveBasis":
+        """The set of the rows shift + c in this set's order, searched through this set's index at c - shift.
+
+        Its embeddings are lattice.embed of its own rows, so they are bit for
+        bit those of a set built on the same rows.
+        """
+        shift = np.asarray(shift, dtype=np.int64)
+        coords = self.coords + shift
+        embeddings = self.lattice.embed(coords)
+        coords.setflags(write=False)
+        embeddings.setflags(write=False)
+        return self._derived(coords, embeddings, shift)
+
+    def _derived(self, coords, embeddings, shift) -> "PlanewaveBasis":
+        derived = object.__new__(PlanewaveBasis)
+        for name, value in (("lattice", self.lattice), ("coords", coords), ("embeddings", embeddings),
+                            ("_base", self), ("_shift", shift)):
+            object.__setattr__(derived, name, value)
+        return derived

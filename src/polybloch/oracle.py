@@ -12,10 +12,15 @@ diagonal computed through the cancellation-free identity
 A^l - B^l = (A - B) * sum_j A^j B^(l-1-j),  A - B = 2(v, delta) + |delta|^2
 (numerics.relative_energies), which keeps eigenvalue differences near the
 shift meaningful well below machine epsilon times |v|^{2l}.  assemble is
-the one operator builder, of windows and resonant blocks alike.  Each
-center's windows come from one enumeration and share one coordinate index
-(_windows): the inner window is the leading rows of its 1.5x refinement,
-and its operator the leading block.
+the one operator builder, of windows and resonant blocks alike.  Only the
+diagonal depends on the center: an entry q_{gamma - gamma'} depends on
+gamma - gamma' alone, so every window of one radius is one set of offsets
+translated by gamma0, with one set of couplings.  _windows, the one window
+builder, translates the potential's cached origin window
+(FourierPotential.origin_window), enumerated and indexed once per table
+and radius; every translate searches its one coordinate index.  The inner
+window is the leading rows of its 1.5x refinement, and its operator the
+leading block.
 
 Order sweeps need one pair per window: the one dominated by gamma0's plane
 wave, whose eigenvalue every order's prediction is matched against.  Away
@@ -130,7 +135,7 @@ class WindowOperator:
     operator of the entries' moduli, and H[:k, :k] is the leading block:
     the operator over the first k rows, exactly.  tocsc() builds the
     scipy.sparse CSC array that SuperLU and ARPACK need, toarray() the
-    dense matrix.
+    dense matrix (toarray(real=True) its real part, built in float64).
     """
 
     def __init__(self, diagonal: np.ndarray, columns: np.ndarray, values: np.ndarray):
@@ -169,11 +174,11 @@ class WindowOperator:
         s, i = np.nonzero(self.columns < n)
         return i, self.columns[s, i], self.values[s, i]
 
-    def toarray(self) -> np.ndarray:
+    def toarray(self, real: bool = False) -> np.ndarray:
         n = self.shape[0]
-        H = np.zeros((n, n), dtype=complex)
+        H = np.zeros((n, n), dtype=float if real else complex)
         i, j, values = self._triplets()
-        H[i, j] = values
+        H[i, j] = values.real if real else values
         H[np.diag_indices(n)] = self._diagonal
         return H
 
@@ -359,7 +364,7 @@ def bloch_solve(lattice: LatticeModel, l: int, q: FourierPotential, v, window_ra
     v = np.asarray(v, dtype=float)
     gamma0, t = lattice.split(v, t)
     spectra = [solve(lattice, l, q, t, basis, shift_center=v)
-               for basis in _windows(lattice, q, t, v, gamma0.coords, window_radius, refine)]
+               for basis in _windows(q, gamma0.coords, window_radius, refine)]
     return _summarized(spectra, gamma0.coords, window_radius, refine, eigensolver="dense")
 
 
@@ -368,9 +373,11 @@ def track_dominant(lattice: LatticeModel, l: int, q: FourierPotential, v, window
     """The eigenpair dominated by gamma0's plane wave, v = gamma0 + t, solved alone in each window.
 
     predictions (relative to |v|^{2l}, highest order last) are the values
-    the pair is matched against, each within halfwidth.  The operator is
-    assembled once, over the outermost window (see _windows), and each
-    window's pair comes from _track_pair on its leading block, on one BLAS
+    the pair is matched against, each within halfwidth.  The operator over
+    the outermost window (see _windows) is q's cached couplings for that
+    window (FourierPotential.origin_couplings), built once per table and
+    radius, and this center's diagonal.  Each window's pair comes from
+    _track_pair on its leading block, on one BLAS
     thread when the window has at most numerics.SERIAL_TRACK_BASIS waves;
     with refine set, the 1.5x window starts from the inner window's pair,
     and the two windows' pairs are compared as in bloch_solve.  The
@@ -384,8 +391,9 @@ def track_dominant(lattice: LatticeModel, l: int, q: FourierPotential, v, window
     v = np.asarray(v, dtype=float)
     gamma0, t = lattice.split(v)
     shift = float(v @ v) ** l
-    bases = _windows(lattice, q, t, v, gamma0.coords, window_radius, refine)
-    H = assemble(l, q, t, bases[-1], shift_center=v, sparse=True)
+    bases = _windows(q, gamma0.coords, window_radius, refine)
+    H = WindowOperator(relative_energies(v, bases[-1].embeddings + t, l),
+                       *q.origin_couplings(window_radius * 1.5 if refine else window_radius))
     spectra, steps, start = [], [], None
     for basis in bases:
         k = len(basis)
@@ -521,22 +529,24 @@ def _with_row(rows: np.ndarray, k: int) -> np.ndarray:
     return grown
 
 
-def _windows(lattice: LatticeModel, q: FourierPotential, t, v, coords, window_radius: float,
-             refine: bool) -> list[PlanewaveBasis]:
-    """The window around v, and with refine its 1.5x refinement, from one enumeration.
+def _windows(q: FourierPotential, coords, window_radius: float, refine: bool) -> list[PlanewaveBasis]:
+    """The window around v = gamma0 + t, and with refine its 1.5x refinement, as translates by gamma0 = coords.
 
-    The outer ball's rows are ordered by (|gamma + t - v|^2, coords), so the
-    inner window, cut by the enumeration's own membership test, is exactly
-    its leading rows (PlanewaveBasis.leading: one coordinate index serves
-    both windows).  The window must hold gamma0 = coords, which split
-    guarantees for any radius >= 0 (else PreconditionError: a negative
+    The outer window is q's origin window (FourierPotential.origin_window),
+    enumerated once per table and radius, translated to gamma0: its rows
+    are gamma0 + gamma in the order of (|gamma|^2, gamma), and they search
+    the origin window's one coordinate index.  The inner window, cut by the
+    enumeration's own membership test on the origin rows, is exactly its
+    leading rows (PlanewaveBasis.leading).  The window must hold gamma0,
+    which it does for any radius >= 0 (else PreconditionError: a negative
     radius).  With refine it must also hold every gamma0 + g, g in supp q,
     else WindowNotConverged: without them the 1.5x window cannot move the
     eigenvalue it certifies.
     """
-    bases = [PlanewaveBasis.window(lattice, t, v, window_radius * 1.5 if refine else window_radius)]
+    origin = q.origin_window(window_radius * 1.5 if refine else window_radius)
+    bases = [origin.translated(coords)]
     if refine:
-        _, inside = _in_shifted_ball(bases[0].embeddings, v - t, window_radius)
+        _, inside = _in_shifted_ball(origin.embeddings, 0.0, window_radius)
         bases.insert(0, bases[0].leading(np.count_nonzero(inside)))
     if bases[0].positions(coords)[0] < 0:
         raise PreconditionError("window excludes the center's own index")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeModel
+from .lattice import LatticeModel, PlanewaveBasis
 from .numerics import integer_row_basis
 
 _HERMITIAN_TOL = 1e-12
@@ -53,6 +53,7 @@ class FourierPotential:
         self.support_embeddings = emb[order]
         self.support_embeddings.setflags(write=False)
         self._eigenvalue_table = None
+        self._window = None  # (radius, origin window, its coupling_table or None): see origin_window
 
     # -- basic access -------------------------------------------------
 
@@ -97,6 +98,31 @@ class FourierPotential:
             columns[s, kept] = j[kept]
             values[s, kept] = value[kept]
         return columns, values
+
+    def origin_window(self, radius: float) -> PlanewaveBasis:
+        """The plane-wave window {gamma : |gamma| <= radius}, ordered by (|gamma|^2, coords).
+
+        The window {gamma : |gamma + t - v| <= radius} around v = gamma0 + t
+        is its translate by gamma0 (PlanewaveBasis.translated), and an entry
+        q_{gamma - gamma'} depends on gamma - gamma' alone, so every
+        translate has its couplings (origin_couplings).  One slot per table
+        holds the window of the last radius asked, so a sweep at one radius
+        builds it once and a large window is never held twice.
+        """
+        if self._window is None or self._window[0] != radius:
+            coords = self.lattice.enumerate_shifted_ball(np.zeros(self.lattice.dimension), radius)
+            self._window = (radius, PlanewaveBasis(self.lattice, coords), None)
+        return self._window[1]
+
+    def origin_couplings(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """coupling_table(origin_window(radius)), read-only, built on the first call per window."""
+        basis = self.origin_window(radius)
+        if self._window[2] is None:
+            table = self.coupling_table(basis)
+            for array in table:
+                array.setflags(write=False)
+            self._window = (radius, basis, table)
+        return self._window[2]
 
     def is_invariant(self, matrix, time_reversed: bool = False) -> bool:
         """Whether q_{nM} = q_n for every n, or q_{-nM} = conj(q_n) when

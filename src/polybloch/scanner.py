@@ -139,13 +139,12 @@ def _basis_move(lattice, l, q, real, t, radius, n_bands) -> float:
 
 
 def _band_couplings(l: int, q: FourierPotential, real: bool, basis: PlanewaveBasis) -> np.ndarray:
-    """q's dense operator over basis, as float64 when the table is real.
+    """q's dense operator over basis, built in float64 when the table is real.
 
     oracle.assemble at t = 0: its off-diagonal is the band couplings at
     every t, and _bands_at overwrites its diagonal.
     """
-    H = assemble(l, q, np.zeros(basis.embeddings.shape[1]), basis)
-    return np.ascontiguousarray(H.real) if real else H
+    return assemble(l, q, np.zeros(basis.embeddings.shape[1]), basis, sparse=True).toarray(real=real)
 
 
 def _band_threads(basis: PlanewaveBasis):
@@ -178,17 +177,20 @@ def symmetry_group(lattice: LatticeModel, q: FourierPotential, grid_counts,
                    basis: PlanewaveBasis) -> tuple[np.ndarray, ...]:
     """Maps c -> cM of grid coefficients c = k / grid_counts that leave the
     spectrum on the basis unchanged.  A point-group element M that maps the
-    grid and the basis onto themselves (n -> nM is one-to-one, so onto
-    once every image is in the basis) gives M when q_{nM} = q_n (H(cM) is
-    H(c) permuted by n -> nM) and its time-reversed partner -M when
-    q_{-nM} = conj(q_n) (H(-cM) is conj H(c) permuted by n -> -nM)."""
+    grid onto itself gives M when n -> nM maps the basis onto itself
+    (one-to-one, so onto once every image is in the basis) and
+    q_{nM} = q_n: H(cM) is H(c) permuted by n -> nM.  It gives its
+    time-reversed partner -M when n -> -nM maps the basis onto itself and
+    q_{-nM} = conj(q_n): H(-cM) is conj H(c) permuted by n -> -nM.  Only
+    a basis closed under negation, such as a full ball, is mapped onto
+    itself by both."""
     counts = np.array(grid_counts)
     maps = {}
     for M in lattice.point_group():
-        if np.any(M * counts % counts[:, None]) or np.any(basis.positions(basis.coords @ M) < 0):
+        if np.any(M * counts % counts[:, None]):
             continue
         for sign in (1, -1):
-            if q.is_invariant(M, time_reversed=sign < 0):
+            if np.all(basis.positions(sign * basis.coords @ M) >= 0) and q.is_invariant(M, time_reversed=sign < 0):
                 maps.setdefault((sign * M).tobytes(), sign * M)
     return tuple(maps.values())
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import polybloch as pb
 from polybloch import oracle
+from polybloch.errors import WindowNotConverged
 from polybloch.block import ResonantIndexSet, assemble_block
 from polybloch.lattice import CoordinateIndex
 from polybloch.numerics import power_difference, relative_energies
@@ -169,32 +170,69 @@ WINDOW_LATTICES = {
 }
 
 
-@st.composite
-def nested_windows(draw):
-    """A lattice, a Hermitian q on a short support, l, a center and an inner radius reaching supp q."""
-    lattice = pb.LatticeModel(2 * np.pi * WINDOW_LATTICES[draw(st.sampled_from(sorted(WINDOW_LATTICES)))])
-    d = lattice.dimension
-    point = st.tuples(*([st.integers(-1, 1)] * d))
+def hermitian_table(draw, lattice) -> dict:
+    """A Hermitian table on up to 4 +- pairs of offsets in {-1, 0, 1}^d."""
+    point = st.tuples(*([st.integers(-1, 1)] * lattice.dimension))
     table = {}
     for g in draw(st.lists(point.filter(any), min_size=1, max_size=4, unique=True)):
         value = complex(draw(st.floats(-1, 1)), draw(st.floats(-1, 1)))
         if value != 0:
             table[g] = value
             table[tuple(-c for c in g)] = value.conjugate()
-    q = FourierPotential(lattice, table)
+    return table
+
+
+@st.composite
+def nested_windows(draw):
+    """A lattice, a Hermitian q on a short support, l, a center and an inner radius reaching supp q."""
+    lattice = pb.LatticeModel(2 * np.pi * WINDOW_LATTICES[draw(st.sampled_from(sorted(WINDOW_LATTICES)))])
+    d = lattice.dimension
+    q = FourierPotential(lattice, hermitian_table(draw, lattice))
     v = np.array(draw(st.tuples(*([st.floats(-20.0, 20.0)] * d))))
     radius = q.support_radius + draw(st.floats(0.0, 2.0))
     return lattice, q, draw(st.sampled_from([1, 2])), v, radius
 
 
+@st.composite
+def translated_windows(draw, reach: float = 2.0):
+    """A lattice, a Hermitian table, a center v and an inner radius reaching supp q.
+
+    v is a random point or a half-lattice point (n + h / 2) @ dual_basis,
+    h in {0, 1}^d.  The radius is supp q's radius plus up to reach, or a
+    norm shell's radius, of the inner window or of its 1.5x refinement.
+    """
+    lattice = pb.LatticeModel(2 * np.pi * WINDOW_LATTICES[draw(st.sampled_from(sorted(WINDOW_LATTICES)))])
+    d = lattice.dimension
+    table = hermitian_table(draw, lattice)
+    support_radius = FourierPotential(lattice, table).support_radius
+    if draw(st.booleans()):
+        v = np.array(draw(st.tuples(*([st.floats(-20.0, 20.0)] * d))))
+    else:
+        n = np.array(draw(st.tuples(*([st.integers(-12, 12)] * d))))
+        v = (n + 0.5 * np.array(draw(st.tuples(*([st.integers(0, 1)] * d))))) @ lattice.dual_basis
+    scale = draw(st.sampled_from([None, 1.0, 1.5]))
+    if scale is None:
+        radius = support_radius + draw(st.floats(0.0, reach))
+    else:
+        emb = lattice.embed(lattice.ball_coords(scale * (support_radius + reach)))
+        shells = np.sqrt(np.vecdot(emb, emb)) / scale
+        radius = draw(st.sampled_from(sorted(set(shells[shells >= support_radius].tolist()))))
+    return lattice, table, v, radius
+
+
 @settings(max_examples=40, deadline=None)
 @given(nested_windows())
 def test_inner_window_is_the_leading_block_of_its_refinement(case):
-    # the reference builds the inner window on its own: its own enumeration and assembly
+    # the reference builds the inner window on its own: its own enumeration and assembly.
+    # Off Z^d, rows of one norm shell may take other places there (its distances to v
+    # carry rounding), so it is taken in the window's order once its rows are the same
     lattice, q, l, v, radius = case
     gamma0, t = lattice.split(v)
-    inner, outer = oracle._windows(lattice, q, t, v, gamma0.coords, radius, refine=True)
+    inner, outer = oracle._windows(q, gamma0.coords, radius, refine=True)
     reference = PlanewaveBasis.window(lattice, t, v, radius)
+    if not lattice.is_integral:
+        assert sorted(map(tuple, reference.coords.tolist())) == sorted(map(tuple, inner.coords.tolist()))
+        reference = PlanewaveBasis(lattice, inner.coords)
     k = len(reference)
     assert len(inner) == k
     for basis in (inner, outer):
@@ -216,6 +254,100 @@ def test_inner_window_is_the_leading_block_of_its_refinement(case):
     block = sparse[:k, :k]
     want = pb.assemble(l, q, t, reference, shift_center=v, sparse=True)
     assert csc_bytes(block.tocsc()) == csc_bytes(want.tocsc())
+
+
+def as_rows(coords) -> list:
+    return sorted(map(tuple, coords.tolist()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(translated_windows())
+def test_windows_are_translates_of_one_origin_window(case):
+    # each window holds the rows PlanewaveBasis.window enumerates around v (in its order on
+    # Z^d, where the distances carry no rounding), searches them, and couples them as its own
+    lattice, table, v, radius = case
+    q = FourierPotential(lattice, table)
+    gamma0, t = lattice.split(v)
+    inner, outer = oracle._windows(q, gamma0.coords, radius, refine=True)
+    k = len(inner)
+    assert inner.coords.tobytes() == outer.coords[:k].tobytes()
+    rng = np.random.default_rng(len(outer))
+    beyond = rng.integers(1, 4, (6, lattice.dimension))
+    targets = np.concatenate([inner.coords[rng.integers(0, k, 8)], outer.coords[k + rng.permutation(len(outer) - k)[:8]],
+                              outer.coords.max(axis=0) + beyond, outer.coords.min(axis=0) - beyond])
+    for basis, r in ((inner, radius), (outer, 1.5 * radius)):
+        reference = PlanewaveBasis.window(lattice, t, v, r)
+        assert basis.embeddings.tobytes() == lattice.embed(basis.coords).tobytes()
+        if lattice.is_integral:
+            assert basis.coords.tobytes() == reference.coords.tobytes()
+            assert basis.embeddings.tobytes() == reference.embeddings.tobytes()
+        else:
+            assert as_rows(basis.coords) == as_rows(reference.coords)
+        rows = basis.positions(targets)
+        found = rows >= 0
+        assert np.array_equal(found, reference.positions(targets) >= 0)
+        assert np.array_equal(basis.coords[rows[found]], targets[found])
+    columns, values = q.origin_couplings(1.5 * radius)
+    assert not columns.flags.writeable and not values.flags.writeable
+    want = q.coupling_table(PlanewaveBasis(lattice, outer.coords))
+    assert columns.tobytes() == want[0].tobytes() and values.tobytes() == want[1].tobytes()
+
+
+def first_order_shift(q, v, l: int) -> float:
+    """The first-order level shift of gamma0's plane wave, relative to |v|^{2l}."""
+    shift = float(v @ v) ** l
+    return sum(abs(q.coefficient(g)) ** 2 / (shift - float(np.sum((v + e) ** 2)) ** l)
+               for g, e in zip(q.support, q.support_embeddings))
+
+
+def tracked_outcome(q, v, radius, l, preds, hw, refine):
+    """track_dominant's spectrum as bytes and diagnostics, or the WindowNotConverged message."""
+    try:
+        s = pb.track_dominant(q.lattice, l, q, v, radius, preds, hw, refine=refine)
+    except WindowNotConverged as exc:
+        return str(exc)
+    return s.basis.coords.tobytes(), s.eigenvalues_rel.tobytes(), s.coefficients.tobytes(), s.diagnostics
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=translated_windows(reach=1.0), l=st.sampled_from([1, 2]), refine=st.booleans(),
+       step=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+       grow=st.floats(0.1, 1.0), offset=st.floats(-1.0, 1.0), hw=st.floats(0.01, 1.0))
+def test_tracked_pair_does_not_depend_on_call_history(case, l, refine, step, grow, offset, hw):
+    # the same pair, bit for bit, on a cold cache and on one warmed by another center
+    # at this radius or by another radius; likewise the dense solve
+    lattice, table, v, radius = case
+    w = v + np.array(step[:lattice.dimension])
+    preds = [first_order_shift(FourierPotential(lattice, table), v, l) + offset * hw]
+    cold = tracked_outcome(FourierPotential(lattice, table), v, radius, l, preds, hw, refine)
+    for warm_center, warm_radius in ((w, radius), (v, radius + grow), (w, radius + grow)):
+        q = FourierPotential(lattice, table)
+        tracked_outcome(q, warm_center, warm_radius, l, preds, hw, refine)
+        assert tracked_outcome(q, v, radius, l, preds, hw, refine) == cold
+    try:
+        want = pb.bloch_solve(lattice, l, FourierPotential(lattice, table), v, radius).eigenvalues.tobytes()
+    except WindowNotConverged:
+        return
+    q = FourierPotential(lattice, table)
+    tracked_outcome(q, w, radius, l, preds, hw, refine)
+    assert pb.bloch_solve(lattice, l, q, v, radius).eigenvalues.tobytes() == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=translated_windows(), factor=st.floats(0.5, 2.0).filter(lambda f: f != 1.0))
+def test_tables_on_one_support_keep_their_own_couplings(case, factor):
+    lattice, table, v, radius = case
+    first = FourierPotential(lattice, table)
+    second = FourierPotential(lattice, {g: factor * value for g, value in table.items()})
+    assert first.support == second.support
+    gamma0 = lattice.split(v)[0].coords
+    for q in (first, second):
+        outer = oracle._windows(q, gamma0, radius, refine=True)[1]
+        columns, values = q.origin_couplings(1.5 * radius)
+        want = q.coupling_table(PlanewaveBasis(lattice, outer.coords))
+        assert columns.tobytes() == want[0].tobytes() and values.tobytes() == want[1].tobytes()
+    if first.support:
+        assert not np.array_equal(first.origin_couplings(1.5 * radius)[1], second.origin_couplings(1.5 * radius)[1])
 
 
 @settings(max_examples=60, deadline=None)

@@ -464,9 +464,9 @@ class TestTrackedSolve:
         assert tracked.coefficient(0, gamma0).imag == 0.0 and tracked.coefficient(0, gamma0).real > 0
 
     def test_tracked_center_enumerates_and_assembles_once(self, z2, monkeypatch):
-        # the inner window is the leading block of the 1.5x window's one enumeration and operator
-        # and both windows search one coordinate index
-        calls = {"enumerate": 0, "assemble": 0, "index": 0}
+        # every center's windows translate the table's one origin window: one enumeration,
+        # one coupling table and one coordinate index per table and radius, and no assemble
+        calls = {"enumerate": 0, "assemble": 0, "couplings": 0, "index": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -477,6 +477,8 @@ class TestTrackedSolve:
         monkeypatch.setattr(pb.LatticeModel, "enumerate_shifted_ball",
                             counted("enumerate", pb.LatticeModel.enumerate_shifted_ball))
         monkeypatch.setattr(oracle, "assemble", counted("assemble", oracle.assemble))
+        monkeypatch.setattr(FourierPotential, "coupling_table",
+                            counted("couplings", FourierPotential.coupling_table))
         monkeypatch.setattr(CoordinateIndex, "__init__", counted("index", CoordinateIndex.__init__))
         q = pb.cosine_pair(z2, (1, 0), 0.2)
         centers = [np.array([5.3, 4.2]), np.array([-3.1, 6.4])]
@@ -485,13 +487,13 @@ class TestTrackedSolve:
             spectrum = pb.track_dominant(z2, 1, q, v, 6.0, [f1], 0.01, refine=True)
             assert spectrum.diagnostics["eigensolver"] == "tracked"
             assert spectrum.diagnostics["pairs_solved"] == 2
-        assert calls == {"enumerate": len(centers), "assemble": len(centers), "index": len(centers)}
+        assert calls == {"enumerate": 1, "assemble": 0, "couplings": 1, "index": 1}
         # a refused center solves the leading blocks of the same operator
-        calls.update(enumerate=0, assemble=0, index=0)
+        calls.update(enumerate=0, assemble=0, couplings=0, index=0)
         f1 = pb.known_part_sequence(centers[0], 1, q, k_max=1).known_part_rel()
         spectrum = pb.track_dominant(z2, 1, q, centers[0], 6.0, [f1 + 0.02, f1], 0.01, refine=True)
         assert spectrum.diagnostics["tracking_refused"] == "window"
-        assert calls == {"enumerate": 1, "assemble": 1, "index": 1}
+        assert calls == {"enumerate": 0, "assemble": 0, "couplings": 0, "index": 0}
 
     def test_small_windows_track_on_one_blas_thread(self, z2, monkeypatch):
         # _track_pair runs on one thread up to SERIAL_TRACK_BASIS waves, the counted

@@ -186,6 +186,36 @@ class TestSymmetryReduction:
         stretched = pb.PlanewaveBasis.union_windows(z2, np.zeros(2), [(0.5, 0.0), (-0.5, 0.0)], 5.0)
         assert as_set(symmetry_group(z2, q, (16, 16), stretched)) == mirrors
 
+    def test_window_off_the_origin_keeps_no_time_reversed_map(self, z2):
+        # the window about (1/2, 0) is mapped onto itself by the mirror n -> n diag(1, -1)
+        # alone: n -> -n and n -> n diag(-1, 1) map it onto the window about (-1/2, 0)
+        q = pb.cosine_sum(z2, [(1, 0), (0, 1)], 0.2)
+        shifted = pb.PlanewaveBasis.window(z2, np.zeros(2), (0.5, 0.0), 5.0)
+        assert as_set(symmetry_group(z2, q, (16, 16), shifted)) == {((1, 0), (0, 1)), ((1, 0), (0, -1))}
+
+    @settings(max_examples=60, deadline=None)
+    @given(lattice=st.sampled_from(sorted(LATTICES)), kind=st.sampled_from(["generic", "cosine_sum", "cosine_pair"]),
+           seed=st.integers(0, 2**16), grid=st.sampled_from(GRIDS),
+           shape=st.sampled_from(["ball", "window", "union"]), radius=st.floats(1.5, 4.0),
+           center=st.one_of(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                            st.sampled_from([(0.5, 0.0), (0.0, 0.5), (0.5, 0.5), (-0.5, 0.5)])),
+           coefficients=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+    def test_every_map_keeps_the_basis_spectrum(self, lattice, kind, seed, grid, shape, radius, center,
+                                                coefficients):
+        # H(cM) on the basis has H(c)'s eigenvalues for every map M returned, on full
+        # balls and on windows about points (in dual coordinates) not closed under negation
+        lat = LATTICES[lattice]
+        q = make_potential(lat, kind, seed, 0.3)
+        x = np.array(center) @ lat.dual_basis
+        basis = {"ball": lambda: pb.PlanewaveBasis.full_ball(lat, radius),
+                 "window": lambda: pb.PlanewaveBasis.window(lat, np.zeros(2), x, radius),
+                 "union": lambda: pb.PlanewaveBasis.union_windows(lat, np.zeros(2), [x, -x], radius)}[shape]()
+        c = np.array(coefficients)
+        want = np.linalg.eigvalsh(pb.assemble(1, q, c @ lat.dual_basis, basis))
+        for M in symmetry_group(lat, q, grid, basis):
+            got = np.linalg.eigvalsh(pb.assemble(1, q, (c @ M) @ lat.dual_basis, basis))
+            assert np.all(np.abs(got - want) <= 1e-9 * (1.0 + np.abs(want)))
+
     def test_orbit_counts(self, z2):
         q = pb.random_potential(3, 2, 1.5, 0.0, 1.0, lattice=z2)
         table = pb.band_functions(z2, 1, q, (16, 16), 4, basis_radius=4.0)
