@@ -8,31 +8,51 @@ gamma0 + b + a (b an integer combination of the resonance directions
 inside a span ball, a a short lattice translate); the diagonal holds
 |h_i + t|^{2l} and the off-diagonal the potential couplings q_{h_i - h_j}.
 
-Both blocks, dense and sparse, come from oracle.assemble.  Simplicity
-verdicts need only the block eigenvalue nearest a known part:
+An entry q_{h_i - h_j} depends on h_i - h_j alone, so a block is the
+translate by gamma0 of its shape's offset set {b + a}, and every block of
+one shape has one set of couplings.  build_index_set keeps the offset set
+of the last lattice and shape (b as a set, a_radius) it built, enumerated
+and indexed once, and every block of that shape searches its index.
+
+Simplicity verdicts need only the block eigenvalue nearest a known part:
 nearest_eigenvalue solves for it on the sparse block, real when q has an
 even translate, with the oracle's shift-invert core and proves it nearest
-by a Sylvester-inertia count, or solves q's dense block when a guard of
-that solve trips.
+by a Sylvester-inertia count, or solves q's dense block (oracle.assemble,
+as assemble_block) when a guard of that solve trips.  Its sparse operator
+is kept likewise for the last table and shape: the coupling table, the
+CSC pattern and one minimum-degree order of it (oracle._OrderedPattern),
+so a block writes only its own diagonal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EmptyDirections, PreconditionError
 from .geometry import ParameterCascade
 from .lattice import LatticeModel, LatticeVector, PlanewaveBasis, _integer_box, _ordered
-from .numerics import integer_rank
-from .oracle import _PIVOT_TOL, _RESIDUAL_TOL, BlochSpectrum, _inertia, _shift_invert, assemble
+from .numerics import integer_rank, relative_energies
+from .oracle import (_PIVOT_TOL, _RESIDUAL_TOL, BlochSpectrum, WindowOperator, _inertia, _OrderedPattern,
+                     _shift_invert, assemble)
 from .potential import FourierPotential
+
+# The last block shape enumerated, (lattice, b rows, a_radius, offset set), and the last
+# block operator ordered, (table, offset set, _OrderedPattern).  Each slot holds its keys,
+# so no other object can take their identities while it is filled.
+_SHAPE = None
+_OPERATOR = None
 
 
 @dataclass(frozen=True)
 class ResonantIndexSet(PlanewaveBasis):
-    """The index set of the distinct h_i, gamma0 among them: the block's points h_i + t around v = gamma0 + t."""
+    """The index set of the distinct h_i, gamma0 among them: the block's points h_i + t around v = gamma0 + t.
+
+    offsets, when given, is the set whose rows, translated by gamma0, are
+    these rows, in order (build_index_set's shape): the set then searches
+    its one coordinate index, and its sparse operator shares their pattern.
+    """
 
     center: np.ndarray
     t: np.ndarray
@@ -40,11 +60,15 @@ class ResonantIndexSet(PlanewaveBasis):
     directions: tuple[LatticeVector, ...]
     b_radius: float
     a_radius: float
+    offsets: PlanewaveBasis | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
         self.center.setflags(write=False)
         self.t.setflags(write=False)
+        if self.offsets is not None:
+            object.__setattr__(self, "_base", self.offsets)
+            object.__setattr__(self, "_shift", np.asarray(self.gamma0.coords, dtype=np.int64))
 
     @property
     def size(self) -> int:
@@ -65,7 +89,11 @@ def _span_combinations(directions: list[LatticeVector], radius: float) -> np.nda
 def build_index_set(lattice: LatticeModel, v, directions, cascade: ParameterCascade | None = None,
                     b_radius: float | None = None, a_radius: float | None = None,
                     t=None) -> ResonantIndexSet:
-    """Enumerate {gamma0 + b + a}, deterministic order by (|offset|^2, coords)."""
+    """{gamma0 + b + a}, ordered by (|offset|^2, coords): the translate by gamma0 of its shape's offset set.
+
+    Blocks of one shape (b as a set, a_radius) on one lattice share the
+    offset set, enumerated and indexed once (_offset_set).
+    """
     directions = list(directions)
     if not directions:
         raise EmptyDirections("need at least one resonance direction")
@@ -84,17 +112,29 @@ def build_index_set(lattice: LatticeModel, v, directions, cascade: ParameterCasc
         if cascade is None:
             raise PreconditionError("need a_radius or a cascade")
         a_radius = cascade.block_a_radius()
-    b = _span_combinations(directions, b_radius)
-    a = lattice.ball_coords(a_radius, exclude_zero=False)
-    offsets = np.unique((b[:, None, :] + a[None, :, :]).reshape(-1, lattice.dimension), axis=0)
-    emb = lattice.embed(offsets)
+    offsets = _offset_set(lattice, _span_combinations(directions, b_radius), float(a_radius))
     # h = gamma0 + offset orders lexicographically as the offsets do
-    coords = _ordered(offsets, np.vecdot(emb, emb)) + np.asarray(gamma0.coords, dtype=np.int64)
     return ResonantIndexSet(
         lattice=lattice, center=v.copy(), t=t.copy(), gamma0=gamma0,
-        directions=tuple(directions), coords=coords,
-        b_radius=float(b_radius), a_radius=float(a_radius),
+        directions=tuple(directions), coords=offsets.coords + np.asarray(gamma0.coords, dtype=np.int64),
+        b_radius=float(b_radius), a_radius=float(a_radius), offsets=offsets,
     )
+
+
+def _offset_set(lattice: LatticeModel, b: np.ndarray, a_radius: float) -> PlanewaveBasis:
+    """The distinct offsets b + a, |a| < a_radius, ordered by (|offset|^2, coords).
+
+    One slot holds the last set built, with its lattice and shape (b as a
+    set, a_radius), so consecutive blocks of one shape enumerate it once.
+    """
+    global _SHAPE
+    b = np.unique(b, axis=0)
+    if _SHAPE is None or _SHAPE[0] is not lattice or _SHAPE[2] != a_radius or not np.array_equal(_SHAPE[1], b):
+        a = lattice.ball_coords(a_radius, exclude_zero=False)
+        offsets = np.unique((b[:, None, :] + a[None, :, :]).reshape(-1, lattice.dimension), axis=0)
+        emb = lattice.embed(offsets)
+        _SHAPE = (lattice, b, a_radius, PlanewaveBasis(lattice, _ordered(offsets, np.vecdot(emb, emb))))
+    return _SHAPE[3]
 
 
 @dataclass(frozen=True)
@@ -137,7 +177,10 @@ def nearest_eigenvalue(index_set: ResonantIndexSet, l: int, q: FourierPotential,
     (FourierPotential.eigenvalue_table): D H D^H for a diagonal unitary D,
     with H's eigenvalues, as a float64 CSC array, which SuperLU factors in
     real arithmetic and ARPACK solves by real symmetric Lanczos.  Otherwise
-    it is q's own complex Hermitian block.  It is solved by shift-invert
+    it is q's own complex Hermitian block.  Its off-diagonal, pattern and
+    minimum-degree order are the shape's (_block_pattern); the block adds
+    its diagonal |h_i + t|^{2l} - |v|^{2l}, and every factorization reuses
+    the order (oracle._OrderedPattern.factor).  It is solved by shift-invert
     Lanczos about s = target - |v|^{2l} for one pair (oracle._shift_invert):
     theta, the Rayleigh quotient of its unit vector x.  The residual
     r = |H x - theta x| must pass the oracle's residual certificate (at
@@ -161,10 +204,11 @@ def nearest_eigenvalue(index_set: ResonantIndexSet, l: int, q: FourierPotential,
     v = index_set.center
     shift = float(v @ v) ** l
     table, real = q.eigenvalue_table()
-    H = assemble(l, table, index_set.t, index_set, shift_center=v, sparse=True).tocsc()
-    H = H.real if real else H
+    ordered = _block_pattern(table, real, index_set).with_diagonal(
+        relative_energies(v, index_set.embeddings + index_set.t, l))
+    H = ordered.H
     s, count = target - shift, None
-    reason, pairs = _shift_invert(H, 1, s)
+    reason, pairs = _shift_invert(ordered, 1, s)
     if reason is None:
         theta, x, hx = float(pairs[0][0]), pairs[1][:, 0], pairs[2][:, 0]
         resid = float(np.linalg.norm(hx - theta * x))
@@ -175,7 +219,7 @@ def nearest_eigenvalue(index_set: ResonantIndexSet, l: int, q: FourierPotential,
         elif d <= tau:
             count = 0
         else:
-            below = [_inertia(H, s + side * (d - tau), floor) for side in (-1, 1)]
+            below = [_inertia(ordered, s + side * (d - tau), floor) for side in (-1, 1)]
             if None in below:
                 reason = "pivot"
             else:
@@ -187,6 +231,22 @@ def nearest_eigenvalue(index_set: ResonantIndexSet, l: int, q: FourierPotential,
         return theta + shift, diagnostics
     eigenvalues = np.linalg.eigvalsh(assemble(l, q, index_set.t, index_set, shift_center=v)) + shift
     return float(eigenvalues[np.argmin(np.abs(eigenvalues - target))]), diagnostics
+
+
+def _block_pattern(table: FourierPotential, real: bool, index_set: ResonantIndexSet) -> _OrderedPattern:
+    """table's sparse operator over index_set's offset set (the set itself without one), diagonal 0, ordered.
+
+    An entry q_{h - h'} depends on h - h' alone, so every block of one
+    shape has these couplings.  One slot holds the last table's, with the
+    table and the offset set, so the blocks of one shape build the coupling
+    table, the CSC pattern and its order once.
+    """
+    global _OPERATOR
+    offsets = index_set if index_set.offsets is None else index_set.offsets
+    if _OPERATOR is None or _OPERATOR[0] is not table or _OPERATOR[1] is not offsets:
+        H = WindowOperator(np.zeros(len(offsets)), *table.coupling_table(offsets)).tocsc()
+        _OPERATOR = (table, offsets, _OrderedPattern(H.real if real else H))
+    return _OPERATOR[2]
 
 
 @dataclass(frozen=True)

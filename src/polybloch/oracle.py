@@ -45,19 +45,24 @@ eigenvalue in an interval [lo, hi) from the sparse operator's CSC array
 inertia counts the eigenvalues below lo and below hi from the signs of
 LDL^H pivots, and shift-invert Lanczos about the midpoint solves for
 exactly the difference (Ericsson & Ruhe 1980; the inertia check of Grimes,
-Lewis & Simon 1994).  Each eigenvalue is replaced by its Rayleigh
+Lewis & Simon 1994).  Its three SuperLU factorizations share one symmetric
+minimum-degree order of the pattern (_OrderedPattern), the one place that
+calls SuperLU.  Each eigenvalue is replaced by its Rayleigh
 quotient, which brings it back to the full solve's accuracy.  When a guard
 trips (an untrustworthy pivot, or a count the Lanczos solve does not
 reproduce), or no pair found weighs more than 1/2 on gamma0, the dense
 solve of the whole block takes over.  The same shift-invert core
 (_shift_invert) and inertia count (_inertia) certify the resonant block's
-eigenvalue nearest a known part (block.nearest_eigenvalue).
+eigenvalue nearest a known part (block.nearest_eigenvalue), on one
+ordered pattern per block shape.
 bloch_solve, solve and diagonalize are the full dense solves.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -255,7 +260,8 @@ def _window_pairs(H, lo: float, hi: float):
     """The eigenpairs of the sparse H with eigenvalue in [lo, hi), certified complete by inertia.
 
     count = nu(hi) - nu(lo) pairs lie in [lo, hi) (see _inertia), and
-    exactly that many are solved about the midpoint (_shift_invert).
+    exactly that many are solved about the midpoint (_shift_invert).  The
+    three factorizations share one order of H's pattern (_OrderedPattern).
     Returns (count, reason, pairs): reason is None and pairs is
     (eigenvalues, vectors, H @ vectors) in ascending order, or reason names
     the guard that tripped and pairs is None.  "pivot": no trustworthy
@@ -263,15 +269,16 @@ def _window_pairs(H, lo: float, hi: float):
     Lanczos could not or did not find the counted pairs (see _shift_invert),
     or a Rayleigh quotient falls outside [lo, hi).
     """
+    ordered = _OrderedPattern(H)
     floor = _PIVOT_TOL * float(abs(H).sum(axis=0).max())
-    below = [_inertia(H, s, floor) for s in (lo, hi)]
+    below = [_inertia(ordered, s, floor) for s in (lo, hi)]
     if None in below:
         return None, "pivot", None
     count = below[1] - below[0]
     if count == 0:
         empty = np.zeros((H.shape[0], 0), dtype=complex)
         return 0, None, (np.zeros(0), empty, empty)
-    reason, pairs = _shift_invert(H, count, 0.5 * (lo + hi))
+    reason, pairs = _shift_invert(ordered, count, 0.5 * (lo + hi))
     if reason is None and np.any((pairs[0] < lo) | (pairs[0] >= hi)):
         reason = "count"
     if reason is not None:
@@ -280,35 +287,110 @@ def _window_pairs(H, lo: float, hi: float):
     return count, None, tuple(p[..., order] for p in pairs)
 
 
-def _shift_invert(H, k: int, sigma: float):
-    """(reason, pairs): the k eigenpairs of the sparse Hermitian H nearest sigma.
+class _OrderedPattern:
+    """A sparse Hermitian H as a CSC array, and one symmetric fill-reducing order of its pattern.
+
+    H keeps the rows' own order: eigsh, H @ X and the pivot floor see it
+    unpermuted.  It stores every diagonal entry, 0 where the operator given
+    has none.  The order P is SuperLU's minimum-degree order of A^T + A
+    (MMD_AT_PLUS_A), a function of the pattern alone, read once off the
+    factor of a strictly diagonally dominant matrix with H's pattern.
+    factor(s) factors P (H - sI) P^T with permc_spec "NATURAL", so no
+    factorization orders the pattern again, and solve applies its inverse
+    in H's own order.  with_diagonal(d) is the operator with H's
+    off-diagonal and the diagonal d, in the same pattern and order: a
+    resonant block reuses one pattern for every block of its shape
+    (block.nearest_eigenvalue).
+    """
+
+    def __init__(self, H):
+        import scipy.sparse
+        import scipy.sparse.linalg
+
+        n = H.shape[0]
+        H = H.tocoo()
+        diag = np.arange(n)
+        # the duplicates are H's own diagonal entries, which d + 0 leaves as they are
+        self.H = scipy.sparse.csc_array((np.concatenate((H.data, np.zeros(n, dtype=H.dtype))),
+                                         (np.concatenate((H.row, diag)), np.concatenate((H.col, diag)))),
+                                        shape=H.shape)
+        indices, indptr = self.H.indices, self.H.indptr
+        columns = np.repeat(diag, np.diff(indptr))
+        self._diagonal = np.flatnonzero(indices == columns)  # where H.data holds H_ii
+        # each diagonal entry exceeds its row's and its column's other entries summed, so no pivot leaves it
+        dominance = np.diff(indptr) + np.bincount(indices, minlength=n)
+        surrogate = scipy.sparse.csc_array((np.where(indices == columns, dominance[columns], -1.0), indices, indptr),
+                                           shape=H.shape)
+        # H_ij is (P H P^T)_{rank i, rank j}
+        self._rank = scipy.sparse.linalg.splu(surrogate, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                                              options={"SymmetricMode": True}).perm_c
+        self._order = np.argsort(self._rank)
+        permuted = scipy.sparse.csc_array((np.arange(len(indices)), (self._rank[indices], self._rank[columns])),
+                                          shape=H.shape)
+        self._gather, self._pattern = permuted.data, (permuted.indices, permuted.indptr)
+        self._pivots = np.flatnonzero(permuted.indices == np.repeat(diag, np.diff(permuted.indptr)))
+
+    def with_diagonal(self, diagonal) -> "_OrderedPattern":
+        """The operator with H's off-diagonal and this diagonal, in H's pattern and order."""
+        import scipy.sparse
+
+        ordered = copy.copy(self)
+        data = self.H.data.copy()
+        data[self._diagonal] = diagonal
+        ordered.H = scipy.sparse.csc_array((data, self.H.indices, self.H.indptr), shape=self.H.shape)
+        return ordered
+
+    def factor(self, s: float, symmetric: bool = False):
+        """SuperLU's factor of P (H - sI) P^T, or None when it is exactly singular.
+
+        With symmetric set it pivots on the diagonal (diag_pivot_thresh=0)
+        in symmetric mode, which gives the LDL^H _inertia reads; otherwise
+        it pivots by partial pivoting, as for a solve.
+        """
+        import scipy.sparse
+        import scipy.sparse.linalg
+
+        data = self.H.data[self._gather]
+        data[self._pivots] -= s
+        shifted = scipy.sparse.csc_array((data, *self._pattern), shape=self.H.shape)
+        pivoting = {"diag_pivot_thresh": 0, "options": {"SymmetricMode": True}} if symmetric else {}
+        try:
+            return scipy.sparse.linalg.splu(shifted, permc_spec="NATURAL", **pivoting)
+        except RuntimeError:  # exactly singular
+            return None
+
+    def solve(self, lu, x):
+        """y with (H - sI) y = x, lu = factor(s)."""
+        return lu.solve(x[self._order])[self._rank]
+
+
+def _shift_invert(ordered: _OrderedPattern, k: int, sigma: float):
+    """(reason, pairs): the k eigenpairs of the sparse Hermitian H = ordered.H nearest sigma.
 
     Shift-invert Lanczos (scipy's eigsh) starts from a fixed vector in H's
     dtype, so that reruns are byte-identical: on a float64 H, ARPACK runs
     real symmetric Lanczos and SuperLU factors in real arithmetic.  The
-    inverse is one SuperLU factorization of H - sigma I in the symmetric
-    minimum-degree ordering that _inertia uses, which fills less than
-    eigsh's default COLAMD on these operators.  pairs is (theta, X, H @ X),
-    X the unit vectors and theta their Rayleigh quotients Re(x^H H x),
-    which bring the eigenvalues back to a full solve's accuracy.  Otherwise
-    pairs is None and reason names the guard that tripped: "count" when k
-    is not in [1, n - 1) (Lanczos needs k < n - 1) or ARPACK did not
-    converge or failed otherwise, "pivot" when H - sigma I is exactly
-    singular (an eigenvalue at sigma).
+    inverse is one SuperLU factorization of H - sigma I in the pattern's
+    symmetric minimum-degree order (_OrderedPattern.factor), which fills
+    less than eigsh's default COLAMD on these operators.  pairs is
+    (theta, X, H @ X), X the unit vectors and theta their Rayleigh
+    quotients Re(x^H H x), which bring the eigenvalues back to a full
+    solve's accuracy.  Otherwise pairs is None and reason names the guard
+    that tripped: "count" when k is not in [1, n - 1) (Lanczos needs
+    k < n - 1) or ARPACK did not converge or failed otherwise, "pivot" when
+    H - sigma I is exactly singular (an eigenvalue at sigma).
     """
-    import scipy.sparse
     import scipy.sparse.linalg  # here, not at module level: its import costs ~30 MB
 
+    H = ordered.H
     n = H.shape[0]
     if not 0 < k < n - 1:
         return "count", None
     v0 = np.random.default_rng(0).standard_normal(n).astype(H.dtype)
-    try:
-        lu = scipy.sparse.linalg.splu(H - sigma * scipy.sparse.eye_array(n, format="csc"),
-                                      permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError:  # H - sigma I is exactly singular
+    lu = ordered.factor(sigma)
+    if lu is None:
         return "pivot", None
-    inverse = scipy.sparse.linalg.LinearOperator(H.shape, matvec=lu.solve, dtype=H.dtype)
+    inverse = scipy.sparse.linalg.LinearOperator(H.shape, matvec=partial(ordered.solve, lu), dtype=H.dtype)
     try:
         _, X = scipy.sparse.linalg.eigsh(H, k=k, sigma=sigma, v0=v0, OPinv=inverse)
     except scipy.sparse.linalg.ArpackError:  # no convergence, or another ARPACK failure
@@ -318,23 +400,18 @@ def _shift_invert(H, k: int, sigma: float):
     return None, (np.real(np.vecdot(X, HX, axis=0)), X, HX)
 
 
-def _inertia(H, s: float, floor: float) -> int | None:
-    """nu(s), the number of eigenvalues of the sparse Hermitian H below s.
+def _inertia(ordered: _OrderedPattern, s: float, floor: float) -> int | None:
+    """nu(s), the number of eigenvalues of the sparse Hermitian H = ordered.H below s.
 
     By Sylvester's law of inertia nu(s) is the number of negative pivots of
     an LDL^H factorization of H - sI.  SuperLU computes one (U = D L^H) when
-    it pivots on the diagonal (diag_pivot_thresh=0) in a symmetric ordering
-    (perm_r == perm_c).  None when it did not, or when some |U_ii| < floor:
-    an eigenvalue at s, or a pivot too small for its sign to be trusted.
+    it pivots on the diagonal (_OrderedPattern.factor with symmetric set)
+    in a symmetric ordering (perm_r == perm_c).  None when it did not, or
+    when some |U_ii| < floor: an eigenvalue at s, or a pivot too small for
+    its sign to be trusted.
     """
-    import scipy.sparse
-    import scipy.sparse.linalg
-
-    shifted = H - s * scipy.sparse.eye_array(H.shape[0], format="csc")
-    try:
-        lu = scipy.sparse.linalg.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                                      options={"SymmetricMode": True})
-    except RuntimeError:  # exactly singular
+    lu = ordered.factor(s, symmetric=True)
+    if lu is None:
         return None
     pivots = lu.U.diagonal()
     if not np.array_equal(lu.perm_r, lu.perm_c) or np.any(np.abs(pivots) < floor):

@@ -252,12 +252,6 @@ class FourierPotential:
 
     # -- serialization ------------------------------------------------
 
-    def to_records(self) -> list[dict]:
-        return [
-            {"n": list(coords), "re": float(value.real), "im": float(value.imag)}
-            for coords, value in sorted(self._table.items())
-        ]
-
     @classmethod
     def from_records(cls, lattice: LatticeModel, records, smoothness: float = 0.0) -> "FourierPotential":
         table = {}

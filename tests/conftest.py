@@ -23,6 +23,12 @@ def scaled_cascade(rho, d=2, l=1, s=45.0, thresholds=(2.0, 4.0, 8.0), pool_radiu
     return pb.derive_parameters(d, l, s, rho, mode="scaled", overrides=overrides)
 
 
+def to_records(q):
+    """q's table as the records FourierPotential.from_records reads, sorted by coordinates."""
+    return [{"n": list(g), "re": float(q.coefficient(g).real), "im": float(q.coefficient(g).imag)}
+            for g in sorted(q.support)]
+
+
 def free_eigenvalues(lattice, t, l, basis):
     """Sorted |gamma + t|^{2l} over the basis (the q = 0 spectrum)."""
     x = basis.embeddings + np.asarray(t, dtype=float)

@@ -7,6 +7,8 @@ and sort keyed tuples, so they return plain coordinate tuples in the order
 the array versions must reproduce.  membership_profile and classify_level
 are the resonance-set tests over the direction pool as a list of
 LatticeVectors, the form the index-set pool of polybloch.geometry replaced.
+former_index_set is the array enumeration build_index_set ran for every
+block before a block became the translate of its shape's one offset set.
 """
 
 import itertools
@@ -111,6 +113,26 @@ def index_set(lattice, gamma0, directions, b_radius, a_radius):
         keyed.append((float(emb @ emb), tuple(g + o for g, o in zip(gamma0, off))))
     keyed.sort()
     return [h for _, h in keyed]
+
+
+def former_index_set(lattice, gamma0, directions, b_radius, a_radius):
+    """The rows of {gamma0 + b + a} as build_index_set once enumerated them, afresh for every block.
+
+    b is the span ball's integer combinations from an integer box, a the
+    centred ball (LatticeModel.ball_coords); np.unique dedupes the sums and
+    np.lexsort orders them by (|b + a|^2, coords), then gamma0 is added.
+    Returns (n, d) int64 rows.
+    """
+    mat = np.array([g.embedding for g in directions])
+    bound = int(np.floor(b_radius / np.linalg.svd(mat, compute_uv=False).min() + 1e-9))
+    n = np.array(list(itertools.product(range(-bound, bound + 1), repeat=len(directions))), dtype=np.int64)
+    emb = np.vecmat(n.astype(float), mat)
+    b = n[np.sqrt(np.vecdot(emb, emb)) < b_radius] @ np.array([g.coords for g in directions], dtype=np.int64)
+    a = lattice.ball_coords(a_radius, exclude_zero=False)
+    offsets = np.unique((b[:, None, :] + a[None, :, :]).reshape(-1, lattice.dimension), axis=0)
+    emb = lattice.embed(offsets)
+    keys = tuple(offsets[:, j] for j in reversed(range(offsets.shape[1]))) + (np.vecdot(emb, emb),)
+    return offsets[np.lexsort(keys)] + np.asarray(gamma0, dtype=np.int64)
 
 
 def membership_profile(lattice, x, cascade, degree=1):

@@ -216,7 +216,9 @@ def translated_windows(draw, reach: float = 2.0):
     else:
         emb = lattice.embed(lattice.ball_coords(scale * (support_radius + reach)))
         shells = np.sqrt(np.vecdot(emb, emb)) / scale
-        radius = draw(st.sampled_from(sorted(set(shells[shells >= support_radius].tolist()))))
+        shells = sorted(set(shells[shells >= support_radius].tolist()))
+        # a lattice may have no shell radius in [support radius, support radius + reach)
+        radius = draw(st.sampled_from(shells)) if shells else support_radius + draw(st.floats(0.0, reach))
     return lattice, table, v, radius
 
 
@@ -296,8 +298,9 @@ def test_windows_are_translates_of_one_origin_window(case):
 def first_order_shift(q, v, l: int) -> float:
     """The first-order level shift of gamma0's plane wave, relative to |v|^{2l}."""
     shift = float(v @ v) ** l
-    return sum(abs(q.coefficient(g)) ** 2 / (shift - float(np.sum((v + e) ** 2)) ** l)
-               for g, e in zip(q.support, q.support_embeddings))
+    terms = [(abs(q.coefficient(g)) ** 2, shift - float(np.sum((v + e) ** 2)) ** l)
+             for g, e in zip(q.support, q.support_embeddings)]
+    return sum(weight / gap for weight, gap in terms if gap)  # a wave as free as gamma0's has no finite term
 
 
 def tracked_outcome(q, v, radius, l, preds, hw, refine):

@@ -128,6 +128,51 @@ def test_index_set_matches_tuple_reference(case):
     assert np.array_equal(iset.embeddings, lattice.embed(iset.coords))
 
 
+TRANSLATE_LATTICES = {"Z2": LATTICES["Z2"], "Z3": LATTICES["Z3"],
+                      "oblique": pb.LatticeModel(2 * np.pi * np.array([[1.0, 0.0, 0.0], [0.31, 1.13, 0.0],
+                                                                       [0.17, -0.29, 0.91]]))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(TRANSLATE_LATTICES)), span=st.booleans())
+def test_blocks_are_translates_with_the_former_rows(data, name, span):
+    # two centers of one shape: each block has the former enumeration's rows, order
+    # and embeddings bit for bit, and the second searches the first one's offset set.
+    # Without span, b_radius is at most the directions' least singular value, so b = {0}
+    lattice = TRANSLATE_LATTICES[name]
+    d = lattice.dimension
+    k = data.draw(st.integers(1, d - 1))
+    coords = data.draw(st.lists(st.tuples(*([st.integers(-2, 2)] * d)).filter(any), min_size=k, max_size=k,
+                                unique=True))
+    assume(integer_rank(coords) == k)
+    directions = [lattice.vector(g) for g in coords]
+    mat = np.array([g.embedding for g in directions])
+    if span:
+        b_radius = data.draw(st.floats(1.01, 2.5)) * float(np.linalg.norm(mat, axis=1).min())
+    else:
+        b_radius = data.draw(st.floats(0.05, 1.0)) * float(np.linalg.svd(mat, compute_uv=False).min())
+    if data.draw(st.booleans()):
+        a_radius = data.draw(st.floats(0.3, 2.5))
+    else:  # an exact shell radius
+        a_radius = float(np.linalg.norm(lattice.embed(data.draw(st.tuples(*([st.integers(-2, 2)] * d)).filter(any)))))
+    ball = lattice.ball_coords(a_radius, exclude_zero=False)
+    steps = np.concatenate((np.eye(d, dtype=np.int64), -np.eye(d, dtype=np.int64)))
+    blocks = []
+    for _ in range(2):
+        v = np.array(data.draw(st.tuples(*([st.floats(-20, 20)] * d))))
+        iset = pb.build_index_set(lattice, v, directions, b_radius=b_radius, a_radius=a_radius)
+        want = ref.former_index_set(lattice, iset.gamma0.coords, directions, b_radius, a_radius)
+        assert iset.coords.shape == want.shape and iset.coords.dtype == want.dtype
+        assert iset.coords.tobytes() == want.tobytes()
+        assert iset.embeddings.tobytes() == lattice.embed(want).tobytes()
+        assert (len(iset) > len(ball)) == span
+        targets = (iset.coords[:, None, :] + steps[None]).reshape(-1, d)
+        rows = {tuple(h): i for i, h in enumerate(want.tolist())}
+        assert iset.positions(targets).tolist() == [rows.get(tuple(h), -1) for h in targets.tolist()]
+        blocks.append(iset)
+    assert blocks[1].offsets is blocks[0].offsets
+
+
 def two_point_block(z2, q, diag_values, l=1):
     """Hand-built 2-element index set with prescribed |h_i + t|^2."""
     # place v on the x2 axis and the partner one step along e1 from (-0.5, h)
@@ -370,3 +415,36 @@ class TestNearestEigenvalue:
         assert diag == {"eigensolver": "dense", "dense_fallback_reason": "count", "inertia_count": None,
                         "block_size": index_set.size, "real_symmetric": False}
         assert value == dense_nearest(dense, dense.shift)
+
+
+def test_one_coupling_table_and_one_ordering_per_table_and_shape(z2, monkeypatch):
+    # two blocks of one shape on one table build one coupling table and order one
+    # pattern; a new table, or a new shape, builds its own.  Each block's value is
+    # the one it has on a slot another table and shape have since taken
+    import scipy.sparse.linalg
+
+    q = pb.random_potential(3, 2, 1.5, 0.0, 0.5, lattice=z2)
+    other = q.scaled(0.5)
+    cases = [(table, pb.build_index_set(z2, np.array(v), [z2.vector((0, 1))], b_radius=3.0, a_radius=a_radius))
+             for table, v, a_radius in ((q, [0.5, 10.2], 3.0), (q, [-4.3, 7.9], 3.0),
+                                        (other, [-4.3, 7.9], 3.0), (other, [0.5, 10.2], 2.0))]
+    targets = []
+    for table, index_set in cases:
+        dense = pb.assemble_block(index_set, 1, table)
+        targets.append(dense.eigenvalues[np.argmin(np.abs(dense.eigenvalues - dense.shift))] + 1e-3)
+    tables, specs = [], []
+    coupling_table, splu = FourierPotential.coupling_table, scipy.sparse.linalg.splu
+    monkeypatch.setattr(FourierPotential, "coupling_table",
+                        lambda self, index_set: (tables.append(len(index_set)), coupling_table(self, index_set))[1])
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda A, permc_spec=None, **kw: (specs.append(permc_spec), splu(A, permc_spec, **kw))[1])
+    built, values = [], []
+    for (table, index_set), target in zip(cases, targets):
+        value, diag = nearest_eigenvalue(index_set, 1, table, target)
+        assert diag["eigensolver"] == "sparse"
+        values.append(value)
+        built.append((len(tables), sum(spec != "NATURAL" for spec in specs)))
+    assert built == [(1, 1), (1, 1), (2, 2), (3, 3)]
+    assert tables[:2] == [cases[0][1].size] * 2 and tables[2] == cases[3][1].size
+    for (table, index_set), target, value in zip(cases, targets, values):
+        assert nearest_eigenvalue(index_set, 1, table, target)[0] == value

@@ -760,6 +760,20 @@ class TestSparseSlice:
         gamma0 = z2.reduce(v)[0].coords
         assert spec.relative_eigenvalue(spec.dominant_index(gamma0)) == 0.0
 
+    def test_slice_orders_its_pattern_once(self, z2, monkeypatch):
+        # the two inertia counts and the shift-invert factor share one minimum-degree
+        # order: one factor reads it off the pattern, and the three factor in it
+        import scipy.sparse.linalg
+
+        q = pb.random_potential(3, 2, 1.5, 0.0, 0.5, lattice=z2)
+        _, _, _, H = window_operator(z2, 1, q, np.array([7.1, 3.3]), 5.0)
+        specs, splu = [], scipy.sparse.linalg.splu
+        monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                            lambda A, permc_spec=None, **kw: (specs.append(permc_spec), splu(A, permc_spec, **kw))[1])
+        count, reason, _ = oracle._window_pairs(H.tocsc(), -2.0, 2.0)
+        assert reason is None and count > 0
+        assert specs == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL", "NATURAL"]
+
     def test_rerun_is_byte_identical(self, z2):
         q = pb.random_potential(3, 2, 1.5, 0.0, 0.5, lattice=z2)
         v = np.array([7.1, 3.3])

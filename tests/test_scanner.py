@@ -4,7 +4,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import polybloch as pb
-from conftest import free_eigenvalues, scaled_cascade
+from conftest import free_eigenvalues, scaled_cascade, to_records
 from polybloch.errors import InsufficientBands, PreconditionError
 from polybloch.numerics import integer_rank
 from polybloch.potential import FourierPotential
@@ -340,7 +340,7 @@ class TestEvenTranslate:
     def assert_even_translate(self, lattice, l, q, coeff):
         found = q.even_translate()
         assert found is not None and found.is_invariant(-np.eye(lattice.dimension, dtype=int))
-        assert all(r["im"] == 0.0 for r in found.to_records())
+        assert all(r["im"] == 0.0 for r in to_records(found))
         assert_same_bands(lattice, l, q, found, coeff)
 
     @settings(max_examples=30, deadline=None)

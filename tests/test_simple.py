@@ -83,7 +83,7 @@ class TestCheckSimplicity:
         cas = scaled_cascade(float(np.linalg.norm(v)), known_order=2, a_radius=1.2)
         report = pb.check_simplicity(z2, v, cas, 1, pb.cosine_pair(z2, (1, 0), 0.1))
         blocks = sorted(e.diagnostics["block_size"] for e in report.entries if e.kind == "block")
-        assert len(blocks) == 2 and sorted(built) == blocks
+        assert len(blocks) == 2 and sorted(built) == sorted(set(blocks))  # one index per block shape
 
     def test_trivial_member_when_k_is_singleton(self, z2):
         # nearest competitor free energy sits 0.034 away, outside window 0.05/3
