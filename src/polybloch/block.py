@@ -15,13 +15,14 @@ of the last lattice and shape (b as a set, a_radius) it built, enumerated
 and indexed once, and every block of that shape searches its index.
 
 Simplicity verdicts need only the block eigenvalue nearest a known part:
-nearest_eigenvalue solves for it on the sparse block, real when q has an
-even translate, with the oracle's shift-invert core and proves it nearest
-by a Sylvester-inertia count, or solves q's dense block (oracle.assemble,
-as assemble_block) when a guard of that solve trips.  Its sparse operator
-is kept likewise for the last table and shape: the coupling table, the
-CSC pattern and one minimum-degree order of it (oracle._OrderedPattern),
-so a block writes only its own diagonal.
+nearest_eigenvalue finds it on the sparse block, real when q has an even
+translate, with the oracle's tracked Davidson solve (oracle._track_pair)
+and proves it nearest by a Sylvester-inertia count, or solves q's dense
+block (oracle.assemble, as assemble_block) when a guard of that solve
+trips.  Its sparse operator is kept likewise for the last table and
+shape: the coupling table, and the CSC pattern with one minimum-degree
+order of it (oracle._OrderedPattern) for the counts, so a block writes
+only its own diagonal.
 """
 
 from __future__ import annotations
@@ -33,14 +34,14 @@ import numpy as np
 from .errors import EmptyDirections, PreconditionError
 from .geometry import ParameterCascade
 from .lattice import LatticeModel, LatticeVector, PlanewaveBasis, _integer_box, _ordered
-from .numerics import integer_rank, relative_energies
+from .numerics import SERIAL_TRACK_BASIS, capped_blas_threads, integer_rank, relative_energies
 from .oracle import (_PIVOT_TOL, _RESIDUAL_TOL, BlochSpectrum, WindowOperator, _inertia, _OrderedPattern,
-                     _shift_invert, assemble)
+                     _track_pair, assemble)
 from .potential import FourierPotential
 
 # The last block shape enumerated, (lattice, b rows, a_radius, offset set), and the last
-# block operator ordered, (table, offset set, _OrderedPattern).  Each slot holds its keys,
-# so no other object can take their identities while it is filled.
+# block couplings built, (table, offset set, (columns, values, _OrderedPattern)).  Each
+# slot holds its keys, so no other object can take their identities while it is filled.
 _SHAPE = None
 _OPERATOR = None
 
@@ -173,52 +174,59 @@ def nearest_eigenvalue(index_set: ResonantIndexSet, l: int, q: FourierPotential,
                        target: float) -> tuple[float, dict]:
     """The eigenvalue of the block on index_set nearest target, and the solve's diagnostics.
 
-    The sparse block solved is that of q's even translate when q has one
+    The block solved is that of q's even translate when q has one
     (FourierPotential.eigenvalue_table): D H D^H for a diagonal unitary D,
-    with H's eigenvalues, as a float64 CSC array, which SuperLU factors in
-    real arithmetic and ARPACK solves by real symmetric Lanczos.  Otherwise
-    it is q's own complex Hermitian block.  Its off-diagonal, pattern and
-    minimum-degree order are the shape's (_block_pattern); the block adds
-    its diagonal |h_i + t|^{2l} - |v|^{2l}, and every factorization reuses
-    the order (oracle._OrderedPattern.factor).  It is solved by shift-invert
-    Lanczos about s = target - |v|^{2l} for one pair (oracle._shift_invert):
-    theta, the Rayleigh quotient of its unit vector x.  The residual
-    r = |H x - theta x| must pass the oracle's residual certificate (at
-    theta + |v|^{2l}), so some eigenvalue lies within r of theta.  With d = |theta - s| and tau = r
-    plus the pivot floor, the count nu(s + d - tau) - nu(s - d + tau) = 0
-    (see oracle._inertia) proves that no eigenvalue lies nearer s than
-    d - tau: the nearest eigenvalue's distance lies in [d - tau, d + r].
-    When d <= tau that interval holds 0 anyway, and the count, 0, needs no
-    factorization.  The count's shifts stay tau - r from the eigenvalue
-    found, which keeps their pivots trustworthy.
+    with H's eigenvalues, real symmetric, which every step below solves in
+    float64.  Otherwise it is q's own complex Hermitian block.  Its
+    operator is a WindowOperator: the shape's couplings (_block_pattern)
+    and this block's diagonal |h_i + t|^{2l} - |v|^{2l}.  Its pair comes
+    from Davidson's method (oracle._track_pair, on one BLAS thread up to
+    numerics.SERIAL_TRACK_BASIS rows), started at the row whose diagonal
+    is nearest s = target - |v|^{2l}, taking the Ritz pair nearest s and
+    accepting weight over the whole block.  It stops once the residual is
+    below the pivot floor _PIVOT_TOL ||H||_1, which tau below adds anyway
+    (windows ask for _TRACK_TOL).  The pair is theta, the Rayleigh
+    quotient of its unit vector x, whose residual r = |H x - theta x|
+    passes the oracle's residual certificate (at theta + |v|^{2l}), so
+    some eigenvalue lies within r of theta.  With d = |theta - s| and tau = r plus the pivot floor, the
+    count nu(s + d - tau) - nu(s - d + tau) = 0 (see oracle._inertia)
+    proves that no eigenvalue lies nearer s than d - tau: the nearest
+    eigenvalue's distance lies in [d - tau, d + r].  When d <= tau that
+    interval holds 0 anyway, and the count, 0, needs no factorization.
+    Otherwise the two factorizations reuse the shape's minimum-degree
+    order (oracle._OrderedPattern.factor).  The count's shifts stay
+    tau - r from the eigenvalue found, which keeps their pivots
+    trustworthy.
 
     When a guard trips, the dense eigvalsh of q's own complex block
     answers, bit for bit assemble_block's eigenvalues.  diagnostics holds
     "eigensolver" ("sparse" or "dense"), "inertia_count", "block_size",
-    "real_symmetric" (whether the sparse solve ran on the real translate)
-    and "dense_fallback_reason": None, "pivot" (no trustworthy
-    LDL^H at a count shift, or target exactly on an eigenvalue) or "count"
-    (a nonzero count, Lanczos not converged or failing the residual
-    certificate, or a block too small for Lanczos).
+    "real_symmetric" (whether the sparse solve ran on the real translate),
+    "track_steps" (the Davidson steps taken) and "dense_fallback_reason":
+    None, "pivot" (no trustworthy LDL^H at a count shift) or "count" (a
+    nonzero count, or Davidson's method not converged within
+    oracle._TRACK_STEPS steps or failing the residual certificate).
     """
     v = index_set.center
     shift = float(v @ v) ** l
     table, real = q.eigenvalue_table()
-    ordered = _block_pattern(table, real, index_set).with_diagonal(
-        relative_energies(v, index_set.embeddings + index_set.t, l))
-    H = ordered.H
+    columns, values, pattern = _block_pattern(table, real, index_set)
+    H = WindowOperator(relative_energies(v, index_set.embeddings + index_set.t, l), columns, values)
     s, count = target - shift, None
-    reason, pairs = _shift_invert(ordered, 1, s)
+    with capped_blas_threads(1 if index_set.size <= SERIAL_TRACK_BASIS else None):
+        refused, steps, pair = _track_pair(H, index_set, index_set.coords, s, stop=_PIVOT_TOL)
+    reason = None if refused is None else "count"
     if reason is None:
-        theta, x, hx = float(pairs[0][0]), pairs[1][:, 0], pairs[2][:, 0]
+        theta, x, hx = pair
         resid = float(np.linalg.norm(hx - theta * x))
-        floor = _PIVOT_TOL * float(abs(H).sum(axis=0).max())
+        floor = _PIVOT_TOL * H.one_norm()
         d, tau = abs(theta - s), resid + floor
         if resid > _RESIDUAL_TOL * (1.0 + abs(theta + shift)):
             reason = "count"
         elif d <= tau:
             count = 0
         else:
+            ordered = pattern.with_diagonal(H.diagonal())
             below = [_inertia(ordered, s + side * (d - tau), floor) for side in (-1, 1)]
             if None in below:
                 reason = "pivot"
@@ -226,26 +234,33 @@ def nearest_eigenvalue(index_set: ResonantIndexSet, l: int, q: FourierPotential,
                 count = below[1] - below[0]
                 reason = "count" if count else None
     diagnostics = {"eigensolver": "dense" if reason else "sparse", "dense_fallback_reason": reason,
-                   "inertia_count": count, "block_size": index_set.size, "real_symmetric": real}
+                   "inertia_count": count, "block_size": index_set.size, "real_symmetric": real,
+                   "track_steps": steps}
     if reason is None:
         return theta + shift, diagnostics
     eigenvalues = np.linalg.eigvalsh(assemble(l, q, index_set.t, index_set, shift_center=v)) + shift
     return float(eigenvalues[np.argmin(np.abs(eigenvalues - target))]), diagnostics
 
 
-def _block_pattern(table: FourierPotential, real: bool, index_set: ResonantIndexSet) -> _OrderedPattern:
-    """table's sparse operator over index_set's offset set (the set itself without one), diagonal 0, ordered.
+def _block_pattern(table: FourierPotential, real: bool, index_set: ResonantIndexSet):
+    """(columns, values, ordered): table's couplings over index_set's offset set (the set itself without one).
 
-    An entry q_{h - h'} depends on h - h' alone, so every block of one
-    shape has these couplings.  One slot holds the last table's, with the
-    table and the offset set, so the blocks of one shape build the coupling
-    table, the CSC pattern and its order once.
+    columns and values are table.coupling_table's (values real when real
+    is set), the off-diagonal of every block of the shape (an entry
+    q_{h - h'} depends on h - h' alone), and ordered its CSC pattern with
+    diagonal 0 and one fill-reducing order (oracle._OrderedPattern).  One
+    slot holds the last table's, with the table and the offset set, so the
+    blocks of one shape build the coupling table, the pattern and its
+    order once.
     """
     global _OPERATOR
     offsets = index_set if index_set.offsets is None else index_set.offsets
     if _OPERATOR is None or _OPERATOR[0] is not table or _OPERATOR[1] is not offsets:
-        H = WindowOperator(np.zeros(len(offsets)), *table.coupling_table(offsets)).tocsc()
-        _OPERATOR = (table, offsets, _OrderedPattern(H.real if real else H))
+        columns, values = table.coupling_table(offsets)
+        if real:
+            values = values.real.copy()
+        H = WindowOperator(np.zeros(len(offsets)), columns, values)
+        _OPERATOR = (table, offsets, (columns, values, _OrderedPattern(H.tocsc())))
     return _OPERATOR[2]
 
 

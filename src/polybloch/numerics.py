@@ -110,9 +110,9 @@ def loglog_slope(xs, ys) -> float:
 # the other vCPU for about 0.13 s.  From 800 waves on, two threads are
 # 1.4-2x faster.
 SERIAL_BAND_BASIS = 600
-# Davidson's tracked solves (oracle._track_pair) on windows of at most this
-# many plane waves run on one BLAS thread.  Their BLAS work is complex
-# matrix-vector products on the (k <= 25) x n search space.  On 2 vCPUs,
+# Davidson's tracked solves (oracle._track_pair) on windows and resonant
+# blocks of at most this many plane waves run on one BLAS thread.  Their
+# BLAS work is matrix-vector products on the (k <= 25) x n search space.  On 2 vCPUs,
 # one step's products with 10 rows take 0.04 vs 0.07 ms on one thread and
 # two at 900 waves, and 0.16-0.17 vs 0.18-0.20 ms at 4,000; from 5,000 to
 # 6,000 they are within 5% of each other, and from 6,500 on two threads

@@ -27,17 +27,20 @@ wave, whose eigenvalue every order's prediction is matched against.  Away
 from gamma0 the window operator's diagonal dominates its couplings (the
 paper's corrections are |q| / (|gamma+t|^{2l} - |v|^{2l})), so
 track_dominant finds that pair by Davidson's method (Davidson 1975; Morgan
-& Scott 1986) from e_gamma0, and the 1.5x window's from the inner window's
-pair: each step is one sparse matvec, a Rayleigh-Ritz on the search space
-and the diagonally preconditioned correction (diag H - theta)^-1 r, one
-more order of the same perturbation series.  Nothing is factored, and the
-sparse operator is a WindowOperator in numpy alone: its matvec gathers
-once per support vector.  The Ritz pair nearest the highest-order
-prediction is accepted when it passes the residual and unit-norm
-certificates, weighs more than 1/2 on gamma0 (the weights on gamma0 sum to
-1 over all pairs, so no other pair can weigh more) and lies in every
-order's matching window.  Otherwise the counted solve below takes over,
-on the blocks already assembled.
+& Scott 1986; _track_pair) from e_gamma0, and the 1.5x window's from the
+inner window's pair: each step is one sparse matvec, a Rayleigh-Ritz on
+the search space and the diagonally preconditioned correction
+(diag H - theta)^-1 r, one more order of the same perturbation series.
+Nothing is factored, and the sparse operator is a WindowOperator in numpy
+alone: its matvec gathers once per support vector.  The Ritz pair nearest
+the highest-order prediction is accepted when it passes the residual and
+unit-norm certificates, weighs more than 1/2 on gamma0 (the weights on
+gamma0 sum to 1 over all pairs, so no other pair can weigh more) and lies
+in every order's matching window.  Otherwise the counted solve below takes
+over, on the blocks already assembled.  The same engine finds the resonant
+block's eigenvalue nearest a known part (block.nearest_eigenvalue), whose
+acceptance set is the whole block and whose operator is real when q has
+an even translate.
 
 The counted solve (_counted_window) returns the pairs with relative
 eigenvalue in an interval [lo, hi) from the sparse operator's CSC array
@@ -51,10 +54,11 @@ calls SuperLU.  Each eigenvalue is replaced by its Rayleigh
 quotient, which brings it back to the full solve's accuracy.  When a guard
 trips (an untrustworthy pivot, or a count the Lanczos solve does not
 reproduce), or no pair found weighs more than 1/2 on gamma0, the dense
-solve of the whole block takes over.  The same shift-invert core
-(_shift_invert) and inertia count (_inertia) certify the resonant block's
-eigenvalue nearest a known part (block.nearest_eigenvalue), on one
-ordered pattern per block shape.
+solve of the whole block takes over.  The counted solve is the one
+caller of the shift-invert core (_shift_invert); the inertia count
+(_inertia) also certifies the resonant block's tracked eigenvalue nearest
+a known part (block.nearest_eigenvalue), on one ordered pattern per block
+shape.
 bloch_solve, solve and diagonalize are the full dense solves.
 """
 
@@ -136,7 +140,8 @@ class WindowOperator:
     diagonal() is the real diagonal, and (columns, values) the
     off-diagonal of FourierPotential.coupling_table: row i holds
     values[s, i] in column columns[s, i], with the sentinel n (value 0)
-    where there is none.  H @ x gathers x once per offset, abs(H) is the
+    where there is none; dtype is their common type (float64 for real
+    couplings).  H @ x gathers x once per offset, abs(H) is the
     operator of the entries' moduli, and H[:k, :k] is the leading block:
     the operator over the first k rows, exactly.  tocsc() builds the
     scipy.sparse CSC array that SuperLU and ARPACK need, toarray() the
@@ -146,6 +151,7 @@ class WindowOperator:
     def __init__(self, diagonal: np.ndarray, columns: np.ndarray, values: np.ndarray):
         self._diagonal, self.columns, self.values = diagonal, columns, values
         self.shape = (len(diagonal), len(diagonal))
+        self.dtype = np.result_type(diagonal, values)
 
     def diagonal(self) -> np.ndarray:
         return self._diagonal
@@ -290,17 +296,17 @@ def _window_pairs(H, lo: float, hi: float):
 class _OrderedPattern:
     """A sparse Hermitian H as a CSC array, and one symmetric fill-reducing order of its pattern.
 
-    H keeps the rows' own order: eigsh, H @ X and the pivot floor see it
-    unpermuted.  It stores every diagonal entry, 0 where the operator given
-    has none.  The order P is SuperLU's minimum-degree order of A^T + A
+    H keeps the rows' own order: eigsh and H @ X see it unpermuted.  It
+    stores every diagonal entry, 0 where the operator given has none.
+    The order P is SuperLU's minimum-degree order of A^T + A
     (MMD_AT_PLUS_A), a function of the pattern alone, read once off the
     factor of a strictly diagonally dominant matrix with H's pattern.
     factor(s) factors P (H - sI) P^T with permc_spec "NATURAL", so no
     factorization orders the pattern again, and solve applies its inverse
     in H's own order.  with_diagonal(d) is the operator with H's
     off-diagonal and the diagonal d, in the same pattern and order: a
-    resonant block reuses one pattern for every block of its shape
-    (block.nearest_eigenvalue).
+    resonant block reuses one pattern for the inertia counts of every
+    block of its shape (block.nearest_eigenvalue).
     """
 
     def __init__(self, H):
@@ -367,8 +373,10 @@ class _OrderedPattern:
 def _shift_invert(ordered: _OrderedPattern, k: int, sigma: float):
     """(reason, pairs): the k eigenpairs of the sparse Hermitian H = ordered.H nearest sigma.
 
-    Shift-invert Lanczos (scipy's eigsh) starts from a fixed vector in H's
-    dtype, so that reruns are byte-identical: on a float64 H, ARPACK runs
+    Only the counted window solve (_window_pairs) calls it; a resonant
+    block's pair comes from _track_pair.  Shift-invert Lanczos (scipy's
+    eigsh) starts from a fixed vector in H's dtype, so that reruns are
+    byte-identical: on a float64 H, ARPACK runs
     real symmetric Lanczos and SuperLU factors in real arithmetic.  The
     inverse is one SuperLU factorization of H - sigma I in the pattern's
     symmetric minimum-degree order (_OrderedPattern.factor), which fills
@@ -454,7 +462,7 @@ def track_dominant(lattice: LatticeModel, l: int, q: FourierPotential, v, window
     the outermost window (see _windows) is q's cached couplings for that
     window (FourierPotential.origin_couplings), built once per table and
     radius, and this center's diagonal.  Each window's pair comes from
-    _track_pair on its leading block, on one BLAS
+    _tracked_window on its leading block, on one BLAS
     thread when the window has at most numerics.SERIAL_TRACK_BASIS waves;
     with refine set, the 1.5x window starts from the inner window's pair,
     and the two windows' pairs are compared as in bloch_solve.  The
@@ -475,8 +483,8 @@ def track_dominant(lattice: LatticeModel, l: int, q: FourierPotential, v, window
     for basis in bases:
         k = len(basis)
         with capped_blas_threads(1 if k <= SERIAL_TRACK_BASIS else None):
-            refused, taken, spectrum = _track_pair(H[:k, :k], basis, t, l, shift, gamma0.coords, predictions,
-                                                   halfwidth, start)
+            refused, taken, spectrum = _tracked_window(H[:k, :k], basis, t, l, shift, gamma0.coords, predictions,
+                                                       halfwidth, start)
         steps.append(taken)
         if refused is not None:
             break
@@ -516,45 +524,75 @@ def _counted_window(H, basis: PlanewaveBasis, t, l: int, shift: float, lo: float
     return count, reason, diagonalize(H.toarray(), basis, t, l, shift)
 
 
-def _track_pair(H: WindowOperator, basis: PlanewaveBasis, t, l: int, shift: float, coords, predictions,
-                halfwidth: float, start=None):
-    """(reason, steps, spectrum): the pair of H that Davidson's method reaches from start.
+def _tracked_window(H: WindowOperator, basis: PlanewaveBasis, t, l: int, shift: float, coords, predictions,
+                    halfwidth: float, start=None):
+    """(reason, steps, spectrum): the window's pair dominated by coords, tracked by _track_pair.
 
-    The search space V starts as [start]: e_coords when start is None,
+    _track_pair runs from start (e_coords when None) towards
+    predictions[-1], accepting weight on coords.  Its pair is accepted,
+    and reason is None, when the unit-norm and residual certificates hold
+    (_certified) and |theta - P| < halfwidth for every prediction.
+    Otherwise spectrum is None and reason is _track_pair's, "convergence"
+    (a failed certificate) or "window".
+    """
+    reason, steps, pair = _track_pair(H, basis, coords, predictions[-1], start)
+    if reason is not None:
+        return reason, steps, None
+    theta, x, Hx = pair
+    try:
+        spectrum = _certified(basis, t, l, shift, np.array([theta]), x[:, None], Hx[:, None])
+    except ConvergenceFailure:
+        return "convergence", steps, None
+    if any(abs(theta - p) >= halfwidth for p in predictions):
+        return "window", steps, None
+    return None, steps, spectrum
+
+
+def _track_pair(H: WindowOperator, basis: PlanewaveBasis, coords, sigma: float, start=None,
+                stop: float = _TRACK_TOL):
+    """(reason, steps, pair): the pair of H nearest sigma that Davidson's method reaches from start.
+
+    coords, rows of basis, is the acceptance index set: one row (a
+    window's gamma0) or all of them (a resonant block's).  The search
+    space V starts as [start]: when start is None, e_i for the row i of
+    coords whose diagonal entry is nearest sigma (e_gamma0 for a window),
     else the unit vector whose leading entries are start and the rest 0
     (track_dominant passes the inner window's pair, whose leading rows the
-    outer window shares).  Each step multiplies H into
-    V's newest vector and takes, by Rayleigh-Ritz on span V, the Ritz pair
-    (theta, x) nearest sigma = predictions[-1], x scaled to unit norm and a
-    real positive entry on coords, so reruns are byte-identical.  It stops
-    once |H x - theta x| <= _TRACK_TOL ||H||_1, or once it is within the
-    rounding of its own evaluation r = sum_k s_k (H v_k) - theta x:
+    outer window shares).  V, H V and the Rayleigh-Ritz matrix are in H's
+    dtype, so a real H is solved in real arithmetic.  Each step multiplies
+    H into V's newest vector and takes, by Rayleigh-Ritz on span V, the
+    Ritz pair (theta, x) nearest sigma, x scaled to unit norm and a real
+    positive entry where it is largest on coords, so reruns are
+    byte-identical.  It stops once |H x - theta x| <= stop ||H||_1
+    (windows: _TRACK_TOL), or once it is within the rounding of its own
+    evaluation r = sum_k s_k (H v_k) - theta x:
     m eps || |H| sum_k |s_k| |v_k| ||, m the most nonzeros in a column of
     H.  (On small windows whose pair spreads over most waves, the residual
     can stall there, above the fixed tolerance.)  Otherwise V gains the
     correction (diag H - theta)^-1 (H x - theta x), orthogonalized twice
-    against V; V and H V grow with the steps taken (_with_row), not sized
-    for the cap up front.  The pair (x^H H x, x), with H x multiplied
-    afresh, is accepted, and reason is None, when the loop stops within
-    _TRACK_STEPS steps, the unit-norm and residual certificates hold,
-    |x_coords|^2 > 1/2 (so it is the window's dominant pair, see
-    BlochSpectrum.dominant_index) and |theta - P| < halfwidth for every
-    prediction.  Otherwise spectrum
-    is None and reason is "convergence" (no stop within the cap, or a
-    failed certificate), "weight" or "window".  steps counts the
-    Davidson steps taken (matvecs, the final one aside).
+    against V; the loop also stops when that leaves exactly 0, as on a
+    decoupled chain of waves that V already spans.  V and H V grow with
+    the steps taken (_with_row), not sized for the cap up front.  pair is
+    (x^H H x, x, H x), with H x multiplied afresh, and reason None, when
+    the loop stops within _TRACK_STEPS steps and x weighs more than 1/2 on
+    coords: on gamma0 that makes it the window's dominant pair (see
+    BlochSpectrum.dominant_index); on a whole block it always holds.
+    Otherwise pair is None and reason is "convergence" or "weight".  steps
+    counts the Davidson steps taken (matvecs, the final one aside).  The
+    caller certifies the pair.
     """
-    pos = basis.positions(coords)[0]
+    accept = basis.positions(coords)
     norm1 = H.one_norm()
     tol = _TRACK_TOL * norm1
+    done = stop * norm1
     # fl(H v) - H v <= m eps |H| |v| entrywise, m the most nonzeros in a column
     rounding = np.finfo(float).eps * H.column_nonzeros()
     diagonal = H.diagonal()
-    V = np.zeros((1, H.shape[0]), dtype=complex)  # row k: the k-th orthonormal search vector
+    V = np.zeros((1, H.shape[0]), dtype=H.dtype)  # row k: the k-th orthonormal search vector
     HV = np.empty_like(V)  # row k: H times V's row k
-    T = np.zeros((_TRACK_STEPS, _TRACK_STEPS), dtype=complex)  # lower triangle of V^H H V
+    T = np.zeros((_TRACK_STEPS, _TRACK_STEPS), dtype=H.dtype)  # lower triangle of V^H H V
     if start is None:
-        V[0, pos] = 1.0
+        V[0, accept[np.argmin(np.abs(diagonal[accept] - sigma))]] = 1.0
     else:
         V[0, :len(start)] = start / np.linalg.norm(start)
     for k in range(_TRACK_STEPS):
@@ -562,37 +600,34 @@ def _track_pair(H: WindowOperator, basis: PlanewaveBasis, t, l: int, shift: floa
         HV[k] = H @ V[k]
         T[k, :k + 1] = V[:k + 1] @ HV[k].conj()
         ritz, S = np.linalg.eigh(T[:k + 1, :k + 1])
-        j = int(np.argmin(np.abs(ritz - predictions[-1])))
+        j = int(np.argmin(np.abs(ritz - sigma)))
         theta, s = float(ritz[j]), S[:, j]
         x = s @ V[:k + 1]
-        scale = np.exp(-1j * np.angle(x[pos])) / np.linalg.norm(x)
+        top = x[accept[np.argmax(np.abs(x[accept]))]]
+        phase = np.exp(-1j * np.angle(top)) if np.iscomplexobj(x) else np.copysign(1.0, top)
+        scale = phase / np.linalg.norm(x)
         x, s = x * scale, s * scale
         r = s @ HV[:k + 1] - theta * x
         res = np.linalg.norm(r)
         # the rounding floor is at most rounding ||H||_1 ||s||_1: multiply it out only below that
-        if res <= tol or (res <= rounding * norm1 * np.abs(s).sum()
+        if res <= done or (res <= rounding * norm1 * np.abs(s).sum()
                           and res <= rounding * np.linalg.norm(abs(H) @ (np.abs(s) @ np.abs(V[:k + 1])))):
             break
         delta = diagonal - theta  # exactly 0 on a wave as free as gamma0's, e.g. on a resonance plane
         c = r / np.where(np.abs(delta) < tol, tol, delta)
         for _ in range(2):
             c -= np.conj(V[:k + 1] @ c.conj()) @ V[:k + 1]
+        length = np.linalg.norm(c)
+        if length == 0:  # span V holds its own correction: no step can add to it
+            break
         V = _with_row(V, k + 1)
-        V[k + 1] = c / np.linalg.norm(c)
+        V[k + 1] = c / length
     else:
         return "convergence", _TRACK_STEPS, None
-    steps = k + 1
+    if not np.sum(np.abs(x[accept]) ** 2) > 0.5:
+        return "weight", k + 1, None
     Hx = H @ x
-    theta = float(np.real(np.vdot(x, Hx)))
-    try:
-        spectrum = _certified(basis, t, l, shift, np.array([theta]), x[:, None], Hx[:, None])
-    except ConvergenceFailure:
-        return "convergence", steps, None
-    if not abs(x[pos]) ** 2 > 0.5:
-        return "weight", steps, None
-    if any(abs(theta - p) >= halfwidth for p in predictions):
-        return "window", steps, None
-    return None, steps, spectrum
+    return None, k + 1, (float(np.real(np.vdot(x, Hx))), x, Hx)
 
 
 def _with_row(rows: np.ndarray, k: int) -> np.ndarray:

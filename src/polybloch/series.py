@@ -72,7 +72,11 @@ def _path_sums(a_rel: float, v: np.ndarray, l: int, q: FourierPotential, pool, d
     The walk steps from node sigma to sigma + g, g in the pool, while the
     partial sums stay nonzero.  Node sigma's denominator a - |v - sigma|^{2l}
     (a_rel relative to |v|^{2l}) is computed once, from the embedding
-    accumulated along the path.  A path's term at depth j is its j step
+    accumulated along the path, or on a walk from `start` from sigma's own
+    embedding: a coefficient prediction's denominators can be small
+    enough (a_rel near |v - sigma|^{2l} - |v|^{2l}) that the few ulps an
+    accumulated embedding carries on an oblique lattice move its value
+    by 1e-13 relative and more.  A path's term at depth j is its j step
     coefficients times the closing q_{-sigma}, from the pool's own table,
     over its nodes' denominators.  From the origin (start None), which is no
     node, depth j holds S_j; from the node `start`, depth 0 holds
@@ -86,6 +90,7 @@ def _path_sums(a_rel: float, v: np.ndarray, l: int, q: FourierPotential, pool, d
     admissible = [0] * (depth + 1)
     floor = np.inf
     closing_of = {tuple(-c for c in coords): coeff for coords, _, coeff in pool}.get  # q_{-sigma} by sigma
+    embed = None if start is None else q.lattice.embed
 
     def denominator(sigma_emb: np.ndarray) -> float:
         # a - |v - sigma|^{2l} = a_rel - (|v - sigma|^{2l} - |v|^{2l})
@@ -98,7 +103,7 @@ def _path_sums(a_rel: float, v: np.ndarray, l: int, q: FourierPotential, pool, d
             s_new = tuple(a + b for a, b in zip(sigma, coords))
             if not any(s_new):
                 continue  # partial sums must be nonzero
-            emb_new = sigma_emb + emb
+            emb_new = embed(s_new) if embed else sigma_emb + emb
             den = denominator(emb_new)
             size = abs(den)
             if size < floor:

@@ -110,13 +110,14 @@ def check_simplicity(lattice: LatticeModel, v, cascade: ParameterCascade, l: int
 
     A non-resonant competitor's margin is |F(v) - F(x)| - 2 eps1, with x its
     point.  A resonant competitor's margin is |F(v) - lambda| - 2 eps1, with
-    lambda the eigenvalue of its block nearest F(v), solved on the sparse
-    block and certified by a Sylvester-inertia count, or on q's dense
-    complex block when a guard of that solve trips
-    (block.nearest_eigenvalue).  The sparse block is that of q's even
-    translate, real symmetric, when q has one, else q's complex Hermitian
-    block; each block entry's diagnostics record which path ran
-    (real_symmetric) and which solve answered.  The member verdict holds
+    lambda the eigenvalue of its block nearest F(v), found on the sparse
+    block by the tracked Davidson solve and certified by a
+    Sylvester-inertia count, or solved on q's dense complex block when a
+    guard of that solve trips (block.nearest_eigenvalue).  The sparse
+    block is that of q's even translate, real symmetric, when q has one,
+    else q's complex Hermitian block; each block entry's diagnostics
+    record which path ran (real_symmetric), the Davidson steps taken
+    (track_steps) and which solve answered.  The member verdict holds
     exactly when every margin is >= 0, so an eigenvalue or known part
     exactly at F(v) +- 2 eps1 keeps v a member.  Requires v non-resonant
     and inside the shrunk annulus (PreconditionError otherwise).

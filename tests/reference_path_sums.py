@@ -4,7 +4,7 @@ reference_series walks each order k = 1..K on its own, as evaluate_series
 did, so every node of depth j is visited and its denominator computed
 K - j + 1 times.  reference_coefficient runs the itertools.product chains
 of the former simple.coefficient_prediction, with each partial sum
-embedded afresh instead of accumulated along the path.  Both keep the
+embedded afresh, as the walk from a start node does.  Both keep the
 former arithmetic expression for expression, and reference_coefficient also
 returns the sum of its terms' moduli, the scale of its rounding.
 """

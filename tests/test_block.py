@@ -2,14 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import polybloch as pb
 import reference_enumeration as ref
 from conftest import scaled_cascade
+from polybloch import block, oracle
 from polybloch.block import nearest_eigenvalue
-from polybloch.errors import EmptyDirections, PreconditionError
+from polybloch.errors import EmptyDirections, PreconditionError, SmallDenominator
 from polybloch.numerics import integer_rank
 from polybloch.potential import FourierPotential
 
@@ -323,6 +324,7 @@ class TestNearestEigenvalue:
         lam = dense.eigenvalues
         target = lam[pick % len(lam)] + offset * (1e-9 if near else 1.0)
         value, diag = nearest_eigenvalue(index_set, l, q, target)
+        event(f"dense fallback: {diag['dense_fallback_reason']}")
         assert diag["block_size"] == index_set.size
         assert diag["real_symmetric"] == (q.even_translate() is not None)
         if diag["eigensolver"] == "sparse":
@@ -356,64 +358,71 @@ class TestNearestEigenvalue:
         q, index_set, dense = self.generic_block(z2)
         lam = dense.eigenvalues[np.argmin(np.abs(dense.eigenvalues - dense.shift))]
         value, diag = nearest_eigenvalue(index_set, 1, q, lam + offset)
+        assert 1 <= diag["track_steps"] < oracle._TRACK_STEPS
         assert diag == {"eigensolver": "sparse", "dense_fallback_reason": None, "inertia_count": 0,
-                        "block_size": index_set.size, "real_symmetric": False}
+                        "block_size": index_set.size, "real_symmetric": False, "track_steps": diag["track_steps"]}
         assert abs(value - lam) <= 1e-12 * np.max(np.abs(dense.eigenvalues))
 
-    def test_target_on_an_eigenvalue_takes_pivot_guard(self, z2):
-        # q = 0 and t = (0, 1/4): the diagonal is exact in binary, and a target on
-        # one of its entries leaves the shift-invert factor exactly singular
+    def test_target_on_an_eigenvalue_takes_pivot_guard(self, z2, monkeypatch):
+        # q = 0 and t = (0, 1/4): the diagonal is exact in binary.  A target on one
+        # of its entries starts the tracked solve on its own eigenvector, which it
+        # returns after one step with d = 0: no count, no factorization.  A target
+        # between two entries needs a count, and an untrusted one answers densely
         q0 = FourierPotential(z2, {})
         index_set = pb.build_index_set(z2, np.array([5.0, 0.25]), [z2.vector((0, 1))],
                                        b_radius=2.0, a_radius=2.0)
         dense = pb.assemble_block(index_set, 1, q0)
         for target in (dense.eigenvalues[2], dense.shift):
             value, diag = nearest_eigenvalue(index_set, 1, q0, target)
-            assert diag == {"eigensolver": "dense", "dense_fallback_reason": "pivot", "inertia_count": None,
-                            "block_size": index_set.size, "real_symmetric": True}
+            assert diag == {"eigensolver": "sparse", "dense_fallback_reason": None, "inertia_count": 0,
+                            "block_size": index_set.size, "real_symmetric": True, "track_steps": 1}
             assert value == target
+        monkeypatch.setattr(block, "_inertia", lambda ordered, s, floor: None)
+        lam = np.unique(dense.eigenvalues)
+        for target in (0.7 * lam[2] + 0.3 * lam[3], dense.shift + 0.3):
+            value, diag = nearest_eigenvalue(index_set, 1, q0, target)
+            assert diag == {"eigensolver": "dense", "dense_fallback_reason": "pivot", "inertia_count": None,
+                            "block_size": index_set.size, "real_symmetric": True, "track_steps": 1}
+            assert value == dense_nearest(dense, target)
 
     def test_nonzero_count_takes_count_guard(self, z2, monkeypatch):
-        # a Lanczos solve that returns the second-nearest pair: the inertia count
+        # a tracked solve that returns the second-nearest pair: the inertia count
         # finds the nearer one, and the dense block answers
-        import scipy.sparse.linalg
-
         q, index_set, dense = self.generic_block(z2)
         H = dense.matrix - dense.shift * np.eye(index_set.size)
         mu, W = np.linalg.eigh(H)
         target = dense.shift + 0.5 * (mu[10] + mu[11]) - 1e-3
         second = 11
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda A, k, **kw: (mu[[second]], W[:, [second]]))
+        pair = (mu[second], W[:, second], H @ W[:, second])
+        monkeypatch.setattr(block, "_track_pair", lambda H_, basis, coords, sigma, stop: (None, 7, pair))
         value, diag = nearest_eigenvalue(index_set, 1, q, target)
         assert diag == {"eigensolver": "dense", "dense_fallback_reason": "count", "inertia_count": 1,
-                        "block_size": index_set.size, "real_symmetric": False}
+                        "block_size": index_set.size, "real_symmetric": False, "track_steps": 7}
         assert value == dense_nearest(dense, target)
         assert abs(value - dense.shift - mu[10]) < abs(value - dense.shift - mu[second])
 
     def test_inaccurate_pair_takes_count_guard(self, z2, monkeypatch):
-        # a Lanczos vector mixed 1e-3 with its neighbour fails the residual certificate
-        import scipy.sparse.linalg
-
+        # a tracked vector mixed 1e-3 with its neighbour fails the residual certificate
         q, index_set, dense = self.generic_block(z2)
-        mu, W = np.linalg.eigh(dense.matrix - dense.shift * np.eye(index_set.size))
-        x = W[:, [10]] + 1e-3 * W[:, [11]]
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda A, k, **kw: (mu[[10]], x / np.linalg.norm(x)))
+        H = dense.matrix - dense.shift * np.eye(index_set.size)
+        mu, W = np.linalg.eigh(H)
+        x = W[:, 10] + 1e-3 * W[:, 11]
+        x /= np.linalg.norm(x)
+        pair = (float(np.real(np.vdot(x, H @ x))), x, H @ x)
+        monkeypatch.setattr(block, "_track_pair", lambda H_, basis, coords, sigma, stop: (None, 7, pair))
         value, diag = nearest_eigenvalue(index_set, 1, q, dense.shift + mu[10])
         assert diag == {"eigensolver": "dense", "dense_fallback_reason": "count", "inertia_count": None,
-                        "block_size": index_set.size, "real_symmetric": False}
+                        "block_size": index_set.size, "real_symmetric": False, "track_steps": 7}
         assert value == dense_nearest(dense, dense.shift + mu[10])
 
     def test_arpack_no_convergence_takes_count_guard(self, z2, monkeypatch):
-        import scipy.sparse.linalg
-
-        def no_convergence(A, k, **kw):
-            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((A.shape[0], 0)))
-
+        # a tracked solve that does not converge within the step cap
         q, index_set, dense = self.generic_block(z2)
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        monkeypatch.setattr(block, "_track_pair",
+                            lambda H, basis, coords, sigma, stop: ("convergence", oracle._TRACK_STEPS, None))
         value, diag = nearest_eigenvalue(index_set, 1, q, dense.shift)
         assert diag == {"eigensolver": "dense", "dense_fallback_reason": "count", "inertia_count": None,
-                        "block_size": index_set.size, "real_symmetric": False}
+                        "block_size": index_set.size, "real_symmetric": False, "track_steps": oracle._TRACK_STEPS}
         assert value == dense_nearest(dense, dense.shift)
 
 
@@ -448,3 +457,80 @@ def test_one_coupling_table_and_one_ordering_per_table_and_shape(z2, monkeypatch
     assert tables[:2] == [cases[0][1].size] * 2 and tables[2] == cases[3][1].size
     for (table, index_set), target, value in zip(cases, targets, values):
         assert nearest_eigenvalue(index_set, 1, table, target)[0] == value
+
+
+def test_block_solve_factors_only_for_its_count(z2, monkeypatch):
+    # the tracked solve finds the pair with no factorization and no eigsh: per block at
+    # most the two inertia counts factor ("NATURAL"), none when the target is within
+    # tau of the pair, and the shape's pattern is ordered on its first block only
+    import scipy.sparse.linalg
+
+    q = pb.random_potential(3, 2, 1.5, 0.0, 0.5, lattice=z2)
+    blocks = [pb.build_index_set(z2, np.array(v), [z2.vector((0, 1))], b_radius=3.0, a_radius=3.0)
+              for v in ([0.5, 10.2], [-4.3, 7.9], [3.1, -9.6])]
+    cases = []
+    for index_set in blocks:
+        dense = pb.assemble_block(index_set, 1, q)
+        lam = dense.eigenvalues[np.argmin(np.abs(dense.eigenvalues - dense.shift))]
+        cases += [(index_set, dense, lam + 1e-3, 2), (index_set, dense, lam, 0)]
+    specs, eigsh = [], []
+    splu = scipy.sparse.linalg.splu
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda A, permc_spec=None, **kw: (specs.append(permc_spec), splu(A, permc_spec, **kw))[1])
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda *args, **kw: eigsh.append(args))
+    monkeypatch.setattr(block, "_OPERATOR", None)
+    orderings = []
+    for index_set, dense, target, factors in cases:
+        specs.clear()
+        value, diag = nearest_eigenvalue(index_set, 1, q, target)
+        assert (diag["eigensolver"], diag["inertia_count"]) == ("sparse", 0)
+        assert value == pytest.approx(dense_nearest(dense, target), abs=1e-12 * np.max(np.abs(dense.eigenvalues)))
+        assert specs.count("NATURAL") == factors
+        orderings.append(len(specs) - factors)
+    assert orderings == [1] + [0] * (len(cases) - 1) and not eigsh
+
+
+def workload_table(seed, z2):
+    """A radius-1 table of amplitude about 0.1 with random phases, as the benchmark draws them."""
+    rng = np.random.default_rng(seed)
+    table = {}
+    for g in ((1, 0), (0, 1)):
+        z = 0.1 * rng.uniform(0.75, 1.25) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+        table[g], table[(-g[0], -g[1])] = z, np.conj(z)
+    return FourierPotential(z2, table, 45.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_workload_shaped_blocks_are_answered_sparse(z2, seed, monkeypatch):
+    # rho = 20 and the default a-radius (1,117-row blocks): the tracked solve, in
+    # float64 on the even translate, and its count answer every block of the first
+    # centers' competitors, at the dense value
+    dtypes = []
+    track_pair = block._track_pair
+    monkeypatch.setattr(block, "_track_pair",
+                        lambda H, *args, **kw: (dtypes.append(H.dtype), track_pair(H, *args, **kw))[1])
+    q = workload_table(seed, z2)
+    cascade = scaled_cascade(20.0, known_order=2)
+    pool = pb.direction_pool(z2, cascade)
+    blocks = []
+    for angle in 0.1 + np.pi / 2 * np.arange(200) / 200:
+        v = 20.0 * np.array([np.cos(angle), np.sin(angle)])
+        if pb.classify(z2, v, cascade, pool=pool).is_resonant:
+            continue
+        gamma0, t = z2.split(v)
+        try:
+            f_value = pb.known_part(v, 1, q, cascade).value
+        except SmallDenominator:
+            continue
+        blocks += [(g.embedding + t, cls.directions, t, f_value)
+                   for g, cls in pb.k_set(z2, v, t, cascade, 1, q, f_value=f_value, pool=pool)
+                   if cls.is_resonant and g.coords != gamma0.coords]
+        if len(blocks) >= 4:
+            break
+    assert len(blocks) >= 4
+    for x, directions, t, f_value in blocks:
+        index_set = pb.build_index_set(z2, x, directions, cascade, t=t)
+        value, diag = nearest_eigenvalue(index_set, 1, q, f_value)
+        dense = pb.assemble_block(index_set, 1, q)
+        assert diag["eigensolver"] == "sparse" and diag["real_symmetric"] and dtypes[-1] == np.float64
+        assert abs(value - dense_nearest(dense, f_value)) <= 1e-12 * np.max(np.abs(dense.eigenvalues))

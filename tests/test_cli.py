@@ -215,7 +215,7 @@ class TestOtherCommands:
         blocks = [m["diagnostics"] for m in margins if m["kind"] == "block"]
         assert len(blocks) == 4
         assert all(d == {"eigensolver": "sparse", "dense_fallback_reason": None, "inertia_count": 0,
-                         "block_size": 5, "real_symmetric": True} for d in blocks)
+                         "block_size": 5, "real_symmetric": True, "track_steps": 3} for d in blocks)
         assert all(m["diagnostics"] is None for m in margins if m["kind"] == "known-part")
 
     def test_bloch(self, tmp_path):

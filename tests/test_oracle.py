@@ -431,7 +431,8 @@ class TestTrackedSolve:
         if tracked.diagnostics["eigensolver"] != "tracked":
             return
         H = pb.assemble(l, q, tracked.t, tracked.basis, shift_center=v, sparse=True)
-        reason, steps, cold = oracle._track_pair(H, tracked.basis, tracked.t, l, tracked.shift, gamma0, preds, hw)
+        reason, steps, cold = oracle._tracked_window(H, tracked.basis, tracked.t, l, tracked.shift, gamma0, preds,
+                                                     hw)
         event(f"cold start refused: {reason}")
         if reason is not None:  # test_tracked_matches_dense checks the warm pair against the dense solve
             return
