@@ -12,47 +12,44 @@ An entry q_{h_i - h_j} depends on h_i - h_j alone, so a block is the
 translate by gamma0 of its shape's offset set {b + a}, and every block of
 one shape has one set of couplings.  build_index_set keeps the offset set
 of the last lattice and shape (b as a set, a_radius) it built, enumerated
-and indexed once, and every block of that shape searches its index.
+and indexed once, as the root of every block of that shape
+(PlanewaveBasis.root): a block searches its index, and its sparse
+operator (oracle.assemble) reads its couplings.
 
 Simplicity verdicts need only the block eigenvalue nearest a known part:
 nearest_eigenvalue finds it on the sparse block, real when q has an even
 translate, with the oracle's tracked Davidson solve (oracle._track_pair)
-and proves it nearest by a Sylvester-inertia count, or solves q's dense
-block (oracle.assemble, as assemble_block) when a guard of that solve
-trips.  Its sparse operator is kept likewise for the last table and
-shape: the coupling table, and the CSC pattern with one minimum-degree
-order of it (oracle._OrderedPattern) for the counts, so a block writes
-only its own diagonal.
+and proves it nearest by a Sylvester-inertia count, or takes q's dense
+block's (assemble_block) when a guard of that solve trips.  The counts
+reuse one minimum-degree order of the last table and shape's pattern
+(oracle._OrderedPattern), so a block writes only its own diagonal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyDirections, PreconditionError
 from .geometry import ParameterCascade
 from .lattice import LatticeModel, LatticeVector, PlanewaveBasis, _integer_box, _ordered
-from .numerics import SERIAL_TRACK_BASIS, capped_blas_threads, integer_rank, relative_energies
-from .oracle import (_PIVOT_TOL, _RESIDUAL_TOL, BlochSpectrum, WindowOperator, _inertia, _OrderedPattern,
-                     _track_pair, assemble)
+from .numerics import SERIAL_TRACK_BASIS, capped_blas_threads, integer_rank
+from .oracle import _PIVOT_TOL, _RESIDUAL_TOL, BlochSpectrum, _inertia, _OrderedPattern, _track_pair, assemble
 from .potential import FourierPotential
 
 # The last block shape enumerated, (lattice, b rows, a_radius, offset set), and the last
-# block couplings built, (table, offset set, (columns, values, _OrderedPattern)).  Each
-# slot holds its keys, so no other object can take their identities while it is filled.
+# block pattern ordered, (table, offset set, _OrderedPattern).  Each slot holds its keys,
+# so no other object can take their identities while it is filled.
 _SHAPE = None
-_OPERATOR = None
+_PATTERN = None
 
 
 @dataclass(frozen=True)
 class ResonantIndexSet(PlanewaveBasis):
     """The index set of the distinct h_i, gamma0 among them: the block's points h_i + t around v = gamma0 + t.
 
-    offsets, when given, is the set whose rows, translated by gamma0, are
-    these rows, in order (build_index_set's shape): the set then searches
-    its one coordinate index, and its sparse operator shares their pattern.
+    build_index_set's have their shape's offset set as root (PlanewaveBasis.root).
     """
 
     center: np.ndarray
@@ -61,15 +58,11 @@ class ResonantIndexSet(PlanewaveBasis):
     directions: tuple[LatticeVector, ...]
     b_radius: float
     a_radius: float
-    offsets: PlanewaveBasis | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
         self.center.setflags(write=False)
         self.t.setflags(write=False)
-        if self.offsets is not None:
-            object.__setattr__(self, "_base", self.offsets)
-            object.__setattr__(self, "_shift", np.asarray(self.gamma0.coords, dtype=np.int64))
 
     @property
     def size(self) -> int:
@@ -93,7 +86,7 @@ def build_index_set(lattice: LatticeModel, v, directions, cascade: ParameterCasc
     """{gamma0 + b + a}, ordered by (|offset|^2, coords): the translate by gamma0 of its shape's offset set.
 
     Blocks of one shape (b as a set, a_radius) on one lattice share the
-    offset set, enumerated and indexed once (_offset_set).
+    offset set, enumerated and indexed once (_offset_set), as their root.
     """
     directions = list(directions)
     if not directions:
@@ -114,12 +107,13 @@ def build_index_set(lattice: LatticeModel, v, directions, cascade: ParameterCasc
             raise PreconditionError("need a_radius or a cascade")
         a_radius = cascade.block_a_radius()
     offsets = _offset_set(lattice, _span_combinations(directions, b_radius), float(a_radius))
+    shift = np.asarray(gamma0.coords, dtype=np.int64)
     # h = gamma0 + offset orders lexicographically as the offsets do
-    return ResonantIndexSet(
+    return offsets._derive(ResonantIndexSet(
         lattice=lattice, center=v.copy(), t=t.copy(), gamma0=gamma0,
-        directions=tuple(directions), coords=offsets.coords + np.asarray(gamma0.coords, dtype=np.int64),
-        b_radius=float(b_radius), a_radius=float(a_radius), offsets=offsets,
-    )
+        directions=tuple(directions), coords=offsets.coords + shift,
+        b_radius=float(b_radius), a_radius=float(a_radius),
+    ), shift)
 
 
 def _offset_set(lattice: LatticeModel, b: np.ndarray, a_radius: float) -> PlanewaveBasis:
@@ -178,9 +172,10 @@ def nearest_eigenvalue(index_set: ResonantIndexSet, l: int, q: FourierPotential,
     (FourierPotential.eigenvalue_table): D H D^H for a diagonal unitary D,
     with H's eigenvalues, real symmetric, which every step below solves in
     float64.  Otherwise it is q's own complex Hermitian block.  Its
-    operator is a WindowOperator: the shape's couplings (_block_pattern)
-    and this block's diagonal |h_i + t|^{2l} - |v|^{2l}.  Its pair comes
-    from Davidson's method (oracle._track_pair, on one BLAS thread up to
+    operator is oracle.assemble's (H.real on the real translate): the
+    couplings of its shape, kept by the table, and this block's diagonal
+    |h_i + t|^{2l} - |v|^{2l}.  Its pair comes from Davidson's method
+    (oracle._track_pair, on one BLAS thread up to
     numerics.SERIAL_TRACK_BASIS rows), started at the row whose diagonal
     is nearest s = target - |v|^{2l}, taking the Ritz pair nearest s and
     accepting weight over the whole block.  It stops once the residual is
@@ -194,24 +189,24 @@ def nearest_eigenvalue(index_set: ResonantIndexSet, l: int, q: FourierPotential,
     eigenvalue's distance lies in [d - tau, d + r].  When d <= tau that
     interval holds 0 anyway, and the count, 0, needs no factorization.
     Otherwise the two factorizations reuse the shape's minimum-degree
-    order (oracle._OrderedPattern.factor).  The count's shifts stay
-    tau - r from the eigenvalue found, which keeps their pivots
-    trustworthy.
+    order (_block_pattern).  The count's shifts stay tau - r from the
+    eigenvalue found, which keeps their pivots trustworthy.
 
-    When a guard trips, the dense eigvalsh of q's own complex block
-    answers, bit for bit assemble_block's eigenvalues.  diagnostics holds
-    "eigensolver" ("sparse" or "dense"), "inertia_count", "block_size",
-    "real_symmetric" (whether the sparse solve ran on the real translate),
-    "track_steps" (the Davidson steps taken) and "dense_fallback_reason":
-    None, "pivot" (no trustworthy LDL^H at a count shift) or "count" (a
-    nonzero count, or Davidson's method not converged within
-    oracle._TRACK_STEPS steps or failing the residual certificate).
+    When a guard trips, the eigenvalues of q's own complex dense block
+    (assemble_block) answer.  diagnostics holds "eigensolver" ("sparse" or
+    "dense"), "inertia_count", "block_size", "real_symmetric" (whether the
+    sparse solve ran on the real translate), "track_steps" (the Davidson
+    steps taken) and "dense_fallback_reason": None, "pivot" (no
+    trustworthy LDL^H at a count shift) or "count" (a nonzero count, or
+    Davidson's method not converged within oracle._TRACK_STEPS steps or
+    failing the residual certificate).
     """
     v = index_set.center
     shift = float(v @ v) ** l
     table, real = q.eigenvalue_table()
-    columns, values, pattern = _block_pattern(table, real, index_set)
-    H = WindowOperator(relative_energies(v, index_set.embeddings + index_set.t, l), columns, values)
+    H = assemble(l, table, index_set.t, index_set, shift_center=v, sparse=True)
+    if real:
+        H = H.real
     s, count = target - shift, None
     with capped_blas_threads(1 if index_set.size <= SERIAL_TRACK_BASIS else None):
         refused, steps, pair = _track_pair(H, index_set, index_set.coords, s, stop=_PIVOT_TOL)
@@ -226,7 +221,7 @@ def nearest_eigenvalue(index_set: ResonantIndexSet, l: int, q: FourierPotential,
         elif d <= tau:
             count = 0
         else:
-            ordered = pattern.with_diagonal(H.diagonal())
+            ordered = _block_pattern(table, index_set, H).with_diagonal(H.diagonal())
             below = [_inertia(ordered, s + side * (d - tau), floor) for side in (-1, 1)]
             if None in below:
                 reason = "pivot"
@@ -238,30 +233,21 @@ def nearest_eigenvalue(index_set: ResonantIndexSet, l: int, q: FourierPotential,
                    "track_steps": steps}
     if reason is None:
         return theta + shift, diagnostics
-    eigenvalues = np.linalg.eigvalsh(assemble(l, q, index_set.t, index_set, shift_center=v)) + shift
+    eigenvalues = assemble_block(index_set, l, q).eigenvalues
     return float(eigenvalues[np.argmin(np.abs(eigenvalues - target))]), diagnostics
 
 
-def _block_pattern(table: FourierPotential, real: bool, index_set: ResonantIndexSet):
-    """(columns, values, ordered): table's couplings over index_set's offset set (the set itself without one).
+def _block_pattern(table: FourierPotential, index_set: ResonantIndexSet, H):
+    """The pattern of H, table's operator over index_set, in one fill-reducing order (oracle._OrderedPattern).
 
-    columns and values are table.coupling_table's (values real when real
-    is set), the off-diagonal of every block of the shape (an entry
-    q_{h - h'} depends on h - h' alone), and ordered its CSC pattern with
-    diagonal 0 and one fill-reducing order (oracle._OrderedPattern).  One
-    slot holds the last table's, with the table and the offset set, so the
-    blocks of one shape build the coupling table, the pattern and its
-    order once.
+    Every block of one shape (one root) has H's pattern.  One slot holds
+    the last one, with the table and the root, so a shape is ordered once.
     """
-    global _OPERATOR
-    offsets = index_set if index_set.offsets is None else index_set.offsets
-    if _OPERATOR is None or _OPERATOR[0] is not table or _OPERATOR[1] is not offsets:
-        columns, values = table.coupling_table(offsets)
-        if real:
-            values = values.real.copy()
-        H = WindowOperator(np.zeros(len(offsets)), columns, values)
-        _OPERATOR = (table, offsets, (columns, values, _OrderedPattern(H.tocsc())))
-    return _OPERATOR[2]
+    global _PATTERN
+    root = index_set.root[0]
+    if _PATTERN is None or _PATTERN[0] is not table or _PATTERN[1] is not root:
+        _PATTERN = (table, root, _OrderedPattern(H))
+    return _PATTERN[2]
 
 
 @dataclass(frozen=True)

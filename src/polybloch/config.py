@@ -112,12 +112,6 @@ def _basis(value, d=None) -> LatticeModel:
         raise ValueError(str(err)) from err
 
 
-def _constants(value, d) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"need a mapping of integer to number, got {value!r}")
-    return {_integer(1)(i, d): _number(c) for i, c in value.items()}
-
-
 _GENERATOR = {"seed": _integer(0), "support_radius": _positive, "norm_budget": _number}
 
 
@@ -143,7 +137,7 @@ _SCHEMA = {
     "cascade": {"mode": (_as_is, "theory"), "rho": (_rhos, _REQUIRED),
                 "v_thresholds": (_list(_number), None), "pool_radius": (_positive, None),
                 "series_pool_radius": (_positive, None), "known_order": (_as_is, None),
-                "a_radius": (_positive, None), "constants": (_constants, None)},
+                "a_radius": (_positive, None)},
     "experiment": {"seed": (_integer(0), 0), "output_dir": (_text, "out")},
     "verify": {"direction": (_direction, _REQUIRED), "orders": (_list(_integer(1, capped=True)), [1, 2]),
                "window_radius": (_positive, None)},

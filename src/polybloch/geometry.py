@@ -10,15 +10,14 @@ theory exponents are invisible at desk-scale rho.
 Variant single-plane sets that rescale the threshold by a constant bracket
 the parametrized form used here (the set at half the threshold is contained
 in the unit-constant variant, which is contained in the set at 3/2 the
-threshold), so only this form is implemented; constant choices live in the
-cascade's constants table.
+threshold), so only this form is implemented.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,16 +55,12 @@ class ParameterCascade:
     k1: int
     p1: int
     eps1: float
-    constants: dict = field(default_factory=dict)
     # scaled-mode overrides (None = derive from theory exponents)
     v_thresholds: tuple[float, ...] | None = None  # per level 1 .. d+1
     pool_radius_override: float | None = None
     series_pool_radius_override: float | None = None
     known_order_override: int | None = None
     a_radius_override: float | None = None
-
-    def constant(self, i: int) -> float:
-        return float(self.constants.get(i, 1.0))
 
     def alpha_level(self, k: int) -> float:
         if not 1 <= k <= self.d + 1:
@@ -199,7 +194,6 @@ def derive_parameters(d: int, l: int, s: float, rho: float, mode: str = "theory"
     cascade = ParameterCascade(
         d=d, l=l, s=float(s), rho=float(rho), mode=mode,
         p=p, m=m, alpha=alpha, alpha_k=alpha_k, k1=k1, p1=p1, eps1=eps1,
-        constants=dict(overrides.pop("constants", {})),
         v_thresholds=v_thresholds,
         pool_radius_override=overrides.pop("pool_radius", None),
         series_pool_radius_override=overrides.pop("series_pool_radius", None),

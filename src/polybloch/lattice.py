@@ -271,15 +271,14 @@ class PlanewaveBasis:
     rows (copied), embeddings coords @ dual_basis.  positions searches one
     CoordinateIndex, built on its first call.  leading(k) is the set of the
     first k rows and translated(shift) the set of the rows shift + c: both
-    search this set's index.
+    are derived sets, which search their root's index (see root).
     """
 
     lattice: LatticeModel
     coords: np.ndarray = field(repr=False, compare=False)
     embeddings: np.ndarray = field(init=False, repr=False, compare=False)
-    # a derived set: the rows of _base.positions(c - _shift) below len(self) are its own
-    _base: "PlanewaveBasis | None" = field(default=None, init=False, repr=False, compare=False)
-    _shift: np.ndarray | int = field(default=0, init=False, repr=False, compare=False)
+    # a derived set's (root, shift): see root
+    _root: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coords = np.array(self.coords, dtype=np.int64).reshape(-1, self.lattice.dimension)
@@ -318,33 +317,43 @@ class PlanewaveBasis:
     def _index(self) -> CoordinateIndex:
         return CoordinateIndex(self.coords)
 
+    @property
+    def root(self) -> tuple["PlanewaveBasis", np.ndarray | int]:
+        """(root, shift): row i is shift + root's row i.
+
+        A derived set (leading, translated, block.build_index_set) searches
+        its root's index and reads its couplings (oracle.assemble); a set
+        built on its own rows is its own root, shift 0.
+        """
+        return (self, 0) if self._root is None else self._root
+
     def positions(self, coords) -> np.ndarray:
         """The row of each coordinate row in the set, -1 where it is absent."""
-        if self._base is None:
+        if self._root is None:
             return self._index.find(coords)
-        rows = self._base.positions(np.asarray(coords, dtype=np.int64) - self._shift)
+        root, shift = self._root
+        rows = root.positions(np.asarray(coords, dtype=np.int64) - shift)
         return np.where(rows < len(self), rows, -1)
 
     def leading(self, k: int) -> "PlanewaveBasis":
-        """The set of the first k rows, searched through this set's index with the rows from k masked."""
-        return self._derived(self.coords[:k], self.embeddings[:k], 0)
+        """The set of the first k rows, searched through the root's index with the rows from k masked."""
+        derived = object.__new__(PlanewaveBasis)  # its rows' arrays are views of this set's, embedded once
+        for name, value in (("lattice", self.lattice), ("coords", self.coords[:k]),
+                            ("embeddings", self.embeddings[:k])):
+            object.__setattr__(derived, name, value)
+        return self._derive(derived, 0)
 
     def translated(self, shift) -> "PlanewaveBasis":
-        """The set of the rows shift + c in this set's order, searched through this set's index at c - shift.
+        """The set of the rows shift + c in this set's order, searched through the root's index at c - shift.
 
         Its embeddings are lattice.embed of its own rows, so they are bit for
         bit those of a set built on the same rows.
         """
         shift = np.asarray(shift, dtype=np.int64)
-        coords = self.coords + shift
-        embeddings = self.lattice.embed(coords)
-        coords.setflags(write=False)
-        embeddings.setflags(write=False)
-        return self._derived(coords, embeddings, shift)
+        return self._derive(PlanewaveBasis(self.lattice, self.coords + shift), shift)
 
-    def _derived(self, coords, embeddings, shift) -> "PlanewaveBasis":
-        derived = object.__new__(PlanewaveBasis)
-        for name, value in (("lattice", self.lattice), ("coords", coords), ("embeddings", embeddings),
-                            ("_base", self), ("_shift", shift)):
-            object.__setattr__(derived, name, value)
+    def _derive(self, derived: "PlanewaveBasis", shift) -> "PlanewaveBasis":
+        """derived, whose rows are shift + this set's leading rows, made a derived set of its root."""
+        root, base = self.root
+        object.__setattr__(derived, "_root", (root, base + shift))
         return derived

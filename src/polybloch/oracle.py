@@ -12,15 +12,17 @@ diagonal computed through the cancellation-free identity
 A^l - B^l = (A - B) * sum_j A^j B^(l-1-j),  A - B = 2(v, delta) + |delta|^2
 (numerics.relative_energies), which keeps eigenvalue differences near the
 shift meaningful well below machine epsilon times |v|^{2l}.  assemble is
-the one operator builder, of windows and resonant blocks alike.  Only the
-diagonal depends on the center: an entry q_{gamma - gamma'} depends on
-gamma - gamma' alone, so every window of one radius is one set of offsets
-translated by gamma0, with one set of couplings.  _windows, the one window
-builder, translates the potential's cached origin window
-(FourierPotential.origin_window), enumerated and indexed once per table
-and radius; every translate searches its one coordinate index.  The inner
-window is the leading rows of its 1.5x refinement, and its operator the
-leading block.
+the one operator builder, of windows, resonant blocks and band matrices
+alike.  Only the diagonal depends on the center: an entry
+q_{gamma - gamma'} depends on gamma - gamma' alone, so every window of one
+radius is one set of offsets translated by gamma0, and every resonant
+block of one shape likewise (block.build_index_set).  Such a translate
+searches its root's index (PlanewaveBasis.root), and its sparse operator
+reads the root's couplings, which q builds once and keeps
+(FourierPotential.coupling_table).  _windows, the one window builder,
+translates q's cached origin window (FourierPotential.origin_window),
+enumerated once per table and radius; the inner window is the leading
+rows of its 1.5x refinement.
 
 Order sweeps need one pair per window: the one dominated by gamma0's plane
 wave, whose eigenvalue every order's prediction is matched against.  Away
@@ -43,15 +45,16 @@ acceptance set is the whole block and whose operator is real when q has
 an even translate.
 
 The counted solve (_counted_window) returns the pairs with relative
-eigenvalue in an interval [lo, hi) from the sparse operator's CSC array
-(WindowOperator.tocsc, about 5 nonzeros per row): Sylvester's law of
-inertia counts the eigenvalues below lo and below hi from the signs of
-LDL^H pivots, and shift-invert Lanczos about the midpoint solves for
-exactly the difference (Ericsson & Ruhe 1980; the inertia check of Grimes,
-Lewis & Simon 1994).  Its three SuperLU factorizations share one symmetric
-minimum-degree order of the pattern (_OrderedPattern), the one place that
-calls SuperLU.  Each eigenvalue is replaced by its Rayleigh
-quotient, which brings it back to the full solve's accuracy.  When a guard
+eigenvalue in an interval [lo, hi) of a sparse WindowOperator, solved as
+its CSC array (WindowOperator.tocsc, about 5 nonzeros per row):
+Sylvester's law of inertia counts the eigenvalues below lo and below hi
+from the signs of LDL^H pivots, and shift-invert Lanczos about the
+midpoint solves for exactly the difference (Ericsson & Ruhe 1980; the
+inertia check of Grimes, Lewis & Simon 1994).  Its three SuperLU
+factorizations share one symmetric minimum-degree order of the pattern
+(_OrderedPattern), the one place that calls SuperLU.  Each eigenvalue is
+replaced by its Rayleigh quotient, which brings it back to the full
+solve's accuracy.  When a guard
 trips (an untrustworthy pivot, or a count the Lanczos solve does not
 reproduce), or no pair found weighs more than 1/2 on gamma0, the dense
 solve of the whole block takes over.  The counted solve is the one
@@ -142,10 +145,10 @@ class WindowOperator:
     values[s, i] in column columns[s, i], with the sentinel n (value 0)
     where there is none; dtype is their common type (float64 for real
     couplings).  H @ x gathers x once per offset, abs(H) is the
-    operator of the entries' moduli, and H[:k, :k] is the leading block:
-    the operator over the first k rows, exactly.  tocsc() builds the
-    scipy.sparse CSC array that SuperLU and ARPACK need, toarray() the
-    dense matrix (toarray(real=True) its real part, built in float64).
+    operator of the entries' moduli and H.real that of their real parts
+    (a real table's, in float64).  tocsc() builds the scipy.sparse CSC
+    array that SuperLU and ARPACK need, every diagonal entry stored, and
+    toarray() the dense matrix in H's dtype.
     """
 
     def __init__(self, diagonal: np.ndarray, columns: np.ndarray, values: np.ndarray):
@@ -163,14 +166,10 @@ class WindowOperator:
     def __abs__(self) -> "WindowOperator":
         return WindowOperator(np.abs(self._diagonal), self.columns, np.abs(self.values))
 
-    def __getitem__(self, key) -> "WindowOperator":
-        """The leading block H[:k, :k], the one slice supported."""
-        k = key[0].stop
-        if key != (slice(None, k), slice(None, k)):
-            raise IndexError("only a leading block H[:k, :k] can be sliced")
-        inside = self.columns[:, :k] < k
-        return WindowOperator(self._diagonal[:k], np.where(inside, self.columns[:, :k], k),
-                              np.where(inside, self.values[:, :k], 0))
+    @property
+    def real(self) -> "WindowOperator":
+        """The operator of the entries' real parts, its couplings contiguous float64."""
+        return WindowOperator(self._diagonal, self.columns, np.ascontiguousarray(self.values.real))
 
     def one_norm(self) -> float:
         """||H||_1, the largest column sum of |H| (the largest row sum: H is Hermitian)."""
@@ -185,11 +184,11 @@ class WindowOperator:
         s, i = np.nonzero(self.columns < n)
         return i, self.columns[s, i], self.values[s, i]
 
-    def toarray(self, real: bool = False) -> np.ndarray:
+    def toarray(self) -> np.ndarray:
         n = self.shape[0]
-        H = np.zeros((n, n), dtype=float if real else complex)
+        H = np.zeros((n, n), dtype=self.dtype)
         i, j, values = self._triplets()
-        H[i, j] = values.real if real else values
+        H[i, j] = values
         H[np.diag_indices(n)] = self._diagonal
         return H
 
@@ -208,17 +207,29 @@ def assemble(l: int, q: FourierPotential, t, basis, shift_center=None, sparse: b
 
     With shift_center = v the diagonal holds |gamma+t|^{2l} - |v|^{2l}
     (cancellation-free); eigenvalues of the result are then relative to
-    |v|^{2l}.  The result is a WindowOperator over q.coupling_table with
-    sparse set, else its dense array.  An entry depends on its own two
-    rows only, so leading rows give the leading block.
+    |v|^{2l}.  With sparse set the result is a WindowOperator, else its
+    dense array.  An entry q_{gamma - gamma'} depends on gamma - gamma'
+    alone, and a set's rows are shift + the leading rows of its root
+    (PlanewaveBasis.root), so the sparse couplings are the root's table,
+    kept by q (FourierPotential.coupling_table), cut to those rows: bit
+    for bit the set's own.
     """
     n = len(basis.coords)
     if n == 0:
         raise ValueError("basis must be non-empty")
     t = np.asarray(t, dtype=float)
     v = np.zeros_like(t) if shift_center is None else np.asarray(shift_center, dtype=float)
-    H = WindowOperator(relative_energies(v, basis.embeddings + t, l), *q.coupling_table(basis))
-    return H if sparse else H.toarray()
+    diagonal = relative_energies(v, basis.embeddings + t, l)
+    if not sparse:
+        # The dense path builds the set's own couplings on every call, unkept: perfbench's
+        # span test asserts coefficient lookups in a second bloch_solve on one table.
+        return WindowOperator(diagonal, *q._coupling_table(basis)).toarray()
+    root = basis.root[0]
+    columns, values = q.coupling_table(root)
+    if n < len(root):  # couplings that leave the leading rows go to the sentinel n
+        inside = columns[:, :n] < n
+        columns, values = np.where(inside, columns[:, :n], n), np.where(inside, values[:, :n], 0)
+    return WindowOperator(diagonal, columns, values)
 
 
 def diagonalize(H, basis: PlanewaveBasis, t, l: int, shift: float = 0.0) -> BlochSpectrum:
@@ -262,7 +273,7 @@ def _certified(basis: PlanewaveBasis, t, l: int, shift: float, evals_rel, evecs,
     )
 
 
-def _window_pairs(H, lo: float, hi: float):
+def _window_pairs(H: WindowOperator, lo: float, hi: float):
     """The eigenpairs of the sparse H with eigenvalue in [lo, hi), certified complete by inertia.
 
     count = nu(hi) - nu(lo) pairs lie in [lo, hi) (see _inertia), and
@@ -276,7 +287,7 @@ def _window_pairs(H, lo: float, hi: float):
     or a Rayleigh quotient falls outside [lo, hi).
     """
     ordered = _OrderedPattern(H)
-    floor = _PIVOT_TOL * float(abs(H).sum(axis=0).max())
+    floor = _PIVOT_TOL * H.one_norm()
     below = [_inertia(ordered, s, floor) for s in (lo, hi)]
     if None in below:
         return None, "pivot", None
@@ -294,13 +305,13 @@ def _window_pairs(H, lo: float, hi: float):
 
 
 class _OrderedPattern:
-    """A sparse Hermitian H as a CSC array, and one symmetric fill-reducing order of its pattern.
+    """A WindowOperator H as a CSC array (tocsc), and one symmetric fill-reducing order of its pattern.
 
-    H keeps the rows' own order: eigsh and H @ X see it unpermuted.  It
-    stores every diagonal entry, 0 where the operator given has none.
-    The order P is SuperLU's minimum-degree order of A^T + A
-    (MMD_AT_PLUS_A), a function of the pattern alone, read once off the
-    factor of a strictly diagonally dominant matrix with H's pattern.
+    H keeps the rows' own order: eigsh and H @ X see it unpermuted, and it
+    stores every diagonal entry.  The order P is SuperLU's minimum-degree
+    order of A^T + A (MMD_AT_PLUS_A), a function of the pattern alone,
+    read once off the factor of a strictly diagonally dominant matrix with
+    H's pattern.
     factor(s) factors P (H - sI) P^T with permc_spec "NATURAL", so no
     factorization orders the pattern again, and solve applies its inverse
     in H's own order.  with_diagonal(d) is the operator with H's
@@ -309,17 +320,13 @@ class _OrderedPattern:
     block of its shape (block.nearest_eigenvalue).
     """
 
-    def __init__(self, H):
+    def __init__(self, H: WindowOperator):
         import scipy.sparse
         import scipy.sparse.linalg
 
         n = H.shape[0]
-        H = H.tocoo()
         diag = np.arange(n)
-        # the duplicates are H's own diagonal entries, which d + 0 leaves as they are
-        self.H = scipy.sparse.csc_array((np.concatenate((H.data, np.zeros(n, dtype=H.dtype))),
-                                         (np.concatenate((H.row, diag)), np.concatenate((H.col, diag)))),
-                                        shape=H.shape)
+        self.H = H.tocsc()
         indices, indptr = self.H.indices, self.H.indptr
         columns = np.repeat(diag, np.diff(indptr))
         self._diagonal = np.flatnonzero(indices == columns)  # where H.data holds H_ii
@@ -458,16 +465,15 @@ def track_dominant(lattice: LatticeModel, l: int, q: FourierPotential, v, window
     """The eigenpair dominated by gamma0's plane wave, v = gamma0 + t, solved alone in each window.
 
     predictions (relative to |v|^{2l}, highest order last) are the values
-    the pair is matched against, each within halfwidth.  The operator over
-    the outermost window (see _windows) is q's cached couplings for that
-    window (FourierPotential.origin_couplings), built once per table and
-    radius, and this center's diagonal.  Each window's pair comes from
-    _tracked_window on its leading block, on one BLAS
+    the pair is matched against, each within halfwidth.  Each window's
+    operator (see _windows) is assemble's: the couplings of their root, the
+    origin window, which q builds once per table and radius, and this
+    center's diagonal.  Its pair comes from _tracked_window, on one BLAS
     thread when the window has at most numerics.SERIAL_TRACK_BASIS waves;
     with refine set, the 1.5x window starts from the inner window's pair,
     and the two windows' pairs are compared as in bloch_solve.  The
     spectrum holds the one pair (diagnostics eigensolver "tracked").  When either window
-    refuses its pair, every window's block is solved instead by
+    refuses its pair, every window is solved instead by
     _counted_window over [min P - halfwidth, max P + halfwidth], which
     holds every pair a prediction can match, and
     diagnostics["tracking_refused"] says why.  diagnostics["track_steps"]
@@ -477,13 +483,11 @@ def track_dominant(lattice: LatticeModel, l: int, q: FourierPotential, v, window
     gamma0, t = lattice.split(v)
     shift = float(v @ v) ** l
     bases = _windows(q, gamma0.coords, window_radius, refine)
-    H = WindowOperator(relative_energies(v, bases[-1].embeddings + t, l),
-                       *q.origin_couplings(window_radius * 1.5 if refine else window_radius))
+    operators = [assemble(l, q, t, basis, shift_center=v, sparse=True) for basis in bases]
     spectra, steps, start = [], [], None
-    for basis in bases:
-        k = len(basis)
-        with capped_blas_threads(1 if k <= SERIAL_TRACK_BASIS else None):
-            refused, taken, spectrum = _tracked_window(H[:k, :k], basis, t, l, shift, gamma0.coords, predictions,
+    for basis, H in zip(bases, operators):
+        with capped_blas_threads(1 if len(basis) <= SERIAL_TRACK_BASIS else None):
+            refused, taken, spectrum = _tracked_window(H, basis, t, l, shift, gamma0.coords, predictions,
                                                        halfwidth, start)
         steps.append(taken)
         if refused is not None:
@@ -495,26 +499,25 @@ def track_dominant(lattice: LatticeModel, l: int, q: FourierPotential, v, window
                            eigensolver="tracked", dense_fallback_reason=None, tracking_refused=None,
                            track_steps=steps)
     lo, hi = min(predictions) - halfwidth, max(predictions) + halfwidth
-    counts, reasons, spectra = zip(*(_counted_window(H[:len(b), :len(b)], b, t, l, shift, lo, hi, gamma0.coords)
-                                     for b in bases))
+    counts, reasons, spectra = zip(*(_counted_window(H, b, t, l, shift, lo, hi, gamma0.coords)
+                                     for b, H in zip(bases, operators)))
     return _summarized(spectra, gamma0.coords, window_radius, refine, inertia_count=list(counts),
                        eigensolver="dense" if any(reasons) else "sparse",
                        dense_fallback_reason=next((r for r in reasons if r), None), tracking_refused=refused,
                        track_steps=steps)
 
 
-def _counted_window(H, basis: PlanewaveBasis, t, l: int, shift: float, lo: float, hi: float, coords):
+def _counted_window(H: WindowOperator, basis: PlanewaveBasis, t, l: int, shift: float, lo: float, hi: float,
+                    coords):
     """(count, reason, spectrum): the pairs of the sparse H in [lo, hi), counted by inertia.
 
-    H is a WindowOperator or its CSC array (tocsc), which SuperLU and
-    ARPACK solve.  The pairs come from _window_pairs, and reason is None,
-    when its guards hold and one of them weighs more than 1/2 on coords,
-    which makes it the full spectrum's dominant pair (see
-    BlochSpectrum.dominant_index).  Otherwise the spectrum is the dense eigh
-    of H in full, and reason names the guard that tripped, or is
-    "half-rule".
+    SuperLU and ARPACK solve H's CSC array (_OrderedPattern).  The pairs
+    come from _window_pairs, and reason is None, when its guards hold and
+    one of them weighs more than 1/2 on coords, which makes it the full
+    spectrum's dominant pair (see BlochSpectrum.dominant_index).  Otherwise
+    the spectrum is the dense eigh of H in full, and reason names the
+    guard that tripped, or is "half-rule".
     """
-    H = H.tocsc()
     count, reason, pairs = _window_pairs(H, lo, hi)
     if reason is None:
         spectrum = _certified(basis, t, l, shift, *pairs)

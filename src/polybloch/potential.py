@@ -53,7 +53,8 @@ class FourierPotential:
         self.support_embeddings = emb[order]
         self.support_embeddings.setflags(write=False)
         self._eigenvalue_table = None
-        self._window = None  # (radius, origin window, its coupling_table or None): see origin_window
+        self._window = None  # (radius, origin window): see origin_window
+        self._couplings = None  # (index set, its read-only table): see coupling_table
 
     # -- basic access -------------------------------------------------
 
@@ -70,6 +71,21 @@ class FourierPotential:
         return max(self._norms, default=0.0)
 
     def coupling_table(self, index_set) -> tuple[np.ndarray, np.ndarray]:
+        """_coupling_table(index_set), read-only, kept in one slot per table with the last set asked.
+
+        The slot holds the set, so it is compared by identity.
+        oracle.assemble asks for the root of each sparse operator's set
+        (PlanewaveBasis.root), so the windows of one radius, or the blocks
+        of one shape, share one table.
+        """
+        if self._couplings is None or self._couplings[0] is not index_set:
+            table = self._coupling_table(index_set)
+            for array in table:
+                array.setflags(write=False)
+            self._couplings = (index_set, table)
+        return self._couplings[1]
+
+    def _coupling_table(self, index_set) -> tuple[np.ndarray, np.ndarray]:
         """(columns, values): the off-diagonal entries q_{c_i - c_j} over the rows c of an index set.
 
         index_set is a lattice.PlanewaveBasis.  One table row per nonzero
@@ -105,24 +121,14 @@ class FourierPotential:
         The window {gamma : |gamma + t - v| <= radius} around v = gamma0 + t
         is its translate by gamma0 (PlanewaveBasis.translated), and an entry
         q_{gamma - gamma'} depends on gamma - gamma' alone, so every
-        translate has its couplings (origin_couplings).  One slot per table
+        translate reads its couplings (oracle.assemble).  One slot per table
         holds the window of the last radius asked, so a sweep at one radius
         builds it once and a large window is never held twice.
         """
         if self._window is None or self._window[0] != radius:
             coords = self.lattice.enumerate_shifted_ball(np.zeros(self.lattice.dimension), radius)
-            self._window = (radius, PlanewaveBasis(self.lattice, coords), None)
+            self._window = (radius, PlanewaveBasis(self.lattice, coords))
         return self._window[1]
-
-    def origin_couplings(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
-        """coupling_table(origin_window(radius)), read-only, built on the first call per window."""
-        basis = self.origin_window(radius)
-        if self._window[2] is None:
-            table = self.coupling_table(basis)
-            for array in table:
-                array.setflags(write=False)
-            self._window = (radius, basis, table)
-        return self._window[2]
 
     def is_invariant(self, matrix, time_reversed: bool = False) -> bool:
         """Whether q_{nM} = q_n for every n, or q_{-nM} = conj(q_n) when

@@ -32,6 +32,8 @@ from .oracle import PlanewaveBasis, assemble
 from .potential import FourierPotential
 
 _CERTIFY_TOL = 1e-9
+_CERTIFY_TRIES = 6  # basis radii certified_basis_radius tries, each 1.25x the last
+_STABLE_TOL = 1e-3  # stable_gap_report's relative tolerance on gap endpoints
 MAX_BAND_BASIS = 4096  # plane waves in one dense band solve: its matrix alone takes 16 n^2 bytes (256 MiB)
 MIN_MEASURE_SAMPLES = 1000
 
@@ -81,10 +83,10 @@ class BandTable:
                 writer.writerow([repr(float(x)) for x in self.t_points[i]] + [n + 1, repr(float(self.values[i, n]))])
 
 
-def certified_basis_radius(lattice: LatticeModel, l: int, q: FourierPotential, n_bands: int,
-                           probe_t=None, max_tries: int = 6) -> float:
+def certified_basis_radius(lattice: LatticeModel, l: int, q: FourierPotential, n_bands: int) -> float:
     """Smallest tried full-ball radius whose first n_bands eigenvalues are
-    stable (1e-9 relative) under a 1.5x radius refinement at a probe t.
+    stable (1e-9 relative) under a 1.5x radius refinement at the probe t
+    of _probe_points; _CERTIFY_TRIES radii are tried.
 
     PreconditionError, before anything is allocated, when the 2 n_bands
     waves the search starts from, or a ball it then solves, exceed
@@ -92,20 +94,19 @@ def certified_basis_radius(lattice: LatticeModel, l: int, q: FourierPotential, n
     if 2 * n_bands > MAX_BAND_BASIS:
         raise PreconditionError(f"n_bands = {n_bands} needs a basis of at least {2 * n_bands} plane waves; "
                                 f"a dense band solve takes at most {MAX_BAND_BASIS}")
-    if probe_t is None:
-        probe_t = _probe_points(lattice)["probe"]
+    probe_t = _probe_points(lattice)["probe"]
     q, real = q.eigenvalue_table()
     # start from the free-counting estimate plus coupling reach
     radius = 1.0
     while len(lattice.ball_coords(radius, exclude_zero=False)) < 2 * n_bands:
         radius += 0.5
     radius += 2.0 * max(q.support_radius, 1.0)
-    for _ in range(max_tries):
+    for _ in range(_CERTIFY_TRIES):
         move = _basis_move(lattice, l, q, real, probe_t, radius, n_bands)
         if move < _CERTIFY_TOL:
             return radius
         radius *= 1.25
-    raise WindowNotConverged(f"basis radius not certified after {max_tries} refinements (last move {move:.3e})")
+    raise WindowNotConverged(f"basis radius not certified after {_CERTIFY_TRIES} refinements (last move {move:.3e})")
 
 
 def _probe_points(lattice: LatticeModel) -> dict[str, np.ndarray]:
@@ -141,10 +142,12 @@ def _basis_move(lattice, l, q, real, t, radius, n_bands) -> float:
 def _band_couplings(l: int, q: FourierPotential, real: bool, basis: PlanewaveBasis) -> np.ndarray:
     """q's dense operator over basis, built in float64 when the table is real.
 
-    oracle.assemble at t = 0: its off-diagonal is the band couplings at
-    every t, and _bands_at overwrites its diagonal.
+    oracle.assemble's sparse operator at t = 0 (its real part when real is
+    set): its off-diagonal is the band couplings at every t, and _bands_at
+    overwrites its diagonal.
     """
-    return assemble(l, q, np.zeros(basis.embeddings.shape[1]), basis, sparse=True).toarray(real=real)
+    H = assemble(l, q, np.zeros(basis.embeddings.shape[1]), basis, sparse=True)
+    return (H.real if real else H).toarray()
 
 
 def _band_threads(basis: PlanewaveBasis):
@@ -285,14 +288,13 @@ def gap_report(table: BandTable, e_min: float, e_max: float,
 
 def stable_gap_report(lattice: LatticeModel, l: int, q: FourierPotential, grid_counts,
                       n_bands: int, e_min: float, e_max: float | None,
-                      basis_radius: float | None = None,
-                      rel_tol: float = 1e-3) -> tuple[GapReport, BandTable, BandTable]:
+                      basis_radius: float | None = None) -> tuple[GapReport, BandTable, BandTable]:
     """Gap scan at the given grid and at the doubled grid.
 
     Only the doubled grid is solved; the coarse table is its even-index
     subsample, whose t points are bitwise the coarse grid's.  The report
     carries the fine-grid gaps; stable is true when both levels agree on
-    the gap count and on endpoints to rel_tol relative.  With e_max None
+    the gap count and on endpoints to _STABLE_TOL relative.  With e_max None
     it is set just below the fine grid's top-band minimum, which bounds
     the coarse table's too, so the coverage check holds at both levels.
     """
@@ -308,7 +310,7 @@ def stable_gap_report(lattice: LatticeModel, l: int, q: FourierPotential, grid_c
     if stable:
         for (a1, b1), (a2, b2) in zip(g_coarse.gaps, g_fine.gaps):
             scale = max(abs(a2), abs(b2), 1e-300)
-            if abs(a1 - a2) > rel_tol * scale or abs(b1 - b2) > rel_tol * scale:
+            if abs(a1 - a2) > _STABLE_TOL * scale or abs(b1 - b2) > _STABLE_TOL * scale:
                 stable = False
                 break
     return GapReport(gaps=g_fine.gaps, e_min=g_fine.e_min, e_max=g_fine.e_max, stable=stable), coarse, fine
@@ -316,7 +318,7 @@ def stable_gap_report(lattice: LatticeModel, l: int, q: FourierPotential, grid_c
 
 def continuity_report(table: BandTable, l: int) -> float:
     """Largest per-band jump between grid neighbors, normalized by the
-    free-gradient scale 2 l rho^{2l-1} times the grid step.
+    free-gradient scale 2 l rho^{2l-1} times the grid step, rho = (max lambda)^{1/(2l)}.
 
     Large values flag eigenvalue-sorting artifacts at band crossings.
     """
@@ -324,7 +326,7 @@ def continuity_report(table: BandTable, l: int) -> float:
     d = len(counts)
     shape = counts + (table.n_bands,)
     grid = table.values.reshape(shape)
-    rho_scale = np.sqrt(max(table.values.max(), 1.0))
+    rho_scale = np.power(max(table.values.max(), 1.0), 1.0 / (2 * l))  # np.sqrt's bits at l = 1
     worst = 0.0
     for axis in range(d):
         jumps = np.abs(np.diff(grid, axis=axis))

@@ -25,6 +25,10 @@ from .oracle import BlochSpectrum
 from .potential import FourierPotential
 from .series import KnownPartExpansion, _path_sums, _series_pool, known_part_sequence
 
+_ROOT_TOL = 1e-9  # an isoenergetic root's known part is rho^{2l} to this relative tolerance
+_MAX_BISECT = 200
+_NEWTON_STEPS = 3
+
 
 @dataclass(frozen=True)
 class KnownPart:
@@ -84,7 +88,7 @@ class CompetitorMargin:
     kind: str  # "known-part" | "block"
     competitor_value: float
     margin: float  # |F(v) - value| - 2 eps1 (min over block eigenvalues for blocks)
-    # blocks only: the solve's eigensolver, dense_fallback_reason, inertia_count, block_size and real_symmetric
+    # blocks only: block.nearest_eigenvalue's diagnostics (eigensolver, dense_fallback_reason, ..., track_steps)
     diagnostics: dict | None = field(default=None, compare=False)
 
 
@@ -287,15 +291,15 @@ def _min_plane_margin(lattice, x, cascade, pool, multiplier: float) -> float:
 
 
 def isoenergetic_sample(lattice: LatticeModel, rho: float, l: int, q: FourierPotential,
-                        cascade: ParameterCascade, ray_directions, order: int | None = None,
-                        rel_tol: float = 1e-9, max_bisect: int = 200,
-                        newton_steps: int = 3) -> list[RayRoot]:
+                        cascade: ParameterCascade, ray_directions, order: int | None = None) -> list[RayRoot]:
     """Per ray, the radius where the known part crosses rho^{2l}.
 
     Rays whose crossing lands in a resonant region (doubled level-1
     threshold, matching the isoenergetic-surface definition) are reported
-    and skipped.  Roots are bracketed, bisected, then Newton-polished with
-    a finite-difference slope.
+    and skipped.  Roots are bracketed, bisected (at most _MAX_BISECT
+    steps), then Newton-polished (_NEWTON_STEPS steps) with a
+    finite-difference slope; NoBracket unless the polished root's known
+    part is rho^{2l} to _ROOT_TOL relative.
     """
     target = float(rho) ** (2 * l)
     pool = direction_pool(lattice, cascade)
@@ -331,7 +335,7 @@ def isoenergetic_sample(lattice: LatticeModel, rho: float, l: int, q: FourierPot
             width *= 2.0
         if lo is None:
             raise NoBracket(f"known part does not cross {target!r} along ray {tuple(u)}")
-        for _ in range(max_bisect):
+        for _ in range(_MAX_BISECT):
             mid = 0.5 * (lo + hi)
             if f_at(mid, u) - target < 0:
                 lo = mid
@@ -341,14 +345,14 @@ def isoenergetic_sample(lattice: LatticeModel, rho: float, l: int, q: FourierPot
                 break
         root = 0.5 * (lo + hi)
         h = 1e-6 * rho
-        for _ in range(newton_steps):
+        for _ in range(_NEWTON_STEPS):
             g = f_at(root, u) - target
             slope = (f_at(root + h, u) - f_at(root - h, u)) / (2 * h)
             if slope == 0:
                 break
             root -= g / slope
         f_root = f_at(root, u)
-        if abs(f_root - target) > rel_tol * target:
+        if abs(f_root - target) > _ROOT_TOL * target:
             raise NoBracket(f"root polish failed on ray {tuple(u)}: residual {abs(f_root - target)!r}")
         results.append(RayRoot(tuple(u), float(root), tuple(root * u), float(f_root), None))
     return results

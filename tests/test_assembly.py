@@ -8,7 +8,7 @@ before it: the scatter of reference_triplets.
 
 import numpy as np
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import polybloch as pb
@@ -16,7 +16,7 @@ from polybloch import oracle
 from polybloch.errors import WindowNotConverged
 from polybloch.block import ResonantIndexSet, assemble_block
 from polybloch.lattice import CoordinateIndex
-from polybloch.numerics import power_difference, relative_energies
+from polybloch.numerics import integer_rank, power_difference, relative_energies
 from polybloch.oracle import PlanewaveBasis
 from polybloch.potential import FourierPotential
 
@@ -253,7 +253,7 @@ def test_inner_window_is_the_leading_block_of_its_refinement(case):
     assert np.ascontiguousarray(dense[:k, :k]).tobytes() == want.tobytes()
     sparse = pb.assemble(l, q, t, outer, shift_center=v, sparse=True)
     assert np.array_equal(sparse.toarray(), dense)
-    block = sparse[:k, :k]
+    block = pb.assemble(l, q, t, inner, shift_center=v, sparse=True)
     want = pb.assemble(l, q, t, reference, shift_center=v, sparse=True)
     assert csc_bytes(block.tocsc()) == csc_bytes(want.tocsc())
 
@@ -289,9 +289,13 @@ def test_windows_are_translates_of_one_origin_window(case):
         found = rows >= 0
         assert np.array_equal(found, reference.positions(targets) >= 0)
         assert np.array_equal(basis.coords[rows[found]], targets[found])
-    columns, values = q.origin_couplings(1.5 * radius)
+    # both windows derive from the origin window, whose couplings q keeps read-only
+    root = q.origin_window(1.5 * radius)
+    assert inner.root[0] is root and outer.root[0] is root
+    assert inner.root[1].tolist() == outer.root[1].tolist() == list(gamma0.coords)
+    columns, values = q.coupling_table(root)
     assert not columns.flags.writeable and not values.flags.writeable
-    want = q.coupling_table(PlanewaveBasis(lattice, outer.coords))
+    want = q._coupling_table(PlanewaveBasis(lattice, outer.coords))
     assert columns.tobytes() == want[0].tobytes() and values.tobytes() == want[1].tobytes()
 
 
@@ -346,11 +350,70 @@ def test_tables_on_one_support_keep_their_own_couplings(case, factor):
     gamma0 = lattice.split(v)[0].coords
     for q in (first, second):
         outer = oracle._windows(q, gamma0, radius, refine=True)[1]
-        columns, values = q.origin_couplings(1.5 * radius)
-        want = q.coupling_table(PlanewaveBasis(lattice, outer.coords))
+        columns, values = q.coupling_table(outer.root[0])
+        want = q._coupling_table(PlanewaveBasis(lattice, outer.coords))
         assert columns.tobytes() == want[0].tobytes() and values.tobytes() == want[1].tobytes()
     if first.support:
-        assert not np.array_equal(first.origin_couplings(1.5 * radius)[1], second.origin_couplings(1.5 * radius)[1])
+        assert not np.array_equal(first.coupling_table(first.origin_window(1.5 * radius))[1],
+                                  second.coupling_table(second.origin_window(1.5 * radius))[1])
+
+
+DERIVED_LATTICES = {"Z2": np.eye(2), "Z3": np.eye(3), "oblique2": np.array(OBLIQUE[2]),
+                    "oblique3": np.array(OBLIQUE[3])}
+
+
+def derived_set(kind, q, v, radius, directions, b_radius, a_radius):
+    """(set, t): the inner or outer window around v (refined to 1.5 radius), or the resonant block at v."""
+    if kind == "block":
+        index_set = pb.build_index_set(q.lattice, v, directions, b_radius=b_radius, a_radius=a_radius)
+        return index_set, index_set.t
+    gamma0, t = q.lattice.split(v)
+    inner, outer = oracle._windows(q, gamma0.coords, radius, refine=True)
+    return (inner if kind == "inner" else outer), t
+
+
+def sparse_bytes(H):
+    return H.dtype, H.diagonal().tobytes(), H.columns.tobytes(), H.values.tobytes(), csc_bytes(H.tocsc())
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(DERIVED_LATTICES)), even=st.booleans(),
+       kind=st.sampled_from(["inner", "outer", "block"]), warm=st.sampled_from(["cold", "table", "grown", "kind"]),
+       l=st.sampled_from([1, 2]))
+def test_sparse_operator_of_a_derived_set_is_that_of_a_fresh_set(data, name, even, kind, warm, l):
+    # a window or a resonant block reads its root's kept couplings: its sparse operator is
+    # bit for bit the one over a fresh set of its rows, on a cold memo and on one that
+    # another table, a larger window or block shape, or a set of another kind has used first
+    lattice = pb.LatticeModel(2 * np.pi * DERIVED_LATTICES[name])
+    d = lattice.dimension
+    table = hermitian_table(data.draw, lattice)
+    q, other = FourierPotential(lattice, table), FourierPotential(lattice, {g: 0.5 * c for g, c in table.items()})
+    if even:
+        q, other = q.even_translate(), other.even_translate()
+        assume(q is not None)
+    v = np.array(data.draw(st.tuples(*([st.floats(-20.0, 20.0)] * d))))
+    radius = q.support_radius + data.draw(st.floats(0.0, 1.5))
+    coords = data.draw(st.lists(st.tuples(*([st.integers(-2, 2)] * d)).filter(any), min_size=1, max_size=d - 1,
+                                unique=True))
+    assume(integer_rank(coords) == len(coords))
+    directions = [lattice.vector(g) for g in coords]
+    b_radius = data.draw(st.floats(0.5, 2.5)) * min(float(np.linalg.norm(g.embedding)) for g in directions)
+    a_radius = data.draw(st.floats(0.3, 2.0))
+    if warm != "cold":
+        first, grow = (other, 0.0) if warm == "table" else (q, 0.5 if warm == "grown" else 0.0)
+        other_kind = {"block": "outer", "inner": "block", "outer": "block"}[kind] if warm == "kind" else kind
+        index_set, t = derived_set(other_kind, first, v, radius + grow, directions, b_radius, a_radius + grow)
+        pb.assemble(l, first, t, index_set, shift_center=v, sparse=True)
+    index_set, t = derived_set(kind, q, v, radius, directions, b_radius, a_radius)
+    assert index_set.root[0] is not index_set
+    H = pb.assemble(l, q, t, index_set, shift_center=v, sparse=True)
+    cold = FourierPotential(lattice, {g: q.coefficient(g) for g in q.support})  # q's table, nothing kept
+    want = pb.assemble(l, cold, t, PlanewaveBasis(lattice, index_set.coords), shift_center=v, sparse=True)
+    assert sparse_bytes(H) == sparse_bytes(want)
+    if even:
+        assert H.real.dtype == np.float64 and H.real.values.flags.c_contiguous
+        assert sparse_bytes(H.real) == sparse_bytes(want.real)
+        assert np.array_equal(H.real.toarray(), want.toarray().real)
 
 
 @settings(max_examples=60, deadline=None)
@@ -364,7 +427,7 @@ def test_window_operator_matches_the_reference_csc_in_every_leading_block(case):
     assert np.array_equal(op.toarray(), pb.assemble(l, q, t, basis, shift_center=v))
     rng = np.random.default_rng(n)
     for k in range(1, n + 1):
-        block = op[:k, :k]
+        block = pb.assemble(l, q, t, basis.leading(k), shift_center=v, sparse=True)
         leading = PlanewaveBasis(lattice, basis.coords[:k])
         want = reference_csc(l, q, t, leading, v)
         dense = block.toarray()
@@ -395,4 +458,5 @@ def test_window_operator_of_an_empty_table_is_its_diagonal(z2):
     assert np.array_equal(op @ x, energies * x)
     assert op.one_norm() == np.max(np.abs(energies)) and op.column_nonzeros() == 1
     assert csc_bytes(op.tocsc()) == csc_bytes(reference_csc(2, q, t, basis, v))
-    assert csc_bytes(op[:5, :5].tocsc()) == csc_bytes(reference_csc(2, q, t, PlanewaveBasis(z2, basis.coords[:5]), v))
+    leading = pb.assemble(2, q, t, basis.leading(5), shift_center=v, sparse=True)
+    assert csc_bytes(leading.tocsc()) == csc_bytes(reference_csc(2, q, t, PlanewaveBasis(z2, basis.coords[:5]), v))

@@ -171,7 +171,9 @@ def test_blocks_are_translates_with_the_former_rows(data, name, span):
         rows = {tuple(h): i for i, h in enumerate(want.tolist())}
         assert iset.positions(targets).tolist() == [rows.get(tuple(h), -1) for h in targets.tolist()]
         blocks.append(iset)
-    assert blocks[1].offsets is blocks[0].offsets
+    assert blocks[1].root[0] is blocks[0].root[0]
+    for iset in blocks:
+        assert iset.root[1].tolist() == list(iset.gamma0.coords)
 
 
 def two_point_block(z2, q, diag_values, l=1):
@@ -427,9 +429,10 @@ class TestNearestEigenvalue:
 
 
 def test_one_coupling_table_and_one_ordering_per_table_and_shape(z2, monkeypatch):
-    # two blocks of one shape on one table build one coupling table and order one
-    # pattern; a new table, or a new shape, builds its own.  Each block's value is
-    # the one it has on a slot another table and shape have since taken
+    # two blocks of one shape on one table build one coupling table (over the shape's
+    # offset set, the blocks' root) and order one pattern; a new table, or a new shape,
+    # builds its own.  Each block's value is the one it has on a slot another table and
+    # shape have since taken
     import scipy.sparse.linalg
 
     q = pb.random_potential(3, 2, 1.5, 0.0, 0.5, lattice=z2)
@@ -442,9 +445,9 @@ def test_one_coupling_table_and_one_ordering_per_table_and_shape(z2, monkeypatch
         dense = pb.assemble_block(index_set, 1, table)
         targets.append(dense.eigenvalues[np.argmin(np.abs(dense.eigenvalues - dense.shift))] + 1e-3)
     tables, specs = [], []
-    coupling_table, splu = FourierPotential.coupling_table, scipy.sparse.linalg.splu
-    monkeypatch.setattr(FourierPotential, "coupling_table",
-                        lambda self, index_set: (tables.append(len(index_set)), coupling_table(self, index_set))[1])
+    coupling_table, splu = FourierPotential._coupling_table, scipy.sparse.linalg.splu
+    monkeypatch.setattr(FourierPotential, "_coupling_table",
+                        lambda self, index_set: (tables.append(index_set), coupling_table(self, index_set))[1])
     monkeypatch.setattr(scipy.sparse.linalg, "splu",
                         lambda A, permc_spec=None, **kw: (specs.append(permc_spec), splu(A, permc_spec, **kw))[1])
     built, values = [], []
@@ -454,7 +457,7 @@ def test_one_coupling_table_and_one_ordering_per_table_and_shape(z2, monkeypatch
         values.append(value)
         built.append((len(tables), sum(spec != "NATURAL" for spec in specs)))
     assert built == [(1, 1), (1, 1), (2, 2), (3, 3)]
-    assert tables[:2] == [cases[0][1].size] * 2 and tables[2] == cases[3][1].size
+    assert all(root is case[1].root[0] for root, case in zip(tables, (cases[0], cases[2], cases[3])))
     for (table, index_set), target, value in zip(cases, targets, values):
         assert nearest_eigenvalue(index_set, 1, table, target)[0] == value
 
@@ -478,7 +481,7 @@ def test_block_solve_factors_only_for_its_count(z2, monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "splu",
                         lambda A, permc_spec=None, **kw: (specs.append(permc_spec), splu(A, permc_spec, **kw))[1])
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda *args, **kw: eigsh.append(args))
-    monkeypatch.setattr(block, "_OPERATOR", None)
+    monkeypatch.setattr(block, "_PATTERN", None)
     orderings = []
     for index_set, dense, target, factors in cases:
         specs.clear()

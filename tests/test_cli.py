@@ -373,6 +373,7 @@ class TestErrors:
         ("predict", "cascade", "series_pool_radius", "x"),
         ("simple-check", "cascade", "a_radius", "x"),
         ("params", "verify", "window_raduis", 8.0),
+        ("params", "cascade", "constants", {1: 2.0}),
         ("bloch", "bloch", "order", 50),
     ])
     def test_bad_values_are_config_errors(self, tmp_path, command, section, key, value):
@@ -431,3 +432,22 @@ def test_mutated_config_keeps_the_exit_contract_of_the_band_scan(tmp_path_factor
 @settings(max_examples=25, deadline=None)
 def test_mutated_config_keeps_the_exit_contract_of_the_series_commands(tmp_path_factory, command, key, value):
     exit_contract(tmp_path_factory, key, value, command)
+
+
+@pytest.mark.parametrize("command", ["gaps", "measure"])
+@given(key=st.sampled_from(FUZZ_KEYS), value=st.sampled_from(FUZZ_VALUES))
+@settings(max_examples=20, deadline=None)
+def test_mutated_config_keeps_the_exit_contract_of_gaps_and_measure(tmp_path_factory, command, key, value):
+    exit_contract(tmp_path_factory, key, value, command)
+
+
+# window_radius keeps the shipped 8.0: left out, resonant-check solves dense windows for seconds
+RESONANT_KEYS = [("resonant_check", "points"), ("resonant_check", "rho"), ("cascade", "rho"),
+                 ("cascade", "a_radius"), ("cascade", "v_thresholds"), ("cascade", "mode"), ("operator", "degree"),
+                 ("potential", "coefficients")]
+
+
+@given(key=st.sampled_from(RESONANT_KEYS), value=st.sampled_from(FUZZ_VALUES))
+@settings(max_examples=20, deadline=None)
+def test_mutated_config_keeps_the_exit_contract_of_the_resonant_check(tmp_path_factory, key, value):
+    exit_contract(tmp_path_factory, key, value, "resonant-check")

@@ -245,8 +245,8 @@ class TestPartialSolve:
         tol = 1e-12 * (1.0 + np.abs(lam))
         pos = full.position(gamma0)
         n_full = int(np.argmax(np.abs(W[pos]) ** 2))
-        _, reason, pairs = oracle._window_pairs(
-            pb.assemble(l, q, full.t, full.basis, shift_center=v, sparse=True).tocsc(), lo, hi)
+        _, reason, pairs = oracle._window_pairs(pb.assemble(l, q, full.t, full.basis, shift_center=v, sparse=True),
+                                                lo, hi)
         if reason is not None:
             assert reason in ("pivot", "count")
         else:
@@ -466,7 +466,8 @@ class TestTrackedSolve:
 
     def test_tracked_center_enumerates_and_assembles_once(self, z2, monkeypatch):
         # every center's windows translate the table's one origin window: one enumeration,
-        # one coupling table and one coordinate index per table and radius, and no assemble
+        # one coupling table and one coordinate index per table and radius, and one
+        # assemble per window, which reads the origin window's couplings
         calls = {"enumerate": 0, "assemble": 0, "couplings": 0, "index": 0}
 
         def counted(name, fn):
@@ -478,8 +479,8 @@ class TestTrackedSolve:
         monkeypatch.setattr(pb.LatticeModel, "enumerate_shifted_ball",
                             counted("enumerate", pb.LatticeModel.enumerate_shifted_ball))
         monkeypatch.setattr(oracle, "assemble", counted("assemble", oracle.assemble))
-        monkeypatch.setattr(FourierPotential, "coupling_table",
-                            counted("couplings", FourierPotential.coupling_table))
+        monkeypatch.setattr(FourierPotential, "_coupling_table",
+                            counted("couplings", FourierPotential._coupling_table))
         monkeypatch.setattr(CoordinateIndex, "__init__", counted("index", CoordinateIndex.__init__))
         q = pb.cosine_pair(z2, (1, 0), 0.2)
         centers = [np.array([5.3, 4.2]), np.array([-3.1, 6.4])]
@@ -488,13 +489,13 @@ class TestTrackedSolve:
             spectrum = pb.track_dominant(z2, 1, q, v, 6.0, [f1], 0.01, refine=True)
             assert spectrum.diagnostics["eigensolver"] == "tracked"
             assert spectrum.diagnostics["pairs_solved"] == 2
-        assert calls == {"enumerate": 1, "assemble": 0, "couplings": 1, "index": 1}
-        # a refused center solves the leading blocks of the same operator
+        assert calls == {"enumerate": 1, "assemble": 2 * len(centers), "couplings": 1, "index": 1}
+        # a refused center solves the same two operators by the counted solve
         calls.update(enumerate=0, assemble=0, couplings=0, index=0)
         f1 = pb.known_part_sequence(centers[0], 1, q, k_max=1).known_part_rel()
         spectrum = pb.track_dominant(z2, 1, q, centers[0], 6.0, [f1 + 0.02, f1], 0.01, refine=True)
         assert spectrum.diagnostics["tracking_refused"] == "window"
-        assert calls == {"enumerate": 0, "assemble": 0, "couplings": 0, "index": 0}
+        assert calls == {"enumerate": 0, "assemble": 2, "couplings": 0, "index": 0}
 
     def test_small_windows_track_on_one_blas_thread(self, z2, monkeypatch):
         # _track_pair runs on one thread up to SERIAL_TRACK_BASIS waves, the counted
@@ -661,7 +662,7 @@ class TestSparseSlice:
         lo, hi = scale * (middle - width), scale * (middle + width)
         dense = H.toarray()
         lam, W = np.linalg.eigh(dense)
-        count, reason, pairs = oracle._window_pairs(H.tocsc(), lo, hi)
+        count, reason, pairs = oracle._window_pairs(H, lo, hi)
         if reason is not None:
             assert reason in ("pivot", "count")
             # the fallback is the dense eigh of the same block, in full
@@ -714,13 +715,13 @@ class TestSparseSlice:
     def test_off_diagonal_pivot_takes_pivot_guard(self, z2):
         # H - lo I has a zero diagonal coupled off the diagonal: SuperLU must
         # pivot off the diagonal, perm_r != perm_c, and there is no LDL^H to count
-        import scipy.sparse
-
         basis = PlanewaveBasis.full_ball(z2, 1.5)
-        H = np.diag([0.0, 0.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]).astype(complex)
-        H[0, 1] = H[1, 0] = 1.0
-        _, reason, spec = oracle._counted_window(scipy.sparse.csc_array(H), basis, np.zeros(2), 1, 0.0, 0.0, 3.5,
-                                                 basis.coords[0])
+        n = len(basis)
+        columns = np.full((1, n), n)
+        columns[0, :2] = (1, 0)  # H[0, 1] = H[1, 0] = 1
+        values = np.where(columns < n, 1.0 + 0j, 0j)
+        H = oracle.WindowOperator(np.array([0.0, 0.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]), columns, values)
+        _, reason, spec = oracle._counted_window(H, basis, np.zeros(2), 1, 0.0, 0.0, 3.5, basis.coords[0])
         assert reason == "pivot"
         assert np.allclose(spec.eigenvalues, [-1.0, 1.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0])
 
@@ -771,7 +772,7 @@ class TestSparseSlice:
         specs, splu = [], scipy.sparse.linalg.splu
         monkeypatch.setattr(scipy.sparse.linalg, "splu",
                             lambda A, permc_spec=None, **kw: (specs.append(permc_spec), splu(A, permc_spec, **kw))[1])
-        count, reason, _ = oracle._window_pairs(H.tocsc(), -2.0, 2.0)
+        count, reason, _ = oracle._window_pairs(H, -2.0, 2.0)
         assert reason is None and count > 0
         assert specs == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL", "NATURAL"]
 

@@ -90,6 +90,13 @@ class TestBandFunctions:
         table = pb.band_functions(z2, 1, q0, (16, 16), 10, basis_radius=5.0)
         assert pb.continuity_report(table, 1) < 3.0
 
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_continuity_scale_is_the_free_gradient_at_every_degree(self, z2, l):
+        # free bands |gamma + t|^{2l} change by at most 2 l rho^{2l-1} per unit of t, with
+        # rho = (max lambda)^{1/(2l)}; the steepest band comes close to that bound
+        table = pb.band_functions(z2, l, FourierPotential(z2, {}), (16, 16), 12, basis_radius=6.0)
+        assert 0.5 < pb.continuity_report(table, l) <= 1 + 1e-9
+
     def test_grid_too_coarse_rejected(self, z2):
         with pytest.raises(ValueError):
             pb.band_functions(z2, 1, FourierPotential(z2, {}), (4, 4), 5, basis_radius=4.0)
