@@ -18,7 +18,7 @@ operator (oracle.assemble) reads its couplings.
 
 Simplicity verdicts need only the block eigenvalue nearest a known part:
 nearest_eigenvalue finds it on the sparse block, real when q has an even
-translate, with the oracle's tracked Davidson solve (oracle._track_pair)
+translate, with the oracle's certified Davidson solve (oracle._certified_pair)
 and proves it nearest by a Sylvester-inertia count, or takes q's dense
 block's (assemble_block) when a guard of that solve trips.  The counts
 reuse one minimum-degree order of the last table and shape's pattern
@@ -34,8 +34,8 @@ import numpy as np
 from .errors import EmptyDirections, PreconditionError
 from .geometry import ParameterCascade
 from .lattice import LatticeModel, LatticeVector, PlanewaveBasis, _integer_box, _ordered
-from .numerics import SERIAL_TRACK_BASIS, capped_blas_threads, integer_rank
-from .oracle import _PIVOT_TOL, _RESIDUAL_TOL, BlochSpectrum, _inertia, _OrderedPattern, _track_pair, assemble
+from .numerics import integer_rank
+from .oracle import _PIVOT_TOL, BlochSpectrum, _certified_pair, _inertia, _OrderedPattern, assemble
 from .potential import FourierPotential
 
 # The last block shape enumerated, (lattice, b rows, a_radius, offset set), and the last
@@ -175,17 +175,16 @@ def nearest_eigenvalue(index_set: ResonantIndexSet, l: int, q: FourierPotential,
     operator is oracle.assemble's (H.real on the real translate): the
     couplings of its shape, kept by the table, and this block's diagonal
     |h_i + t|^{2l} - |v|^{2l}.  Its pair comes from Davidson's method
-    (oracle._track_pair, on one BLAS thread up to
-    numerics.SERIAL_TRACK_BASIS rows), started at the row whose diagonal
-    is nearest s = target - |v|^{2l}, taking the Ritz pair nearest s and
-    accepting weight over the whole block.  It stops once the residual is
-    below the pivot floor _PIVOT_TOL ||H||_1, which tau below adds anyway
-    (windows ask for _TRACK_TOL).  The pair is theta, the Rayleigh
-    quotient of its unit vector x, whose residual r = |H x - theta x|
-    passes the oracle's residual certificate (at theta + |v|^{2l}), so
-    some eigenvalue lies within r of theta.  With d = |theta - s| and tau = r plus the pivot floor, the
-    count nu(s + d - tau) - nu(s - d + tau) = 0 (see oracle._inertia)
-    proves that no eigenvalue lies nearer s than d - tau: the nearest
+    under the oracle's certificates (oracle._certified_pair), started at
+    the row whose diagonal is nearest s = target - |v|^{2l}, taking the
+    Ritz pair nearest s and accepting weight over the whole block.  It
+    stops once the residual is below the pivot floor _PIVOT_TOL ||H||_1,
+    which tau below adds anyway (windows ask for _TRACK_TOL).  The pair is
+    theta, the Rayleigh quotient of its unit vector, and its residual r,
+    so some eigenvalue lies within r of theta.  With d = |theta - s| and
+    tau = r plus the pivot floor, the count
+    nu(s + d - tau) - nu(s - d + tau) = 0 (see oracle._inertia) proves
+    that no eigenvalue lies nearer s than d - tau: the nearest
     eigenvalue's distance lies in [d - tau, d + r].  When d <= tau that
     interval holds 0 anyway, and the count, 0, needs no factorization.
     Otherwise the two factorizations reuse the shape's minimum-degree
@@ -199,7 +198,7 @@ def nearest_eigenvalue(index_set: ResonantIndexSet, l: int, q: FourierPotential,
     steps taken) and "dense_fallback_reason": None, "pivot" (no
     trustworthy LDL^H at a count shift) or "count" (a nonzero count, or
     Davidson's method not converged within oracle._TRACK_STEPS steps or
-    failing the residual certificate).
+    its pair failing a certificate).
     """
     v = index_set.center
     shift = float(v @ v) ** l
@@ -208,17 +207,14 @@ def nearest_eigenvalue(index_set: ResonantIndexSet, l: int, q: FourierPotential,
     if real:
         H = H.real
     s, count = target - shift, None
-    with capped_blas_threads(1 if index_set.size <= SERIAL_TRACK_BASIS else None):
-        refused, steps, pair = _track_pair(H, index_set, index_set.coords, s, stop=_PIVOT_TOL)
+    refused, steps, tracked = _certified_pair(H, index_set, index_set.t, l, shift, index_set.coords, s,
+                                              stop=_PIVOT_TOL)
     reason = None if refused is None else "count"
     if reason is None:
-        theta, x, hx = pair
-        resid = float(np.linalg.norm(hx - theta * x))
+        theta, resid = tracked.relative_eigenvalue(0), float(tracked.residual_norms[0])
         floor = _PIVOT_TOL * H.one_norm()
         d, tau = abs(theta - s), resid + floor
-        if resid > _RESIDUAL_TOL * (1.0 + abs(theta + shift)):
-            reason = "count"
-        elif d <= tau:
+        if d <= tau:
             count = 0
         else:
             ordered = _block_pattern(table, index_set, H).with_diagonal(H.diagonal())

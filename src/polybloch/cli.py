@@ -19,7 +19,7 @@ from . import scanner, series, simple
 from .config import ExperimentConfig, csv_header_line, write_json
 from .errors import ConfigError, SpectralError
 from .geometry import classify, inequality_report
-from .oracle import bloch_solve
+from .oracle import bloch_solve, track_dominant
 
 
 def _log(args, *message):
@@ -190,7 +190,10 @@ def cmd_bloch(cfg: ExperimentConfig, args) -> int:
     for v in sec["centers"]:
         cas = cfg.cascade(sec["rho"] or float(np.linalg.norm(v)))
         window = sec["window_radius"] or series.required_window_radius(q, cas)
-        spectrum = bloch_solve(lat, cfg.degree, q, v, window, refine=True)
+        # the pair dominated by gamma0, matched as in verify against P_1 .. P_K
+        expansion = series.known_part_sequence(v, cfg.degree, q, cas, k_max=cas.known_order())
+        predictions = [expansion.prediction_rel(k) for k in range(1, expansion.order + 1)]
+        spectrum = track_dominant(lat, cfg.degree, q, v, window, predictions, cas.matching_halfwidth(), refine=True)
         gamma0, _ = lat.reduce(v)
         n = spectrum.dominant_index(gamma0.coords)
         report = simple.bloch_verify(spectrum, n, gamma0.coords, sec["order"], q)
@@ -207,6 +210,7 @@ def cmd_bloch(cfg: ExperimentConfig, args) -> int:
                  "measured": [r.measured.real, r.measured.imag]}
                 for r in report.rows
             ],
+            "diagnostics": spectrum.diagnostics,
         })
         print(f"center {v.tolist()}: weight {report.weight!r}, residual mass {report.residual_mass!r}")
     out = cfg.output_dir(args.output_dir) / "bloch.json"

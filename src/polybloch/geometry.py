@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CascadeInequalityViolated, PartitionBreakdown, ShellViolation
 from .lattice import LatticeModel, LatticeVector, PlanewaveBasis
-from .numerics import integer_rank, power_difference
+from .numerics import integer_rank
 
 # series order is capped regardless of k1: term count grows as |support|^k
 MAX_SERIES_ORDER = 6
@@ -115,9 +115,6 @@ class ParameterCascade:
         if self.a_radius_override is not None:
             return self.a_radius_override
         return self.p1 * self.rho**self.alpha
-
-    def shell(self) -> tuple[float, float]:
-        return 0.5 * self.rho, 1.5 * self.rho
 
     def shrunk_shell(self) -> tuple[float, float]:
         """Annulus shrunk by rho^{alpha_1 - 1} (threshold / rho in scaled mode)."""
@@ -240,24 +237,20 @@ def direction_pool(lattice: LatticeModel, cascade: ParameterCascade) -> Planewav
     return PlanewaveBasis(lattice, lattice.ball_coords(cascade.direction_pool_radius()))
 
 
-def _plane_distances(x, pool_matrix: np.ndarray, pool_norm_sq: np.ndarray, l: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    a_val = float(x @ x)
-    first = 2.0 * (pool_matrix @ x) + pool_norm_sq
-    if l == 1:
-        return np.abs(first)
-    return np.abs(power_difference(first, a_val + first, a_val, l))
+def _plane_distances(x, pool_matrix: np.ndarray, pool_norm_sq: np.ndarray) -> np.ndarray:
+    """|2(g, x) + |g|^2| = ||x + g|^2 - |x|^2| for every pool row g: the first-degree plane distances."""
+    return np.abs(2.0 * (pool_matrix @ np.asarray(x, dtype=float)) + pool_norm_sq)
 
 
 def membership_profile(lattice: LatticeModel, x, cascade: ParameterCascade,
-                       pool: PlanewaveBasis | None = None, degree: int = 1):
-    """Distances to every pool plane plus the E_k membership flags for k = 1..d.
+                       pool: PlanewaveBasis | None = None):
+    """Distances to every pool plane plus the E_k membership flags for k = 1..d (first-degree sets).
 
     Returns (pool, distances, member_flags); distance i belongs to pool row i.
     """
     if pool is None:
         pool = direction_pool(lattice, cascade)
-    dists = _plane_distances(x, pool.embeddings, np.vecdot(pool.embeddings, pool.embeddings), degree)
+    dists = _plane_distances(x, pool.embeddings, np.vecdot(pool.embeddings, pool.embeddings))
     flags = []
     for k in range(1, cascade.d + 1):
         idx = np.nonzero(dists < cascade.v_threshold(k))[0]
@@ -278,7 +271,7 @@ def _lex_witnesses(pool: PlanewaveBasis, idx_sorted, k: int):
 
 
 def classify(lattice: LatticeModel, x, cascade: ParameterCascade,
-             pool: PlanewaveBasis | None = None, degree: int = 1) -> ResonanceClass:
+             pool: PlanewaveBasis | None = None) -> ResonanceClass:
     """Largest k with x in E_k but not E_{k+1}; k = 0 is the non-resonance domain.
 
     Classification uses the first-degree sets (the partition of the annulus
@@ -289,7 +282,7 @@ def classify(lattice: LatticeModel, x, cascade: ParameterCascade,
     x = np.asarray(x, dtype=float)
     if not in_shell(x, cascade.rho):
         raise ShellViolation(f"|x| = {np.linalg.norm(x)!r} outside [rho/2, 3rho/2) for rho = {cascade.rho!r}")
-    pool, dists, flags = membership_profile(lattice, x, cascade, pool=pool, degree=degree)
+    pool, dists, flags = membership_profile(lattice, x, cascade, pool=pool)
     min_pool_margin = float(np.min(dists - cascade.v_threshold(1))) if len(dists) else float("inf")
     mem = [True] + flags  # mem[k] for k = 0..d
     level = None

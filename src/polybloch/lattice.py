@@ -160,9 +160,9 @@ class LatticeModel:
             raise SingularBasis("double dualization does not reproduce the basis")
 
     @classmethod
-    def cubic(cls, d: int, period: float = TWO_PI) -> "LatticeModel":
-        """Period `period` in every axis; period 2*pi gives dual Z^d."""
-        return cls(period * np.eye(d))
+    def cubic(cls, d: int) -> "LatticeModel":
+        """Period 2*pi in every axis: the dual lattice is Z^d."""
+        return cls(TWO_PI * np.eye(d))
 
     def embed(self, coords) -> np.ndarray:
         """The embedding n @ dual_basis of one coordinate vector, or of each row of an (n, d) array.

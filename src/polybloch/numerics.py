@@ -41,34 +41,6 @@ def relative_energies(v, points, l: int) -> np.ndarray:
     return power_difference(first, b + first, b, l)
 
 
-def integer_rank(rows) -> int:
-    """Exact rank over the rationals of an integer matrix (Bareiss elimination)."""
-    m = [[int(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    prev = 1
-    r = 0
-    for c in range(n_cols):
-        piv = None
-        for i in range(r, n_rows):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, n_rows):
-            for j in range(c + 1, n_cols):
-                m[i][j] = (m[i][j] * m[r][c] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        if r == n_rows:
-            break
-    return r
-
-
 def integer_row_basis(rows) -> tuple[list[list[int]], list[list[int]]]:
     """A basis of the lattice the integer rows generate, by unimodular row reduction.
 
@@ -90,6 +62,11 @@ def integer_row_basis(rows) -> tuple[list[list[int]], list[list[int]]]:
         if r < len(m) and m[r][c]:
             r += 1
     return m[:r], u[:r]
+
+
+def integer_rank(rows) -> int:
+    """Exact rank over the rationals of an integer matrix: the size of integer_row_basis's basis."""
+    return len(integer_row_basis(rows)[0])
 
 
 def loglog_slope(xs, ys) -> float:

@@ -36,13 +36,13 @@ the search space and the diagonally preconditioned correction
 Nothing is factored, and the sparse operator is a WindowOperator in numpy
 alone: its matvec gathers once per support vector.  The Ritz pair nearest
 the highest-order prediction is accepted when it passes the residual and
-unit-norm certificates, weighs more than 1/2 on gamma0 (the weights on
-gamma0 sum to 1 over all pairs, so no other pair can weigh more) and lies
-in every order's matching window.  Otherwise the counted solve below takes
-over, on the blocks already assembled.  The same engine finds the resonant
-block's eigenvalue nearest a known part (block.nearest_eigenvalue), whose
-acceptance set is the whole block and whose operator is real when q has
-an even translate.
+unit-norm certificates (_certified_pair), weighs more than 1/2 on gamma0
+(the weights on gamma0 sum to 1 over all pairs, so no other pair can
+weigh more) and lies in every order's matching window.  Otherwise the
+counted solve below takes over, on the blocks already assembled.  The
+same certified engine finds the resonant block's eigenvalue nearest a
+known part (block.nearest_eigenvalue), whose acceptance set is the whole
+block and whose operator is real when q has an even translate.
 
 The counted solve (_counted_window) returns the pairs with relative
 eigenvalue in an interval [lo, hi) of a sparse WindowOperator, solved as
@@ -445,7 +445,7 @@ def solve(lattice: LatticeModel, l: int, q: FourierPotential, t, basis: Planewav
 
 
 def bloch_solve(lattice: LatticeModel, l: int, q: FourierPotential, v, window_radius: float,
-                t=None, refine: bool = False) -> BlochSpectrum:
+                refine: bool = False) -> BlochSpectrum:
     """Windowed ground truth near |v|^{2l}, v = gamma0 + t, solved in full.
 
     With refine set, re-solves on a 1.5x window; the eigenvalue tracked to
@@ -454,7 +454,7 @@ def bloch_solve(lattice: LatticeModel, l: int, q: FourierPotential, v, window_ra
     The refined spectrum is returned.
     """
     v = np.asarray(v, dtype=float)
-    gamma0, t = lattice.split(v, t)
+    gamma0, t = lattice.split(v)
     spectra = [solve(lattice, l, q, t, basis, shift_center=v)
                for basis in _windows(q, gamma0.coords, window_radius, refine)]
     return _summarized(spectra, gamma0.coords, window_radius, refine, eigensolver="dense")
@@ -468,12 +468,13 @@ def track_dominant(lattice: LatticeModel, l: int, q: FourierPotential, v, window
     the pair is matched against, each within halfwidth.  Each window's
     operator (see _windows) is assemble's: the couplings of their root, the
     origin window, which q builds once per table and radius, and this
-    center's diagonal.  Its pair comes from _tracked_window, on one BLAS
-    thread when the window has at most numerics.SERIAL_TRACK_BASIS waves;
-    with refine set, the 1.5x window starts from the inner window's pair,
-    and the two windows' pairs are compared as in bloch_solve.  The
-    spectrum holds the one pair (diagnostics eigensolver "tracked").  When either window
-    refuses its pair, every window is solved instead by
+    center's diagonal.  Its pair comes from _certified_pair, run towards
+    predictions[-1] and accepted when |theta - P| < halfwidth for every
+    prediction P (else refused as "window"); with refine set, the 1.5x
+    window starts from the inner window's pair, and the two windows' pairs
+    are compared as in bloch_solve.  The spectrum holds the one pair
+    (diagnostics eigensolver "tracked").  When either window refuses its
+    pair, every window is solved instead by
     _counted_window over [min P - halfwidth, max P + halfwidth], which
     holds every pair a prediction can match, and
     diagnostics["tracking_refused"] says why.  diagnostics["track_steps"]
@@ -486,10 +487,10 @@ def track_dominant(lattice: LatticeModel, l: int, q: FourierPotential, v, window
     operators = [assemble(l, q, t, basis, shift_center=v, sparse=True) for basis in bases]
     spectra, steps, start = [], [], None
     for basis, H in zip(bases, operators):
-        with capped_blas_threads(1 if len(basis) <= SERIAL_TRACK_BASIS else None):
-            refused, taken, spectrum = _tracked_window(H, basis, t, l, shift, gamma0.coords, predictions,
-                                                       halfwidth, start)
+        refused, taken, spectrum = _certified_pair(H, basis, t, l, shift, gamma0.coords, predictions[-1], start)
         steps.append(taken)
+        if refused is None and any(abs(spectrum.relative_eigenvalue(0) - p) >= halfwidth for p in predictions):
+            refused = "window"
         if refused is not None:
             break
         spectra.append(spectrum)
@@ -527,28 +528,28 @@ def _counted_window(H: WindowOperator, basis: PlanewaveBasis, t, l: int, shift: 
     return count, reason, diagonalize(H.toarray(), basis, t, l, shift)
 
 
-def _tracked_window(H: WindowOperator, basis: PlanewaveBasis, t, l: int, shift: float, coords, predictions,
-                    halfwidth: float, start=None):
-    """(reason, steps, spectrum): the window's pair dominated by coords, tracked by _track_pair.
+def _certified_pair(H: WindowOperator, basis: PlanewaveBasis, t, l: int, shift: float, coords, sigma: float,
+                    start=None, stop: float = _TRACK_TOL):
+    """(reason, steps, spectrum): _track_pair's pair of H nearest sigma, certified, as a one-pair spectrum.
 
-    _track_pair runs from start (e_coords when None) towards
-    predictions[-1], accepting weight on coords.  Its pair is accepted,
-    and reason is None, when the unit-norm and residual certificates hold
-    (_certified) and |theta - P| < halfwidth for every prediction.
-    Otherwise spectrum is None and reason is _track_pair's, "convergence"
-    (a failed certificate) or "window".
+    _track_pair (see there for coords, start and stop) runs on one BLAS
+    thread when basis has at most numerics.SERIAL_TRACK_BASIS waves.  Its
+    pair is accepted, and reason is None, when the unit-norm and residual
+    certificates hold (_certified): some eigenvalue of H then lies within
+    residual_norms[0] = |H x - theta x| of theta = eigenvalues_rel[0].
+    Otherwise spectrum is None and reason is _track_pair's, or
+    "convergence" for a failed certificate.  track_dominant and
+    block.nearest_eigenvalue take their pairs from here.
     """
-    reason, steps, pair = _track_pair(H, basis, coords, predictions[-1], start)
+    with capped_blas_threads(1 if len(basis) <= SERIAL_TRACK_BASIS else None):
+        reason, steps, pair = _track_pair(H, basis, coords, sigma, start, stop)
     if reason is not None:
         return reason, steps, None
     theta, x, Hx = pair
     try:
-        spectrum = _certified(basis, t, l, shift, np.array([theta]), x[:, None], Hx[:, None])
+        return None, steps, _certified(basis, t, l, shift, np.array([theta]), x[:, None], Hx[:, None])
     except ConvergenceFailure:
         return "convergence", steps, None
-    if any(abs(theta - p) >= halfwidth for p in predictions):
-        return "window", steps, None
-    return None, steps, spectrum
 
 
 def _track_pair(H: WindowOperator, basis: PlanewaveBasis, coords, sigma: float, start=None,
@@ -581,8 +582,8 @@ def _track_pair(H: WindowOperator, basis: PlanewaveBasis, coords, sigma: float, 
     coords: on gamma0 that makes it the window's dominant pair (see
     BlochSpectrum.dominant_index); on a whole block it always holds.
     Otherwise pair is None and reason is "convergence" or "weight".  steps
-    counts the Davidson steps taken (matvecs, the final one aside).  The
-    caller certifies the pair.
+    counts the Davidson steps taken (matvecs, the final one aside).
+    _certified_pair, its one caller, certifies the pair.
     """
     accept = basis.positions(coords)
     norm1 = H.one_norm()

@@ -277,21 +277,21 @@ def load_potential(path, lattice: LatticeModel, smoothness: float = 0.0) -> Four
     return FourierPotential.from_records(lattice, records, smoothness)
 
 
-def cosine_pair(lattice: LatticeModel, coords, amplitude: float = 1.0, smoothness: float = 0.0) -> FourierPotential:
+def cosine_pair(lattice: LatticeModel, coords, amplitude: float = 1.0) -> FourierPotential:
     """amplitude * 2 cos((gamma, x)) as the pair q_{+gamma} = q_{-gamma} = amplitude."""
     coords = tuple(int(c) for c in coords)
     neg = tuple(-c for c in coords)
-    return FourierPotential(lattice, {coords: amplitude, neg: amplitude}, smoothness)
+    return FourierPotential(lattice, {coords: amplitude, neg: amplitude})
 
 
-def cosine_sum(lattice: LatticeModel, coords_list, amplitude: float = 1.0, smoothness: float = 0.0) -> FourierPotential:
+def cosine_sum(lattice: LatticeModel, coords_list, amplitude: float = 1.0) -> FourierPotential:
     table = {}
     for coords in coords_list:
         coords = tuple(int(c) for c in coords)
         table[coords] = table.get(coords, 0j) + amplitude
         neg = tuple(-c for c in coords)
         table[neg] = table.get(neg, 0j) + amplitude
-    return FourierPotential(lattice, table, smoothness)
+    return FourierPotential(lattice, table)
 
 
 def random_potential(seed: int, d: int, support_radius: float, s: float, norm_budget: float,

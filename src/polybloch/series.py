@@ -167,12 +167,11 @@ def evaluate_series(a_rel: float, v, l: int, q: FourierPotential, k: int,
     )
 
 
-def s_k(a: float, v, l: int, q: FourierPotential, k: int,
-        pool_radius: float | None = None, min_denominator: float | None = None) -> float:
+def s_k(a: float, v, l: int, q: FourierPotential, k: int, pool_radius: float | None = None) -> float:
     """Single S_k at the absolute spectral parameter a."""
     v = np.asarray(v, dtype=float)
     a_rel = float(a) - float(v @ v) ** l
-    ev = evaluate_series(a_rel, v, l, q, k, pool_radius, min_denominator)
+    ev = evaluate_series(a_rel, v, l, q, k, pool_radius)
     return ev.values[-1]
 
 
@@ -207,13 +206,14 @@ class KnownPartExpansion:
 
 
 def known_part_sequence(v, l: int, q: FourierPotential, cascade: ParameterCascade | None = None,
-                        k_max: int | None = None, pool_radius: float | None = None,
-                        min_denominator: float | None = None) -> KnownPartExpansion:
+                        k_max: int | None = None) -> KnownPartExpansion:
     """Run the recursion F_s = A_s(|v|^{2l} + F_{s-1}) up to k_max.
 
-    The caller is responsible for v being non-resonant under the active
-    mode; a SmallDenominator escape is the numerical symptom of a violated
-    precondition.
+    The series pool is the cascade's (series_pool_radius), or q's whole
+    support without a cascade; each evaluation has evaluate_series's
+    default denominator floor.  The caller is responsible for v being
+    non-resonant under the active mode; a SmallDenominator escape is the
+    numerical symptom of a violated precondition.
     """
     v = np.asarray(v, dtype=float)
     if k_max is None:
@@ -223,13 +223,12 @@ def known_part_sequence(v, l: int, q: FourierPotential, cascade: ParameterCascad
     cap = MAX_SERIES_ORDER if cascade is None else cascade.series_cap()
     if k_max > cap:
         raise ValueError(f"k_max = {k_max} exceeds the cap {cap}")
-    if pool_radius is None and cascade is not None:
-        pool_radius = cascade.series_pool_radius()
+    pool_radius = None if cascade is None else cascade.series_pool_radius()
     base = float(v @ v) ** l
     f_values = [0.0]
     evaluations = []
     for s in range(1, k_max + 1):
-        ev = evaluate_series(f_values[s - 1], v, l, q, s, pool_radius, min_denominator)
+        ev = evaluate_series(f_values[s - 1], v, l, q, s, pool_radius)
         f_values.append(ev.total)
         evaluations.append(ev)
     return KnownPartExpansion(
@@ -310,16 +309,15 @@ def required_window_radius(q: FourierPotential, cascade: ParameterCascade) -> fl
 
 
 def order_sweep(lattice: LatticeModel, l: int, q: FourierPotential, centers, k_list,
-                cascade: ParameterCascade, window_radius: float | None = None,
-                refine: bool = True, min_denominator: float | None = None) -> SweepTable:
+                cascade: ParameterCascade, window_radius: float | None = None) -> SweepTable:
     """Error table |Lambda_N - P_k| over a family of centers with |v| = rho_j.
 
     Centers must be non-resonant with margins bounded away from zero
     uniformly (fixed irrational-slope directions achieve this).  Each
-    center's oracle solve is track_dominant: the one pair dominated by
-    gamma0, which match_eigenvalue picks for every order, or when tracking
-    is refused the counted pairs within the matching half-width of some
-    prediction.
+    center's oracle solve is track_dominant, certified on the 1.5x window:
+    the one pair dominated by gamma0, which match_eigenvalue picks for
+    every order, or when tracking is refused the counted pairs within the
+    matching half-width of some prediction.
     """
     k_list = sorted(set(int(k) for k in k_list))
     if min(k_list) < 1:
@@ -332,11 +330,10 @@ def order_sweep(lattice: LatticeModel, l: int, q: FourierPotential, centers, k_l
     for v in centers:
         v = np.asarray(v, dtype=float)
         rho_j = float(np.linalg.norm(v))
-        expansion = known_part_sequence(v, l, q, cascade, k_max=k_max,
-                                        min_denominator=min_denominator)
+        expansion = known_part_sequence(v, l, q, cascade, k_max=k_max)
         gamma0, _ = lattice.reduce(v)
         preds = [expansion.prediction_rel(k) for k in k_list]
-        spectrum = track_dominant(lattice, l, q, v, window, preds, halfwidth, refine=refine)
+        spectrum = track_dominant(lattice, l, q, v, window, preds, halfwidth, refine=True)
         diagnostics.append(spectrum.diagnostics)
         for k, pred_rel in zip(k_list, preds):
             match = match_eigenvalue(spectrum, gamma0.coords, pred_rel, halfwidth)

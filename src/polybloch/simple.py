@@ -7,8 +7,10 @@ competitor's known part (non-resonant competitors) or block eigenvalue
 (resonant competitors), the competitors being the gamma' whose free energy
 lands within a third of the level-1 threshold of F(v).
 
-The coefficient predictions A_k(offset) are path sums of series' walk
-started at -offset (series._path_sums), one walk per offset for all orders.
+The coefficient predictions A_1 .. A_k(offset) of coefficient_prediction
+and bloch_verify come from one helper (_coefficient_orders): path sums of
+series' walk started at -offset (series._path_sums), A_1 at the free level
+and every higher order from one walk at the known part.
 """
 
 from __future__ import annotations
@@ -43,13 +45,10 @@ class KnownPart:
         self.center.setflags(write=False)
 
 
-def known_part(v, l: int, q: FourierPotential, cascade: ParameterCascade,
-               order: int | None = None, min_denominator: float | None = None) -> KnownPart:
-    """F(v) = |v|^{2l} + F_{K-1}(v); K defaults to the cascade's known order."""
-    if order is None:
-        order = cascade.known_order()
-    expansion = known_part_sequence(v, l, q, cascade, k_max=order,
-                                    min_denominator=min_denominator)
+def known_part(v, l: int, q: FourierPotential, cascade: ParameterCascade) -> KnownPart:
+    """F(v) = |v|^{2l} + F_{K-1}(v), K the cascade's known order."""
+    order = cascade.known_order()
+    expansion = known_part_sequence(v, l, q, cascade, k_max=order)
     return KnownPart(
         center=np.asarray(v, dtype=float).copy(), degree=l, order=order,
         value=expansion.known_part(), value_rel=expansion.known_part_rel(),
@@ -108,8 +107,7 @@ class SimplicityReport:
 
 
 def check_simplicity(lattice: LatticeModel, v, cascade: ParameterCascade, l: int,
-                     q: FourierPotential, order: int | None = None,
-                     min_denominator: float | None = None) -> SimplicityReport:
+                     q: FourierPotential) -> SimplicityReport:
     """Margins of the two simplicity conditions for every competitor.
 
     A non-resonant competitor's margin is |F(v) - F(x)| - 2 eps1, with x its
@@ -136,7 +134,7 @@ def check_simplicity(lattice: LatticeModel, v, cascade: ParameterCascade, l: int
     if verdict.is_resonant:
         raise PreconditionError("center must be non-resonant for the simplicity test")
     gamma0, t = lattice.split(v)
-    center = known_part(v, l, q, cascade, order=order, min_denominator=min_denominator)
+    center = known_part(v, l, q, cascade)
     eps1 = cascade.eps1
     entries = []
     for gamma, cls in k_set(lattice, v, t, cascade, l, q, f_value=center.value, pool=pool):
@@ -151,7 +149,7 @@ def check_simplicity(lattice: LatticeModel, v, cascade: ParameterCascade, l: int
                 margin=float(abs(value - center.value) - 2 * eps1), diagnostics=diagnostics,
             ))
         else:
-            rival = known_part(x, l, q, cascade, order=order, min_denominator=min_denominator)
+            rival = known_part(x, l, q, cascade)
             entries.append(CompetitorMargin(
                 coords=gamma.coords, level=0, kind="known-part",
                 competitor_value=rival.value,
@@ -178,20 +176,28 @@ def _reachable_offsets(q: FourierPotential, max_steps: int) -> np.ndarray:
     return offsets[np.any(offsets != 0, axis=1)]
 
 
-def coefficient_prediction(v, l: int, q: FourierPotential, offset, k: int,
-                           known_rel: float = 0.0) -> complex:
-    """Order-k coefficient prediction A_k(offset) for the eigenvector row.
+def _coefficient_orders(v: np.ndarray, l: int, q: FourierPotential, pool, offset, k: int,
+                        known_rel: float) -> list[complex]:
+    """A_1 .. A_k(offset), path sums of series' walk started at -offset (pool: series._series_pool's).
 
-    A_1 is q_offset over the free denominator |v|^{2l} - |v + offset|^{2l};
-    A_k, k >= 2, sums the chains of k-1 further support steps against the
-    known part |v|^{2l} + known_rel.  A_k is depth k-1 of series' path-sum
-    walk started at -offset; SmallDenominator on an exactly zero
-    denominator.
+    A_1 is q_offset over the free denominator |v|^{2l} - |v + offset|^{2l}
+    (depth 0 of the walk at the free level); A_j, j >= 2, sums the chains
+    of j-1 further support steps against the known part |v|^{2l} +
+    known_rel (depth j-1 of one walk at that level).  SmallDenominator on
+    an exactly zero denominator.
     """
     start = tuple(-int(c) for c in offset)
-    rel = 0.0 if k == 1 else known_rel
+    orders = _path_sums(0.0, v, l, q, pool, 0, 0.0, start=start)[0]
+    if k >= 2:
+        orders += _path_sums(known_rel, v, l, q, pool, k - 1, 0.0, start=start)[0][1:]
+    return orders
+
+
+def coefficient_prediction(v, l: int, q: FourierPotential, offset, k: int,
+                           known_rel: float = 0.0) -> complex:
+    """Order-k coefficient prediction A_k(offset) for the eigenvector row (see _coefficient_orders)."""
     _, pool = _series_pool(q, None)
-    return _path_sums(rel, np.asarray(v, dtype=float), l, q, pool, k - 1, 0.0, start=start)[0][k - 1]
+    return _coefficient_orders(np.asarray(v, dtype=float), l, q, pool, offset, k, known_rel)[-1]
 
 
 @dataclass(frozen=True)
@@ -239,12 +245,8 @@ def bloch_verify(spectrum: BlochSpectrum, n: int, gamma, order: int, q: FourierP
     _, pool = _series_pool(q, None)
 
     def predictions(offset) -> list[complex]:
-        """A_1 .. A_{max(order, 2) - 1} (coefficient_prediction): A_1, then the rest from one walk."""
-        start = tuple(-int(c) for c in offset)
-        first = _path_sums(0.0, v, l, q, pool, 0, 0.0, start=start)[0]
-        if order <= 2:
-            return first
-        return first + _path_sums(known_rel, v, l, q, pool, order - 2, 0.0, start=start)[0][1:]
+        """A_1 .. A_{max(order, 2) - 1}."""
+        return _coefficient_orders(v, l, q, pool, offset, max(order - 1, 1), known_rel)
 
     rows = []
     for g in q.support:

@@ -15,7 +15,7 @@ import itertools
 
 import numpy as np
 
-from polybloch.numerics import integer_rank, power_difference
+from polybloch.numerics import integer_rank
 
 TWO_PI = 2 * np.pi
 BALL_REL_TOL = 1e-9
@@ -135,15 +135,13 @@ def former_index_set(lattice, gamma0, directions, b_radius, a_radius):
     return offsets[np.lexsort(keys)] + np.asarray(gamma0, dtype=np.int64)
 
 
-def membership_profile(lattice, x, cascade, degree=1):
+def membership_profile(lattice, x, cascade):
     """(pool, distances, flags) of geometry.membership_profile, the pool as enumerate_ball LatticeVectors."""
     pool = lattice.enumerate_ball(cascade.direction_pool_radius())
     x = np.asarray(x, dtype=float)
     pool_matrix = np.array([g.embedding for g in pool]).reshape(-1, len(x))
     pool_norm_sq = np.array([float(g.embedding @ g.embedding) for g in pool])
-    a_val = float(x @ x)
-    first = 2.0 * (pool_matrix @ x) + pool_norm_sq
-    dists = np.abs(first) if degree == 1 else np.abs(power_difference(first, a_val + first, a_val, degree))
+    dists = np.abs(2.0 * (pool_matrix @ x) + pool_norm_sq)
     flags = []
     for k in range(1, cascade.d + 1):
         idx = np.nonzero(dists < cascade.v_threshold(k))[0]
@@ -151,14 +149,14 @@ def membership_profile(lattice, x, cascade, degree=1):
     return pool, dists, flags
 
 
-def classify_level(lattice, x, cascade, degree=1):
+def classify_level(lattice, x, cascade):
     """(level, witness coords, margins, min_pool_margin) of geometry.classify from membership_profile above.
 
     level is None where E_d reaches x; the witnesses are the greedy
     independent tuple in coordinate-tuple order, fewer than level when the
     search runs out (classify raises PartitionBreakdown in both cases).
     """
-    pool, dists, flags = membership_profile(lattice, x, cascade, degree)
+    pool, dists, flags = membership_profile(lattice, x, cascade)
     min_pool_margin = float(np.min(dists - cascade.v_threshold(1))) if len(dists) else float("inf")
     member = [True] + flags
     level = next((k for k in range(cascade.d - 1, -1, -1) if member[k] and not member[k + 1]), None)

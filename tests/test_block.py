@@ -396,7 +396,7 @@ class TestNearestEigenvalue:
         target = dense.shift + 0.5 * (mu[10] + mu[11]) - 1e-3
         second = 11
         pair = (mu[second], W[:, second], H @ W[:, second])
-        monkeypatch.setattr(block, "_track_pair", lambda H_, basis, coords, sigma, stop: (None, 7, pair))
+        monkeypatch.setattr(oracle, "_track_pair", lambda H_, basis, coords, sigma, start, stop: (None, 7, pair))
         value, diag = nearest_eigenvalue(index_set, 1, q, target)
         assert diag == {"eigensolver": "dense", "dense_fallback_reason": "count", "inertia_count": 1,
                         "block_size": index_set.size, "real_symmetric": False, "track_steps": 7}
@@ -411,7 +411,7 @@ class TestNearestEigenvalue:
         x = W[:, 10] + 1e-3 * W[:, 11]
         x /= np.linalg.norm(x)
         pair = (float(np.real(np.vdot(x, H @ x))), x, H @ x)
-        monkeypatch.setattr(block, "_track_pair", lambda H_, basis, coords, sigma, stop: (None, 7, pair))
+        monkeypatch.setattr(oracle, "_track_pair", lambda H_, basis, coords, sigma, start, stop: (None, 7, pair))
         value, diag = nearest_eigenvalue(index_set, 1, q, dense.shift + mu[10])
         assert diag == {"eigensolver": "dense", "dense_fallback_reason": "count", "inertia_count": None,
                         "block_size": index_set.size, "real_symmetric": False, "track_steps": 7}
@@ -420,8 +420,8 @@ class TestNearestEigenvalue:
     def test_arpack_no_convergence_takes_count_guard(self, z2, monkeypatch):
         # a tracked solve that does not converge within the step cap
         q, index_set, dense = self.generic_block(z2)
-        monkeypatch.setattr(block, "_track_pair",
-                            lambda H, basis, coords, sigma, stop: ("convergence", oracle._TRACK_STEPS, None))
+        monkeypatch.setattr(oracle, "_track_pair",
+                            lambda H, basis, coords, sigma, start, stop: ("convergence", oracle._TRACK_STEPS, None))
         value, diag = nearest_eigenvalue(index_set, 1, q, dense.shift)
         assert diag == {"eigensolver": "dense", "dense_fallback_reason": "count", "inertia_count": None,
                         "block_size": index_set.size, "real_symmetric": False, "track_steps": oracle._TRACK_STEPS}
@@ -509,8 +509,8 @@ def test_workload_shaped_blocks_are_answered_sparse(z2, seed, monkeypatch):
     # float64 on the even translate, and its count answer every block of the first
     # centers' competitors, at the dense value
     dtypes = []
-    track_pair = block._track_pair
-    monkeypatch.setattr(block, "_track_pair",
+    track_pair = oracle._track_pair
+    monkeypatch.setattr(oracle, "_track_pair",
                         lambda H, *args, **kw: (dtypes.append(H.dtype), track_pair(H, *args, **kw))[1])
     q = workload_table(seed, z2)
     cascade = scaled_cascade(20.0, known_order=2)

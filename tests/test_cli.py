@@ -224,6 +224,22 @@ class TestOtherCommands:
         payload = json.loads((tmp_path / "out" / "bloch.json").read_text())
         assert payload["result"][0]["weight"] > 0.99
 
+    def test_bloch_tracks_the_dominant_pair_without_a_dense_window_solve(self, tmp_path, monkeypatch):
+        # the pair comes from track_dominant: the only eigh calls are Davidson's
+        # Rayleigh-Ritz solves, of at most _TRACK_STEPS rows, and no dense window eigh
+        sizes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: (sizes.append(len(a)), eigh(a, *args, **kw))[1])
+        args = ["bloch", "-c", str(REPO / "configs" / "cosine_sweep.yaml"), "-o", str(tmp_path)]
+        assert main(args) == 0
+        assert sizes and max(sizes) <= oracle._TRACK_STEPS
+        (row,) = json.loads((tmp_path / "bloch.json").read_text())["result"]
+        diag = row["diagnostics"]
+        assert diag["eigensolver"] == "tracked" and diag["tracking_refused"] is None
+        assert diag["pairs_solved"] == 2 and len(diag["track_steps"]) == 2
+        assert 0 <= diag["certificate_move"] < 1e-9 and 0 < diag["worst_residual"] < 1e-8
+        assert row["weight"] > 0.99
+
     def test_bands_and_gaps(self, tmp_path):
         extra = (
             "bands:\n  grid: [8, 8]\n  n_bands: 12\n  basis_radius: 5.0\n"

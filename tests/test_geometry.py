@@ -237,7 +237,7 @@ POOL_LATTICES = {
 
 @st.composite
 def pool_points(draw):
-    """A lattice, a scaled cascade, its direction pool, a degree and a point in or near the annulus,
+    """A lattice, a scaled cascade, its direction pool and a point in or near the annulus,
     moved onto up to d - 1 pool planes |x + g| = |x| in one draw in two."""
     lattice = pb.LatticeModel(2 * np.pi * POOL_LATTICES[draw(st.sampled_from(sorted(POOL_LATTICES)))])
     d = lattice.dimension
@@ -252,25 +252,25 @@ def pool_points(draw):
     if draw(st.booleans()):
         G = pool.embeddings[draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=d - 1, unique=True))]
         x = x + np.linalg.lstsq(G, -0.5 * np.vecdot(G, G) - G @ x, rcond=None)[0]
-    return lattice, cas, pool, x, draw(st.sampled_from([1, 2]))
+    return lattice, cas, pool, x
 
 
 @settings(max_examples=150, deadline=None)
 @given(pool_points())
 def test_pool_index_set_classifies_as_the_lattice_vector_list(case):
-    lattice, cas, pool, x, degree = case
-    want_pool, want_dists, want_flags = ref.membership_profile(lattice, x, cas, degree)
-    got_pool, dists, flags = membership_profile(lattice, x, cas, pool=pool, degree=degree)
+    lattice, cas, pool, x = case
+    want_pool, want_dists, want_flags = ref.membership_profile(lattice, x, cas)
+    got_pool, dists, flags = membership_profile(lattice, x, cas, pool=pool)
     assert got_pool is pool and [tuple(c) for c in pool.coords.tolist()] == [g.coords for g in want_pool]
     assert dists.tobytes() == want_dists.tobytes() and flags == want_flags
     if not in_shell(x, cas.rho):
         return
-    level, witnesses, margins, min_pool_margin = ref.classify_level(lattice, x, cas, degree)
+    level, witnesses, margins, min_pool_margin = ref.classify_level(lattice, x, cas)
     if level is None or len(witnesses) < level:
         with pytest.raises(PartitionBreakdown):
-            pb.classify(lattice, x, cas, pool=pool, degree=degree)
+            pb.classify(lattice, x, cas, pool=pool)
         return
-    verdict = pb.classify(lattice, x, cas, pool=pool, degree=degree)
+    verdict = pb.classify(lattice, x, cas, pool=pool)
     assert (verdict.level, verdict.margins, verdict.min_pool_margin) == (level, margins, min_pool_margin)
     assert tuple(g.coords for g in verdict.directions) == witnesses
     for g in verdict.directions:
@@ -306,3 +306,12 @@ def test_integer_rank_exact():
     assert integer_rank([(2, 4), (1, 2)]) == 1
     assert integer_rank([(1, 1, 0), (0, 1, 1), (1, 0, -1)]) == 2
     assert integer_rank([]) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda d: st.lists(st.lists(st.integers(-5, 5), min_size=d, max_size=d), min_size=1, max_size=4)))
+def test_integer_rank_is_the_rank_of_the_matrix(rows):
+    # the rank is the size of the unimodular reduction's basis; on these small
+    # integer matrices numpy's SVD rank is exact
+    assert integer_rank(rows) == np.linalg.matrix_rank(np.array(rows, dtype=float))

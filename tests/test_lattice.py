@@ -268,11 +268,10 @@ class TestReduce:
         assert z2.split(v)[0].coords == z2.reduce(v)[0].coords
 
     def test_oracle_and_block_reject_a_non_lattice_offset(self, z2):
-        # v - t = (5.0, 3.95) is not a dual lattice vector
+        # v - t = (5.0, 3.95) is not a dual lattice vector; the oracle's windows split v by the same split
         v, t = np.array([5.3, 4.2]), np.array([0.3, 0.25])
-        q = pb.cosine_pair(z2, (1, 0), 0.1)
         with pytest.raises(ValueError, match="v - t is not a dual lattice vector"):
-            pb.bloch_solve(z2, 1, q, v, 4.0, t=t)
+            z2.split(v, t)
         with pytest.raises(ValueError, match="v - t is not a dual lattice vector"):
             pb.build_index_set(z2, v, [z2.vector((1, 0))], b_radius=1.0, a_radius=1.0, t=t)
 

@@ -178,16 +178,19 @@ class TestWindowedSolve:
             pb.bloch_solve(z2, 1, q, v, 1.4, refine=True)
 
     def test_center_not_on_lattice_rejected(self, z2):
+        # bloch_solve takes t from lattice.split(v); a given t goes through the same split
         with pytest.raises(ValueError, match="own index"):
-            pb.bloch_solve(z2, 1, FourierPotential(z2, {}), [5.3, 4.2], 3.0, t=np.array([0.1, 0.1]))
+            pb.build_index_set(z2, [5.3, 4.2], [z2.vector((1, 0))], b_radius=1.0, a_radius=1.0,
+                               t=np.array([0.1, 0.1]))
 
     def test_center_1e6_off_the_lattice_is_a_precondition_error(self, z2):
         v = np.array([5.3, 4.2])
         t = v - np.array([5.0, 4.0]) + np.array([1e-6, 0.0])
         with pytest.raises(PreconditionError, match="not a dual lattice vector"):
-            pb.bloch_solve(z2, 1, FourierPotential(z2, {}), v, 3.0, t=t)
+            z2.split(v, t)
         # the exact split puts gamma0 in every window of radius >= 0
-        assert pb.bloch_solve(z2, 1, FourierPotential(z2, {}), v, 0.0, t=t - [1e-6, 0.0]).diagnostics["basis_size"] == 1
+        gamma0, t = z2.split(v, t - [1e-6, 0.0])
+        assert PlanewaveBasis.window(z2, t, v, 0.0).coords.tolist() == [list(gamma0.coords)]
 
     def test_negative_window_is_a_precondition_error(self, z2):
         with pytest.raises(PreconditionError, match="window excludes the center's own index"):
@@ -431,8 +434,9 @@ class TestTrackedSolve:
         if tracked.diagnostics["eigensolver"] != "tracked":
             return
         H = pb.assemble(l, q, tracked.t, tracked.basis, shift_center=v, sparse=True)
-        reason, steps, cold = oracle._tracked_window(H, tracked.basis, tracked.t, l, tracked.shift, gamma0, preds,
-                                                     hw)
+        reason, steps, cold = oracle._certified_pair(H, tracked.basis, tracked.t, l, tracked.shift, gamma0, preds[-1])
+        if reason is None and any(abs(cold.relative_eigenvalue(0) - p) >= hw for p in preds):
+            reason = "window"
         event(f"cold start refused: {reason}")
         if reason is not None:  # test_tracked_matches_dense checks the warm pair against the dense solve
             return
