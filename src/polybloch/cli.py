@@ -19,7 +19,7 @@ from . import scanner, series, simple
 from .config import ExperimentConfig, csv_header_line, write_json
 from .errors import ConfigError, SpectralError
 from .geometry import classify, inequality_report
-from .oracle import bloch_solve, track_dominant
+from .oracle import bloch_solve
 
 
 def _log(args, *message):
@@ -191,9 +191,7 @@ def cmd_bloch(cfg: ExperimentConfig, args) -> int:
         cas = cfg.cascade(sec["rho"] or float(np.linalg.norm(v)))
         window = sec["window_radius"] or series.required_window_radius(q, cas)
         # the pair dominated by gamma0, matched as in verify against P_1 .. P_K
-        expansion = series.known_part_sequence(v, cfg.degree, q, cas, k_max=cas.known_order())
-        predictions = [expansion.prediction_rel(k) for k in range(1, expansion.order + 1)]
-        spectrum = track_dominant(lat, cfg.degree, q, v, window, predictions, cas.matching_halfwidth(), refine=True)
+        _, spectrum = series.track_center(lat, cfg.degree, q, v, cas, window, range(1, cas.known_order() + 1))
         gamma0, _ = lat.reduce(v)
         n = spectrum.dominant_index(gamma0.coords)
         report = simple.bloch_verify(spectrum, n, gamma0.coords, sec["order"], q)

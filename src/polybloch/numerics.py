@@ -41,32 +41,46 @@ def relative_energies(v, points, l: int) -> np.ndarray:
     return power_difference(first, b + first, b, l)
 
 
+def _reduce_rows(m: list[list[int]], n_cols: int) -> int:
+    """Euclid's unimodular reduction of the integer rows m, in place, down their first n_cols columns.
+
+    Row operations act on whole rows.  Returns the rank r: m[:r] are
+    independent on those columns, and m[r:] vanish there.
+    """
+    r = 0
+    for c in range(n_cols):
+        while True:  # Euclid down column c
+            live = [i for i in range(r, len(m)) if m[i][c]]
+            if not live or live[-1] == r:
+                break
+            p = min(live, key=lambda i: abs(m[i][c]))
+            m[r], m[p] = m[p], m[r]
+            for i in live:
+                if i > r and (f := m[i][c] // m[r][c]):
+                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        if live:
+            r += 1
+    return r
+
+
 def integer_row_basis(rows) -> tuple[list[list[int]], list[list[int]]]:
     """A basis of the lattice the integer rows generate, by unimodular row reduction.
 
     Returns (basis, combos) with basis[i] = sum_j combos[i][j] rows[j]; the
     basis rows are independent, and every input row is an integer
-    combination of them.
+    combination of them.  combos is the reduction of the identity columns.
     """
     m = [[int(x) for x in row] for row in rows]
-    u = [[int(i == j) for j in range(len(m))] for i in range(len(m))]
-    r = 0
-    for c in range(len(m[0]) if m else 0):
-        while any(m[i][c] for i in range(r + 1, len(m))):  # Euclid down column c
-            p = min((i for i in range(r, len(m)) if m[i][c]), key=lambda i: abs(m[i][c]))
-            m[r], m[p], u[r], u[p] = m[p], m[r], u[p], u[r]
-            for i in range(r + 1, len(m)):
-                f = m[i][c] // m[r][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-                u[i] = [a - f * b for a, b in zip(u[i], u[r])]
-        if r < len(m) and m[r][c]:
-            r += 1
-    return m[:r], u[:r]
+    d = len(m[0]) if m else 0
+    m = [row + [int(i == j) for j in range(len(m))] for i, row in enumerate(m)]
+    r = _reduce_rows(m, d)
+    return [row[:d] for row in m[:r]], [row[d:] for row in m[:r]]
 
 
 def integer_rank(rows) -> int:
-    """Exact rank over the rationals of an integer matrix: the size of integer_row_basis's basis."""
-    return len(integer_row_basis(rows)[0])
+    """Exact rank over the rationals of an integer matrix: integer_row_basis's reduction, without the combos."""
+    m = [[int(x) for x in row] for row in rows]
+    return _reduce_rows(m, len(m[0]) if m else 0)
 
 
 def loglog_slope(xs, ys) -> float:

@@ -308,21 +308,34 @@ def required_window_radius(q: FourierPotential, cascade: ParameterCascade) -> fl
     return q.support_radius * (cascade.p1 + 2)
 
 
+def track_center(lattice: LatticeModel, l: int, q: FourierPotential, v, cascade: ParameterCascade,
+                 window_radius: float, k_list) -> tuple[KnownPartExpansion, BlochSpectrum]:
+    """v's known parts up to order max(k_list), and track_dominant's pair dominated by gamma0.
+
+    The pair is solved on the window and its 1.5x refinement, matched against
+    P_k, k in k_list, within the cascade's matching half-width.  order_sweep
+    and the bloch command solve each center here.
+    """
+    expansion = known_part_sequence(v, l, q, cascade, k_max=max(k_list))
+    predictions = [expansion.prediction_rel(k) for k in k_list]
+    return expansion, track_dominant(lattice, l, q, v, window_radius, predictions, cascade.matching_halfwidth(),
+                                     refine=True)
+
+
 def order_sweep(lattice: LatticeModel, l: int, q: FourierPotential, centers, k_list,
                 cascade: ParameterCascade, window_radius: float | None = None) -> SweepTable:
     """Error table |Lambda_N - P_k| over a family of centers with |v| = rho_j.
 
     Centers must be non-resonant with margins bounded away from zero
     uniformly (fixed irrational-slope directions achieve this).  Each
-    center's oracle solve is track_dominant, certified on the 1.5x window:
-    the one pair dominated by gamma0, which match_eigenvalue picks for
-    every order, or when tracking is refused the counted pairs within the
+    center is solved by track_center, certified on the 1.5x window: the
+    one pair dominated by gamma0, which match_eigenvalue picks for every
+    order, or when tracking is refused the counted pairs within the
     matching half-width of some prediction.
     """
     k_list = sorted(set(int(k) for k in k_list))
     if min(k_list) < 1:
         raise ValueError("orders must be >= 1")
-    k_max = max(k_list)
     min_window = required_window_radius(q, cascade)
     window = min_window if window_radius is None else max(window_radius, min_window)
     halfwidth = cascade.matching_halfwidth()
@@ -330,13 +343,11 @@ def order_sweep(lattice: LatticeModel, l: int, q: FourierPotential, centers, k_l
     for v in centers:
         v = np.asarray(v, dtype=float)
         rho_j = float(np.linalg.norm(v))
-        expansion = known_part_sequence(v, l, q, cascade, k_max=k_max)
+        expansion, spectrum = track_center(lattice, l, q, v, cascade, window, k_list)
         gamma0, _ = lattice.reduce(v)
-        preds = [expansion.prediction_rel(k) for k in k_list]
-        spectrum = track_dominant(lattice, l, q, v, window, preds, halfwidth, refine=True)
         diagnostics.append(spectrum.diagnostics)
-        for k, pred_rel in zip(k_list, preds):
-            match = match_eigenvalue(spectrum, gamma0.coords, pred_rel, halfwidth)
+        for k in k_list:
+            match = match_eigenvalue(spectrum, gamma0.coords, expansion.prediction_rel(k), halfwidth)
             rows.append(SweepRow(
                 rho=rho_j, k=k,
                 prediction=expansion.prediction(k),

@@ -433,13 +433,13 @@ class TestTrackedSolve:
             return
         if tracked.diagnostics["eigensolver"] != "tracked":
             return
-        H = pb.assemble(l, q, tracked.t, tracked.basis, shift_center=v, sparse=True)
-        reason, steps, cold = oracle._certified_pair(H, tracked.basis, tracked.t, l, tracked.shift, gamma0, preds[-1])
-        if reason is None and any(abs(cold.relative_eigenvalue(0) - p) >= hw for p in preds):
-            reason = "window"
-        event(f"cold start refused: {reason}")
-        if reason is not None:  # test_tracked_matches_dense checks the warm pair against the dense solve
+        # the unrefined solve on the 1.5x radius is that window's cold start, under the same prediction windows
+        cold = pb.track_dominant(lattice, l, q, v, radius * 1.5, preds, hw)
+        assert np.array_equal(cold.basis.coords, tracked.basis.coords)
+        event(f"cold start refused: {cold.diagnostics['tracking_refused']}")
+        if cold.diagnostics["eigensolver"] != "tracked":  # test_tracked_matches_dense checks the warm pair
             return
+        steps = cold.diagnostics["track_steps"][0]
         event(f"refined window steps, warm <= cold: {tracked.diagnostics['track_steps'][1] <= steps}")
         lam = cold.relative_eigenvalue(0)
         assert abs(tracked.relative_eigenvalue(0) - lam) <= 1e-12 * (1.0 + abs(lam))
