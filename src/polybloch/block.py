@@ -105,7 +105,7 @@ def build_index_set(lattice: LatticeModel, v, directions, cascade: ParameterCasc
     if a_radius is None:
         if cascade is None:
             raise PreconditionError("need a_radius or a cascade")
-        a_radius = cascade.block_a_radius()
+        a_radius = cascade.a_radius
     offsets = _offset_set(lattice, _span_combinations(directions, b_radius), float(a_radius))
     shift = np.asarray(gamma0.coords, dtype=np.int64)
     # h = gamma0 + offset orders lexicographically as the offsets do

@@ -76,7 +76,7 @@ def cmd_predict(cfg: ExperimentConfig, args) -> int:
     q = cfg.potential()
     sec = cfg.section("predict")
     cas = cfg.cascade(sec["rho"] or cfg.rho_list()[0])
-    k_max = sec["order"] or cas.known_order()
+    k_max = sec["order"] or cas.known_order
     results = []
     for v in sec["centers"]:
         exp = series.known_part_sequence(v, cfg.degree, q, cas, k_max=k_max)
@@ -190,11 +190,11 @@ def cmd_bloch(cfg: ExperimentConfig, args) -> int:
     for v in sec["centers"]:
         cas = cfg.cascade(sec["rho"] or float(np.linalg.norm(v)))
         window = sec["window_radius"] or series.required_window_radius(q, cas)
-        # the pair dominated by gamma0, matched as in verify against P_1 .. P_K
-        _, spectrum = series.track_center(lat, cfg.degree, q, v, cas, window, range(1, cas.known_order() + 1))
+        # the pair dominated by gamma0, matched as in verify against P_1 .. P_K; A_2 .. walk at F_K
+        expansion, spectrum = series.track_center(lat, cfg.degree, q, v, cas, window, range(1, cas.known_order + 1))
         gamma0, _ = lat.reduce(v)
         n = spectrum.dominant_index(gamma0.coords)
-        report = simple.bloch_verify(spectrum, n, gamma0.coords, sec["order"], q)
+        report = simple.bloch_verify(spectrum, n, gamma0.coords, sec["order"], q, expansion.known_part_rel())
         results.append({
             "center": [float(c) for c in v],
             "weight": report.weight,

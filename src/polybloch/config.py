@@ -190,7 +190,7 @@ def _build_potential(sec: dict, lattice: LatticeModel, smoothness: float, base_d
             return load_potential(base_dir / sec["file"], lattice, smoothness)
         if sec["coefficients"] is not None:
             return FourierPotential.from_records(lattice, sec["coefficients"], smoothness)
-        return random_potential(d=lattice.dimension, s=smoothness, lattice=lattice, **sec["generator"])
+        return random_potential(lattice=lattice, s=smoothness, **sec["generator"])
     except Exception as err:
         raise ConfigError(f"bad [potential]: {err}") from err
 

@@ -5,7 +5,12 @@ it lies within the level-k threshold of k linearly independent diffraction
 planes drawn from the short dual vectors; otherwise it is non-resonant.
 Theory mode uses the graded exponents alpha_k = 3^k / m; scaled mode keeps
 every set definition but substitutes caller-supplied thresholds, since the
-theory exponents are invisible at desk-scale rho.
+theory exponents are invisible at desk-scale rho.  derive_parameters
+resolves every cascade quantity once into a ParameterCascade field (the
+thresholds, block span radii, direction and series pool radii, known order
+and block translate radius): an override when given, else the theory
+expression, except that the series pool is q's whole support (None) in
+scaled mode.
 
 Variant single-plane sets that rescale the threshold by a constant bracket
 the parametrized form used here (the set at half the threshold is contained
@@ -39,9 +44,20 @@ def series_cap(d: int) -> int:
     return min(_k1(d), MAX_SERIES_ORDER)
 
 
+def _level_index(k: int, top: int) -> int:
+    """Index of level k in a per-level tuple of levels 1 .. top; ValueError outside them."""
+    if not 1 <= k <= top:
+        raise ValueError(f"level {k} outside 1..{top}")
+    return k - 1
+
+
 @dataclass(frozen=True)
 class ParameterCascade:
-    """Derived exponent bookkeeping for one (d, l, s, rho) experiment."""
+    """Derived exponent bookkeeping for one (d, l, s, rho) experiment.
+
+    derive_parameters resolves each radius, threshold and order once, from
+    its override or from the theory exponents; the fields hold the result.
+    """
 
     d: int
     l: int
@@ -55,42 +71,19 @@ class ParameterCascade:
     k1: int
     p1: int
     eps1: float
-    # scaled-mode overrides (None = derive from theory exponents)
-    v_thresholds: tuple[float, ...] | None = None  # per level 1 .. d+1
-    pool_radius_override: float | None = None
-    series_pool_radius_override: float | None = None
-    known_order_override: int | None = None
-    a_radius_override: float | None = None
+    v_thresholds: tuple[float, ...]  # resonance thresholds rho^alpha_k or stand-ins, levels 1 .. d+1
+    b_radii: tuple[float, ...]  # block span radii sqrt(threshold_{k+1}) / 2, levels 1 .. d
+    pool_radius: float  # direction pool radius p rho^alpha
+    series_pool_radius: float | None  # series summation pool radius rho^alpha; None = potential support
+    known_order: int  # order K of the known parts F_K, series_cap(d) unless overridden
+    a_radius: float  # block lattice-translate radius p1 rho^alpha
 
     def alpha_level(self, k: int) -> float:
-        if not 1 <= k <= self.d + 1:
-            raise ValueError(f"level {k} outside 1..{self.d + 1}")
-        return self.alpha_k[k - 1]
+        return self.alpha_k[_level_index(k, self.d + 1)]
 
     def v_threshold(self, k: int) -> float:
-        """Level-k resonance threshold (rho^alpha_k or its scaled stand-in)."""
-        if self.v_thresholds is not None:
-            return self.v_thresholds[k - 1]
-        return self.rho ** self.alpha_level(k)
-
-    def direction_pool_radius(self) -> float:
-        """Radius of the direction pool for the resonance sets (p rho^alpha)."""
-        if self.pool_radius_override is not None:
-            return self.pool_radius_override
-        return self.p * self.rho**self.alpha
-
-    def series_pool_radius(self) -> float | None:
-        """Radius of the series summation pool (rho^alpha); None = potential support."""
-        if self.series_pool_radius_override is not None:
-            return self.series_pool_radius_override
-        if self.mode == "scaled":
-            return None
-        return self.rho**self.alpha
-
-    def known_order(self) -> int:
-        if self.known_order_override is not None:
-            return self.known_order_override
-        return self.series_cap()
+        """Level-k resonance threshold, k = 1 .. d+1."""
+        return self.v_thresholds[_level_index(k, self.d + 1)]
 
     def series_cap(self) -> int:
         """Highest series order evaluated: series_cap(d)."""
@@ -105,16 +98,8 @@ class ParameterCascade:
         return self.v_threshold(1) / 3.0
 
     def block_b_radius(self, k: int) -> float:
-        """Span-combination radius for the level-k block: rho^{alpha_{k+1}/2} / 2."""
-        if self.v_thresholds is not None:
-            return 0.5 * math.sqrt(self.v_thresholds[k])
-        return 0.5 * self.rho ** (0.5 * self.alpha_level(k + 1))
-
-    def block_a_radius(self) -> float:
-        """Lattice-translate radius for the block: p1 rho^alpha."""
-        if self.a_radius_override is not None:
-            return self.a_radius_override
-        return self.p1 * self.rho**self.alpha
+        """Span-combination radius of a level-k block, k = 1 .. d."""
+        return self.b_radii[_level_index(k, self.d)]
 
     def shrunk_shell(self) -> tuple[float, float]:
         """Annulus shrunk by rho^{alpha_1 - 1} (threshold / rho in scaled mode)."""
@@ -181,28 +166,39 @@ def derive_parameters(d: int, l: int, s: float, rho: float, mode: str = "theory"
     k1 = _k1(d)
     p1 = math.floor(p / 3) + 1
     eps1 = rho ** (-d - 2 * alpha)
+    rho = float(rho)
     v_thresholds = overrides.pop("v_thresholds", None)
-    if v_thresholds is not None:
+    if v_thresholds is None:
+        v_thresholds = tuple(rho**a for a in alpha_k)
+        b_radii = tuple(0.5 * rho ** (0.5 * a) for a in alpha_k[1:])
+    else:
         v_thresholds = tuple(float(x) for x in v_thresholds)
         if len(v_thresholds) != d + 1:
             raise ValueError(f"v_thresholds needs {d + 1} levels (1..d+1)")
         if any(b <= a for a, b in zip(v_thresholds, v_thresholds[1:])):
             raise ValueError("v_thresholds must be strictly increasing")
-    cascade = ParameterCascade(
-        d=d, l=l, s=float(s), rho=float(rho), mode=mode,
-        p=p, m=m, alpha=alpha, alpha_k=alpha_k, k1=k1, p1=p1, eps1=eps1,
-        v_thresholds=v_thresholds,
-        pool_radius_override=overrides.pop("pool_radius", None),
-        series_pool_radius_override=overrides.pop("series_pool_radius", None),
-        known_order_override=overrides.pop("known_order", None),
-        a_radius_override=overrides.pop("a_radius", None),
-    )
+        b_radii = tuple(0.5 * math.sqrt(x) for x in v_thresholds[1:])
+    pool_radius = overrides.pop("pool_radius", None)
+    series_pool_radius = overrides.pop("series_pool_radius", None)
+    if series_pool_radius is None and mode == "theory":
+        series_pool_radius = rho**alpha
+    known_order = overrides.pop("known_order", None)
+    a_radius = overrides.pop("a_radius", None)
     if overrides:
         raise ValueError(f"unknown overrides: {sorted(overrides)}")
-    known_order = cascade.known_order_override
-    if known_order is not None and (isinstance(known_order, bool) or not isinstance(known_order, numbers.Integral)
-                                    or not 1 <= known_order <= cascade.series_cap()):
-        raise ValueError(f"known_order must be an integer in 1..{cascade.series_cap()}: {known_order!r}")
+    if known_order is None:
+        known_order = series_cap(d)
+    elif isinstance(known_order, bool) or not isinstance(known_order, numbers.Integral) \
+            or not 1 <= known_order <= series_cap(d):
+        raise ValueError(f"known_order must be an integer in 1..{series_cap(d)}: {known_order!r}")
+    cascade = ParameterCascade(
+        d=d, l=l, s=float(s), rho=rho, mode=mode,
+        p=p, m=m, alpha=alpha, alpha_k=alpha_k, k1=k1, p1=p1, eps1=eps1,
+        v_thresholds=v_thresholds, b_radii=b_radii,
+        pool_radius=p * rho**alpha if pool_radius is None else pool_radius,
+        series_pool_radius=series_pool_radius, known_order=known_order,
+        a_radius=p1 * rho**alpha if a_radius is None else a_radius,
+    )
     if mode == "theory":
         for name, lhs, rhs, ok in inequality_report(cascade):
             if not ok:
@@ -234,7 +230,7 @@ class ResonanceClass:
 
 def direction_pool(lattice: LatticeModel, cascade: ParameterCascade) -> PlanewaveBasis:
     """The short directions behind the resonance sets: the index set of 0 < |gamma| < p rho^alpha."""
-    return PlanewaveBasis(lattice, lattice.ball_coords(cascade.direction_pool_radius()))
+    return PlanewaveBasis(lattice, lattice.ball_coords(cascade.pool_radius))
 
 
 def _plane_distances(x, pool_matrix: np.ndarray, pool_norm_sq: np.ndarray) -> np.ndarray:

@@ -199,9 +199,9 @@ class LatticeModel:
             inside &= np.any(box != 0, axis=1)
         return _ordered(box[inside], norm_sq[inside])
 
-    def enumerate_ball(self, radius: float, exclude_zero: bool = True) -> list[LatticeVector]:
-        """The rows of ball_coords(radius, exclude_zero) as LatticeVectors, in its order."""
-        coords = self.ball_coords(radius, exclude_zero)
+    def enumerate_ball(self, radius: float) -> list[LatticeVector]:
+        """The rows of ball_coords(radius), 0 excluded, as LatticeVectors, in its order."""
+        coords = self.ball_coords(radius)
         return [LatticeVector(tuple(c), e) for c, e in zip(coords.tolist(), self.embed(coords))]
 
     def enumerate_shifted_ball(self, center, radius: float) -> np.ndarray:

@@ -98,7 +98,7 @@ class BlochSpectrum:
     residual_norms: np.ndarray
     cluster_flags: np.ndarray
     eigenvalues_rel: np.ndarray = field(repr=False)
-    shift: float = 0.0
+    shift: float
     diagnostics: dict = field(default=None, repr=False, compare=False)  # set by bloch_solve and track_dominant
 
     def __post_init__(self):
@@ -232,7 +232,7 @@ def assemble(l: int, q: FourierPotential, t, basis, shift_center=None, sparse: b
     return WindowOperator(diagonal, columns, values)
 
 
-def diagonalize(H, basis: PlanewaveBasis, t, l: int, shift: float = 0.0) -> BlochSpectrum:
+def diagonalize(H, basis: PlanewaveBasis, t, l: int, shift: float) -> BlochSpectrum:
     """Full dense Hermitian eigensolve with residual and unit-norm certificates."""
     H = np.asarray(H)
     evals_rel, evecs = np.linalg.eigh(H)
@@ -435,13 +435,11 @@ def _inertia(ordered: _OrderedPattern, s: float, floor: float) -> int | None:
 
 
 def solve(lattice: LatticeModel, l: int, q: FourierPotential, t, basis: PlanewaveBasis,
-          shift_center=None) -> BlochSpectrum:
-    shift = 0.0
-    if shift_center is not None:
-        v = np.asarray(shift_center, dtype=float)
-        shift = float(v @ v) ** l
-    H = assemble(l, q, t, basis, shift_center=shift_center)
-    return diagonalize(H, basis, t, l, shift=shift)
+          shift_center) -> BlochSpectrum:
+    """Dense solve on basis, eigenvalues relative to |shift_center|^{2l} (see assemble)."""
+    v = np.asarray(shift_center, dtype=float)
+    H = assemble(l, q, t, basis, shift_center=v)
+    return diagonalize(H, basis, t, l, float(v @ v) ** l)
 
 
 def bloch_solve(lattice: LatticeModel, l: int, q: FourierPotential, v, window_radius: float,

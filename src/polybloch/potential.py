@@ -259,7 +259,7 @@ class FourierPotential:
     # -- serialization ------------------------------------------------
 
     @classmethod
-    def from_records(cls, lattice: LatticeModel, records, smoothness: float = 0.0) -> "FourierPotential":
+    def from_records(cls, lattice: LatticeModel, records, smoothness: float) -> "FourierPotential":
         table = {}
         for rec in records:
             coords = tuple(int(c) for c in rec["n"])
@@ -271,7 +271,7 @@ class FourierPotential:
         return pot
 
 
-def load_potential(path, lattice: LatticeModel, smoothness: float = 0.0) -> FourierPotential:
+def load_potential(path, lattice: LatticeModel, smoothness: float) -> FourierPotential:
     with open(path) as fh:
         records = json.load(fh)
     return FourierPotential.from_records(lattice, records, smoothness)
@@ -294,13 +294,11 @@ def cosine_sum(lattice: LatticeModel, coords_list, amplitude: float = 1.0) -> Fo
     return FourierPotential(lattice, table)
 
 
-def random_potential(seed: int, d: int, support_radius: float, s: float, norm_budget: float,
-                     lattice: LatticeModel | None = None) -> FourierPotential:
+def random_potential(seed: int, lattice: LatticeModel, support_radius: float, s: float,
+                     norm_budget: float) -> FourierPotential:
     """Deterministic random real potential with Sobolev weight <= norm_budget."""
     if support_radius < 1:
         raise ValueError("support_radius must be >= 1")
-    if lattice is None:
-        lattice = LatticeModel.cubic(d)
     rng = np.random.default_rng(seed)
     table = {}
     for coords in lattice.ball_coords(support_radius * (1 + 1e-12)).tolist():

@@ -256,12 +256,13 @@ class GapReport:
         return len(self.gaps)
 
 
-def gap_report(table: BandTable, e_min: float, e_max: float,
-               enforce_coverage: bool = True) -> GapReport:
+def gap_report(table: BandTable, e_min: float, e_max: float, enforce_coverage: bool) -> GapReport:
     """Open intervals inside [e_min, e_max] missed by every band range.
 
-    With enforce_coverage the top band's minimum must exceed e_max, so no
-    gap can hide above the scanned bands.
+    With enforce_coverage, as in stable_gap_report, the top band's minimum
+    must exceed e_max (InsufficientBands otherwise), so no gap can hide
+    above the scanned bands; without it the report lists what the table's
+    bands leave open, a partial answer.
     """
     mins = table.band_min
     maxs = table.band_max
@@ -304,8 +305,8 @@ def stable_gap_report(lattice: LatticeModel, l: int, q: FourierPotential, grid_c
     if e_max is None:
         top = float(fine.band_min[-1])
         e_max = top - 1e-3 * max(abs(top), 1.0)
-    g_coarse = gap_report(coarse, e_min, e_max)
-    g_fine = gap_report(fine, e_min, e_max)
+    g_coarse = gap_report(coarse, e_min, e_max, enforce_coverage=True)
+    g_fine = gap_report(fine, e_min, e_max, enforce_coverage=True)
     stable = g_coarse.gap_count == g_fine.gap_count
     if stable:
         for (a1, b1), (a2, b2) in zip(g_coarse.gaps, g_fine.gaps):

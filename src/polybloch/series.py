@@ -149,14 +149,15 @@ def _assert_real(value: complex, context: str) -> float:
 
 
 def evaluate_series(a_rel: float, v, l: int, q: FourierPotential, k: int,
-                    pool_radius: float | None = None,
-                    min_denominator: float | None = None) -> SeriesEvaluation:
-    """S_1 .. S_k at the spectral parameter |v|^{2l} + a_rel."""
+                    pool_radius: float | None = None) -> SeriesEvaluation:
+    """S_1 .. S_k at the spectral parameter |v|^{2l} + a_rel.
+
+    SmallDenominator at a denominator of size at most 1e-12 (1 + |a_rel|).
+    """
     if not 1 <= k <= MAX_SERIES_ORDER:
         raise PreconditionError(f"k = {k} outside the series orders 1..{MAX_SERIES_ORDER}")
     v = np.asarray(v, dtype=float)
-    if min_denominator is None:
-        min_denominator = 1e-12 * (1.0 + abs(a_rel))
+    min_denominator = 1e-12 * (1.0 + abs(a_rel))
     q_eff, pool = _series_pool(q, pool_radius)
     sums, floor, terms, admissible = _path_sums(a_rel, v, l, q_eff, pool, k, min_denominator)
     values = [_assert_real(sums[j], f"S_{j}") for j in range(1, k + 1)]
@@ -167,12 +168,11 @@ def evaluate_series(a_rel: float, v, l: int, q: FourierPotential, k: int,
     )
 
 
-def s_k(a: float, v, l: int, q: FourierPotential, k: int, pool_radius: float | None = None) -> float:
-    """Single S_k at the absolute spectral parameter a."""
+def s_k(a: float, v, l: int, q: FourierPotential, k: int) -> float:
+    """Single S_k at the absolute spectral parameter a, summed over q's whole support."""
     v = np.asarray(v, dtype=float)
     a_rel = float(a) - float(v @ v) ** l
-    ev = evaluate_series(a_rel, v, l, q, k, pool_radius)
-    return ev.values[-1]
+    return evaluate_series(a_rel, v, l, q, k).values[-1]
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,7 @@ def known_part_sequence(v, l: int, q: FourierPotential, cascade: ParameterCascad
 
     The series pool is the cascade's (series_pool_radius), or q's whole
     support without a cascade; each evaluation has evaluate_series's
-    default denominator floor.  The caller is responsible for v being
+    denominator floor.  The caller is responsible for v being
     non-resonant under the active mode; a SmallDenominator escape is the
     numerical symptom of a violated precondition.
     """
@@ -219,11 +219,11 @@ def known_part_sequence(v, l: int, q: FourierPotential, cascade: ParameterCascad
     if k_max is None:
         if cascade is None:
             raise ValueError("need k_max or a cascade")
-        k_max = cascade.known_order()
+        k_max = cascade.known_order
     cap = MAX_SERIES_ORDER if cascade is None else cascade.series_cap()
     if k_max > cap:
         raise ValueError(f"k_max = {k_max} exceeds the cap {cap}")
-    pool_radius = None if cascade is None else cascade.series_pool_radius()
+    pool_radius = None if cascade is None else cascade.series_pool_radius
     base = float(v @ v) ** l
     f_values = [0.0]
     evaluations = []

@@ -2,7 +2,7 @@
 verification, and isoenergetic surface sampling.
 
 A non-resonant point v is a simple-set member when its known part
-F(v) = |v|^{2l} + F_{K-1}(v) stays at least 2 eps1 away from every
+F(v) = |v|^{2l} + F_K(v) stays at least 2 eps1 away from every
 competitor's known part (non-resonant competitors) or block eigenvalue
 (resonant competitors), the competitors being the gamma' whose free energy
 lands within a third of the level-1 threshold of F(v).
@@ -46,8 +46,8 @@ class KnownPart:
 
 
 def known_part(v, l: int, q: FourierPotential, cascade: ParameterCascade) -> KnownPart:
-    """F(v) = |v|^{2l} + F_{K-1}(v), K the cascade's known order."""
-    order = cascade.known_order()
+    """F(v) = |v|^{2l} + F_K(v), K the cascade's known order (the expansion's last F_s)."""
+    order = cascade.known_order
     expansion = known_part_sequence(v, l, q, cascade, k_max=order)
     return KnownPart(
         center=np.asarray(v, dtype=float).copy(), degree=l, order=order,
@@ -57,20 +57,19 @@ def known_part(v, l: int, q: FourierPotential, cascade: ParameterCascade) -> Kno
 
 
 def k_set(lattice: LatticeModel, v, t, cascade: ParameterCascade, l: int, q: FourierPotential,
-          f_value: float | None = None, pool=None,
-          window: float | None = None) -> list[tuple[LatticeVector, ResonanceClass]]:
-    """Competitors gamma' with | F(v) - |gamma'+t|^{2l} | below threshold/3.
+          f_value: float | None = None, pool=None) -> list[tuple[LatticeVector, ResonanceClass]]:
+    """Competitors gamma' with | F(v) - |gamma'+t|^{2l} | below the cascade's k_window().
 
-    The window forces |gamma'+t| into an annulus around F(v)^{1/2l}, which
-    certifies the finite search ball.  Each competitor is tagged with its
-    resonance class.
+    The window, a third of the level-1 threshold, forces |gamma'+t| into an
+    annulus around F(v)^{1/2l}, which certifies the finite search ball.
+    f_value defaults to v's known part and pool to the cascade's direction
+    pool.  Each competitor is tagged with its resonance class.
     """
     v = np.asarray(v, dtype=float)
     t = np.asarray(t, dtype=float)
     if f_value is None:
         f_value = known_part(v, l, q, cascade).value
-    if window is None:
-        window = cascade.k_window()
+    window = cascade.k_window()
     hi = (f_value + window) ** (1.0 / (2 * l))
     if pool is None:
         pool = direction_pool(lattice, cascade)
@@ -193,8 +192,7 @@ def _coefficient_orders(v: np.ndarray, l: int, q: FourierPotential, pool, offset
     return orders
 
 
-def coefficient_prediction(v, l: int, q: FourierPotential, offset, k: int,
-                           known_rel: float = 0.0) -> complex:
+def coefficient_prediction(v, l: int, q: FourierPotential, offset, k: int, known_rel: float) -> complex:
     """Order-k coefficient prediction A_k(offset) for the eigenvector row (see _coefficient_orders)."""
     _, pool = _series_pool(q, None)
     return _coefficient_orders(np.asarray(v, dtype=float), l, q, pool, offset, k, known_rel)[-1]
@@ -221,7 +219,7 @@ class BlochReport:
 
 
 def bloch_verify(spectrum: BlochSpectrum, n: int, gamma, order: int, q: FourierPotential,
-                 known_rel: float = 0.0) -> BlochReport:
+                 known_rel: float) -> BlochReport:
     """Residual mass and coefficient-law checks for one matched eigenvector.
 
     The eigenvector phase is normalized so b(N, gamma) is real positive;
@@ -293,8 +291,8 @@ def _min_plane_margin(lattice, x, cascade, pool, multiplier: float) -> float:
 
 
 def isoenergetic_sample(lattice: LatticeModel, rho: float, l: int, q: FourierPotential,
-                        cascade: ParameterCascade, ray_directions, order: int | None = None) -> list[RayRoot]:
-    """Per ray, the radius where the known part crosses rho^{2l}.
+                        cascade: ParameterCascade, ray_directions) -> list[RayRoot]:
+    """Per ray, the radius where the known part F_K, K = cascade.known_order, crosses rho^{2l}.
 
     Rays whose crossing lands in a resonant region (doubled level-1
     threshold, matching the isoenergetic-surface definition) are reported
@@ -305,12 +303,10 @@ def isoenergetic_sample(lattice: LatticeModel, rho: float, l: int, q: FourierPot
     """
     target = float(rho) ** (2 * l)
     pool = direction_pool(lattice, cascade)
-    if order is None:
-        order = cascade.known_order()
 
     def f_at(r: float, u: np.ndarray) -> float:
         x = r * u
-        exp = known_part_sequence(x, l, q, cascade, k_max=order)
+        exp = known_part_sequence(x, l, q, cascade, k_max=cascade.known_order)
         return exp.known_part()
 
     results = []

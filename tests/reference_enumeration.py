@@ -137,7 +137,7 @@ def former_index_set(lattice, gamma0, directions, b_radius, a_radius):
 
 def membership_profile(lattice, x, cascade):
     """(pool, distances, flags) of geometry.membership_profile, the pool as enumerate_ball LatticeVectors."""
-    pool = lattice.enumerate_ball(cascade.direction_pool_radius())
+    pool = lattice.enumerate_ball(cascade.pool_radius)
     x = np.asarray(x, dtype=float)
     pool_matrix = np.array([g.embedding for g in pool]).reshape(-1, len(x))
     pool_norm_sq = np.array([float(g.embedding @ g.embedding) for g in pool])

@@ -59,7 +59,7 @@ def test_criterion_1_free_operator_exactness():
                 t = coeff @ lat.dual_basis
                 free = free_eigenvalues(lat, t, 1, basis)
                 for l in (1, 2):
-                    spec = pb.solve(lat, l, q0, t, basis)
+                    spec = pb.solve(lat, l, q0, t, basis, np.zeros(d))
                     expected = free**l if l == 2 else free
                     expected = np.sort(expected)
                     rel = np.max(np.abs(spec.eigenvalues - expected) / (1.0 + np.abs(expected)))
@@ -282,7 +282,7 @@ def test_criterion_6_bloch_coefficients():
         spec = pb.bloch_solve(lat, 1, q, v, 8.0, refine=True)
         gamma0, _ = lat.reduce(v)
         n = spec.dominant_index(gamma0.coords)
-        report = pb.bloch_verify(spec, n, gamma0.coords, 2, q)
+        report = pb.bloch_verify(spec, n, gamma0.coords, 2, q, 0.0)
         weights[rho] = report.weight
         masses[rho] = report.residual_mass
         row = next(r for r in report.rows if r.offset == (1, 0))
@@ -460,7 +460,7 @@ def test_criterion_10_isoenergetic_sampling():
     cas = scaled_cascade(rho, known_order=2)
     q0 = FourierPotential(lat, {})
     rays = [U_DIR, np.array([0.3, 0.95]), np.array([-0.6, 0.8])]
-    free_roots = pb.isoenergetic_sample(lat, rho, 1, q0, cas, rays, order=1)
+    free_roots = pb.isoenergetic_sample(lat, rho, 1, q0, scaled_cascade(rho, known_order=1), rays)
     free_ok = all(r.skipped is None and abs(r.radius - rho) <= 1e-9 * rho for r in free_roots)
     eps = 0.1
     q = pb.cosine_pair(lat, (1, 0), eps)

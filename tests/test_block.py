@@ -64,7 +64,7 @@ class TestIndexSet:
         b_r, a_r = 2.5, 2.5
         iset = pb.build_index_set(z2, v, [z2.vector((0, 1))], b_radius=b_r, a_radius=a_r)
         n_b = sum(1 for n in range(-5, 6) if abs(n) < b_r)
-        n_a = len(z2.enumerate_ball(a_r, exclude_zero=False))
+        n_a = len(z2.ball_coords(a_r, exclude_zero=False))
         assert iset.size <= n_b * n_a
 
     def test_empty_directions(self, z2):
@@ -315,7 +315,7 @@ class TestNearestEigenvalue:
         if chains:  # rank-1 support: the block splits into decoupled chains
             q = pb.cosine_pair(lattice, axes[axis % d], amplitude)
         else:
-            q = pb.random_potential(seed, d, support, 0.0, amplitude, lattice=lattice)
+            q = pb.random_potential(seed, lattice, support, 0.0, amplitude)
         directions = [lattice.vector(axes[axis % d])]
         if d == 3 and two_directions:
             directions.append(lattice.vector(axes[(axis + 1) % d]))
@@ -348,7 +348,7 @@ class TestNearestEigenvalue:
 
     @staticmethod
     def generic_block(z2):
-        q = pb.random_potential(3, 2, 1.5, 0.0, 0.5, lattice=z2)
+        q = pb.random_potential(3, z2, 1.5, 0.0, 0.5)
         index_set = pb.build_index_set(z2, np.array([0.5, 10.2]), [z2.vector((0, 1))],
                                        b_radius=3.0, a_radius=3.0)
         return q, index_set, pb.assemble_block(index_set, 1, q)
@@ -435,7 +435,7 @@ def test_one_coupling_table_and_one_ordering_per_table_and_shape(z2, monkeypatch
     # shape have since taken
     import scipy.sparse.linalg
 
-    q = pb.random_potential(3, 2, 1.5, 0.0, 0.5, lattice=z2)
+    q = pb.random_potential(3, z2, 1.5, 0.0, 0.5)
     other = q.scaled(0.5)
     cases = [(table, pb.build_index_set(z2, np.array(v), [z2.vector((0, 1))], b_radius=3.0, a_radius=a_radius))
              for table, v, a_radius in ((q, [0.5, 10.2], 3.0), (q, [-4.3, 7.9], 3.0),
@@ -468,7 +468,7 @@ def test_block_solve_factors_only_for_its_count(z2, monkeypatch):
     # tau of the pair, and the shape's pattern is ordered on its first block only
     import scipy.sparse.linalg
 
-    q = pb.random_potential(3, 2, 1.5, 0.0, 0.5, lattice=z2)
+    q = pb.random_potential(3, z2, 1.5, 0.0, 0.5)
     blocks = [pb.build_index_set(z2, np.array(v), [z2.vector((0, 1))], b_radius=3.0, a_radius=3.0)
               for v in ([0.5, 10.2], [-4.3, 7.9], [3.1, -9.6])]
     cases = []

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from polybloch import oracle
 from polybloch.cli import main
-from polybloch.config import _SCHEMA
+from polybloch.config import _SCHEMA, ExperimentConfig
+from polybloch.series import known_part_sequence
+from reference_path_sums import reference_coefficient
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -223,6 +225,29 @@ class TestOtherCommands:
         assert main(["bloch", "-c", str(cfg)]) == 0
         payload = json.loads((tmp_path / "out" / "bloch.json").read_text())
         assert payload["result"][0]["weight"] > 0.99
+
+    def test_bloch_walks_the_higher_orders_against_the_known_part(self, tmp_path):
+        # order 3 reads A_2, walked against |v|^{2l} + F_K (K = known_order 2): each row's
+        # predicted total is the chains' A_1 + A_2 at known_rel = F_K, bit for bit
+        records = "".join(f"    - {{n: [{a}, {b}], re: 0.1, im: 0.0}}\n"
+                          for a, b in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)))
+        base = BASE_CONFIG.replace("    - {n: [1, 0], re: 0.1, im: 0.0}\n    - {n: [-1, 0], re: 0.1, im: 0.0}\n",
+                                   records)
+        cfg = write_config(tmp_path, "bloch:\n  centers: [[15.6, 12.5]]\n  order: 3\n  window_radius: 8.0\n",
+                           base=base)
+        assert main(["bloch", "-c", str(cfg)]) == 0
+        (row,) = json.loads((tmp_path / "out" / "bloch.json").read_text())["result"]
+        config = ExperimentConfig.load(cfg)
+        q, v = config.potential(), np.array([15.6, 12.5])
+        assert len(q.support) == 6
+        cas = config.cascade(float(np.linalg.norm(v)))
+        f_rel = known_part_sequence(v, 1, q, cas, k_max=cas.known_order).known_part_rel()
+        assert f_rel != 0.0
+        gamma0, t = config.lattice.split(v)
+        x = config.lattice.embed(gamma0.coords) + t
+        for entry in row["coefficients"]:
+            total = sum(reference_coefficient(x, 1, q, entry["offset"], k, f_rel)[0] for k in (1, 2))
+            assert entry["predicted_total"] == [total.real, total.imag]
 
     def test_bloch_tracks_the_dominant_pair_without_a_dense_window_solve(self, tmp_path, monkeypatch):
         # the pair comes from track_dominant: the only eigh calls are Davidson's

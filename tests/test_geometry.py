@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,7 +10,7 @@ import polybloch as pb
 import reference_enumeration as ref
 from conftest import s0_threshold, scaled_cascade
 from polybloch.errors import CascadeInequalityViolated, PartitionBreakdown, ShellViolation
-from polybloch.geometry import in_shell, membership_profile
+from polybloch.geometry import in_shell, membership_profile, series_cap
 from polybloch.numerics import blas_threads, capped_blas_threads, integer_rank, integer_row_basis, power_difference
 
 
@@ -81,6 +84,74 @@ class TestCascade:
             pb.derive_parameters(2, 1, 45.0, 0.5)
 
 
+def former_cascade_values(c, overrides: dict) -> dict:
+    """The cascade quantities by the per-call formulas of the override-field accessors, as written there."""
+    thr = overrides.get("v_thresholds")
+    levels = range(1, c.d + 2)
+    if thr is not None:
+        thr = tuple(float(x) for x in thr)
+        thresholds = tuple(thr[k - 1] for k in levels)
+        spans = tuple(0.5 * math.sqrt(thr[k]) for k in range(1, c.d + 1))
+    else:
+        thresholds = tuple(c.rho ** c.alpha_level(k) for k in levels)
+        spans = tuple(0.5 * c.rho ** (0.5 * c.alpha_level(k + 1)) for k in range(1, c.d + 1))
+    series_pool = overrides.get("series_pool_radius")
+    if series_pool is None and c.mode != "scaled":
+        series_pool = c.rho**c.alpha
+    return {
+        "v_thresholds": thresholds,
+        "b_radii": spans,
+        "pool_radius": overrides.get("pool_radius", c.p * c.rho**c.alpha),
+        "series_pool_radius": series_pool,
+        "known_order": overrides.get("known_order", series_cap(c.d)),
+        "a_radius": overrides.get("a_radius", c.p1 * c.rho**c.alpha),
+    }
+
+
+def bit_key(value):
+    """A value's type and, for floats, its IEEE bytes: equal keys are equal bit for bit."""
+    if isinstance(value, tuple):
+        return tuple(bit_key(x) for x in value)
+    return type(value), struct.pack("<d", value) if isinstance(value, float) else value
+
+
+@st.composite
+def cascade_inputs(draw):
+    d = draw(st.sampled_from([2, 3]))
+    mode = draw(st.sampled_from(["theory", "scaled"]))
+    s = draw(st.floats(s0_threshold(d) + 1.0, s0_threshold(d) + 200.0)) if mode == "theory" \
+        else draw(st.floats(d + 0.5, 300.0))
+    rho = draw(st.floats(1.0, 1e6, exclude_min=True))
+    radius = st.floats(0.05, 50.0)
+    choices = {
+        "v_thresholds": st.lists(st.floats(0.01, 100.0), min_size=d + 1, max_size=d + 1, unique=True).map(sorted),
+        "pool_radius": radius,
+        "series_pool_radius": radius,
+        "known_order": st.integers(1, series_cap(d)),
+        "a_radius": radius,
+    }
+    names = draw(st.sets(st.sampled_from(sorted(choices))))
+    return d, draw(st.sampled_from([1, 2])), s, rho, mode, {name: draw(choices[name]) for name in sorted(names)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(cascade_inputs())
+def test_resolved_cascade_is_the_former_accessors_bit_for_bit(inputs):
+    d, l, s, rho, mode, overrides = inputs
+    c = pb.derive_parameters(d, l, s, rho, mode, dict(overrides))
+    want = former_cascade_values(c, overrides)
+    got = {name: getattr(c, name) for name in want}
+    assert bit_key(tuple(got.values())) == bit_key(tuple(want.values()))
+    assert [c.v_threshold(k) for k in range(1, d + 2)] == list(c.v_thresholds)
+    assert [c.block_b_radius(k) for k in range(1, d + 1)] == list(c.b_radii)
+    for k in (-1, 0, d + 2):
+        with pytest.raises(ValueError, match="outside"):
+            c.v_threshold(k)
+    for k in (-1, 0, d + 1):
+        with pytest.raises(ValueError, match="outside"):
+            c.block_b_radius(k)
+
+
 class TestInV:
     def test_member_hand_example(self):
         flag, margin = in_V([10.0, 0.05], [0.0, 1.0], 1, 2.0, 10.0)
@@ -128,7 +199,7 @@ class TestClassify:
         cas = scaled_cascade(rho)
         x = np.array([rho * 0.61, rho * 0.48])
         # independent exhaustive margin scan over the pool
-        pool = z2.enumerate_ball(cas.direction_pool_radius())
+        pool = z2.enumerate_ball(cas.pool_radius)
         min_dist = min(plane_distance(x, b.embedding, 1) for b in pool)
         assert min_dist > cas.v_threshold(1)
         verdict = pb.classify(z2, x, cas)

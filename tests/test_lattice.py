@@ -83,8 +83,8 @@ class TestEnumerateBall:
         assert norms == [1.0, 2.0, 4.0, 5.0]
 
     def test_include_zero(self, z2):
-        got = z2.enumerate_ball(1.5, exclude_zero=False)
-        assert got[0].coords == (0, 0)
+        got = z2.ball_coords(1.5, exclude_zero=False)
+        assert tuple(got[0]) == (0, 0)
         assert len(got) == 9
 
     def test_strict_boundary_integral(self, z2):

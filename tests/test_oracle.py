@@ -90,7 +90,7 @@ class TestDiagonalize:
         basis = PlanewaveBasis.full_ball(z2, 1.5)
         t = np.array([0.3, 0.1])
         H = pb.assemble(1, FourierPotential(z2, {}), t, basis)
-        spec = pb.diagonalize(H, basis, t, 1)
+        spec = pb.diagonalize(H, basis, t, 1, 0.0)
         assert np.all(np.diff(spec.eigenvalues) >= 0)
         assert np.allclose(spec.eigenvalues, np.sort(np.diag(H).real))
         # coefficient table is a permutation matrix
@@ -98,12 +98,12 @@ class TestDiagonalize:
 
     def test_symmetric_2x2(self, z2):
         basis = two_state_basis(z2)
-        spec = pb.diagonalize(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), basis, [0.0, 0.0], 1)
+        spec = pb.diagonalize(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), basis, [0.0, 0.0], 1, 0.0)
         assert np.allclose(spec.eigenvalues, [-1.0, 1.0])
 
     def test_closed_form_2x2(self, z2, cosine):
         H = pb.assemble(1, cosine, [0.3, 0.0], two_state_basis(z2))
-        spec = pb.diagonalize(H, two_state_basis(z2), [0.3, 0.0], 1)
+        spec = pb.diagonalize(H, two_state_basis(z2), [0.3, 0.0], 1, 0.0)
         mean, disc = 0.89, np.sqrt(0.64 + 1.0)
         assert spec.eigenvalues[0] == pytest.approx(mean - disc, abs=1e-10)
         assert spec.eigenvalues[1] == pytest.approx(mean + disc, abs=1e-10)
@@ -112,7 +112,7 @@ class TestDiagonalize:
         q = pb.cosine_sum(z2, [(1, 0), (0, 1)], 0.3)
         basis = PlanewaveBasis.full_ball(z2, 3.2)
         t = np.array([0.21, 0.37])
-        spec = pb.solve(z2, 1, q, t, basis)
+        spec = pb.solve(z2, 1, q, t, basis, np.zeros(2))
         norms = np.sum(np.abs(spec.coefficients) ** 2, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-10)
 
@@ -120,7 +120,7 @@ class TestDiagonalize:
         q = pb.cosine_sum(z2, [(1, 0), (0, 1)], 0.3)
         basis = PlanewaveBasis.full_ball(z2, 3.2)
         t = np.array([0.21, 0.37])
-        spec = pb.solve(z2, 1, q, t, basis)
+        spec = pb.solve(z2, 1, q, t, basis, np.zeros(2))
         free = free_eigenvalues(z2, t, 1, basis)
         assert np.sum(spec.eigenvalues) == pytest.approx(np.sum(free), rel=1e-8)
 
@@ -128,7 +128,7 @@ class TestDiagonalize:
         q = pb.cosine_sum(z2, [(1, 0), (0, 1)], 0.3)
         basis = PlanewaveBasis.full_ball(z2, 3.2)
         t = np.array([0.21, 0.37])
-        spec = pb.solve(z2, 1, q, t, basis)
+        spec = pb.solve(z2, 1, q, t, basis, np.zeros(2))
         free = free_eigenvalues(z2, t, 1, basis)
         assert np.max(np.abs(spec.eigenvalues - free)) <= q.one_norm() + 1e-12
 
@@ -136,7 +136,7 @@ class TestDiagonalize:
         # t = 0: |gamma+t|^2 degenerate for the four unit vectors
         basis = PlanewaveBasis.full_ball(z2, 1.5)
         t = np.zeros(2)
-        spec = pb.solve(z2, 1, FourierPotential(z2, {}), t, basis)
+        spec = pb.solve(z2, 1, FourierPotential(z2, {}), t, basis, np.zeros(2))
         assert spec.cluster_flags[1:].all()  # the four degenerate states flagged
         assert not spec.cluster_flags[0]
 
@@ -231,7 +231,7 @@ class TestPartialSolve:
     @example(seed=23553, support=1.0, amplitude=0.43, l=2, angle=5.2110, rho=5.0, radius=3.321, scale=0.5,
              middle=-0.0296, width=0.1799)  # eigh's own eigenvalue is 1.67e-12 off here
     def test_partial_matches_full(self, z2, seed, support, amplitude, l, angle, rho, radius, scale, middle, width):
-        q = pb.random_potential(seed, 2, support, 0.0, amplitude, lattice=z2)
+        q = pb.random_potential(seed, z2, support, 0.0, amplitude)
         v = rho * np.array([np.cos(angle), np.sin(angle)])
         gamma0 = z2.reduce(v)[0].coords
         pred, hw = scale * middle, scale * width
@@ -361,7 +361,7 @@ def tracked_case(d, l, chains, seed, amplitude, axis, direction, rho, scale, off
     if chains:  # rank-1 support: the operator splits into decoupled chains
         q = pb.cosine_pair(lattice, np.eye(d, dtype=int)[axis % d], amplitude)
     else:
-        q = pb.random_potential(seed, d, 1.0, 0.0, amplitude, lattice=lattice)
+        q = pb.random_potential(seed, lattice, 1.0, 0.0, amplitude)
     u = np.array(direction[:d]) + 1e-3
     v = rho * u / np.linalg.norm(u)
     gamma0 = lattice.reduce(v)[0].coords
@@ -582,7 +582,7 @@ class TestTrackedSolve:
         # a 9-wave window whose dominant pair (weight 0.83) spreads over it: the residual
         # stalls within the rounding of its own evaluation, above 1e-16 ||H||_1, the stop
         # that alone refused the window as "convergence"
-        q = pb.random_potential(24066, 2, 1.5, 0.0, 0.9781030510583639, lattice=z2)
+        q = pb.random_potential(24066, z2, 1.5, 0.0, 0.9781030510583639)
         v, radius = np.array([3.3994398659760097, -0.2054366877004561]), 1.7235301597834696
         gamma0 = z2.reduce(v)[0].coords
         full = pb.bloch_solve(z2, 1, q, v, radius)
@@ -609,7 +609,7 @@ class TestTrackedSolve:
         # a 19-wave window at d = 3 whose residual falls about tenfold per step and
         # reaches 1e-16 ||H||_1 at step 15: a 12-step cap refused it as "convergence"
         lattice = pb.LatticeModel.cubic(3)
-        q = pb.random_potential(64727, 3, 1.0, 0.0, 0.23694736248191073, lattice=lattice)
+        q = pb.random_potential(64727, lattice, 1.0, 0.0, 0.23694736248191073)
         u = np.array([0.56416212087482, -0.45656199529368235, 0.1315094616701118]) + 1e-3
         v, radius = 4.93804523967398 * u / np.linalg.norm(u), 1.69967725815301
         preds, hw = [0.11254585692981786], 0.16439107790019175
@@ -658,7 +658,7 @@ class TestSparseSlice:
         if chains:  # rank-1 support: the operator splits into decoupled chains
             q = pb.cosine_pair(lattice, np.eye(d, dtype=int)[axis % d], amplitude)
         else:
-            q = pb.random_potential(seed, d, 1.0, 0.0, amplitude, lattice=lattice)
+            q = pb.random_potential(seed, lattice, 1.0, 0.0, amplitude)
         u = np.array(direction[:d]) + 1e-3
         v = rho * u / np.linalg.norm(u)
         gamma0 = lattice.reduce(v)[0].coords
@@ -771,7 +771,7 @@ class TestSparseSlice:
         # order: one factor reads it off the pattern, and the three factor in it
         import scipy.sparse.linalg
 
-        q = pb.random_potential(3, 2, 1.5, 0.0, 0.5, lattice=z2)
+        q = pb.random_potential(3, z2, 1.5, 0.0, 0.5)
         _, _, _, H = window_operator(z2, 1, q, np.array([7.1, 3.3]), 5.0)
         specs, splu = [], scipy.sparse.linalg.splu
         monkeypatch.setattr(scipy.sparse.linalg, "splu",
@@ -781,7 +781,7 @@ class TestSparseSlice:
         assert specs == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL", "NATURAL"]
 
     def test_rerun_is_byte_identical(self, z2):
-        q = pb.random_potential(3, 2, 1.5, 0.0, 0.5, lattice=z2)
+        q = pb.random_potential(3, z2, 1.5, 0.0, 0.5)
         v = np.array([7.1, 3.3])
         first, second = (counted_solve(z2, 1, q, v, 5.0, [0.0], 2.0, refine=True) for _ in range(2))
         assert first.diagnostics["eigensolver"] == "sparse"

@@ -71,8 +71,9 @@ def outcome(fn):
 def test_walk_matches_the_per_order_walks(case, k, floor_share):
     """S_1..S_k, counts and floor bitwise; SmallDenominator exactly when the reference raises it.
 
-    floor_share sets min_denominator to that share of the reference floor
-    (share 1.0 puts it exactly on the floor), or to evaluate_series' default.
+    floor_share sets the walks' min_denominator to that share of the
+    reference floor (share 1.0 puts it exactly on the floor), or to
+    evaluate_series' floor, at which evaluate_series is checked in every case.
     """
     q, v, l, a_rel = case
     q_eff, pool = _series_pool(q, None)
@@ -93,26 +94,30 @@ def test_walk_matches_the_per_order_walks(case, k, floor_share):
     event(f"reference raises: {want == 'SmallDenominator'}")
     if want == "SmallDenominator":
         assert got == want
+    else:
+        assert got != "SmallDenominator"
+        assert bits(got[0]) == bits(want[0])
+        assert got[1:] == want[1:] and bits([got[1]]) == bits([want[1]])
+        for j in range(1, k + 1):
+            total, floor, contributing, admissible = series._sum_order(a_rel, v, l, q_eff, j, pool, min_denominator)
+            reference = reference_series(a_rel, v, l, q_eff, j, pool, min_denominator)
+            assert bits([total]) == bits([reference[0][-1]])
+            assert (floor, contributing, admissible) == (reference[1], reference[2][-1], reference[3][-1])
+    at_default = want if min_denominator == default else outcome(
+        lambda: reference_series(a_rel, v, l, q_eff, k, pool, default))
+    if at_default == "SmallDenominator":
         with pytest.raises(SmallDenominator):
-            pb.evaluate_series(a_rel, v, l, q, k, min_denominator=min_denominator)
+            pb.evaluate_series(a_rel, v, l, q, k)
         return
-    assert got != "SmallDenominator"
-    assert bits(got[0]) == bits(want[0])
-    assert got[1:] == want[1:] and bits([got[1]]) == bits([want[1]])
     try:
-        reals = [_assert_real(s, "S") for s in want[0]]
+        reals = [_assert_real(s, "S") for s in at_default[0]]
     except ValueError:
         with pytest.raises(ValueError):
-            pb.evaluate_series(a_rel, v, l, q, k, min_denominator=min_denominator)
+            pb.evaluate_series(a_rel, v, l, q, k)
         return
-    ev = pb.evaluate_series(a_rel, v, l, q, k, min_denominator=min_denominator)
+    ev = pb.evaluate_series(a_rel, v, l, q, k)
     assert bits(ev.values) == bits(reals)
-    assert (ev.denominator_floor, ev.term_counts, ev.admissible_counts) == want[1:]
-    for j in range(1, k + 1):
-        total, floor, contributing, admissible = series._sum_order(a_rel, v, l, q_eff, j, pool, min_denominator)
-        reference = reference_series(a_rel, v, l, q_eff, j, pool, min_denominator)
-        assert bits([total]) == bits([reference[0][-1]])
-        assert (floor, contributing, admissible) == (reference[1], reference[2][-1], reference[3][-1])
+    assert (ev.denominator_floor, ev.term_counts, ev.admissible_counts) == at_default[1:]
 
 
 @settings(max_examples=120, deadline=None)
@@ -174,7 +179,7 @@ def test_zero_free_denominator_is_a_small_denominator(z2):
     # v = (0.5, 10) lies on the bisector of (-1, 0): |v|^2 = |v - (1, 0)|^2 exactly
     q = pb.cosine_pair(z2, (1, 0), 0.2)
     with pytest.raises(SmallDenominator) as err:
-        pb.coefficient_prediction(np.array([0.5, 10.0]), 1, q, (-1, 0), 1)
+        pb.coefficient_prediction(np.array([0.5, 10.0]), 1, q, (-1, 0), 1, 0.0)
     assert err.value.floor == 0.0
 
 

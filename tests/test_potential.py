@@ -91,28 +91,28 @@ class TestTruncate:
 
 class TestRandomPotential:
     def test_zero_budget(self):
-        q = pb.random_potential(seed=1, d=2, support_radius=3, s=2.0, norm_budget=0.0)
+        q = pb.random_potential(seed=1, lattice=pb.LatticeModel.cubic(2), support_radius=3, s=2.0, norm_budget=0.0)
         assert not q.support
 
     def test_determinism(self):
-        a = pb.random_potential(seed=7, d=2, support_radius=3, s=2.0, norm_budget=1.0)
-        b = pb.random_potential(seed=7, d=2, support_radius=3, s=2.0, norm_budget=1.0)
+        a = pb.random_potential(seed=7, lattice=pb.LatticeModel.cubic(2), support_radius=3, s=2.0, norm_budget=1.0)
+        b = pb.random_potential(seed=7, lattice=pb.LatticeModel.cubic(2), support_radius=3, s=2.0, norm_budget=1.0)
         assert a.support == b.support
         for c in a.support:
             assert a.coefficient(c) == b.coefficient(c)
 
     def test_validates_and_respects_budget(self):
-        q = pb.random_potential(seed=7, d=2, support_radius=3, s=2.0, norm_budget=1.0)
+        q = pb.random_potential(seed=7, lattice=pb.LatticeModel.cubic(2), support_radius=3, s=2.0, norm_budget=1.0)
         assert q.validate().passed
         assert q.sobolev_weight() <= 1.0
         assert q.support
 
     def test_support_radius_precondition(self):
         with pytest.raises(ValueError):
-            pb.random_potential(seed=1, d=2, support_radius=0.5, s=2.0, norm_budget=1.0)
+            pb.random_potential(seed=1, lattice=pb.LatticeModel.cubic(2), support_radius=0.5, s=2.0, norm_budget=1.0)
 
     def test_d3(self):
-        q = pb.random_potential(seed=5, d=3, support_radius=2, s=1.0, norm_budget=0.5)
+        q = pb.random_potential(seed=5, lattice=pb.LatticeModel.cubic(3), support_radius=2, s=1.0, norm_budget=0.5)
         assert q.validate().passed
         assert q.lattice.dimension == 3
 
@@ -131,13 +131,13 @@ class TestSerialization:
         path = tmp_path / "bad.json"
         path.write_text('[{"n": [0, 0], "re": 0.5, "im": 0.0}]')
         with pytest.raises(ValueError, match="zero-mean"):
-            pb.load_potential(path, z2)
+            pb.load_potential(path, z2, 0.0)
 
     def test_loader_rejects_non_hermitian(self, z2, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('[{"n": [1, 0], "re": 1.0, "im": 0.0}]')
         with pytest.raises(ValueError, match="Hermitian"):
-            pb.load_potential(path, z2)
+            pb.load_potential(path, z2, 0.0)
 
 
 def test_scaling_homogeneity(z2):

@@ -23,7 +23,7 @@ def make_potential(lattice, kind, seed, amplitude, support_radius=1.5):
     axes = [tuple(row) for row in np.eye(lattice.dimension, dtype=int)]
     if kind == "generic":
         # s = 0: the Sobolev weight amplitude^2 is the summed 2 |q_g|^2
-        return pb.random_potential(seed, lattice.dimension, support_radius, 0.0, amplitude**2, lattice=lattice)
+        return pb.random_potential(seed, lattice, support_radius, 0.0, amplitude**2)
     if kind == "cosine_sum":
         return pb.cosine_sum(lattice, axes, amplitude)
     return pb.cosine_pair(lattice, axes[0], amplitude)
@@ -68,7 +68,7 @@ class TestBandFunctions:
     def test_free_spectrum_covers_without_gap(self, z2):
         q0 = FourierPotential(z2, {})
         table = pb.band_functions(z2, 1, q0, (16, 16), 30, basis_radius=6.5)
-        report = pb.gap_report(table, 0.0, float(table.band_min[-1]) - 0.25)
+        report = pb.gap_report(table, 0.0, float(table.band_min[-1]) - 0.25, enforce_coverage=True)
         assert report.gaps == ()
 
     def test_monotone_coverage(self, z2):
@@ -176,7 +176,7 @@ class TestSymmetryReduction:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**16), support=st.sampled_from([1.0, 1.5, 2.0]), grid=st.sampled_from(GRIDS))
     def test_generic_table_group_is_time_reversal_only(self, z2, seed, support, grid):
-        q = pb.random_potential(seed, 2, support, 0.0, 1.0, lattice=z2)
+        q = pb.random_potential(seed, z2, support, 0.0, 1.0)
         basis = pb.PlanewaveBasis.full_ball(z2, 5.0)
         assert as_set(symmetry_group(z2, q, grid, basis)) == as_set([np.eye(2, dtype=int), -np.eye(2, dtype=int)])
 
@@ -224,7 +224,7 @@ class TestSymmetryReduction:
             assert np.all(np.abs(got - want) <= 1e-9 * (1.0 + np.abs(want)))
 
     def test_orbit_counts(self, z2):
-        q = pb.random_potential(3, 2, 1.5, 0.0, 1.0, lattice=z2)
+        q = pb.random_potential(3, z2, 1.5, 0.0, 1.0)
         table = pb.band_functions(z2, 1, q, (16, 16), 4, basis_radius=4.0)
         # -t mod 1 pairs the 256 points except the 4 with 2t = 0 mod 1
         assert (table.symmetry_order, table.solved_points) == (2, 130)
@@ -247,7 +247,7 @@ class TestGapReport:
     def test_coverage_enforced(self, z2):
         table = self._table([(0.0, 1.0)], z2)
         with pytest.raises(InsufficientBands):
-            pb.gap_report(table, 0.0, 2.0)
+            pb.gap_report(table, 0.0, 2.0, enforce_coverage=True)
 
     def test_disjoint_sorted_gaps(self, z2):
         table = self._table([(0.0, 1.0), (1.5, 2.0), (2.2, 5.0)], z2)
@@ -391,7 +391,7 @@ class TestEvenTranslate:
         assert table.symmetry_order == 2
 
     def test_band_scan_reports_its_path(self, z2):
-        q = pb.random_potential(3, 2, 1.0, 0.0, 0.09, lattice=z2)  # two independent pairs
+        q = pb.random_potential(3, z2, 1.0, 0.0, 0.09)  # two independent pairs
         table = pb.band_functions(z2, 1, q, (16, 16), 6, basis_radius=7.5)
         assert table.real_symmetric and table.every_other().real_symmetric
         # -I and the two axis mirrors of the real translate, against -I alone for q

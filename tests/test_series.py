@@ -82,7 +82,7 @@ class TestSk:
         q = pb.cosine_sum(z2, [(1, 0), (3, 0)], 0.5)
         a = float(V_HAND @ V_HAND)
         full = pb.s_k(a, V_HAND, 1, q, 1)
-        near = pb.s_k(a, V_HAND, 1, q, 1, pool_radius=2.0)
+        near = pb.evaluate_series(a - float(V_HAND @ V_HAND), V_HAND, 1, q, 1, pool_radius=2.0).values[0]
         only_near = pb.s_k(a, V_HAND, 1, pb.cosine_pair(z2, (1, 0), 0.5), 1)
         assert near == pytest.approx(only_near, rel=1e-14)
         assert near != pytest.approx(full, rel=1e-6)

@@ -23,11 +23,13 @@ def brute_force_k_set(f_value, t, window, box=9, l=1):
 
 class TestKSet:
     def test_free_annulus_enumeration(self, z2):
-        # v = (5, 0), t = 0, free potential: window 4 around F = 25
+        # v = (5, 0), t = 0, free potential: window 4 (threshold 12 / 3) around F = 25; the
+        # pool radius 0.5 holds no direction, so no competitor meets a resonance plane
         q0 = FourierPotential(z2, {})
-        cas = scaled_cascade(5.0, thresholds=(0.45, 0.9, 1.8), known_order=1)
+        cas = scaled_cascade(5.0, thresholds=(12.0, 24.0, 48.0), pool_radius=0.5, known_order=1)
+        assert cas.k_window() == 4.0
         t = np.zeros(2)
-        got = pb.k_set(z2, np.array([5.0, 0.0]), t, cas, 1, q0, f_value=25.0, window=4.0)
+        got = pb.k_set(z2, np.array([5.0, 0.0]), t, cas, 1, q0, f_value=25.0)
         coords = sorted(g.coords for g, _ in got)
         assert coords == brute_force_k_set(25.0, t, 4.0)
         # norms^2 25 and 26 both land inside the window
@@ -160,7 +162,7 @@ class TestBlochVerify:
         spec = pb.bloch_solve(z2, 1, q0, v, 4.0)
         gamma0, _ = z2.reduce(v)
         n = spec.dominant_index(gamma0.coords)
-        report = pb.bloch_verify(spec, n, gamma0.coords, 2, q0)
+        report = pb.bloch_verify(spec, n, gamma0.coords, 2, q0, 0.0)
         assert report.residual_mass == pytest.approx(0.0, abs=1e-12)
         assert report.rows == ()
         assert report.normalization_measured == pytest.approx(1.0)
@@ -173,7 +175,7 @@ class TestBlochVerify:
         spec = pb.bloch_solve(z2, 1, q, v, 8.0, refine=True)
         gamma0, _ = z2.reduce(v)
         n = spec.dominant_index(gamma0.coords)
-        report = pb.bloch_verify(spec, n, gamma0.coords, 2, q)
+        report = pb.bloch_verify(spec, n, gamma0.coords, 2, q, 0.0)
         by_offset = {r.offset: r for r in report.rows}
         # independent hand values: eps/9.6 toward -e1, -eps/11.6 toward +e1
         row_minus = by_offset[(-1, 0)]
@@ -191,7 +193,7 @@ class TestBlochVerify:
         spec = pb.bloch_solve(z2, 1, q, v, 8.0, refine=True)
         gamma0, _ = z2.reduce(v)
         n = spec.dominant_index(gamma0.coords)
-        report = pb.bloch_verify(spec, n, gamma0.coords, 3, q)
+        report = pb.bloch_verify(spec, n, gamma0.coords, 3, q, 0.0)
         assert report.normalization_predicted == pytest.approx(report.normalization_measured, abs=1e-5)
 
     def test_phase_degenerate_raises(self, z2):
@@ -202,7 +204,7 @@ class TestBlochVerify:
         gamma0, _ = z2.reduce(v)
         n = spec.dominant_index(gamma0.coords)
         with pytest.raises(PhaseDegenerate):
-            pb.bloch_verify(spec, n, gamma0.coords, 2, q)
+            pb.bloch_verify(spec, n, gamma0.coords, 2, q, 0.0)
 
 
 class TestIsoenergetic:
@@ -240,7 +242,7 @@ class TestIsoenergetic:
         # bracketing gives up only on numerical failures; an order above the
         # series cap is a caller error and surfaces as such
         q = pb.cosine_pair(z2, (1, 0), 0.1)
-        cas = dataclasses.replace(scaled_cascade(20.0, known_order=2), known_order_override=9)
+        cas = dataclasses.replace(scaled_cascade(20.0, known_order=2), known_order=9)
         with pytest.raises(ValueError, match="exceeds the cap"):
             pb.isoenergetic_sample(z2, 20.0, 1, q, cas, [(0.78, 0.6258)])
 
