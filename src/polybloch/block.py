@@ -288,11 +288,13 @@ def match_resonant(spectrum: BlochSpectrum, block: ResonantBlock) -> BlockMatch:
 
 
 def tail_coupling_bound(index_set: ResonantIndexSet, q: FourierPotential) -> float:
-    """Operator-norm bound on couplings leaving the index set.
+    """||B||_1, the largest column sum of |B|, B the coupling from the block to the waves outside it.
 
-    For each member h, sums |q_g| over support directions g with h - g
-    outside the set; the maximum over members bounds the deviation between
-    block and oracle eigenvalues.
+    Column h of B, for a member h, holds q_g at the outside waves h - g,
+    g in supp q; the maximum over members of their summed |q_g| is ||B||_1.
+    It is not itself a bound on the deviation between block and oracle
+    eigenvalues: that distance is at most |B x_j| for the block
+    eigenvector x_j, bounded by ||B||_2 <= (||B||_1 ||B||_inf)^{1/2}.
     """
     leak = np.zeros(index_set.size)
     for g in q.support:

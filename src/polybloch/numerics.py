@@ -110,7 +110,7 @@ SERIAL_BAND_BASIS = 600
 # win by 7-13%, by 1.3-1.7x at 20,479.  When the calling thread moves to
 # the other vCPU between solves, the second thread costs about 8 ms per
 # solve up to at least 11,000 waves (a 10-step solve: 15.4 vs 8.6 ms at
-# 2,109 waves, 27 vs 20 ms at 5,575).  The counted fallback stays threaded.
+# 2,109 waves, 27 vs 20 ms at 5,575).  A refused window's dense eigh stays threaded.
 SERIAL_TRACK_BASIS = 6000
 
 

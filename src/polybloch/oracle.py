@@ -38,38 +38,23 @@ alone: its matvec gathers once per support vector.  The Ritz pair nearest
 the highest-order prediction is accepted when it passes the residual and
 unit-norm certificates (_certified_pair), weighs more than 1/2 on gamma0
 (the weights on gamma0 sum to 1 over all pairs, so no other pair can
-weigh more) and lies in every order's matching window.  Otherwise the
-counted solve below takes over, on the blocks already assembled.  The
-same certified engine finds the resonant block's eigenvalue nearest a
-known part (block.nearest_eigenvalue), whose acceptance set is the whole
-block and whose operator is real when q has an even translate.
-
-The counted solve (_counted_window) returns the pairs with relative
-eigenvalue in an interval [lo, hi) of a sparse WindowOperator, solved as
-its CSC array (WindowOperator.tocsc, about 5 nonzeros per row):
-Sylvester's law of inertia counts the eigenvalues below lo and below hi
-from the signs of LDL^H pivots, and shift-invert Lanczos about the
-midpoint solves for exactly the difference (Ericsson & Ruhe 1980; the
-inertia check of Grimes, Lewis & Simon 1994).  Its three SuperLU
-factorizations share one symmetric minimum-degree order of the pattern
-(_OrderedPattern), the one place that calls SuperLU.  Each eigenvalue is
-replaced by its Rayleigh quotient, which brings it back to the full
-solve's accuracy.  When a guard
-trips (an untrustworthy pivot, or a count the Lanczos solve does not
-reproduce), or no pair found weighs more than 1/2 on gamma0, the dense
-solve of the whole block takes over.  The counted solve is the one
-caller of the shift-invert core (_shift_invert); the inertia count
-(_inertia) also certifies the resonant block's tracked eigenvalue nearest
-a known part (block.nearest_eigenvalue), on one ordered pattern per block
-shape.
-bloch_solve, solve and diagonalize are the full dense solves.
+weigh more) and lies in every order's matching window.  Otherwise every
+window is solved in full by dense eigh on the same operators, densified
+(WindowOperator.toarray): bloch_solve's matrices, bit for bit.  The same
+certified engine finds the resonant block's eigenvalue nearest a known
+part (block.nearest_eigenvalue), whose acceptance set is the whole block
+and whose operator is real when q has an even translate.  Two
+Sylvester-inertia counts (_inertia) prove that eigenvalue nearest, on one
+ordered pattern per block shape (_OrderedPattern), the one place that
+calls SuperLU.
+bloch_solve, solve and diagonalize are the full dense solves.  No dense
+matrix holds more than MAX_DENSE_BASIS plane waves.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -84,6 +69,7 @@ _REFINE_TOL = 1e-9
 _PIVOT_TOL = 1e-12  # an inertia count needs every |U_ii| >= _PIVOT_TOL * ||H||_1
 _TRACK_TOL = 1e-16  # a tracked pair has converged once |H x - theta x| <= _TRACK_TOL * ||H||_1
 _TRACK_STEPS = 24  # Davidson steps (one matvec each) per window before tracking is refused
+MAX_DENSE_BASIS = 8192  # plane waves in one dense matrix: a complex one takes 16 n^2 bytes (1 GiB)
 
 
 @dataclass(frozen=True)
@@ -147,8 +133,9 @@ class WindowOperator:
     couplings).  H @ x gathers x once per offset, abs(H) is the
     operator of the entries' moduli and H.real that of their real parts
     (a real table's, in float64).  tocsc() builds the scipy.sparse CSC
-    array that SuperLU and ARPACK need, every diagonal entry stored, and
-    toarray() the dense matrix in H's dtype.
+    array that SuperLU needs, every diagonal entry stored, and toarray()
+    the dense matrix in H's dtype: PreconditionError, before anything is
+    allocated, above MAX_DENSE_BASIS waves.
     """
 
     def __init__(self, diagonal: np.ndarray, columns: np.ndarray, values: np.ndarray):
@@ -186,6 +173,9 @@ class WindowOperator:
 
     def toarray(self) -> np.ndarray:
         n = self.shape[0]
+        if n > MAX_DENSE_BASIS:
+            raise PreconditionError(f"a dense matrix of {n} plane waves: a dense solve takes at most "
+                                    f"{MAX_DENSE_BASIS}")
         H = np.zeros((n, n), dtype=self.dtype)
         i, j, values = self._triplets()
         H[i, j] = values
@@ -193,7 +183,7 @@ class WindowOperator:
         return H
 
     def tocsc(self):
-        import scipy.sparse  # here, not at module level: only SuperLU and ARPACK need it
+        import scipy.sparse  # here, not at module level: only SuperLU needs it
 
         n = self.shape[0]
         i, j, values = self._triplets()
@@ -273,51 +263,18 @@ def _certified(basis: PlanewaveBasis, t, l: int, shift: float, evals_rel, evecs,
     )
 
 
-def _window_pairs(H: WindowOperator, lo: float, hi: float):
-    """The eigenpairs of the sparse H with eigenvalue in [lo, hi), certified complete by inertia.
-
-    count = nu(hi) - nu(lo) pairs lie in [lo, hi) (see _inertia), and
-    exactly that many are solved about the midpoint (_shift_invert).  The
-    three factorizations share one order of H's pattern (_OrderedPattern).
-    Returns (count, reason, pairs): reason is None and pairs is
-    (eigenvalues, vectors, H @ vectors) in ascending order, or reason names
-    the guard that tripped and pairs is None.  "pivot": no trustworthy
-    LDL^H at lo or hi, or an eigenvalue exactly at the midpoint.  "count":
-    Lanczos could not or did not find the counted pairs (see _shift_invert),
-    or a Rayleigh quotient falls outside [lo, hi).
-    """
-    ordered = _OrderedPattern(H)
-    floor = _PIVOT_TOL * H.one_norm()
-    below = [_inertia(ordered, s, floor) for s in (lo, hi)]
-    if None in below:
-        return None, "pivot", None
-    count = below[1] - below[0]
-    if count == 0:
-        empty = np.zeros((H.shape[0], 0), dtype=complex)
-        return 0, None, (np.zeros(0), empty, empty)
-    reason, pairs = _shift_invert(ordered, count, 0.5 * (lo + hi))
-    if reason is None and np.any((pairs[0] < lo) | (pairs[0] >= hi)):
-        reason = "count"
-    if reason is not None:
-        return count, reason, None
-    order = np.argsort(pairs[0], kind="stable")
-    return count, None, tuple(p[..., order] for p in pairs)
-
-
 class _OrderedPattern:
     """A WindowOperator H as a CSC array (tocsc), and one symmetric fill-reducing order of its pattern.
 
-    H keeps the rows' own order: eigsh and H @ X see it unpermuted, and it
-    stores every diagonal entry.  The order P is SuperLU's minimum-degree
-    order of A^T + A (MMD_AT_PLUS_A), a function of the pattern alone,
-    read once off the factor of a strictly diagonally dominant matrix with
-    H's pattern.
+    H keeps the rows' own order, and it stores every diagonal entry.  The
+    order P is SuperLU's minimum-degree order of A^T + A (MMD_AT_PLUS_A), a
+    function of the pattern alone, read once off the factor of a strictly
+    diagonally dominant matrix with H's pattern.
     factor(s) factors P (H - sI) P^T with permc_spec "NATURAL", so no
-    factorization orders the pattern again, and solve applies its inverse
-    in H's own order.  with_diagonal(d) is the operator with H's
-    off-diagonal and the diagonal d, in the same pattern and order: a
-    resonant block reuses one pattern for the inertia counts of every
-    block of its shape (block.nearest_eigenvalue).
+    factorization orders the pattern again.  with_diagonal(d) is the
+    operator with H's off-diagonal and the diagonal d, in the same pattern
+    and order: a resonant block reuses one pattern for the inertia counts
+    of every block of its shape (block.nearest_eigenvalue).
     """
 
     def __init__(self, H: WindowOperator):
@@ -337,7 +294,6 @@ class _OrderedPattern:
         # H_ij is (P H P^T)_{rank i, rank j}
         self._rank = scipy.sparse.linalg.splu(surrogate, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
                                               options={"SymmetricMode": True}).perm_c
-        self._order = np.argsort(self._rank)
         permuted = scipy.sparse.csc_array((np.arange(len(indices)), (self._rank[indices], self._rank[columns])),
                                           shape=H.shape)
         self._gather, self._pattern = permuted.data, (permuted.indices, permuted.indptr)
@@ -353,12 +309,11 @@ class _OrderedPattern:
         ordered.H = scipy.sparse.csc_array((data, self.H.indices, self.H.indptr), shape=self.H.shape)
         return ordered
 
-    def factor(self, s: float, symmetric: bool = False):
+    def factor(self, s: float):
         """SuperLU's factor of P (H - sI) P^T, or None when it is exactly singular.
 
-        With symmetric set it pivots on the diagonal (diag_pivot_thresh=0)
-        in symmetric mode, which gives the LDL^H _inertia reads; otherwise
-        it pivots by partial pivoting, as for a solve.
+        It pivots on the diagonal (diag_pivot_thresh=0) in symmetric mode,
+        which gives the LDL^H _inertia reads.
         """
         import scipy.sparse
         import scipy.sparse.linalg
@@ -366,53 +321,11 @@ class _OrderedPattern:
         data = self.H.data[self._gather]
         data[self._pivots] -= s
         shifted = scipy.sparse.csc_array((data, *self._pattern), shape=self.H.shape)
-        pivoting = {"diag_pivot_thresh": 0, "options": {"SymmetricMode": True}} if symmetric else {}
         try:
-            return scipy.sparse.linalg.splu(shifted, permc_spec="NATURAL", **pivoting)
+            return scipy.sparse.linalg.splu(shifted, permc_spec="NATURAL", diag_pivot_thresh=0,
+                                            options={"SymmetricMode": True})
         except RuntimeError:  # exactly singular
             return None
-
-    def solve(self, lu, x):
-        """y with (H - sI) y = x, lu = factor(s)."""
-        return lu.solve(x[self._order])[self._rank]
-
-
-def _shift_invert(ordered: _OrderedPattern, k: int, sigma: float):
-    """(reason, pairs): the k eigenpairs of the sparse Hermitian H = ordered.H nearest sigma.
-
-    Only the counted window solve (_window_pairs) calls it; a resonant
-    block's pair comes from _track_pair.  Shift-invert Lanczos (scipy's
-    eigsh) starts from a fixed vector in H's dtype, so that reruns are
-    byte-identical: on a float64 H, ARPACK runs
-    real symmetric Lanczos and SuperLU factors in real arithmetic.  The
-    inverse is one SuperLU factorization of H - sigma I in the pattern's
-    symmetric minimum-degree order (_OrderedPattern.factor), which fills
-    less than eigsh's default COLAMD on these operators.  pairs is
-    (theta, X, H @ X), X the unit vectors and theta their Rayleigh
-    quotients Re(x^H H x), which bring the eigenvalues back to a full
-    solve's accuracy.  Otherwise pairs is None and reason names the guard
-    that tripped: "count" when k is not in [1, n - 1) (Lanczos needs
-    k < n - 1) or ARPACK did not converge or failed otherwise, "pivot" when
-    H - sigma I is exactly singular (an eigenvalue at sigma).
-    """
-    import scipy.sparse.linalg  # here, not at module level: its import costs ~30 MB
-
-    H = ordered.H
-    n = H.shape[0]
-    if not 0 < k < n - 1:
-        return "count", None
-    v0 = np.random.default_rng(0).standard_normal(n).astype(H.dtype)
-    lu = ordered.factor(sigma)
-    if lu is None:
-        return "pivot", None
-    inverse = scipy.sparse.linalg.LinearOperator(H.shape, matvec=partial(ordered.solve, lu), dtype=H.dtype)
-    try:
-        _, X = scipy.sparse.linalg.eigsh(H, k=k, sigma=sigma, v0=v0, OPinv=inverse)
-    except scipy.sparse.linalg.ArpackError:  # no convergence, or another ARPACK failure
-        return "count", None
-    X = X / np.linalg.norm(X, axis=0)
-    HX = H @ X
-    return None, (np.real(np.vecdot(X, HX, axis=0)), X, HX)
 
 
 def _inertia(ordered: _OrderedPattern, s: float, floor: float) -> int | None:
@@ -420,12 +333,12 @@ def _inertia(ordered: _OrderedPattern, s: float, floor: float) -> int | None:
 
     By Sylvester's law of inertia nu(s) is the number of negative pivots of
     an LDL^H factorization of H - sI.  SuperLU computes one (U = D L^H) when
-    it pivots on the diagonal (_OrderedPattern.factor with symmetric set)
-    in a symmetric ordering (perm_r == perm_c).  None when it did not, or
-    when some |U_ii| < floor: an eigenvalue at s, or a pivot too small for
-    its sign to be trusted.
+    it pivots on the diagonal (_OrderedPattern.factor) in a symmetric
+    ordering (perm_r == perm_c).  None when it did not, or when some
+    |U_ii| < floor: an eigenvalue at s, or a pivot too small for its sign
+    to be trusted.
     """
-    lu = ordered.factor(s, symmetric=True)
+    lu = ordered.factor(s)
     if lu is None:
         return None
     pivots = lu.U.diagonal()
@@ -472,11 +385,11 @@ def track_dominant(lattice: LatticeModel, l: int, q: FourierPotential, v, window
     window starts from the inner window's pair, and the two windows' pairs
     are compared as in bloch_solve.  The spectrum holds the one pair
     (diagnostics eigensolver "tracked").  When either window refuses its
-    pair, every window is solved instead by
-    _counted_window over [min P - halfwidth, max P + halfwidth], which
-    holds every pair a prediction can match, and
-    diagnostics["tracking_refused"] says why.  diagnostics["track_steps"]
-    lists the Davidson steps taken in each window tried.
+    pair, every window's operator is solved in full by dense eigh
+    (eigensolver "dense"): the spectrum is bloch_solve's on the same
+    windows, bit for bit, and diagnostics["tracking_refused"] says why.
+    diagnostics["track_steps"] lists the Davidson steps taken in each
+    window tried.
     """
     v = np.asarray(v, dtype=float)
     gamma0, t = lattice.split(v)
@@ -490,40 +403,12 @@ def track_dominant(lattice: LatticeModel, l: int, q: FourierPotential, v, window
         if refused is None and any(abs(spectrum.relative_eigenvalue(0) - p) >= halfwidth for p in predictions):
             refused = "window"
         if refused is not None:
+            spectra = [diagonalize(op.toarray(), window, t, l, shift) for window, op in zip(bases, operators)]
             break
         spectra.append(spectrum)
         start = spectrum.coefficients[0]
-    else:
-        return _summarized(spectra, gamma0.coords, window_radius, refine, inertia_count=None,
-                           eigensolver="tracked", dense_fallback_reason=None, tracking_refused=None,
-                           track_steps=steps)
-    lo, hi = min(predictions) - halfwidth, max(predictions) + halfwidth
-    counts, reasons, spectra = zip(*(_counted_window(H, b, t, l, shift, lo, hi, gamma0.coords)
-                                     for b, H in zip(bases, operators)))
-    return _summarized(spectra, gamma0.coords, window_radius, refine, inertia_count=list(counts),
-                       eigensolver="dense" if any(reasons) else "sparse",
-                       dense_fallback_reason=next((r for r in reasons if r), None), tracking_refused=refused,
-                       track_steps=steps)
-
-
-def _counted_window(H: WindowOperator, basis: PlanewaveBasis, t, l: int, shift: float, lo: float, hi: float,
-                    coords):
-    """(count, reason, spectrum): the pairs of the sparse H in [lo, hi), counted by inertia.
-
-    SuperLU and ARPACK solve H's CSC array (_OrderedPattern).  The pairs
-    come from _window_pairs, and reason is None, when its guards hold and
-    one of them weighs more than 1/2 on coords, which makes it the full
-    spectrum's dominant pair (see BlochSpectrum.dominant_index).  Otherwise
-    the spectrum is the dense eigh of H in full, and reason names the
-    guard that tripped, or is "half-rule".
-    """
-    count, reason, pairs = _window_pairs(H, lo, hi)
-    if reason is None:
-        spectrum = _certified(basis, t, l, shift, *pairs)
-        if len(spectrum) and spectrum.weight(spectrum.dominant_index(coords), coords) > 0.5:
-            return count, None, spectrum
-        reason = "half-rule"
-    return count, reason, diagonalize(H.toarray(), basis, t, l, shift)
+    return _summarized(spectra, gamma0.coords, window_radius, refine, eigensolver="dense" if refused else "tracked",
+                       tracking_refused=refused, track_steps=steps)
 
 
 def _certified_pair(H: WindowOperator, basis: PlanewaveBasis, t, l: int, shift: float, coords, sigma: float,
@@ -675,8 +560,8 @@ def _summarized(spectra, coords, window_radius: float, refine: bool, **path) -> 
 
     With refine set, the eigenvalue tracked to coords must move by less
     than _REFINE_TOL (1 + |Lambda|) between the two windows, else
-    WindowNotConverged.  path names the solve (inertia_count, eigensolver,
-    dense_fallback_reason, ...).
+    WindowNotConverged.  path names the solve (eigensolver, and
+    track_dominant's tracking_refused and track_steps).
     """
     move = None
     if refine:

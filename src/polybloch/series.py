@@ -330,8 +330,7 @@ def order_sweep(lattice: LatticeModel, l: int, q: FourierPotential, centers, k_l
     uniformly (fixed irrational-slope directions achieve this).  Each
     center is solved by track_center, certified on the 1.5x window: the
     one pair dominated by gamma0, which match_eigenvalue picks for every
-    order, or when tracking is refused the counted pairs within the
-    matching half-width of some prediction.
+    order, or when tracking is refused each window's dense spectrum.
     """
     k_list = sorted(set(int(k) for k in k_list))
     if min(k_list) < 1:

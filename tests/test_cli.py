@@ -153,26 +153,26 @@ class TestVerifyCommand:
         (diag,) = json.loads((tmp_path / "out" / "verify.json").read_text())["result"]["diagnostics"]
         assert diag["rho"] == 10.0
         assert 0 < 10 * diag["pairs_solved"] < diag["basis_size"] < diag["refined_basis_size"]
-        # one tracked pair per window, no inertia count and no counted fallback
+        # one tracked pair per window, and no dense fallback
         assert diag["eigensolver"] == "tracked" and diag["pairs_solved"] == 2
-        assert diag["tracking_refused"] is None and diag["dense_fallback_reason"] is None
-        assert diag["inertia_count"] is None
+        assert diag["tracking_refused"] is None
         # Davidson steps per window: the refined window starts from the inner window's pair
         assert len(diag["track_steps"]) == 2 and 1 <= diag["track_steps"][1] <= 2 <= diag["track_steps"][0]
         assert 0 <= diag["certificate_move"] < 1e-9
         assert 0 < diag["worst_residual"] < 1e-8
 
-    def test_verify_diagnostics_of_the_counted_fallback(self, tmp_path, monkeypatch):
-        # with no Davidson step allowed, tracking is refused and the
-        # center is solved by the inertia-counted interval solve
+    def test_verify_diagnostics_of_the_dense_fallback(self, tmp_path, monkeypatch):
+        # with no Davidson step allowed, tracking is refused and both windows
+        # (81 and 177 waves at smoothness 9) are solved in full by dense eigh
         monkeypatch.setattr(oracle, "_TRACK_STEPS", 0)
-        cfg = write_config(tmp_path, "verify:\n  direction: [0.78, 0.6258]\n  orders: [1, 2]\n")
+        base = BASE_CONFIG.replace("smoothness: 45.0", "smoothness: 9.0")
+        cfg = write_config(tmp_path, "verify:\n  direction: [0.78, 0.6258]\n  orders: [1, 2]\n", base=base)
         assert main(["verify", "-c", str(cfg)]) == 0
         (diag,) = json.loads((tmp_path / "out" / "verify.json").read_text())["result"]["diagnostics"]
-        assert diag["tracking_refused"] == "convergence"
-        assert 0 < 10 * diag["pairs_solved"] < diag["basis_size"] < diag["refined_basis_size"]
-        assert diag["dense_fallback_reason"] is None and diag["eigensolver"] == "sparse"
-        assert len(diag["inertia_count"]) == 2 and all(c >= 1 for c in diag["inertia_count"])
+        assert (diag["eigensolver"], diag["tracking_refused"], diag["track_steps"]) == ("dense", "convergence", [0])
+        assert diag["basis_size"] == 81 and diag["refined_basis_size"] == 177
+        assert diag["pairs_solved"] == diag["basis_size"] + diag["refined_basis_size"]
+        assert "inertia_count" not in diag and "dense_fallback_reason" not in diag
         assert 0 <= diag["certificate_move"] < 1e-9
         assert 0 < diag["worst_residual"] < 1e-8
 
@@ -339,6 +339,14 @@ class TestErrors:
         cfg = write_config(tmp_path, "bands:\n  grid: [16, 16]\n  n_bands: 100000\n")
         assert main(["bands", "-c", str(cfg)]) == 3
         assert "a dense band solve takes at most" in capsys.readouterr().err
+
+    def test_window_beyond_the_dense_bound_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        # the shipped config's resonant point is solved densely on windows of 197 and
+        # 441 waves; under a bound of 300 the 1.5x window is refused before it is allocated
+        monkeypatch.setattr(oracle, "MAX_DENSE_BASIS", 300)
+        args = ["resonant-check", "-c", str(REPO / "configs" / "cosine_sweep.yaml"), "-o", str(tmp_path)]
+        assert main(args) == 3
+        assert "a dense matrix of 441 plane waves: a dense solve takes at most 300" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, section, key", [
         ("bands", "bands", "basis_radius"),

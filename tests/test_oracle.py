@@ -2,7 +2,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 
 import polybloch as pb
 from polybloch import oracle
-from polybloch.errors import NoCandidate, PreconditionError, WindowNotConverged
+from polybloch.errors import PartitionBreakdown, PreconditionError, WindowNotConverged
 from polybloch.lattice import CoordinateIndex
 from polybloch.numerics import blas_threads
 from polybloch.oracle import PlanewaveBasis
@@ -26,37 +25,14 @@ def two_state_basis(z2):
     return PlanewaveBasis(z2, [(0, 0), (1, 0)])
 
 
-def counted_solve(lattice, l, q, v, radius, preds, hw, refine=False):
-    """track_dominant's counted fallback over [min P - hw, max P + hw), tracking refused at once."""
-    with mock.patch.object(oracle, "_TRACK_STEPS", 0):
-        spectrum = pb.track_dominant(lattice, l, q, v, radius, preds, hw, refine=refine)
-    assert spectrum.diagnostics["tracking_refused"] == "convergence"
-    return spectrum
-
-
-def assert_matches_dense(spectrum, dense, l, q, v, preds, hw):
-    """Every prediction's match_eigenvalue on spectrum is the dense full solve's.
-
-    Exactly so where spectrum is a dense solve in full; otherwise the pair
-    matched carries the dense pair's Rayleigh quotient to 1e-12 (1 + |lambda|)
-    and its weight on gamma0 to 1e-10 (eigh's own eigenvalues carry ~eps |H|).
-    """
-    gamma0 = dense.basis.lattice.reduce(v)[0].coords
-    W = dense.coefficients.T
-    lam = np.real(np.vecdot(W, pb.assemble(l, q, dense.t, dense.basis, shift_center=v) @ W, axis=0))
-    for p in preds:
-        try:
-            ref = pb.match_eigenvalue(dense, gamma0, p, hw)
-        except NoCandidate:
-            with pytest.raises(NoCandidate):
-                pb.match_eigenvalue(spectrum, gamma0, p, hw)
-            continue
-        got = pb.match_eigenvalue(spectrum, gamma0, p, hw)
-        if len(spectrum) == len(spectrum.basis):
-            assert got == ref
-        else:
-            assert abs(spectrum.relative_eigenvalue(got.index) - lam[ref.index]) <= 1e-12 * (1.0 + abs(lam[ref.index]))
-            assert abs(got.weight - ref.weight) <= 1e-10
+def assert_is_bloch_solve(spectrum, dense):
+    """spectrum is track_dominant's dense fallback: dense, bloch_solve's spectrum, bit for bit."""
+    diag = dict(spectrum.diagnostics)
+    assert diag.pop("tracking_refused") in ("convergence", "weight", "window")
+    del diag["track_steps"]
+    assert diag == dense.diagnostics and diag["eigensolver"] == "dense"
+    assert spectrum.eigenvalues_rel.tobytes() == dense.eigenvalues_rel.tobytes()
+    assert spectrum.coefficients.tobytes() == dense.coefficients.tobytes()
 
 
 class TestAssemble:
@@ -196,6 +172,22 @@ class TestWindowedSolve:
         with pytest.raises(PreconditionError, match="window excludes the center's own index"):
             pb.bloch_solve(z2, 1, FourierPotential(z2, {}), [5.3, 4.2], -1.0)
 
+    def test_window_beyond_the_dense_bound_is_a_precondition_error(self, z2, monkeypatch):
+        # the bound is checked before the dense matrix is allocated, for full solves
+        # and for a tracked window's dense fallback alike
+        q = pb.cosine_pair(z2, (1, 0), 0.2)
+        v = np.array([5.3, 4.2])
+        n = len(pb.bloch_solve(z2, 1, q, v, 3.0).basis)
+        monkeypatch.setattr(oracle, "MAX_DENSE_BASIS", n)
+        pb.bloch_solve(z2, 1, q, v, 3.0)
+        monkeypatch.setattr(oracle, "MAX_DENSE_BASIS", n - 1)
+        with pytest.raises(PreconditionError, match=f"{n} plane waves: a dense solve takes at most {n - 1}"):
+            pb.bloch_solve(z2, 1, q, v, 3.0)
+        f1 = pb.known_part_sequence(v, 1, q, k_max=1).known_part_rel()
+        assert pb.track_dominant(z2, 1, q, v, 3.0, [f1], 0.01).diagnostics["eigensolver"] == "tracked"
+        with pytest.raises(PreconditionError, match=f"a dense matrix of {n} plane waves"):
+            pb.track_dominant(z2, 1, q, v, 3.0, [f1 + 0.02, f1], 0.01)
+
     def test_window_missing_the_coupled_waves_fails_certificate(self, z2):
         # a 0.01 window holds gamma0 alone, and so does its 1.5x refinement:
         # the certified eigenvalue could not move, so the refinement proves nothing
@@ -214,135 +206,6 @@ class TestWindowedSolve:
         n = spec.dominant_index(z2.reduce(v)[0].coords)
         assert spec.shift == pytest.approx(float(v @ v))
         assert spec.eigenvalues[n] == pytest.approx(spec.shift + spec.relative_eigenvalue(n), rel=1e-12)
-
-
-class TestPartialSolve:
-    """The counted interval solve against the full eigh of the same window."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2**16), support=st.sampled_from([1.0, 1.5]), amplitude=st.floats(0.05, 1.0),
-           l=st.sampled_from([1, 2]), angle=st.floats(0.0, 2 * np.pi), rho=st.floats(2.0, 6.0),
-           radius=st.floats(1.5, 3.5), scale=st.sampled_from([0.5, 5.0, 50.0]),
-           middle=st.floats(-1.0, 1.0), width=st.floats(1e-3, 1.0))
-    @example(seed=0, support=1.0, amplitude=0.3, l=1, angle=0.7, rho=4.0, radius=3.0, scale=0.5,
-             middle=0.0, width=1.0)
-    @example(seed=0, support=1.0, amplitude=0.3, l=2, angle=0.7, rho=4.0, radius=3.0, scale=50.0,
-             middle=-1.0, width=0.01)
-    @example(seed=23553, support=1.0, amplitude=0.43, l=2, angle=5.2110, rho=5.0, radius=3.321, scale=0.5,
-             middle=-0.0296, width=0.1799)  # eigh's own eigenvalue is 1.67e-12 off here
-    def test_partial_matches_full(self, z2, seed, support, amplitude, l, angle, rho, radius, scale, middle, width):
-        q = pb.random_potential(seed, z2, support, 0.0, amplitude)
-        v = rho * np.array([np.cos(angle), np.sin(angle)])
-        gamma0 = z2.reduce(v)[0].coords
-        pred, hw = scale * middle, scale * width
-        lo, hi = pred - hw, pred + hw
-        full = pb.bloch_solve(z2, l, q, v, radius)
-        H = pb.assemble(l, q, full.t, full.basis, shift_center=v)
-        # eigh's own eigenvalues are good to ~eps |H|, which exceeds the tolerance
-        # when |H| passes a few thousand; the Rayleigh quotients of its vectors are
-        # good to |residual|^2 / gap
-        W = full.coefficients.T
-        lam = np.real(np.vecdot(W, H @ W, axis=0))
-        order = np.argsort(lam, kind="stable")
-        lam, W = lam[order], W[:, order]
-        tol = 1e-12 * (1.0 + np.abs(lam))
-        pos = full.position(gamma0)
-        n_full = int(np.argmax(np.abs(W[pos]) ** 2))
-        _, reason, pairs = oracle._window_pairs(pb.assemble(l, q, full.t, full.basis, shift_center=v, sparse=True),
-                                                lo, hi)
-        if reason is not None:
-            assert reason in ("pivot", "count")
-        else:
-            rel_part, X, _ = pairs
-            assert np.all((rel_part > lo - 1e-12 * (1 + abs(lo))) & (rel_part <= hi + 1e-12 * (1 + abs(hi))))
-            # the pairs returned are a run of consecutive eigenvalues, matched in sorted
-            # order; an eigenvalue within rounding of lo may fall on either side of it
-            m, tol_lo = len(rel_part), 1e-12 * (1 + abs(lo))
-            starts = [a for a in range(np.count_nonzero(lam < lo - tol_lo), np.count_nonzero(lam < lo + tol_lo) + 1)
-                      if a + m <= len(lam) and np.all(np.abs(rel_part - lam[a:a + m]) <= tol[a:a + m])]
-            assert starts
-            idx = starts[0] + np.arange(m)
-            # every eigenvalue inside [lo, hi) by more than tol is returned
-            surely_inside = np.nonzero((lam >= lo + tol) & (lam < hi - tol))[0]
-            assert set(surely_inside.tolist()) <= set(idx.tolist())
-            # weights on gamma0 of well-separated pairs, whose vectors are fixed to ~eps |H| / gap
-            gaps = np.abs(lam[:, None] - lam[None, :]) + np.diag(np.full(len(lam), np.inf))
-            separated = gaps.min(axis=1)[idx] > 1e-4 * np.linalg.norm(H, 2)
-            w_full = np.abs(W[pos, idx]) ** 2
-            w_part = np.abs(X[pos]) ** 2
-            assert np.all(np.abs(w_part - w_full)[separated] <= 1e-10)
-            # the dominant pair's eigenvalue (its index is arbitrary within a degenerate pair)
-            if m and w_part.max() > 0.5:
-                assert abs(lam[idx[int(np.argmax(w_part))]] - lam[n_full]) <= tol[n_full]
-        windowed = counted_solve(z2, l, q, v, radius, [pred], hw)
-        tracked_inside = lo + tol[n_full] <= lam[n_full] < hi - tol[n_full]
-        if not tracked_inside:
-            assert windowed.diagnostics["eigensolver"] == "dense"
-        if windowed.diagnostics["eigensolver"] == "dense":
-            assert windowed.diagnostics["dense_fallback_reason"] in ("pivot", "count", "half-rule")
-            assert len(windowed) == len(full)
-            assert np.array_equal(windowed.eigenvalues, full.eigenvalues)
-        else:
-            tracked = windowed.relative_eigenvalue(windowed.dominant_index(gamma0))
-            assert abs(tracked - lam[n_full]) <= tol[n_full]
-
-    def test_empty_interval_falls_back_to_full_solve(self, z2):
-        q = pb.cosine_pair(z2, (1, 0), 0.2)
-        v = np.array([5.3, 4.2])
-        full = pb.bloch_solve(z2, 1, q, v, 6.0, refine=True)
-        spec = counted_solve(z2, 1, q, v, 6.0, [1e6 + 0.5], 0.5, refine=True)
-        assert spec.diagnostics["dense_fallback_reason"] == "half-rule"
-        assert np.array_equal(spec.eigenvalues, full.eigenvalues)
-        assert spec.diagnostics["pairs_solved"] == spec.diagnostics["basis_size"] + len(spec)
-
-    def test_minor_weight_pair_alone_falls_back(self, z2):
-        # Near the resonance v1 = -1/2, gamma0 and gamma0 + e1 mix about 60/40.
-        # An interval holding only the 40% pair cannot rule out a heavier pair
-        # outside it, so the window is solved in full.
-        q = pb.cosine_pair(z2, (1, 0), 0.2)
-        v = np.array([-0.459, 4.2])
-        gamma0 = z2.reduce(v)[0].coords
-        full = pb.bloch_solve(z2, 1, q, v, 6.0)
-        weights = np.abs(full.coefficients[:, full.position(gamma0)]) ** 2
-        minor, major = np.argsort(weights)[-2:]
-        assert 0.3 < weights[minor] < 0.5 < weights[major]
-        lam = full.relative_eigenvalue(minor)
-        spec = counted_solve(z2, 1, q, v, 6.0, [lam], 0.01)
-        assert spec.diagnostics["dense_fallback_reason"] == "half-rule"
-        assert spec.relative_eigenvalue(spec.dominant_index(gamma0)) == full.relative_eigenvalue(major)
-
-    def test_window_interval_solves_few_pairs(self, z2):
-        q = pb.cosine_pair(z2, (1, 0), 0.2)
-        v = np.array([5.3, 4.2])
-        gamma0 = z2.reduce(v)[0].coords
-        full = pb.bloch_solve(z2, 1, q, v, 8.0, refine=True)
-        spec = counted_solve(z2, 1, q, v, 8.0, [0.0], 0.5, refine=True)
-        diag = spec.diagnostics
-        assert diag["dense_fallback_reason"] is None and diag["eigensolver"] == "sparse"
-        assert diag["pairs_solved"] < 10 < diag["basis_size"] < diag["refined_basis_size"] == len(full.basis)
-        assert diag["certificate_move"] < 1e-9 and diag["worst_residual"] < 1e-8
-        n, n_full = spec.dominant_index(gamma0), full.dominant_index(gamma0)
-        assert abs(spec.relative_eigenvalue(n) - full.relative_eigenvalue(n_full)) <= 1e-15
-        assert spec.weight(n, gamma0) == pytest.approx(full.weight(n_full, gamma0), abs=1e-12)
-
-    def test_rayleigh_quotient_restores_full_accuracy(self, z2):
-        # Criterion 3's cosine pair at rho = 80 on its required window (901 waves).
-        # The interval solve's own eigenvalue is 1.2e-13 off the full solve's;
-        # the Rayleigh quotient brings it to ~4e-20.
-        q = pb.cosine_pair(z2, (1, 0), 0.1)
-        cas = scaled_cascade(20.0, known_order=3)
-        u = np.array([0.78, 0.6258])
-        v = 80.0 * u / np.linalg.norm(u)
-        gamma0 = z2.reduce(v)[0].coords
-        preds = [pb.known_part_sequence(v, 1, q, cas, k_max=3).prediction_rel(k) for k in (1, 2, 3)]
-        hw = cas.matching_halfwidth()
-        window = pb.required_window_radius(q, cas)
-        full = pb.bloch_solve(z2, 1, q, v, window)
-        part = counted_solve(z2, 1, q, v, window, preds, hw)
-        assert part.diagnostics["dense_fallback_reason"] is None
-        lam_full = full.relative_eigenvalue(full.dominant_index(gamma0))
-        lam_part = part.relative_eigenvalue(part.dominant_index(gamma0))
-        assert abs(lam_part - lam_full) <= 1e-17
 
 
 # random small windows: d = 2, 3; l = 1, 2; generic tables and rank-1 chains; predictions
@@ -402,9 +265,7 @@ class TestTrackedSolve:
         diag = tracked.diagnostics
         event(f"tracking refused: {diag['tracking_refused']}")
         if diag["eigensolver"] != "tracked":
-            assert diag["tracking_refused"] in ("convergence", "weight", "window")
-            assert diag["eigensolver"] in ("sparse", "dense") and len(diag["inertia_count"]) == (2 if refine else 1)
-            assert_matches_dense(tracked, dense, l, q, v, preds, hw)
+            assert_is_bloch_solve(tracked, dense)
             return
         assert diag["tracking_refused"] is None and len(tracked) == 1
         assert diag["pairs_solved"] == (2 if refine else 1)
@@ -445,8 +306,9 @@ class TestTrackedSolve:
         assert abs(tracked.relative_eigenvalue(0) - lam) <= 1e-12 * (1.0 + abs(lam))
         assert abs(tracked.weight(0, gamma0) - cold.weight(0, gamma0)) <= 1e-10
 
-    def test_tracked_pair_is_the_counted_dominant_pair(self, z2):
-        # criterion 3's cosine pair at rho = 80 on its required window: one pair per window
+    def test_tracked_pair_is_the_dense_dominant_pair(self, z2):
+        # criterion 3's cosine pair at rho = 80 on its required window: one pair per window,
+        # against the Rayleigh quotient of the inner window's dense dominant pair (901 waves)
         q = pb.cosine_pair(z2, (1, 0), 0.1)
         cas = scaled_cascade(20.0, known_order=3)
         u = np.array([0.78, 0.6258])
@@ -456,16 +318,18 @@ class TestTrackedSolve:
         hw = cas.matching_halfwidth()
         window = pb.required_window_radius(q, cas)
         tracked = pb.track_dominant(z2, 1, q, v, window, preds, hw, refine=True)
-        counted = counted_solve(z2, 1, q, v, window, preds, hw, refine=True)
+        dense = pb.bloch_solve(z2, 1, q, v, window)
+        assert len(dense.basis) == 901
         diag = tracked.diagnostics
         assert (diag["eigensolver"], diag["tracking_refused"], diag["pairs_solved"]) == ("tracked", None, 2)
-        assert diag["inertia_count"] is None and diag["dense_fallback_reason"] is None
         assert diag["certificate_move"] < 1e-20 and diag["worst_residual"] < 1e-13
         # the 1.5x window starts from the inner window's pair, which all but solves it
         assert diag["track_steps"][1] <= 2
-        n = counted.dominant_index(gamma0)
-        assert abs(tracked.relative_eigenvalue(0) - counted.relative_eigenvalue(n)) <= 1e-19
-        assert tracked.weight(0, gamma0) == pytest.approx(counted.weight(n, gamma0), abs=1e-14)
+        n = dense.dominant_index(gamma0)
+        x = dense.coefficients[n]
+        reference = float(np.real(np.vdot(x, pb.assemble(1, q, dense.t, dense.basis, shift_center=v) @ x)))
+        assert abs(tracked.relative_eigenvalue(0) - reference) <= 1e-19
+        assert tracked.weight(0, gamma0) == pytest.approx(dense.weight(n, gamma0), abs=1e-14)
         assert tracked.coefficient(0, gamma0).imag == 0.0 and tracked.coefficient(0, gamma0).real > 0
 
     def test_tracked_center_enumerates_and_assembles_once(self, z2, monkeypatch):
@@ -494,7 +358,7 @@ class TestTrackedSolve:
             assert spectrum.diagnostics["eigensolver"] == "tracked"
             assert spectrum.diagnostics["pairs_solved"] == 2
         assert calls == {"enumerate": 1, "assemble": 2 * len(centers), "couplings": 1, "index": 1}
-        # a refused center solves the same two operators by the counted solve
+        # a refused center solves the same two operators by dense eigh
         calls.update(enumerate=0, assemble=0, couplings=0, index=0)
         f1 = pb.known_part_sequence(centers[0], 1, q, k_max=1).known_part_rel()
         spectrum = pb.track_dominant(z2, 1, q, centers[0], 6.0, [f1 + 0.02, f1], 0.01, refine=True)
@@ -502,7 +366,7 @@ class TestTrackedSolve:
         assert calls == {"enumerate": 0, "assemble": 2, "couplings": 0, "index": 0}
 
     def test_small_windows_track_on_one_blas_thread(self, z2, monkeypatch):
-        # _track_pair runs on one thread up to SERIAL_TRACK_BASIS waves, the counted
+        # _track_pair runs on one thread up to SERIAL_TRACK_BASIS waves, the dense
         # fallback and larger windows on the caller's count, which is restored after
         before = blas_threads()
         if before is None or before < 2:
@@ -516,7 +380,7 @@ class TestTrackedSolve:
             return wrapper
 
         monkeypatch.setattr(oracle, "_track_pair", recorded("track", oracle._track_pair))
-        monkeypatch.setattr(oracle, "_counted_window", recorded("counted", oracle._counted_window))
+        monkeypatch.setattr(oracle, "diagonalize", recorded("dense", oracle.diagonalize))
         q = pb.cosine_pair(z2, (1, 0), 0.2)
         v = np.array([5.3, 4.2])
         f1 = pb.known_part_sequence(v, 1, q, k_max=1).known_part_rel()
@@ -526,7 +390,7 @@ class TestTrackedSolve:
         seen.clear()
         spectrum = pb.track_dominant(z2, 1, q, v, 6.0, [f1 + 0.02, f1], 0.01, refine=True)
         assert spectrum.diagnostics["tracking_refused"] == "window"
-        assert seen == [("track", inner, 1), ("counted", inner, before), ("counted", outer, before)]
+        assert seen == [("track", inner, 1), ("dense", inner, before), ("dense", outer, before)]
         assert blas_threads() == before
         seen.clear()
         monkeypatch.setattr(oracle, "SERIAL_TRACK_BASIS", inner)
@@ -535,8 +399,7 @@ class TestTrackedSolve:
 
     def refused(self, lattice, q, v, preds, hw, window=6.0):
         spec = pb.track_dominant(lattice, 1, q, v, window, preds, hw, refine=True)
-        assert spec.diagnostics["eigensolver"] != "tracked"
-        assert_matches_dense(spec, pb.bloch_solve(lattice, 1, q, v, window, refine=True), 1, q, v, preds, hw)
+        assert_is_bloch_solve(spec, pb.bloch_solve(lattice, 1, q, v, window, refine=True))
         return spec.diagnostics["tracking_refused"]
 
     def test_free_center_is_tracked_exactly(self, z2):
@@ -546,13 +409,13 @@ class TestTrackedSolve:
         v = np.array([5.3, 4.2])
         gamma0 = z2.reduce(v)[0].coords
         tracked = pb.track_dominant(z2, 1, q, v, 6.0, [0.0, 0.0], 0.5, refine=True)
-        counted = counted_solve(z2, 1, q, v, 6.0, [0.0, 0.0], 0.5, refine=True)
+        dense = pb.bloch_solve(z2, 1, q, v, 6.0, refine=True)
         diag = tracked.diagnostics
         assert (diag["eigensolver"], diag["tracking_refused"], diag["pairs_solved"]) == ("tracked", None, 2)
         assert diag["track_steps"] == [1, 1]
         assert tracked.relative_eigenvalue(0) == 0.0 and tracked.weight(0, gamma0) == 1.0
-        n = counted.dominant_index(gamma0)
-        assert counted.relative_eigenvalue(n) == 0.0 and counted.weight(n, gamma0) == 1.0
+        n = dense.dominant_index(gamma0)
+        assert dense.relative_eigenvalue(n) == 0.0 and dense.weight(n, gamma0) == 1.0
 
     def test_minor_weight_pair_is_refused(self, z2):
         # near the resonance v1 = -1/2, gamma0 and gamma0 + e1 mix about 60/40;
@@ -588,14 +451,13 @@ class TestTrackedSolve:
         full = pb.bloch_solve(z2, 1, q, v, radius)
         lam = full.relative_eigenvalue(full.dominant_index(gamma0))
         tracked = pb.track_dominant(z2, 1, q, v, radius, [lam], 0.05)
-        counted = counted_solve(z2, 1, q, v, radius, [lam], 0.05)
-        assert len(counted.basis) == 9
+        assert len(full.basis) == 9
         assert (tracked.diagnostics["eigensolver"], tracked.diagnostics["tracking_refused"]) == ("tracked", None)
-        n = counted.dominant_index(gamma0)
-        x = counted.coefficients[n]
-        reference = float(np.real(np.vdot(x, pb.assemble(1, q, counted.t, counted.basis, shift_center=v) @ x)))
+        n = full.dominant_index(gamma0)
+        x = full.coefficients[n]
+        reference = float(np.real(np.vdot(x, pb.assemble(1, q, full.t, full.basis, shift_center=v) @ x)))
         assert abs(tracked.relative_eigenvalue(0) - reference) <= 1e-12 * (1.0 + abs(reference))
-        assert abs(tracked.weight(0, gamma0) - counted.weight(n, gamma0)) <= 1e-12
+        assert abs(tracked.weight(0, gamma0) - full.weight(n, gamma0)) <= 1e-12
 
     def test_solve_cap_is_refused(self, z2, monkeypatch):
         q = pb.cosine_pair(z2, (1, 0), 0.2)
@@ -627,21 +489,50 @@ class TestTrackedSolve:
         assert pb.track_dominant(lattice, 1, q, v, radius, preds, hw).diagnostics["tracking_refused"] == "convergence"
 
 
+def test_ordinary_nonresonant_centers_are_tracked(z2):
+    # the dense fallback serves refusals, not ordinary traffic: seeded non-resonant
+    # centers of generic tables at rho = 20, on their required windows (901 and 2,053
+    # waves at support 1 on Z^2, 1,813 and 4,085 at 1.5; 20,479 and 69,599 on Z^3), track
+    rng = np.random.default_rng(0)
+    for lattice, supports, seeds, per in ((z2, (1.0, 1.5), range(3), 2), (pb.LatticeModel.cubic(3), (1.0,), [0], 1)):
+        d = lattice.dimension
+        cas = scaled_cascade(20.0, d=d, thresholds=(2.0, 4.0, 8.0, 16.0), known_order=2, a_radius=1.2)
+        pool = pb.direction_pool(lattice, cas)
+        for support in supports:
+            for seed in seeds:
+                q = pb.random_potential(seed, lattice, support, 0.0, 0.1)
+                tracked = 0
+                while tracked < per:
+                    u = rng.standard_normal(d)
+                    v = 20.0 * u / np.linalg.norm(u)
+                    try:
+                        resonant = pb.classify(lattice, v, cas, pool=pool).is_resonant
+                    except PartitionBreakdown:  # no class: outside order_sweep's precondition
+                        continue
+                    if not resonant:
+                        (diag,) = pb.order_sweep(lattice, 1, q, [v], [1, 2], cas).diagnostics
+                        assert diag["eigensolver"] == "tracked"
+                        tracked += 1
+
+
 def window_operator(lattice, l, q, v, radius):
-    """Basis, t, shift and sparse relative-frame operator of the window around v."""
+    """The sparse relative-frame operator of the window around v."""
     t = lattice.reduce(v)[1].reduced
-    basis = PlanewaveBasis.window(lattice, t, v, radius)
-    H = pb.assemble(l, q, t, basis, shift_center=v, sparse=True)
-    return basis, t, float(v @ v) ** l, H
+    return pb.assemble(l, q, t, PlanewaveBasis.window(lattice, t, v, radius), shift_center=v, sparse=True)
+
+
+def inertia(H, s):
+    """oracle._inertia's nu(s) on the sparse H, under the pivot floor blocks use."""
+    return oracle._inertia(oracle._OrderedPattern(H), s, oracle._PIVOT_TOL * H.one_norm())
 
 
 class TestSparseSlice:
-    """The inertia-counted shift-invert solve against the full dense eigh.
+    """Sylvester-inertia counts of a sparse operator (oracle._inertia) against the full dense eigh.
 
-    Convention: the inertia count nu(s) is the number of eigenvalues below s,
-    so an interval solve returns the pairs in [lo, hi).  An eigenvalue on an
-    endpoint makes a pivot vanish, which the pivot guard sends to the dense
-    solve of the whole block.
+    nu(s) is the number of eigenvalues below s, so nu(hi) - nu(lo) counts
+    the slice [lo, hi) of the spectrum, as block.nearest_eigenvalue counts
+    it.  An eigenvalue at s makes a pivot vanish, and the pivot guard
+    returns None.
     """
 
     @settings(max_examples=100, deadline=None)
@@ -661,137 +552,63 @@ class TestSparseSlice:
             q = pb.random_potential(seed, lattice, 1.0, 0.0, amplitude)
         u = np.array(direction[:d]) + 1e-3
         v = rho * u / np.linalg.norm(u)
-        gamma0 = lattice.reduce(v)[0].coords
-        basis, t, shift, H = window_operator(lattice, l, q, v, radius)
-        lo, hi = scale * (middle - width), scale * (middle + width)
+        H = window_operator(lattice, l, q, v, radius)
+        if chains:  # a real table's operator, factored in float64 as a block of an even q is
+            H = H.real
+        ordered, floor = oracle._OrderedPattern(H), oracle._PIVOT_TOL * H.one_norm()
         dense = H.toarray()
-        lam, W = np.linalg.eigh(dense)
-        count, reason, pairs = oracle._window_pairs(H, lo, hi)
-        if reason is not None:
-            assert reason in ("pivot", "count")
-            # the fallback is the dense eigh of the same block, in full
-            fallback = oracle._counted_window(H, basis, t, l, shift, lo, hi, gamma0)
-            assert fallback[:2] == (count, reason)
-            assert np.array_equal(fallback[2].eigenvalues_rel, lam)
         # eigh's own eigenvalues are good to ~eps |H|, which exceeds the tolerance
         # when |H| passes a few thousand; the Rayleigh quotients of its vectors are
         # good to |residual|^2 / gap
+        W = np.linalg.eigh(dense)[1]
         lam = np.real(np.vecdot(W, dense @ W, axis=0))
-        order = np.argsort(lam, kind="stable")
-        lam, W = lam[order], W[:, order]
         tol = 1e-12 * (1.0 + np.abs(lam))
-        inside = (lo <= lam) & (lam < hi)
-        clear = not np.any((np.abs(lam - lo) <= tol) | (np.abs(lam - hi) <= tol))
-        if reason is None:
-            evals, X, _ = pairs
-            assert len(evals) == count
-            assert np.all((lo <= evals) & (evals < hi))
-        if not clear:  # an eigenvalue within rounding of an endpoint may fall on either side
-            return
-        if count is not None:
-            assert count == np.count_nonzero(inside)
-        if reason is not None:
-            return
-        idx = np.flatnonzero(inside)
-        assert np.all(np.abs(evals - lam[idx]) <= tol[idx])
-        # weights on gamma0 of well-separated pairs, whose vectors are fixed to ~eps |H| / gap
-        pos = basis.positions(gamma0)[0]
-        gaps = np.abs(lam[:, None] - lam[None, :]) + np.diag(np.full(len(lam), np.inf))
-        separated = gaps.min(axis=1)[idx] > 1e-4 * np.linalg.norm(dense, 2)
-        w_dense = np.abs(W[pos, idx]) ** 2
-        w_part = np.abs(X[pos]) ** 2
-        assert np.all(np.abs(w_part - w_dense)[separated] <= 1e-10)
-        if len(evals) and w_part.max() > 0.5:
-            assert idx[int(np.argmax(w_part))] == int(np.argmax(np.abs(W[pos]) ** 2))
+        for s in (scale * (middle - width), scale * (middle + width)):
+            count = oracle._inertia(ordered, s, floor)
+            event(f"pivot guard: {count is None}")
+            # an eigenvalue within rounding of s may fall on either side of it
+            if count is not None and not np.any(np.abs(lam - s) <= tol):
+                assert count == np.count_nonzero(lam < s)
 
     @pytest.mark.parametrize("offset", [0.0, 1e-13])
     def test_endpoint_on_free_eigenvalue_takes_pivot_guard(self, z2, offset):
-        # q = 0: the eigenvalues are the diagonal, and lo on one of them leaves
+        # q = 0: the eigenvalues are the diagonal, and s on one of them leaves
         # a zero (or sub-floor) pivot whose sign is meaningless
-        v = np.array([5.3, 4.2])
-        basis, t, shift, H = window_operator(z2, 1, FourierPotential(z2, {}), v, 3.0)
-        lam = np.sort(H.diagonal().real)
-        lo, hi = lam[3] + offset, lam[9]
-        count, reason, spec = oracle._counted_window(H, basis, t, 1, shift, lo, hi, z2.reduce(v)[0].coords)
-        assert (count, reason) == (None, "pivot")
-        assert np.array_equal(spec.eigenvalues_rel, lam)
+        H = window_operator(z2, 1, FourierPotential(z2, {}), np.array([5.3, 4.2]), 3.0)
+        lam = np.sort(H.diagonal())
+        assert inertia(H, lam[3] + offset) is None
+        assert inertia(H, 0.5 * (lam[3] + lam[4])) == 4
 
     def test_off_diagonal_pivot_takes_pivot_guard(self, z2):
-        # H - lo I has a zero diagonal coupled off the diagonal: SuperLU must
+        # H - sI at s = 0 has a zero diagonal coupled off the diagonal: SuperLU must
         # pivot off the diagonal, perm_r != perm_c, and there is no LDL^H to count
-        basis = PlanewaveBasis.full_ball(z2, 1.5)
-        n = len(basis)
+        n = 9
         columns = np.full((1, n), n)
         columns[0, :2] = (1, 0)  # H[0, 1] = H[1, 0] = 1
         values = np.where(columns < n, 1.0 + 0j, 0j)
         H = oracle.WindowOperator(np.array([0.0, 0.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]), columns, values)
-        _, reason, spec = oracle._counted_window(H, basis, np.zeros(2), 1, 0.0, 0.0, 3.5, basis.coords[0])
-        assert reason == "pivot"
-        assert np.allclose(spec.eigenvalues, [-1.0, 1.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0])
-
-    def test_count_near_basis_size_takes_count_guard(self, z2):
-        q = pb.cosine_pair(z2, (1, 0), 0.2)
-        v = np.array([5.3, 4.2])
-        basis, t, shift, H = window_operator(z2, 1, q, v, 1.5)
-        lam = np.linalg.eigh(H.toarray())[0]
-        count, reason, spec = oracle._counted_window(H, basis, t, 1, shift, lam[1] - 0.5, lam[-1] + 1.0,
-                                                     z2.reduce(v)[0].coords)
-        assert (count, reason) == (len(basis) - 1, "count")
-        assert np.array_equal(spec.eigenvalues_rel, lam)
-
-    def test_pair_outside_interval_takes_count_guard(self, z2, monkeypatch):
-        # a Lanczos solve that returns the wrong pair: its Rayleigh quotient
-        # lies outside the interval, so the dense solve supplies the pairs
-        import scipy.sparse.linalg
-
-        q = pb.cosine_pair(z2, (1, 0), 0.2)
-        v = np.array([5.3, 4.2])
-        basis, t, shift, H = window_operator(z2, 1, q, v, 6.0)
-        lam, W = np.linalg.eigh(H.toarray())
-        n = int(np.argmin(np.abs(lam)))
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda A, k, **kw: (lam[n + 5:n + 5 + k], W[:, n + 5:n + 5 + k]))
-        count, reason, spec = oracle._counted_window(H, basis, t, 1, shift, lam[n] - 1e-3, lam[n] + 1e-3,
-                                                     z2.reduce(v)[0].coords)
-        assert (count, reason) == (1, "count")
-        assert np.array_equal(spec.eigenvalues_rel, lam)
-
-    def test_counted_fallback_reports_the_guard(self, z2):
-        v = np.array([5.3, 4.2])
-        spec = counted_solve(z2, 1, FourierPotential(z2, {}), v, 3.0, [0.0], 1.0, refine=True)
-        diag = spec.diagnostics
-        # the counts hold gamma0 (at 0) and gamma0 + (-1, 1) (at -0.2); the free
-        # eigenvalue at the shift sits exactly on the midpoint 0
-        assert (diag["eigensolver"], diag["dense_fallback_reason"]) == ("dense", "pivot")
-        assert diag["inertia_count"] == [2, 2]
-        gamma0 = z2.reduce(v)[0].coords
-        assert spec.relative_eigenvalue(spec.dominant_index(gamma0)) == 0.0
+        assert inertia(H, 0.0) is None
+        assert inertia(H, 3.5) == 3  # -1, 1 and 3
 
     def test_slice_orders_its_pattern_once(self, z2, monkeypatch):
-        # the two inertia counts and the shift-invert factor share one minimum-degree
-        # order: one factor reads it off the pattern, and the three factor in it
+        # the two inertia counts share one minimum-degree order: one factor reads it
+        # off the pattern, and both counts factor in it
         import scipy.sparse.linalg
 
         q = pb.random_potential(3, z2, 1.5, 0.0, 0.5)
-        _, _, _, H = window_operator(z2, 1, q, np.array([7.1, 3.3]), 5.0)
+        H = window_operator(z2, 1, q, np.array([7.1, 3.3]), 5.0)
         specs, splu = [], scipy.sparse.linalg.splu
         monkeypatch.setattr(scipy.sparse.linalg, "splu",
                             lambda A, permc_spec=None, **kw: (specs.append(permc_spec), splu(A, permc_spec, **kw))[1])
-        count, reason, _ = oracle._window_pairs(H, -2.0, 2.0)
-        assert reason is None and count > 0
-        assert specs == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL", "NATURAL"]
-
-    def test_rerun_is_byte_identical(self, z2):
-        q = pb.random_potential(3, z2, 1.5, 0.0, 0.5)
-        v = np.array([7.1, 3.3])
-        first, second = (counted_solve(z2, 1, q, v, 5.0, [0.0], 2.0, refine=True) for _ in range(2))
-        assert first.diagnostics["eigensolver"] == "sparse"
-        assert first.eigenvalues_rel.tobytes() == second.eigenvalues_rel.tobytes()
-        assert first.coefficients.tobytes() == second.coefficients.tobytes()
+        ordered = oracle._OrderedPattern(H)
+        below = [oracle._inertia(ordered, s, oracle._PIVOT_TOL * H.one_norm()) for s in (-2.0, 2.0)]
+        assert None not in below and below[1] > below[0]
+        assert specs == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL"]
 
 
 def test_import_and_full_solves_leave_scipy_sparse_unloaded():
-    # scipy.sparse.linalg adds ~30 MB of resident memory; only counted solves and
-    # simplicity verdicts may pay it, not the simplicity set-up path (known parts,
+    # scipy.sparse.linalg adds ~30 MB of resident memory; only simplicity verdicts
+    # (the block inertia counts) may pay it, not the simplicity set-up path (known parts,
     # the competitor set and the dense block)
     code = (
         "import sys\n"
@@ -817,20 +634,27 @@ def test_import_and_full_solves_leave_scipy_sparse_unloaded():
 
 
 def test_tracked_order_sweep_loads_no_scipy():
-    # a tracked center multiplies by the numpy window operator and factors and
-    # Lanczos-solves nothing, so only a refused center pays for scipy.sparse (~22 MB)
-    # and scipy.sparse.linalg (~30 MB)
+    # a tracked center multiplies by the numpy window operator and factors nothing,
+    # and a refused one falls back to numpy's dense eigh: track_dominant never pays
+    # for scipy.sparse (~22 MB) or scipy.sparse.linalg (~30 MB).  The forced
+    # refusals run at smoothness 9, on 81- and 177-wave windows.
     code = (
         "import sys\n"
         "import numpy as np\n"
         "import polybloch as pb\n"
+        "from polybloch import oracle\n"
         "lat = pb.LatticeModel.cubic(2)\n"
         "q = pb.cosine_pair(lat, (1, 0), 0.1)\n"
-        "cas = pb.derive_parameters(2, 1, 45.0, 20.0, mode='scaled', overrides={\n"
-        "    'v_thresholds': [2.0, 4.0, 8.0], 'pool_radius': 3.0, 'known_order': 3})\n"
+        "overrides = {'v_thresholds': [2.0, 4.0, 8.0], 'pool_radius': 3.0, 'known_order': 3}\n"
+        "cas = pb.derive_parameters(2, 1, 45.0, 20.0, mode='scaled', overrides=overrides)\n"
         "u = np.array([0.78, 0.6258]) / np.linalg.norm([0.78, 0.6258])\n"
         "table = pb.order_sweep(lat, 1, q, [20.0 * u, 40.0 * u], [1, 2, 3], cas)\n"
         "assert [d['eigensolver'] for d in table.diagnostics] == ['tracked', 'tracked']\n"
+        "oracle._TRACK_STEPS = 0\n"
+        "cas = pb.derive_parameters(2, 1, 9.0, 20.0, mode='scaled', overrides=overrides)\n"
+        "table = pb.order_sweep(lat, 1, q, [20.0 * u, 40.0 * u], [1, 2, 3], cas)\n"
+        "assert [d['eigensolver'] for d in table.diagnostics] == ['dense', 'dense']\n"
+        "assert [d['tracking_refused'] for d in table.diagnostics] == ['convergence', 'convergence']\n"
         "print('scipy' in sys.modules, any(m.startswith('scipy.') for m in sys.modules))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
