@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import EmptyDirections, PreconditionError
 from .geometry import ParameterCascade
-from .lattice import LatticeModel, LatticeVector, PlanewaveBasis, _integer_box, _ordered
+from .lattice import LatticeModel, LatticeVector, PlanewaveBasis, _integer_box, _ordered, _unique_rows
 from .numerics import integer_rank
 from .oracle import _PIVOT_TOL, BlochSpectrum, _certified_pair, _inertia, _OrderedPattern, assemble
 from .potential import FourierPotential
@@ -123,10 +123,10 @@ def _offset_set(lattice: LatticeModel, b: np.ndarray, a_radius: float) -> Planew
     set, a_radius), so consecutive blocks of one shape enumerate it once.
     """
     global _SHAPE
-    b = np.unique(b, axis=0)
+    b = _unique_rows(b)
     if _SHAPE is None or _SHAPE[0] is not lattice or _SHAPE[2] != a_radius or not np.array_equal(_SHAPE[1], b):
         a = lattice.ball_coords(a_radius, exclude_zero=False)
-        offsets = np.unique((b[:, None, :] + a[None, :, :]).reshape(-1, lattice.dimension), axis=0)
+        offsets = _unique_rows((b[:, None, :] + a[None, :, :]).reshape(-1, lattice.dimension))
         emb = lattice.embed(offsets)
         _SHAPE = (lattice, b, a_radius, PlanewaveBasis(lattice, _ordered(offsets, np.vecdot(emb, emb))))
     return _SHAPE[3]

@@ -68,6 +68,17 @@ def _in_shifted_ball(embeddings, center, radius: float) -> tuple[np.ndarray, np.
     return dist_sq, np.sqrt(dist_sq) <= radius + _BALL_REL_TOL * max(1.0, radius)
 
 
+def _unique_rows(coords: np.ndarray) -> np.ndarray:
+    """The distinct rows of an (n, d) integer array, sorted by coordinates, the first column first.
+
+    np.unique(coords, axis=0)'s rows, without the numpy.ma import its first call makes.
+    """
+    coords = coords[np.lexsort(coords.T[::-1])]
+    keep = np.ones(len(coords), dtype=bool)
+    keep[1:] = np.any(coords[1:] != coords[:-1], axis=1)
+    return coords[keep]
+
+
 def _ordered(coords: np.ndarray, key: np.ndarray) -> np.ndarray:
     """Read-only rows of coords sorted by (key, coords): the order of every enumerated index set."""
     ordered = coords[np.lexsort(tuple(coords[:, j] for j in reversed(range(coords.shape[1]))) + (key,))]
@@ -308,8 +319,8 @@ class PlanewaveBasis:
         regions of the dual lattice (competitor analysis); ordered by
         (|gamma|^2, coords).
         """
-        coords = np.unique(np.concatenate([lattice.enumerate_shifted_ball(np.asarray(c, dtype=float) - t, radius)
-                                           for c in centers]), axis=0)
+        coords = _unique_rows(np.concatenate([lattice.enumerate_shifted_ball(np.asarray(c, dtype=float) - t, radius)
+                                              for c in centers]))
         emb = lattice.embed(coords)
         return cls(lattice, _ordered(coords, np.vecdot(emb, emb)))
 

@@ -24,6 +24,11 @@ translates q's cached origin window (FourierPotential.origin_window),
 enumerated once per table and radius; the inner window is the leading
 rows of its 1.5x refinement.
 
+Every window solves q's eigenvalue table (FourierPotential.eigenvalue_table):
+its even translate D H D^H in float64 when q has one, else q itself.  The
+coefficient rows come back in q's frame (_in_q_frame), and
+diagnostics["real_symmetric"] says which arithmetic ran.
+
 Order sweeps need one pair per window: the one dominated by gamma0's plane
 wave, whose eigenvalue every order's prediction is matched against.  Away
 from gamma0 the window operator's diagonal dominates its couplings (the
@@ -43,7 +48,7 @@ window is solved in full by dense eigh on the same operators, densified
 (WindowOperator.toarray): bloch_solve's matrices, bit for bit.  The same
 certified engine finds the resonant block's eigenvalue nearest a known
 part (block.nearest_eigenvalue), whose acceptance set is the whole block
-and whose operator is real when q has an even translate.  Two
+and whose operator is likewise that of q's eigenvalue table.  Two
 Sylvester-inertia counts (_inertia) prove that eigenvalue nearest, on one
 ordered pattern per block shape (_OrderedPattern), the one place that
 calls SuperLU.
@@ -349,10 +354,30 @@ def _inertia(ordered: _OrderedPattern, s: float, floor: float) -> int | None:
 
 def solve(lattice: LatticeModel, l: int, q: FourierPotential, t, basis: PlanewaveBasis,
           shift_center) -> BlochSpectrum:
-    """Dense solve on basis, eigenvalues relative to |shift_center|^{2l} (see assemble)."""
+    """Dense solve on basis, eigenvalues relative to |shift_center|^{2l} (see assemble), of q's eigenvalue table."""
     v = np.asarray(shift_center, dtype=float)
-    H = assemble(l, q, t, basis, shift_center=v)
-    return diagonalize(H, basis, t, l, float(v @ v) ** l)
+    table, real = q.eigenvalue_table()
+    H = assemble(l, table, t, basis, shift_center=v)
+    if real:
+        H = np.ascontiguousarray(H.real)
+    return _in_q_frame(diagonalize(H, basis, t, l, float(v @ v) ** l), table, real)
+
+
+def _in_q_frame(spectrum: BlochSpectrum, table: FourierPotential, real: bool) -> BlochSpectrum:
+    """spectrum, solved on the operator of q's eigenvalue table, with q's coefficient rows.
+
+    On q's even translate (real set) the operator is D H D^H, so each row y
+    maps back to x = conj(D) y; eigenvalues, residual norms and weights are
+    the same in both frames.  A global phase cancels in D H D^H, so D is
+    taken over the rows of the set's root (PlanewaveBasis.root): for every
+    window the origin window (_windows), whose D the table keeps
+    (FourierPotential.translate_phases).  D is exactly 1 there on gamma0, so
+    a tracked row's largest entry stays real positive.
+    """
+    if not real:
+        return spectrum
+    phases = table.translate_phases(spectrum.basis.root[0])[:len(spectrum.basis)]
+    return replace(spectrum, coefficients=spectrum.coefficients * np.conj(phases))
 
 
 def bloch_solve(lattice: LatticeModel, l: int, q: FourierPotential, v, window_radius: float,
@@ -366,9 +391,10 @@ def bloch_solve(lattice: LatticeModel, l: int, q: FourierPotential, v, window_ra
     """
     v = np.asarray(v, dtype=float)
     gamma0, t = lattice.split(v)
+    table, real = q.eigenvalue_table()
     spectra = [solve(lattice, l, q, t, basis, shift_center=v)
-               for basis in _windows(q, gamma0.coords, window_radius, refine)]
-    return _summarized(spectra, gamma0.coords, window_radius, refine, eigensolver="dense")
+               for basis in _windows(table, gamma0.coords, window_radius, refine)]
+    return _summarized(spectra, gamma0.coords, window_radius, refine, eigensolver="dense", real_symmetric=real)
 
 
 def track_dominant(lattice: LatticeModel, l: int, q: FourierPotential, v, window_radius: float,
@@ -377,14 +403,16 @@ def track_dominant(lattice: LatticeModel, l: int, q: FourierPotential, v, window
 
     predictions (relative to |v|^{2l}, highest order last) are the values
     the pair is matched against, each within halfwidth.  Each window's
-    operator (see _windows) is assemble's: the couplings of their root, the
-    origin window, which q builds once per table and radius, and this
-    center's diagonal.  Its pair comes from _certified_pair, run towards
+    operator (see _windows) is assemble's on q's eigenvalue table, in
+    float64 on q's even translate: the couplings of their root, the origin
+    window, which the table builds once per radius, and this center's
+    diagonal.  Its pair comes from _certified_pair, run towards
     predictions[-1] and accepted when |theta - P| < halfwidth for every
     prediction P (else refused as "window"); with refine set, the 1.5x
     window starts from the inner window's pair, and the two windows' pairs
-    are compared as in bloch_solve.  The spectrum holds the one pair
-    (diagnostics eigensolver "tracked").  When either window refuses its
+    are compared as in bloch_solve.  The spectrum holds the one pair, its
+    row in q's frame with a real positive entry on gamma0 (_in_q_frame;
+    diagnostics eigensolver "tracked").  When either window refuses its
     pair, every window's operator is solved in full by dense eigh
     (eigensolver "dense"): the spectrum is bloch_solve's on the same
     windows, bit for bit, and diagnostics["tracking_refused"] says why.
@@ -394,8 +422,11 @@ def track_dominant(lattice: LatticeModel, l: int, q: FourierPotential, v, window
     v = np.asarray(v, dtype=float)
     gamma0, t = lattice.split(v)
     shift = float(v @ v) ** l
-    bases = _windows(q, gamma0.coords, window_radius, refine)
-    operators = [assemble(l, q, t, basis, shift_center=v, sparse=True) for basis in bases]
+    table, real = q.eigenvalue_table()
+    bases = _windows(table, gamma0.coords, window_radius, refine)
+    operators = [assemble(l, table, t, basis, shift_center=v, sparse=True) for basis in bases]
+    if real:
+        operators = [H.real for H in operators]
     spectra, steps, start = [], [], None
     for basis, H in zip(bases, operators):
         refused, taken, spectrum = _certified_pair(H, basis, t, l, shift, gamma0.coords, predictions[-1], start)
@@ -407,8 +438,9 @@ def track_dominant(lattice: LatticeModel, l: int, q: FourierPotential, v, window
             break
         spectra.append(spectrum)
         start = spectrum.coefficients[0]
+    spectra[-1] = _in_q_frame(spectra[-1], table, real)  # the spectrum returned
     return _summarized(spectra, gamma0.coords, window_radius, refine, eigensolver="dense" if refused else "tracked",
-                       tracking_refused=refused, track_steps=steps)
+                       real_symmetric=real, tracking_refused=refused, track_steps=steps)
 
 
 def _certified_pair(H: WindowOperator, basis: PlanewaveBasis, t, l: int, shift: float, coords, sigma: float,
@@ -482,11 +514,13 @@ def _track_pair(H: WindowOperator, basis: PlanewaveBasis, coords, sigma: float, 
         V[0, accept[np.argmin(np.abs(diagonal[accept] - sigma))]] = 1.0
     else:
         V[0, :len(start)] = start / np.linalg.norm(start)
+    conj = np.conj if np.iscomplexobj(V) else (lambda a: a)  # np.conj copies a real array
     for k in range(_TRACK_STEPS):
         HV = _with_row(HV, k)
         HV[k] = H @ V[k]
-        T[k, :k + 1] = V[:k + 1] @ HV[k].conj()
-        ritz, S = np.linalg.eigh(T[:k + 1, :k + 1])
+        T[k, :k + 1] = V[:k + 1] @ conj(HV[k])
+        # a 1 x 1 Rayleigh-Ritz matrix is its own eigenvalue, with eigenvector 1
+        ritz, S = (T[:1, 0].real, np.ones((1, 1), T.dtype)) if k == 0 else np.linalg.eigh(T[:k + 1, :k + 1])
         j = int(np.argmin(np.abs(ritz - sigma)))
         theta, s = float(ritz[j]), S[:, j]
         x = s @ V[:k + 1]
@@ -503,7 +537,7 @@ def _track_pair(H: WindowOperator, basis: PlanewaveBasis, coords, sigma: float, 
         delta = diagonal - theta  # exactly 0 on a wave as free as gamma0's, e.g. on a resonance plane
         c = r / np.where(np.abs(delta) < tol, tol, delta)
         for _ in range(2):
-            c -= np.conj(V[:k + 1] @ c.conj()) @ V[:k + 1]
+            c -= conj(V[:k + 1] @ conj(c)) @ V[:k + 1]
         length = np.linalg.norm(c)
         if length == 0:  # span V holds its own correction: no step can add to it
             break
@@ -560,8 +594,8 @@ def _summarized(spectra, coords, window_radius: float, refine: bool, **path) -> 
 
     With refine set, the eigenvalue tracked to coords must move by less
     than _REFINE_TOL (1 + |Lambda|) between the two windows, else
-    WindowNotConverged.  path names the solve (eigensolver, and
-    track_dominant's tracking_refused and track_steps).
+    WindowNotConverged.  path names the solve (eigensolver, real_symmetric,
+    and track_dominant's tracking_refused and track_steps).
     """
     move = None
     if refine:

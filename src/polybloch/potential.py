@@ -53,8 +53,10 @@ class FourierPotential:
         self.support_embeddings = emb[order]
         self.support_embeddings.setflags(write=False)
         self._eigenvalue_table = None
+        self._phase_basis = np.zeros(lattice.dimension)  # b = 2 x0 in coordinates: see translate_phases
         self._window = None  # (radius, origin window): see origin_window
         self._couplings = None  # (index set, its read-only table): see coupling_table
+        self._phases = None  # (index set, its read-only phases): see translate_phases
 
     # -- basic access -------------------------------------------------
 
@@ -158,10 +160,8 @@ class FourierPotential:
         real, checked to _EVEN_TOL max |q| (rounding leaves about 4e-15);
         the imaginary parts left are dropped.  A real table comes back
         unchanged (x0 = 0).  An x0 always exists when the pairs are linearly
-        independent.  It changes eigenvector phases, so only layers that keep
-        eigenvalues alone solve the translate (see eigenvalue_table): the
-        band layer (scanner) and the resonant block's nearest eigenvalue
-        (block.nearest_eigenvalue).
+        independent.  The translate keeps its phases (translate_phases): an
+        eigenvector y of D H D^H is x = conj(D) y of H, with the same weights.
         """
         if not self._table:
             return self
@@ -185,15 +185,32 @@ class FourierPotential:
         moved = np.array([self._table[g] for g in coords]) * np.exp(0.5j * (np.array(coords) @ b))
         if np.max(np.abs(moved.imag)) > _EVEN_TOL * np.max(np.abs(moved)):
             return None
-        return FourierPotential(self.lattice, dict(zip(coords, moved.real)), self.smoothness)
+        even = FourierPotential(self.lattice, dict(zip(coords, moved.real)), self.smoothness)
+        even._phase_basis = b
+        return even
+
+    def translate_phases(self, index_set) -> np.ndarray:
+        """D's diagonal e^{i(gamma, x0)} over the rows gamma of an index set, for this table as q(x + x0).
+
+        even_translate's table keeps its b (b . n = 2(gamma, x0) for gamma
+        with coordinates n); every other table is q itself, x0 = 0, and its
+        phases are 1.  Read-only, kept in one slot per table with the last
+        set asked, compared by identity, as coupling_table keeps couplings.
+        """
+        if self._phases is None or self._phases[0] is not index_set:
+            phases = np.exp(0.5j * (index_set.coords @ self._phase_basis))
+            phases.setflags(write=False)
+            self._phases = (index_set, phases)
+        return self._phases[1]
 
     def eigenvalue_table(self) -> tuple["FourierPotential", bool]:
         """The table whose operators have q's eigenvalues, and whether it is real.
 
         q's even translate when it has one: on every index set its operator
         is D H D^H (see even_translate), real symmetric.  Otherwise q itself.
-        Computed on the first call; the table is immutable, so later calls
-        return the same pair.
+        Band scans, resonant blocks' nearest eigenvalues and the oracle's
+        windows solve this table.  Computed on the first call; the table is
+        immutable, so later calls return the same pair.
         """
         if self._eigenvalue_table is None:
             even = self.even_translate()

@@ -11,10 +11,10 @@ q's even translate when it has one (FourierPotential.eigenvalue_table:
 every table whose +- pairs are linearly independent has one).  Its band
 matrices are real symmetric, so each grid point is a float64 eigvalsh, and
 its symmetry group holds -I and whatever mirrors the real table has.
-Other tables are solved as given, with complex matrices.  A translate
-changes eigenvector phases, so only layers that keep eigenvalues alone use
-it: this one and the resonant block's nearest eigenvalue
-(block.nearest_eigenvalue).  BandTable.real_symmetric says which path ran.
+Other tables are solved as given, with complex matrices.  The resonant
+block's nearest eigenvalue (block.nearest_eigenvalue) and the oracle's
+windows solve the same table; the windows map their eigenvectors back to
+q's (oracle._in_q_frame).  BandTable.real_symmetric says which path ran.
 """
 
 from __future__ import annotations

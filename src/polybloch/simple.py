@@ -22,7 +22,7 @@ import numpy as np
 from .block import assemble_block, build_index_set, nearest_eigenvalue  # noqa: F401 (simple.assemble_block stays bound)
 from .errors import NoBracket, PhaseDegenerate, PreconditionError, SpectralError
 from .geometry import ParameterCascade, ResonanceClass, classify, direction_pool, membership_profile
-from .lattice import LatticeModel, LatticeVector
+from .lattice import LatticeModel, LatticeVector, _unique_rows
 from .oracle import BlochSpectrum
 from .potential import FourierPotential
 from .series import KnownPartExpansion, _path_sums, _series_pool, known_part_sequence
@@ -169,9 +169,9 @@ def _reachable_offsets(q: FourierPotential, max_steps: int) -> np.ndarray:
     support = np.array(q.support, dtype=np.int64).reshape(-1, q.lattice.dimension)
     current, seen = np.zeros((1, q.lattice.dimension), dtype=np.int64), []
     for _ in range(max_steps):
-        current = np.unique((current[:, None, :] + support[None, :, :]).reshape(-1, support.shape[1]), axis=0)
+        current = _unique_rows((current[:, None, :] + support[None, :, :]).reshape(-1, support.shape[1]))
         seen.append(current)
-    offsets = np.unique(np.concatenate(seen), axis=0)
+    offsets = _unique_rows(np.concatenate(seen))
     return offsets[np.any(offsets != 0, axis=1)]
 
 

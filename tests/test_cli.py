@@ -156,6 +156,7 @@ class TestVerifyCommand:
         # one tracked pair per window, and no dense fallback
         assert diag["eigensolver"] == "tracked" and diag["pairs_solved"] == 2
         assert diag["tracking_refused"] is None
+        assert diag["real_symmetric"] is True  # the cosine pair is its own even translate
         # Davidson steps per window: the refined window starts from the inner window's pair
         assert len(diag["track_steps"]) == 2 and 1 <= diag["track_steps"][1] <= 2 <= diag["track_steps"][0]
         assert 0 <= diag["certificate_move"] < 1e-9
@@ -170,6 +171,7 @@ class TestVerifyCommand:
         assert main(["verify", "-c", str(cfg)]) == 0
         (diag,) = json.loads((tmp_path / "out" / "verify.json").read_text())["result"]["diagnostics"]
         assert (diag["eigensolver"], diag["tracking_refused"], diag["track_steps"]) == ("dense", "convergence", [0])
+        assert diag["real_symmetric"] is True
         assert diag["basis_size"] == 81 and diag["refined_basis_size"] == 177
         assert diag["pairs_solved"] == diag["basis_size"] + diag["refined_basis_size"]
         assert "inertia_count" not in diag and "dense_fallback_reason" not in diag
@@ -261,6 +263,7 @@ class TestOtherCommands:
         (row,) = json.loads((tmp_path / "bloch.json").read_text())["result"]
         diag = row["diagnostics"]
         assert diag["eigensolver"] == "tracked" and diag["tracking_refused"] is None
+        assert diag["real_symmetric"] is True
         assert diag["pairs_solved"] == 2 and len(diag["track_steps"]) == 2
         assert 0 <= diag["certificate_move"] < 1e-9 and 0 < diag["worst_residual"] < 1e-8
         assert row["weight"] > 0.99

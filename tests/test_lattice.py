@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import polybloch as pb
 import reference_enumeration as ref
 from polybloch.errors import PreconditionError, SingularBasis
-from polybloch.lattice import MAX_BOX_POINTS, CoordinateIndex
+from polybloch.lattice import MAX_BOX_POINTS, CoordinateIndex, _unique_rows
 
 TWO_PI = 2 * np.pi
 HEXAGONAL = TWO_PI * np.array([[1.0, 0.0], [0.5, np.sqrt(3) / 2]])
@@ -301,3 +301,13 @@ class TestLatticeModel:
         vec = z2.vector((3, -2))
         assert np.allclose(vec.embedding, [3.0, -2.0])
         assert vec.embedding @ vec.embedding == pytest.approx(13.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+                                                    max_size=40).map(lambda rows: np.array(rows, dtype=np.int64)
+                                                                     .reshape(-1, d))))
+def test_unique_rows_are_numpys(rows):
+    # lexsort and adjacent deduplication: np.unique(rows, axis=0) bit for bit, duplicates and all
+    assert _unique_rows(rows).tobytes() == np.unique(rows, axis=0).tobytes()
+    assert _unique_rows(rows).shape == np.unique(rows, axis=0).shape

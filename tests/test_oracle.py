@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -487,6 +488,124 @@ class TestTrackedSolve:
         assert abs(tracked.weight(0, gamma0) - dense.weight(n, gamma0)) <= 1e-10
         monkeypatch.setattr(oracle, "_TRACK_STEPS", 12)
         assert pb.track_dominant(lattice, 1, q, v, radius, preds, hw).diagnostics["tracking_refused"] == "convergence"
+
+
+# translate frame against complex frame: random Hermitian tables on up to d + 1 short
+# +- pairs (with an even translate or without), d = 2, 3, cubic and oblique lattices
+FRAME_LATTICES = {"Z2": np.eye(2), "Z3": np.eye(3), "oblique2": np.array([[1.0, 0.0], [0.37, 1.21]]),
+                  "oblique3": np.array([[1.0, 0.0, 0.0], [0.31, 1.13, 0.0], [0.17, -0.29, 0.91]])}
+
+
+@st.composite
+def frame_cases(draw):
+    """(lattice, q, l, v, radius, refine, predictions, halfwidth) for one window solve."""
+    lattice = pb.LatticeModel(2 * np.pi * FRAME_LATTICES[draw(st.sampled_from(sorted(FRAME_LATTICES)))])
+    d = lattice.dimension
+    # one g of each +- pair in the box |g_i| <= 1; d + 1 pairs are dependent, and a translate then needs matching phases
+    candidates = [g for g in itertools.product((-1, 0, 1), repeat=d) if g > (0,) * d]
+    n = draw(st.integers(1, d + 1))
+    pairs = draw(st.lists(st.sampled_from(candidates), min_size=n, max_size=n, unique=True))
+    table = {}
+    for g, (r, phase) in zip(pairs, draw(st.lists(st.tuples(st.floats(0.05, 0.5), st.floats(-np.pi, np.pi)),
+                                                  min_size=len(pairs), max_size=len(pairs)))):
+        table[g] = r * np.exp(1j * phase)
+        table[tuple(-c for c in g)] = np.conj(table[g])
+    q = FourierPotential(lattice, table)
+    l = draw(st.sampled_from([1, 2]))
+    u = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d))) + 1e-3
+    v = draw(st.floats(3.0, 6.0)) * u / np.linalg.norm(u)
+    radius = q.support_radius + draw(st.floats(0.5, 1.5))
+    hw = draw(st.sampled_from([0.01, 0.1, 1.0]))
+    preds = [first_order_shift(q, v, l) + hw * draw(st.floats(-0.5, 0.5))]
+    return lattice, q, l, v, radius, draw(st.booleans()), preds, hw
+
+
+def first_order_shift(q, v, l):
+    """The first-order level shift of gamma0's plane wave, relative to |v|^{2l}."""
+    shift = float(v @ v) ** l
+    gaps = [shift - float(np.sum((v + e) ** 2)) ** l for e in q.support_embeddings]
+    return sum(abs(q.coefficient(g)) ** 2 / gap for g, gap in zip(q.support, gaps) if gap)
+
+
+def in_complex_frame(q):
+    """q's own table, whose windows are solved as given, in complex arithmetic, translate or not."""
+    own = FourierPotential(q.lattice, {g: q.coefficient(g) for g in q.support}, q.smoothness)
+    own._eigenvalue_table = (own, False)
+    return own
+
+
+def dominant_pair(spectrum, gamma0, H):
+    """(Rayleigh quotient on q's operator H, weight, row with a real positive entry on gamma0,
+    distance to the nearest other eigenvalue) of the pair dominated by gamma0."""
+    n, pos = spectrum.dominant_index(gamma0), spectrum.position(gamma0)
+    x = spectrum.coefficients[n]
+    others = np.delete(spectrum.eigenvalues_rel, n)
+    gap = float(np.min(np.abs(others - spectrum.eigenvalues_rel[n]), initial=np.inf))
+    return float(np.real(np.vdot(x, H @ x))), abs(x[pos]) ** 2, x * (abs(x[pos]) / x[pos]), gap
+
+
+@settings(max_examples=100, deadline=None)
+@given(frame_cases())
+def test_translate_frame_solves_are_the_complex_frame_solves(case):
+    # the same windows, solved through q's even translate in float64 and mapped back
+    # (x = conj(D) y), and solved in q's own complex frame: one eigenvalue, weight and row
+    lattice, q, l, v, radius, refine, preds, hw = case
+    own = in_complex_frame(q)
+    real = q.eigenvalue_table()[1]
+    event(f"even translate: {real}")
+    gamma0 = lattice.split(v)[0].coords
+    try:
+        dense = [pb.bloch_solve(lattice, l, p, v, radius, refine=refine) for p in (q, own)]
+    except WindowNotConverged:
+        return
+    tracked = [pb.track_dominant(lattice, l, p, v, radius, preds, hw, refine=refine) for p in (q, own)]
+    assert [s.diagnostics["real_symmetric"] for s in dense + tracked] == [real, False, real, False]
+    # dense eigenvalues agree only to ~eps ||H|| (backward error), their Rayleigh quotients on q's own
+    # operator to second order in it; a tracked pair is Davidson's own Rayleigh quotient
+    H = pb.assemble(l, q, dense[0].t, dense[0].basis, shift_center=v)
+    (lam, weight, row, gap), (lam_c, weight_c, row_c, _) = (dominant_pair(s, gamma0, H) for s in dense)
+    assert abs(lam - lam_c) <= 1e-12 * (1.0 + abs(lam_c))
+    # a pair nearer than this to another is not determined to 1e-10 by a backward-stable solve
+    isolated = gap >= 1e-4 * np.max(np.sum(np.abs(H), axis=0))
+    event(f"dominant pair isolated: {isolated}")
+    if isolated:
+        assert abs(weight - weight_c) <= 1e-10 and np.max(np.abs(row - row_c)) <= 1e-10
+    solvers = [s.diagnostics["eigensolver"] for s in tracked]
+    event(f"window solvers: {solvers}")
+    if solvers != ["tracked", "tracked"]:
+        return
+    first, second = tracked
+    lam_t = second.relative_eigenvalue(0)
+    assert abs(first.relative_eigenvalue(0) - lam_t) <= 1e-12 * (1.0 + abs(lam_t))
+    if isolated:
+        assert abs(first.weight(0, gamma0) - second.weight(0, gamma0)) <= 1e-10
+        assert np.max(np.abs(first.coefficients[0] - second.coefficients[0])) <= 1e-10
+        if real:  # D is 1 on gamma0: the float64 pair's entry there stays real positive
+            assert first.coefficient(0, gamma0).imag == 0.0 and first.coefficient(0, gamma0).real > 0
+
+
+def test_window_diagnostics_say_which_arithmetic_ran(z2, monkeypatch):
+    # two independent complex pairs have an even translate, whose windows are solved in
+    # float64; a third pair in the plane whose phase does not match leaves none, and q's
+    # own complex windows are solved.  Tracked, refused and dense solves all say which ran.
+    dtypes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: (dtypes.append(a.dtype), eigh(a, *args, **kw))[1])
+    v = np.array([5.3, 4.2])
+    values = [0.2 * np.exp(0.7j), 0.15 * np.exp(-1.1j), 0.1 * np.exp(0.4j)]
+    for pairs, real in (([(1, 0), (0, 1)], True), ([(1, 0), (0, 1), (1, 1)], False)):
+        table = {g: z for g, z in zip(pairs, values)}
+        table.update({(-g[0], -g[1]): np.conj(z) for g, z in zip(pairs, values)})
+        q = FourierPotential(z2, table)
+        assert (q.even_translate() is not None) == real
+        f1 = pb.known_part_sequence(v, 1, q, k_max=1).known_part_rel()
+        dtypes.clear()
+        spectra = [pb.track_dominant(z2, 1, q, v, 6.0, [f1], 0.01, refine=True),
+                   pb.track_dominant(z2, 1, q, v, 6.0, [f1 + 0.02, f1], 0.01, refine=True),
+                   pb.bloch_solve(z2, 1, q, v, 6.0, refine=True)]
+        assert [s.diagnostics["eigensolver"] for s in spectra] == ["tracked", "dense", "dense"]
+        assert [s.diagnostics["real_symmetric"] for s in spectra] == [real] * 3
+        assert set(dtypes) == {np.dtype(float if real else complex)}
+        assert all(s.coefficients.dtype == complex for s in spectra)
 
 
 def test_ordinary_nonresonant_centers_are_tracked(z2):

@@ -1,5 +1,9 @@
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ from conftest import scaled_cascade
 from polybloch.errors import PhaseDegenerate
 from polybloch.lattice import CoordinateIndex
 from polybloch.potential import FourierPotential
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def brute_force_k_set(f_value, t, window, box=9, l=1):
@@ -86,6 +92,31 @@ class TestCheckSimplicity:
         report = pb.check_simplicity(z2, v, cas, 1, pb.cosine_pair(z2, (1, 0), 0.1))
         blocks = sorted(e.diagnostics["block_size"] for e in report.entries if e.kind == "block")
         assert len(blocks) == 2 and sorted(built) == sorted(set(blocks))  # one index per block shape
+
+    def test_verdict_and_coefficient_checks_leave_numpy_ma_unloaded(self):
+        # np.unique(..., axis=0) imports numpy.ma (12-16 ms, 1.7 MB) on its first call; index
+        # sets and reachable offsets deduplicate without it.  The three block competitors here
+        # need no inertia count, so no scipy.sparse import brings numpy.ma in either.
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import polybloch as pb\n"
+            "lat = pb.LatticeModel.cubic(2)\n"
+            "q = pb.cosine_pair(lat, (1, 0), 0.1)\n"
+            "cas = pb.derive_parameters(2, 1, 45.0, 20.0, mode='scaled', overrides={\n"
+            "    'v_thresholds': [2.0, 4.0, 8.0], 'pool_radius': 3.0, 'known_order': 2})\n"
+            "v = np.array([-19.402254825860837, 4.853092588480045])\n"
+            "report = pb.check_simplicity(lat, v, cas, 1, q)\n"
+            "assert sum(e.kind == 'block' for e in report.entries) == 3\n"
+            "spectrum = pb.bloch_solve(lat, 1, q, v, 3.0)\n"
+            "gamma0 = lat.reduce(v)[0].coords\n"
+            "pb.bloch_verify(spectrum, spectrum.dominant_index(gamma0), gamma0, 3, q, 0.0)\n"
+            "print('numpy.ma' in sys.modules, 'scipy' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "False False"
 
     def test_trivial_member_when_k_is_singleton(self, z2):
         # nearest competitor free energy sits 0.034 away, outside window 0.05/3
