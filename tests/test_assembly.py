@@ -344,8 +344,11 @@ def test_tracked_pair_does_not_depend_on_call_history(case, l, refine, step, gro
 @given(case=translated_windows(), factor=st.floats(0.5, 2.0).filter(lambda f: f != 1.0))
 def test_tables_on_one_support_keep_their_own_couplings(case, factor):
     lattice, table, v, radius = case
+    scaled = {g: factor * value for g, value in table.items()}
+    # a subnormal coefficient (say 5e-324j) scaled by 0.5 rounds to 0: another support
+    assume(all(value != 0 for value in scaled.values()))
     first = FourierPotential(lattice, table)
-    second = FourierPotential(lattice, {g: factor * value for g, value in table.items()})
+    second = FourierPotential(lattice, scaled)
     assert first.support == second.support
     gamma0 = lattice.split(v)[0].coords
     for q in (first, second):
