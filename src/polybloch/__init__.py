@@ -66,7 +66,6 @@ from .simple import (
     SimplicityReport,
     bloch_verify,
     check_simplicity,
-    coefficient_prediction,
     isoenergetic_sample,
     k_set,
     known_part,

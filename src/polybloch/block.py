@@ -17,12 +17,13 @@ and indexed once, as the root of every block of that shape
 operator (oracle.assemble) reads its couplings.
 
 Simplicity verdicts need only the block eigenvalue nearest a known part:
-nearest_eigenvalue finds it on the sparse block, real when q has an even
-translate, with the oracle's certified Davidson solve (oracle._certified_pair)
-and proves it nearest by a Sylvester-inertia count, or takes q's dense
-block's (assemble_block) when a guard of that solve trips.  The counts
-reuse one minimum-degree order of the last table and shape's pattern
-(oracle._OrderedPattern), so a block writes only its own diagonal.
+nearest_eigenvalue finds it on the sparse block of q's eigenvalue table
+(FourierPotential.eigenvalue_table) with the oracle's certified Davidson
+solve (oracle._certified_pair) and proves it nearest by a
+Sylvester-inertia count, or solves that block densely when a guard of
+that solve trips.  The counts reuse one minimum-degree order of the last
+table and shape's pattern (oracle._OrderedPattern), so a block writes
+only its own diagonal.
 """
 
 from __future__ import annotations
@@ -168,20 +169,18 @@ def nearest_eigenvalue(index_set: ResonantIndexSet, l: int, q: FourierPotential,
                        target: float) -> tuple[float, dict]:
     """The eigenvalue of the block on index_set nearest target, and the solve's diagnostics.
 
-    The block solved is that of q's even translate when q has one
-    (FourierPotential.eigenvalue_table): D H D^H for a diagonal unitary D,
-    with H's eigenvalues, real symmetric, which every step below solves in
-    float64.  Otherwise it is q's own complex Hermitian block.  Its
-    operator is oracle.assemble's (H.real on the real translate): the
-    couplings of its shape, kept by the table, and this block's diagonal
-    |h_i + t|^{2l} - |v|^{2l}.  Its pair comes from Davidson's method
-    under the oracle's certificates (oracle._certified_pair), started at
-    the row whose diagonal is nearest s = target - |v|^{2l}, taking the
-    Ritz pair nearest s and accepting weight over the whole block.  It
-    stops once the residual is below the pivot floor _PIVOT_TOL ||H||_1,
-    which tau below adds anyway (windows ask for _TRACK_TOL).  The pair is
-    theta, the Rayleigh quotient of its unit vector, and its residual r,
-    so some eigenvalue lies within r of theta.  With d = |theta - s| and
+    The block solved is that of q's eigenvalue table
+    (FourierPotential.eigenvalue_table), which has q's eigenvalues.  Its
+    operator is oracle.assemble's: the couplings of its shape, kept by the
+    table, and this block's diagonal |h_i + t|^{2l} - |v|^{2l}.  Its pair
+    comes from Davidson's method under the oracle's certificates
+    (oracle._certified_pair), started at the row whose diagonal is nearest
+    s = target - |v|^{2l}, taking the Ritz pair nearest s and accepting
+    weight over the whole block.  It stops once the residual is below the
+    pivot floor _PIVOT_TOL ||H||_1, which tau below adds anyway (windows
+    ask for _TRACK_TOL).  The pair is theta, the Rayleigh quotient of its
+    unit vector, and its residual r, so some eigenvalue lies within r of
+    theta.  With d = |theta - s| and
     tau = r plus the pivot floor, the count
     nu(s + d - tau) - nu(s - d + tau) = 0 (see oracle._inertia) proves
     that no eigenvalue lies nearer s than d - tau: the nearest
@@ -191,21 +190,19 @@ def nearest_eigenvalue(index_set: ResonantIndexSet, l: int, q: FourierPotential,
     order (_block_pattern).  The count's shifts stay tau - r from the
     eigenvalue found, which keeps their pivots trustworthy.
 
-    When a guard trips, the eigenvalues of q's own complex dense block
-    (assemble_block) answer.  diagnostics holds "eigensolver" ("sparse" or
-    "dense"), "inertia_count", "block_size", "real_symmetric" (whether the
-    sparse solve ran on the real translate), "track_steps" (the Davidson
-    steps taken) and "dense_fallback_reason": None, "pivot" (no
-    trustworthy LDL^H at a count shift) or "count" (a nonzero count, or
-    Davidson's method not converged within oracle._TRACK_STEPS steps or
-    its pair failing a certificate).
+    When a guard trips, the eigenvalues of the same operator, densified,
+    answer.  diagnostics holds "eigensolver" ("sparse" or "dense"),
+    "inertia_count", "block_size", "real_symmetric" (whether the table is
+    real), "track_steps" (the Davidson steps taken) and
+    "dense_fallback_reason": None, "pivot" (no trustworthy LDL^H at a
+    count shift) or "count" (a nonzero count, or Davidson's method not
+    converged within oracle._TRACK_STEPS steps or its pair failing a
+    certificate).
     """
     v = index_set.center
     shift = float(v @ v) ** l
-    table, real = q.eigenvalue_table()
+    table = q.eigenvalue_table()
     H = assemble(l, table, index_set.t, index_set, shift_center=v, sparse=True)
-    if real:
-        H = H.real
     s, count = target - shift, None
     refused, steps, tracked = _certified_pair(H, index_set, index_set.t, l, shift, index_set.coords, s,
                                               stop=_PIVOT_TOL)
@@ -225,11 +222,11 @@ def nearest_eigenvalue(index_set: ResonantIndexSet, l: int, q: FourierPotential,
                 count = below[1] - below[0]
                 reason = "count" if count else None
     diagnostics = {"eigensolver": "dense" if reason else "sparse", "dense_fallback_reason": reason,
-                   "inertia_count": count, "block_size": index_set.size, "real_symmetric": real,
+                   "inertia_count": count, "block_size": index_set.size, "real_symmetric": table.is_real,
                    "track_steps": steps}
     if reason is None:
         return theta + shift, diagnostics
-    eigenvalues = assemble_block(index_set, l, q).eigenvalues
+    eigenvalues = shift + np.linalg.eigvalsh(H.toarray())
     return float(eigenvalues[np.argmin(np.abs(eigenvalues - target))]), diagnostics
 
 

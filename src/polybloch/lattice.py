@@ -311,19 +311,6 @@ class PlanewaveBasis:
         """Exactly {gamma : |gamma + t - center| <= radius}, deterministic order."""
         return cls(lattice, lattice.enumerate_shifted_ball(np.asarray(center, dtype=float) - t, radius))
 
-    @classmethod
-    def union_windows(cls, lattice: LatticeModel, t, centers, radius: float) -> "PlanewaveBasis":
-        """Deduped union of windows around several centers.
-
-        Used when eigenvalues near one energy arise from several separated
-        regions of the dual lattice (competitor analysis); ordered by
-        (|gamma|^2, coords).
-        """
-        coords = _unique_rows(np.concatenate([lattice.enumerate_shifted_ball(np.asarray(c, dtype=float) - t, radius)
-                                              for c in centers]))
-        emb = lattice.embed(coords)
-        return cls(lattice, _ordered(coords, np.vecdot(emb, emb)))
-
     @cached_property
     def _index(self) -> CoordinateIndex:
         return CoordinateIndex(self.coords)

@@ -137,12 +137,6 @@ def _openblas_thread_calls():
     return None
 
 
-def blas_threads() -> int | None:
-    """numpy's current BLAS thread count, or None where it cannot be read."""
-    calls = _openblas_thread_calls()
-    return None if calls is None else int(calls[0]())
-
-
 @contextlib.contextmanager
 def capped_blas_threads(limit: int | None):
     """Run the block with numpy's BLAS on at most `limit` threads.

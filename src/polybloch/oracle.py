@@ -24,10 +24,10 @@ translates q's cached origin window (FourierPotential.origin_window),
 enumerated once per table and radius; the inner window is the leading
 rows of its 1.5x refinement.
 
-Every window solves q's eigenvalue table (FourierPotential.eigenvalue_table):
-its even translate D H D^H in float64 when q has one, else q itself.  The
-coefficient rows come back in q's frame (_in_q_frame), and
-diagnostics["real_symmetric"] says which arithmetic ran.
+Every window solves q's eigenvalue table (FourierPotential.eigenvalue_table),
+in the arithmetic its coefficients set.  The coefficient rows come back in
+q's frame (_in_q_frame), and diagnostics["real_symmetric"] says which
+arithmetic ran.
 
 Order sweeps need one pair per window: the one dominated by gamma0's plane
 wave, whose eigenvalue every order's prediction is matched against.  Away
@@ -135,9 +135,8 @@ class WindowOperator:
     off-diagonal of FourierPotential.coupling_table: row i holds
     values[s, i] in column columns[s, i], with the sentinel n (value 0)
     where there is none; dtype is their common type (float64 for real
-    couplings).  H @ x gathers x once per offset, abs(H) is the
-    operator of the entries' moduli and H.real that of their real parts
-    (a real table's, in float64).  tocsc() builds the scipy.sparse CSC
+    couplings).  H @ x gathers x once per offset and abs(H) is the
+    operator of the entries' moduli.  tocsc() builds the scipy.sparse CSC
     array that SuperLU needs, every diagonal entry stored, and toarray()
     the dense matrix in H's dtype: PreconditionError, before anything is
     allocated, above MAX_DENSE_BASIS waves.
@@ -157,11 +156,6 @@ class WindowOperator:
 
     def __abs__(self) -> "WindowOperator":
         return WindowOperator(np.abs(self._diagonal), self.columns, np.abs(self.values))
-
-    @property
-    def real(self) -> "WindowOperator":
-        """The operator of the entries' real parts, its couplings contiguous float64."""
-        return WindowOperator(self._diagonal, self.columns, np.ascontiguousarray(self.values.real))
 
     def one_norm(self) -> float:
         """||H||_1, the largest column sum of |H| (the largest row sum: H is Hermitian)."""
@@ -356,25 +350,24 @@ def solve(lattice: LatticeModel, l: int, q: FourierPotential, t, basis: Planewav
           shift_center) -> BlochSpectrum:
     """Dense solve on basis, eigenvalues relative to |shift_center|^{2l} (see assemble), of q's eigenvalue table."""
     v = np.asarray(shift_center, dtype=float)
-    table, real = q.eigenvalue_table()
+    table = q.eigenvalue_table()
     H = assemble(l, table, t, basis, shift_center=v)
-    if real:
-        H = np.ascontiguousarray(H.real)
-    return _in_q_frame(diagonalize(H, basis, t, l, float(v @ v) ** l), table, real)
+    return _in_q_frame(diagonalize(H, basis, t, l, float(v @ v) ** l), q, table)
 
 
-def _in_q_frame(spectrum: BlochSpectrum, table: FourierPotential, real: bool) -> BlochSpectrum:
+def _in_q_frame(spectrum: BlochSpectrum, q: FourierPotential, table: FourierPotential) -> BlochSpectrum:
     """spectrum, solved on the operator of q's eigenvalue table, with q's coefficient rows.
 
-    On q's even translate (real set) the operator is D H D^H, so each row y
-    maps back to x = conj(D) y; eigenvalues, residual norms and weights are
-    the same in both frames.  A global phase cancels in D H D^H, so D is
-    taken over the rows of the set's root (PlanewaveBasis.root): for every
-    window the origin window (_windows), whose D the table keeps
-    (FourierPotential.translate_phases).  D is exactly 1 there on gamma0, so
-    a tracked row's largest entry stays real positive.
+    A table other than q is q's even translate, whose operator is D H D^H,
+    so each row y maps back to x = conj(D) y; eigenvalues, residual norms
+    and weights are the same in both frames.  A global phase cancels in
+    D H D^H, so D is taken over the rows of the set's root
+    (PlanewaveBasis.root): for every window the origin window (_windows),
+    whose D the table keeps (FourierPotential.translate_phases).  D is
+    exactly 1 there on gamma0, so a tracked row's largest entry stays real
+    positive.
     """
-    if not real:
+    if table is q:
         return spectrum
     phases = table.translate_phases(spectrum.basis.root[0])[:len(spectrum.basis)]
     return replace(spectrum, coefficients=spectrum.coefficients * np.conj(phases))
@@ -391,10 +384,11 @@ def bloch_solve(lattice: LatticeModel, l: int, q: FourierPotential, v, window_ra
     """
     v = np.asarray(v, dtype=float)
     gamma0, t = lattice.split(v)
-    table, real = q.eigenvalue_table()
+    table = q.eigenvalue_table()
     spectra = [solve(lattice, l, q, t, basis, shift_center=v)
                for basis in _windows(table, gamma0.coords, window_radius, refine)]
-    return _summarized(spectra, gamma0.coords, window_radius, refine, eigensolver="dense", real_symmetric=real)
+    return _summarized(spectra, gamma0.coords, window_radius, refine, eigensolver="dense",
+                       real_symmetric=table.is_real)
 
 
 def track_dominant(lattice: LatticeModel, l: int, q: FourierPotential, v, window_radius: float,
@@ -403,10 +397,9 @@ def track_dominant(lattice: LatticeModel, l: int, q: FourierPotential, v, window
 
     predictions (relative to |v|^{2l}, highest order last) are the values
     the pair is matched against, each within halfwidth.  Each window's
-    operator (see _windows) is assemble's on q's eigenvalue table, in
-    float64 on q's even translate: the couplings of their root, the origin
-    window, which the table builds once per radius, and this center's
-    diagonal.  Its pair comes from _certified_pair, run towards
+    operator (see _windows) is assemble's on q's eigenvalue table: the
+    couplings of their root, the origin window, which the table builds
+    once per radius, and this center's diagonal.  Its pair comes from _certified_pair, run towards
     predictions[-1] and accepted when |theta - P| < halfwidth for every
     prediction P (else refused as "window"); with refine set, the 1.5x
     window starts from the inner window's pair, and the two windows' pairs
@@ -422,11 +415,9 @@ def track_dominant(lattice: LatticeModel, l: int, q: FourierPotential, v, window
     v = np.asarray(v, dtype=float)
     gamma0, t = lattice.split(v)
     shift = float(v @ v) ** l
-    table, real = q.eigenvalue_table()
+    table = q.eigenvalue_table()
     bases = _windows(table, gamma0.coords, window_radius, refine)
     operators = [assemble(l, table, t, basis, shift_center=v, sparse=True) for basis in bases]
-    if real:
-        operators = [H.real for H in operators]
     spectra, steps, start = [], [], None
     for basis, H in zip(bases, operators):
         refused, taken, spectrum = _certified_pair(H, basis, t, l, shift, gamma0.coords, predictions[-1], start)
@@ -438,9 +429,9 @@ def track_dominant(lattice: LatticeModel, l: int, q: FourierPotential, v, window
             break
         spectra.append(spectrum)
         start = spectrum.coefficients[0]
-    spectra[-1] = _in_q_frame(spectra[-1], table, real)  # the spectrum returned
+    spectra[-1] = _in_q_frame(spectra[-1], q, table)  # the spectrum returned
     return _summarized(spectra, gamma0.coords, window_radius, refine, eigensolver="dense" if refused else "tracked",
-                       real_symmetric=real, tracking_refused=refused, track_steps=steps)
+                       real_symmetric=table.is_real, tracking_refused=refused, track_steps=steps)
 
 
 def _certified_pair(H: WindowOperator, basis: PlanewaveBasis, t, l: int, shift: float, coords, sigma: float,

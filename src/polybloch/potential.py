@@ -13,6 +13,7 @@ there is one.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,7 @@ class FourierPotential:
             if value != 0:
                 table[coords] = value
         self._table = table
+        self.is_real = all(value.imag == 0 for value in table.values())  # see _coupling_table
         # one embedding of the support rows serves every norm below; _norms is in table order
         keys = list(table)
         emb = lattice.embed(np.array(keys, dtype=np.int64).reshape(-1, lattice.dimension))
@@ -90,6 +92,11 @@ class FourierPotential:
     def _coupling_table(self, index_set) -> tuple[np.ndarray, np.ndarray]:
         """(columns, values): the off-diagonal entries q_{c_i - c_j} over the rows c of an index set.
 
+        The table's coefficients set the arithmetic of every operator built
+        from it (oracle.assemble): values is float64 when all of them are
+        real (is_real), bit for bit the real parts of the complex entries,
+        and complex otherwise.
+
         index_set is a lattice.PlanewaveBasis.  One table row per nonzero
         offset g_s of supp q and its negatives (the same set for any table
         the loader accepts): columns[s, i] is the row j of c_i - g_s and
@@ -108,10 +115,13 @@ class FourierPotential:
                    if any(g)]
         members = np.arange(n)
         columns = np.full((len(offsets), n), n, dtype=np.int64)
-        values = np.zeros((len(offsets), n), dtype=complex)
+        values = np.zeros((len(offsets), n), dtype=float if self.is_real else complex)
         for s, g in enumerate(offsets):
             j = index_set.positions(coords - np.asarray(g, dtype=np.int64))  # absent targets have j = -1
-            value = np.where(members < j, self.coefficient(g), np.conj(self.coefficient(tuple(-c for c in g))))
+            upper, lower = self.coefficient(g), self.coefficient(tuple(-c for c in g)).conjugate()
+            if self.is_real:
+                upper, lower = upper.real, lower.real
+            value = np.where(members < j, upper, lower)
             kept = (j >= 0) & (value != 0)
             columns[s, kept] = j[kept]
             values[s, kept] = value[kept]
@@ -203,18 +213,21 @@ class FourierPotential:
             self._phases = (index_set, phases)
         return self._phases[1]
 
-    def eigenvalue_table(self) -> tuple["FourierPotential", bool]:
-        """The table whose operators have q's eigenvalues, and whether it is real.
+    def eigenvalue_table(self) -> "FourierPotential":
+        """The table whose operators have q's eigenvalues, solved in float64 whenever q allows it.
 
-        q's even translate when it has one: on every index set its operator
-        is D H D^H (see even_translate), real symmetric.  Otherwise q itself.
-        Band scans, resonant blocks' nearest eigenvalues and the oracle's
-        windows solve this table.  Computed on the first call; the table is
-        immutable, so later calls return the same pair.
+        q's even translate when it has one: its coefficients are real
+        (is_real), so its operator on every index set, D H D^H (see
+        even_translate), is real symmetric and built in float64
+        (_coupling_table).  Otherwise q itself, complex Hermitian.  Band
+        scans, resonant blocks' nearest eigenvalues and the oracle's windows
+        solve this table, and the oracle maps its eigenvectors back to q's
+        when it is not q (translate_phases).  Computed on the first call;
+        the table is immutable, so later calls return the same table.
         """
         if self._eigenvalue_table is None:
             even = self.even_translate()
-            self._eigenvalue_table = (self, False) if even is None else (even, True)
+            self._eigenvalue_table = self if even is None else even
         return self._eigenvalue_table
 
     def one_norm(self) -> float:
@@ -277,9 +290,20 @@ class FourierPotential:
 
     @classmethod
     def from_records(cls, lattice: LatticeModel, records, smoothness: float) -> "FourierPotential":
+        """The table of records {"n": coords, "re": ..., "im": ...}, as a config or potential file holds them.
+
+        ValueError when some n is not a list of d integers (a bool is not
+        one), when an n repeats, or when the table fails validate.
+        """
         table = {}
         for rec in records:
-            coords = tuple(int(c) for c in rec["n"])
+            n = rec["n"]
+            if (not isinstance(n, (list, tuple)) or len(n) != lattice.dimension
+                    or not all(isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in n)):
+                raise ValueError(f"n must be a list of {lattice.dimension} integers, got {n!r}")
+            coords = tuple(int(c) for c in n)
+            if coords in table:
+                raise ValueError(f"n = {list(coords)} appears twice")
             table[coords] = complex(float(rec.get("re", 0.0)), float(rec.get("im", 0.0)))
         pot = cls(lattice, table, smoothness)
         report = pot.validate()

@@ -7,14 +7,11 @@ refinement check; gaps are the complement of the band-range union and are
 only reported when stable under grid doubling.
 
 Translating q(x) -> q(x + x0) keeps every band, so the band layer solves
-q's even translate when it has one (FourierPotential.eigenvalue_table:
-every table whose +- pairs are linearly independent has one).  Its band
-matrices are real symmetric, so each grid point is a float64 eigvalsh, and
+q's eigenvalue table (FourierPotential.eigenvalue_table), as the resonant
+block's nearest eigenvalue and the oracle's windows do.  On an even
+translate (every table whose +- pairs are linearly independent has one)
 its symmetry group holds -I and whatever mirrors the real table has.
-Other tables are solved as given, with complex matrices.  The resonant
-block's nearest eigenvalue (block.nearest_eigenvalue) and the oracle's
-windows solve the same table; the windows map their eigenvectors back to
-q's (oracle._in_q_frame).  BandTable.real_symmetric says which path ran.
+BandTable.real_symmetric says which arithmetic ran.
 """
 
 from __future__ import annotations
@@ -95,14 +92,14 @@ def certified_basis_radius(lattice: LatticeModel, l: int, q: FourierPotential, n
         raise PreconditionError(f"n_bands = {n_bands} needs a basis of at least {2 * n_bands} plane waves; "
                                 f"a dense band solve takes at most {MAX_BAND_BASIS}")
     probe_t = _probe_points(lattice)["probe"]
-    q, real = q.eigenvalue_table()
+    q = q.eigenvalue_table()
     # start from the free-counting estimate plus coupling reach
     radius = 1.0
     while len(lattice.ball_coords(radius, exclude_zero=False)) < 2 * n_bands:
         radius += 0.5
     radius += 2.0 * max(q.support_radius, 1.0)
     for _ in range(_CERTIFY_TRIES):
-        move = _basis_move(lattice, l, q, real, probe_t, radius, n_bands)
+        move = _basis_move(lattice, l, q, probe_t, radius, n_bands)
         if move < _CERTIFY_TOL:
             return radius
         radius *= 1.25
@@ -123,31 +120,29 @@ def basis_moves(lattice: LatticeModel, l: int, q: FourierPotential, radius: floa
     """The largest relative move of the first n_bands under a 1.5x basis
     radius, at each of _probe_points: the probe's is the one
     certified_basis_radius bounds, the corner's is only reported."""
-    q, real = q.eigenvalue_table()
-    return {f"{name}_move": _basis_move(lattice, l, q, real, t, radius, n_bands)
+    q = q.eigenvalue_table()
+    return {f"{name}_move": _basis_move(lattice, l, q, t, radius, n_bands)
             for name, t in _probe_points(lattice).items()}
 
 
-def _basis_move(lattice, l, q, real, t, radius, n_bands) -> float:
+def _basis_move(lattice, l, q, t, radius, n_bands) -> float:
     """max |small - big| / (1 + |big|) over the first n_bands at t, on the radius and 1.5x balls."""
     values = []
     for r in (radius, 1.5 * radius):
         basis = _band_basis(lattice, r, n_bands)
         with _band_threads(basis):
-            values.append(_bands_at(_band_couplings(l, q, real, basis), basis, l, t, n_bands))
+            values.append(_bands_at(_band_couplings(l, q, basis), basis, l, t, n_bands))
     small, big = values
     return float(np.max(np.abs(small - big) / (1.0 + np.abs(big))))
 
 
-def _band_couplings(l: int, q: FourierPotential, real: bool, basis: PlanewaveBasis) -> np.ndarray:
-    """q's dense operator over basis, built in float64 when the table is real.
+def _band_couplings(l: int, q: FourierPotential, basis: PlanewaveBasis) -> np.ndarray:
+    """q's dense operator over basis at t = 0, from oracle.assemble's sparse one.
 
-    oracle.assemble's sparse operator at t = 0 (its real part when real is
-    set): its off-diagonal is the band couplings at every t, and _bands_at
+    Its off-diagonal is the band couplings at every t, and _bands_at
     overwrites its diagonal.
     """
-    H = assemble(l, q, np.zeros(basis.embeddings.shape[1]), basis, sparse=True)
-    return (H.real if real else H).toarray()
+    return assemble(l, q, np.zeros(basis.embeddings.shape[1]), basis, sparse=True).toarray()
 
 
 def _band_threads(basis: PlanewaveBasis):
@@ -204,8 +199,8 @@ def band_functions(lattice: LatticeModel, l: int, q: FourierPotential, grid_coun
 
     The basis is shared across grid points (only the diagonal depends on
     t), and its radius is certified by refinement unless given explicitly.
-    The matrices are those of q's even translate when it has one (see the
-    module docstring), real symmetric, else of q.
+    The matrices are those of q's eigenvalue table (see the module
+    docstring).
     One point per orbit of symmetry_group, the lexicographically smallest,
     is solved and its values are copied to the orbit.  A copy agrees with a
     direct solve up to the basis truncation error (by which finite-basis
@@ -219,13 +214,13 @@ def band_functions(lattice: LatticeModel, l: int, q: FourierPotential, grid_coun
     counts = np.array(grid_counts)
     k = np.indices(grid_counts).reshape(len(counts), -1).T
     t_points = (k / counts) @ lattice.dual_basis
-    q, real = q.eigenvalue_table()
+    q = q.eigenvalue_table()
     group = symmetry_group(lattice, q, grid_counts, basis)
     # k -> kM on coefficients is k -> k A mod counts on indices, A_ij = M_ij counts_j / counts_i
     rep = np.min([np.ravel_multi_index(((k @ (M * counts // counts[:, None])) % counts).T, grid_counts)
                   for M in group], axis=0)
     solve, source = np.unique(rep, return_inverse=True)
-    H = _band_couplings(l, q, real, basis)
+    H = _band_couplings(l, q, basis)
     with _band_threads(basis):
         solved = [_bands_at(H, basis, l, t_points[i], n_bands) for i in solve]
     steps = tuple(float(np.linalg.norm(lattice.dual_basis[i])) / grid_counts[i]
@@ -233,7 +228,7 @@ def band_functions(lattice: LatticeModel, l: int, q: FourierPotential, grid_coun
     return BandTable(grid_counts=grid_counts, n_bands=n_bands,
                      t_points=t_points, values=np.array(solved)[source], basis_radius=float(basis_radius),
                      axis_steps=steps, solved_points=len(solve), symmetry_order=len(group),
-                     real_symmetric=real)
+                     real_symmetric=q.is_real)
 
 
 def checked_grid(grid_counts) -> tuple[int, ...]:

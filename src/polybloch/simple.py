@@ -7,10 +7,10 @@ competitor's known part (non-resonant competitors) or block eigenvalue
 (resonant competitors), the competitors being the gamma' whose free energy
 lands within a third of the level-1 threshold of F(v).
 
-The coefficient predictions A_1 .. A_k(offset) of coefficient_prediction
-and bloch_verify come from one helper (_coefficient_orders): path sums of
-series' walk started at -offset (series._path_sums), A_1 at the free level
-and every higher order from one walk at the known part.
+bloch_verify's coefficient predictions A_1 .. A_k(offset) come from one
+helper (_coefficient_orders): path sums of series' walk started at -offset
+(series._path_sums), A_1 at the free level and every higher order from one
+walk at the known part.
 """
 
 from __future__ import annotations
@@ -113,15 +113,14 @@ def check_simplicity(lattice: LatticeModel, v, cascade: ParameterCascade, l: int
     point.  A resonant competitor's margin is |F(v) - lambda| - 2 eps1, with
     lambda the eigenvalue of its block nearest F(v), found on the sparse
     block by the tracked Davidson solve and certified by a
-    Sylvester-inertia count, or solved on q's dense complex block when a
-    guard of that solve trips (block.nearest_eigenvalue).  The sparse
-    block is that of q's even translate, real symmetric, when q has one,
-    else q's complex Hermitian block; each block entry's diagnostics
-    record which path ran (real_symmetric), the Davidson steps taken
-    (track_steps) and which solve answered.  The member verdict holds
-    exactly when every margin is >= 0, so an eigenvalue or known part
-    exactly at F(v) +- 2 eps1 keeps v a member.  Requires v non-resonant
-    and inside the shrunk annulus (PreconditionError otherwise).
+    Sylvester-inertia count, or on the same block densified when a guard
+    of that solve trips (block.nearest_eigenvalue).  The block is that of
+    q's eigenvalue table; each block entry's diagnostics record which
+    arithmetic ran (real_symmetric), the Davidson steps taken (track_steps)
+    and which solve answered.  The member verdict holds exactly when every
+    margin is >= 0, so an eigenvalue or known part exactly at F(v) +- 2 eps1
+    keeps v a member.  Requires v non-resonant and inside the shrunk
+    annulus (PreconditionError otherwise).
     """
     v = np.asarray(v, dtype=float)
     lo, hi = cascade.shrunk_shell()
@@ -190,12 +189,6 @@ def _coefficient_orders(v: np.ndarray, l: int, q: FourierPotential, pool, offset
     if k >= 2:
         orders += _path_sums(known_rel, v, l, q, pool, k - 1, 0.0, start=start)[0][1:]
     return orders
-
-
-def coefficient_prediction(v, l: int, q: FourierPotential, offset, k: int, known_rel: float) -> complex:
-    """Order-k coefficient prediction A_k(offset) for the eigenvector row (see _coefficient_orders)."""
-    _, pool = _series_pool(q, None)
-    return _coefficient_orders(np.asarray(v, dtype=float), l, q, pool, offset, k, known_rel)[-1]
 
 
 @dataclass(frozen=True)

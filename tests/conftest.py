@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import polybloch as pb
+from polybloch import numerics
+from polybloch.lattice import _ordered, _unique_rows
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +35,22 @@ def free_eigenvalues(lattice, t, l, basis):
     """Sorted |gamma + t|^{2l} over the basis (the q = 0 spectrum)."""
     x = basis.embeddings + np.asarray(t, dtype=float)
     return np.sort(np.vecdot(x, x) ** l)
+
+
+def union_windows(lattice, t, centers, radius):
+    """The deduplicated union of the windows {gamma : |gamma + t - c| <= radius} around the centers c,
+    ordered by (|gamma|^2, coords): one basis for eigenvalues near one energy that arise
+    from several separated regions of the dual lattice (competitor analysis)."""
+    coords = _unique_rows(np.concatenate([lattice.enumerate_shifted_ball(np.asarray(c, dtype=float) - t, radius)
+                                          for c in centers]))
+    emb = lattice.embed(coords)
+    return pb.PlanewaveBasis(lattice, _ordered(coords, np.vecdot(emb, emb)))
+
+
+def blas_threads():
+    """numpy's current BLAS thread count, or None where it cannot be read."""
+    calls = numerics._openblas_thread_calls()
+    return None if calls is None else int(calls[0]())
 
 
 def s0_threshold(d):

@@ -3,10 +3,12 @@
 reference_series walks each order k = 1..K on its own, as evaluate_series
 did, so every node of depth j is visited and its denominator computed
 K - j + 1 times.  reference_coefficient runs the itertools.product chains
-of the former simple.coefficient_prediction, with each partial sum
+that coefficient_prediction's walk replaced, with each partial sum
 embedded afresh, as the walk from a start node does.  Both keep the
 former arithmetic expression for expression, and reference_coefficient also
 returns the sum of its terms' moduli, the scale of its rounding.
+coefficient_prediction is the walk under test: bloch_verify's predictions
+(simple._coefficient_orders) on series' pool.
 """
 
 import itertools
@@ -15,6 +17,14 @@ import numpy as np
 
 from polybloch.errors import SmallDenominator
 from polybloch.numerics import power_difference
+from polybloch.series import _series_pool
+from polybloch.simple import _coefficient_orders
+
+
+def coefficient_prediction(v, l, q, offset, k, known_rel):
+    """Order-k coefficient prediction A_k(offset) for the eigenvector row, as bloch_verify computes it."""
+    _, pool = _series_pool(q, None)
+    return _coefficient_orders(np.asarray(v, dtype=float), l, q, pool, offset, k, known_rel)[-1]
 
 
 def reference_sum_order(a_rel, v, l, q, k, pool, min_denominator):

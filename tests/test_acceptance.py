@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import polybloch as pb
-from conftest import free_eigenvalues, s0_threshold, scaled_cascade
+from conftest import free_eigenvalues, s0_threshold, scaled_cascade, union_windows
 from polybloch.block import ResonantIndexSet
 from polybloch.errors import CascadeInequalityViolated, SmallDenominator
 from polybloch.numerics import loglog_slope
@@ -336,7 +336,7 @@ def test_criterion_7_simplicity_uniqueness():
         gamma0, qm = lat.reduce(v)
         t = qm.reduced
         competitors = [lat.embed(e.coords) + t for e in report.entries]
-        basis = pb.PlanewaveBasis.union_windows(lat, t, [v] + competitors, 6.0)
+        basis = union_windows(lat, t, [v] + competitors, 6.0)
         spec = pb.solve(lat, 1, q, t, basis, shift_center=v)
         f_rel = report.f_value - spec.shift
         rel = spec.eigenvalues_rel

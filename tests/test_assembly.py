@@ -8,7 +8,7 @@ before it: the scatter of reference_triplets.
 
 import numpy as np
 import scipy.sparse
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import polybloch as pb
@@ -70,13 +70,22 @@ def reference_triplets(q, coords):
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
 
 
+def table_dtype(q):
+    """float64 when every coefficient of q is real, else complex128: the arithmetic of q's operators."""
+    return np.dtype(float if all(q.coefficient(g).imag == 0 for g in q.support) else complex)
+
+
 def reference_csc(l, q, t, basis, v, dense=False):
-    """The relative-frame operator scattered from reference_triplets: a CSC array, or with dense set an array."""
+    """The relative-frame operator scattered from reference_triplets: a CSC array, or with dense set an array.
+
+    It is in q's dtype (table_dtype): on a real table, the real parts of the complex triplets.
+    """
     n = len(basis)
     energies = relative_energies(np.zeros_like(t) if v is None else v, basis.embeddings + t, l)
     i, j, values = reference_triplets(q, basis.coords)
+    values = values.real if table_dtype(q) == float else values
     if dense:  # assigned, not summed as in toarray(), so an entry's -0.0 stays
-        H = np.zeros((n, n), dtype=complex)
+        H = np.zeros((n, n), dtype=values.dtype)
         H[i, j] = values
         H[np.diag_indices(n)] = energies
         return H
@@ -413,10 +422,48 @@ def test_sparse_operator_of_a_derived_set_is_that_of_a_fresh_set(data, name, eve
     cold = FourierPotential(lattice, {g: q.coefficient(g) for g in q.support})  # q's table, nothing kept
     want = pb.assemble(l, cold, t, PlanewaveBasis(lattice, index_set.coords), shift_center=v, sparse=True)
     assert sparse_bytes(H) == sparse_bytes(want)
-    if even:
-        assert H.real.dtype == np.float64 and H.real.values.flags.c_contiguous
-        assert sparse_bytes(H.real) == sparse_bytes(want.real)
-        assert np.array_equal(H.real.toarray(), want.toarray().real)
+    if even:  # a real table's couplings, contiguous float64
+        assert H.dtype == np.float64 and H.values.flags.c_contiguous
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(DERIVED_LATTICES)),
+       table_kind=st.sampled_from(["real", "complex", "translate"]),
+       kind=st.sampled_from(["fresh", "inner", "outer", "block"]), l=st.sampled_from([1, 2]))
+def test_operators_are_float64_exactly_when_the_coefficients_are_real(data, name, table_kind, kind, l):
+    # the table's coefficients set the arithmetic: on a real table (drawn real, or an even
+    # translate) the sparse and dense operators are float64, the real part of the complex
+    # build bit for bit; on any other table they are that complex build
+    lattice = pb.LatticeModel(2 * np.pi * DERIVED_LATTICES[name])
+    d = lattice.dimension
+    table = hermitian_table(data.draw, lattice)
+    if table_kind == "real":  # the real parts of a Hermitian table: a real symmetric one
+        table = {g: value.real for g, value in table.items()}
+    q = FourierPotential(lattice, table)
+    if table_kind == "translate":
+        q = q.even_translate()
+        assume(q is not None)
+    real = all(q.coefficient(g).imag == 0 for g in q.support)
+    event(f"{table_kind} table, real: {real}")
+    v = np.array(data.draw(st.tuples(*([st.floats(-20.0, 20.0)] * d))))
+    if kind == "fresh":
+        rows = data.draw(st.lists(st.tuples(*([st.integers(-3, 3)] * d)), min_size=1, max_size=30, unique=True))
+        index_set, t = PlanewaveBasis(lattice, rows), lattice.split(v)[1]
+    else:
+        coords = data.draw(st.lists(st.tuples(*([st.integers(-2, 2)] * d)).filter(any), min_size=1,
+                                    max_size=d - 1, unique=True))
+        assume(integer_rank(coords) == len(coords))
+        directions = [lattice.vector(g) for g in coords]
+        b_radius = data.draw(st.floats(0.5, 2.0)) * min(float(np.linalg.norm(g.embedding)) for g in directions)
+        radius = q.support_radius + data.draw(st.floats(0.0, 1.0))
+        index_set, t = derived_set(kind, q, v, radius, directions, b_radius, data.draw(st.floats(0.3, 1.5)))
+    sparse = pb.assemble(l, q, t, index_set, shift_center=v, sparse=True)
+    dense = pb.assemble(l, q, t, index_set, shift_center=v)
+    assert sparse.dtype == dense.dtype == np.dtype(float if real else complex)
+    rows = PlanewaveBasis(lattice, index_set.coords)  # reference_csc: the complex triplets' real parts when real
+    want = reference_csc(l, q, t, rows, v, dense=True)
+    assert dense.tobytes() == want.tobytes() and sparse.toarray().tobytes() == want.tobytes()
+    assert csc_bytes(sparse.tocsc()) == csc_bytes(reference_csc(l, q, t, rows, v))
 
 
 @settings(max_examples=60, deadline=None)

@@ -313,6 +313,22 @@ class TestOtherCommands:
         assert sum(fr.values()) == pytest.approx(1.0)
 
 
+def cosine_records(*rows):
+    """[potential].coefficients records, one (n, re) per row."""
+    return [{"n": n, "re": re, "im": 0.0} for n, re in rows]
+
+
+# [potential].coefficients that a Z^2 config must reject: a Z^3 index, which the loader
+# once re-embedded as Z^2 rows; a fraction and a bool, once read as the integer 1; and a
+# repeated n, whose later value once replaced the earlier one
+MALFORMED_RECORDS = [
+    cosine_records(([1, 0, 0], 0.1), ([-1, 0, 0], 0.1)),
+    cosine_records(([1.5, 0], 0.1), ([-1.5, 0], 0.1)),
+    cosine_records(([True, 0], 0.1), ([-1, 0], 0.1)),
+    cosine_records(([1, 0], 0.1), ([-1, 0], 0.2), ([1, 0], 0.2)),
+]
+
+
 class TestErrors:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["params", "-c", str(tmp_path / "nope.yaml")]) == 2
@@ -427,6 +443,9 @@ class TestErrors:
         ("params", "verify", "window_raduis", 8.0),
         ("params", "cascade", "constants", {1: 2.0}),
         ("bloch", "bloch", "order", 50),
+        *(("predict", "potential", "coefficients", records) for records in MALFORMED_RECORDS),
+        ("verify", "potential", "coefficients", MALFORMED_RECORDS[0]),
+        ("bands", "potential", "coefficients", MALFORMED_RECORDS[0]),
     ])
     def test_bad_values_are_config_errors(self, tmp_path, command, section, key, value):
         raw = yaml.safe_load((REPO / "configs" / "cosine_sweep.yaml").read_text())
@@ -443,7 +462,8 @@ class TestErrors:
 
 # every (section, key) of the schema, plus one misspelt key
 FUZZ_KEYS = [(section, key) for section, keys in _SCHEMA.items() for key in keys] + [("verify", "window_raduis")]
-FUZZ_VALUES = ["x", None, [], 0, -1, 1.5, float("nan"), float("inf"), True, [[1, "a"]], [0, 0], {}]
+FUZZ_VALUES = ["x", None, [], 0, -1, 1.5, float("nan"), float("inf"), True, [[1, "a"]], [0, 0], {},
+               *MALFORMED_RECORDS]
 
 
 def exit_contract(tmp_path_factory, key, value, command):

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 import polybloch as pb
 import reference_enumeration as ref
-from conftest import s0_threshold, scaled_cascade
+from conftest import blas_threads, s0_threshold, scaled_cascade
 from polybloch.errors import CascadeInequalityViolated, PartitionBreakdown, ShellViolation
 from polybloch.geometry import in_shell, membership_profile, series_cap
-from polybloch.numerics import blas_threads, capped_blas_threads, integer_rank, integer_row_basis, power_difference
+from polybloch.numerics import capped_blas_threads, integer_rank, integer_row_basis, power_difference
 
 
 def plane_distance(x, b, l: int) -> float:

@@ -13,11 +13,10 @@ import polybloch as pb
 from polybloch import oracle
 from polybloch.errors import PartitionBreakdown, PreconditionError, WindowNotConverged
 from polybloch.lattice import CoordinateIndex
-from polybloch.numerics import blas_threads
 from polybloch.oracle import PlanewaveBasis
 from polybloch.potential import FourierPotential
 
-from conftest import free_eigenvalues, scaled_cascade
+from conftest import blas_threads, free_eigenvalues, scaled_cascade
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -528,9 +527,10 @@ def first_order_shift(q, v, l):
 
 
 def in_complex_frame(q):
-    """q's own table, whose windows are solved as given, in complex arithmetic, translate or not."""
+    """q's own table, whose windows are solved as given, translate or not: in complex arithmetic
+    unless its coefficients are real."""
     own = FourierPotential(q.lattice, {g: q.coefficient(g) for g in q.support}, q.smoothness)
-    own._eigenvalue_table = (own, False)
+    own._eigenvalue_table = own
     return own
 
 
@@ -551,7 +551,7 @@ def test_translate_frame_solves_are_the_complex_frame_solves(case):
     # (x = conj(D) y), and solved in q's own complex frame: one eigenvalue, weight and row
     lattice, q, l, v, radius, refine, preds, hw = case
     own = in_complex_frame(q)
-    real = q.eigenvalue_table()[1]
+    real = q.eigenvalue_table().is_real
     event(f"even translate: {real}")
     gamma0 = lattice.split(v)[0].coords
     try:
@@ -559,7 +559,7 @@ def test_translate_frame_solves_are_the_complex_frame_solves(case):
     except WindowNotConverged:
         return
     tracked = [pb.track_dominant(lattice, l, p, v, radius, preds, hw, refine=refine) for p in (q, own)]
-    assert [s.diagnostics["real_symmetric"] for s in dense + tracked] == [real, False, real, False]
+    assert [s.diagnostics["real_symmetric"] for s in dense + tracked] == [real, own.is_real, real, own.is_real]
     # dense eigenvalues agree only to ~eps ||H|| (backward error), their Rayleigh quotients on q's own
     # operator to second order in it; a tracked pair is Davidson's own Rayleigh quotient
     H = pb.assemble(l, q, dense[0].t, dense[0].basis, shift_center=v)
@@ -671,9 +671,7 @@ class TestSparseSlice:
             q = pb.random_potential(seed, lattice, 1.0, 0.0, amplitude)
         u = np.array(direction[:d]) + 1e-3
         v = rho * u / np.linalg.norm(u)
-        H = window_operator(lattice, l, q, v, radius)
-        if chains:  # a real table's operator, factored in float64 as a block of an even q is
-            H = H.real
+        H = window_operator(lattice, l, q, v, radius)  # a cosine pair's is float64, as an even q's blocks are
         ordered, floor = oracle._OrderedPattern(H), oracle._PIVOT_TOL * H.one_norm()
         dense = H.toarray()
         # eigh's own eigenvalues are good to ~eps |H|, which exceeds the tolerance

@@ -139,6 +139,27 @@ class TestSerialization:
         with pytest.raises(ValueError, match="Hermitian"):
             pb.load_potential(path, z2, 0.0)
 
+    @pytest.mark.parametrize("plus, minus, match", [
+        ([1, 0, 0], [-1, 0, 0], "2 integers"),  # a Z^3 index on Z^2 is not re-embedded
+        ([1], [-1], "2 integers"),
+        ([1.5, 0], [-1.5, 0], "2 integers"),  # not read as (1, 0)
+        ([True, 0], [-1, 0], "2 integers"),
+        ("10", [-1, 0], "2 integers"),
+        ([1, 0], [1, 0], "appears twice"),  # the later value would replace the earlier
+    ])
+    def test_loader_rejects_malformed_n(self, z2, tmp_path, plus, minus, match):
+        records = [{"n": plus, "re": 0.1, "im": 0.0}, {"n": minus, "re": 0.1, "im": 0.0}]
+        with pytest.raises(ValueError, match=match):
+            FourierPotential.from_records(z2, records, 0.0)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(records))
+        with pytest.raises(ValueError, match=match):
+            pb.load_potential(path, z2, 0.0)
+
+    def test_loader_reads_numpy_integers(self, z2):
+        records = [{"n": list(np.array(g)), "re": 0.1, "im": 0.0} for g in ((1, 0), (-1, 0))]
+        assert FourierPotential.from_records(z2, records, 0.0).support == ((-1, 0), (1, 0))
+
 
 def test_scaling_homogeneity(z2):
     q = pb.cosine_pair(z2, (1, 0), 1.0)
@@ -196,7 +217,7 @@ class TestEvenTranslate:
         monkeypatch.setattr(potential, "integer_row_basis", counted)
         q = translated(even({(1, 0): 0.3, (0, 1): -0.2}), z2, (0.7, -1.3))
         first = q.eigenvalue_table()
-        assert first[1] and q.eigenvalue_table() is first and len(calls) == 1
+        assert first.is_real and q.eigenvalue_table() is first and len(calls) == 1
 
     def test_three_generic_pairs_have_none(self, z2):
         pairs = {(1, 0): np.exp(1.0j), (0, 1): 0.5 * np.exp(2.0j), (1, 1): 0.7 * np.exp(0.3j)}

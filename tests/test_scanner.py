@@ -4,7 +4,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import polybloch as pb
-from conftest import free_eigenvalues, scaled_cascade, to_records
+from conftest import free_eigenvalues, scaled_cascade, to_records, union_windows
 from polybloch.errors import InsufficientBands, PreconditionError
 from polybloch.numerics import integer_rank
 from polybloch.potential import FourierPotential
@@ -190,7 +190,7 @@ class TestSymmetryReduction:
         # nor a basis stretched along the first axis
         mirrors = {((1, 0), (0, 1)), ((-1, 0), (0, -1)), ((1, 0), (0, -1)), ((-1, 0), (0, 1))}
         assert as_set(symmetry_group(z2, q, (8, 12), basis)) == mirrors
-        stretched = pb.PlanewaveBasis.union_windows(z2, np.zeros(2), [(0.5, 0.0), (-0.5, 0.0)], 5.0)
+        stretched = union_windows(z2, np.zeros(2), [(0.5, 0.0), (-0.5, 0.0)], 5.0)
         assert as_set(symmetry_group(z2, q, (16, 16), stretched)) == mirrors
 
     def test_window_off_the_origin_keeps_no_time_reversed_map(self, z2):
@@ -216,7 +216,7 @@ class TestSymmetryReduction:
         x = np.array(center) @ lat.dual_basis
         basis = {"ball": lambda: pb.PlanewaveBasis.full_ball(lat, radius),
                  "window": lambda: pb.PlanewaveBasis.window(lat, np.zeros(2), x, radius),
-                 "union": lambda: pb.PlanewaveBasis.union_windows(lat, np.zeros(2), [x, -x], radius)}[shape]()
+                 "union": lambda: union_windows(lat, np.zeros(2), [x, -x], radius)}[shape]()
         c = np.array(coefficients)
         want = np.linalg.eigvalsh(pb.assemble(1, q, c @ lat.dual_basis, basis))
         for M in symmetry_group(lat, q, grid, basis):

@@ -2,7 +2,9 @@
 
 A settable value is a defaulted parameter of a public function or method
 (dunder methods count, _private ones do not), a dataclass field with a
-default other than field(init=False), or a key of config._SCHEMA.
+default (a value, or a field() with default or default_factory, unless it
+sets init), or a key of config._SCHEMA.  A field() with neither is
+required, not settable.
 """
 
 import ast
@@ -11,7 +13,7 @@ from pathlib import Path
 from polybloch.config import _SCHEMA
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "polybloch"
-MAX_SETTABLE_VALUES = 79
+MAX_SETTABLE_VALUES = 76
 
 
 def _is_public(name: str) -> bool:
@@ -27,8 +29,10 @@ def _has_default(stmt: ast.AnnAssign) -> bool:
     value = stmt.value
     if value is None:
         return False
-    return not (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"
-                and any(kw.arg == "init" for kw in value.keywords))
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        keywords = {kw.arg for kw in value.keywords}
+        return "init" not in keywords and bool(keywords & {"default", "default_factory"})
+    return True
 
 
 def _settable(scope, module: str, prefix: str = "") -> list[str]:
